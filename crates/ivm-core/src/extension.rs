@@ -350,7 +350,7 @@ impl IvmSession {
         // The fall-back path: the engine rejects CREATE MATERIALIZED VIEW
         // as unsupported; the extension catches exactly that case (the
         // paper's fall-back parser flow) and handles it.
-        match self.db.execute_statement(&stmt) {
+        match self.db.execute_statement(&stmt, None) {
             Ok(r) => Ok(r),
             Err(e) if e.kind() == ErrorKind::Unsupported => {
                 if let Statement::CreateView(cv) = &stmt {
@@ -496,7 +496,7 @@ impl IvmSession {
 
     fn run(&mut self, stmt: &Statement) -> Result<QueryResult, IvmError> {
         self.db
-            .execute_statement(stmt)
+            .execute_statement(stmt, None)
             .map_err(|e| IvmError::Engine(e.to_string()))
     }
 
@@ -835,7 +835,7 @@ impl IvmSession {
                 // maintenance statement is planned/optimized/lowered once and
                 // re-executed from the cached physical plan until DDL changes
                 // the catalog shape.
-                s.db.execute_statement_cached(sql, stmt)
+                s.db.execute_statement(stmt, Some(sql))
                     .map_err(|e| IvmError::Engine(format!("{e} while running: {sql}")))?;
             }
             Ok(())

@@ -24,12 +24,11 @@
 //!   *n+1*, never half of each.
 //!
 //! The hub also owns the shared cross-session prepared-statement cache:
-//! the per-`Database` bound-plan cache of PR 3, promoted to a
-//! process-wide map keyed by `(SQL, memory budget, parallelism)` and
-//! validated against the snapshot's catalog-shape generation, so N
-//! readers pay each query's plan/optimize/lower cost once.
+//! the same `PlanCache` type a `Database` keeps for itself, keyed by
+//! `(SQL, memory budget, parallelism)` and validated against the
+//! snapshot's catalog-shape generation, so N readers pay each query's
+//! plan/optimize/lower cost once.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -38,14 +37,9 @@ use ivm_sql::parse_statement;
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
-use crate::exec::{
-    execute_parallel, execute_physical_budgeted, MemoryBudget, ParallelOptions, DEFAULT_BATCH_SIZE,
-    DEFAULT_MORSEL_SIZE,
-};
-use crate::optimizer::optimize;
-use crate::planner::physical::{lower_with_budget, PhysicalPlan};
-use crate::planner::plan_query;
-use crate::session::{env_budget, env_parallelism, Database, QueryResult};
+use crate::exec::{ExecConfig, ExecContext};
+use crate::plan_cache::{PlanCache, PlanKey};
+use crate::session::{env_config, plan_physical, run_planned, Database, QueryResult};
 
 /// An immutable, epoch-stamped image of the catalog at a committed point.
 ///
@@ -71,30 +65,11 @@ impl Snapshot {
     }
 }
 
-/// Key of the shared prepared-statement cache; see
-/// [`crate::session::Database::execute_statement_cached`] for why budget
-/// and parallelism are part of plan identity.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SharedPlanKey {
-    sql: String,
-    budget: Option<usize>,
-    parallelism: usize,
-}
-
-#[derive(Debug, Clone)]
-struct SharedPlan {
-    ddl_generation: u64,
-    physical: Arc<PhysicalPlan>,
-    columns: Vec<String>,
-}
-
 #[derive(Debug)]
 struct HubInner {
     current: RwLock<Arc<Snapshot>>,
     epochs: AtomicU64,
-    plans: Mutex<HashMap<SharedPlanKey, SharedPlan>>,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
+    plans: Mutex<PlanCache>,
 }
 
 /// The shared rendezvous between one writer and N readers.
@@ -105,10 +80,6 @@ struct HubInner {
 pub struct SnapshotHub {
     inner: Arc<HubInner>,
 }
-
-/// Bound on distinct `(SQL, budget, parallelism)` entries in the shared
-/// plan cache; mirrors the per-session cap in `session.rs`.
-const SHARED_PLAN_CACHE_CAP: usize = 1024;
 
 impl SnapshotHub {
     /// A hub whose initial snapshot is the database's current state.
@@ -122,9 +93,7 @@ impl SnapshotHub {
             inner: Arc::new(HubInner {
                 current: RwLock::new(snapshot),
                 epochs: AtomicU64::new(1),
-                plans: Mutex::new(HashMap::new()),
-                plan_hits: AtomicU64::new(0),
-                plan_misses: AtomicU64::new(0),
+                plans: Mutex::new(PlanCache::default()),
             }),
         }
     }
@@ -161,62 +130,21 @@ impl SnapshotHub {
     pub fn reader(&self) -> ReadSession {
         ReadSession {
             hub: self.clone(),
-            batch_size: DEFAULT_BATCH_SIZE,
-            parallelism: env_parallelism(),
-            morsel_size: DEFAULT_MORSEL_SIZE,
-            budget: env_budget(),
+            config: env_config(),
             last_epoch: 0,
         }
     }
 
     /// `(entries, hits, misses)` of the shared prepared-statement cache.
     pub fn plan_cache_stats(&self) -> (usize, u64, u64) {
-        (
-            self.inner.plans.lock().unwrap().len(),
-            self.inner.plan_hits.load(Ordering::Relaxed),
-            self.inner.plan_misses.load(Ordering::Relaxed),
-        )
+        self.plans().stats()
     }
 
-    /// The cached plan for `key` when its catalog-shape generation
-    /// matches, else the plan produced by `build`, stored for the next
-    /// session to hit. `build` runs outside the cache lock: a slow
-    /// lowering must not stall other readers (two concurrent misses on
-    /// the same key both build; last insert wins — both plans are
-    /// equally valid for that generation).
-    fn plan_for(
-        &self,
-        key: SharedPlanKey,
-        ddl_generation: u64,
-        build: impl FnOnce() -> Result<(Arc<PhysicalPlan>, Vec<String>), EngineError>,
-    ) -> Result<(Arc<PhysicalPlan>, Vec<String>), EngineError> {
-        {
-            let plans = self.inner.plans.lock().unwrap();
-            if let Some(hit) = plans.get(&key) {
-                if hit.ddl_generation == ddl_generation {
-                    self.inner.plan_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((Arc::clone(&hit.physical), hit.columns.clone()));
-                }
-            }
-        }
-        self.inner.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let (physical, columns) = build()?;
-        let mut plans = self.inner.plans.lock().unwrap();
-        if plans.len() >= SHARED_PLAN_CACHE_CAP {
-            plans.retain(|_, e| e.ddl_generation == ddl_generation);
-            if plans.len() >= SHARED_PLAN_CACHE_CAP {
-                plans.clear();
-            }
-        }
-        plans.insert(
-            key,
-            SharedPlan {
-                ddl_generation,
-                physical: Arc::clone(&physical),
-                columns: columns.clone(),
-            },
-        );
-        Ok((physical, columns))
+    fn plans(&self) -> std::sync::MutexGuard<'_, PlanCache> {
+        self.inner
+            .plans
+            .lock()
+            .expect("plan cache updates never panic mid-way")
     }
 }
 
@@ -229,27 +157,20 @@ impl SnapshotHub {
 #[derive(Debug)]
 pub struct ReadSession {
     hub: SnapshotHub,
-    batch_size: usize,
-    parallelism: usize,
-    morsel_size: usize,
-    budget: MemoryBudget,
+    config: ExecConfig,
     last_epoch: u64,
 }
 
 impl ReadSession {
-    /// Set the executor worker count for this reader (clamped to ≥ 1).
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.parallelism = workers.max(1);
+    /// This reader's executor settings.
+    pub fn config(&self) -> &ExecConfig {
+        &self.config
     }
 
-    /// Set this reader's executor memory budget (`None` = unbounded).
-    pub fn set_memory_budget(&mut self, bytes: Option<usize>) {
-        self.budget.set_limit(bytes);
-    }
-
-    /// Set the scan batch size (clamped to ≥ 1).
-    pub fn set_batch_size(&mut self, batch_size: usize) {
-        self.batch_size = batch_size.max(1);
+    /// Change this reader's executor settings (parallelism, memory
+    /// budget, batch size, …).
+    pub fn config_mut(&mut self) -> &mut ExecConfig {
+        &mut self.config
     }
 
     /// The epoch of the snapshot the most recent [`query`](Self::query)
@@ -266,16 +187,9 @@ impl ReadSession {
     /// reader's parallelism is above 1 — wholly against that frozen
     /// image. DML/DDL is rejected: writes go through the single writer.
     pub fn query(&mut self, sql: &str) -> Result<QueryResult, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(q) = stmt else {
-            return Err(EngineError::unsupported(
-                "read sessions accept SELECT statements only; writes go through the writer session",
-            ));
-        };
+        let q = parse_select(sql)?;
         let snapshot = self.hub.pin();
-        self.last_epoch = snapshot.epoch();
-        let rows = self.query_snapshot(sql, &q, &snapshot)?;
-        Ok(rows)
+        self.query_snapshot(sql, &q, &snapshot)
     }
 
     /// [`query`](Self::query) against an explicitly pinned snapshot —
@@ -286,14 +200,7 @@ impl ReadSession {
         sql: &str,
         snapshot: &Snapshot,
     ) -> Result<QueryResult, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(q) = stmt else {
-            return Err(EngineError::unsupported(
-                "read sessions accept SELECT statements only; writes go through the writer session",
-            ));
-        };
-        self.last_epoch = snapshot.epoch();
-        self.query_snapshot(sql, &q, snapshot)
+        self.query_snapshot(sql, &parse_select(sql)?, snapshot)
     }
 
     /// Pin the current snapshot for use with
@@ -303,43 +210,42 @@ impl ReadSession {
     }
 
     fn query_snapshot(
-        &self,
+        &mut self,
         sql: &str,
         q: &Query,
         snapshot: &Snapshot,
     ) -> Result<QueryResult, EngineError> {
-        let key = SharedPlanKey {
-            sql: sql.to_string(),
-            budget: self.budget.limit(),
-            parallelism: self.parallelism,
+        self.last_epoch = snapshot.epoch();
+        let cx = ExecContext {
+            catalog: snapshot.catalog(),
+            config: &self.config,
         };
-        let catalog = snapshot.catalog();
-        let (physical, columns) = self.hub.plan_for(key, snapshot.ddl_generation, || {
-            let plan = optimize(plan_query(q, catalog)?);
-            let columns = plan.schema().names();
-            let physical = Arc::new(lower_with_budget(&plan, catalog, self.budget.limit())?);
-            Ok((physical, columns))
-        })?;
-        let rows = if self.parallelism > 1 {
-            execute_parallel(
-                &physical,
-                catalog,
-                self.batch_size,
-                ParallelOptions {
-                    workers: self.parallelism,
-                    morsel_size: self.morsel_size,
-                    budget: self.budget.clone(),
-                    adaptive_morsels: true,
-                },
-            )?
-        } else {
-            execute_physical_budgeted(&physical, catalog, self.batch_size, &self.budget)?
+        let generation = snapshot.ddl_generation;
+        let key = PlanKey::new(sql, &self.config);
+        // Its own statement, so the lock is released before the match.
+        let cached = self.hub.plans().get(&key, generation);
+        let planned = match cached {
+            Some(hit) => hit,
+            None => {
+                // Planned outside the cache lock: a slow lowering must
+                // not stall other readers (two concurrent misses on the
+                // same key both plan; last insert wins — both plans are
+                // equally valid for that generation).
+                let planned = plan_physical(q, &cx)?;
+                self.hub.plans().insert(key, generation, planned.clone());
+                planned
+            }
         };
-        Ok(QueryResult {
-            columns,
-            rows,
-            rows_affected: 0,
-        })
+        run_planned(planned, &cx)
+    }
+}
+
+fn parse_select(sql: &str) -> Result<Query, EngineError> {
+    match parse_statement(sql)? {
+        Statement::Query(q) => Ok(*q),
+        _ => Err(EngineError::unsupported(
+            "read sessions accept SELECT statements only; writes go through the writer session",
+        )),
     }
 }
 
@@ -375,7 +281,7 @@ mod tests {
         db.catalog_mut().table_mut("t").unwrap().compact();
 
         let mut reader = hub.reader();
-        reader.set_parallelism(1);
+        reader.config_mut().set_parallelism(1);
         let old = reader
             .query_pinned("SELECT COUNT(*) FROM t", &pinned)
             .unwrap();
@@ -415,8 +321,8 @@ mod tests {
         let hub = SnapshotHub::new(&db);
         let mut r1 = hub.reader();
         let mut r2 = hub.reader();
-        r1.set_parallelism(1);
-        r2.set_parallelism(1);
+        r1.config_mut().set_parallelism(1);
+        r2.config_mut().set_parallelism(1);
         r1.query("SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k")
             .unwrap();
         r2.query("SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k")
@@ -434,22 +340,55 @@ mod tests {
         assert_eq!((hits, misses), (1, 2), "stale generation re-plans");
 
         // Different executor settings are different plan identities.
-        r2.set_memory_budget(Some(1));
+        r2.config_mut().set_memory_budget(Some(1));
         r2.query("SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k")
             .unwrap();
         let (entries, _, misses) = hub.plan_cache_stats();
         assert_eq!((entries, misses), (2, 3), "budget is part of the key");
     }
 
+    /// The writer session and a snapshot reader share one plan → run
+    /// path: five query shapes through both entries, at {1, 2} workers ×
+    /// {unbounded, 1 KB} budget — all eight cells row-identical.
     #[test]
     fn parallel_reader_matches_serial_reader() {
-        let db = db_with_rows(512);
+        let mut db = db_with_rows(512);
+        db.execute("CREATE TABLE d (k INTEGER, name VARCHAR)")
+            .unwrap();
+        db.execute("INSERT INTO d VALUES (0, 'zero'), (1, 'one'), (2, 'two')")
+            .unwrap();
         let hub = SnapshotHub::new(&db);
-        let mut serial = hub.reader();
-        serial.set_parallelism(1);
-        let mut parallel = hub.reader();
-        parallel.set_parallelism(4);
-        let sql = "SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k ORDER BY k";
-        assert_eq!(serial.query(sql).unwrap(), parallel.query(sql).unwrap());
+        let shapes = [
+            "SELECT k, v FROM t WHERE v > 100",
+            "SELECT t.v, d.name FROM t JOIN d ON t.k = d.k",
+            "SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k",
+            "SELECT DISTINCT k FROM t",
+            "SELECT k, v FROM t ORDER BY v DESC LIMIT 7",
+        ];
+        let mut baseline: Option<Vec<QueryResult>> = None;
+        for workers in [1usize, 2] {
+            for budget in [None, Some(1024)] {
+                db.set_parallelism(workers);
+                db.set_morsel_size(32);
+                db.set_memory_budget(budget);
+                let mut reader = hub.reader();
+                reader.config_mut().set_parallelism(workers);
+                reader.config_mut().set_morsel_size(32);
+                reader.config_mut().set_memory_budget(budget);
+                let via_db: Vec<QueryResult> =
+                    shapes.iter().map(|q| db.query(q).unwrap()).collect();
+                let via_reader: Vec<QueryResult> =
+                    shapes.iter().map(|q| reader.query(q).unwrap()).collect();
+                let expect = baseline.get_or_insert_with(|| via_db.clone());
+                assert_eq!(
+                    &via_db, expect,
+                    "Database::query at {workers} workers, {budget:?}"
+                );
+                assert_eq!(
+                    &via_reader, expect,
+                    "ReadSession::query at {workers} workers, {budget:?}"
+                );
+            }
+        }
     }
 }

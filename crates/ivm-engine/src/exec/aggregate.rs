@@ -1183,8 +1183,8 @@ impl<'a> Operator<'a> for HashAggregateOp<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::test_support::{drain, StaticOp};
     use crate::exec::Row;
+    use crate::exec::{drain, replay};
     use crate::types::DataType;
 
     fn col(i: usize) -> BoundExpr {
@@ -1217,7 +1217,7 @@ mod tests {
             AggMode::HashGrouped
         };
         let op = HashAggregateOp::new(
-            Box::new(StaticOp::from_rows(width, rows, batch_size)),
+            replay(width, rows, batch_size),
             group,
             aggs,
             mode,
@@ -1376,7 +1376,7 @@ mod tests {
     fn sum_overflow_errors() {
         let rows = vec![vec![Value::Integer(i64::MAX)], vec![Value::Integer(1)]];
         let op = HashAggregateOp::new(
-            Box::new(StaticOp::from_rows(1, rows, 4)),
+            replay(1, rows, 4),
             vec![],
             vec![agg(AggFunc::Sum, Some(col(0)))],
             AggMode::Ungrouped,
@@ -1432,7 +1432,7 @@ mod tests {
         ];
         let run_with = |budget: MemoryBudget, batch_size: usize| {
             let op = HashAggregateOp::new(
-                Box::new(StaticOp::from_rows(3, rows.clone(), batch_size)),
+                replay(3, rows.clone(), batch_size),
                 group.clone(),
                 aggs.clone(),
                 AggMode::HashGrouped,
@@ -1462,11 +1462,7 @@ mod tests {
     fn bounded_ungrouped_aggregation_never_spills() {
         let budget = MemoryBudget::with_limit(1);
         let op = HashAggregateOp::new(
-            Box::new(StaticOp::from_rows(
-                1,
-                (0..100).map(|v| vec![Value::Integer(v)]).collect(),
-                8,
-            )),
+            replay(1, (0..100).map(|v| vec![Value::Integer(v)]).collect(), 8),
             vec![],
             vec![agg(AggFunc::Sum, Some(col(0)))],
             AggMode::Ungrouped,

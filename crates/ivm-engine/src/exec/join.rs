@@ -859,7 +859,7 @@ impl<'a> Operator<'a> for NestedLoopJoinOp<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::test_support::{drain, StaticOp};
+    use crate::exec::{drain, replay};
     use crate::types::DataType;
     use ivm_sql::ast::BinaryOp;
 
@@ -896,8 +896,8 @@ mod tests {
         batch_size: usize,
     ) -> Vec<Row> {
         let op = HashJoinOp::new(
-            Box::new(StaticOp::from_rows(pw, probe, batch_size)),
-            Box::new(StaticOp::from_rows(bw, build, batch_size)),
+            replay(pw, probe, batch_size),
+            replay(bw, build, batch_size),
             pw,
             bw,
             probe_keys,
@@ -918,8 +918,8 @@ mod tests {
         join: PhysJoinKind,
     ) -> Vec<Row> {
         let op = NestedLoopJoinOp::new(
-            Box::new(StaticOp::from_rows(pw, probe, 2)),
-            Box::new(StaticOp::from_rows(bw, build, 2)),
+            replay(pw, probe, 2),
+            replay(bw, build, 2),
             pw,
             bw,
             on,
@@ -935,8 +935,8 @@ mod tests {
         let probe: Vec<Row> = (0..10).map(|v| vec![i(v)]).collect();
         let build: Vec<Row> = (0..10).map(|v| vec![i(v * 100)]).collect();
         let mut op = NestedLoopJoinOp::new(
-            Box::new(StaticOp::from_rows(1, probe, 4)),
-            Box::new(StaticOp::from_rows(1, build, 4)),
+            replay(1, probe, 4),
+            replay(1, build, 4),
             1,
             1,
             None,
@@ -954,8 +954,8 @@ mod tests {
         let probe: Vec<Row> = vec![vec![i(7)]];
         let build: Vec<Row> = (0..50).map(|v| vec![i(7), i(v)]).collect();
         let mut op = HashJoinOp::new(
-            Box::new(StaticOp::from_rows(1, probe, 8)),
-            Box::new(StaticOp::from_rows(2, build, 8)),
+            replay(1, probe, 8),
+            replay(2, build, 8),
             1,
             2,
             vec![0],
@@ -977,8 +977,8 @@ mod tests {
         // Empty probe, 10 unmatched build rows, batch_size 3 → tail chunks.
         let build: Vec<Row> = (0..10).map(|v| vec![i(v)]).collect();
         let mut op = HashJoinOp::new(
-            Box::new(StaticOp::from_rows(1, vec![], 3)),
-            Box::new(StaticOp::from_rows(1, build, 3)),
+            replay(1, vec![], 3),
+            replay(1, build, 3),
             1,
             1,
             vec![0],
@@ -1214,8 +1214,8 @@ mod tests {
     ) {
         let mk = |budget: MemoryBudget| {
             let op = HashJoinOp::new(
-                Box::new(StaticOp::from_rows(pw, probe.clone(), batch_size)),
-                Box::new(StaticOp::from_rows(bw, build.clone(), batch_size)),
+                replay(pw, probe.clone(), batch_size),
+                replay(bw, build.clone(), batch_size),
                 pw,
                 bw,
                 probe_keys.clone(),
@@ -1322,16 +1322,8 @@ mod tests {
         // A build side far under the budget must not spill at all.
         let budget = MemoryBudget::with_limit(1 << 20);
         let op = HashJoinOp::new(
-            Box::new(StaticOp::from_rows(
-                1,
-                (0..10).map(|v| vec![i(v)]).collect(),
-                4,
-            )),
-            Box::new(StaticOp::from_rows(
-                1,
-                (0..10).map(|v| vec![i(v)]).collect(),
-                4,
-            )),
+            replay(1, (0..10).map(|v| vec![i(v)]).collect(), 4),
+            replay(1, (0..10).map(|v| vec![i(v)]).collect(), 4),
             1,
             1,
             vec![0],

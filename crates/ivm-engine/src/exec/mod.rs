@@ -2,16 +2,26 @@
 //!
 //! A [`crate::planner::LogicalPlan`] is lowered to a
 //! [`PhysicalPlan`](crate::planner::physical::PhysicalPlan) (join sides,
-//! equi-keys, and aggregate mode decided at plan time), then compiled into
-//! a tree of [`Operator`]s. Each operator yields columnar [`RowBatch`]es on
-//! demand: scans borrow storage columns zero-copy, filters and projections
-//! push selection vectors instead of cloning rows, and only pipeline
-//! breakers (hash tables, sorts) materialize values. `LIMIT` stops pulling
-//! as soon as it is satisfied.
+//! equi-keys, and aggregate mode decided at plan time) and executed by
+//! the one entry point, [`run`], under one [`ExecContext`]: the catalog
+//! to read plus the session's [`ExecConfig`] (batch size, parallelism,
+//! morsel size, memory budget). Everything below `run` — operator
+//! construction, `IN (subquery)` materialization, the morsel executor —
+//! takes the same context, so a subquery or a `LIMIT` subtree runs under
+//! the session's budget and worker count by construction.
 //!
-//! At session parallelism above 1, plans instead run through the
-//! morsel-driven parallel executor ([`parallel`]), which reuses these
-//! operators and kernels inside each worker.
+//! `run` makes the only serial/parallel choice. At one worker the plan
+//! compiles into a tree of [`Operator`]s ([`build_operator`]), each
+//! yielding columnar [`RowBatch`]es on demand: scans borrow storage
+//! columns zero-copy, filters and projections push selection vectors
+//! instead of cloning rows, and only pipeline breakers (hash tables,
+//! sorts) materialize values; `LIMIT` stops pulling as soon as it is
+//! satisfied. Above one worker the plan runs on the morsel-driven
+//! executor ([`parallel`]), which reuses these operators and kernels
+//! inside each worker. Per-node operator construction is one function,
+//! `build_node`, parameterised on how a node's children are obtained:
+//! the serial builder recurses, the morsel executor collects each child
+//! in parallel and replays it.
 
 pub mod batch;
 pub mod hash;
@@ -27,17 +37,18 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 pub use batch::{BatchBuilder, BatchRow, ColumnData, JoinedRow, RowBatch, DEFAULT_BATCH_SIZE};
-pub use parallel::{
-    execute_parallel, parallel_filter_row_ids, ParallelOptions, DEFAULT_MORSEL_SIZE,
-};
+pub(crate) use parallel::parallel_filter_row_ids;
+pub use parallel::DEFAULT_MORSEL_SIZE;
 pub use spill::{clean_orphan_spill_files, MemoryBudget, SpillStats};
 pub use typed::{reset_typed_path_stats, typed_path_stats};
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
-use crate::expr::BoundExpr;
-use crate::planner::physical::{lower, PhysicalPlan};
-use crate::planner::LogicalPlan;
+use crate::expr::{AggExpr, BoundExpr};
+use crate::planner::physical::{
+    estimate_physical_rows, lower_with_budget, table_size_hint, PhysicalPlan,
+};
+use crate::planner::{SetOpKind, SortKey};
 use crate::value::Value;
 
 /// A materialized result row.
@@ -55,70 +66,160 @@ pub trait Operator<'a> {
 /// A boxed operator tied to the catalog borrow.
 pub type BoxedOperator<'a> = Box<dyn Operator<'a> + 'a>;
 
-/// Execute a logical plan with the default batch size, materializing all
-/// result rows at the pipeline boundary.
-pub fn execute(plan: &LogicalPlan, catalog: &Catalog) -> Result<Vec<Row>, EngineError> {
-    execute_with_batch_size(plan, catalog, DEFAULT_BATCH_SIZE)
+/// The executor settings of one session — every value a plan's execution
+/// depends on besides the data. Owned by [`crate::Database`] and by each
+/// [`crate::ReadSession`], borrowed by every execution through an
+/// [`ExecContext`].
+#[derive(Debug, Clone)]
+pub struct ExecConfig {
+    batch_size: usize,
+    parallelism: usize,
+    /// `None` = adaptive: [`DEFAULT_MORSEL_SIZE`], scaled up on large
+    /// scans (see [`ExecConfig::effective_morsel_size`]).
+    morsel_size: Option<usize>,
+    budget: MemoryBudget,
 }
 
-/// Execute a logical plan with an explicit batch size (clamped to ≥ 1).
-pub fn execute_with_batch_size(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    batch_size: usize,
-) -> Result<Vec<Row>, EngineError> {
-    let physical = lower(plan, catalog)?;
-    execute_physical(&physical, catalog, batch_size)
+impl ExecConfig {
+    /// The default batch size and adaptive morsels at the given worker
+    /// count and memory budget.
+    pub(crate) fn new(parallelism: usize, budget: MemoryBudget) -> ExecConfig {
+        ExecConfig {
+            batch_size: DEFAULT_BATCH_SIZE,
+            parallelism: parallelism.max(1),
+            morsel_size: None,
+            budget,
+        }
+    }
+
+    /// Rows per [`RowBatch`].
+    pub fn batch_size(&self) -> usize {
+        self.batch_size
+    }
+
+    /// Set the rows per batch (clamped to ≥ 1).
+    pub fn set_batch_size(&mut self, batch_size: usize) {
+        self.batch_size = batch_size.max(1);
+    }
+
+    /// The number of executor worker threads.
+    pub fn parallelism(&self) -> usize {
+        self.parallelism
+    }
+
+    /// Set the number of executor worker threads (clamped to ≥ 1). At 1,
+    /// plans run the serial operator tree; above 1, the morsel-driven
+    /// parallel executor.
+    pub fn set_parallelism(&mut self, workers: usize) {
+        self.parallelism = workers.max(1);
+    }
+
+    /// The base morsel size in physical storage slots: tables spanning at
+    /// most one such morsel run serially.
+    pub fn morsel_size(&self) -> usize {
+        self.morsel_size.unwrap_or(DEFAULT_MORSEL_SIZE)
+    }
+
+    /// Pin the morsel size (clamped to ≥ 1). An explicit size also
+    /// disables the adaptive scaling that grows morsels on large scans;
+    /// tests shrink it to exercise multi-morsel scheduling on small
+    /// tables.
+    pub fn set_morsel_size(&mut self, slots: usize) {
+        self.morsel_size = Some(slots.max(1));
+    }
+
+    /// Morsel size for a scan of `total_slots`: the pinned size, or —
+    /// when adaptive — scaled up so each worker claims on the order of
+    /// four morsels, bounded to 64 Ki slots, so the claim loop isn't the
+    /// bottleneck. Parallel-worthiness gates (`total_slots >
+    /// morsel_size`) always use the base [`morsel_size`](Self::morsel_size).
+    pub(crate) fn effective_morsel_size(&self, total_slots: usize) -> usize {
+        match self.morsel_size {
+            Some(pinned) => pinned,
+            None => (total_slots / (self.parallelism * 4)).clamp(DEFAULT_MORSEL_SIZE, 1 << 16),
+        }
+    }
+
+    /// The memory budget shared by every operator of every execution
+    /// under this config; bounded budgets make pipeline breakers spill
+    /// radix partitions to disk (see [`spill`]). The handle also carries
+    /// the spill directory and the cumulative [`SpillStats`].
+    pub fn budget(&self) -> &MemoryBudget {
+        &self.budget
+    }
+
+    /// Set the memory budget in bytes (`None` = unbounded).
+    pub fn set_memory_budget(&mut self, bytes: Option<usize>) {
+        self.budget.set_limit(bytes);
+    }
+
+    /// Set the directory spill files are created in.
+    pub fn set_spill_dir(&mut self, dir: impl Into<std::path::PathBuf>) {
+        self.budget.set_spill_dir(dir.into());
+    }
 }
 
-/// Run an already-lowered physical plan to completion (unbounded memory
-/// budget: pipeline breakers never spill).
-pub fn execute_physical(
-    physical: &PhysicalPlan,
-    catalog: &Catalog,
-    batch_size: usize,
-) -> Result<Vec<Row>, EngineError> {
-    execute_physical_budgeted(physical, catalog, batch_size, &MemoryBudget::unbounded())
+/// What one execution borrows: the catalog to read and the session's
+/// settings. Every executor function takes this one value, so no layer
+/// can drop the budget or the worker count on the way down.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecContext<'a> {
+    /// The catalog (live or a frozen snapshot) the plan reads.
+    pub catalog: &'a Catalog,
+    /// The session's executor settings.
+    pub config: &'a ExecConfig,
 }
 
-/// Run an already-lowered physical plan to completion under a memory
-/// budget: hash joins, group tables, DISTINCT, and set operations spill
-/// radix partitions to disk when the tracked state exceeds the budget
-/// (see [`spill`]).
-pub fn execute_physical_budgeted(
-    physical: &PhysicalPlan,
-    catalog: &Catalog,
-    batch_size: usize,
-    budget: &MemoryBudget,
-) -> Result<Vec<Row>, EngineError> {
-    let mut root = build_operator_budgeted(physical, catalog, batch_size.max(1), budget)?;
+/// Run a physical plan to completion, materializing all result rows —
+/// the single execution entry. At one worker the plan runs as a serial
+/// operator tree; above, on the morsel-driven executor, which emits the
+/// same rows in the same order. This is the only place that choice is
+/// made.
+pub fn run(plan: &PhysicalPlan, cx: &ExecContext<'_>) -> Result<Vec<Row>, EngineError> {
+    if cx.config.parallelism <= 1 {
+        drain(build_operator(plan, cx)?)
+    } else {
+        parallel::collect_rows(plan, cx)
+    }
+}
+
+/// Pull an operator dry, materializing its rows.
+pub(crate) fn drain(mut op: BoxedOperator<'_>) -> Result<Vec<Row>, EngineError> {
     let mut rows = Vec::new();
-    while let Some(batch) = root.next_batch()? {
+    while let Some(batch) = op.next_batch()? {
         rows.extend(batch.to_rows());
     }
     Ok(rows)
 }
 
-/// Compile a physical plan into a runnable operator tree with an
-/// unbounded memory budget. See [`build_operator_budgeted`].
+/// Compile a physical plan into a runnable serial operator tree under
+/// the context's batch size and memory budget ([`run`] drains it; pull
+/// it by hand to observe the batching contract).
 pub fn build_operator<'a>(
     plan: &PhysicalPlan,
-    catalog: &'a Catalog,
-    batch_size: usize,
+    cx: &ExecContext<'a>,
 ) -> Result<BoxedOperator<'a>, EngineError> {
-    build_operator_budgeted(plan, catalog, batch_size, &MemoryBudget::unbounded())
+    build_node(plan, cx, &mut |input| build_operator(input, cx))
 }
 
-/// Compile a physical plan into a runnable operator tree. Expressions are
-/// prepared here (`IN (subquery)` materialization), once per operator.
-/// The memory budget threads into every spill-capable operator (hash
-/// join, hash aggregate, DISTINCT, set operations).
-pub fn build_operator_budgeted<'a>(
+/// How [`build_node`] obtains the operator feeding a node from one of
+/// its children.
+pub(crate) type ChildSource<'s, 'a> =
+    dyn FnMut(&PhysicalPlan) -> Result<BoxedOperator<'a>, EngineError> + 's;
+
+/// Construct the operator for one physical node, its inputs supplied by
+/// `child` — the one place a node's expressions are prepared
+/// (`IN (subquery)` materialization, once per operator), its sizing
+/// hints computed, and the memory budget threaded into a spill-capable
+/// operator (hash join, hash aggregate, DISTINCT, set operations).
+pub(crate) fn build_node<'a>(
     plan: &PhysicalPlan,
-    catalog: &'a Catalog,
-    batch_size: usize,
-    budget: &MemoryBudget,
+    cx: &ExecContext<'a>,
+    child: &mut ChildSource<'_, 'a>,
 ) -> Result<BoxedOperator<'a>, EngineError> {
+    let batch_size = cx.config.batch_size;
+    let budget = &cx.config.budget;
+    let size_hint = |node: &PhysicalPlan| table_size_hint(estimate_physical_rows(node, cx.catalog));
     Ok(match plan {
         PhysicalPlan::TableScan {
             table,
@@ -126,12 +227,12 @@ pub fn build_operator_budgeted<'a>(
             index_eq,
             ..
         } => {
-            let t = catalog.table(table)?;
+            let t = cx.catalog.table(table)?;
             match predicate {
                 None => Box::new(operators::ScanOp::new(t, batch_size)),
                 Some(p) => {
-                    let prepared = prepare_expr_with_batch_size(p, catalog, batch_size)?;
-                    let kernel = Arc::new(crate::expr::VectorKernel::compile(&prepared));
+                    let kernel =
+                        Arc::new(crate::expr::VectorKernel::compile(&prepare_expr(p, cx)?));
                     // Equality conjuncts covered by an ART index answer the
                     // scan with a point read; the full predicate is still
                     // re-checked on the looked-up rows.
@@ -147,17 +248,15 @@ pub fn build_operator_budgeted<'a>(
         }
         PhysicalPlan::Dual => Box::new(operators::DualOp::new()),
         PhysicalPlan::Filter { input, predicate } => {
-            let input = build_operator_budgeted(input, catalog, batch_size, budget)?;
-            let predicate = prepare_expr_with_batch_size(predicate, catalog, batch_size)?;
-            Box::new(operators::FilterOp::new(input, predicate))
+            let input = child(input)?;
+            Box::new(operators::FilterOp::new(
+                input,
+                prepare_expr(predicate, cx)?,
+            ))
         }
         PhysicalPlan::Project { input, exprs, .. } => {
-            let input = build_operator_budgeted(input, catalog, batch_size, budget)?;
-            let exprs: Vec<BoundExpr> = exprs
-                .iter()
-                .map(|e| prepare_expr_with_batch_size(e, catalog, batch_size))
-                .collect::<Result<_, _>>()?;
-            Box::new(operators::ProjectOp::new(input, exprs))
+            let input = child(input)?;
+            Box::new(operators::ProjectOp::new(input, prepare_exprs(exprs, cx)?))
         }
         PhysicalPlan::HashAggregate {
             input,
@@ -166,65 +265,26 @@ pub fn build_operator_budgeted<'a>(
             mode,
             ..
         } => {
-            let child = build_operator_budgeted(input, catalog, batch_size, budget)?;
-            let group: Vec<BoundExpr> = group
-                .iter()
-                .map(|e| prepare_expr_with_batch_size(e, catalog, batch_size))
-                .collect::<Result<_, _>>()?;
-            let mut prepared_aggs = aggs.clone();
-            for a in &mut prepared_aggs {
-                if let Some(arg) = &a.arg {
-                    a.arg = Some(prepare_expr_with_batch_size(arg, catalog, batch_size)?);
-                }
-            }
+            let input = child(input)?;
+            let (group, aggs) = prepare_aggregate(group, aggs, cx)?;
             // Planner sizing hint: pre-size the flat group table so
             // typical aggregations never rehash mid-fold.
-            let hint = crate::planner::physical::table_size_hint(
-                crate::planner::physical::estimate_physical_rows(plan, catalog),
-            );
             Box::new(
                 aggregate::HashAggregateOp::new(
-                    child,
+                    input,
                     group,
-                    prepared_aggs,
+                    aggs,
                     *mode,
                     batch_size,
-                    hint,
+                    size_hint(plan),
                 )
                 .with_budget(budget.clone()),
             )
         }
-        PhysicalPlan::HashJoin {
-            probe,
-            build,
-            probe_keys,
-            build_keys,
-            residual,
-            join,
-            ..
-        } => {
-            let probe_width = probe.schema().len();
-            let build_width = build.schema().len();
-            let probe = build_operator_budgeted(probe, catalog, batch_size, budget)?;
-            let build = build_operator_budgeted(build, catalog, batch_size, budget)?;
-            let residual = residual
-                .as_ref()
-                .map(|e| prepare_expr_with_batch_size(e, catalog, batch_size))
-                .transpose()?;
-            Box::new(
-                join::HashJoinOp::new(
-                    probe,
-                    build,
-                    probe_width,
-                    build_width,
-                    probe_keys.clone(),
-                    build_keys.clone(),
-                    residual,
-                    *join,
-                    batch_size,
-                )
-                .with_budget(budget.clone()),
-            )
+        PhysicalPlan::HashJoin { probe, build, .. } => {
+            let probe = child(probe)?;
+            let build = child(build)?;
+            Box::new(hash_join_op(plan, probe, build, cx)?)
         }
         PhysicalPlan::NestedLoopJoin {
             probe,
@@ -235,12 +295,9 @@ pub fn build_operator_budgeted<'a>(
         } => {
             let probe_width = probe.schema().len();
             let build_width = build.schema().len();
-            let probe = build_operator_budgeted(probe, catalog, batch_size, budget)?;
-            let build = build_operator_budgeted(build, catalog, batch_size, budget)?;
-            let on = on
-                .as_ref()
-                .map(|e| prepare_expr_with_batch_size(e, catalog, batch_size))
-                .transpose()?;
+            let probe = child(probe)?;
+            let build = child(build)?;
+            let on = on.as_ref().map(|e| prepare_expr(e, cx)).transpose()?;
             Box::new(join::NestedLoopJoinOp::new(
                 probe,
                 build,
@@ -258,16 +315,17 @@ pub fn build_operator_budgeted<'a>(
             right,
             ..
         } => {
-            // Planner sizing hints: the seen-set holds at most the output
-            // estimate, the right-side multiplicity map the right input.
-            let seen_hint = crate::planner::physical::table_size_hint(
-                crate::planner::physical::estimate_physical_rows(plan, catalog),
-            );
-            let right_hint = crate::planner::physical::table_size_hint(
-                crate::planner::physical::estimate_physical_rows(right, catalog),
-            );
-            let left = build_operator_budgeted(left, catalog, batch_size, budget)?;
-            let right = build_operator_budgeted(right, catalog, batch_size, budget)?;
+            // Planner sizing hints: the seen-set (set semantics only)
+            // holds at most the output estimate, the right-side
+            // multiplicity map (EXCEPT/INTERSECT only) the right input.
+            // A chain of UNION ALLs sizes — and allocates — nothing.
+            let seen_hint = if *all { 0 } else { size_hint(plan) };
+            let right_hint = match op {
+                SetOpKind::Union => 0,
+                _ => size_hint(right),
+            };
+            let left = child(left)?;
+            let right = child(right)?;
             Box::new(
                 operators::SetOpOp::new(*op, *all, left, right)
                     .with_size_hints(seen_hint, right_hint)
@@ -277,28 +335,16 @@ pub fn build_operator_budgeted<'a>(
         PhysicalPlan::Distinct { input } => {
             // Planner sizing hint: pre-size the seen-set so large
             // DISTINCTs never rehash mid-stream.
-            let hint = crate::planner::physical::table_size_hint(
-                crate::planner::physical::estimate_physical_rows(plan, catalog),
-            );
-            let input = build_operator_budgeted(input, catalog, batch_size, budget)?;
             Box::new(
-                operators::DistinctOp::new(input)
-                    .with_size_hint(hint)
+                operators::DistinctOp::new(child(input)?)
+                    .with_size_hint(size_hint(plan))
                     .with_budget(budget.clone(), batch_size),
             )
         }
         PhysicalPlan::Sort { input, keys } => {
-            let child = build_operator_budgeted(input, catalog, batch_size, budget)?;
-            let prepared: Vec<(BoundExpr, bool)> = keys
-                .iter()
-                .map(|k| {
-                    Ok((
-                        prepare_expr_with_batch_size(&k.expr, catalog, batch_size)?,
-                        k.desc,
-                    ))
-                })
-                .collect::<Result<_, EngineError>>()?;
-            Box::new(operators::SortOp::new(child, prepared, batch_size))
+            let input = child(input)?;
+            let keys = prepare_sort_keys(keys, cx)?;
+            Box::new(operators::SortOp::new(input, keys, batch_size))
         }
         PhysicalPlan::TopK {
             input,
@@ -306,52 +352,144 @@ pub fn build_operator_budgeted<'a>(
             limit,
             offset,
         } => {
-            let child = build_operator_budgeted(input, catalog, batch_size, budget)?;
-            let prepared: Vec<(BoundExpr, bool)> = keys
-                .iter()
-                .map(|k| {
-                    Ok((
-                        prepare_expr_with_batch_size(&k.expr, catalog, batch_size)?,
-                        k.desc,
-                    ))
-                })
-                .collect::<Result<_, EngineError>>()?;
+            let input = child(input)?;
+            let keys = prepare_sort_keys(keys, cx)?;
             Box::new(operators::TopKOp::new(
-                child, prepared, *limit, *offset, batch_size,
+                input, keys, *limit, *offset, batch_size,
             ))
         }
         PhysicalPlan::Limit {
             input,
             limit,
             offset,
-        } => {
-            let input = build_operator_budgeted(input, catalog, batch_size, budget)?;
-            Box::new(operators::LimitOp::new(input, *limit, *offset))
-        }
+        } => Box::new(operators::LimitOp::new(child(input)?, *limit, *offset)),
     })
 }
 
-/// Replace [`BoundExpr::InSubquery`] with materialized [`BoundExpr::InSet`]
-/// by executing the subquery once (through the batched pipeline, at the
-/// default batch size). Uncorrelated by construction.
-pub fn prepare_expr(expr: &BoundExpr, catalog: &Catalog) -> Result<BoundExpr, EngineError> {
-    prepare_expr_with_batch_size(expr, catalog, DEFAULT_BATCH_SIZE)
+/// The budgeted hash-join operator for a `HashJoin` node over the given
+/// inputs (residual prepared here). Concretely typed because the morsel
+/// executor's bounded-budget arm attaches pre-partitioned inputs to it.
+pub(crate) fn hash_join_op<'a>(
+    plan: &PhysicalPlan,
+    probe_op: BoxedOperator<'a>,
+    build_op: BoxedOperator<'a>,
+    cx: &ExecContext<'a>,
+) -> Result<join::HashJoinOp<'a>, EngineError> {
+    let PhysicalPlan::HashJoin {
+        probe,
+        build,
+        probe_keys,
+        build_keys,
+        residual,
+        join,
+        ..
+    } = plan
+    else {
+        unreachable!("hash_join_op is only called on HashJoin nodes")
+    };
+    let residual = residual.as_ref().map(|e| prepare_expr(e, cx)).transpose()?;
+    Ok(join::HashJoinOp::new(
+        probe_op,
+        build_op,
+        probe.schema().len(),
+        build.schema().len(),
+        probe_keys.clone(),
+        build_keys.clone(),
+        residual,
+        *join,
+        cx.config.batch_size,
+    )
+    .with_budget(cx.config.budget.clone()))
 }
 
-/// [`prepare_expr`] with an explicit batch size for the subquery
-/// pipeline.
-pub fn prepare_expr_with_batch_size(
-    expr: &BoundExpr,
-    catalog: &Catalog,
-    batch_size: usize,
-) -> Result<BoundExpr, EngineError> {
-    Ok(match expr {
+/// [`prepare_expr`] over a slice.
+pub(crate) fn prepare_exprs(
+    exprs: &[BoundExpr],
+    cx: &ExecContext<'_>,
+) -> Result<Vec<BoundExpr>, EngineError> {
+    exprs.iter().map(|e| prepare_expr(e, cx)).collect()
+}
+
+/// Prepared group keys and aggregate arguments of a `HashAggregate` node.
+pub(crate) fn prepare_aggregate(
+    group: &[BoundExpr],
+    aggs: &[AggExpr],
+    cx: &ExecContext<'_>,
+) -> Result<(Vec<BoundExpr>, Vec<AggExpr>), EngineError> {
+    let mut aggs = aggs.to_vec();
+    for a in &mut aggs {
+        if let Some(arg) = &a.arg {
+            a.arg = Some(prepare_expr(arg, cx)?);
+        }
+    }
+    Ok((prepare_exprs(group, cx)?, aggs))
+}
+
+fn prepare_sort_keys(
+    keys: &[SortKey],
+    cx: &ExecContext<'_>,
+) -> Result<Vec<(BoundExpr, bool)>, EngineError> {
+    keys.iter()
+        .map(|k| Ok((prepare_expr(&k.expr, cx)?, k.desc)))
+        .collect()
+}
+
+/// Replace every [`BoundExpr::InSubquery`] in `expr` with a materialized
+/// [`BoundExpr::InSet`] by running the subquery once, through [`run`]
+/// under the same context — so it honours the session's memory budget
+/// and worker count like any other plan. Uncorrelated by construction.
+pub fn prepare_expr(expr: &BoundExpr, cx: &ExecContext<'_>) -> Result<BoundExpr, EngineError> {
+    let mut prepared = expr.clone();
+    materialize_subqueries(&mut prepared, cx)?;
+    Ok(prepared)
+}
+
+fn materialize_subqueries(e: &mut BoundExpr, cx: &ExecContext<'_>) -> Result<(), EngineError> {
+    match e {
+        BoundExpr::Literal(_) | BoundExpr::Column { .. } => {}
+        BoundExpr::Binary { left, right, .. } => {
+            materialize_subqueries(left, cx)?;
+            materialize_subqueries(right, cx)?;
+        }
+        BoundExpr::Unary { expr, .. }
+        | BoundExpr::Cast { expr, .. }
+        | BoundExpr::IsNull { expr, .. }
+        | BoundExpr::InSet { expr, .. } => materialize_subqueries(expr, cx)?,
+        BoundExpr::Case {
+            branches,
+            else_result,
+        } => {
+            for (when, then) in branches {
+                materialize_subqueries(when, cx)?;
+                materialize_subqueries(then, cx)?;
+            }
+            if let Some(e) = else_result {
+                materialize_subqueries(e, cx)?;
+            }
+        }
+        BoundExpr::InList { expr, list, .. } => {
+            materialize_subqueries(expr, cx)?;
+            for item in list {
+                materialize_subqueries(item, cx)?;
+            }
+        }
+        BoundExpr::Like { expr, pattern, .. } => {
+            materialize_subqueries(expr, cx)?;
+            materialize_subqueries(pattern, cx)?;
+        }
+        BoundExpr::ScalarFn { args, .. } => {
+            for arg in args {
+                materialize_subqueries(arg, cx)?;
+            }
+        }
         BoundExpr::InSubquery {
             expr: probe,
             plan,
             negated,
         } => {
-            let rows = execute_with_batch_size(plan, catalog, batch_size)?;
+            materialize_subqueries(probe, cx)?;
+            let physical = lower_with_budget(plan, cx.catalog, cx.config.budget.limit())?;
+            let rows = run(&physical, cx)?;
             let mut set = HashSet::with_capacity(rows.len());
             let mut has_null = false;
             for row in rows {
@@ -365,119 +503,38 @@ pub fn prepare_expr_with_batch_size(
                     set.insert(v);
                 }
             }
-            BoundExpr::InSet {
-                expr: Box::new(prepare_expr_with_batch_size(probe, catalog, batch_size)?),
+            *e = BoundExpr::InSet {
+                expr: Box::new(std::mem::replace(probe, BoundExpr::Literal(Value::Null))),
                 set: Arc::new(set),
                 has_null,
                 negated: *negated,
-            }
+            };
         }
-        BoundExpr::Literal(_) | BoundExpr::Column { .. } | BoundExpr::InSet { .. } => expr.clone(),
-        BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
-            op: *op,
-            left: Box::new(prepare_expr_with_batch_size(left, catalog, batch_size)?),
-            right: Box::new(prepare_expr_with_batch_size(right, catalog, batch_size)?),
-        },
-        BoundExpr::Unary { op, expr } => BoundExpr::Unary {
-            op: *op,
-            expr: Box::new(prepare_expr_with_batch_size(expr, catalog, batch_size)?),
-        },
-        BoundExpr::Case {
-            branches,
-            else_result,
-        } => BoundExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(w, t)| {
-                    Ok((
-                        prepare_expr_with_batch_size(w, catalog, batch_size)?,
-                        prepare_expr_with_batch_size(t, catalog, batch_size)?,
-                    ))
-                })
-                .collect::<Result<_, EngineError>>()?,
-            else_result: match else_result {
-                Some(e) => Some(Box::new(prepare_expr_with_batch_size(
-                    e, catalog, batch_size,
-                )?)),
-                None => None,
-            },
-        },
-        BoundExpr::Cast { expr, ty } => BoundExpr::Cast {
-            expr: Box::new(prepare_expr_with_batch_size(expr, catalog, batch_size)?),
-            ty: *ty,
-        },
-        BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(prepare_expr_with_batch_size(expr, catalog, batch_size)?),
-            negated: *negated,
-        },
-        BoundExpr::InList {
-            expr,
-            list,
-            negated,
-        } => BoundExpr::InList {
-            expr: Box::new(prepare_expr_with_batch_size(expr, catalog, batch_size)?),
-            list: list
-                .iter()
-                .map(|e| prepare_expr_with_batch_size(e, catalog, batch_size))
-                .collect::<Result<_, _>>()?,
-            negated: *negated,
-        },
-        BoundExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => BoundExpr::Like {
-            expr: Box::new(prepare_expr_with_batch_size(expr, catalog, batch_size)?),
-            pattern: Box::new(prepare_expr_with_batch_size(pattern, catalog, batch_size)?),
-            negated: *negated,
-        },
-        BoundExpr::ScalarFn { func, args } => BoundExpr::ScalarFn {
-            func: *func,
-            args: args
-                .iter()
-                .map(|e| prepare_expr_with_batch_size(e, catalog, batch_size))
-                .collect::<Result<_, _>>()?,
-        },
-    })
+    }
+    Ok(())
 }
 
-#[cfg(test)]
-pub(crate) mod test_support {
-    //! Helpers for operator-level unit tests.
+/// An operator replaying materialized rows in batches: how the serial
+/// breaker operators consume input the morsel executor collected in
+/// parallel, and how operator unit tests feed prefabricated input.
+struct ReplayOp<'a> {
+    batches: std::collections::VecDeque<RowBatch<'a>>,
+}
 
-    use super::*;
-    use std::collections::VecDeque;
-
-    /// An operator replaying prefabricated batches.
-    pub(crate) struct StaticOp<'a> {
-        batches: VecDeque<RowBatch<'a>>,
+/// A [`ReplayOp`] over `rows` (each `width` columns wide), chopped into
+/// batches of `batch_size`.
+pub(crate) fn replay<'a>(width: usize, rows: Vec<Row>, batch_size: usize) -> BoxedOperator<'a> {
+    let mut batches = std::collections::VecDeque::new();
+    let mut it = rows.into_iter().peekable();
+    while it.peek().is_some() {
+        let chunk: Vec<Row> = it.by_ref().take(batch_size.max(1)).collect();
+        batches.push_back(RowBatch::from_rows(width, chunk));
     }
+    Box::new(ReplayOp { batches })
+}
 
-    impl<'a> StaticOp<'a> {
-        /// Chop `rows` into batches of `batch_size`.
-        pub(crate) fn from_rows(width: usize, rows: Vec<Row>, batch_size: usize) -> StaticOp<'a> {
-            let mut batches = VecDeque::new();
-            let mut it = rows.into_iter().peekable();
-            while it.peek().is_some() {
-                let chunk: Vec<Row> = it.by_ref().take(batch_size.max(1)).collect();
-                batches.push_back(RowBatch::from_rows(width, chunk));
-            }
-            StaticOp { batches }
-        }
-    }
-
-    impl<'a> Operator<'a> for StaticOp<'a> {
-        fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
-            Ok(self.batches.pop_front())
-        }
-    }
-
-    /// Drain an operator into materialized rows.
-    pub(crate) fn drain<'a>(mut op: BoxedOperator<'a>) -> Result<Vec<Row>, EngineError> {
-        let mut rows = Vec::new();
-        while let Some(batch) = op.next_batch()? {
-            rows.extend(batch.to_rows());
-        }
-        Ok(rows)
+impl<'a> Operator<'a> for ReplayOp<'a> {
+    fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
+        Ok(self.batches.pop_front())
     }
 }

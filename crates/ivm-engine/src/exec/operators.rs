@@ -883,7 +883,7 @@ impl<'a> Operator<'a> for SetOpOp<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::test_support::{drain, StaticOp};
+    use crate::exec::{drain, replay};
     use crate::types::DataType;
     use ivm_sql::ast::BinaryOp;
 
@@ -896,7 +896,7 @@ mod tests {
     }
 
     fn static_op<'a>(vals: impl IntoIterator<Item = i64>, batch_size: usize) -> BoxedOperator<'a> {
-        Box::new(StaticOp::from_rows(1, rows(vals), batch_size))
+        replay(1, rows(vals), batch_size)
     }
 
     #[test]
@@ -936,11 +936,7 @@ mod tests {
             ty: Some(DataType::Integer),
             name: "v".into(),
         };
-        let op = SortOp::new(
-            Box::new(StaticOp::from_rows(1, rows([3, 1, 2, 5, 4]), 2)),
-            vec![(key, true)],
-            2,
-        );
+        let op = SortOp::new(replay(1, rows([3, 1, 2, 5, 4]), 2), vec![(key, true)], 2);
         let out = drain(Box::new(op)).unwrap();
         assert_eq!(out, rows([5, 4, 3, 2, 1]));
     }
@@ -1021,8 +1017,7 @@ mod tests {
         let left = mk_rows(400, 13);
         let right = mk_rows(250, 9);
         let distinct_out = |budget: MemoryBudget| {
-            let op = DistinctOp::new(Box::new(StaticOp::from_rows(2, left.clone(), 7)))
-                .with_budget(budget, 7);
+            let op = DistinctOp::new(replay(2, left.clone(), 7)).with_budget(budget, 7);
             drain(Box::new(op)).unwrap()
         };
         let unbounded = distinct_out(MemoryBudget::unbounded());
@@ -1044,8 +1039,8 @@ mod tests {
                     let op = SetOpOp::new(
                         op_kind,
                         all,
-                        Box::new(StaticOp::from_rows(2, left.clone(), 7)),
-                        Box::new(StaticOp::from_rows(2, right.clone(), 7)),
+                        replay(2, left.clone(), 7),
+                        replay(2, right.clone(), 7),
                     )
                     .with_budget(budget, 7);
                     drain(Box::new(op)).unwrap()

@@ -10,19 +10,18 @@
 //! updates to a post-merge fold over the unioned value sets (in value
 //! order), which is likewise schedule-independent.
 //!
-//! Results are deterministic across parallelism levels for exact types;
-//! floating-point SUM/AVG may differ from the serial fold by rounding,
-//! and integer-SUM overflow detection applies to the re-associated
-//! partial sums, since both folds associate at morsel boundaries.
+//! Results are deterministic across parallelism levels, floating-point
+//! SUM/AVG included (exact partial sums, rounded once); integer-SUM
+//! overflow detection applies to the re-associated partial sums, since
+//! the fold associates at morsel boundaries.
 
 use crate::error::EngineError;
 use crate::exec::aggregate::{Acc, AggSpec, GroupTable};
-use crate::exec::{prepare_expr_with_batch_size, Row};
+use crate::exec::{prepare_aggregate, ExecContext, Row};
 use crate::expr::{AggExpr, BoundExpr};
 use crate::planner::physical::AggMode;
 
 use super::pipeline::{pipeline_tails, run_morsels, MorselOut, MorselWork, PipelineSpec};
-use super::Ctx;
 
 /// Aggregate a parallel pipeline: morsel-local fold, ordered merge,
 /// deferred-DISTINCT finalization. Emits rows in the serial first-seen
@@ -32,29 +31,14 @@ pub(super) fn parallel_aggregate(
     group: &[BoundExpr],
     aggs: &[AggExpr],
     mode: AggMode,
-    ctx: &Ctx<'_>,
+    cx: &ExecContext<'_>,
 ) -> Result<Vec<Row>, EngineError> {
-    // Prepare expressions once (IN-subquery materialization), as the
-    // serial operator build does.
-    let group: Vec<BoundExpr> = group
-        .iter()
-        .map(|e| prepare_expr_with_batch_size(e, ctx.catalog, ctx.batch_size))
-        .collect::<Result<_, _>>()?;
-    let mut aggs = aggs.to_vec();
-    for a in &mut aggs {
-        if let Some(arg) = &a.arg {
-            a.arg = Some(prepare_expr_with_batch_size(
-                arg,
-                ctx.catalog,
-                ctx.batch_size,
-            )?);
-        }
-    }
+    let (group, aggs) = prepare_aggregate(group, aggs, cx)?;
     let agg = AggSpec::new(&group, aggs, true);
 
     match mode {
         AggMode::Ungrouped => {
-            let partials = run_morsels(spec, ctx, MorselWork::AggGlobal(&agg))?;
+            let partials = run_morsels(spec, cx, MorselWork::AggGlobal(&agg))?;
             let mut state = agg.new_state();
             for (_, out) in partials {
                 let MorselOut::Global(s) = out else {
@@ -64,7 +48,7 @@ pub(super) fn parallel_aggregate(
             }
             // FULL OUTER tails come after every probed morsel, as in the
             // serial operator; fold them last.
-            for batch in pipeline_tails(spec, ctx)? {
+            for batch in pipeline_tails(spec, cx)? {
                 agg.fold_batch_global(&batch, &mut state)?;
             }
             agg.finalize_distinct(&mut state)?;
@@ -72,7 +56,7 @@ pub(super) fn parallel_aggregate(
             Ok(vec![state.accs.into_iter().map(Acc::finish).collect()])
         }
         AggMode::HashGrouped => {
-            let partials = run_morsels(spec, ctx, MorselWork::AggGrouped(&agg))?;
+            let partials = run_morsels(spec, cx, MorselWork::AggGrouped(&agg))?;
             let mut groups = GroupTable::new();
             // Partials arrive sorted by morsel sequence; merging each
             // morsel's flat table in its local first-seen order
@@ -85,7 +69,7 @@ pub(super) fn parallel_aggregate(
                 };
                 groups.merge_from(*partial, &agg)?;
             }
-            for batch in pipeline_tails(spec, ctx)? {
+            for batch in pipeline_tails(spec, cx)? {
                 agg.fold_batch_grouped(&batch, &mut groups)?;
             }
             let mut rows = Vec::with_capacity(groups.len());

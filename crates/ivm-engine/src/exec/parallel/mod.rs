@@ -1,171 +1,113 @@
 //! Morsel-driven parallel execution (HyPer-style).
 //!
-//! [`execute_parallel`] runs a [`PhysicalPlan`] on a pool of scoped
-//! `std::thread` workers. The plan decomposes into *pipelines* at the
-//! pipeline breakers (hash-join builds, aggregation, sort/top-k,
-//! distinct, set operations): each pipeline is a table-scan leaf plus a
-//! stack of morsel-local stages (filter, project, hash-join probe), and
-//! its source table is cut into fixed-size **morsels** that workers claim
-//! dynamically from a lock-free [`crate::storage::MorselCursor`] — fast
-//! workers naturally take more morsels, so skewed filters and joins
-//! balance without a scheduler thread.
+//! [`crate::exec::run`] sends a [`PhysicalPlan`] here when the
+//! [`ExecContext`]'s parallelism is above 1; `collect_rows` then runs it
+//! on a pool of scoped `std::thread` workers. The plan decomposes into
+//! *pipelines* at the pipeline breakers (hash-join builds, aggregation,
+//! sort/top-k, distinct, set operations): each pipeline is a table-scan
+//! leaf plus a stack of morsel-local stages (filter, project, hash-join
+//! probe), and its source table is cut into fixed-size **morsels** that
+//! workers claim dynamically from a lock-free
+//! [`crate::storage::MorselCursor`] — fast workers naturally take more
+//! morsels, so skewed filters and joins balance without a scheduler
+//! thread.
 //!
-//! Breakers merge: hash-join build sides are materialized once and
+//! Breakers merge. Hash-join build sides are materialized once and
 //! radix-partitioned on the equi-key hash (parallel build, lock-free
-//! probe); aggregation folds per-morsel partial states that merge in
-//! morsel order; sort/top-k/distinct/set-ops collect their (parallel)
-//! input and reuse the serial operators over a replay source. Everything
-//! reuses the vectorized kernels of [`crate::expr::vector`] inside each
-//! worker.
+//! probe); aggregation over a pipeline folds per-morsel partial states
+//! that merge in morsel order. Every other node that is not part of a
+//! pipeline takes one generic path: each child is collected (in
+//! parallel, recursively) and replayed into the very operator the serial
+//! builder constructs, through the shared `build_node`. Under a
+//! bounded memory budget the grace-capable breakers (grouped
+//! aggregation, DISTINCT, set operations, hash join) instead receive
+//! their inputs as per-worker radix spill partitions, never staged as
+//! rows. `LIMIT` subtrees run as a serial operator tree — under the same
+//! context, so still budgeted — because stopping early is their point.
+//! Everything reuses the vectorized kernels of [`crate::expr::vector`]
+//! inside each worker.
 //!
 //! **Determinism.** Per-morsel results carry the morsel sequence number
-//! and are merged in that order, so for every supported shape the
-//! parallel executor emits rows in the *same order* as the serial one —
-//! group first-seen order included. The exceptions are inherently
-//! order-sensitive folds: SUM/AVG over DOUBLE associate at morsel
-//! boundaries (results can differ by rounding), integer SUM overflow is
-//! detected on the re-associated partial sums (a sequence whose running
-//! total stays in range can overflow a partial, and vice versa), and
-//! MIN/MAX may retain a different one of several cross-type-equal
-//! values. Runtime errors are
-//! also deterministic: the error surfaced is the one from the earliest
+//! and are merged in that order, so the parallel executor emits rows in
+//! the *same order* as the serial one — group first-seen order included
+//! — and SUM/AVG over DOUBLE are bitwise-equal to the serial fold (exact
+//! partial sums, rounded once). The remaining differences are in what a
+//! re-associated fold can observe: integer SUM overflow is detected on
+//! the partial sums (a sequence whose running total stays in range can
+//! overflow a partial, and vice versa), and MIN/MAX may retain a
+//! different one of several cross-type-equal values. Runtime errors are
+//! deterministic too: the error surfaced is the one from the earliest
 //! morsel, which is the error the serial scan would reach first.
-//!
-//! `parallelism = 1` never enters this module: sessions route through the
-//! unchanged serial operator tree, byte-identical to the pre-parallel
-//! executor.
 
 mod aggregate;
 mod pipeline;
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
-
-use crate::catalog::Catalog;
 use crate::error::EngineError;
-use crate::exec::aggregate::AggSpec;
-use crate::exec::batch::RowBatch;
-use crate::exec::spill::{MemoryBudget, PartitionedSpiller, SpillPartition};
-use crate::exec::{execute_physical, prepare_expr_with_batch_size, BoxedOperator, Operator, Row};
-use crate::expr::{BoundExpr, VectorKernel};
+use crate::exec::aggregate::{AggSpec, HashAggregateOp};
+use crate::exec::operators::{DistinctOp, SetOpOp};
+use crate::exec::spill::{PartitionedSpiller, SpillPartition};
+use crate::exec::{
+    build_node, build_operator, drain, hash_join_op, prepare_aggregate, replay, BoxedOperator,
+    ExecConfig, ExecContext, Row,
+};
+use crate::expr::VectorKernel;
 use crate::planner::physical::{AggMode, PhysicalPlan};
 use crate::planner::SetOpKind;
-use crate::storage::{MorselCursor, Table};
+use crate::storage::Table;
 
 /// Default morsel size in physical storage slots. Small enough that
 /// mid-sized tables split across workers, large enough that the per-claim
 /// atomic and per-morsel merge are noise.
 pub const DEFAULT_MORSEL_SIZE: usize = 4096;
 
-/// Tuning knobs for one parallel execution.
-#[derive(Debug, Clone)]
-pub struct ParallelOptions {
-    /// Worker threads (1 = serial fast path through the operator tree).
-    pub workers: usize,
-    /// Morsel size in physical slots (tables spanning at most one morsel
-    /// run serially).
-    pub morsel_size: usize,
-    /// Memory budget shared by every operator of the execution. Bounded
-    /// budgets route breaker inputs through per-worker spill
-    /// partitioners into the grace-capable operators (scans, filters,
-    /// and projections below them stay morsel-parallel).
-    pub budget: MemoryBudget,
-    /// Scale morsel size up from `morsel_size` on large scans (targeting
-    /// a few morsels per worker, capped at 64 Ki slots) so the claim
-    /// loop isn't the bottleneck. Off when the morsel size was set
-    /// explicitly.
-    pub adaptive_morsels: bool,
-}
-
-impl ParallelOptions {
-    /// Options with the default morsel size and an unbounded budget.
-    pub fn new(workers: usize) -> ParallelOptions {
-        ParallelOptions {
-            workers,
-            morsel_size: DEFAULT_MORSEL_SIZE,
-            budget: MemoryBudget::unbounded(),
-            adaptive_morsels: true,
-        }
-    }
-}
-
-/// Shared per-execution context.
-pub(crate) struct Ctx<'a> {
-    catalog: &'a Catalog,
-    batch_size: usize,
-    workers: usize,
-    morsel_size: usize,
-    adaptive_morsels: bool,
-    pub(crate) budget: MemoryBudget,
-}
-
-impl Ctx<'_> {
-    /// Morsel size for a scan of `total_slots`: the configured size, or —
-    /// when adaptive — scaled up so each worker claims on the order of
-    /// four morsels, bounded to 64 Ki slots. Parallel-worthiness gates
-    /// (`total_slots > morsel_size`) always use the configured base size.
-    fn effective_morsel_size(&self, total_slots: usize) -> usize {
-        if !self.adaptive_morsels {
-            return self.morsel_size;
-        }
-        (total_slots / (self.workers.max(1) * 4))
-            .max(self.morsel_size)
-            .min((1 << 16).max(self.morsel_size))
-    }
-}
-
-/// Run a physical plan to completion with up to `opts.workers` threads,
-/// materializing all result rows. With `workers <= 1` this is exactly
-/// [`execute_physical`] — the serial operator tree, unchanged.
-pub fn execute_parallel(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    batch_size: usize,
-    opts: ParallelOptions,
-) -> Result<Vec<Row>, EngineError> {
-    let batch_size = batch_size.max(1);
-    if opts.workers <= 1 {
-        return crate::exec::execute_physical_budgeted(plan, catalog, batch_size, &opts.budget);
-    }
-    let ctx = Ctx {
-        catalog,
-        batch_size,
-        workers: opts.workers,
-        morsel_size: opts.morsel_size.max(1),
-        adaptive_morsels: opts.adaptive_morsels,
-        budget: opts.budget,
-    };
-    collect_rows(plan, &ctx)
-}
-
 /// Materialize the rows of `plan`, in serial output order, parallelizing
 /// every pipeline and breaker the plan shape allows.
-pub(crate) fn collect_rows(plan: &PhysicalPlan, ctx: &Ctx<'_>) -> Result<Vec<Row>, EngineError> {
+pub(crate) fn collect_rows(
+    plan: &PhysicalPlan,
+    cx: &ExecContext<'_>,
+) -> Result<Vec<Row>, EngineError> {
     // A morsel-parallel pipeline handles the whole subtree in one pass.
-    if pipeline::worth_parallel(plan, ctx) {
-        if let Some(spec) = pipeline::build_pipeline(plan, ctx)? {
-            let partials = pipeline::run_morsels(&spec, ctx, pipeline::MorselWork::Collect)?;
-            let mut rows: Vec<Row> = Vec::new();
-            for (_, out) in partials {
-                let pipeline::MorselOut::Rows(r) = out else {
-                    unreachable!("collect work yields rows")
-                };
-                rows.extend(r);
-            }
-            for batch in pipeline::pipeline_tails(&spec, ctx)? {
-                rows.extend(batch.to_rows());
-            }
-            return Ok(rows);
+    if let Some(spec) = pipeline::build_pipeline(plan, cx)? {
+        let partials = pipeline::run_morsels(&spec, cx, pipeline::MorselWork::Collect)?;
+        let mut rows: Vec<Row> = Vec::new();
+        for (_, out) in partials {
+            let pipeline::MorselOut::Rows(r) = out else {
+                unreachable!("collect work yields rows")
+            };
+            rows.extend(r);
         }
+        for batch in pipeline::pipeline_tails(&spec, cx)? {
+            rows.extend(batch.to_rows());
+        }
+        return Ok(rows);
     }
-    // Breakers: parallelize below, merge here (reusing the serial
-    // operators over a replay of the collected input where the breaker
-    // logic itself is cheap). NOTE: these arms mirror the per-node
-    // expression preparation and operator construction of
-    // `crate::exec::build_operator` with the child swapped for a replay
-    // source — a new physical node or prep step added there needs a
-    // matching arm here.
-    match plan {
+    let batch_size = cx.config.batch_size();
+    let budget = cx.config.budget();
+    let bounded = budget.is_bounded();
+    // An empty input: what a grace-capable operator is constructed over
+    // when its real input arrives as pre-partitioned spill runs.
+    let empty = |input: &PhysicalPlan| replay(input.schema().len(), Vec::new(), batch_size);
+    let op: BoxedOperator<'_> = match plan {
+        // Morsel-parallel partial aggregation: always for unbounded
+        // budgets; under a bounded budget only the ungrouped mode (whose
+        // accumulator state is O(1), so nothing can outgrow the budget).
+        PhysicalPlan::HashAggregate {
+            input,
+            group,
+            aggs,
+            mode,
+            ..
+        } if !bounded || *mode == AggMode::Ungrouped => {
+            match pipeline::build_pipeline(input, cx)? {
+                Some(spec) => return aggregate::parallel_aggregate(&spec, group, aggs, *mode, cx),
+                None => from_collected_children(plan, cx)?,
+            }
+        }
+        // Bounded budget, grace-capable breakers: inputs stream through
+        // per-worker spill partitioners on the hash the breaker itself
+        // uses (never staged as `Vec<Row>`), and the operator processes
+        // one fitting partition group at a time, merge-emitting in
+        // serial order.
         PhysicalPlan::HashAggregate {
             input,
             group,
@@ -173,279 +115,86 @@ pub(crate) fn collect_rows(plan: &PhysicalPlan, ctx: &Ctx<'_>) -> Result<Vec<Row
             mode,
             ..
         } => {
-            // Morsel-parallel partial aggregation: always for unbounded
-            // budgets; under a bounded budget only the ungrouped mode
-            // (whose accumulator state is O(1), so nothing can outgrow
-            // the budget).
-            if (!ctx.budget.is_bounded() || *mode == AggMode::Ungrouped)
-                && pipeline::worth_parallel(input, ctx)
-            {
-                if let Some(spec) = pipeline::build_pipeline(input, ctx)? {
-                    return aggregate::parallel_aggregate(&spec, group, aggs, *mode, ctx);
-                }
-            }
-            let width = input.schema().len();
-            let group: Vec<BoundExpr> = group
-                .iter()
-                .map(|e| prepare_expr_with_batch_size(e, ctx.catalog, ctx.batch_size))
-                .collect::<Result<_, _>>()?;
-            let mut prepared_aggs = aggs.clone();
-            for a in &mut prepared_aggs {
-                if let Some(arg) = &a.arg {
-                    a.arg = Some(prepare_expr_with_batch_size(
-                        arg,
-                        ctx.catalog,
-                        ctx.batch_size,
-                    )?);
-                }
-            }
-            // Bounded grouped aggregation: the input streams through
-            // per-worker spill partitioners on the group-key hash (never
-            // staged as `Vec<Row>`) and the grace-capable operator folds
-            // one fitting partition group at a time.
-            if ctx.budget.is_bounded() && *mode == AggMode::HashGrouped {
-                let spec = AggSpec::new(&group, prepared_aggs.clone(), false);
-                let groups_in = collect_partitions(input, ctx, pipeline::SpillHash::Agg(&spec), 0)?;
-                return drain_operator(Box::new(
-                    crate::exec::aggregate::HashAggregateOp::new(
-                        replay(width, Vec::new(), ctx.batch_size),
-                        group,
-                        prepared_aggs,
-                        *mode,
-                        ctx.batch_size,
-                        0,
-                    )
-                    .with_budget(ctx.budget.clone())
-                    .with_prepartitioned(groups_in, width),
-                ));
-            }
-            let rows = collect_rows(input, ctx)?;
-            // Exact input count as an upper-bound sizing hint, clamped so
-            // a huge duplicate-heavy input doesn't pre-zero a giant table.
-            let hint = rows.len().min(1 << 16);
-            drain_operator(Box::new(
-                crate::exec::aggregate::HashAggregateOp::new(
-                    replay(width, rows, ctx.batch_size),
-                    group,
-                    prepared_aggs,
-                    *mode,
-                    ctx.batch_size,
-                    hint,
-                )
-                .with_budget(ctx.budget.clone()),
-            ))
+            let (group, aggs) = prepare_aggregate(group, aggs, cx)?;
+            let spec = AggSpec::new(&group, aggs.clone(), false);
+            let groups_in = collect_partitions(input, cx, pipeline::SpillHash::Agg(&spec), 0)?;
+            Box::new(
+                HashAggregateOp::new(empty(input), group, aggs, *mode, batch_size, 0)
+                    .with_budget(budget.clone())
+                    .with_prepartitioned(groups_in, input.schema().len()),
+            )
         }
-        PhysicalPlan::Filter { input, predicate } => {
-            let width = input.schema().len();
-            let rows = collect_rows(input, ctx)?;
-            let predicate = prepare_expr_with_batch_size(predicate, ctx.catalog, ctx.batch_size)?;
-            drain_operator(Box::new(crate::exec::operators::FilterOp::new(
-                replay(width, rows, ctx.batch_size),
-                predicate,
-            )))
+        PhysicalPlan::Distinct { input } if bounded => {
+            let groups = collect_partitions(input, cx, pipeline::SpillHash::WholeRow, 0)?;
+            Box::new(
+                DistinctOp::new(empty(input))
+                    .with_budget(budget.clone(), batch_size)
+                    .with_prepartitioned(groups, input.schema().len()),
+            )
         }
-        PhysicalPlan::Project { input, exprs, .. } => {
-            let width = input.schema().len();
-            let rows = collect_rows(input, ctx)?;
-            let exprs: Vec<BoundExpr> = exprs
-                .iter()
-                .map(|e| prepare_expr_with_batch_size(e, ctx.catalog, ctx.batch_size))
-                .collect::<Result<_, _>>()?;
-            drain_operator(Box::new(crate::exec::operators::ProjectOp::new(
-                replay(width, rows, ctx.batch_size),
-                exprs,
-            )))
-        }
-        PhysicalPlan::Sort { input, keys } => {
-            let width = input.schema().len();
-            let rows = collect_rows(input, ctx)?;
-            let keys = prepare_sort_keys(keys, ctx)?;
-            drain_operator(Box::new(crate::exec::operators::SortOp::new(
-                replay(width, rows, ctx.batch_size),
-                keys,
-                ctx.batch_size,
-            )))
-        }
-        PhysicalPlan::TopK {
-            input,
-            keys,
-            limit,
-            offset,
-        } => {
-            let width = input.schema().len();
-            let rows = collect_rows(input, ctx)?;
-            let keys = prepare_sort_keys(keys, ctx)?;
-            drain_operator(Box::new(crate::exec::operators::TopKOp::new(
-                replay(width, rows, ctx.batch_size),
-                keys,
-                *limit,
-                *offset,
-                ctx.batch_size,
-            )))
-        }
-        PhysicalPlan::Distinct { input } => {
-            let width = input.schema().len();
-            if ctx.budget.is_bounded() {
-                let groups = collect_partitions(input, ctx, pipeline::SpillHash::WholeRow, 0)?;
-                return drain_operator(Box::new(
-                    crate::exec::operators::DistinctOp::new(replay(
-                        width,
-                        Vec::new(),
-                        ctx.batch_size,
-                    ))
-                    .with_budget(ctx.budget.clone(), ctx.batch_size)
-                    .with_prepartitioned(groups, width),
-                ));
-            }
-            let rows = collect_rows(input, ctx)?;
-            drain_operator(Box::new(
-                crate::exec::operators::DistinctOp::new(replay(width, rows, ctx.batch_size))
-                    .with_budget(ctx.budget.clone(), ctx.batch_size),
-            ))
-        }
+        // UNION ALL is pure concatenation and never accumulates, so it
+        // takes the generic path even when bounded.
         PhysicalPlan::SetOp {
             op,
             all,
             left,
             right,
             ..
-        } => {
+        } if bounded && !(*op == SetOpKind::Union && *all) => {
             let lwidth = left.schema().len();
-            let rwidth = right.schema().len();
-            // UNION ALL is pure concatenation and never accumulates;
-            // everything else under a bounded budget pre-partitions both
-            // inputs on the whole-row hash, per-worker.
-            if ctx.budget.is_bounded() && !(*op == SetOpKind::Union && *all) {
-                let empty_op = crate::exec::operators::SetOpOp::new(
-                    *op,
-                    *all,
-                    replay(lwidth, Vec::new(), ctx.batch_size),
-                    replay(rwidth, Vec::new(), ctx.batch_size),
-                )
-                .with_budget(ctx.budget.clone(), ctx.batch_size);
-                let op = if *op == SetOpKind::Union {
-                    // One combined producer set; right-input sequence
-                    // tags offset past every possible left tag.
-                    let mut groups =
-                        collect_partitions(left, ctx, pipeline::SpillHash::WholeRow, 0)?;
-                    groups.extend(collect_partitions(
-                        right,
-                        ctx,
-                        pipeline::SpillHash::WholeRow,
-                        1 << 62,
-                    )?);
-                    empty_op.with_prepartitioned_union(groups, lwidth)
-                } else {
-                    let right_groups =
-                        collect_partitions(right, ctx, pipeline::SpillHash::WholeRow, 0)?;
-                    let left_groups =
-                        collect_partitions(left, ctx, pipeline::SpillHash::WholeRow, 0)?;
-                    empty_op.with_prepartitioned_pair(right_groups, left_groups, lwidth)
-                };
-                return drain_operator(Box::new(op));
-            }
-            let lrows = collect_rows(left, ctx)?;
-            let rrows = collect_rows(right, ctx)?;
-            drain_operator(Box::new(
-                crate::exec::operators::SetOpOp::new(
-                    *op,
-                    *all,
-                    replay(lwidth, lrows, ctx.batch_size),
-                    replay(rwidth, rrows, ctx.batch_size),
-                )
-                .with_budget(ctx.budget.clone(), ctx.batch_size),
-            ))
+            let set_op = SetOpOp::new(*op, *all, empty(left), empty(right))
+                .with_budget(budget.clone(), batch_size);
+            let whole_row = |input, seq_base| {
+                collect_partitions(input, cx, pipeline::SpillHash::WholeRow, seq_base)
+            };
+            Box::new(if *op == SetOpKind::Union {
+                // One combined producer set; right-input sequence tags
+                // offset past every possible left tag.
+                let mut groups = whole_row(left, 0)?;
+                groups.extend(whole_row(right, 1 << 62)?);
+                set_op.with_prepartitioned_union(groups, lwidth)
+            } else {
+                let right_groups = whole_row(right, 0)?;
+                let left_groups = whole_row(left, 0)?;
+                set_op.with_prepartitioned_pair(right_groups, left_groups, lwidth)
+            })
         }
         PhysicalPlan::HashJoin {
             probe,
             build,
             probe_keys,
             build_keys,
-            residual,
-            join,
             ..
-        } => {
-            let pw = probe.schema().len();
-            let bw = build.schema().len();
-            let residual = residual
-                .as_ref()
-                .map(|e| prepare_expr_with_batch_size(e, ctx.catalog, ctx.batch_size))
-                .transpose()?;
-            // Bounded budget: both sides stream through per-worker spill
-            // partitioners on their equi-key hashes — never staged as
-            // `Vec<Row>` — and the grace join processes aligned partition
-            // pairs, merge-emitting in probe order.
-            if ctx.budget.is_bounded() {
-                let build_groups =
-                    collect_partitions(build, ctx, pipeline::SpillHash::Keys(build_keys), 0)?;
-                let probe_groups =
-                    collect_partitions(probe, ctx, pipeline::SpillHash::Keys(probe_keys), 0)?;
-                return drain_operator(Box::new(
-                    crate::exec::join::HashJoinOp::new(
-                        replay(pw, Vec::new(), ctx.batch_size),
-                        replay(bw, Vec::new(), ctx.batch_size),
-                        pw,
-                        bw,
-                        probe_keys.clone(),
-                        build_keys.clone(),
-                        residual,
-                        *join,
-                        ctx.batch_size,
-                    )
-                    .with_budget(ctx.budget.clone())
+        } if bounded => {
+            let build_groups =
+                collect_partitions(build, cx, pipeline::SpillHash::Keys(build_keys), 0)?;
+            let probe_groups =
+                collect_partitions(probe, cx, pipeline::SpillHash::Keys(probe_keys), 0)?;
+            Box::new(
+                hash_join_op(plan, empty(probe), empty(build), cx)?
                     .with_prepartitioned(build_groups, probe_groups),
-                ));
-            }
-            // The probe side was not pipeline-able (e.g. it is itself a
-            // breaker); parallelize both children, join serially.
-            let probe_rows = collect_rows(probe, ctx)?;
-            let build_rows = collect_rows(build, ctx)?;
-            drain_operator(Box::new(
-                crate::exec::join::HashJoinOp::new(
-                    replay(pw, probe_rows, ctx.batch_size),
-                    replay(bw, build_rows, ctx.batch_size),
-                    pw,
-                    bw,
-                    probe_keys.clone(),
-                    build_keys.clone(),
-                    residual,
-                    *join,
-                    ctx.batch_size,
-                )
-                .with_budget(ctx.budget.clone()),
-            ))
+            )
         }
-        PhysicalPlan::NestedLoopJoin {
-            probe,
-            build,
-            on,
-            join,
-            ..
-        } => {
-            let pw = probe.schema().len();
-            let bw = build.schema().len();
-            let probe_rows = collect_rows(probe, ctx)?;
-            let build_rows = collect_rows(build, ctx)?;
-            let on = on
-                .as_ref()
-                .map(|e| prepare_expr_with_batch_size(e, ctx.catalog, ctx.batch_size))
-                .transpose()?;
-            drain_operator(Box::new(crate::exec::join::NestedLoopJoinOp::new(
-                replay(pw, probe_rows, ctx.batch_size),
-                replay(bw, build_rows, ctx.batch_size),
-                pw,
-                bw,
-                on,
-                *join,
-                ctx.batch_size,
-            )))
-        }
-        // Scans below the morsel threshold, Dual, and LIMIT (whose whole
-        // point is to stop pulling early) run serially.
-        PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual | PhysicalPlan::Limit { .. } => {
-            execute_physical(plan, ctx.catalog, ctx.batch_size)
-        }
-    }
+        // LIMIT's whole point is to stop pulling early: a serial tree.
+        PhysicalPlan::Limit { .. } => build_operator(plan, cx)?,
+        _ => from_collected_children(plan, cx)?,
+    };
+    drain(op)
+}
+
+/// The generic non-pipelined node: the operator the serial builder would
+/// construct, fed by a replay of each child's parallel-collected rows.
+fn from_collected_children<'a>(
+    plan: &PhysicalPlan,
+    cx: &ExecContext<'a>,
+) -> Result<BoxedOperator<'a>, EngineError> {
+    build_node(plan, cx, &mut |input| {
+        Ok(replay(
+            input.schema().len(),
+            collect_rows(input, cx)?,
+            cx.config.batch_size(),
+        ))
+    })
 }
 
 /// Materialize `plan`'s output into budget-accounted radix spill
@@ -458,18 +207,15 @@ pub(crate) fn collect_rows(plan: &PhysicalPlan, ctx: &Ctx<'_>) -> Result<Vec<Row
 /// `Vec<Row>`.
 fn collect_partitions(
     plan: &PhysicalPlan,
-    ctx: &Ctx<'_>,
+    cx: &ExecContext<'_>,
     hash: pipeline::SpillHash<'_>,
     seq_base: u64,
 ) -> Result<Vec<Vec<SpillPartition>>, EngineError> {
-    if pipeline::worth_parallel(plan, ctx) {
-        if let Some(spec) = pipeline::build_pipeline(plan, ctx)? {
-            return pipeline::run_morsels_spill(&spec, ctx, hash, seq_base);
-        }
+    if let Some(spec) = pipeline::build_pipeline(plan, cx)? {
+        return pipeline::run_morsels_spill(&spec, cx, hash, seq_base);
     }
-    let mut op =
-        crate::exec::build_operator_budgeted(plan, ctx.catalog, ctx.batch_size, &ctx.budget)?;
-    let mut spiller = PartitionedSpiller::new(ctx.budget.clone(), 0);
+    let mut op = build_operator(plan, cx)?;
+    let mut spiller = PartitionedSpiller::new(cx.config.budget().clone(), 0);
     let mut seq = seq_base;
     while let Some(batch) = op.next_batch()? {
         let hashes = hash.hash(&batch)?;
@@ -486,82 +232,16 @@ fn collect_partitions(
 /// lists come back in slot order and concatenate in morsel order, so the
 /// result is identical to the serial [`Table::filter_row_ids`] scan. On
 /// error the cursor poisons and the earliest morsel's error surfaces.
-pub fn parallel_filter_row_ids(
+pub(crate) fn parallel_filter_row_ids(
     table: &Table,
     kernel: &VectorKernel,
-    workers: usize,
-    morsel_size: usize,
-    batch_size: usize,
+    config: &ExecConfig,
 ) -> Result<Vec<u64>, EngineError> {
-    let cursor = MorselCursor::new(table.total_slots(), morsel_size.max(1));
-    let results: Mutex<Vec<(usize, Vec<u64>)>> = Mutex::new(Vec::new());
-    let errors: Mutex<Vec<(usize, EngineError)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..workers.max(1) {
-            s.spawn(|| {
-                while let Some((seq, slots)) = cursor.claim() {
-                    match table.filter_row_ids_range(slots, batch_size, kernel) {
-                        Ok(ids) => results.lock().unwrap().push((seq, ids)),
-                        Err(e) => {
-                            cursor.stop();
-                            errors.lock().unwrap().push((seq, e));
-                            return;
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let errors = errors.into_inner().unwrap();
-    if let Some((_, e)) = errors.into_iter().min_by_key(|(seq, _)| *seq) {
-        return Err(e);
-    }
-    let mut out = results.into_inner().unwrap();
-    out.sort_by_key(|(seq, _)| *seq);
+    let out = pipeline::for_each_morsel(
+        table.total_slots(),
+        config.morsel_size(),
+        config.parallelism(),
+        |slots| table.filter_row_ids_range(slots, config.batch_size(), kernel),
+    )?;
     Ok(out.into_iter().flat_map(|(_, ids)| ids).collect())
-}
-
-fn prepare_sort_keys(
-    keys: &[crate::planner::SortKey],
-    ctx: &Ctx<'_>,
-) -> Result<Vec<(BoundExpr, bool)>, EngineError> {
-    keys.iter()
-        .map(|k| {
-            Ok((
-                prepare_expr_with_batch_size(&k.expr, ctx.catalog, ctx.batch_size)?,
-                k.desc,
-            ))
-        })
-        .collect()
-}
-
-/// An operator replaying materialized rows in batches — the bridge that
-/// lets the serial breaker operators consume parallel-collected input.
-struct ReplayOp<'a> {
-    batches: VecDeque<RowBatch<'a>>,
-}
-
-fn replay<'a>(width: usize, rows: Vec<Row>, batch_size: usize) -> BoxedOperator<'a> {
-    let batch_size = batch_size.max(1);
-    let mut batches = VecDeque::new();
-    let mut it = rows.into_iter().peekable();
-    while it.peek().is_some() {
-        let chunk: Vec<Row> = it.by_ref().take(batch_size).collect();
-        batches.push_back(RowBatch::from_rows(width, chunk));
-    }
-    Box::new(ReplayOp { batches })
-}
-
-impl<'a> Operator<'a> for ReplayOp<'a> {
-    fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
-        Ok(self.batches.pop_front())
-    }
-}
-
-fn drain_operator(mut op: BoxedOperator<'_>) -> Result<Vec<Row>, EngineError> {
-    let mut rows = Vec::new();
-    while let Some(batch) = op.next_batch()? {
-        rows.extend(batch.to_rows());
-    }
-    Ok(rows)
 }

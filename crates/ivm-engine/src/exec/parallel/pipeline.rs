@@ -22,12 +22,10 @@ use crate::exec::hash::{
 use crate::exec::join::{encode_build_keys, splice_output, unmatched_build_batch};
 use crate::exec::spill::{PartitionedSpiller, SpillPartition};
 use crate::exec::typed::{note_fallback_rows, note_typed_rows, EncodedChunk, KeyArena};
-use crate::exec::{prepare_expr_with_batch_size, Row};
+use crate::exec::{prepare_expr, ExecContext, Row};
 use crate::expr::VectorKernel;
 use crate::planner::physical::{PhysJoinKind, PhysicalPlan};
 use crate::storage::{MorselCursor, Table};
-
-use super::Ctx;
 
 /// Build sides smaller than this skip radix partitioning entirely (one
 /// flat table, built single-threaded): below it the partition pass and
@@ -484,7 +482,7 @@ fn apply_stages<'b>(
 /// Whether `plan` roots a pipeline worth running in parallel: its scan
 /// leaf spans more than one morsel and is not answered by an index point
 /// read.
-pub(super) fn worth_parallel(plan: &PhysicalPlan, ctx: &Ctx<'_>) -> bool {
+fn worth_parallel(plan: &PhysicalPlan, cx: &ExecContext<'_>) -> bool {
     fn source(plan: &PhysicalPlan) -> Option<&PhysicalPlan> {
         match plan {
             PhysicalPlan::TableScan { .. } => Some(plan),
@@ -501,40 +499,48 @@ pub(super) fn worth_parallel(plan: &PhysicalPlan, ctx: &Ctx<'_>) -> bool {
     else {
         return false;
     };
-    let Ok(t) = ctx.catalog.table(table) else {
+    let Ok(t) = cx.catalog.table(table) else {
         return false;
     };
-    if t.total_slots() <= ctx.morsel_size {
+    if t.total_slots() <= cx.config.morsel_size() {
         return false;
     }
     index_eq.is_empty() || t.equality_lookup(index_eq).is_none()
 }
 
-/// Decompose `plan` into a [`PipelineSpec`]: walk Filter/Project/HashJoin
-/// nodes down to a `TableScan` leaf, compiling stage kernels and
-/// materializing + partitioning every join build side (recursively
-/// through the parallel executor). `None` when the shape is not a
-/// pipeline (the caller falls back to breaker-level parallelism or serial
-/// execution).
+/// Decompose `plan` into a [`PipelineSpec`] when it roots a pipeline
+/// [`worth_parallel`]: walk Filter/Project/HashJoin nodes down to a
+/// `TableScan` leaf, compiling stage kernels and materializing +
+/// partitioning every join build side (recursively through the parallel
+/// executor). `None` when the shape is not such a pipeline (the caller
+/// falls back to breaker-level parallelism or serial execution).
 pub(super) fn build_pipeline<'a>(
     plan: &PhysicalPlan,
-    ctx: &Ctx<'a>,
+    cx: &ExecContext<'a>,
+) -> Result<Option<PipelineSpec<'a>>, EngineError> {
+    if !worth_parallel(plan, cx) {
+        return Ok(None);
+    }
+    pipeline_of(plan, cx)
+}
+
+fn pipeline_of<'a>(
+    plan: &PhysicalPlan,
+    cx: &ExecContext<'a>,
 ) -> Result<Option<PipelineSpec<'a>>, EngineError> {
     Ok(match plan {
         PhysicalPlan::TableScan {
             table, predicate, ..
         } => {
-            // Callers gate on `worth_parallel`, which already rejected
-            // index point reads (they take the serial path); no second
-            // `equality_lookup` probe here. A pipeline built without that
-            // gate would still be correct — `predicate` carries the full
-            // conjunction including any index-eligible equalities — just
-            // slower than the point read.
-            let t = ctx.catalog.table(table)?;
+            // `worth_parallel` already rejected index point reads (they
+            // take the serial path); no second `equality_lookup` probe
+            // here. `predicate` carries the full conjunction including
+            // any index-eligible equalities.
+            let t = cx.catalog.table(table)?;
             let scan_kernel = match predicate {
                 None => None,
                 Some(p) => {
-                    let prepared = prepare_expr_with_batch_size(p, ctx.catalog, ctx.batch_size)?;
+                    let prepared = prepare_expr(p, cx)?;
                     Some(VectorKernel::compile(&prepared))
                 }
             };
@@ -544,17 +550,16 @@ pub(super) fn build_pipeline<'a>(
                 stages: Vec::new(),
             })
         }
-        PhysicalPlan::Filter { input, predicate } => match build_pipeline(input, ctx)? {
+        PhysicalPlan::Filter { input, predicate } => match pipeline_of(input, cx)? {
             None => None,
             Some(mut spec) => {
-                let prepared =
-                    prepare_expr_with_batch_size(predicate, ctx.catalog, ctx.batch_size)?;
+                let prepared = prepare_expr(predicate, cx)?;
                 spec.stages
                     .push(Stage::Filter(VectorKernel::compile(&prepared)));
                 Some(spec)
             }
         },
-        PhysicalPlan::Project { input, exprs, .. } => match build_pipeline(input, ctx)? {
+        PhysicalPlan::Project { input, exprs, .. } => match pipeline_of(input, cx)? {
             None => None,
             Some(mut spec) => {
                 let mut cols = Vec::with_capacity(exprs.len());
@@ -562,8 +567,7 @@ pub(super) fn build_pipeline<'a>(
                     cols.push(match e {
                         crate::expr::BoundExpr::Column { index, .. } => Proj::Pass(*index),
                         _ => {
-                            let prepared =
-                                prepare_expr_with_batch_size(e, ctx.catalog, ctx.batch_size)?;
+                            let prepared = prepare_expr(e, cx)?;
                             Proj::Compute(VectorKernel::compile(&prepared))
                         }
                     });
@@ -578,7 +582,7 @@ pub(super) fn build_pipeline<'a>(
         // sides stream through per-worker spill partitioners
         // ([`run_morsels_spill`]) into the grace-capable `HashJoinOp`.
         // Scans/filters/projects below stay morsel-parallel.
-        PhysicalPlan::HashJoin { .. } if ctx.budget.is_bounded() => None,
+        PhysicalPlan::HashJoin { .. } if cx.config.budget().is_bounded() => None,
         PhysicalPlan::HashJoin {
             probe,
             build,
@@ -587,15 +591,15 @@ pub(super) fn build_pipeline<'a>(
             residual,
             join,
             ..
-        } => match build_pipeline(probe, ctx)? {
+        } => match pipeline_of(probe, cx)? {
             None => None,
             Some(mut spec) => {
                 // The build side materializes once, through the parallel
                 // executor itself (it may contain its own pipelines).
-                let build_rows = super::collect_rows(build, ctx)?;
+                let build_rows = super::collect_rows(build, cx)?;
                 let residual = residual
                     .as_ref()
-                    .map(|e| prepare_expr_with_batch_size(e, ctx.catalog, ctx.batch_size))
+                    .map(|e| prepare_expr(e, cx))
                     .transpose()?
                     .map(|e| VectorKernel::compile(&e));
                 spec.stages.push(Stage::Join(Box::new(JoinStage::build(
@@ -606,7 +610,7 @@ pub(super) fn build_pipeline<'a>(
                     build_keys,
                     residual,
                     *join,
-                    ctx.workers,
+                    cx.config.parallelism(),
                 ))));
                 Some(spec)
             }
@@ -635,13 +639,13 @@ pub(super) enum MorselOut {
 
 fn process_morsel(
     spec: &PipelineSpec<'_>,
-    ctx: &Ctx<'_>,
+    cx: &ExecContext<'_>,
     slots: Range<usize>,
     work: &MorselWork<'_>,
 ) -> Result<MorselOut, EngineError> {
-    let batches = spec
-        .table
-        .scan_morsel(slots, ctx.batch_size, spec.scan_kernel.as_ref())?;
+    let batches =
+        spec.table
+            .scan_morsel(slots, cx.config.batch_size(), spec.scan_kernel.as_ref())?;
     match work {
         MorselWork::Collect => {
             let mut rows = Vec::new();
@@ -673,27 +677,27 @@ fn process_morsel(
     }
 }
 
-/// The morsel-driven worker loop: `ctx.workers` scoped threads claim
-/// morsels from a shared [`MorselCursor`] until the table is exhausted,
-/// producing one [`MorselOut`] per morsel. Results come back sorted by
-/// morsel sequence so callers reconstruct the serial order. On error the
-/// cursor is poisoned (other workers wind down) and the error from the
-/// earliest morsel is returned — the same error the serial executor
-/// would hit first.
-pub(super) fn run_morsels(
-    spec: &PipelineSpec<'_>,
-    ctx: &Ctx<'_>,
-    work: MorselWork<'_>,
-) -> Result<Vec<(usize, MorselOut)>, EngineError> {
-    let total = spec.table.total_slots();
-    let cursor = MorselCursor::new(total, ctx.effective_morsel_size(total));
-    let results: Mutex<Vec<(usize, MorselOut)>> = Mutex::new(Vec::new());
+/// The morsel-driven worker loop: `workers` scoped threads claim
+/// `morsel_size`-slot morsels of `total_slots` from a shared
+/// [`MorselCursor`] until exhausted, running `work` on each. Results come
+/// back tagged and sorted by morsel sequence so callers reconstruct the
+/// serial order. On error the cursor is poisoned (other workers wind
+/// down) and the error from the earliest morsel is returned — the same
+/// error the serial executor would hit first.
+pub(super) fn for_each_morsel<T: Send>(
+    total_slots: usize,
+    morsel_size: usize,
+    workers: usize,
+    work: impl Fn(Range<usize>) -> Result<T, EngineError> + Sync,
+) -> Result<Vec<(usize, T)>, EngineError> {
+    let cursor = MorselCursor::new(total_slots, morsel_size);
+    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::new());
     let errors: Mutex<Vec<(usize, EngineError)>> = Mutex::new(Vec::new());
     std::thread::scope(|s| {
-        for _ in 0..ctx.workers {
+        for _ in 0..workers {
             s.spawn(|| {
                 while let Some((seq, slots)) = cursor.claim() {
-                    match process_morsel(spec, ctx, slots, &work) {
+                    match work(slots) {
                         Ok(out) => results.lock().unwrap().push((seq, out)),
                         Err(e) => {
                             cursor.stop();
@@ -712,6 +716,22 @@ pub(super) fn run_morsels(
     let mut out = results.into_inner().unwrap();
     out.sort_by_key(|(seq, _)| *seq);
     Ok(out)
+}
+
+/// Run `work` over every morsel of the pipeline's source table: one
+/// [`MorselOut`] per morsel, in morsel order.
+pub(super) fn run_morsels(
+    spec: &PipelineSpec<'_>,
+    cx: &ExecContext<'_>,
+    work: MorselWork<'_>,
+) -> Result<Vec<(usize, MorselOut)>, EngineError> {
+    let total = spec.table.total_slots();
+    for_each_morsel(
+        total,
+        cx.config.effective_morsel_size(total),
+        cx.config.parallelism(),
+        |slots| process_morsel(spec, cx, slots, &work),
+    )
 }
 
 /// How rows flowing into a per-worker spill partitioner hash — it must be
@@ -744,15 +764,15 @@ impl SpillHash<'_> {
 /// in increasing sequence order.
 fn spill_morsel(
     spec: &PipelineSpec<'_>,
-    ctx: &Ctx<'_>,
+    cx: &ExecContext<'_>,
     slots: Range<usize>,
     hash: &SpillHash<'_>,
     seq_base: u64,
     spiller: &mut PartitionedSpiller,
 ) -> Result<(), EngineError> {
-    let batches = spec
-        .table
-        .scan_morsel(slots, ctx.batch_size, spec.scan_kernel.as_ref())?;
+    let batches =
+        spec.table
+            .scan_morsel(slots, cx.config.batch_size(), spec.scan_kernel.as_ref())?;
     let mut ordinal = 0u64;
     for batch in batches {
         if let Some(b) = apply_stages(&spec.stages, batch)? {
@@ -775,23 +795,23 @@ fn spill_morsel(
 /// merge of all producers reproduces the serial output order exactly.
 pub(super) fn run_morsels_spill(
     spec: &PipelineSpec<'_>,
-    ctx: &Ctx<'_>,
+    cx: &ExecContext<'_>,
     hash: SpillHash<'_>,
     seq_base: u64,
 ) -> Result<Vec<Vec<SpillPartition>>, EngineError> {
     let total = spec.table.total_slots();
-    let morsel = ctx.effective_morsel_size(total);
+    let morsel = cx.config.effective_morsel_size(total);
     let cursor = MorselCursor::new(total, morsel);
     let num_morsels = total.div_ceil(morsel.max(1)) as u64;
     let producers: Mutex<Vec<Vec<SpillPartition>>> = Mutex::new(Vec::new());
     let errors: Mutex<Vec<(usize, EngineError)>> = Mutex::new(Vec::new());
     std::thread::scope(|s| {
-        for _ in 0..ctx.workers {
+        for _ in 0..cx.config.parallelism() {
             s.spawn(|| {
-                let mut spiller = PartitionedSpiller::new(ctx.budget.clone(), 0);
+                let mut spiller = PartitionedSpiller::new(cx.config.budget().clone(), 0);
                 while let Some((seq, slots)) = cursor.claim() {
                     let base = seq_base + ((seq as u64) << 32);
-                    if let Err(e) = spill_morsel(spec, ctx, slots, &hash, base, &mut spiller) {
+                    if let Err(e) = spill_morsel(spec, cx, slots, &hash, base, &mut spiller) {
                         cursor.stop();
                         errors.lock().unwrap().push((seq, e));
                         return;
@@ -814,9 +834,9 @@ pub(super) fn run_morsels_spill(
     let mut producers = producers.into_inner().unwrap();
     // FULL OUTER tails sequence after every morsel row (morsel ordinals
     // stay below 1 << 32), matching the serial executor's append order.
-    let tails = pipeline_tails(spec, ctx)?;
+    let tails = pipeline_tails(spec, cx)?;
     if !tails.is_empty() {
-        let mut spiller = PartitionedSpiller::new(ctx.budget.clone(), 0);
+        let mut spiller = PartitionedSpiller::new(cx.config.budget().clone(), 0);
         let mut seq = seq_base + ((num_morsels + 1) << 32);
         for batch in tails {
             let hashes = hash.hash(&batch)?;
@@ -837,12 +857,12 @@ pub(super) fn run_morsels_spill(
 /// run after [`run_morsels`] completes.
 pub(super) fn pipeline_tails(
     spec: &PipelineSpec<'_>,
-    ctx: &Ctx<'_>,
+    cx: &ExecContext<'_>,
 ) -> Result<Vec<RowBatch<'static>>, EngineError> {
     let mut out = Vec::new();
     for j in 0..spec.stages.len() {
         if let Stage::Join(join) = &spec.stages[j] {
-            for batch in join.tail_batches(ctx.batch_size) {
+            for batch in join.tail_batches(cx.config.batch_size()) {
                 if let Some(b) = apply_stages(&spec.stages[j + 1..], batch)? {
                     out.push(b);
                 }

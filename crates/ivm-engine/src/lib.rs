@@ -61,6 +61,7 @@ pub mod exec;
 pub mod expr;
 pub mod index;
 pub mod optimizer;
+mod plan_cache;
 pub mod planner;
 pub mod schema;
 pub mod session;
@@ -71,7 +72,10 @@ pub mod value;
 pub use catalog::Catalog;
 pub use concurrent::{ReadSession, Snapshot, SnapshotHub};
 pub use error::{EngineError, ErrorKind};
-pub use exec::{reset_typed_path_stats, typed_path_stats, MemoryBudget, RowBatch, SpillStats};
+pub use exec::{
+    reset_typed_path_stats, typed_path_stats, ExecConfig, ExecContext, MemoryBudget, RowBatch,
+    SpillStats,
+};
 pub use planner::{plan_query, LogicalPlan, PhysicalPlan};
 pub use schema::{Column, Schema};
 pub use session::{Database, QueryResult};

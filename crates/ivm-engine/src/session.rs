@@ -1,8 +1,5 @@
 //! The embedded database session: `Database::execute(sql)`.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use ivm_sql::ast::{
     Assignment, ConflictAction, CreateIndex, CreateTable, Delete, Drop, DropKind, Insert,
     InsertSource, Query, Statement, Update,
@@ -12,14 +9,14 @@ use ivm_sql::{parse_statement, parse_statements};
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec::{
-    clean_orphan_spill_files, execute_parallel, execute_physical_budgeted, parallel_filter_row_ids,
-    prepare_expr_with_batch_size, MemoryBudget, ParallelOptions, Row, SpillStats,
-    DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_SIZE,
+    self, clean_orphan_spill_files, parallel_filter_row_ids, prepare_expr, ExecConfig, ExecContext,
+    MemoryBudget, Row, SpillStats,
 };
 use crate::expr::bind::{bind_expr_with, Scope};
 use crate::expr::BindColumn;
 use crate::optimizer::optimize;
-use crate::planner::physical::{lower_with_budget, PhysicalPlan};
+use crate::plan_cache::{PlanCache, PlanKey, Planned};
+use crate::planner::physical::lower_with_budget;
 use crate::planner::plan_query;
 use crate::schema::{Column, Schema};
 use crate::storage::durability::{Durability, DurabilityOptions, RecoveryStats};
@@ -126,14 +123,13 @@ fn env_setting<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, EngineError>
     }
 }
 
-pub(crate) fn env_parallelism() -> usize {
-    // An explicit setting wins; `1` is the explicit serial bypass.
+/// The executor settings a new session starts with: the environment's
+/// parallelism, memory budget, and spill directory over the defaults.
+pub(crate) fn env_config() -> ExecConfig {
+    // An explicit parallelism wins; `1` is the explicit serial bypass.
     // Unset: size the worker pool from the machine.
-    env_setting(PARALLELISM_ENV, parse_parallelism_setting)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-}
-
-pub(crate) fn env_budget() -> MemoryBudget {
+    let parallelism = env_setting(PARALLELISM_ENV, parse_parallelism_setting)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get));
     let budget = match env_setting(MEMORY_BUDGET_ENV, parse_memory_budget_setting).flatten() {
         Some(bytes) => MemoryBudget::with_limit(bytes),
         None => MemoryBudget::unbounded(),
@@ -141,30 +137,29 @@ pub(crate) fn env_budget() -> MemoryBudget {
     if let Some(dir) = std::env::var_os(SPILL_DIR_ENV) {
         budget.set_spill_dir(std::path::PathBuf::from(dir));
     }
-    budget
+    ExecConfig::new(parallelism, budget)
 }
 
-/// Cache key of a bound plan: the SQL text plus the session settings the
-/// lowered shape depends on. `lower_with_budget` bakes a budget-dependent
-/// build-side choice into the physical plan, so a plan lowered under one
-/// memory budget must never be reused under another — keying (rather
-/// than invalidating) also lets a session that flips a setting back
-/// re-hit its earlier plans, and lets sessions with different settings
-/// share one cache without evicting each other's entries.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PlanKey {
-    sql: String,
-    budget: Option<usize>,
-    parallelism: usize,
+/// Bind, optimize, and lower `q` against the context's catalog, under
+/// its memory budget — the one way a query becomes a physical plan, for
+/// the writer session and for snapshot readers alike.
+pub(crate) fn plan_physical(q: &Query, cx: &ExecContext<'_>) -> Result<Planned, EngineError> {
+    let plan = optimize(plan_query(q, cx.catalog)?);
+    let columns = plan.schema().names();
+    let physical = lower_with_budget(&plan, cx.catalog, cx.config.budget().limit())?;
+    Ok((std::sync::Arc::new(physical), columns))
 }
 
-/// A cached optimized physical plan, valid while the catalog shape
-/// (tables, views, indexes) is unchanged.
-#[derive(Debug, Clone)]
-struct CachedPlan {
-    generation: u64,
-    physical: Arc<PhysicalPlan>,
-    columns: Vec<String>,
+/// Run a planned query under `cx` ([`exec::run`]) into a [`QueryResult`].
+pub(crate) fn run_planned(
+    (physical, columns): Planned,
+    cx: &ExecContext<'_>,
+) -> Result<QueryResult, EngineError> {
+    Ok(QueryResult {
+        columns,
+        rows: exec::run(&physical, cx)?,
+        rows_affected: 0,
+    })
 }
 
 /// Result of executing one statement.
@@ -197,27 +192,19 @@ impl QueryResult {
 ///
 /// Queries run through the batched physical-operator pipeline: logical
 /// plans are lowered to [`crate::planner::PhysicalPlan`]s and executed
-/// batch-at-a-time (see [`crate::exec`]). With
-/// [`set_parallelism`](Database::set_parallelism) above 1, plans run on
-/// the morsel-driven parallel executor ([`crate::exec::parallel`]);
-/// at 1 (the default) execution is the unchanged serial operator tree.
+/// by [`crate::exec::run`] under this session's [`ExecConfig`] — the
+/// serial operator tree at parallelism 1, the morsel-driven parallel
+/// executor ([`crate::exec::parallel`]) above.
 #[derive(Debug)]
 pub struct Database {
     catalog: Catalog,
-    batch_size: usize,
-    parallelism: usize,
-    morsel_size: usize,
-    /// Whether [`set_morsel_size`](Database::set_morsel_size) was called:
-    /// an explicit size disables adaptive morsel scaling.
-    morsel_size_explicit: bool,
-    /// Memory budget shared by every query of the session; bounded
-    /// budgets make pipeline breakers spill radix partitions to disk.
-    budget: MemoryBudget,
+    /// Batch size, parallelism, morsel size, and the memory budget
+    /// shared by every query of the session.
+    config: ExecConfig,
     /// Physical-plan cache for repeated statements (maintenance scripts),
     /// invalidated by bumping `ddl_generation`.
-    plan_cache: HashMap<PlanKey, CachedPlan>,
+    plan_cache: PlanCache,
     ddl_generation: u64,
-    plan_cache_hits: usize,
     /// Durable backing (pages + WAL + checkpoints); `None` = in-memory
     /// mode, where every code path behaves exactly as before.
     durability: Option<Durability>,
@@ -269,14 +256,9 @@ impl Database {
     fn base() -> Database {
         Database {
             catalog: Catalog::new(),
-            batch_size: DEFAULT_BATCH_SIZE,
-            parallelism: env_parallelism(),
-            morsel_size: DEFAULT_MORSEL_SIZE,
-            morsel_size_explicit: false,
-            budget: env_budget(),
-            plan_cache: HashMap::new(),
+            config: env_config(),
+            plan_cache: PlanCache::default(),
             ddl_generation: 0,
-            plan_cache_hits: 0,
             durability: None,
             atomic_depth: 0,
             auto_checkpoint_bytes: None,
@@ -320,7 +302,7 @@ impl Database {
     ) -> Result<(), EngineError> {
         // A crashed process leaves spill temp files behind; reclaim the
         // dead ones while we're recovering its durable state anyway.
-        clean_orphan_spill_files(&self.budget.spill_dir());
+        clean_orphan_spill_files(&self.config.budget().spill_dir());
         let (durability, mut catalog) = Durability::open(dir, opts)?;
         catalog.set_wal(Some(durability.wal_handle()));
         self.catalog = catalog;
@@ -518,30 +500,30 @@ impl Database {
 
     /// The executor batch size.
     pub fn batch_size(&self) -> usize {
-        self.batch_size
+        self.config.batch_size()
     }
 
     /// Change the executor batch size (rows per batch; clamped to ≥ 1).
     pub fn set_batch_size(&mut self, batch_size: usize) {
-        self.batch_size = batch_size.max(1);
+        self.config.set_batch_size(batch_size);
     }
 
     /// The number of executor worker threads.
     pub fn parallelism(&self) -> usize {
-        self.parallelism
+        self.config.parallelism()
     }
 
     /// Set the number of executor worker threads (clamped to ≥ 1). At 1,
     /// queries run the serial operator tree; above 1, the morsel-driven
     /// parallel executor.
     pub fn set_parallelism(&mut self, workers: usize) {
-        self.parallelism = workers.max(1);
+        self.config.set_parallelism(workers);
     }
 
     /// The morsel size (physical slots per scheduling unit) used by the
     /// parallel executor.
     pub fn morsel_size(&self) -> usize {
-        self.morsel_size
+        self.config.morsel_size()
     }
 
     /// Set the parallel executor's morsel size (clamped to ≥ 1). Tables
@@ -550,14 +532,14 @@ impl Database {
     /// size also disables the adaptive scaling that grows morsels on
     /// large scans.
     pub fn set_morsel_size(&mut self, slots: usize) {
-        self.morsel_size = slots.max(1);
-        self.morsel_size_explicit = true;
+        self.config.set_morsel_size(slots);
     }
 
     /// `(entries, hits)` of the bound-plan cache (see
-    /// [`execute_statement_cached`](Database::execute_statement_cached)).
+    /// [`execute_statement`](Database::execute_statement)).
     pub fn plan_cache_stats(&self) -> (usize, usize) {
-        (self.plan_cache.len(), self.plan_cache_hits)
+        let (entries, hits, _) = self.plan_cache.stats();
+        (entries, hits as usize)
     }
 
     /// Set the executor memory budget in bytes (`None` = unbounded, the
@@ -577,106 +559,60 @@ impl Database {
     /// spilling (serial joins fall back to the streaming path when the
     /// build side fits).
     pub fn set_memory_budget(&mut self, bytes: Option<usize>) {
-        self.budget.set_limit(bytes);
         // The planner's build-side choice is budget-aware; the plan
         // cache is keyed on the budget, so entries lowered under the old
         // setting simply stop matching (and match again if it returns).
+        self.config.set_memory_budget(bytes);
     }
 
     /// The executor memory budget in bytes (`None` = unbounded).
     pub fn memory_budget(&self) -> Option<usize> {
-        self.budget.limit()
+        self.config.budget().limit()
     }
 
     /// Set the directory spill files are created in (default: the system
     /// temp directory, or `$OPENIVM_SPILL_DIR`).
     pub fn set_spill_dir(&mut self, dir: impl Into<std::path::PathBuf>) {
-        self.budget.set_spill_dir(dir.into());
+        self.config.set_spill_dir(dir);
     }
 
     /// Cumulative spill/rehydrate counters for this session.
     pub fn spill_stats(&self) -> SpillStats {
-        self.budget.stats()
+        self.config.budget().stats()
     }
 
     /// Cumulative `(typed, fallback)` row counters for the typed columnar
     /// key path (process-wide — see
-    /// [`exec::typed_path_stats`](crate::exec::typed_path_stats)).
+    /// [`exec::typed_path_stats`]).
     pub fn typed_path_stats(&self) -> (u64, u64) {
         crate::exec::typed_path_stats()
     }
 
-    /// Run an already-lowered physical plan with this session's batch
-    /// size, parallelism, and memory budget.
-    fn run_physical(&self, physical: &PhysicalPlan) -> Result<Vec<Row>, EngineError> {
-        if self.parallelism > 1 {
-            execute_parallel(
-                physical,
-                &self.catalog,
-                self.batch_size,
-                ParallelOptions {
-                    workers: self.parallelism,
-                    morsel_size: self.morsel_size,
-                    budget: self.budget.clone(),
-                    adaptive_morsels: !self.morsel_size_explicit,
-                },
-            )
-        } else {
-            execute_physical_budgeted(physical, &self.catalog, self.batch_size, &self.budget)
+    /// What this session's executions borrow: its catalog and executor
+    /// settings (pass it to [`exec::run`] or [`exec::build_operator`] to
+    /// drive an already-lowered plan by hand).
+    pub fn exec_context(&self) -> ExecContext<'_> {
+        ExecContext {
+            catalog: &self.catalog,
+            config: &self.config,
         }
     }
 
-    /// Plan, lower, and run a logical plan.
-    fn run_plan(&self, plan: &crate::planner::LogicalPlan) -> Result<Vec<Row>, EngineError> {
-        let physical = lower_with_budget(plan, &self.catalog, self.budget.limit())?;
-        self.run_physical(&physical)
-    }
-
-    /// The optimized physical plan for `q`, from the plan cache when the
-    /// catalog shape is unchanged since it was stored.
-    fn cached_physical(
-        &mut self,
-        key: &str,
-        q: &Query,
-    ) -> Result<(Arc<PhysicalPlan>, Vec<String>), EngineError> {
-        let cache_key = PlanKey {
-            sql: key.to_string(),
-            budget: self.budget.limit(),
-            parallelism: self.parallelism,
+    /// The optimized physical plan for `q`: with a `cache_key`, from the
+    /// plan cache when the catalog shape is unchanged since it was
+    /// stored (and stored there otherwise).
+    fn planned(&mut self, cache_key: Option<&str>, q: &Query) -> Result<Planned, EngineError> {
+        let Some(sql) = cache_key else {
+            return plan_physical(q, &self.exec_context());
         };
-        if let Some(hit) = self.plan_cache.get(&cache_key) {
-            if hit.generation == self.ddl_generation {
-                self.plan_cache_hits += 1;
-                return Ok((Arc::clone(&hit.physical), hit.columns.clone()));
-            }
+        let key = PlanKey::new(sql, &self.config);
+        if let Some(hit) = self.plan_cache.get(&key, self.ddl_generation) {
+            return Ok(hit);
         }
-        let plan = optimize(plan_query(q, &self.catalog)?);
-        let columns = plan.schema().names();
-        let physical = Arc::new(lower_with_budget(
-            &plan,
-            &self.catalog,
-            self.budget.limit(),
-        )?);
-        // Keep the cache bounded: evict stale-generation entries first,
-        // and wholesale if distinct keys alone exceed the cap (a fixed
-        // maintenance-script set never comes close).
-        const PLAN_CACHE_CAP: usize = 1024;
-        if self.plan_cache.len() >= PLAN_CACHE_CAP {
-            let generation = self.ddl_generation;
-            self.plan_cache.retain(|_, e| e.generation == generation);
-            if self.plan_cache.len() >= PLAN_CACHE_CAP {
-                self.plan_cache.clear();
-            }
-        }
-        self.plan_cache.insert(
-            cache_key,
-            CachedPlan {
-                generation: self.ddl_generation,
-                physical: Arc::clone(&physical),
-                columns: columns.clone(),
-            },
-        );
-        Ok((physical, columns))
+        let planned = plan_physical(q, &self.exec_context())?;
+        self.plan_cache
+            .insert(key, self.ddl_generation, planned.clone());
+        Ok(planned)
     }
 
     /// Borrow the catalog.
@@ -709,7 +645,7 @@ impl Database {
     /// Execute a single SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult, EngineError> {
         let stmt = parse_statement(sql)?;
-        self.execute_statement(&stmt)
+        self.execute_statement(&stmt, None)
     }
 
     /// Execute a `;`-separated script, returning one result per statement.
@@ -718,7 +654,7 @@ impl Database {
         let stmts = parse_statements(sql)?;
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in &stmts {
-            out.push(self.execute_statement(stmt)?);
+            out.push(self.execute_statement(stmt, None)?);
         }
         Ok(out)
     }
@@ -728,13 +664,8 @@ impl Database {
         let stmt = parse_statement(sql)?;
         match &stmt {
             Statement::Query(q) => {
-                let plan = optimize(plan_query(q, &self.catalog)?);
-                let rows = self.run_plan(&plan)?;
-                Ok(QueryResult {
-                    columns: plan.schema().names(),
-                    rows,
-                    rows_affected: 0,
-                })
+                let cx = self.exec_context();
+                run_planned(plan_physical(q, &cx)?, &cx)
             }
             _ => Err(EngineError::unsupported(
                 "query() accepts SELECT statements only",
@@ -747,10 +678,22 @@ impl Database {
     /// the statement's WAL records afterwards — including after an error,
     /// because in-memory semantics keep the applied prefix of a partially
     /// failed statement, and recovery must reproduce exactly that state.
-    pub fn execute_statement(&mut self, stmt: &Statement) -> Result<QueryResult, EngineError> {
+    ///
+    /// With a `cache_key` (conventionally the statement's SQL text), the
+    /// optimized physical plan of a query or an `INSERT … SELECT` source
+    /// is cached under it: repeated executions of the same maintenance
+    /// script skip planning, optimization, and physical lowering
+    /// entirely. The cache is invalidated by any SQL DDL; catalog-shape
+    /// changes made through [`catalog_mut`](Database::catalog_mut)
+    /// require an explicit [`invalidate_plans`](Database::invalidate_plans).
+    pub fn execute_statement(
+        &mut self,
+        stmt: &Statement,
+        cache_key: Option<&str>,
+    ) -> Result<QueryResult, EngineError> {
         self.degraded_gate(stmt)?;
         self.ensure_resident_for(stmt)?;
-        let result = self.execute_statement_inner(stmt);
+        let result = self.execute_statement_inner(stmt, cache_key);
         let commit = self.commit_statement();
         match result {
             Err(e) => Err(e),
@@ -815,16 +758,15 @@ impl Database {
         Ok(())
     }
 
-    fn execute_statement_inner(&mut self, stmt: &Statement) -> Result<QueryResult, EngineError> {
+    fn execute_statement_inner(
+        &mut self,
+        stmt: &Statement,
+        cache_key: Option<&str>,
+    ) -> Result<QueryResult, EngineError> {
         match stmt {
             Statement::Query(q) => {
-                let plan = optimize(plan_query(q, &self.catalog)?);
-                let rows = self.run_plan(&plan)?;
-                Ok(QueryResult {
-                    columns: plan.schema().names(),
-                    rows,
-                    rows_affected: 0,
-                })
+                let planned = self.planned(cache_key, q)?;
+                run_planned(planned, &self.exec_context())
             }
             Statement::CreateTable(ct) => self.create_table(ct),
             Statement::CreateIndex(ci) => self.create_index(ci),
@@ -844,7 +786,7 @@ impl Database {
                 Ok(QueryResult::default())
             }
             Statement::Drop(d) => self.drop(d),
-            Statement::Insert(ins) => self.insert(ins),
+            Statement::Insert(ins) => self.insert(ins, cache_key),
             Statement::Update(u) => self.update(u),
             Statement::Delete(d) => self.delete(d),
             // The analytical engine auto-commits; real transaction scoping
@@ -856,10 +798,9 @@ impl Database {
                 let Statement::Query(q) = inner.as_ref() else {
                     return Err(EngineError::unsupported("EXPLAIN supports queries only"));
                 };
-                let plan = optimize(plan_query(q, &self.catalog)?);
                 // Show what will actually run: the lowered physical tree,
                 // under this session's budget.
-                let physical = lower_with_budget(&plan, &self.catalog, self.budget.limit())?;
+                let (physical, _) = plan_physical(q, &self.exec_context())?;
                 let rows = physical
                     .explain()
                     .lines()
@@ -871,43 +812,6 @@ impl Database {
                     rows_affected: 0,
                 })
             }
-        }
-    }
-
-    /// Execute one parsed statement, caching the optimized physical plan
-    /// of queries and `INSERT … SELECT` sources under `cache_key`. The
-    /// cache is invalidated by any SQL DDL; catalog-shape changes made
-    /// through [`catalog_mut`](Database::catalog_mut) require an explicit
-    /// [`invalidate_plans`](Database::invalidate_plans). Repeated
-    /// executions of the same maintenance script skip planning,
-    /// optimization, and physical lowering entirely. Non-plan-bearing
-    /// statements behave exactly like
-    /// [`execute_statement`](Database::execute_statement).
-    pub fn execute_statement_cached(
-        &mut self,
-        cache_key: &str,
-        stmt: &Statement,
-    ) -> Result<QueryResult, EngineError> {
-        self.degraded_gate(stmt)?;
-        self.ensure_resident_for(stmt)?;
-        let result = match stmt {
-            Statement::Query(q) => {
-                let (physical, columns) = self.cached_physical(cache_key, q)?;
-                self.run_physical(&physical).map(|rows| QueryResult {
-                    columns,
-                    rows,
-                    rows_affected: 0,
-                })
-            }
-            Statement::Insert(ins) if matches!(ins.source, InsertSource::Query(_)) => {
-                self.insert_impl(ins, Some(cache_key))
-            }
-            _ => self.execute_statement_inner(stmt),
-        };
-        let commit = self.commit_statement();
-        match result {
-            Err(e) => Err(e),
-            Ok(r) => commit.map(|()| r),
         }
     }
 
@@ -990,11 +894,7 @@ impl Database {
         Ok(QueryResult::default())
     }
 
-    fn insert(&mut self, ins: &Insert) -> Result<QueryResult, EngineError> {
-        self.insert_impl(ins, None)
-    }
-
-    fn insert_impl(
+    fn insert(
         &mut self,
         ins: &Insert,
         cache_key: Option<&str>,
@@ -1034,8 +934,7 @@ impl Database {
                     let mut vals = Vec::with_capacity(row.len());
                     for e in row {
                         let bound = bind_expr_with(e, &scope, Some(&self.catalog))?;
-                        let prepared =
-                            prepare_expr_with_batch_size(&bound, &self.catalog, self.batch_size)?;
+                        let prepared = prepare_expr(&bound, &self.exec_context())?;
                         vals.push(prepared.eval(&[])?);
                     }
                     out.push(vals);
@@ -1043,21 +942,7 @@ impl Database {
                 out
             }
             InsertSource::Query(q) => {
-                let (physical, columns) = match cache_key {
-                    Some(key) => self.cached_physical(key, q)?,
-                    None => {
-                        let plan = optimize(plan_query(q, &self.catalog)?);
-                        let columns = plan.schema().names();
-                        (
-                            Arc::new(lower_with_budget(
-                                &plan,
-                                &self.catalog,
-                                self.budget.limit(),
-                            )?),
-                            columns,
-                        )
-                    }
-                };
+                let (physical, columns) = self.planned(cache_key, q)?;
                 if columns.len() != column_map.len() {
                     return Err(EngineError::bind(format!(
                         "INSERT expects {} columns, query returns {}",
@@ -1065,7 +950,7 @@ impl Database {
                         columns.len()
                     )));
                 }
-                self.run_physical(&physical)?
+                exec::run(&physical, &self.exec_context())?
             }
         };
 
@@ -1122,11 +1007,7 @@ impl Database {
                                 env.extend(row.iter().cloned());
                                 let mut updated = old;
                                 for (pos, expr) in assignments {
-                                    let prepared = prepare_expr_with_batch_size(
-                                        expr,
-                                        &self.catalog,
-                                        self.batch_size,
-                                    )?;
+                                    let prepared = prepare_expr(expr, &self.exec_context())?;
                                     updated[*pos] =
                                         coerce(prepared.eval(&env)?, schema.columns[*pos].ty)?;
                                 }
@@ -1189,11 +1070,7 @@ impl Database {
         let predicate = match &u.selection {
             Some(e) => {
                 let b = bind_expr_with(e, &scope, Some(&self.catalog))?;
-                Some(prepare_expr_with_batch_size(
-                    &b,
-                    &self.catalog,
-                    self.batch_size,
-                )?)
+                Some(prepare_expr(&b, &self.exec_context())?)
             }
             None => None,
         };
@@ -1206,10 +1083,7 @@ impl Database {
                 ))
             })?;
             let b = bind_expr_with(&a.value, &scope, Some(&self.catalog))?;
-            bound_assignments.push((
-                pos,
-                prepare_expr_with_batch_size(&b, &self.catalog, self.batch_size)?,
-            ));
+            bound_assignments.push((pos, prepare_expr(&b, &self.exec_context())?));
         }
         // Phase 1: compute new rows against a stable snapshot. Victims are
         // found by a chunked vectorized scan; only they are materialized.
@@ -1247,11 +1121,7 @@ impl Database {
         let predicate = match &d.selection {
             Some(e) => {
                 let b = bind_expr_with(e, &scope, Some(&self.catalog))?;
-                Some(prepare_expr_with_batch_size(
-                    &b,
-                    &self.catalog,
-                    self.batch_size,
-                )?)
+                Some(prepare_expr(&b, &self.exec_context())?)
             }
             None => None,
         };
@@ -1285,16 +1155,10 @@ impl Database {
         table: &Table,
         kernel: &crate::expr::VectorKernel,
     ) -> Result<Vec<u64>, EngineError> {
-        if self.parallelism > 1 && table.total_slots() > self.morsel_size {
-            parallel_filter_row_ids(
-                table,
-                kernel,
-                self.parallelism,
-                self.morsel_size,
-                self.batch_size,
-            )
+        if self.config.parallelism() > 1 && table.total_slots() > self.config.morsel_size() {
+            parallel_filter_row_ids(table, kernel, &self.config)
         } else {
-            table.filter_row_ids(self.batch_size, kernel)
+            table.filter_row_ids(self.config.batch_size(), kernel)
         }
     }
 
@@ -1353,9 +1217,9 @@ mod tests {
         let mut db = seeded();
         let sql = "SELECT g, SUM(v) AS t FROM s GROUP BY g";
         let stmt = parse_statement(sql).unwrap();
-        let first = db.execute_statement_cached(sql, &stmt).unwrap();
+        let first = db.execute_statement(&stmt, Some(sql)).unwrap();
         assert_eq!(db.plan_cache_stats(), (1, 0), "first run plans");
-        let second = db.execute_statement_cached(sql, &stmt).unwrap();
+        let second = db.execute_statement(&stmt, Some(sql)).unwrap();
         assert_eq!(db.plan_cache_stats(), (1, 1), "second run hits");
         assert_eq!(first.rows, second.rows);
         assert_eq!(first.columns, second.columns);
@@ -1363,8 +1227,8 @@ mod tests {
         // INSERT … SELECT caches its source plan under the same key space.
         let ins = "INSERT INTO sink SELECT g, SUM(v) FROM s GROUP BY g";
         let ins_stmt = parse_statement(ins).unwrap();
-        db.execute_statement_cached(ins, &ins_stmt).unwrap();
-        db.execute_statement_cached(ins, &ins_stmt).unwrap();
+        db.execute_statement(&ins_stmt, Some(ins)).unwrap();
+        db.execute_statement(&ins_stmt, Some(ins)).unwrap();
         assert_eq!(db.plan_cache_stats(), (2, 2));
         assert_eq!(
             db.query("SELECT COUNT(*) FROM sink").unwrap().scalar(),
@@ -1377,14 +1241,14 @@ mod tests {
         let mut db = seeded();
         let sql = "SELECT g, SUM(v) AS t FROM s GROUP BY g";
         let stmt = parse_statement(sql).unwrap();
-        db.execute_statement_cached(sql, &stmt).unwrap();
-        db.execute_statement_cached(sql, &stmt).unwrap();
+        db.execute_statement(&stmt, Some(sql)).unwrap();
+        db.execute_statement(&stmt, Some(sql)).unwrap();
         assert_eq!(db.plan_cache_stats().1, 1);
         // DDL bumps the generation: the next run re-plans (no new hit).
         db.execute("CREATE TABLE other (x INTEGER)").unwrap();
-        db.execute_statement_cached(sql, &stmt).unwrap();
+        db.execute_statement(&stmt, Some(sql)).unwrap();
         assert_eq!(db.plan_cache_stats().1, 1, "stale entry re-planned");
-        db.execute_statement_cached(sql, &stmt).unwrap();
+        db.execute_statement(&stmt, Some(sql)).unwrap();
         assert_eq!(db.plan_cache_stats().1, 2, "fresh entry hits again");
         // Explicit invalidation clears everything.
         db.invalidate_plans();
@@ -1397,7 +1261,7 @@ mod tests {
         db.set_memory_budget(None);
         let sql = "SELECT g, SUM(v) AS t FROM s GROUP BY g ORDER BY g";
         let stmt = parse_statement(sql).unwrap();
-        let baseline = db.execute_statement_cached(sql, &stmt).unwrap();
+        let baseline = db.execute_statement(&stmt, Some(sql)).unwrap();
         assert_eq!(db.plan_cache_stats(), (1, 0));
 
         // Flipping the budget between two executions of the same SQL
@@ -1406,26 +1270,26 @@ mod tests {
         // under another budget is a different identity — reusing it was
         // the staleness bug.
         db.set_memory_budget(Some(123_456_789));
-        let budgeted = db.execute_statement_cached(sql, &stmt).unwrap();
+        let budgeted = db.execute_statement(&stmt, Some(sql)).unwrap();
         assert_eq!(db.plan_cache_stats(), (2, 0), "budget flip re-lowers");
         assert_eq!(budgeted.rows, baseline.rows, "same data, same answer");
 
         // Keyed, not invalidated: each budget's plan survives the flips
         // and re-hits when its setting returns.
         db.set_memory_budget(None);
-        db.execute_statement_cached(sql, &stmt).unwrap();
+        db.execute_statement(&stmt, Some(sql)).unwrap();
         assert_eq!(db.plan_cache_stats(), (2, 1), "unbounded plan re-hits");
         db.set_memory_budget(Some(123_456_789));
-        db.execute_statement_cached(sql, &stmt).unwrap();
+        db.execute_statement(&stmt, Some(sql)).unwrap();
         assert_eq!(db.plan_cache_stats(), (2, 2), "budgeted plan re-hits");
 
         // Parallelism is part of plan identity too.
         db.set_parallelism(2);
-        let parallel = db.execute_statement_cached(sql, &stmt).unwrap();
+        let parallel = db.execute_statement(&stmt, Some(sql)).unwrap();
         assert_eq!(db.plan_cache_stats(), (3, 2), "parallelism flip re-lowers");
         assert_eq!(parallel.rows, baseline.rows);
         db.set_parallelism(1);
-        db.execute_statement_cached(sql, &stmt).unwrap();
+        db.execute_statement(&stmt, Some(sql)).unwrap();
         assert_eq!(db.plan_cache_stats(), (3, 3));
     }
 
@@ -1435,12 +1299,12 @@ mod tests {
         let sql = "SELECT SUM(v) FROM s";
         let stmt = parse_statement(sql).unwrap();
         assert_eq!(
-            db.execute_statement_cached(sql, &stmt).unwrap().scalar(),
+            db.execute_statement(&stmt, Some(sql)).unwrap().scalar(),
             Some(&Value::Integer(6))
         );
         db.execute("INSERT INTO s VALUES ('c', 10)").unwrap();
         assert_eq!(
-            db.execute_statement_cached(sql, &stmt).unwrap().scalar(),
+            db.execute_statement(&stmt, Some(sql)).unwrap().scalar(),
             Some(&Value::Integer(16)),
             "plan cache must never cache data"
         );

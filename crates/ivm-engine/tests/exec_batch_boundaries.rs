@@ -224,7 +224,7 @@ fn join_output_batches_stay_bounded() {
     };
     let plan = ivm_engine::optimizer::optimize(ivm_engine::plan_query(&q, db.catalog()).unwrap());
     let physical = lower(&plan, db.catalog()).unwrap();
-    let mut op = build_operator(&physical, db.catalog(), 8).unwrap();
+    let mut op = build_operator(&physical, &db.exec_context()).unwrap();
     let mut total = 0;
     while let Some(batch) = op.next_batch().unwrap() {
         assert!(

@@ -143,23 +143,6 @@ impl HtapPipeline {
         self.olap.share()
     }
 
-    /// Set the OLAP engine's executor parallelism (worker threads). The
-    /// analytical side — view recomputation, ad-hoc OLAP queries, and
-    /// propagation-script execution — runs on the morsel-driven parallel
-    /// executor when above 1. The OLTP row store stays single-threaded by
-    /// design (it is the row-at-a-time foil).
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.olap.set_parallelism(workers);
-    }
-
-    /// Set the OLAP engine's executor memory budget in bytes (`None` =
-    /// unbounded): analytical joins and aggregations whose hash state
-    /// exceeds the budget spill radix partitions to disk (see
-    /// `ivm_engine::Database::set_memory_budget` for the trade-offs).
-    pub fn set_memory_budget(&mut self, bytes: Option<usize>) {
-        self.olap.set_memory_budget(bytes);
-    }
-
     /// Shipping counters.
     pub fn ship_stats(&self) -> ShipStats {
         self.bridge.stats()
@@ -325,7 +308,7 @@ mod tests {
     #[test]
     fn parallel_olap_stays_consistent() {
         let mut htap = pipeline_with_view();
-        htap.set_parallelism(4);
+        htap.olap_mut().set_parallelism(4);
         htap.olap_mut().database_mut().set_morsel_size(64);
         let values: Vec<String> = (0..600)
             .map(|i| format!("('g{}', {})", i % 9, i % 50))

@@ -159,8 +159,8 @@ fn concurrent_readers_see_only_committed_snapshots() {
         .enumerate()
         {
             let mut reader = hub.reader();
-            reader.set_parallelism(workers);
-            reader.set_memory_budget(budget);
+            reader.config_mut().set_parallelism(workers);
+            reader.config_mut().set_memory_budget(budget);
             let done = &done;
             handles.push(scope.spawn(move || read_loop(reader, done, &format!("reader{i}"))));
         }

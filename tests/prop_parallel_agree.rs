@@ -72,6 +72,11 @@ fn queries() -> Vec<(&'static str, Cmp)> {
             Cmp::Multiset,
         ),
         ("SELECT DISTINCT g, tag FROM t", Cmp::Multiset),
+        // The subquery runs at the session's parallelism too.
+        (
+            "SELECT v FROM t WHERE g IN (SELECT g FROM t GROUP BY g)",
+            Cmp::Multiset,
+        ),
         (
             "SELECT v FROM t EXCEPT SELECT v FROM t WHERE tag = TRUE",
             Cmp::Multiset,

@@ -47,8 +47,15 @@ fn queries() -> Vec<&'static str> {
         "SELECT g FROM t UNION SELECT id FROM dim",
         // ORDER BY above a spilled aggregation.
         "SELECT g, SUM(v) AS s FROM t GROUP BY g ORDER BY s DESC, g",
+        // A breaker below LIMIT and one inside IN (SELECT …): the budget
+        // reaches both at every worker count.
+        LIMIT_OVER_GROUP_BY,
+        IN_SUBQUERY_GROUP_BY,
     ]
 }
+
+const LIMIT_OVER_GROUP_BY: &str = "SELECT g, SUM(v) AS s FROM t GROUP BY g LIMIT 3";
+const IN_SUBQUERY_GROUP_BY: &str = "SELECT v FROM t WHERE g IN (SELECT g FROM t GROUP BY g)";
 
 /// Budgets swept by the harness; `None` is the unbounded baseline.
 /// 1 byte means even a single row overflows — the "1 row" budget.
@@ -192,6 +199,30 @@ fn constrained_budgets_actually_spill() {
         db.query(q).unwrap();
     }
     assert!(!db.spill_stats().spilled());
+}
+
+/// The budget is honoured below `LIMIT` and inside `IN (SELECT …)` at
+/// every worker count: each shape alone, at the 1-byte budget, spills.
+#[test]
+fn budget_reaches_limit_subtrees_and_subqueries() {
+    let rows: Vec<Row> = (0..600)
+        .map(|i| Row {
+            g: (i % 6) as u8,
+            v: i % 50,
+            tag: i % 2 == 0,
+        })
+        .collect();
+    for workers in [1usize, 2, 4] {
+        for q in [LIMIT_OVER_GROUP_BY, IN_SUBQUERY_GROUP_BY] {
+            let db = database(workers, Some(1), &rows);
+            db.query(q).unwrap();
+            let stats = db.spill_stats();
+            assert!(
+                stats.spilled_bytes > 0,
+                "workers={workers}: {q} ignored the budget: {stats:?}"
+            );
+        }
+    }
 }
 
 /// No spill temp files may outlive the queries that created them, even
