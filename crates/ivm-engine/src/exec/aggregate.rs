@@ -20,7 +20,8 @@ use crate::error::EngineError;
 use crate::exec::batch::RowBatch;
 use crate::exec::hash::{hash_key_columns, FlatTable};
 use crate::exec::spill::{
-    for_each_fitting_group, MemoryBudget, MergeEmit, OutputRuns, PartitionedSpiller, SpillPartition,
+    for_each_fitting_group, spill_batches, MemoryBudget, MergeEmit, OutputRuns, PartitionGroups,
+    PartitionedSpiller, SpillHash,
 };
 use crate::exec::typed::{note_fallback_rows, note_typed_rows, EncodedChunk, TupleStore};
 use crate::exec::{BatchBuilder, BoxedOperator, Operator, Row};
@@ -1026,9 +1027,9 @@ pub struct HashAggregateOp<'a> {
     /// Planner sizing hint for the group table (0 = unknown).
     groups_hint: usize,
     budget: MemoryBudget,
-    /// Pre-partitioned input groups (one per parallel worker) plus the
-    /// input row width; set by [`HashAggregateOp::with_prepartitioned`].
-    prepart: Option<(Vec<Vec<SpillPartition>>, usize)>,
+    /// Pre-partitioned input groups (one per parallel worker); set by
+    /// [`HashAggregateOp::with_prepartitioned`].
+    prepart: Option<PartitionGroups>,
     output: Option<VecDeque<RowBatch<'a>>>,
     spilled_emit: Option<MergeEmit>,
 }
@@ -1068,35 +1069,22 @@ impl<'a> HashAggregateOp<'a> {
     }
 
     /// Aggregate pre-partitioned input groups (one spiller result per
-    /// parallel worker, hashed on the group key) of `input_width`-column
-    /// rows instead of draining `input`. Grouped spill path only.
-    pub(crate) fn with_prepartitioned(
-        mut self,
-        groups: Vec<Vec<SpillPartition>>,
-        input_width: usize,
-    ) -> HashAggregateOp<'a> {
-        self.prepart = Some((groups, input_width));
+    /// parallel worker, hashed on the group key) instead of draining
+    /// `input`. Grouped spill path only.
+    pub(crate) fn with_prepartitioned(mut self, groups: PartitionGroups) -> HashAggregateOp<'a> {
+        self.prepart = Some(groups);
         self
     }
 
     /// The spill path for grouped aggregation under a bounded budget.
     fn drain_and_aggregate_spilled(&mut self) -> Result<MergeEmit, EngineError> {
-        let width = self.group_width + self.spec.agg_width();
-        let (groups_in, input_width) = match self.prepart.take() {
-            Some((groups, w)) => (groups, w),
+        let groups_in = match self.prepart.take() {
+            Some(groups) => groups,
             None => {
                 let mut spiller = PartitionedSpiller::new(self.budget.clone(), 0);
-                let mut seq = 0u64;
-                let mut input_width = 0usize;
-                while let Some(batch) = self.input.next_batch()? {
-                    input_width = batch.width();
-                    let hashes = self.spec.group_hashes(&batch)?;
-                    for (r, &hash) in hashes.iter().enumerate() {
-                        spiller.push(hash, seq, batch.materialize_row(r))?;
-                        seq += 1;
-                    }
-                }
-                (vec![spiller.finish()?], input_width)
+                let hash = SpillHash::Agg(&self.spec);
+                spill_batches(&mut self.input, &hash, 0, &mut spiller)?;
+                vec![spiller.finish()?]
             }
         };
         // Each partition appends one run of (first-seen sequence, output
@@ -1113,7 +1101,7 @@ impl<'a> HashAggregateOp<'a> {
             for chunk in tuples.chunks(batch_size) {
                 let seqs: Vec<u64> = chunk.iter().map(|(_, s, _)| *s).collect();
                 let rows: Vec<Row> = chunk.iter().map(|(_, _, r)| r.clone()).collect();
-                let batch = RowBatch::from_rows(input_width, rows);
+                let batch = RowBatch::from_rows(rows[0].len(), rows);
                 spec.fold_batch_grouped_observed(&batch, &mut groups, |r| {
                     first_seqs.push(seqs[r]);
                 })?;
@@ -1128,7 +1116,7 @@ impl<'a> HashAggregateOp<'a> {
             }
             Ok(())
         })?;
-        runs.finish(width, self.batch_size)
+        runs.finish(self.batch_size)
     }
 
     /// Whether this aggregation runs the out-of-core grouped path.

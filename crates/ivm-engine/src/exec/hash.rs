@@ -629,9 +629,9 @@ fn capacity_for(n: usize) -> usize {
 /// is found by `hash` + `eq`; when one exists, `set_next(old_head)` links
 /// `i` in front of it (the caller owns the chain array), otherwise `i`
 /// starts a new chain. This is the one chain-building step shared by the
-/// serial join build, the partitioned parallel build, and the
-/// delta-ingest victim index — prepending over a reverse scan yields
-/// chains that iterate in ascending entry order.
+/// join build (single-table or radix-partitioned) and the delta-ingest
+/// victim index — prepending over a reverse scan yields chains that
+/// iterate in ascending entry order.
 pub fn chain_prepend(
     table: &mut FlatTable,
     hash: u64,

@@ -9,39 +9,65 @@
 //! spliced into one `probe ++ build` frame, and filtered by a compiled
 //! kernel in a single pass. Output is chunked at the executor batch size
 //! with carry-over state, so high-fan-out probes (skew, CROSS joins, the
-//! FULL OUTER tail) can no longer emit oversized batches. The probe side
-//! is the preserved side: `LeftOuter` pads unmatched probe rows,
-//! `FullOuter` additionally emits unmatched build rows after the probe is
-//! exhausted. SQL semantics: NULL keys never match.
+//! FULL OUTER tail) never emit oversized batches. The probe side is the
+//! preserved side: `LeftOuter` pads unmatched probe rows, `FullOuter`
+//! additionally emits unmatched build rows after the probe is exhausted.
+//! SQL semantics: NULL keys never match.
+//!
+//! A built hash-join build side ([`BuiltJoin`]) is immutable apart from
+//! its FULL OUTER match flags, which are atomics: a serial plan probes it
+//! from one [`HashJoinOp`], the morsel executor from one `HashJoinOp` per
+//! morsel on every worker ([`HashJoinOp::shared`]).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::error::EngineError;
 use crate::exec::batch::{ColumnData, JoinedRow, RowBatch};
-use crate::exec::hash::{chain_prepend, hash_batch_keys, hash_rows_keys, FlatTable};
+use crate::exec::hash::{chain_prepend, hash_batch_keys, hash_rows_keys, FlatTable, KeyHashes};
 use crate::exec::spill::{
-    for_each_fitting_group_pair, MemoryBudget, MergeEmit, OutputRuns, PartitionedSpiller,
-    SpillPartition,
+    for_each_fitting_group_pair, spill_batches, MemoryBudget, MergeEmit, OutputRuns,
+    PartitionedSpiller, SpillHash, SpillPartition,
 };
 use crate::exec::typed::{note_fallback_rows, note_typed_rows, EncodedChunk, KeyArena};
-use crate::exec::{BoxedOperator, Operator, Row};
+use crate::exec::{drain, BoxedOperator, Operator, Row};
 use crate::expr::{BoundExpr, VectorKernel};
 use crate::planner::physical::PhysJoinKind;
 use crate::value::Value;
+
+/// Build sides smaller than this get one flat table built on the calling
+/// thread: below it the radix pass and the per-partition tables cost more
+/// than the builder threads save.
+const PARALLEL_BUILD_THRESHOLD: usize = 4096;
+
+/// Per-build-row "some probe row matched me" flags. They exist only to
+/// compute the FULL OUTER tail, so every other join kind gets none and
+/// skips the per-match store. Stores and loads are `Relaxed`: a flag
+/// publishes no other data, and the tail reads them only after every
+/// prober has finished (same thread, or joined by `std::thread::scope`).
+fn matched_flags(rows: usize, join: PhysJoinKind) -> Vec<AtomicBool> {
+    let tracked = if join == PhysJoinKind::FullOuter {
+        rows
+    } else {
+        0
+    };
+    (0..tracked).map(|_| AtomicBool::new(false)).collect()
+}
 
 /// The materialized build side shared by both join flavors. Besides the
 /// rows themselves it keeps a columnar copy behind `Arc`s: output batches
 /// gather the build side by *selection* against those shared buffers
 /// (one `Value` clone per build row at construction, zero per output
 /// row), instead of cloning values once per emitted pair.
-struct BuildSide {
+pub(crate) struct BuildSide {
     rows: Vec<Row>,
     cols: Vec<Arc<Vec<Value>>>,
-    matched: Vec<bool>,
+    /// See [`matched_flags`].
+    matched: Vec<AtomicBool>,
 }
 
 impl BuildSide {
-    fn new(rows: Vec<Row>, width: usize) -> BuildSide {
+    fn new(rows: Vec<Row>, width: usize, join: PhysJoinKind) -> BuildSide {
         let mut cols: Vec<Vec<Value>> =
             (0..width).map(|_| Vec::with_capacity(rows.len())).collect();
         for row in &rows {
@@ -49,20 +75,12 @@ impl BuildSide {
                 col.push(v.clone());
             }
         }
-        let matched = vec![false; rows.len()];
+        let matched = matched_flags(rows.len(), join);
         BuildSide {
             rows,
             cols: cols.into_iter().map(Arc::new).collect(),
             matched,
         }
-    }
-
-    fn consume<'a>(op: &mut BoxedOperator<'a>, width: usize) -> Result<BuildSide, EngineError> {
-        let mut rows = Vec::new();
-        while let Some(batch) = op.next_batch()? {
-            rows.extend(batch.to_rows());
-        }
-        Ok(BuildSide::new(rows, width))
     }
 }
 
@@ -123,7 +141,7 @@ impl<'a> PendingOutput<'a> {
 
 /// Gather `indices` out of the build rows into owned columns;
 /// `u32::MAX` marks a NULL-padded (unmatched probe) slot.
-pub(crate) fn gather_build_columns<'a>(
+fn gather_build_columns<'a>(
     build: &[Row],
     build_width: usize,
     indices: &[u32],
@@ -145,61 +163,82 @@ pub(crate) fn gather_build_columns<'a>(
     columns.into_iter().map(ColumnData::owned).collect()
 }
 
-/// Splice a probe-side selection with gathered build columns into one
-/// output batch of `probe ++ build` layout.
-pub(crate) fn splice_output<'a>(
-    probe_batch: &RowBatch<'a>,
-    probe_sel: Vec<u32>,
-    build: &[Row],
-    build_width: usize,
-    build_idx: &[u32],
-) -> RowBatch<'a> {
-    let rows = probe_sel.len();
-    let mut columns = probe_batch.select(probe_sel).into_columns();
-    columns.extend(gather_build_columns(build, build_width, build_idx));
-    RowBatch::new(columns, rows)
+/// The FULL OUTER tail: the build rows no prober matched, NULL-padded on
+/// the probe side, emitted in `batch_size` chunks.
+struct OuterTail {
+    ids: Vec<u32>,
+    offset: usize,
 }
 
-/// Build rows never matched during probing (the FULL OUTER tail).
-fn unmatched_build_ids(state: &BuildSide) -> Vec<u32> {
-    state
-        .matched
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| !**m)
-        .map(|(i, _)| i as u32)
-        .collect()
-}
+impl OuterTail {
+    /// Snapshot the unmatched build rows — once every prober is done.
+    fn new(side: &BuildSide) -> OuterTail {
+        let ids = side
+            .matched
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| !m.load(Ordering::Relaxed))
+            .map(|(i, _)| i as u32)
+            .collect();
+        OuterTail { ids, offset: 0 }
+    }
 
-/// One chunk of the FULL OUTER tail: the given unmatched build rows,
-/// padded with NULLs on the probe side.
-pub(crate) fn unmatched_build_batch<'a>(
-    build_rows: &[Row],
-    ids: &[u32],
-    probe_width: usize,
-    build_width: usize,
-) -> RowBatch<'a> {
-    let mut columns: Vec<ColumnData<'a>> = (0..probe_width)
-        .map(|_| ColumnData::owned(vec![Value::Null; ids.len()]))
-        .collect();
-    columns.extend(gather_build_columns(build_rows, build_width, ids));
-    RowBatch::new(columns, ids.len())
+    fn next_chunk<'a>(
+        &mut self,
+        side: &BuildSide,
+        probe_width: usize,
+        build_width: usize,
+        batch_size: usize,
+    ) -> Option<RowBatch<'a>> {
+        if self.offset >= self.ids.len() {
+            return None;
+        }
+        let end = (self.offset + batch_size).min(self.ids.len());
+        let ids = &self.ids[self.offset..end];
+        self.offset = end;
+        let mut columns: Vec<ColumnData<'a>> = (0..probe_width)
+            .map(|_| ColumnData::owned(vec![Value::Null; ids.len()]))
+            .collect();
+        columns.extend(gather_build_columns(&side.rows, build_width, ids));
+        Some(RowBatch::new(columns, ids.len()))
+    }
 }
 
 /// Build-side key encode chunk size: bounds the scratch [`EncodedChunk`]
 /// while the whole build side streams through the typed encoder.
 const BUILD_ENCODE_CHUNK: usize = 4096;
 
-/// Hash index over the build side: a [`FlatTable`] keyed by precomputed
+/// Radix partitions of a build side built by `workers` threads.
+fn partition_count(workers: usize) -> usize {
+    (workers * 4).next_power_of_two().min(64)
+}
+
+/// Partition index of a hash under `part_shift` (high bits).
+#[inline]
+fn partition_of(hash: u64, part_shift: u32) -> usize {
+    if part_shift >= 64 {
+        0
+    } else {
+        (hash >> part_shift) as usize
+    }
+}
+
+/// Hash index over the build side: [`FlatTable`]s keyed by precomputed
 /// key hashes whose payload is the *head* build-row index of a chain
 /// threaded through `next` (rows with equal keys, in build-row order).
-/// When every build key is representable in the typed layout, keys are
-/// packed into a [`KeyArena`] (arena row `i` == build row `i`, null-key
-/// rows included) so chain and probe compares are branch-free word
-/// compares; otherwise compares fall back to the build rows themselves.
-/// Every build row is hashed exactly once, by the vectorized key kernel.
+/// The hash column is computed once and reused everywhere: the **high
+/// bits** pick the radix partition, the **low bits** index the
+/// partition's table. When every build key is representable in the typed
+/// layout, keys are packed into a [`KeyArena`] (arena row `i` == build row
+/// `i`, null-key rows included) so chain and probe compares are
+/// branch-free word compares; otherwise compares fall back to the build
+/// rows themselves.
 pub(crate) struct JoinTable {
-    table: FlatTable,
+    /// One flat table per radix partition (len 1 = unpartitioned).
+    parts: Vec<FlatTable>,
+    /// Right-shift mapping a key hash to its partition (64 when
+    /// unpartitioned: everything lands in partition 0).
+    part_shift: u32,
     /// Per build row: the next row with an equal key, `u32::MAX` at the
     /// chain end.
     next: Vec<u32>,
@@ -208,101 +247,156 @@ pub(crate) struct JoinTable {
     keys: Option<KeyArena>,
 }
 
+/// One built radix partition: its flat table plus the `(row, next)` chain
+/// updates to apply to the shared chain array.
+type BuiltPartition = (FlatTable, Vec<(u32, u32)>);
+
 impl JoinTable {
-    /// Index `rows` on `keys`. Rows with a NULL key never enter the table
+    /// Index `rows` on `keys`. Rows with a NULL key never enter a table
     /// (SQL: NULL keys never match). Chains are built by *prepending*
     /// over a reverse scan, so candidate iteration yields build rows in
-    /// increasing order — the serial output order contract.
-    pub(crate) fn build(rows: &[Row], keys: &[usize]) -> JoinTable {
-        let hashes = hash_rows_keys(rows, keys);
-        let mut table = FlatTable::with_capacity(rows.len());
-        let mut next = vec![u32::MAX; rows.len()];
-        let arena = encode_build_keys(rows, keys);
-        match &arena {
-            Some(_) => note_typed_rows(rows.len() as u64),
-            None => note_fallback_rows(rows.len() as u64),
-        }
-        for i in (0..rows.len()).rev() {
-            if hashes.is_null(i) {
-                continue;
-            }
-            match &arena {
-                Some(a) => chain_prepend(
-                    &mut table,
-                    hashes.hashes[i],
-                    i as u32,
-                    |p| a.eq_rows(p as usize, i),
-                    |head| next[i] = head,
-                ),
-                None => {
-                    let row = &rows[i];
-                    chain_prepend(
-                        &mut table,
-                        hashes.hashes[i],
-                        i as u32,
-                        |p| {
-                            let head = &rows[p as usize];
-                            keys.iter().all(|&k| head[k] == row[k])
-                        },
-                        |head| next[i] = head,
-                    )
+    /// increasing order — the output order contract.
+    ///
+    /// With more than one worker and at least
+    /// [`PARALLEL_BUILD_THRESHOLD`] rows the build is radix-partitioned
+    /// across `workers` scoped threads: contiguous row chunks hash and
+    /// bucketize in parallel (per-partition row lists concatenate in
+    /// chunk order, keeping global row order), then the partitions'
+    /// tables are built in parallel. Anything smaller, or one worker,
+    /// builds a single table on the calling thread.
+    pub(crate) fn build(rows: &[Row], keys: &[usize], workers: usize) -> JoinTable {
+        let n = rows.len();
+        let partitioned = workers > 1 && n >= PARALLEL_BUILD_THRESHOLD;
+        let nparts = if partitioned {
+            partition_count(workers)
+        } else {
+            1
+        };
+        let part_shift = 64 - nparts.trailing_zeros();
+        // A chunk's hashes, and its non-NULL-key row ids per partition.
+        let bucketize = |base: usize, slice: &[Row]| -> (KeyHashes, Vec<Vec<u32>>) {
+            let hashes = hash_rows_keys(slice, keys);
+            let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nparts];
+            for (off, h) in hashes.hashes.iter().enumerate() {
+                if !hashes.is_null(off) {
+                    lists[partition_of(*h, part_shift)].push((base + off) as u32);
                 }
             }
+            (hashes, lists)
+        };
+
+        // Phase 1: the hash column, computed once.
+        let (hashes, part_rows) = if partitioned {
+            let chunk = n.div_ceil(workers);
+            let chunk_out: Vec<(KeyHashes, Vec<Vec<u32>>)> = std::thread::scope(|s| {
+                let handles: Vec<_> = rows
+                    .chunks(chunk)
+                    .enumerate()
+                    .map(|(ci, slice)| {
+                        let bucketize = &bucketize;
+                        s.spawn(move || bucketize(ci * chunk, slice))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("join build hasher panicked"))
+                    .collect()
+            });
+            let mut hashes = KeyHashes::with_len(n);
+            let mut part_rows: Vec<Vec<u32>> = vec![Vec::new(); nparts];
+            for (ci, (chunk_hashes, lists)) in chunk_out.into_iter().enumerate() {
+                hashes.splice_from(ci * chunk, chunk_hashes);
+                for (p, list) in lists.into_iter().enumerate() {
+                    part_rows[p].extend(list);
+                }
+            }
+            (hashes, part_rows)
+        } else {
+            bucketize(0, rows)
+        };
+
+        // Typed build-key arena: encoded once over the full build side,
+        // shared read-only by every partition builder and prober.
+        let arena = encode_build_keys(rows, keys);
+        match &arena {
+            Some(_) => note_typed_rows(n as u64),
+            None => note_fallback_rows(n as u64),
         }
+
+        // Phase 2: per-partition flat tables, chains prepended over a
+        // reverse scan of each partition's (globally ordered) row list.
+        // One build loop serves both arms; only the chain sink differs
+        // (direct write vs. recorded updates applied by the coordinator).
+        let mut next = vec![u32::MAX; n];
+        let build_part = |list: &[u32], set_next: &mut dyn FnMut(u32, u32)| -> FlatTable {
+            let mut table = FlatTable::with_capacity(list.len());
+            for &i in list.iter().rev() {
+                chain_prepend(
+                    &mut table,
+                    hashes.hashes[i as usize],
+                    i,
+                    |p| match &arena {
+                        Some(a) => a.eq_rows(p as usize, i as usize),
+                        None => {
+                            let (head, row) = (&rows[p as usize], &rows[i as usize]);
+                            keys.iter().all(|&k| head[k] == row[k])
+                        }
+                    },
+                    |head| set_next(i, head),
+                );
+            }
+            table
+        };
+        let parts: Vec<FlatTable> = if partitioned {
+            // Partitions hold disjoint row sets, so their chain writes
+            // are disjoint; each builder returns its (row, next) updates
+            // and the coordinator applies them. Partitions are chunked
+            // across at most `workers` threads — the worker count is a
+            // resource bound, not a partition count.
+            let built: Vec<Vec<BuiltPartition>> = std::thread::scope(|s| {
+                let handles: Vec<_> = part_rows
+                    .chunks(nparts.div_ceil(workers))
+                    .map(|lists| {
+                        let build_part = &build_part;
+                        s.spawn(move || {
+                            lists
+                                .iter()
+                                .map(|list| {
+                                    let mut updates: Vec<(u32, u32)> = Vec::new();
+                                    let table =
+                                        build_part(list, &mut |i, head| updates.push((i, head)));
+                                    (table, updates)
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("join partition builder panicked"))
+                    .collect()
+            });
+            built
+                .into_iter()
+                .flatten()
+                .map(|(table, updates)| {
+                    for (i, nxt) in updates {
+                        next[i as usize] = nxt;
+                    }
+                    table
+                })
+                .collect()
+        } else {
+            vec![build_part(&part_rows[0], &mut |i, head| {
+                next[i as usize] = head
+            })]
+        };
         JoinTable {
-            table,
+            parts,
+            part_shift,
             next,
             keys: arena,
         }
-    }
-
-    /// Push every build row matching the probe key onto `out`, in
-    /// build-row order. The probe key is taken from `batch` columns
-    /// `probe_keys` at row `r`, pre-hashed as `hash`. `chunk` is the
-    /// batch's probe-side typed encoding when the build keys are typed
-    /// (rows the typed layout can't represent compare exactly via
-    /// [`KeyArena::eq_row_at`]).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_into(
-        &self,
-        hash: u64,
-        batch: &RowBatch<'_>,
-        r: usize,
-        probe_keys: &[usize],
-        build_rows: &[Row],
-        build_keys: &[usize],
-        chunk: Option<&EncodedChunk>,
-        out: &mut Vec<u32>,
-    ) {
-        let head = match (&self.keys, chunk) {
-            (Some(arena), Some(chunk)) if chunk.ok(r) => self
-                .table
-                .find(hash, |p| arena.eq_chunk(p as usize, chunk, r)),
-            (Some(arena), _) => self.table.find(hash, |p| {
-                arena.eq_row_at(p as usize, |c| batch.value(probe_keys[c], r))
-            }),
-            (None, _) => self.table.find(hash, |p| {
-                let build = &build_rows[p as usize];
-                probe_keys
-                    .iter()
-                    .zip(build_keys)
-                    .all(|(&pk, &bk)| batch.value(pk, r) == &build[bk])
-            }),
-        };
-        let mut cur = match head {
-            Some(h) => h,
-            None => return,
-        };
-        while cur != u32::MAX {
-            out.push(cur);
-            cur = self.next[cur as usize];
-        }
-    }
-
-    /// The typed build-key arena, when the build side is representable.
-    fn arena(&self) -> Option<&KeyArena> {
-        self.keys.as_ref()
     }
 }
 
@@ -310,7 +404,7 @@ impl JoinTable {
 /// row), or `None` if any key value is unrepresentable. NULL-key rows
 /// are encoded too — they never enter the hash table, but keeping the
 /// arena index aligned with the row index keeps chain compares O(1).
-pub(crate) fn encode_build_keys(rows: &[Row], keys: &[usize]) -> Option<KeyArena> {
+fn encode_build_keys(rows: &[Row], keys: &[usize]) -> Option<KeyArena> {
     if keys.is_empty() {
         return None;
     }
@@ -332,24 +426,73 @@ pub(crate) fn encode_build_keys(rows: &[Row], keys: &[usize]) -> Option<KeyArena
     Some(arena)
 }
 
+/// What a hash join is, fixed when its plan node is compiled: immutable,
+/// shared by every operator probing for that node.
+pub(crate) struct JoinSpec {
+    probe_width: usize,
+    build_width: usize,
+    probe_keys: Vec<usize>,
+    build_keys: Vec<usize>,
+    residual: Option<VectorKernel>,
+    pub(crate) join: PhysJoinKind,
+}
+
+impl JoinSpec {
+    /// `residual` must be prepared; it is compiled to a kernel here.
+    pub(crate) fn new(
+        probe_width: usize,
+        build_width: usize,
+        probe_keys: Vec<usize>,
+        build_keys: Vec<usize>,
+        residual: Option<&BoundExpr>,
+        join: PhysJoinKind,
+    ) -> JoinSpec {
+        debug_assert_eq!(probe_keys.len(), build_keys.len());
+        JoinSpec {
+            probe_width,
+            build_width,
+            probe_keys,
+            build_keys,
+            residual: residual.map(VectorKernel::compile),
+            join,
+        }
+    }
+}
+
+/// A build side ready to probe: its rows and the hash index over them.
+pub(crate) struct BuiltJoin {
+    side: BuildSide,
+    table: JoinTable,
+}
+
+impl BuiltJoin {
+    /// Materialize and index `rows` as the build side of `spec`, across
+    /// up to `workers` threads (see [`JoinTable::build`]).
+    pub(crate) fn new(rows: Vec<Row>, spec: &JoinSpec, workers: usize) -> BuiltJoin {
+        // Sized from the exact build-row count: no rehash during build.
+        let table = JoinTable::build(&rows, &spec.build_keys, workers);
+        BuiltJoin {
+            side: BuildSide::new(rows, spec.build_width, spec.join),
+            table,
+        }
+    }
+}
+
 /// One probe batch joined against a [`JoinTable`]: candidate pairs via
-/// the flat table (chains in build-row order), residual kernel over one
+/// the flat tables (chains in build-row order), residual kernel over one
 /// spliced frame, output pairs in probe-row order with outer padding.
-/// Shared by the streaming in-memory path and the per-partition spill
-/// path — both produce identical pair sequences for identical inputs.
-#[allow(clippy::too_many_arguments)]
+/// The one probe, for the streaming in-memory path (one prober or one
+/// per morsel worker) and the per-partition spill path — all produce
+/// identical pair sequences for identical inputs. `matched` is
+/// [`matched_flags`] for `build_rows`.
 fn join_probe_batch(
+    spec: &JoinSpec,
     table: &JoinTable,
     build_rows: &[Row],
-    matched: &mut [bool],
+    matched: &[AtomicBool],
     batch: &RowBatch<'_>,
-    probe_keys: &[usize],
-    build_keys: &[usize],
-    residual: Option<&VectorKernel>,
-    join: PhysJoinKind,
-    build_width: usize,
 ) -> Result<(Vec<u32>, Vec<u32>), EngineError> {
-    let preserve_probe = matches!(join, PhysJoinKind::LeftOuter | PhysJoinKind::FullOuter);
+    let preserve_probe = matches!(spec.join, PhysJoinKind::LeftOuter | PhysJoinKind::FullOuter);
     let rows = batch.num_rows();
     let mut cand_rows: Vec<u32> = Vec::new();
     let mut cand_bis: Vec<u32> = Vec::new();
@@ -359,48 +502,68 @@ fn join_probe_batch(
     // nothing, so it is never interned), so each key value is
     // enum-dispatched exactly once and each candidate compare is a word
     // compare. Row-based build sides take the plain hash kernel.
-    let (hashes, probe_chunk) = match table.arena() {
+    let (hashes, probe_chunk) = match &table.keys {
         Some(arena) => {
             let mut chunk = EncodedChunk::new();
-            let hashes = arena.encode_probe_batch(&mut chunk, batch, probe_keys);
+            let hashes = arena.encode_probe_batch(&mut chunk, batch, &spec.probe_keys);
             note_typed_rows((rows - chunk.bad_rows()) as u64);
             note_fallback_rows(chunk.bad_rows() as u64);
             (hashes, Some(chunk))
         }
         None => {
             note_fallback_rows(rows as u64);
-            (hash_batch_keys(batch, probe_keys), None)
+            (hash_batch_keys(batch, &spec.probe_keys), None)
         }
     };
     for row in 0..rows {
         if hashes.is_null(row) {
             continue;
         }
-        table.probe_into(
-            hashes.hashes[row],
-            batch,
-            row,
-            probe_keys,
-            build_rows,
-            build_keys,
-            probe_chunk.as_ref(),
-            &mut cand_bis,
-        );
+        // The chain head for this probe key, then every build row on the
+        // chain (build-row order). Probe rows the typed layout can't
+        // represent compare exactly via `eq_row_at`.
+        let hash = hashes.hashes[row];
+        let part = &table.parts[partition_of(hash, table.part_shift)];
+        let head = match (&table.keys, &probe_chunk) {
+            (Some(arena), Some(chunk)) if chunk.ok(row) => {
+                part.find(hash, |p| arena.eq_chunk(p as usize, chunk, row))
+            }
+            (Some(arena), _) => part.find(hash, |p| {
+                arena.eq_row_at(p as usize, |c| batch.value(spec.probe_keys[c], row))
+            }),
+            (None, _) => part.find(hash, |p| {
+                let build = &build_rows[p as usize];
+                spec.probe_keys
+                    .iter()
+                    .zip(&spec.build_keys)
+                    .all(|(&pk, &bk)| batch.value(pk, row) == &build[bk])
+            }),
+        };
+        let mut cur = head.unwrap_or(u32::MAX);
+        while cur != u32::MAX {
+            cand_bis.push(cur);
+            cur = table.next[cur as usize];
+        }
         cand_rows.resize(cand_bis.len(), row as u32);
     }
     // Inner join without a residual: the candidate arrays already ARE
     // the output pairs — probe-row order with chains in build-row order
     // — and `matched` is only observed by the FULL OUTER tail. Skip the
     // pair-rebuild pass entirely.
-    if join == PhysJoinKind::Inner && residual.is_none() {
+    if spec.join == PhysJoinKind::Inner && spec.residual.is_none() {
         return Ok((cand_rows, cand_bis));
     }
     // Vectorized residual: one `probe ++ build` frame over every
     // candidate pair, filtered in a single kernel pass.
-    let pass: Option<Vec<bool>> = match residual {
+    let pass: Option<Vec<bool>> = match &spec.residual {
         Some(kernel) if !cand_rows.is_empty() => {
-            let frame = splice_output(batch, cand_rows.clone(), build_rows, build_width, &cand_bis);
-            let sel = kernel.select(&frame)?;
+            let mut columns = batch.select(cand_rows.clone()).into_columns();
+            columns.extend(gather_build_columns(
+                build_rows,
+                spec.build_width,
+                &cand_bis,
+            ));
+            let sel = kernel.select(&RowBatch::new(columns, cand_rows.len()))?;
             let mut mask = vec![false; cand_rows.len()];
             for i in sel {
                 mask[i as usize] = true;
@@ -417,7 +580,9 @@ fn join_probe_batch(
         while cur < cand_rows.len() && cand_rows[cur] == row {
             if pass.as_ref().is_none_or(|m| m[cur]) {
                 any = true;
-                matched[cand_bis[cur] as usize] = true;
+                if let Some(flag) = matched.get(cand_bis[cur] as usize) {
+                    flag.store(true, Ordering::Relaxed);
+                }
                 probe_sel.push(row);
                 build_idx.push(cand_bis[cur]);
             }
@@ -445,16 +610,13 @@ fn join_probe_batch(
 /// row-identical, order included, to the in-memory join.
 pub struct HashJoinOp<'a> {
     probe: BoxedOperator<'a>,
-    build: BoxedOperator<'a>,
-    probe_width: usize,
-    build_width: usize,
-    probe_keys: Vec<usize>,
-    build_keys: Vec<usize>,
-    residual: Option<VectorKernel>,
-    join: PhysJoinKind,
+    /// Taken when the build side is consumed; `None` from the start when
+    /// it arrives already built or pre-partitioned.
+    build: Option<BoxedOperator<'a>>,
+    spec: Arc<JoinSpec>,
     batch_size: usize,
     budget: MemoryBudget,
-    state: Option<(BuildSide, JoinTable)>,
+    state: Option<Arc<BuiltJoin>>,
     /// Build partition groups (one per producer) awaiting the Grace
     /// probe phase.
     grace_build: Option<Vec<Vec<SpillPartition>>>,
@@ -465,33 +627,26 @@ pub struct HashJoinOp<'a> {
     grace_output: Option<MergeEmit>,
     pending: Option<PendingOutput<'a>>,
     probe_done: bool,
-    tail: Option<(Vec<u32>, usize)>,
+    /// Whether this operator emits the FULL OUTER tail once its probe is
+    /// exhausted (false for all but one of the probers sharing a build).
+    emits_tail: bool,
+    tail: Option<OuterTail>,
 }
 
 impl<'a> HashJoinOp<'a> {
-    /// Create the operator; the hash table is built on first pull.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    /// Create the operator; the hash table is built on first pull, on
+    /// the pulling thread.
+    pub(crate) fn new(
         probe: BoxedOperator<'a>,
-        build: BoxedOperator<'a>,
-        probe_width: usize,
-        build_width: usize,
-        probe_keys: Vec<usize>,
-        build_keys: Vec<usize>,
-        residual: Option<BoundExpr>,
-        join: PhysJoinKind,
+        build: Option<BoxedOperator<'a>>,
+        spec: Arc<JoinSpec>,
         batch_size: usize,
     ) -> HashJoinOp<'a> {
-        debug_assert_eq!(probe_keys.len(), build_keys.len());
         HashJoinOp {
             probe,
             build,
-            probe_width,
-            build_width,
-            probe_keys,
-            build_keys,
-            residual: residual.as_ref().map(VectorKernel::compile),
-            join,
+            emits_tail: spec.join == PhysJoinKind::FullOuter,
+            spec,
             batch_size: batch_size.max(1),
             budget: MemoryBudget::unbounded(),
             state: None,
@@ -502,6 +657,23 @@ impl<'a> HashJoinOp<'a> {
             probe_done: false,
             tail: None,
         }
+    }
+
+    /// Probe a build side built elsewhere and shared with other probers:
+    /// how the morsel executor runs one join node over many slot ranges.
+    /// Exactly one of the probers — started after every other finished —
+    /// passes `emits_tail` and so emits the FULL OUTER tail.
+    pub(crate) fn shared(
+        probe: BoxedOperator<'a>,
+        spec: Arc<JoinSpec>,
+        built: Arc<BuiltJoin>,
+        batch_size: usize,
+        emits_tail: bool,
+    ) -> HashJoinOp<'a> {
+        let mut op = HashJoinOp::new(probe, None, spec, batch_size);
+        op.state = Some(built);
+        op.emits_tail &= emits_tail;
+        op
     }
 
     /// Attach a memory budget: a build side that overflows it spills to
@@ -529,26 +701,20 @@ impl<'a> HashJoinOp<'a> {
         if self.state.is_some() || self.grace_build.is_some() || self.grace_output.is_some() {
             return Ok(());
         }
-        if !self.budget.is_bounded() {
-            let side = BuildSide::consume(&mut self.build, self.build_width)?;
-            // Sized from the exact build-row count: no rehash during build.
-            let table = JoinTable::build(&side.rows, &self.build_keys);
-            self.state = Some((side, table));
-            return Ok(());
-        }
-        // Bounded budget: accumulate the build side through the radix
-        // spiller. Each build row is tagged with its build sequence so
-        // partition chains (and the FULL OUTER tail) keep build order.
-        let mut spiller = PartitionedSpiller::new(self.budget.clone(), 0);
-        let mut seq = 0u64;
-        while let Some(batch) = self.build.next_batch()? {
-            let hashes = hash_batch_keys(&batch, &self.build_keys);
-            for r in 0..batch.num_rows() {
-                spiller.push(hashes.hashes[r], seq, batch.materialize_row(r))?;
-                seq += 1;
+        let mut build = self.build.take().expect("the build input is consumed once");
+        let rows = if !self.budget.is_bounded() {
+            drain(build)?
+        } else {
+            // Bounded budget: accumulate the build side through the radix
+            // spiller. Each build row is tagged with its build sequence so
+            // partition chains (and the FULL OUTER tail) keep build order.
+            let mut spiller = PartitionedSpiller::new(self.budget.clone(), 0);
+            let hash = SpillHash::Keys(&self.spec.build_keys);
+            let seq = spill_batches(&mut build, &hash, 0, &mut spiller)?;
+            if spiller.spilled_any() {
+                self.grace_build = Some(vec![spiller.finish()?]);
+                return Ok(());
             }
-        }
-        if !spiller.spilled_any() {
             // Everything fit: reassemble build order and run the normal
             // streaming join — bounded-budget queries that fit behave
             // exactly like unbounded ones.
@@ -557,29 +723,10 @@ impl<'a> HashJoinOp<'a> {
                 tuples.extend(part.load(&self.budget)?);
             }
             tuples.sort_by_key(|(_, s, _)| *s);
-            let rows: Vec<Row> = tuples.into_iter().map(|(_, _, r)| r).collect();
-            let table = JoinTable::build(&rows, &self.build_keys);
-            self.state = Some((BuildSide::new(rows, self.build_width), table));
-        } else {
-            self.grace_build = Some(vec![spiller.finish()?]);
-        }
+            tuples.into_iter().map(|(_, _, r)| r).collect()
+        };
+        self.state = Some(Arc::new(BuiltJoin::new(rows, &self.spec, 1)));
         Ok(())
-    }
-
-    /// Join one probe batch against the in-memory build side.
-    fn join_batch(&mut self, batch: &RowBatch<'a>) -> Result<(Vec<u32>, Vec<u32>), EngineError> {
-        let (side, table) = self.state.as_mut().expect("built before probing");
-        join_probe_batch(
-            table,
-            &side.rows,
-            &mut side.matched,
-            batch,
-            &self.probe_keys,
-            &self.build_keys,
-            self.residual.as_ref(),
-            self.join,
-            self.build_width,
-        )
     }
 
     /// The Grace phase: partition the probe side on the build's bit
@@ -592,16 +739,10 @@ impl<'a> HashJoinOp<'a> {
         let probe_groups = match self.grace_probe.take() {
             Some(groups) => groups,
             None => {
-                let mut probe_spiller = PartitionedSpiller::new(self.budget.clone(), 0);
-                let mut pseq = 0u64;
-                while let Some(batch) = self.probe.next_batch()? {
-                    let hashes = hash_batch_keys(&batch, &self.probe_keys);
-                    for r in 0..batch.num_rows() {
-                        probe_spiller.push(hashes.hashes[r], pseq, batch.materialize_row(r))?;
-                        pseq += 1;
-                    }
-                }
-                vec![probe_spiller.finish()?]
+                let mut spiller = PartitionedSpiller::new(self.budget.clone(), 0);
+                let hash = SpillHash::Keys(&self.spec.probe_keys);
+                spill_batches(&mut self.probe, &hash, 0, &mut spiller)?;
+                vec![spiller.finish()?]
             }
         };
 
@@ -611,9 +752,7 @@ impl<'a> HashJoinOp<'a> {
         // position. Each partition pair appends one key-ascending run.
         let mut runs = OutputRuns::new(self.budget.clone());
         let budget = self.budget.clone();
-        let (probe_keys, build_keys) = (self.probe_keys.clone(), self.build_keys.clone());
-        let (probe_width, build_width) = (self.probe_width, self.build_width);
-        let (join, residual) = (self.join, self.residual.as_ref());
+        let spec = &*self.spec;
         let chunk_rows = self.batch_size;
         for_each_fitting_group_pair(
             build_groups,
@@ -625,24 +764,15 @@ impl<'a> HashJoinOp<'a> {
                 // by `JoinTable::build` iterate in global build order.
                 let build_seqs: Vec<u64> = build_tuples.iter().map(|(_, s, _)| *s).collect();
                 let build_rows: Vec<Row> = build_tuples.into_iter().map(|(_, _, r)| r).collect();
-                let table = JoinTable::build(&build_rows, &build_keys);
-                let mut matched = vec![false; build_rows.len()];
+                let table = JoinTable::build(&build_rows, &spec.build_keys, 1);
+                let matched = matched_flags(build_rows.len(), spec.join);
                 runs.begin_run();
                 probe_merge.for_each_chunk(chunk_rows, |chunk| {
                     let seqs: Vec<u64> = chunk.iter().map(|(_, s, _)| *s).collect();
                     let rows: Vec<Row> = chunk.into_iter().map(|(_, _, r)| r).collect();
-                    let batch = RowBatch::from_rows(probe_width, rows);
-                    let (probe_sel, build_idx) = join_probe_batch(
-                        &table,
-                        &build_rows,
-                        &mut matched,
-                        &batch,
-                        &probe_keys,
-                        &build_keys,
-                        residual,
-                        join,
-                        build_width,
-                    )?;
+                    let batch = RowBatch::from_rows(spec.probe_width, rows);
+                    let (probe_sel, build_idx) =
+                        join_probe_batch(spec, &table, &build_rows, &matched, &batch)?;
                     let mut ordinal = 0u64;
                     let mut prev_row = u32::MAX;
                     for (&row, &bi) in probe_sel.iter().zip(&build_idx) {
@@ -652,7 +782,7 @@ impl<'a> HashJoinOp<'a> {
                         }
                         let mut out = batch.materialize_row(row as usize);
                         if bi == u32::MAX {
-                            out.extend(std::iter::repeat_n(Value::Null, build_width));
+                            out.extend(std::iter::repeat_n(Value::Null, spec.build_width));
                         } else {
                             out.extend(build_rows[bi as usize].iter().cloned());
                         }
@@ -661,29 +791,17 @@ impl<'a> HashJoinOp<'a> {
                     }
                     Ok(())
                 })?;
-                if join == PhysJoinKind::FullOuter {
-                    for (bi, m) in matched.iter().enumerate() {
-                        if !*m {
-                            let mut out: Row = vec![Value::Null; probe_width];
-                            out.extend(build_rows[bi].iter().cloned());
-                            runs.push(u64::MAX, build_seqs[bi], out)?;
-                        }
+                for (bi, m) in matched.iter().enumerate() {
+                    if !m.load(Ordering::Relaxed) {
+                        let mut out: Row = vec![Value::Null; spec.probe_width];
+                        out.extend(build_rows[bi].iter().cloned());
+                        runs.push(u64::MAX, build_seqs[bi], out)?;
                     }
                 }
                 Ok(())
             },
         )?;
-        runs.finish(probe_width + build_width, self.batch_size)
-    }
-
-    fn emit_pending(&mut self) -> Option<RowBatch<'a>> {
-        let pending = self.pending.as_mut()?;
-        let (side, _) = self.state.as_ref().expect("built before emitting");
-        let out = pending.next_chunk(side, self.build_width, self.batch_size);
-        if out.is_none() {
-            self.pending = None;
-        }
-        out
+        runs.finish(self.batch_size)
     }
 }
 
@@ -697,9 +815,14 @@ impl<'a> Operator<'a> for HashJoinOp<'a> {
             }
             return self.grace_output.as_mut().expect("just set").next_batch();
         }
+        let built = self.state.as_deref().expect("built above");
+        let spec = &*self.spec;
         loop {
-            if let Some(out) = self.emit_pending() {
-                return Ok(Some(out));
+            if let Some(pending) = self.pending.as_mut() {
+                match pending.next_chunk(&built.side, spec.build_width, self.batch_size) {
+                    Some(out) => return Ok(Some(out)),
+                    None => self.pending = None,
+                }
             }
             if self.probe_done {
                 break;
@@ -708,29 +831,27 @@ impl<'a> Operator<'a> for HashJoinOp<'a> {
                 self.probe_done = true;
                 break;
             };
-            let (probe_sel, build_idx) = self.join_batch(&batch)?;
+            let (probe_sel, build_idx) = join_probe_batch(
+                spec,
+                &built.table,
+                &built.side.rows,
+                &built.side.matched,
+                &batch,
+            )?;
             if !probe_sel.is_empty() {
                 self.pending = Some(PendingOutput::new(batch, probe_sel, build_idx));
             }
         }
-        if self.join == PhysJoinKind::FullOuter {
-            let (side, _) = self.state.as_ref().expect("built above");
-            let (ids, offset) = self
-                .tail
-                .get_or_insert_with(|| (unmatched_build_ids(side), 0));
-            if *offset < ids.len() {
-                let end = (*offset + self.batch_size).min(ids.len());
-                let chunk = &ids[*offset..end];
-                *offset = end;
-                return Ok(Some(unmatched_build_batch(
-                    &side.rows,
-                    chunk,
-                    self.probe_width,
-                    self.build_width,
-                )));
-            }
+        if !self.emits_tail {
+            return Ok(None);
         }
-        Ok(None)
+        let tail = self.tail.get_or_insert_with(|| OuterTail::new(&built.side));
+        Ok(tail.next_chunk(
+            &built.side,
+            spec.probe_width,
+            spec.build_width,
+            self.batch_size,
+        ))
     }
 }
 
@@ -739,7 +860,7 @@ impl<'a> Operator<'a> for HashJoinOp<'a> {
 /// streams out in bounded batches instead of one million-row batch.
 pub struct NestedLoopJoinOp<'a> {
     probe: BoxedOperator<'a>,
-    build: BoxedOperator<'a>,
+    build: Option<BoxedOperator<'a>>,
     probe_width: usize,
     build_width: usize,
     on: Option<BoundExpr>,
@@ -748,7 +869,7 @@ pub struct NestedLoopJoinOp<'a> {
     state: Option<BuildSide>,
     pending: Option<PendingOutput<'a>>,
     probe_done: bool,
-    tail: Option<(Vec<u32>, usize)>,
+    tail: Option<OuterTail>,
 }
 
 impl<'a> NestedLoopJoinOp<'a> {
@@ -764,7 +885,7 @@ impl<'a> NestedLoopJoinOp<'a> {
     ) -> NestedLoopJoinOp<'a> {
         NestedLoopJoinOp {
             probe,
-            build,
+            build: Some(build),
             probe_width,
             build_width,
             on,
@@ -776,27 +897,22 @@ impl<'a> NestedLoopJoinOp<'a> {
             tail: None,
         }
     }
-
-    fn emit_pending(&mut self) -> Option<RowBatch<'a>> {
-        let pending = self.pending.as_mut()?;
-        let side = self.state.as_ref().expect("built before emitting");
-        let out = pending.next_chunk(side, self.build_width, self.batch_size);
-        if out.is_none() {
-            self.pending = None;
-        }
-        out
-    }
 }
 
 impl<'a> Operator<'a> for NestedLoopJoinOp<'a> {
     fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
         if self.state.is_none() {
-            self.state = Some(BuildSide::consume(&mut self.build, self.build_width)?);
+            let rows = drain(self.build.take().expect("built once"))?;
+            self.state = Some(BuildSide::new(rows, self.build_width, self.join));
         }
+        let side = self.state.as_ref().expect("built above");
         let preserve_probe = matches!(self.join, PhysJoinKind::LeftOuter | PhysJoinKind::FullOuter);
         loop {
-            if let Some(out) = self.emit_pending() {
-                return Ok(Some(out));
+            if let Some(pending) = self.pending.as_mut() {
+                match pending.next_chunk(side, self.build_width, self.batch_size) {
+                    Some(out) => return Ok(Some(out)),
+                    None => self.pending = None,
+                }
             }
             if self.probe_done {
                 break;
@@ -805,7 +921,6 @@ impl<'a> Operator<'a> for NestedLoopJoinOp<'a> {
                 self.probe_done = true;
                 break;
             };
-            let side = self.state.as_mut().expect("built above");
             let mut probe_sel: Vec<u32> = Vec::new();
             let mut build_idx: Vec<u32> = Vec::new();
             for row in 0..batch.num_rows() {
@@ -821,7 +936,9 @@ impl<'a> Operator<'a> for NestedLoopJoinOp<'a> {
                     };
                     if ok {
                         matched = true;
-                        side.matched[bi] = true;
+                        if let Some(flag) = side.matched.get(bi) {
+                            flag.store(true, Ordering::Relaxed);
+                        }
                         probe_sel.push(row as u32);
                         build_idx.push(bi as u32);
                     }
@@ -835,31 +952,18 @@ impl<'a> Operator<'a> for NestedLoopJoinOp<'a> {
                 self.pending = Some(PendingOutput::new(batch, probe_sel, build_idx));
             }
         }
-        if self.join == PhysJoinKind::FullOuter {
-            let side = self.state.as_ref().expect("built above");
-            let (ids, offset) = self
-                .tail
-                .get_or_insert_with(|| (unmatched_build_ids(side), 0));
-            if *offset < ids.len() {
-                let end = (*offset + self.batch_size).min(ids.len());
-                let chunk = &ids[*offset..end];
-                *offset = end;
-                return Ok(Some(unmatched_build_batch(
-                    &side.rows,
-                    chunk,
-                    self.probe_width,
-                    self.build_width,
-                )));
-            }
+        if self.join != PhysJoinKind::FullOuter {
+            return Ok(None);
         }
-        Ok(None)
+        let tail = self.tail.get_or_insert_with(|| OuterTail::new(side));
+        Ok(tail.next_chunk(side, self.probe_width, self.build_width, self.batch_size))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{drain, replay};
+    use crate::exec::replay;
     use crate::types::DataType;
     use ivm_sql::ast::BinaryOp;
 
@@ -883,6 +987,23 @@ mod tests {
         }
     }
 
+    /// A serial (one-worker) hash join over explicit widths and keys.
+    #[allow(clippy::too_many_arguments)]
+    fn hash_join<'a>(
+        probe: BoxedOperator<'a>,
+        build: BoxedOperator<'a>,
+        pw: usize,
+        bw: usize,
+        probe_keys: Vec<usize>,
+        build_keys: Vec<usize>,
+        residual: Option<BoundExpr>,
+        join: PhysJoinKind,
+        batch_size: usize,
+    ) -> HashJoinOp<'a> {
+        let spec = JoinSpec::new(pw, bw, probe_keys, build_keys, residual.as_ref(), join);
+        HashJoinOp::new(probe, Some(build), Arc::new(spec), batch_size)
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn run_hash(
         probe: Vec<Row>,
@@ -895,7 +1016,7 @@ mod tests {
         join: PhysJoinKind,
         batch_size: usize,
     ) -> Vec<Row> {
-        let op = HashJoinOp::new(
+        let op = hash_join(
             replay(pw, probe, batch_size),
             replay(bw, build, batch_size),
             pw,
@@ -953,7 +1074,7 @@ mod tests {
         // Skewed hash join: one probe row matches 50 build rows.
         let probe: Vec<Row> = vec![vec![i(7)]];
         let build: Vec<Row> = (0..50).map(|v| vec![i(7), i(v)]).collect();
-        let mut op = HashJoinOp::new(
+        let mut op = hash_join(
             replay(1, probe, 8),
             replay(2, build, 8),
             1,
@@ -976,7 +1097,7 @@ mod tests {
     fn full_outer_tail_is_chunked() {
         // Empty probe, 10 unmatched build rows, batch_size 3 → tail chunks.
         let build: Vec<Row> = (0..10).map(|v| vec![i(v)]).collect();
-        let mut op = HashJoinOp::new(
+        let mut op = hash_join(
             replay(1, vec![], 3),
             replay(1, build, 3),
             1,
@@ -1213,7 +1334,7 @@ mod tests {
         batch_size: usize,
     ) {
         let mk = |budget: MemoryBudget| {
-            let op = HashJoinOp::new(
+            let op = hash_join(
                 replay(pw, probe.clone(), batch_size),
                 replay(bw, build.clone(), batch_size),
                 pw,
@@ -1321,7 +1442,7 @@ mod tests {
     fn bounded_budget_that_fits_uses_streaming_path() {
         // A build side far under the budget must not spill at all.
         let budget = MemoryBudget::with_limit(1 << 20);
-        let op = HashJoinOp::new(
+        let op = hash_join(
             replay(1, (0..10).map(|v| vec![i(v)]).collect(), 4),
             replay(1, (0..10).map(|v| vec![i(v)]).collect(), 4),
             1,

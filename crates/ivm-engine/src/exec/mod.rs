@@ -10,18 +10,22 @@
 //! takes the same context, so a subquery or a `LIMIT` subtree runs under
 //! the session's budget and worker count by construction.
 //!
-//! `run` makes the only serial/parallel choice. At one worker the plan
-//! compiles into a tree of [`Operator`]s ([`build_operator`]), each
-//! yielding columnar [`RowBatch`]es on demand: scans borrow storage
-//! columns zero-copy, filters and projections push selection vectors
-//! instead of cloning rows, and only pipeline breakers (hash tables,
-//! sorts) materialize values; `LIMIT` stops pulling as soon as it is
-//! satisfied. Above one worker the plan runs on the morsel-driven
-//! executor ([`parallel`]), which reuses these operators and kernels
-//! inside each worker. Per-node operator construction is one function,
-//! `build_node`, parameterised on how a node's children are obtained:
-//! the serial builder recurses, the morsel executor collects each child
-//! in parallel and replays it.
+//! There is one set of operator implementations, and `run` chooses how to
+//! drive it. At one worker the plan compiles into a tree of [`Operator`]s
+//! ([`build_operator`]) that `run` pulls dry, each yielding columnar
+//! [`RowBatch`]es on demand: scans borrow storage columns zero-copy,
+//! filters and projections push selection vectors instead of cloning
+//! rows, and only pipeline breakers (hash tables, sorts) materialize
+//! values; `LIMIT` stops pulling as soon as it is satisfied. Above one
+//! worker the morsel scheduler ([`parallel`]) runs the same operators:
+//! streaming stretches of the plan — scan, filter, project, hash-join
+//! probe — are compiled once into shared immutable values
+//! (`ScanSource`, `Streaming`) and instantiated per morsel of the
+//! scanned table on every worker, and each breaker is the operator
+//! `build_node` constructs, fed what its children produced in
+//! parallel. `build_node` is the one per-node constructor, parameterised
+//! on how a node's children are obtained: the serial builder recurses,
+//! the scheduler collects each child and replays it.
 
 pub mod batch;
 pub mod hash;
@@ -34,17 +38,18 @@ mod join;
 mod operators;
 
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 pub use batch::{BatchBuilder, BatchRow, ColumnData, JoinedRow, RowBatch, DEFAULT_BATCH_SIZE};
-pub(crate) use parallel::parallel_filter_row_ids;
+pub(crate) use parallel::filter_row_ids;
 pub use parallel::DEFAULT_MORSEL_SIZE;
 pub use spill::{clean_orphan_spill_files, MemoryBudget, SpillStats};
 pub use typed::{reset_typed_path_stats, typed_path_stats};
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
-use crate::expr::{AggExpr, BoundExpr};
+use crate::expr::{AggExpr, BoundExpr, VectorKernel};
 use crate::planner::physical::{
     estimate_physical_rows, lower_with_budget, table_size_hint, PhysicalPlan,
 };
@@ -61,6 +66,18 @@ pub type Row = Vec<Value>;
 pub trait Operator<'a> {
     /// Pull the next non-empty batch, or `None` when exhausted.
     fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError>;
+}
+
+/// Any iterator of batch results is an operator: how the leaf sources —
+/// a table scan ([`crate::storage::Table::scan_range`]), replayed rows,
+/// the one-row dual relation — are written.
+impl<'a, I> Operator<'a> for I
+where
+    I: Iterator<Item = Result<RowBatch<'a>, EngineError>>,
+{
+    fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
+        self.next().transpose()
+    }
 }
 
 /// A boxed operator tied to the catalog borrow.
@@ -108,14 +125,14 @@ impl ExecConfig {
     }
 
     /// Set the number of executor worker threads (clamped to ≥ 1). At 1,
-    /// plans run the serial operator tree; above 1, the morsel-driven
-    /// parallel executor.
+    /// plans run as one serial operator tree; above 1, the morsel
+    /// scheduler runs the same operators on that many threads.
     pub fn set_parallelism(&mut self, workers: usize) {
         self.parallelism = workers.max(1);
     }
 
-    /// The base morsel size in physical storage slots: tables spanning at
-    /// most one such morsel run serially.
+    /// The base morsel size in physical storage slots: a table spanning
+    /// at most one such morsel is scanned on the calling thread.
     pub fn morsel_size(&self) -> usize {
         self.morsel_size.unwrap_or(DEFAULT_MORSEL_SIZE)
     }
@@ -131,8 +148,7 @@ impl ExecConfig {
     /// Morsel size for a scan of `total_slots`: the pinned size, or —
     /// when adaptive — scaled up so each worker claims on the order of
     /// four morsels, bounded to 64 Ki slots, so the claim loop isn't the
-    /// bottleneck. Parallel-worthiness gates (`total_slots >
-    /// morsel_size`) always use the base [`morsel_size`](Self::morsel_size).
+    /// bottleneck.
     pub(crate) fn effective_morsel_size(&self, total_slots: usize) -> usize {
         match self.morsel_size {
             Some(pinned) => pinned,
@@ -171,10 +187,10 @@ pub struct ExecContext<'a> {
 }
 
 /// Run a physical plan to completion, materializing all result rows —
-/// the single execution entry. At one worker the plan runs as a serial
-/// operator tree; above, on the morsel-driven executor, which emits the
-/// same rows in the same order. This is the only place that choice is
-/// made.
+/// the single execution entry. At one worker the plan's operator tree is
+/// pulled on this thread; above, the morsel scheduler runs the same
+/// operators on several, emitting the same rows in the same order. This
+/// is the only place that choice is made.
 pub fn run(plan: &PhysicalPlan, cx: &ExecContext<'_>) -> Result<Vec<Row>, EngineError> {
     if cx.config.parallelism <= 1 {
         drain(build_operator(plan, cx)?)
@@ -221,42 +237,14 @@ pub(crate) fn build_node<'a>(
     let budget = &cx.config.budget;
     let size_hint = |node: &PhysicalPlan| table_size_hint(estimate_physical_rows(node, cx.catalog));
     Ok(match plan {
-        PhysicalPlan::TableScan {
-            table,
-            predicate,
-            index_eq,
-            ..
-        } => {
-            let t = cx.catalog.table(table)?;
-            match predicate {
-                None => Box::new(operators::ScanOp::new(t, batch_size)),
-                Some(p) => {
-                    let kernel =
-                        Arc::new(crate::expr::VectorKernel::compile(&prepare_expr(p, cx)?));
-                    // Equality conjuncts covered by an ART index answer the
-                    // scan with a point read; the full predicate is still
-                    // re-checked on the looked-up rows.
-                    match (!index_eq.is_empty())
-                        .then(|| t.equality_lookup(index_eq))
-                        .flatten()
-                    {
-                        Some(ids) => Box::new(operators::ScanOp::index_point(t, ids, kernel)),
-                        None => Box::new(operators::ScanOp::filtered(t, batch_size, kernel)),
-                    }
-                }
-            }
+        PhysicalPlan::TableScan { .. } => {
+            let scan = ScanSource::resolve(plan, cx)?;
+            scan.operator(0..scan.table.total_slots(), batch_size)
         }
-        PhysicalPlan::Dual => Box::new(operators::DualOp::new()),
-        PhysicalPlan::Filter { input, predicate } => {
-            let input = child(input)?;
-            Box::new(operators::FilterOp::new(
-                input,
-                prepare_expr(predicate, cx)?,
-            ))
-        }
-        PhysicalPlan::Project { input, exprs, .. } => {
-            let input = child(input)?;
-            Box::new(operators::ProjectOp::new(input, prepare_exprs(exprs, cx)?))
+        // The one-row, zero-column relation (`SELECT 1` with no FROM).
+        PhysicalPlan::Dual => Box::new(std::iter::once(Ok(RowBatch::new(vec![], 1)))),
+        PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
+            Streaming::compile(plan, cx)?.over(child(input)?, batch_size)
         }
         PhysicalPlan::HashAggregate {
             input,
@@ -284,7 +272,7 @@ pub(crate) fn build_node<'a>(
         PhysicalPlan::HashJoin { probe, build, .. } => {
             let probe = child(probe)?;
             let build = child(build)?;
-            Box::new(hash_join_op(plan, probe, build, cx)?)
+            Box::new(hash_join_op(join_spec(plan, cx)?, probe, build, cx))
         }
         PhysicalPlan::NestedLoopJoin {
             probe,
@@ -366,15 +354,129 @@ pub(crate) fn build_node<'a>(
     })
 }
 
-/// The budgeted hash-join operator for a `HashJoin` node over the given
-/// inputs (residual prepared here). Concretely typed because the morsel
-/// executor's bounded-budget arm attaches pre-partitioned inputs to it.
-pub(crate) fn hash_join_op<'a>(
+/// A scan node resolved for execution: its table, its pushed-down
+/// predicate compiled, and — asked here, once per scan node — whether an
+/// ART index answers its equality conjuncts with a point read.
+pub(crate) struct ScanSource<'a> {
+    pub(crate) table: &'a crate::storage::Table,
+    kernel: Option<Arc<VectorKernel>>,
+    /// The row ids of the index point read, when one applies; the full
+    /// predicate is still re-checked on the looked-up rows.
+    pub(crate) point: Option<Vec<u64>>,
+}
+
+impl<'a> ScanSource<'a> {
+    /// Resolve a `TableScan` node.
+    pub(crate) fn resolve(
+        plan: &PhysicalPlan,
+        cx: &ExecContext<'a>,
+    ) -> Result<ScanSource<'a>, EngineError> {
+        let PhysicalPlan::TableScan {
+            table,
+            predicate,
+            index_eq,
+            ..
+        } = plan
+        else {
+            unreachable!("ScanSource::resolve is only called on TableScan nodes")
+        };
+        let table = cx.catalog.table(table)?;
+        let kernel = match predicate {
+            None => None,
+            Some(p) => Some(Arc::new(VectorKernel::compile(&prepare_expr(p, cx)?))),
+        };
+        Ok(ScanSource {
+            table,
+            kernel,
+            point: table.equality_lookup(index_eq),
+        })
+    }
+
+    /// The scan over the slot range `slots` — the whole table or one
+    /// morsel — as an operator: zero-copy batches of `batch_size` live
+    /// rows, the pushed predicate applied per storage window. A point
+    /// read ignores the range (it is one unit of work): it emits the
+    /// looked-up rows, already proven live by the index, re-checked
+    /// against the full pushed predicate.
+    pub(crate) fn operator(&self, slots: Range<usize>, batch_size: usize) -> BoxedOperator<'a> {
+        let table = self.table;
+        match (&self.point, &self.kernel) {
+            (Some(ids), Some(kernel)) => {
+                let (ids, kernel) = (ids.clone(), Arc::clone(kernel));
+                let read = move || {
+                    if ids.is_empty() {
+                        return Ok(None);
+                    }
+                    let batch = table.batch_from_row_ids(&ids);
+                    let keep = kernel.select(&batch)?;
+                    Ok(batch.retain(keep))
+                };
+                Box::new(std::iter::once_with(read).filter_map(Result::transpose))
+            }
+            _ => Box::new(table.scan_range(slots, batch_size, self.kernel.clone())),
+        }
+    }
+}
+
+/// A streaming node — filter, projection, hash-join probe — compiled once
+/// per plan node (expressions prepared, kernels compiled, build side
+/// built) into an immutable, `Sync` value. [`Streaming::over`] wraps an
+/// input in the node's operator: the serial builder calls it once, every
+/// morsel worker once per morsel, so both run the same operators over the
+/// same compiled state.
+pub(crate) enum Streaming {
+    Filter(Arc<VectorKernel>),
+    Project(Arc<[operators::ProjColumn]>),
+    Probe(Arc<join::JoinSpec>, Arc<join::BuiltJoin>),
+}
+
+impl Streaming {
+    /// Compile a `Filter` or `Project` node.
+    pub(crate) fn compile(
+        plan: &PhysicalPlan,
+        cx: &ExecContext<'_>,
+    ) -> Result<Streaming, EngineError> {
+        Ok(match plan {
+            PhysicalPlan::Filter { predicate, .. } => Streaming::Filter(Arc::new(
+                VectorKernel::compile(&prepare_expr(predicate, cx)?),
+            )),
+            PhysicalPlan::Project { exprs, .. } => {
+                Streaming::Project(operators::ProjColumn::compile(&prepare_exprs(exprs, cx)?))
+            }
+            _ => unreachable!("Streaming::compile is only called on Filter and Project nodes"),
+        })
+    }
+
+    /// The node's operator over `input`. A probe built this way never
+    /// emits the FULL OUTER tail (see [`join::HashJoinOp::shared`]).
+    pub(crate) fn over<'a>(
+        &self,
+        input: BoxedOperator<'a>,
+        batch_size: usize,
+    ) -> BoxedOperator<'a> {
+        match self {
+            Streaming::Filter(kernel) => {
+                Box::new(operators::FilterOp::new(input, Arc::clone(kernel)))
+            }
+            Streaming::Project(columns) => {
+                Box::new(operators::ProjectOp::new(input, Arc::clone(columns)))
+            }
+            Streaming::Probe(spec, built) => Box::new(join::HashJoinOp::shared(
+                input,
+                Arc::clone(spec),
+                Arc::clone(built),
+                batch_size,
+                false,
+            )),
+        }
+    }
+}
+
+/// The compiled form of a `HashJoin` node (residual prepared here).
+pub(crate) fn join_spec(
     plan: &PhysicalPlan,
-    probe_op: BoxedOperator<'a>,
-    build_op: BoxedOperator<'a>,
-    cx: &ExecContext<'a>,
-) -> Result<join::HashJoinOp<'a>, EngineError> {
+    cx: &ExecContext<'_>,
+) -> Result<Arc<join::JoinSpec>, EngineError> {
     let PhysicalPlan::HashJoin {
         probe,
         build,
@@ -385,21 +487,30 @@ pub(crate) fn hash_join_op<'a>(
         ..
     } = plan
     else {
-        unreachable!("hash_join_op is only called on HashJoin nodes")
+        unreachable!("join_spec is only called on HashJoin nodes")
     };
     let residual = residual.as_ref().map(|e| prepare_expr(e, cx)).transpose()?;
-    Ok(join::HashJoinOp::new(
-        probe_op,
-        build_op,
+    Ok(Arc::new(join::JoinSpec::new(
         probe.schema().len(),
         build.schema().len(),
         probe_keys.clone(),
         build_keys.clone(),
-        residual,
+        residual.as_ref(),
         *join,
-        cx.config.batch_size,
-    )
-    .with_budget(cx.config.budget.clone()))
+    )))
+}
+
+/// The budgeted hash-join operator over the given inputs. Concretely
+/// typed because the morsel executor's bounded-budget arm attaches
+/// pre-partitioned inputs to it.
+pub(crate) fn hash_join_op<'a>(
+    spec: Arc<join::JoinSpec>,
+    probe: BoxedOperator<'a>,
+    build: BoxedOperator<'a>,
+    cx: &ExecContext<'a>,
+) -> join::HashJoinOp<'a> {
+    join::HashJoinOp::new(probe, Some(build), spec, cx.config.batch_size)
+        .with_budget(cx.config.budget.clone())
 }
 
 /// [`prepare_expr`] over a slice.
@@ -514,27 +625,16 @@ fn materialize_subqueries(e: &mut BoundExpr, cx: &ExecContext<'_>) -> Result<(),
     Ok(())
 }
 
-/// An operator replaying materialized rows in batches: how the serial
-/// breaker operators consume input the morsel executor collected in
-/// parallel, and how operator unit tests feed prefabricated input.
-struct ReplayOp<'a> {
-    batches: std::collections::VecDeque<RowBatch<'a>>,
-}
-
-/// A [`ReplayOp`] over `rows` (each `width` columns wide), chopped into
-/// batches of `batch_size`.
+/// An operator replaying materialized `rows` (each `width` columns wide)
+/// in batches of `batch_size`: how the serial breaker operators consume
+/// input the morsel executor collected in parallel, how the sorting
+/// operators emit, and how operator unit tests feed prefabricated input.
 pub(crate) fn replay<'a>(width: usize, rows: Vec<Row>, batch_size: usize) -> BoxedOperator<'a> {
-    let mut batches = std::collections::VecDeque::new();
+    let mut batches = Vec::new();
     let mut it = rows.into_iter().peekable();
     while it.peek().is_some() {
         let chunk: Vec<Row> = it.by_ref().take(batch_size.max(1)).collect();
-        batches.push_back(RowBatch::from_rows(width, chunk));
+        batches.push(Ok(RowBatch::from_rows(width, chunk)));
     }
-    Box::new(ReplayOp { batches })
-}
-
-impl<'a> Operator<'a> for ReplayOp<'a> {
-    fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
-        Ok(self.batches.pop_front())
-    }
+    Box::new(batches.into_iter())
 }

@@ -1,109 +1,32 @@
 //! Streaming operators: scan, filter, project, limit, sort, top-k,
 //! distinct, and set operations.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::error::EngineError;
 use crate::exec::batch::{ColumnData, RowBatch, DEFAULT_BATCH_SIZE};
 use crate::exec::hash::{hash_batch_rows, RowCounter, RowSet};
 use crate::exec::spill::{
-    for_each_fitting_group, for_each_fitting_group_pair, MemoryBudget, MergeEmit, OutputRuns,
-    PartitionGroups, PartitionedSpiller,
+    for_each_fitting_group, for_each_fitting_group_pair, spill_batches, MemoryBudget, MergeEmit,
+    OutputRuns, PartitionGroups, PartitionedSpiller, SpillHash,
 };
-use crate::exec::{BoxedOperator, Operator, Row};
+use crate::exec::{replay, BoxedOperator, Operator, Row};
 use crate::expr::{BoundExpr, VectorKernel};
 use crate::planner::SetOpKind;
-use crate::storage::Table;
 use crate::value::Value;
 
-/// Zero-copy batched scan over a base table, optionally with a pushed-down
-/// predicate evaluated per storage chunk (and answered through an ART
-/// index for covered equality keys).
-pub struct ScanOp<'a> {
-    batches: Box<dyn Iterator<Item = Result<RowBatch<'a>, EngineError>> + 'a>,
-}
-
-impl<'a> ScanOp<'a> {
-    /// Scan `table` in batches of `batch_size` live rows.
-    pub fn new(table: &'a Table, batch_size: usize) -> ScanOp<'a> {
-        ScanOp {
-            batches: Box::new(table.scan_batches(batch_size).map(Ok)),
-        }
-    }
-
-    /// Scan with a pushed-down predicate: the kernel runs once per storage
-    /// chunk and only selected rows flow downstream.
-    pub fn filtered(table: &'a Table, batch_size: usize, kernel: Arc<VectorKernel>) -> ScanOp<'a> {
-        ScanOp {
-            batches: Box::new(table.scan_batches_filtered(batch_size, kernel)),
-        }
-    }
-
-    /// Index point read: emit the rows with the given ids (already proven
-    /// live by the index), re-checked against the full pushed predicate.
-    pub fn index_point(
-        table: &'a Table,
-        row_ids: Vec<u64>,
-        kernel: Arc<VectorKernel>,
-    ) -> ScanOp<'a> {
-        let batches = std::iter::once_with(move || {
-            if row_ids.is_empty() {
-                return Ok(None);
-            }
-            let batch = table.batch_from_row_ids(&row_ids);
-            let keep = kernel.select(&batch)?;
-            Ok(batch.retain(keep))
-        })
-        .filter_map(|r: Result<Option<RowBatch<'a>>, EngineError>| r.transpose());
-        ScanOp {
-            batches: Box::new(batches),
-        }
-    }
-}
-
-impl<'a> Operator<'a> for ScanOp<'a> {
-    fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
-        self.batches.next().transpose()
-    }
-}
-
-/// The one-row, zero-column relation (`SELECT 1` with no FROM).
-pub struct DualOp {
-    emitted: bool,
-}
-
-impl DualOp {
-    /// A fresh dual source.
-    pub fn new() -> DualOp {
-        DualOp { emitted: false }
-    }
-}
-
-impl<'a> Operator<'a> for DualOp {
-    fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
-        if self.emitted {
-            return Ok(None);
-        }
-        self.emitted = true;
-        Ok(Some(RowBatch::new(vec![], 1)))
-    }
-}
-
 /// Streaming filter: runs the compiled predicate kernel once per batch and
-/// forwards a selection vector; values are never copied.
+/// forwards a selection vector; values are never copied. The kernel is
+/// shared, so one compiled predicate serves every morsel's operator.
 pub struct FilterOp<'a> {
     input: BoxedOperator<'a>,
-    kernel: VectorKernel,
+    kernel: Arc<VectorKernel>,
 }
 
 impl<'a> FilterOp<'a> {
-    /// Filter `input` by a prepared predicate (compiled to a kernel here).
-    pub fn new(input: BoxedOperator<'a>, predicate: BoundExpr) -> FilterOp<'a> {
-        FilterOp {
-            input,
-            kernel: VectorKernel::compile(&predicate),
-        }
+    /// Filter `input` by a compiled predicate.
+    pub fn new(input: BoxedOperator<'a>, kernel: Arc<VectorKernel>) -> FilterOp<'a> {
+        FilterOp { input, kernel }
     }
 }
 
@@ -121,29 +44,35 @@ impl<'a> Operator<'a> for FilterOp<'a> {
 
 /// One projection output column: either a zero-copy column passthrough or
 /// a compiled expression kernel.
-enum ProjColumn {
+pub(crate) enum ProjColumn {
     Passthrough(usize),
     Computed(VectorKernel),
 }
 
-/// Streaming projection. Plain column references pass their chunk through
-/// (zero-copy); computed expressions run as vectorized kernels into owned
-/// columns.
-pub struct ProjectOp<'a> {
-    input: BoxedOperator<'a>,
-    columns: Vec<ProjColumn>,
-}
-
-impl<'a> ProjectOp<'a> {
-    /// Project `input` through prepared expressions.
-    pub fn new(input: BoxedOperator<'a>, exprs: Vec<BoundExpr>) -> ProjectOp<'a> {
-        let columns = exprs
+impl ProjColumn {
+    /// Compile prepared projection expressions, once per plan node.
+    pub(crate) fn compile(exprs: &[BoundExpr]) -> Arc<[ProjColumn]> {
+        exprs
             .iter()
             .map(|expr| match expr {
                 BoundExpr::Column { index, .. } => ProjColumn::Passthrough(*index),
                 _ => ProjColumn::Computed(VectorKernel::compile(expr)),
             })
-            .collect();
+            .collect()
+    }
+}
+
+/// Streaming projection. Plain column references pass their chunk through
+/// (zero-copy); computed expressions run as vectorized kernels into owned
+/// columns. The compiled columns are shared like [`FilterOp`]'s kernel.
+pub struct ProjectOp<'a> {
+    input: BoxedOperator<'a>,
+    columns: Arc<[ProjColumn]>,
+}
+
+impl<'a> ProjectOp<'a> {
+    /// Project `input` through compiled columns.
+    pub(crate) fn new(input: BoxedOperator<'a>, columns: Arc<[ProjColumn]>) -> ProjectOp<'a> {
         ProjectOp { input, columns }
     }
 }
@@ -155,7 +84,7 @@ impl<'a> Operator<'a> for ProjectOp<'a> {
         };
         let rows = batch.num_rows();
         let mut columns = Vec::with_capacity(self.columns.len());
-        for proj in &self.columns {
+        for proj in self.columns.iter() {
             match proj {
                 ProjColumn::Passthrough(index) if *index < batch.width() => {
                     columns.push(batch.column(*index).clone());
@@ -233,7 +162,7 @@ pub struct SortOp<'a> {
     input: BoxedOperator<'a>,
     keys: Vec<(BoundExpr, bool)>,
     batch_size: usize,
-    output: Option<VecDeque<RowBatch<'a>>>,
+    output: Option<BoxedOperator<'a>>,
 }
 
 impl<'a> SortOp<'a> {
@@ -251,7 +180,7 @@ impl<'a> SortOp<'a> {
         }
     }
 
-    fn drain_and_sort(&mut self) -> Result<VecDeque<RowBatch<'a>>, EngineError> {
+    fn drain_and_sort(&mut self) -> Result<BoxedOperator<'a>, EngineError> {
         // Decorate: evaluate the sort keys once per row, against the batch.
         let mut decorated: Vec<(Vec<Value>, Row)> = Vec::new();
         while let Some(batch) = self.input.next_batch()? {
@@ -276,18 +205,8 @@ impl<'a> SortOp<'a> {
             std::cmp::Ordering::Equal
         });
         let width = decorated.first().map_or(0, |(_, r)| r.len());
-        let mut out = VecDeque::new();
-        let mut chunk: Vec<Row> = Vec::with_capacity(self.batch_size.min(decorated.len()));
-        for (_, row) in decorated {
-            chunk.push(row);
-            if chunk.len() == self.batch_size {
-                out.push_back(RowBatch::from_rows(width, std::mem::take(&mut chunk)));
-            }
-        }
-        if !chunk.is_empty() {
-            out.push_back(RowBatch::from_rows(width, chunk));
-        }
-        Ok(out)
+        let rows = decorated.into_iter().map(|(_, row)| row).collect();
+        Ok(replay(width, rows, self.batch_size))
     }
 }
 
@@ -297,7 +216,7 @@ impl<'a> Operator<'a> for SortOp<'a> {
             let sorted = self.drain_and_sort()?;
             self.output = Some(sorted);
         }
-        Ok(self.output.as_mut().and_then(VecDeque::pop_front))
+        self.output.as_mut().expect("just set").next_batch()
     }
 }
 
@@ -325,7 +244,7 @@ pub struct TopKOp<'a> {
     limit: usize,
     offset: usize,
     batch_size: usize,
-    output: Option<VecDeque<RowBatch<'a>>>,
+    output: Option<BoxedOperator<'a>>,
 }
 
 impl<'a> TopKOp<'a> {
@@ -381,10 +300,10 @@ impl<'a> TopKOp<'a> {
         }
     }
 
-    fn drain_and_collect(&mut self) -> Result<VecDeque<RowBatch<'a>>, EngineError> {
+    fn drain_and_collect(&mut self) -> Result<BoxedOperator<'a>, EngineError> {
         let k = self.limit.saturating_add(self.offset);
         if k == 0 {
-            return Ok(VecDeque::new());
+            return Ok(Box::new(std::iter::empty()));
         }
         // Never preallocate from the user-supplied LIMIT (a huge k would
         // abort on allocation); the heap grows only with rows seen.
@@ -410,18 +329,8 @@ impl<'a> TopKOp<'a> {
         let keys = &self.keys;
         heap.sort_by(|(ka, _), (kb, _)| cmp_keys(ka, kb, keys));
         let width = heap.first().map_or(0, |(_, r)| r.len());
-        let mut out = VecDeque::new();
-        let mut chunk: Vec<Row> = Vec::new();
-        for (_, row) in heap.into_iter().skip(self.offset) {
-            chunk.push(row);
-            if chunk.len() == self.batch_size {
-                out.push_back(RowBatch::from_rows(width, std::mem::take(&mut chunk)));
-            }
-        }
-        if !chunk.is_empty() {
-            out.push_back(RowBatch::from_rows(width, chunk));
-        }
-        Ok(out)
+        let rows = heap.into_iter().skip(self.offset).map(|(_, row)| row);
+        Ok(replay(width, rows.collect(), self.batch_size))
     }
 }
 
@@ -431,7 +340,7 @@ impl<'a> Operator<'a> for TopKOp<'a> {
             let collected = self.drain_and_collect()?;
             self.output = Some(collected);
         }
-        Ok(self.output.as_mut().and_then(VecDeque::pop_front))
+        self.output.as_mut().expect("just set").next_batch()
     }
 }
 
@@ -449,8 +358,8 @@ pub struct DistinctOp<'a> {
     budget: MemoryBudget,
     batch_size: usize,
     /// Pre-partitioned input groups (one per parallel worker, hashed on
-    /// the whole row) plus the row width.
-    prepart: Option<(PartitionGroups, usize)>,
+    /// the whole row).
+    prepart: Option<PartitionGroups>,
     spilled_output: Option<MergeEmit>,
 }
 
@@ -467,14 +376,10 @@ impl<'a> DistinctOp<'a> {
         }
     }
 
-    /// Deduplicate pre-partitioned input groups of `width`-column rows
-    /// instead of draining `input`.
-    pub(crate) fn with_prepartitioned(
-        mut self,
-        groups: PartitionGroups,
-        width: usize,
-    ) -> DistinctOp<'a> {
-        self.prepart = Some((groups, width));
+    /// Deduplicate pre-partitioned input groups instead of draining
+    /// `input`.
+    pub(crate) fn with_prepartitioned(mut self, groups: PartitionGroups) -> DistinctOp<'a> {
+        self.prepart = Some(groups);
         self
     }
 
@@ -496,37 +401,38 @@ impl<'a> DistinctOp<'a> {
     }
 
     fn run_spilled(&mut self) -> Result<MergeEmit, EngineError> {
-        let (groups, width) = match self.prepart.take() {
-            Some((groups, width)) => (groups, width),
+        let groups = match self.prepart.take() {
+            Some(groups) => groups,
             None => {
                 let mut spiller = PartitionedSpiller::new(self.budget.clone(), 0);
-                let mut seq = 0u64;
-                let mut width = 0usize;
-                while let Some(batch) = self.input.next_batch()? {
-                    width = batch.width();
-                    let hashes = hash_batch_rows(&batch);
-                    for (r, &hash) in hashes.iter().enumerate() {
-                        spiller.push(hash, seq, batch.materialize_row(r))?;
-                        seq += 1;
-                    }
-                }
-                (vec![spiller.finish()?], width)
+                spill_batches(&mut self.input, &SpillHash::WholeRow, 0, &mut spiller)?;
+                vec![spiller.finish()?]
             }
         };
-        let mut runs = OutputRuns::new(self.budget.clone());
-        let budget = self.budget.clone();
-        for_each_fitting_group(groups, &budget, 0, &mut |tuples| {
-            let mut seen = RowSet::new();
-            runs.begin_run();
-            for (hash, seq, row) in tuples {
-                if seen.insert_row(hash, row.clone()) {
-                    runs.push(seq, 0, row)?;
-                }
-            }
-            Ok(())
-        })?;
-        runs.finish(width, self.batch_size)
+        distinct_partitions(groups, &self.budget, self.batch_size)
     }
+}
+
+/// DISTINCT over whole-row-hashed partition groups, one fitting partition
+/// at a time: equal rows share a partition, first sights keep their
+/// sequence tag, and the merge emits them in sequence order.
+fn distinct_partitions(
+    groups: PartitionGroups,
+    budget: &MemoryBudget,
+    batch_size: usize,
+) -> Result<MergeEmit, EngineError> {
+    let mut runs = OutputRuns::new(budget.clone());
+    for_each_fitting_group(groups, budget, 0, &mut |tuples| {
+        let mut seen = RowSet::new();
+        runs.begin_run();
+        for (hash, seq, row) in tuples {
+            if seen.insert_row(hash, row.clone()) {
+                runs.push(seq, 0, row)?;
+            }
+        }
+        Ok(())
+    })?;
+    runs.finish(batch_size)
 }
 
 impl<'a> Operator<'a> for DistinctOp<'a> {
@@ -580,11 +486,11 @@ pub struct SetOpOp<'a> {
     budget: MemoryBudget,
     batch_size: usize,
     /// Pre-partitioned combined left++right groups for UNION (left
-    /// sequences sort before right sequences) plus the row width.
-    prepart_union: Option<(PartitionGroups, usize)>,
-    /// Pre-partitioned (right groups, left groups, width) for
-    /// EXCEPT / INTERSECT.
-    prepart_pair: Option<(PartitionGroups, PartitionGroups, usize)>,
+    /// sequences sort before right sequences).
+    prepart_union: Option<PartitionGroups>,
+    /// Pre-partitioned (right groups, left groups) for EXCEPT /
+    /// INTERSECT.
+    prepart_pair: Option<(PartitionGroups, PartitionGroups)>,
     spilled_output: Option<MergeEmit>,
 }
 
@@ -621,26 +527,20 @@ impl<'a> SetOpOp<'a> {
         self
     }
 
-    /// UNION from pre-partitioned combined groups of `width`-column rows;
-    /// left-input sequence tags must sort before right-input tags.
-    pub(crate) fn with_prepartitioned_union(
-        mut self,
-        groups: PartitionGroups,
-        width: usize,
-    ) -> SetOpOp<'a> {
-        self.prepart_union = Some((groups, width));
+    /// UNION from pre-partitioned combined groups; left-input sequence
+    /// tags must sort before right-input tags.
+    pub(crate) fn with_prepartitioned_union(mut self, groups: PartitionGroups) -> SetOpOp<'a> {
+        self.prepart_union = Some(groups);
         self
     }
 
-    /// EXCEPT / INTERSECT from pre-partitioned right and left groups of
-    /// `width`-column rows.
+    /// EXCEPT / INTERSECT from pre-partitioned right and left groups.
     pub(crate) fn with_prepartitioned_pair(
         mut self,
         right_groups: PartitionGroups,
         left_groups: PartitionGroups,
-        width: usize,
     ) -> SetOpOp<'a> {
-        self.prepart_pair = Some((right_groups, left_groups, width));
+        self.prepart_pair = Some((right_groups, left_groups));
         self
     }
 
@@ -657,72 +557,35 @@ impl<'a> SetOpOp<'a> {
         self
     }
 
-    /// Drain one side into a spiller, tagging rows with sequence numbers
-    /// starting at `seq`; returns the next free sequence number.
-    fn drain_side(
-        side: &mut BoxedOperator<'a>,
-        spiller: &mut PartitionedSpiller,
-        mut seq: u64,
-        width: &mut usize,
-    ) -> Result<u64, EngineError> {
-        while let Some(batch) = side.next_batch()? {
-            *width = batch.width();
-            let hashes = hash_batch_rows(&batch);
-            for (r, &hash) in hashes.iter().enumerate() {
-                spiller.push(hash, seq, batch.materialize_row(r))?;
-                seq += 1;
-            }
-        }
-        Ok(seq)
-    }
-
     /// Spill path for `UNION` (set semantics): a partitioned DISTINCT
     /// over left-then-right concatenation, merge-emitted in sequence
     /// order.
     fn run_spilled_union(&mut self) -> Result<MergeEmit, EngineError> {
-        let (groups, width) = match self.prepart_union.take() {
+        let groups = match self.prepart_union.take() {
             Some(pre) => pre,
             None => {
+                // One spiller over the left-then-right concatenation.
                 let mut spiller = PartitionedSpiller::new(self.budget.clone(), 0);
-                let mut width = 0usize;
-                let seq = Self::drain_side(&mut self.left, &mut spiller, 0, &mut width)?;
-                Self::drain_side(&mut self.right, &mut spiller, seq, &mut width)?;
-                (vec![spiller.finish()?], width)
+                let seq = spill_batches(&mut self.left, &SpillHash::WholeRow, 0, &mut spiller)?;
+                spill_batches(&mut self.right, &SpillHash::WholeRow, seq, &mut spiller)?;
+                vec![spiller.finish()?]
             }
         };
-        let budget = self.budget.clone();
-        let mut runs = OutputRuns::new(budget.clone());
-        for_each_fitting_group(groups, &budget, 0, &mut |tuples| {
-            let mut seen = RowSet::new();
-            runs.begin_run();
-            for (hash, seq, row) in tuples {
-                if seen.insert_row(hash, row.clone()) {
-                    runs.push(seq, 0, row)?;
-                }
-            }
-            Ok(())
-        })?;
-        runs.finish(width, self.batch_size)
+        distinct_partitions(groups, &self.budget, self.batch_size)
     }
 
     /// Spill path for EXCEPT / INTERSECT: right partitions build the
     /// multiplicity maps, left partitions stream against them pairwise,
     /// and kept rows merge-emit in left sequence order.
     fn run_spilled_against_counts(&mut self) -> Result<MergeEmit, EngineError> {
-        let (right_groups, left_groups, width) = match self.prepart_pair.take() {
+        let (right_groups, left_groups) = match self.prepart_pair.take() {
             Some(pre) => pre,
             None => {
-                let mut right_spiller = PartitionedSpiller::new(self.budget.clone(), 0);
-                let mut left_spiller = PartitionedSpiller::new(self.budget.clone(), 0);
-                let mut rwidth = 0usize;
-                let mut width = 0usize;
-                Self::drain_side(&mut self.right, &mut right_spiller, 0, &mut rwidth)?;
-                Self::drain_side(&mut self.left, &mut left_spiller, 0, &mut width)?;
-                (
-                    vec![right_spiller.finish()?],
-                    vec![left_spiller.finish()?],
-                    width,
-                )
+                let mut right = PartitionedSpiller::new(self.budget.clone(), 0);
+                spill_batches(&mut self.right, &SpillHash::WholeRow, 0, &mut right)?;
+                let mut left = PartitionedSpiller::new(self.budget.clone(), 0);
+                spill_batches(&mut self.left, &SpillHash::WholeRow, 0, &mut left)?;
+                (vec![right.finish()?], vec![left.finish()?])
             }
         };
         let except = self.op == SetOpKind::Except;
@@ -766,7 +629,7 @@ impl<'a> SetOpOp<'a> {
                 })
             },
         )?;
-        runs.finish(width, self.batch_size)
+        runs.finish(self.batch_size)
     }
 
     fn next_union(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
@@ -911,7 +774,8 @@ mod tests {
             }),
             right: Box::new(BoundExpr::Literal(i(2))),
         };
-        let out = drain(Box::new(FilterOp::new(static_op(0..6, 3), pred))).unwrap();
+        let kernel = Arc::new(VectorKernel::compile(&pred));
+        let out = drain(Box::new(FilterOp::new(static_op(0..6, 3), kernel))).unwrap();
         assert_eq!(out, rows(3..6));
     }
 

@@ -1,43 +1,47 @@
-//! Morsel-driven parallel execution (HyPer-style).
+//! The morsel scheduler (HyPer-style): several workers driving the serial
+//! operators.
 //!
 //! [`crate::exec::run`] sends a [`PhysicalPlan`] here when the
-//! [`ExecContext`]'s parallelism is above 1; `collect_rows` then runs it
-//! on a pool of scoped `std::thread` workers. The plan decomposes into
-//! *pipelines* at the pipeline breakers (hash-join builds, aggregation,
-//! sort/top-k, distinct, set operations): each pipeline is a table-scan
-//! leaf plus a stack of morsel-local stages (filter, project, hash-join
-//! probe), and its source table is cut into fixed-size **morsels** that
-//! workers claim dynamically from a lock-free
-//! [`crate::storage::MorselCursor`] — fast workers naturally take more
-//! morsels, so skewed filters and joins balance without a scheduler
-//! thread.
+//! [`ExecContext`]'s parallelism is above 1. Nothing in this module
+//! implements an operator. `collect_rows` cuts the plan at its pipeline
+//! breakers (hash-join builds, aggregation, sort/top-k, distinct, set
+//! operations) into *pipelines* — a table scan and the streaming nodes
+//! above it (filter, project, hash-join probe), each compiled once into
+//! an immutable value every worker shares — and schedules each pipeline
+//! over **morsels** of its scanned table: scoped `std::thread` workers
+//! claim fixed-size slot ranges from a lock-free
+//! [`crate::storage::MorselCursor`] and, per morsel, instantiate the
+//! operators `build_node` would build over the whole table — scan the
+//! range, filter, project, probe — and pull them dry. Fast workers
+//! naturally take more morsels, so skewed filters and joins balance
+//! without a scheduler thread; a source that is one morsel, or an index
+//! point read, spawns no thread at all.
 //!
-//! Breakers merge. Hash-join build sides are materialized once and
-//! radix-partitioned on the equi-key hash (parallel build, lock-free
-//! probe); aggregation over a pipeline folds per-morsel partial states
-//! that merge in morsel order. Every other node that is not part of a
-//! pipeline takes one generic path: each child is collected (in
-//! parallel, recursively) and replayed into the very operator the serial
-//! builder constructs, through the shared `build_node`. Under a
-//! bounded memory budget the grace-capable breakers (grouped
-//! aggregation, DISTINCT, set operations, hash join) instead receive
-//! their inputs as per-worker radix spill partitions, never staged as
-//! rows. `LIMIT` subtrees run as a serial operator tree — under the same
-//! context, so still budgeted — because stopping early is their point.
-//! Everything reuses the vectorized kernels of [`crate::expr::vector`]
-//! inside each worker.
+//! Breakers are the operators the serial builder constructs, through the
+//! shared `build_node`. A hash-join build side is collected once (in
+//! parallel, recursively), indexed once — radix-partitioned across the
+//! workers when large — and probed lock-free by every morsel's
+//! `HashJoinOp`. Aggregation over a pipeline folds one partial state per
+//! morsel with the serial operator's `AggSpec` and merges them in morsel
+//! order. Every other breaker takes one generic path: each child is
+//! collected and replayed into it. Under a bounded memory budget the
+//! grace-capable breakers (grouped aggregation, DISTINCT, set
+//! operations, hash join) instead receive their inputs as per-worker
+//! radix spill partitions, never staged as rows. `LIMIT` subtrees run as
+//! one operator tree on the calling thread — under the same context, so
+//! still budgeted — because stopping early is their point.
 //!
-//! **Determinism.** Per-morsel results carry the morsel sequence number
-//! and are merged in that order, so the parallel executor emits rows in
-//! the *same order* as the serial one — group first-seen order included
-//! — and SUM/AVG over DOUBLE are bitwise-equal to the serial fold (exact
+//! **Determinism.** Per-morsel results are merged in morsel sequence
+//! order, so the scheduler emits rows in the *same order* as one
+//! operator tree over the whole table — group first-seen order included
+//! — and SUM/AVG over DOUBLE are bitwise-equal to the unsplit fold (exact
 //! partial sums, rounded once). The remaining differences are in what a
 //! re-associated fold can observe: integer SUM overflow is detected on
 //! the partial sums (a sequence whose running total stays in range can
 //! overflow a partial, and vice versa), and MIN/MAX may retain a
 //! different one of several cross-type-equal values. Runtime errors are
 //! deterministic too: the error surfaced is the one from the earliest
-//! morsel, which is the error the serial scan would reach first.
+//! morsel, which is the error one scan of the whole table reaches first.
 
 mod aggregate;
 mod pipeline;
@@ -45,15 +49,17 @@ mod pipeline;
 use crate::error::EngineError;
 use crate::exec::aggregate::{AggSpec, HashAggregateOp};
 use crate::exec::operators::{DistinctOp, SetOpOp};
-use crate::exec::spill::{PartitionedSpiller, SpillPartition};
+use crate::exec::spill::{spill_batches, PartitionGroups, PartitionedSpiller, SpillHash};
 use crate::exec::{
-    build_node, build_operator, drain, hash_join_op, prepare_aggregate, replay, BoxedOperator,
-    ExecConfig, ExecContext, Row,
+    build_node, build_operator, drain, hash_join_op, join_spec, prepare_aggregate, replay,
+    BoxedOperator, ExecConfig, ExecContext, Row,
 };
 use crate::expr::VectorKernel;
 use crate::planner::physical::{AggMode, PhysicalPlan};
 use crate::planner::SetOpKind;
 use crate::storage::Table;
+
+use pipeline::Pipeline;
 
 /// Default morsel size in physical storage slots. Small enough that
 /// mid-sized tables split across workers, large enough that the per-claim
@@ -66,19 +72,11 @@ pub(crate) fn collect_rows(
     plan: &PhysicalPlan,
     cx: &ExecContext<'_>,
 ) -> Result<Vec<Row>, EngineError> {
-    // A morsel-parallel pipeline handles the whole subtree in one pass.
-    if let Some(spec) = pipeline::build_pipeline(plan, cx)? {
-        let partials = pipeline::run_morsels(&spec, cx, pipeline::MorselWork::Collect)?;
-        let mut rows: Vec<Row> = Vec::new();
-        for (_, out) in partials {
-            let pipeline::MorselOut::Rows(r) = out else {
-                unreachable!("collect work yields rows")
-            };
-            rows.extend(r);
-        }
-        for batch in pipeline::pipeline_tails(&spec, cx)? {
-            rows.extend(batch.to_rows());
-        }
+    // A pipeline handles the whole subtree in one pass over its morsels.
+    if let Some(pipeline) = Pipeline::of(plan, cx)? {
+        let (_, chunks) = pipeline.run(cx, || (), |_, _, op| drain(op))?;
+        let mut rows = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+        chunks.into_iter().for_each(|chunk| rows.extend(chunk));
         return Ok(rows);
     }
     let batch_size = cx.config.batch_size();
@@ -86,7 +84,7 @@ pub(crate) fn collect_rows(
     let bounded = budget.is_bounded();
     // An empty input: what a grace-capable operator is constructed over
     // when its real input arrives as pre-partitioned spill runs.
-    let empty = |input: &PhysicalPlan| replay(input.schema().len(), Vec::new(), batch_size);
+    let empty = || -> BoxedOperator<'_> { Box::new(std::iter::empty()) };
     let op: BoxedOperator<'_> = match plan {
         // Morsel-parallel partial aggregation: always for unbounded
         // budgets; under a bounded budget only the ungrouped mode (whose
@@ -97,12 +95,10 @@ pub(crate) fn collect_rows(
             aggs,
             mode,
             ..
-        } if !bounded || *mode == AggMode::Ungrouped => {
-            match pipeline::build_pipeline(input, cx)? {
-                Some(spec) => return aggregate::parallel_aggregate(&spec, group, aggs, *mode, cx),
-                None => from_collected_children(plan, cx)?,
-            }
-        }
+        } if !bounded || *mode == AggMode::Ungrouped => match Pipeline::of(input, cx)? {
+            Some(input) => return aggregate::parallel_aggregate(&input, group, aggs, *mode, cx),
+            None => from_collected_children(plan, cx)?,
+        },
         // Bounded budget, grace-capable breakers: inputs stream through
         // per-worker spill partitioners on the hash the breaker itself
         // uses (never staged as `Vec<Row>`), and the operator processes
@@ -117,19 +113,19 @@ pub(crate) fn collect_rows(
         } => {
             let (group, aggs) = prepare_aggregate(group, aggs, cx)?;
             let spec = AggSpec::new(&group, aggs.clone(), false);
-            let groups_in = collect_partitions(input, cx, pipeline::SpillHash::Agg(&spec), 0)?;
+            let groups_in = collect_partitions(input, cx, &SpillHash::Agg(&spec), 0)?;
             Box::new(
-                HashAggregateOp::new(empty(input), group, aggs, *mode, batch_size, 0)
+                HashAggregateOp::new(empty(), group, aggs, *mode, batch_size, 0)
                     .with_budget(budget.clone())
-                    .with_prepartitioned(groups_in, input.schema().len()),
+                    .with_prepartitioned(groups_in),
             )
         }
         PhysicalPlan::Distinct { input } if bounded => {
-            let groups = collect_partitions(input, cx, pipeline::SpillHash::WholeRow, 0)?;
+            let groups = collect_partitions(input, cx, &SpillHash::WholeRow, 0)?;
             Box::new(
-                DistinctOp::new(empty(input))
+                DistinctOp::new(empty())
                     .with_budget(budget.clone(), batch_size)
-                    .with_prepartitioned(groups, input.schema().len()),
+                    .with_prepartitioned(groups),
             )
         }
         // UNION ALL is pure concatenation and never accumulates, so it
@@ -141,22 +137,20 @@ pub(crate) fn collect_rows(
             right,
             ..
         } if bounded && !(*op == SetOpKind::Union && *all) => {
-            let lwidth = left.schema().len();
-            let set_op = SetOpOp::new(*op, *all, empty(left), empty(right))
-                .with_budget(budget.clone(), batch_size);
-            let whole_row = |input, seq_base| {
-                collect_partitions(input, cx, pipeline::SpillHash::WholeRow, seq_base)
-            };
+            let set_op =
+                SetOpOp::new(*op, *all, empty(), empty()).with_budget(budget.clone(), batch_size);
+            let whole_row =
+                |input, seq_base| collect_partitions(input, cx, &SpillHash::WholeRow, seq_base);
             Box::new(if *op == SetOpKind::Union {
                 // One combined producer set; right-input sequence tags
                 // offset past every possible left tag.
                 let mut groups = whole_row(left, 0)?;
                 groups.extend(whole_row(right, 1 << 62)?);
-                set_op.with_prepartitioned_union(groups, lwidth)
+                set_op.with_prepartitioned_union(groups)
             } else {
                 let right_groups = whole_row(right, 0)?;
                 let left_groups = whole_row(left, 0)?;
-                set_op.with_prepartitioned_pair(right_groups, left_groups, lwidth)
+                set_op.with_prepartitioned_pair(right_groups, left_groups)
             })
         }
         PhysicalPlan::HashJoin {
@@ -166,12 +160,10 @@ pub(crate) fn collect_rows(
             build_keys,
             ..
         } if bounded => {
-            let build_groups =
-                collect_partitions(build, cx, pipeline::SpillHash::Keys(build_keys), 0)?;
-            let probe_groups =
-                collect_partitions(probe, cx, pipeline::SpillHash::Keys(probe_keys), 0)?;
+            let build_groups = collect_partitions(build, cx, &SpillHash::Keys(build_keys), 0)?;
+            let probe_groups = collect_partitions(probe, cx, &SpillHash::Keys(probe_keys), 0)?;
             Box::new(
-                hash_join_op(plan, empty(probe), empty(build), cx)?
+                hash_join_op(join_spec(plan, cx)?, empty(), empty(), cx)
                     .with_prepartitioned(build_groups, probe_groups),
             )
         }
@@ -199,49 +191,82 @@ fn from_collected_children<'a>(
 
 /// Materialize `plan`'s output into budget-accounted radix spill
 /// partitions — hashed with `hash`, sequence-tagged from `seq_base` — for
-/// a grace-capable breaker to consume. Pipeline-able subtrees stream
-/// morsel-parallel through per-worker spillers
-/// ([`pipeline::run_morsels_spill`]); other shapes (nested breakers,
-/// small scans) stream serially through the budgeted operator tree into
-/// one spiller. Either way the rows are never staged in an unaccounted
+/// a grace-capable breaker to consume. Pipelines stream through
+/// per-worker spillers ([`Pipeline::spill`]); other shapes (nested
+/// breakers) stream serially through the budgeted operator tree into one
+/// spiller. Either way the rows are never staged in an unaccounted
 /// `Vec<Row>`.
 fn collect_partitions(
     plan: &PhysicalPlan,
     cx: &ExecContext<'_>,
-    hash: pipeline::SpillHash<'_>,
+    hash: &SpillHash<'_>,
     seq_base: u64,
-) -> Result<Vec<Vec<SpillPartition>>, EngineError> {
-    if let Some(spec) = pipeline::build_pipeline(plan, cx)? {
-        return pipeline::run_morsels_spill(&spec, cx, hash, seq_base);
+) -> Result<PartitionGroups, EngineError> {
+    if let Some(pipeline) = Pipeline::of(plan, cx)? {
+        return pipeline.spill(cx, hash, seq_base);
     }
-    let mut op = build_operator(plan, cx)?;
     let mut spiller = PartitionedSpiller::new(cx.config.budget().clone(), 0);
-    let mut seq = seq_base;
-    while let Some(batch) = op.next_batch()? {
-        let hashes = hash.hash(&batch)?;
-        for (r, &h) in hashes.iter().enumerate() {
-            spiller.push(h, seq, batch.materialize_row(r))?;
-            seq += 1;
-        }
-    }
+    spill_batches(&mut build_operator(plan, cx)?, hash, seq_base, &mut spiller)?;
     Ok(vec![spiller.finish()?])
 }
 
-/// Parallel UPDATE/DELETE victim selection: workers claim storage-slot
-/// morsels and run the vectorized predicate per window; per-morsel id
-/// lists come back in slot order and concatenate in morsel order, so the
-/// result is identical to the serial [`Table::filter_row_ids`] scan. On
-/// error the cursor poisons and the earliest morsel's error surfaces.
-pub(crate) fn parallel_filter_row_ids(
+/// UPDATE/DELETE victim selection: the ids of `table`'s live rows that
+/// `kernel` selects. The session's workers claim storage-slot morsels and
+/// run the vectorized predicate per window (one worker, or one morsel,
+/// scans on the calling thread); per-morsel id lists come back in slot
+/// order and concatenate in morsel order, so the result — and thus the
+/// apply order — is that of one scan of the whole table. On error the
+/// cursor poisons and the earliest morsel's error surfaces.
+pub(crate) fn filter_row_ids(
     table: &Table,
     kernel: &VectorKernel,
     config: &ExecConfig,
 ) -> Result<Vec<u64>, EngineError> {
-    let out = pipeline::for_each_morsel(
+    let (_, out) = pipeline::for_each_morsel(
         table.total_slots(),
         config.morsel_size(),
         config.parallelism(),
-        |slots| table.filter_row_ids_range(slots, config.batch_size(), kernel),
+        || (),
+        |_, _, slots| table.filter_row_ids_range(slots, config.batch_size(), kernel),
     )?;
-    Ok(out.into_iter().flat_map(|(_, ids)| ids).collect())
+    Ok(out.into_iter().flatten().collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::storage::Table;
+    use crate::{Database, Value};
+
+    /// A point read on a table spanning many morsels asks the index once
+    /// — not once per plan node that wonders whether to go parallel — and
+    /// answers from the looked-up row on the calling thread.
+    #[test]
+    fn point_read_asks_the_index_once() {
+        for workers in [1usize, 2, 4] {
+            let mut db = Database::new();
+            db.set_parallelism(workers);
+            db.set_morsel_size(64);
+            db.execute("CREATE TABLE k (id INTEGER PRIMARY KEY, v INTEGER)")
+                .unwrap();
+            let values: Vec<String> = (0..1000).map(|i| format!("({i}, {})", i * 3)).collect();
+            db.execute(&format!("INSERT INTO k VALUES {}", values.join(", ")))
+                .unwrap();
+            for (q, expected) in [
+                (
+                    "SELECT v FROM k WHERE id = 837",
+                    vec![vec![Value::Integer(2511)]],
+                ),
+                ("SELECT v FROM k WHERE id = 5000", vec![]),
+                (
+                    "SELECT SUM(v) FROM k WHERE id = 837",
+                    vec![vec![Value::Integer(2511)]],
+                ),
+            ] {
+                let before = Table::equality_lookups();
+                assert_eq!(db.query(q).unwrap().rows, expected, "{q}");
+                let asked = Table::equality_lookups() - before;
+                assert_eq!(asked, 1, "{q} at {workers} workers");
+            }
+        }
+    }
 }

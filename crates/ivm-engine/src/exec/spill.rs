@@ -60,8 +60,10 @@ use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::error::EngineError;
+use crate::exec::aggregate::AggSpec;
 use crate::exec::batch::RowBatch;
-use crate::exec::Row;
+use crate::exec::hash::{hash_batch_keys, hash_batch_rows};
+use crate::exec::{BoxedOperator, Row};
 use crate::storage::frame;
 use crate::storage::io::{self as sio, FileHandle, OpenMode};
 use crate::value::Value;
@@ -987,6 +989,44 @@ impl PartitionedSpiller {
     }
 }
 
+/// How rows on their way into a [`PartitionedSpiller`] hash. It must be
+/// the hash the consuming breaker uses when it drains its own input, so
+/// radix partitions align between every producer and the breaker's grace
+/// processing.
+pub(crate) enum SpillHash<'s> {
+    /// Equi-join key hash over the given columns.
+    Keys(&'s [usize]),
+    /// Whole-row hash (DISTINCT and set operations).
+    WholeRow,
+    /// Aggregation group-key hash.
+    Agg(&'s AggSpec),
+}
+
+/// Drain `source` into `spiller`: every batch is hashed by `hash` and its
+/// rows pushed with consecutive sequence tags starting at `seq_base`.
+/// Returns the next free tag. The one way operator input reaches a
+/// spiller, for serial breakers and morsel workers alike.
+pub(crate) fn spill_batches(
+    source: &mut BoxedOperator<'_>,
+    hash: &SpillHash<'_>,
+    seq_base: u64,
+    spiller: &mut PartitionedSpiller,
+) -> Result<u64, EngineError> {
+    let mut seq = seq_base;
+    while let Some(batch) = source.next_batch()? {
+        let hashes = match hash {
+            SpillHash::Keys(cols) => hash_batch_keys(&batch, cols).hashes,
+            SpillHash::WholeRow => hash_batch_rows(&batch),
+            SpillHash::Agg(spec) => spec.group_hashes(&batch)?,
+        };
+        for (r, &h) in hashes.iter().enumerate() {
+            spiller.push(h, seq, batch.materialize_row(r))?;
+            seq += 1;
+        }
+    }
+    Ok(seq)
+}
+
 impl Drop for PartitionedSpiller {
     fn drop(&mut self) {
         // Error paths drop the spiller without `finish`; release the
@@ -1368,11 +1408,7 @@ impl OutputRuns {
     }
 
     /// Seal the runs into a streaming merge emitter.
-    pub(crate) fn finish(
-        mut self,
-        width: usize,
-        batch_size: usize,
-    ) -> Result<MergeEmit, EngineError> {
+    pub(crate) fn finish(mut self, batch_size: usize) -> Result<MergeEmit, EngineError> {
         let budget = self.budget.clone();
         budget.sub(std::mem::take(&mut self.held));
         let mut cursors = Vec::new();
@@ -1393,7 +1429,6 @@ impl OutputRuns {
         let mut emit = MergeEmit {
             cursors,
             heap: BinaryHeap::new(),
-            width,
             batch_size: batch_size.max(1),
         };
         for i in 0..emit.cursors.len() {
@@ -1454,7 +1489,6 @@ impl RunCursor {
 pub(crate) struct MergeEmit {
     cursors: Vec<RunCursor>,
     heap: BinaryHeap<std::cmp::Reverse<(u64, u64, usize)>>,
-    width: usize,
     batch_size: usize,
 }
 
@@ -1486,7 +1520,7 @@ impl MergeEmit {
         if rows.is_empty() {
             Ok(None)
         } else {
-            Ok(Some(RowBatch::from_rows(self.width, rows)))
+            Ok(Some(RowBatch::from_rows(rows[0].len(), rows)))
         }
     }
 }
@@ -1754,7 +1788,7 @@ mod tests {
                 runs.push(i * 3 + r, 0, row((i * 3 + r) as i64)).unwrap();
             }
         }
-        let mut emit = runs.finish(2, 7).unwrap();
+        let mut emit = runs.finish(7).unwrap();
         let mut seen = Vec::new();
         while let Some(batch) = emit.next_batch().unwrap() {
             assert!(batch.num_rows() <= 7);

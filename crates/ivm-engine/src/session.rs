@@ -9,7 +9,7 @@ use ivm_sql::{parse_statement, parse_statements};
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec::{
-    self, clean_orphan_spill_files, parallel_filter_row_ids, prepare_expr, ExecConfig, ExecContext,
+    self, clean_orphan_spill_files, filter_row_ids, prepare_expr, ExecConfig, ExecContext,
     MemoryBudget, Row, SpillStats,
 };
 use crate::expr::bind::{bind_expr_with, Scope};
@@ -1093,7 +1093,7 @@ impl Database {
             let victims = match &predicate {
                 Some(p) => {
                     let kernel = crate::expr::VectorKernel::compile(p);
-                    self.victim_row_ids(table, &kernel)?
+                    filter_row_ids(table, &kernel, &self.config)?
                 }
                 None => table.live_row_ids(),
             };
@@ -1136,7 +1136,7 @@ impl Database {
         let victims: Vec<u64> = {
             let table = self.catalog.table(&tname)?;
             let kernel = crate::expr::VectorKernel::compile(&predicate);
-            self.victim_row_ids(table, &kernel)?
+            filter_row_ids(table, &kernel, &self.config)?
         };
         let affected = victims.len();
         let table = self.catalog.table_mut(&tname)?;
@@ -1144,22 +1144,6 @@ impl Database {
             table.delete(row_id)?;
         }
         Ok(QueryResult::dml(affected))
-    }
-
-    /// UPDATE/DELETE victim ids for a compiled predicate: the chunked
-    /// vectorized scan, fanned out over storage-slot morsels when the
-    /// session has worker threads and the table spans more than one
-    /// morsel — id order (and thus apply order) matches the serial scan.
-    fn victim_row_ids(
-        &self,
-        table: &Table,
-        kernel: &crate::expr::VectorKernel,
-    ) -> Result<Vec<u64>, EngineError> {
-        if self.config.parallelism() > 1 && table.total_slots() > self.config.morsel_size() {
-            parallel_filter_row_ids(table, kernel, &self.config)
-        } else {
-            table.filter_row_ids(self.config.batch_size(), kernel)
-        }
     }
 
     fn table_scope(&self, tname: &str) -> Result<(Schema, Scope), EngineError> {

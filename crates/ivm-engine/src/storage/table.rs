@@ -18,6 +18,21 @@ use crate::value::Value;
 /// re-issued to another (or to the same table later).
 static NEXT_GENERATION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// [`Table::equality_lookup`] calls made by this thread.
+    static EQUALITY_LOOKUPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+impl Table {
+    /// How many index lookups the calling thread has made so far (a scan
+    /// node must ask once).
+    pub(crate) fn equality_lookups() -> usize {
+        EQUALITY_LOOKUPS.with(std::cell::Cell::get)
+    }
+}
+
 fn next_generation() -> u64 {
     NEXT_GENERATION.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
@@ -549,94 +564,57 @@ impl Table {
         Some(RowBatch::new(columns, rows))
     }
 
-    /// Zero-copy batched scan: yields [`RowBatch`]es of up to `batch_size`
-    /// live rows that *borrow* the column vectors. Tombstone-free windows
-    /// come out as plain slices; windows with deletions share one
-    /// selection vector across all columns. No `Value` is cloned.
-    pub fn scan_batches(&self, batch_size: usize) -> impl Iterator<Item = RowBatch<'_>> + '_ {
-        let batch_size = batch_size.max(1);
-        let total = self.data.deleted.len();
-        let clean = self.is_clean();
-        let mut start = 0usize;
-        std::iter::from_fn(move || {
-            while start < total {
-                let end = (start + batch_size).min(total);
-                let batch = self.window_batch(start..end, clean);
-                start = end;
-                if batch.is_some() {
-                    return batch;
-                }
-            }
-            None
-        })
-    }
-
-    /// Batched scan with a pushed-down predicate: the compiled kernel is
-    /// evaluated once per storage chunk and only the selected rows are
-    /// forwarded (as a composed selection vector — values are never
-    /// cloned). Batches that select nothing are skipped entirely.
-    pub fn scan_batches_filtered(
-        &self,
-        batch_size: usize,
-        kernel: Arc<VectorKernel>,
-    ) -> impl Iterator<Item = Result<RowBatch<'_>, EngineError>> + '_ {
-        let batch_size = batch_size.max(1);
-        let total = self.data.deleted.len();
-        let clean = self.is_clean();
-        let mut start = 0usize;
-        std::iter::from_fn(move || {
-            while start < total {
-                let end = (start + batch_size).min(total);
-                let batch = self.window_batch(start..end, clean);
-                start = end;
-                let Some(batch) = batch else { continue };
-                let keep = match kernel.select(&batch) {
-                    Ok(keep) => keep,
-                    Err(e) => return Some(Err(e)),
-                };
-                if let Some(out) = batch.retain(keep) {
-                    return Some(Ok(out));
-                }
-            }
-            None
-        })
-    }
-
-    /// The batches of one *morsel*: the live rows of the physical slot
-    /// range `slots`, in batches of up to `batch_size` rows, optionally
-    /// filtered by a pushed-down predicate kernel. Morsel boundaries are
-    /// arbitrary — windows stay contiguous, so concatenating the batches
-    /// of consecutive morsels reproduces the serial scan order exactly.
-    /// This is the storage half of the morsel-driven parallel scan
-    /// ([`crate::exec::parallel`]); morsels are claimed by worker threads
-    /// through a [`MorselCursor`].
-    pub fn scan_morsel(
+    /// The one window loop under every batched scan: `slots` (clamped to
+    /// the table) cut into windows of `batch_size` slots, each yielded
+    /// with its zero-copy batch of live rows; windows holding none are
+    /// skipped. Windows never straddle a range edge, so the windows of
+    /// consecutive ranges are, in order, live row for live row, those of
+    /// the ranges' union.
+    fn windows(
         &self,
         slots: Range<usize>,
         batch_size: usize,
-        kernel: Option<&VectorKernel>,
-    ) -> Result<Vec<RowBatch<'_>>, EngineError> {
+    ) -> impl Iterator<Item = (Range<usize>, RowBatch<'_>)> + '_ {
         let batch_size = batch_size.max(1);
-        let clean = self.is_clean();
         let end = slots.end.min(self.data.deleted.len());
-        let mut out = Vec::new();
+        let clean = self.is_clean();
         let mut start = slots.start;
-        while start < end {
-            let wend = (start + batch_size).min(end);
-            let batch = self.window_batch(start..wend, clean);
-            start = wend;
-            let Some(batch) = batch else { continue };
-            match kernel {
-                None => out.push(batch),
-                Some(k) => {
-                    let keep = k.select(&batch)?;
-                    if let Some(b) = batch.retain(keep) {
-                        out.push(b);
-                    }
+        std::iter::from_fn(move || {
+            while start < end {
+                let window = start..(start + batch_size).min(end);
+                start = window.end;
+                if let Some(batch) = self.window_batch(window.clone(), clean) {
+                    return Some((window, batch));
                 }
             }
-        }
-        Ok(out)
+            None
+        })
+    }
+
+    /// The one batched scan: the live rows of the physical slot range
+    /// `slots`, lazily, in [`RowBatch`]es of up to `batch_size` rows that
+    /// *borrow* the column vectors — tombstone-free windows as plain
+    /// slices, windows with deletions through one selection vector shared
+    /// by all columns; no `Value` is cloned. A pushed-down `kernel` runs
+    /// once per window and forwards a composed selection; windows that
+    /// keep nothing are skipped. The whole table is `0..total_slots()`,
+    /// one morsel is whatever a [`MorselCursor`] handed out: concatenating
+    /// the batches of consecutive ranges reproduces the full scan's rows
+    /// in the full scan's order.
+    pub fn scan_range(
+        &self,
+        slots: Range<usize>,
+        batch_size: usize,
+        kernel: Option<Arc<VectorKernel>>,
+    ) -> impl Iterator<Item = Result<RowBatch<'_>, EngineError>> + '_ {
+        self.windows(slots, batch_size)
+            .filter_map(move |(_, batch)| match &kernel {
+                None => Some(Ok(batch)),
+                Some(kernel) => match kernel.select(&batch) {
+                    Ok(keep) => batch.retain(keep).map(Ok),
+                    Err(e) => Some(Err(e)),
+                },
+            })
     }
 
     /// A zero-copy batch over explicit live row ids (the index point-read
@@ -662,6 +640,8 @@ impl Table {
         if eq.is_empty() {
             return None;
         }
+        #[cfg(test)]
+        EQUALITY_LOOKUPS.with(|n| n.set(n.get() + 1));
         let try_index = |idx: &TableIndex| -> Option<Vec<u64>> {
             let key: Option<Vec<Value>> = idx
                 .columns
@@ -687,47 +667,29 @@ impl Table {
         None
     }
 
-    /// Ids of the live rows matching a compiled predicate, found through
-    /// chunked vectorized evaluation instead of per-row materialization.
-    /// Powers `UPDATE`/`DELETE` victim selection.
-    pub fn filter_row_ids(
-        &self,
-        batch_size: usize,
-        kernel: &VectorKernel,
-    ) -> Result<Vec<u64>, EngineError> {
-        self.filter_row_ids_range(0..self.data.deleted.len(), batch_size, kernel)
-    }
-
-    /// [`Table::filter_row_ids`] over one physical slot window — the
-    /// morsel-granular form the parallel DML victim scan fans out over.
-    /// Ids come back in slot order, so concatenating per-morsel results
-    /// in morsel order reproduces the serial scan exactly.
+    /// Ids of the live rows of the physical slot window `slots` matching
+    /// a compiled predicate, found through chunked vectorized evaluation
+    /// instead of per-row materialization — the morsel-granular unit the
+    /// `UPDATE`/`DELETE` victim scan fans out over. Ids come back in slot
+    /// order, so concatenating per-morsel results in morsel order
+    /// reproduces one scan of the whole table exactly.
     pub fn filter_row_ids_range(
         &self,
-        slots: std::ops::Range<usize>,
+        slots: Range<usize>,
         batch_size: usize,
         kernel: &VectorKernel,
     ) -> Result<Vec<u64>, EngineError> {
-        let batch_size = batch_size.max(1);
-        let total = slots.end.min(self.data.deleted.len());
-        let clean = self.is_clean();
         let mut out = Vec::new();
-        let mut start = slots.start.min(total);
-        while start < total {
-            let window_start = start;
-            let next = (start + batch_size).min(total);
-            let batch = self.window_batch(start..next, clean);
-            start = next;
-            let Some(batch) = batch else { continue };
+        for (window, batch) in self.windows(slots, batch_size) {
             let keep = kernel.select(&batch)?;
             if keep.is_empty() {
                 continue;
             }
-            if batch.num_rows() == next - window_start {
-                // Clean window: logical row i is physical window_start + i.
-                out.extend(keep.iter().map(|&i| (window_start + i as usize) as u64));
+            if batch.num_rows() == window.len() {
+                // Clean window: logical row i is physical window.start + i.
+                out.extend(keep.iter().map(|&i| (window.start + i as usize) as u64));
             } else {
-                let live: Vec<u64> = (window_start..next)
+                let live: Vec<u64> = window
                     .filter(|&i| !self.data.deleted[i])
                     .map(|i| i as u64)
                     .collect();
@@ -1199,6 +1161,18 @@ mod tests {
         })
     }
 
+    /// Materialize `scan_range(slots)` as rows.
+    fn scan_rows(
+        t: &Table,
+        slots: Range<usize>,
+        batch_size: usize,
+        kernel: Option<Arc<VectorKernel>>,
+    ) -> Vec<Vec<Value>> {
+        t.scan_range(slots, batch_size, kernel)
+            .flat_map(|b| b.unwrap().to_rows())
+            .collect()
+    }
+
     #[test]
     fn filtered_scan_skips_tombstones_and_chunks() {
         let mut t = groups_table();
@@ -1208,14 +1182,10 @@ mod tests {
         for v in (0..100).step_by(3) {
             t.delete(v as u64).unwrap();
         }
-        let kernel = Arc::new(value_gt(1, 50));
-        let mut got = Vec::new();
-        for batch in t.scan_batches_filtered(16, Arc::clone(&kernel)) {
-            let batch = batch.unwrap();
-            for row in 0..batch.num_rows() {
-                got.push(batch.value(1, row).as_integer().unwrap());
-            }
-        }
+        let got: Vec<i64> = scan_rows(&t, 0..t.total_slots(), 16, Some(Arc::new(value_gt(1, 50))))
+            .iter()
+            .map(|row| row[1].as_integer().unwrap())
+            .collect();
         let expected: Vec<i64> = (51..100).filter(|v| v % 3 != 0).collect();
         assert_eq!(got, expected);
     }
@@ -1229,7 +1199,9 @@ mod tests {
         t.delete(4).unwrap();
         t.delete(7).unwrap();
         let kernel = value_gt(1, 2);
-        let ids = t.filter_row_ids(8, &kernel).unwrap();
+        let ids = t
+            .filter_row_ids_range(0..t.total_slots(), 8, &kernel)
+            .unwrap();
         let expected: Vec<u64> = (3..20).filter(|&v| v != 4 && v != 7).collect();
         assert_eq!(ids, expected);
     }
@@ -1258,42 +1230,55 @@ mod tests {
     }
 
     #[test]
-    fn morsel_scan_concat_matches_serial() {
-        let mut t = groups_table();
+    fn scan_range_concat_matches_full_scan() {
+        let mut clean = groups_table();
         for v in 0..137i64 {
-            t.insert(vec![Value::from("g"), Value::Integer(v)]).unwrap();
+            clean
+                .insert(vec![Value::from("g"), Value::Integer(v)])
+                .unwrap();
         }
+        let mut tombstoned = clean.snapshot();
         for v in (0..137).step_by(5) {
-            t.delete(v as u64).unwrap();
+            tombstoned.delete(v as u64).unwrap();
         }
-        // Concatenating morsels (any morsel size) reproduces the serial
-        // scan order, with and without a pushed predicate.
-        for morsel in [1usize, 7, 16, 64, 200] {
-            let cursor = MorselCursor::new(t.total_slots(), morsel);
-            let mut claims = Vec::new();
-            while let Some(c) = cursor.claim() {
-                claims.push(c);
-            }
-            claims.sort_by_key(|(seq, _)| *seq);
-            let mut plain = Vec::new();
-            let mut filtered = Vec::new();
-            let kernel = value_gt(1, 50);
-            for (_, range) in claims {
-                for b in t.scan_morsel(range.clone(), 4, None).unwrap() {
-                    plain.extend(b.to_rows());
+        for (t, live) in [(&clean, 137), (&tombstoned, 137 - 28)] {
+            let total = t.total_slots();
+            for batch_size in [1usize, 7, 1024] {
+                let full = scan_rows(t, 0..total, batch_size, None);
+                assert_eq!(full.len(), live);
+                // The pushed kernel equals filter-after-scan.
+                let kernel = Arc::new(value_gt(1, 50));
+                let full_filtered = scan_rows(t, 0..total, batch_size, Some(Arc::clone(&kernel)));
+                let after: Vec<Vec<Value>> = full
+                    .iter()
+                    .filter(|row| row[1].as_integer().unwrap() > 50)
+                    .cloned()
+                    .collect();
+                assert_eq!(full_filtered, after, "batch={batch_size}");
+                // Consecutive ranges — morsel sizes that divide, split and
+                // exceed the batch window — concatenate to the full scan.
+                for morsel in [1usize, 5, 7, 16, 64, 200] {
+                    let cursor = MorselCursor::new(total, morsel);
+                    let mut plain = Vec::new();
+                    let mut filtered = Vec::new();
+                    while let Some((_, range)) = cursor.claim() {
+                        plain.extend(scan_rows(t, range.clone(), batch_size, None));
+                        filtered.extend(scan_rows(t, range, batch_size, Some(Arc::clone(&kernel))));
+                    }
+                    assert_eq!(plain, full, "morsel={morsel} batch={batch_size}");
+                    assert_eq!(
+                        filtered, full_filtered,
+                        "morsel={morsel} batch={batch_size}"
+                    );
                 }
-                for b in t.scan_morsel(range, 4, Some(&kernel)).unwrap() {
-                    filtered.extend(b.to_rows());
-                }
+                // Past the end: clamped, then empty.
+                assert_eq!(
+                    scan_rows(t, total - 3..total + 50, batch_size, None),
+                    scan_rows(t, total - 3..total, batch_size, None)
+                );
+                assert!(scan_rows(t, total..total + 10, batch_size, None).is_empty());
+                assert!(scan_rows(t, total + 5..total + 10, batch_size, None).is_empty());
             }
-            let serial: Vec<Vec<Value>> = t.scan_batches(4).flat_map(|b| b.to_rows()).collect();
-            assert_eq!(plain, serial, "morsel={morsel}");
-            let serial_filtered: Vec<Vec<Value>> = t
-                .scan_batches_filtered(4, Arc::new(value_gt(1, 50)))
-                .map(|b| b.unwrap().to_rows())
-                .collect::<Vec<_>>()
-                .concat();
-            assert_eq!(filtered, serial_filtered, "morsel={morsel}");
         }
     }
 

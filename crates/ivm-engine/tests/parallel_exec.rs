@@ -70,24 +70,116 @@ fn load(db: &mut Database, n: usize, with_tombstones: bool) {
     }
 }
 
-fn assert_equivalent(n: usize, with_tombstones: bool, morsel: usize, batch: usize) {
+/// Load a database per worker count with `load` and require every query
+/// to return the serial rows, in the serial order, at 2 and 4 workers.
+/// `morsel` pins the morsel size; `None` leaves it adaptive.
+fn assert_equivalent_on(
+    load: &dyn Fn(&mut Database),
+    queries: &[&str],
+    morsel: Option<usize>,
+    batch: usize,
+    what: &str,
+) {
     let mut serial = Database::with_batch_size(batch);
     serial.set_parallelism(1);
-    load(&mut serial, n, with_tombstones);
+    load(&mut serial);
     for workers in [2usize, 4] {
         let mut par = Database::with_batch_size(batch);
         par.set_parallelism(workers);
-        par.set_morsel_size(morsel);
-        load(&mut par, n, with_tombstones);
-        for q in queries() {
+        if let Some(morsel) = morsel {
+            par.set_morsel_size(morsel);
+        }
+        load(&mut par);
+        for q in queries {
             let a = serial.query(q).unwrap();
             let b = par.query(q).unwrap();
             assert_eq!(
                 a.rows, b.rows,
-                "parallel({workers}, morsel={morsel}) diverges from serial \
-                 on {q} (n={n}, tombstones={with_tombstones})"
+                "parallel({workers}, morsel={morsel:?}, batch={batch}) diverges from serial \
+                 on {q} ({what})"
             );
             assert_eq!(a.columns, b.columns, "column names diverge on {q}");
+        }
+    }
+}
+
+fn assert_equivalent(n: usize, with_tombstones: bool, morsel: usize, batch: usize) {
+    assert_equivalent_on(
+        &|db| load(db, n, with_tombstones),
+        &queries(),
+        Some(morsel),
+        batch,
+        &format!("n={n}, tombstones={with_tombstones}"),
+    );
+}
+
+/// `p` (8 000 rows) probes `b` (6 000 rows — above the 4 096-row
+/// threshold at which the build side is radix-partitioned and built by
+/// the workers). `b.k` repeats each key four times and is NULL every 97th
+/// row; a quarter of `p.k` matches nothing and every 89th is NULL. With
+/// `wide_key`, one `b.k` (and one `p.k`) is `(1 << 53) + 1`, which the
+/// typed key arena cannot represent: the whole build side then compares
+/// through the `Vec<Value>` row fallback. `d` is a small second build
+/// side matching five of the seven `b.g`.
+fn load_big_build(db: &mut Database, wide_key: bool) {
+    const WIDE: i64 = (1 << 53) + 1;
+    db.execute("CREATE TABLE p (k INTEGER, v INTEGER)").unwrap();
+    db.execute("CREATE TABLE b (k INTEGER, v INTEGER, g INTEGER)")
+        .unwrap();
+    db.execute("CREATE TABLE d (id INTEGER, name VARCHAR)")
+        .unwrap();
+    let key = |i: usize, nulls: usize, modulo: usize, wide_at: usize| {
+        if wide_key && i == wide_at {
+            WIDE.to_string()
+        } else if i.is_multiple_of(nulls) {
+            "NULL".to_string()
+        } else {
+            (i * 7 % modulo).to_string()
+        }
+    };
+    let p: Vec<String> = (0..8000)
+        .map(|i| format!("({}, {i})", key(i, 89, 2000, 4321)))
+        .collect();
+    db.execute(&format!("INSERT INTO p VALUES {}", p.join(", ")))
+        .unwrap();
+    let b: Vec<String> = (0..6000)
+        .map(|i| format!("({}, {}, {})", key(i, 97, 1500, 5005), i * 10, i % 7))
+        .collect();
+    db.execute(&format!("INSERT INTO b VALUES {}", b.join(", ")))
+        .unwrap();
+    for id in 0..5 {
+        db.execute(&format!("INSERT INTO d VALUES ({id}, 'd{id}')"))
+            .unwrap();
+    }
+}
+
+#[test]
+fn big_build_sides_match_serial() {
+    let queries = [
+        "SELECT p.v, b.v FROM p JOIN b ON p.k = b.k",
+        "SELECT p.v, b.v FROM p JOIN b ON p.k = b.k AND p.v * 10 > b.v",
+        "SELECT p.v, b.v FROM p LEFT JOIN b ON p.k = b.k",
+        "SELECT p.v, b.v FROM p LEFT JOIN b ON p.k = b.k AND p.v * 10 > b.v",
+        "SELECT p.v, b.v FROM p FULL JOIN b ON p.k = b.k",
+        "SELECT p.v, b.v FROM p FULL JOIN b ON p.k = b.k AND p.v * 10 > b.v",
+        // The FULL OUTER tail must flow through the LEFT probe above it —
+        // and through a fold, as one more partial.
+        "SELECT p.v, b.v, d.name FROM p FULL JOIN b ON p.k = b.k \
+         LEFT JOIN d ON b.g = d.id",
+        "SELECT d.name, COUNT(*) AS c, SUM(b.v) AS s FROM p FULL JOIN b ON p.k = b.k \
+         LEFT JOIN d ON b.g = d.id GROUP BY d.name",
+    ];
+    for wide_key in [false, true] {
+        for morsel in [Some(32), None] {
+            for batch in [7usize, 1024] {
+                assert_equivalent_on(
+                    &|db| load_big_build(db, wide_key),
+                    &queries,
+                    morsel,
+                    batch,
+                    &format!("6000-row build side, wide_key={wide_key}"),
+                );
+            }
         }
     }
 }
@@ -170,18 +262,40 @@ fn runtime_errors_are_deterministic() {
 
 #[test]
 fn index_point_reads_stay_on_the_serial_path() {
-    let mut par = Database::new();
-    par.set_parallelism(4);
-    par.set_morsel_size(64);
-    par.execute("CREATE TABLE k (id INTEGER PRIMARY KEY, v INTEGER)")
-        .unwrap();
-    let values: Vec<String> = (0..1000).map(|i| format!("({i}, {})", i * 3)).collect();
-    par.execute(&format!("INSERT INTO k VALUES {}", values.join(", ")))
-        .unwrap();
-    let r = par.query("SELECT v FROM k WHERE id = 837").unwrap();
-    assert_eq!(r.rows, vec![vec![Value::Integer(837 * 3)]]);
-    let r = par.query("SELECT v FROM k WHERE id = 5000").unwrap();
-    assert!(r.rows.is_empty());
+    // A table spanning many morsels; `id` is the primary key, `u` carries
+    // a unique secondary index. (That each read does exactly one index
+    // lookup is pinned by the unit test beside the executor.)
+    let point_reads = |workers: usize| {
+        let mut db = Database::new();
+        db.set_parallelism(workers);
+        db.set_morsel_size(64);
+        db.execute("CREATE TABLE k (id INTEGER PRIMARY KEY, u INTEGER, v INTEGER)")
+            .unwrap();
+        let values: Vec<String> = (0..1000)
+            .map(|i| format!("({i}, {}, {})", i + 10_000, i * 3))
+            .collect();
+        db.execute(&format!("INSERT INTO k VALUES {}", values.join(", ")))
+            .unwrap();
+        db.execute("CREATE UNIQUE INDEX k_u ON k (u)").unwrap();
+        [
+            "SELECT v FROM k WHERE id = 837",
+            "SELECT v FROM k WHERE id = 5000",
+            "SELECT id, v FROM k WHERE u = 10837",
+            "SELECT COUNT(*), SUM(v) FROM k WHERE id = 837",
+        ]
+        .map(|q| db.query(q).unwrap().rows)
+    };
+    let serial = point_reads(1);
+    assert_eq!(serial[0], vec![vec![Value::Integer(837 * 3)]], "PK hit");
+    assert!(serial[1].is_empty(), "PK miss");
+    assert_eq!(
+        serial[2],
+        vec![vec![Value::Integer(837), Value::Integer(837 * 3)]],
+        "unique-secondary hit"
+    );
+    for workers in [2usize, 4] {
+        assert_eq!(point_reads(workers), serial, "{workers} workers");
+    }
 }
 
 #[test]

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 use openivm::ivm_core::{
     Dialect, IndexCreation, IvmCompiler, IvmFlags, IvmSession, PropagationMode, UpsertStrategy,
 };
-use openivm::ivm_engine::{Database, SnapshotHub};
+use openivm::ivm_engine::{Database, SnapshotHub, Value};
 
 fn main() -> ExitCode {
     match run(std::env::args().skip(1).collect()) {
@@ -138,11 +138,30 @@ fn run(args: Vec<String>) -> Result<String, String> {
 }
 
 /// Line-protocol SQL server. One statement per line; the reply is zero or
-/// more `ROW\t<v1>\t<v2>…` lines followed by `OK <count>`, or one
-/// `ERR <message>` line. `SELECT`s run on a per-connection
+/// more `ROW\t<v1>\t<v2>…` lines (values escaped by [`write_wire_value`])
+/// followed by `OK <count>`, or one `ERR <message>` line. `SELECT`s run on a per-connection
 /// [`ivm_engine::ReadSession`] pinned to the latest committed snapshot;
 /// everything else serializes through the single writer session, which
 /// republishes the snapshot when the statement completes.
+/// Write one value of a `ROW` line. The four bytes the framing gives
+/// meaning to — tab, newline, carriage return, and the backslash that
+/// escapes them — go out as `\t`, `\n`, `\r`, `\\`; every other value is
+/// its `Display` text, byte for byte.
+fn write_wire_value(out: &mut impl Write, value: &Value) -> std::io::Result<()> {
+    match value {
+        Value::Varchar(text) if text.contains(['\t', '\n', '\r', '\\']) => {
+            text.chars().try_for_each(|c| match c {
+                '\t' => out.write_all(b"\\t"),
+                '\n' => out.write_all(b"\\n"),
+                '\r' => out.write_all(b"\\r"),
+                '\\' => out.write_all(b"\\\\"),
+                c => write!(out, "{c}"),
+            })
+        }
+        _ => write!(out, "{value}"),
+    }
+}
+
 fn serve(
     addr: &str,
     schema: Option<&str>,
@@ -238,7 +257,8 @@ fn handle_client(
                 for row in &res.rows {
                     out.write_all(b"ROW")?;
                     for value in row {
-                        write!(out, "\t{value}")?;
+                        out.write_all(b"\t")?;
+                        write_wire_value(&mut out, value)?;
                     }
                     out.write_all(b"\n")?;
                 }

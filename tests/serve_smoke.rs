@@ -23,9 +23,14 @@ impl Drop for Server {
 }
 
 fn start_server() -> (Server, String) {
+    // `framing` holds the four bytes the wire protocol escapes; a line
+    // protocol cannot carry a raw LF or CR inside a statement, so the row
+    // is inserted here.
     let schema = "CREATE TABLE t (g VARCHAR, v INTEGER); \
                   CREATE MATERIALIZED VIEW mv AS \
-                  SELECT g, COUNT(*) AS c, SUM(v) AS s FROM t GROUP BY g";
+                  SELECT g, COUNT(*) AS c, SUM(v) AS s FROM t GROUP BY g; \
+                  CREATE TABLE framing (x VARCHAR, y INTEGER); \
+                  INSERT INTO framing VALUES ('a\tb\nc\\d\re', 7)";
     let mut child = Command::new(env!("CARGO_BIN_EXE_openivm"))
         .args(["--serve", "127.0.0.1:0", "--schema", schema])
         .stdout(Stdio::piped())
@@ -136,4 +141,40 @@ fn four_clients_hundred_queries_during_active_refresh() {
         let (rows, n) = roundtrip(&mut input, &mut out, "SHUTDOWN");
         assert!(rows.is_empty() && n == 0, "unexpected shutdown reply");
     });
+}
+
+/// Undo the wire escaping of one `ROW` field.
+fn unescape(field: &str) -> String {
+    let mut out = String::new();
+    let mut chars = field.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next().expect("dangling backslash") {
+                't' => '\t',
+                'n' => '\n',
+                'r' => '\r',
+                '\\' => '\\',
+                other => panic!("unknown escape \\{other}"),
+            },
+            c => c,
+        });
+    }
+    out
+}
+
+#[test]
+fn framing_bytes_in_values_round_trip() {
+    let (_server, addr) = start_server();
+    let (mut input, mut out) = connect(&addr);
+    // One row comes back as one ROW line of two fields, however many
+    // tabs and line breaks the value holds.
+    let (rows, n) = roundtrip(&mut input, &mut out, "SELECT x, y FROM framing");
+    assert_eq!((rows.len(), n), (1, 1), "torn frame: {rows:?}");
+    let fields: Vec<&str> = rows[0].split('\t').collect();
+    assert_eq!(fields, vec!["a\\tb\\nc\\\\d\\re", "7"]);
+    assert_eq!(unescape(fields[0]), "a\tb\nc\\d\re");
+    // Values without those bytes frame exactly as before.
+    let (rows, _) = roundtrip(&mut input, &mut out, "SELECT 'plain', y FROM framing");
+    assert_eq!(rows, vec!["plain\t7".to_string()]);
+    roundtrip(&mut input, &mut out, "SHUTDOWN");
 }
