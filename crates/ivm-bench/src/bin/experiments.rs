@@ -79,15 +79,12 @@ fn ehash_json(rows: &[EHashRow]) -> String {
         .map(|r| {
             format!(
                 "  {{\"variant\": \"{}\", \"fact_rows\": {}, \"out_rows\": {}, \
-                 \"join_group_ns\": {}, \"distinct_ns\": {}, \
-                 \"typed_rows\": {}, \"fallback_rows\": {}}}",
+                 \"join_group_ns\": {}, \"distinct_ns\": {}}}",
                 r.variant,
                 r.fact_rows,
                 r.out_rows,
                 r.join_group.as_nanos(),
-                r.distinct.as_nanos(),
-                r.typed_rows,
-                r.fallback_rows
+                r.distinct.as_nanos()
             )
         })
         .collect();
@@ -237,15 +234,7 @@ fn print_edurable(rows: &[EDurableRow]) {
 }
 
 fn print_ehash(rows: &[EHashRow]) {
-    let mut report = Report::new(&[
-        "variant",
-        "fact rows",
-        "out rows",
-        "join+group",
-        "distinct",
-        "typed rows",
-        "fallback rows",
-    ]);
+    let mut report = Report::new(&["variant", "fact rows", "out rows", "join+group", "distinct"]);
     for r in rows {
         report.row(&[
             r.variant.to_string(),
@@ -253,8 +242,6 @@ fn print_ehash(rows: &[EHashRow]) {
             r.out_rows.to_string(),
             fmt_duration(r.join_group),
             fmt_duration(r.distinct),
-            r.typed_rows.to_string(),
-            r.fallback_rows.to_string(),
         ]);
     }
     println!("{}", report.render());

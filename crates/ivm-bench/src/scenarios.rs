@@ -594,13 +594,6 @@ pub struct EHashRow {
     pub join_group: Duration,
     /// `SELECT DISTINCT` over the fact join keys.
     pub distinct: Duration,
-    /// Rows that took the typed columnar key path across the cell's
-    /// queries (`ivm_engine::typed_path_stats`).
-    pub typed_rows: u64,
-    /// Rows that fell back to `Vec<Value>` key compares. Integer-keyed
-    /// workloads like this one must report 0 — a non-zero value means
-    /// the typed path silently disengaged.
-    pub fallback_rows: u64,
 }
 
 /// The E-hash query: a wide multi-join (two dimension tables) feeding a
@@ -665,7 +658,6 @@ pub fn ehash_hash_operators(fact_sizes: &[usize]) -> Vec<EHashRow> {
                     }
                 }
             }
-            ivm_engine::reset_typed_path_stats();
             let mut join_group = Duration::MAX;
             let mut out_rows = 0;
             for _ in 0..3 {
@@ -680,15 +672,12 @@ pub fn ehash_hash_operators(fact_sizes: &[usize]) -> Vec<EHashRow> {
                 std::hint::black_box(r.rows.len());
                 distinct = distinct.min(d);
             }
-            let (typed_rows, fallback_rows) = ivm_engine::typed_path_stats();
             out.push(EHashRow {
                 variant,
                 fact_rows: n,
                 out_rows,
                 join_group,
                 distinct,
-                typed_rows,
-                fallback_rows,
             });
         }
     }

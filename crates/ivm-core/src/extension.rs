@@ -910,7 +910,7 @@ impl IvmSession {
             .db
             .execute(&view_sql)
             .map_err(|e| IvmError::Engine(e.to_string()))?;
-        Ok(as_multiset(&maintained.rows) == as_multiset(&recomputed.rows))
+        Ok(rows_equal_as_multisets(&maintained.rows, &recomputed.rows))
     }
 }
 
@@ -1061,23 +1061,18 @@ impl MirrorIndex {
     }
 }
 
-fn as_multiset(rows: &[Vec<Value>]) -> HashMap<Vec<Value>, usize> {
-    let mut m = HashMap::new();
-    for r in rows {
-        *m.entry(normalize_row(r)).or_insert(0) += 1;
-    }
-    m
-}
-
-/// Normalize numeric values so INTEGER 3 and DOUBLE 3.0 compare equal (the
+/// Compare two row sets as multisets under `Value`'s grouping equality —
+/// the consistency oracle (`INTEGER 3` and `DOUBLE 3.0` are one value: the
 /// maintained view may widen types through arithmetic).
-fn normalize_row(row: &[Value]) -> Vec<Value> {
-    row.iter()
-        .map(|v| match v {
-            Value::Integer(i) => Value::Double(*i as f64),
-            other => other.clone(),
-        })
-        .collect()
+pub fn rows_equal_as_multisets(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
+    fn counts(rows: &[Vec<Value>]) -> HashMap<&[Value], usize> {
+        let mut m = HashMap::new();
+        for r in rows {
+            *m.entry(r.as_slice()).or_insert(0) += 1;
+        }
+        m
+    }
+    counts(a) == counts(b)
 }
 
 /// `SELECT <cols or assignment exprs>, <mult> FROM table [WHERE …]`.

@@ -51,6 +51,6 @@ pub use analyze::{analyze_view, ViewAnalysis, ViewClass};
 pub use compiler::{IvmArtifacts, IvmCompiler};
 pub use duckast::{DuckAst, SelectFrame};
 pub use error::IvmError;
-pub use extension::{IvmSession, RegisteredView, SessionStats};
+pub use extension::{rows_equal_as_multisets, IvmSession, RegisteredView, SessionStats};
 pub use flags::{Dialect, IndexCreation, IvmFlags, PropagationMode, UpsertStrategy};
 pub use propagation::{PropagationScript, PropagationStep};

@@ -62,6 +62,29 @@ fn listing_1_sum_view_all_strategies() {
             "initial {strategy:?}"
         );
         drive(&mut ivm, "query_groups");
+
+        // The same invariant over group keys beyond ±2^53: 2^53 and
+        // 2^53 + 1 share an f64 image and are still two groups.
+        ivm.execute("CREATE TABLE wide (k INTEGER, v INTEGER)")
+            .unwrap();
+        ivm.execute(
+            "CREATE MATERIALIZED VIEW wide_sums AS \
+             SELECT k, SUM(v) AS s, COUNT(*) AS n FROM wide GROUP BY k",
+        )
+        .unwrap();
+        for dml in [
+            "INSERT INTO wide VALUES (9007199254740992, 1), (9007199254740993, 2)",
+            "INSERT INTO wide VALUES (9007199254740992, 3), (9007199254740993, 4)",
+            "DELETE FROM wide WHERE k = 9007199254740993 AND v = 2",
+        ] {
+            ivm.execute(dml).unwrap();
+            assert!(
+                ivm.check_consistency("wide_sums").unwrap(),
+                "{strategy:?} inconsistent after: {dml}"
+            );
+            let groups = ivm.query_view("wide_sums").unwrap().rows.len();
+            assert_eq!(groups, 2, "{strategy:?} after: {dml}");
+        }
     }
 }
 

@@ -23,7 +23,7 @@ use crate::exec::spill::{
     for_each_fitting_group, spill_batches, MemoryBudget, MergeEmit, OutputRuns, PartitionGroups,
     PartitionedSpiller, SpillHash,
 };
-use crate::exec::typed::{note_fallback_rows, note_typed_rows, EncodedChunk, TupleStore};
+use crate::exec::typed::{EncodedChunk, KeyArena};
 use crate::exec::{BatchBuilder, BoxedOperator, Operator, Row};
 use crate::expr::{AggExpr, AggFunc, BoundExpr, EvalChunk, VectorKernel};
 use crate::planner::physical::AggMode;
@@ -461,21 +461,18 @@ impl GroupState {
 /// The grouped accumulator store: a flat open-addressing index
 /// ([`FlatTable`]) over arena-stored group keys, states, and hashes.
 /// Group keys live in a typed key arena (packed `(tag, word)` columns —
-/// see [`crate::exec::typed`]) while representable, so a group lookup is
-/// a branch-free word compare; an unrepresentable key (integer beyond
-/// ±2^53) demotes the store losslessly to `Vec<Value>` keys. Arena order
-/// *is* first-seen order, so draining the arenas reproduces the serial
-/// output order with no separate `order` vector; stored per-group hashes
-/// make morsel merges reuse the fold-time hash (a group key is hashed
-/// once per operator, never re-hashed at merge).
+/// see [`crate::exec::typed`]), so a group lookup is a branch-free word
+/// compare. Arena order *is* first-seen order, so draining the arenas
+/// reproduces the serial output order with no separate `order` vector;
+/// stored per-group hashes make morsel merges reuse the fold-time hash (a
+/// group key is hashed once per operator, never re-hashed at merge).
 #[derive(Debug, Default)]
 pub(crate) struct GroupTable {
     table: FlatTable,
-    keys: TupleStore,
+    keys: KeyArena,
     hashes: Vec<u64>,
     states: Vec<GroupState>,
     scratch: EncodedChunk,
-    hint: usize,
 }
 
 impl GroupTable {
@@ -489,11 +486,10 @@ impl GroupTable {
     pub(crate) fn with_capacity(hint: usize) -> GroupTable {
         GroupTable {
             table: FlatTable::with_capacity(hint),
-            keys: TupleStore::Empty,
+            keys: KeyArena::with_hint(hint),
             hashes: Vec::with_capacity(hint),
             states: Vec::with_capacity(hint),
             scratch: EncodedChunk::new(),
-            hint,
         }
     }
 
@@ -502,147 +498,43 @@ impl GroupTable {
         self.states.len()
     }
 
-    /// Encode one batch's evaluated key columns into the typed scratch
+    /// Encode the key columns `cols` of one batch into the typed scratch
     /// chunk *and* hash them — one fused pass per batch, each key value
     /// enum-dispatched exactly once (bit-identical to
     /// [`hash_key_columns`]) — before the per-row
     /// [`group_index`](GroupTable::group_index) loop. Returns the per-row
     /// key hashes.
-    fn begin_chunk(&mut self, key_cols: &[Vec<Value>], rows: usize) -> Vec<u64> {
-        self.keys.ensure_width(key_cols.len());
-        if let TupleStore::Typed(arena) = &mut self.keys {
-            if arena.is_empty() && self.hint > 0 {
-                arena.reserve(self.hint);
-                self.hint = 0;
-            }
-            let hashes = arena.encode_chunk_hashed(&mut self.scratch, rows, |r, c| &key_cols[c][r]);
-            note_typed_rows((rows - self.scratch.bad_rows()) as u64);
-            note_fallback_rows(self.scratch.bad_rows() as u64);
-            hashes
-        } else {
-            note_fallback_rows(rows as u64);
-            hash_key_columns(key_cols, rows)
-        }
+    fn begin_chunk(&mut self, batch: &RowBatch<'_>, cols: &[usize]) -> Vec<u64> {
+        self.keys.encode_batch(&mut self.scratch, batch, cols)
     }
 
-    /// Resolve the store for `width`-column keys and report whether it is
-    /// typed — the precondition for
-    /// [`begin_chunk_columns`](GroupTable::begin_chunk_columns).
-    fn typed_ready(&mut self, width: usize) -> bool {
-        self.keys.ensure_width(width);
-        matches!(self.keys, TupleStore::Typed(_))
-    }
-
-    /// [`begin_chunk`](GroupTable::begin_chunk) for bare-column group
-    /// keys: encodes and hashes straight off the batch's columns, never
-    /// materializing the keys as `Vec<Value>`. Caller must have checked
-    /// [`typed_ready`](GroupTable::typed_ready).
-    fn begin_chunk_columns(&mut self, batch: &RowBatch<'_>, cols: &[usize]) -> Vec<u64> {
-        let rows = batch.num_rows();
-        let TupleStore::Typed(arena) = &mut self.keys else {
-            unreachable!("typed_ready checked before begin_chunk_columns")
-        };
-        if arena.is_empty() && self.hint > 0 {
-            arena.reserve(self.hint);
-            self.hint = 0;
+    /// The group index for row `r` of the chunk last passed to
+    /// [`begin_chunk`](GroupTable::begin_chunk), creating a fresh state
+    /// (first-seen append) when new.
+    fn group_index(&mut self, hash: u64, r: usize, spec: &AggSpec) -> usize {
+        let (keys, scratch) = (&self.keys, &self.scratch);
+        if let Some(g) = self
+            .table
+            .find(hash, |g| keys.eq_chunk(g as usize, scratch, r))
+        {
+            return g as usize;
         }
-        let hashes = arena.encode_batch_hashed(&mut self.scratch, batch, cols);
-        note_typed_rows((rows - self.scratch.bad_rows()) as u64);
-        note_fallback_rows(self.scratch.bad_rows() as u64);
-        hashes
-    }
-
-    /// The group index for the key at row `r` of the evaluated key
-    /// columns, creating a fresh state (first-seen append) when new.
-    /// Requires a [`begin_chunk`](GroupTable::begin_chunk) call for this
-    /// batch.
-    fn group_index(
-        &mut self,
-        hash: u64,
-        key_cols: &[Vec<Value>],
-        r: usize,
-        spec: &AggSpec,
-    ) -> usize {
-        if matches!(self.keys, TupleStore::Typed(_)) && !self.scratch.ok(r) {
-            self.keys.demote();
-        }
-        match &mut self.keys {
-            TupleStore::Typed(arena) => {
-                let (table, scratch) = (&self.table, &self.scratch);
-                match table.find(hash, |g| arena.eq_chunk(g as usize, scratch, r)) {
-                    Some(g) => g as usize,
-                    None => {
-                        let g = arena.push_from_chunk(scratch, r);
-                        self.hashes.push(hash);
-                        self.states.push(spec.new_state());
-                        self.table.insert(hash, g);
-                        g as usize
-                    }
-                }
-            }
-            TupleStore::Rows(keys) => {
-                let found = self.table.find(hash, |g| {
-                    let key = &keys[g as usize];
-                    key_cols.iter().zip(key).all(|(c, kv)| &c[r] == kv)
-                });
-                match found {
-                    Some(g) => g as usize,
-                    None => {
-                        let g = keys.len();
-                        keys.push(key_cols.iter().map(|c| c[r].clone()).collect());
-                        self.hashes.push(hash);
-                        self.states.push(spec.new_state());
-                        self.table.insert(hash, g as u32);
-                        g
-                    }
-                }
-            }
-            TupleStore::Empty => unreachable!("begin_chunk resolves the store"),
-        }
+        let g = self.keys.push_from_chunk(&self.scratch, r);
+        self.hashes.push(hash);
+        self.states.push(spec.new_state());
+        self.table.insert(hash, g);
+        g as usize
     }
 
     /// The state for an already-materialized key (morsel merges),
     /// creating a fresh state when new. Uses the key's stored fold-time
     /// hash.
     fn merge_index(&mut self, hash: u64, key: &[Value], spec: &AggSpec) -> usize {
-        self.keys.ensure_width(key.len());
-        let mut demote = false;
-        if let TupleStore::Typed(arena) = &mut self.keys {
-            // No batch fold is in flight during a merge, so the chunk
-            // scratch is free for the single-key encode.
-            arena.encode_chunk(&mut self.scratch, 1, |_, c| &key[c]);
-            if self.scratch.ok(0) {
-                let (table, scratch) = (&self.table, &self.scratch);
-                if let Some(g) = table.find(hash, |g| arena.eq_chunk(g as usize, scratch, 0)) {
-                    return g as usize;
-                }
-                let g = arena.push_from_chunk(scratch, 0);
-                self.hashes.push(hash);
-                self.states.push(spec.new_state());
-                self.table.insert(hash, g);
-                return g as usize;
-            }
-            demote = true;
-        }
-        if demote {
-            self.keys.demote();
-        }
-        let keys = match &mut self.keys {
-            TupleStore::Rows(keys) => keys,
-            _ => unreachable!(),
-        };
-        let found = self.table.find(hash, |g| keys[g as usize] == key);
-        match found {
-            Some(g) => g as usize,
-            None => {
-                let g = keys.len();
-                keys.push(key.to_vec());
-                self.hashes.push(hash);
-                self.states.push(spec.new_state());
-                self.table.insert(hash, g as u32);
-                g
-            }
-        }
+        // No batch fold is in flight during a merge, so the chunk scratch
+        // is free for the single-key encode.
+        self.keys
+            .encode_chunk(&mut self.scratch, key.len(), 1, |_, c| &key[c]);
+        self.group_index(hash, 0, spec)
     }
 
     /// Merge `later` (per-morsel partial groups over rows *after* every
@@ -656,20 +548,19 @@ impl GroupTable {
     ) -> Result<(), EngineError> {
         let keys = later.keys;
         for ((g, hash), state) in (0usize..).zip(later.hashes).zip(later.states) {
-            let key = keys.row(g);
-            let idx = self.merge_index(hash, &key, spec);
+            let idx = self.merge_index(hash, &keys.decode_row(g), spec);
             self.states[idx].merge(state)?;
         }
         Ok(())
     }
 
-    /// Drain into `(key, state)` pairs in first-seen group order.
+    /// Drain into `(key, state)` pairs in first-seen group order. All keys
+    /// decode before the first pair is handed out: their text ends up
+    /// stored in the consumer's result table, and decoding it in one run
+    /// keeps it contiguous on the heap instead of interleaved with the
+    /// consumer's per-row temporaries.
     pub(crate) fn into_ordered(self) -> impl Iterator<Item = (Vec<Value>, GroupState)> {
-        let keys = match self.keys {
-            TupleStore::Empty => Vec::new(),
-            TupleStore::Typed(arena) => arena.decode_all(),
-            TupleStore::Rows(keys) => keys,
-        };
+        let keys: Vec<Row> = (0..self.len()).map(|g| self.keys.decode_row(g)).collect();
         keys.into_iter().zip(self.states)
     }
 
@@ -686,56 +577,25 @@ impl GroupTable {
             return out;
         }
         let agg_width = self.states[0].accs.len();
+        let kw = self.keys.width();
         let step = batch_size.max(1);
         let mut states = self.states.into_iter();
-        let mut emit = |cols: Vec<Vec<Value>>| out.push_back(RowBatch::from_columns(cols));
-        match self.keys {
-            TupleStore::Typed(arena) => {
-                let kw = arena.width();
-                let mut start = 0usize;
-                while start < n {
-                    let end = (start + step).min(n);
-                    let mut cols: Vec<Vec<Value>> = (0..kw + agg_width)
-                        .map(|_| Vec::with_capacity(end - start))
-                        .collect();
-                    for (c, col) in cols.iter_mut().enumerate().take(kw) {
-                        for g in start..end {
-                            col.push(arena.value_at(g, c));
-                        }
-                    }
-                    for state in states.by_ref().take(end - start) {
-                        for (j, acc) in state.accs.into_iter().enumerate() {
-                            cols[kw + j].push(acc.finish());
-                        }
-                    }
-                    emit(cols);
-                    start = end;
+        for start in (0..n).step_by(step) {
+            let end = (start + step).min(n);
+            let mut cols: Vec<Vec<Value>> = (0..kw + agg_width)
+                .map(|_| Vec::with_capacity(end - start))
+                .collect();
+            for (c, col) in cols.iter_mut().enumerate().take(kw) {
+                for g in start..end {
+                    col.push(self.keys.value_at(g, c));
                 }
             }
-            TupleStore::Rows(keys) => {
-                let kw = keys.first().map_or(0, Vec::len);
-                let mut keys = keys.into_iter();
-                let mut start = 0usize;
-                while start < n {
-                    let end = (start + step).min(n);
-                    let mut cols: Vec<Vec<Value>> = (0..kw + agg_width)
-                        .map(|_| Vec::with_capacity(end - start))
-                        .collect();
-                    for (key, state) in keys.by_ref().zip(states.by_ref()).take(end - start) {
-                        for (c, v) in key.into_iter().enumerate() {
-                            cols[c].push(v);
-                        }
-                        for (j, acc) in state.accs.into_iter().enumerate() {
-                            cols[kw + j].push(acc.finish());
-                        }
-                    }
-                    emit(cols);
-                    start = end;
+            for state in states.by_ref().take(end - start) {
+                for (j, acc) in state.accs.into_iter().enumerate() {
+                    cols[kw + j].push(acc.finish());
                 }
             }
-            // Grouped folds resolve the store on first batch; states are
-            // only non-empty once that happened.
-            TupleStore::Empty => unreachable!("groups exist without a key store"),
+            out.push_back(RowBatch::from_columns(cols));
         }
         out
     }
@@ -928,47 +788,28 @@ impl AggSpec {
         groups: &mut GroupTable,
         mut on_new_group: impl FnMut(usize),
     ) -> Result<(), EngineError> {
-        let rows = batch.num_rows();
-        // Bare-column keys encode and hash straight off the batch columns
-        // while the store is typed; the keys only materialize as
-        // `Vec<Value>` when the row-based path can actually observe them.
+        // Bare-column keys encode and hash straight off the batch columns;
+        // computed keys are evaluated into a batch of their own first.
         let bare = self
             .bare_group_cols
             .as_deref()
             .filter(|cols| cols.iter().all(|&c| c < batch.width()));
-        let mut key_cols: Vec<Vec<Value>> = Vec::new();
         let hashes = match bare {
-            Some(cols) if groups.typed_ready(cols.len()) => {
-                let hashes = groups.begin_chunk_columns(batch, cols);
-                if !groups.scratch.all_ok() {
-                    // Unrepresentable keys in this batch demote the store
-                    // mid-fold, which needs materialized key values.
-                    key_cols = cols
-                        .iter()
-                        .map(|&c| {
-                            let mut out = Vec::with_capacity(rows);
-                            batch.column(c).for_each_value(rows, |_, v| {
-                                out.push(v.clone());
-                            });
-                            out
-                        })
-                        .collect();
-                }
-                hashes
-            }
-            _ => {
-                key_cols = self
+            Some(cols) => groups.begin_chunk(batch, cols),
+            None => {
+                let key_cols: Vec<Vec<Value>> = self
                     .group_kernels
                     .iter()
                     .map(|k| k.eval_column(batch))
                     .collect::<Result<_, _>>()?;
-                groups.begin_chunk(&key_cols, rows)
+                let cols: Vec<usize> = (0..key_cols.len()).collect();
+                groups.begin_chunk(&RowBatch::from_columns(key_cols), &cols)
             }
         };
         let arg_cols = self.arg_chunks(batch)?;
         for (r, &hash) in hashes.iter().enumerate() {
             let before = groups.len();
-            let g = groups.group_index(hash, &key_cols, r, self);
+            let g = groups.group_index(hash, r, self);
             if groups.len() > before {
                 on_new_group(r);
             }

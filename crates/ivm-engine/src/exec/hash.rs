@@ -33,16 +33,16 @@
 //! Hashes are consistent with the *grouping* equality of
 //! [`Value`](crate::value::Value): `NULL` hashes to a constant (groups
 //! with `NULL`), and numerically-equal `INTEGER`/`DOUBLE` values hash the
-//! same (both hash their `f64` bits), mirroring `Value::hash`. The bit
+//! same (both hash their [`Value::num_key`] word). The bit
 //! layout is partitioned so the parallel radix partitioner can reuse one
 //! hash column: **partition bits are the high bits** (`hash >>
 //! part_shift`), the **table index is the low bits** (`hash & mask`), and
 //! the tag byte comes from the middle bits — no second hash anywhere.
 
 use crate::exec::batch::RowBatch;
-use crate::exec::typed::{note_fallback_rows, note_typed_rows, EncodedChunk, TupleStore};
+use crate::exec::typed::{EncodedChunk, KeyArena};
 use crate::exec::Row;
-use crate::value::Value;
+use crate::value::{NumKey, Value};
 
 /// Seed every row hash starts from (also the hash of a zero-column row).
 /// `pub(crate)` so the fused typed kernels ([`crate::exec::typed`]) start
@@ -54,11 +54,12 @@ pub(crate) const NULL_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Per-type salts keeping differently-typed values apart (numerics share
 /// one salt so `INTEGER 3` and `DOUBLE 3.0` hash identically, matching
-/// grouping equality). The numeric/bool/date salts are `pub(crate)`: the
-/// typed encoder's packed word *is* the hashed scalar for those types, so
-/// the fused kernels derive `hash_value`-identical hashes from it.
+/// grouping equality). The bool/date salts and [`hash_num`] are
+/// `pub(crate)`: the typed encoder's packed word *is* the hashed scalar for
+/// those types, so the fused kernels derive `hash_value`-identical hashes
+/// from it.
 pub(crate) const BOOL_SALT: u64 = 0xBF58_476D_1CE4_E5B9;
-pub(crate) const NUM_SALT: u64 = 0x94D0_49BB_1331_11EB;
+const NUM_SALT: u64 = 0x94D0_49BB_1331_11EB;
 const TEXT_SALT: u64 = 0xD6E8_FEB8_6659_FD93;
 pub(crate) const DATE_SALT: u64 = 0xA076_1D64_78BD_642F;
 
@@ -98,6 +99,12 @@ pub fn hash_str(s: &str) -> u64 {
     hash_bytes(s.as_bytes())
 }
 
+/// Hash a numeric equality class (see [`Value::num_key`]).
+#[inline]
+pub(crate) fn hash_num(key: NumKey) -> u64 {
+    mix(NUM_SALT ^ key.word())
+}
+
 /// Hash one value, consistent with grouping equality: equal values (under
 /// `Value::total_cmp`) always hash equal.
 #[inline]
@@ -105,9 +112,8 @@ pub fn hash_value(v: &Value) -> u64 {
     match v {
         Value::Null => NULL_SALT,
         Value::Boolean(b) => mix(BOOL_SALT ^ u64::from(*b)),
-        // Numerics hash their f64 bits so INTEGER 3 == DOUBLE 3.0 holds.
-        Value::Integer(i) => mix(NUM_SALT ^ (*i as f64).to_bits()),
-        Value::Double(d) => mix(NUM_SALT ^ d.to_bits()),
+        Value::Integer(i) => hash_num(NumKey::Int(*i)),
+        Value::Double(d) => hash_num(NumKey::of_double(*d)),
         Value::Varchar(s) => hash_bytes(s.as_bytes()),
         Value::Date(d) => mix(DATE_SALT ^ (*d as u32 as u64)),
     }
@@ -650,15 +656,12 @@ pub fn chain_prepend(
 
 /// A set of rows over a [`FlatTable`] — the DISTINCT / set-operation
 /// "seen" structure. Rows live in a typed key arena (packed `(tag, word)`
-/// columns, string heap) while representable, so membership compares are
-/// word compares; an unrepresentable key (integer beyond ±2^53) demotes
-/// the set losslessly to materialized rows.
+/// columns, string heap), so membership compares are word compares.
 #[derive(Debug, Default)]
 pub struct RowSet {
     table: FlatTable,
-    store: TupleStore,
+    rows: KeyArena,
     scratch: EncodedChunk,
-    hint: usize,
 }
 
 impl RowSet {
@@ -673,8 +676,8 @@ impl RowSet {
     pub fn with_capacity(n: usize) -> RowSet {
         RowSet {
             table: FlatTable::with_capacity(n),
-            hint: n,
-            ..RowSet::default()
+            rows: KeyArena::with_hint(n),
+            scratch: EncodedChunk::new(),
         }
     }
 
@@ -683,116 +686,48 @@ impl RowSet {
     /// Interning is idempotent, so pre-encoding rows that turn out to be
     /// duplicates costs nothing extra.
     pub fn begin_batch(&mut self, batch: &RowBatch<'_>) {
-        self.store.ensure_width(batch.width());
-        let n = batch.num_rows();
-        if let TupleStore::Typed(arena) = &mut self.store {
-            if arena.is_empty() && self.hint > 0 {
-                arena.reserve(self.hint);
-                self.hint = 0;
-            }
-            arena.encode_chunk(&mut self.scratch, n, |r, c| batch.value(c, r));
-            note_typed_rows((n - self.scratch.bad_rows()) as u64);
-            note_fallback_rows(self.scratch.bad_rows() as u64);
-        } else {
-            note_fallback_rows(n as u64);
-        }
+        let (width, rows) = (batch.width(), batch.num_rows());
+        self.rows
+            .encode_chunk(&mut self.scratch, width, rows, |r, c| batch.value(c, r));
     }
 
-    /// Insert batch row `r` (pre-hashed as `hash`); `true` when it was
-    /// not yet present. Requires a [`begin_batch`](RowSet::begin_batch)
-    /// call for this batch. The row is only materialized on first sight —
-    /// and on the typed path not even then (it lives packed in the
-    /// arena).
-    pub fn insert_batch_row(&mut self, hash: u64, batch: &RowBatch<'_>, r: usize) -> bool {
-        if matches!(self.store, TupleStore::Typed(_)) && !self.scratch.ok(r) {
-            self.store.demote();
+    /// Insert row `r` of the batch last passed to
+    /// [`begin_batch`](RowSet::begin_batch) (pre-hashed as `hash`); `true`
+    /// when it was not yet present. The row is never materialized — it
+    /// lives packed in the arena.
+    pub fn insert_batch_row(&mut self, hash: u64, r: usize) -> bool {
+        let (rows, scratch) = (&self.rows, &self.scratch);
+        if self
+            .table
+            .find(hash, |p| rows.eq_chunk(p as usize, scratch, r))
+            .is_some()
+        {
+            return false;
         }
-        match &mut self.store {
-            TupleStore::Typed(arena) => {
-                let (table, scratch) = (&self.table, &self.scratch);
-                if table
-                    .find(hash, |p| arena.eq_chunk(p as usize, scratch, r))
-                    .is_some()
-                {
-                    return false;
-                }
-                let idx = arena.push_from_chunk(scratch, r);
-                self.table.insert(hash, idx);
-                true
-            }
-            TupleStore::Rows(rows) => {
-                let width = batch.width();
-                let present = self
-                    .table
-                    .find(hash, |p| {
-                        let seen = &rows[p as usize];
-                        (0..width).all(|c| batch.value(c, r) == &seen[c])
-                    })
-                    .is_some();
-                if present {
-                    return false;
-                }
-                let idx = rows.len() as u32;
-                rows.push(batch.materialize_row(r));
-                self.table.insert(hash, idx);
-                true
-            }
-            TupleStore::Empty => unreachable!("begin_batch resolves the store"),
-        }
+        let idx = self.rows.push_from_chunk(&self.scratch, r);
+        self.table.insert(hash, idx);
+        true
     }
 
     /// Insert a materialized row (spill-path counterpart); `true` when it
     /// was not yet present.
     pub fn insert_row(&mut self, hash: u64, row: Row) -> bool {
-        self.store.ensure_width(row.len());
-        let mut demote = false;
-        if let TupleStore::Typed(arena) = &mut self.store {
-            arena.encode_chunk(&mut self.scratch, 1, |_, c| &row[c]);
-            if self.scratch.ok(0) {
-                note_typed_rows(1);
-                let (table, scratch) = (&self.table, &self.scratch);
-                if table
-                    .find(hash, |p| arena.eq_chunk(p as usize, scratch, 0))
-                    .is_some()
-                {
-                    return false;
-                }
-                let idx = arena.push_from_chunk(scratch, 0);
-                self.table.insert(hash, idx);
-                return true;
-            }
-            demote = true;
-        }
-        if demote {
-            self.store.demote();
-        }
-        note_fallback_rows(1);
-        let rows = match &mut self.store {
-            TupleStore::Rows(rows) => rows,
-            _ => unreachable!(),
-        };
-        if self.table.find(hash, |p| rows[p as usize] == row).is_some() {
-            return false;
-        }
-        let idx = rows.len() as u32;
-        rows.push(row);
-        self.table.insert(hash, idx);
-        true
+        self.rows
+            .encode_chunk(&mut self.scratch, row.len(), 1, |_, c| &row[c]);
+        self.insert_batch_row(hash, 0)
     }
 }
 
 /// A multiplicity map over whole rows — the EXCEPT/INTERSECT right-side
-/// counter. Storage follows the same typed-arena-with-fallback scheme as
-/// [`RowSet`]; the probe-only lookups (`contains*`/`count_mut*`) compare
-/// probe values directly against the packed arena (exact for every value,
-/// including unrepresentable integers) so they never intern or demote.
+/// counter, stored like [`RowSet`]. The probe-only lookups
+/// (`contains*`/`count_mut*`) compare probe values directly against the
+/// packed arena, so they never intern.
 #[derive(Debug, Default)]
 pub struct RowCounter {
     table: FlatTable,
-    store: TupleStore,
+    rows: KeyArena,
     counts: Vec<usize>,
     scratch: EncodedChunk,
-    hint: usize,
 }
 
 impl RowCounter {
@@ -806,7 +741,7 @@ impl RowCounter {
     pub fn with_capacity(n: usize) -> RowCounter {
         RowCounter {
             table: FlatTable::with_capacity(n),
-            hint: n,
+            rows: KeyArena::with_hint(n),
             ..RowCounter::default()
         }
     }
@@ -814,157 +749,66 @@ impl RowCounter {
     /// Encode a batch's rows into the typed scratch chunk before an
     /// [`add_batch_row`](RowCounter::add_batch_row) loop.
     pub fn begin_batch(&mut self, batch: &RowBatch<'_>) {
-        self.store.ensure_width(batch.width());
-        let n = batch.num_rows();
-        if let TupleStore::Typed(arena) = &mut self.store {
-            if arena.is_empty() && self.hint > 0 {
-                arena.reserve(self.hint);
-                self.hint = 0;
-            }
-            arena.encode_chunk(&mut self.scratch, n, |r, c| batch.value(c, r));
-            note_typed_rows((n - self.scratch.bad_rows()) as u64);
-            note_fallback_rows(self.scratch.bad_rows() as u64);
-        } else {
-            note_fallback_rows(n as u64);
-        }
+        let (width, rows) = (batch.width(), batch.num_rows());
+        self.rows
+            .encode_chunk(&mut self.scratch, width, rows, |r, c| batch.value(c, r));
     }
 
-    /// Index of the stored row equal to batch row `r`, via direct
-    /// probe-vs-arena compare (no scratch needed).
-    fn index_of(&self, hash: u64, batch: &RowBatch<'_>, r: usize) -> Option<usize> {
-        let width = batch.width();
-        match &self.store {
-            TupleStore::Empty => None,
-            TupleStore::Typed(arena) => self
-                .table
-                .find(hash, |p| arena.eq_row_at(p as usize, |c| batch.value(c, r)))
-                .map(|p| p as usize),
-            TupleStore::Rows(rows) => self
-                .table
-                .find(hash, |p| {
-                    let seen = &rows[p as usize];
-                    (0..width).all(|c| batch.value(c, r) == &seen[c])
-                })
-                .map(|p| p as usize),
-        }
-    }
-
-    /// Bump the multiplicity of batch row `r` (pre-hashed as `hash`).
-    /// Requires a [`begin_batch`](RowCounter::begin_batch) call for this
-    /// batch.
-    pub fn add_batch_row(&mut self, hash: u64, batch: &RowBatch<'_>, r: usize) {
-        if matches!(self.store, TupleStore::Typed(_)) && !self.scratch.ok(r) {
-            self.store.demote();
-        }
-        match &mut self.store {
-            TupleStore::Typed(arena) => {
-                let (table, scratch) = (&self.table, &self.scratch);
-                match table.find(hash, |p| arena.eq_chunk(p as usize, scratch, r)) {
-                    Some(p) => self.counts[p as usize] += 1,
-                    None => {
-                        let idx = arena.push_from_chunk(scratch, r);
-                        self.counts.push(1);
-                        self.table.insert(hash, idx);
-                    }
-                }
-            }
-            TupleStore::Rows(rows) => {
-                let width = batch.width();
-                let found = self.table.find(hash, |p| {
-                    let seen = &rows[p as usize];
-                    (0..width).all(|c| batch.value(c, r) == &seen[c])
-                });
-                match found {
-                    Some(p) => self.counts[p as usize] += 1,
-                    None => {
-                        let idx = rows.len() as u32;
-                        rows.push(batch.materialize_row(r));
-                        self.counts.push(1);
-                        self.table.insert(hash, idx);
-                    }
-                }
-            }
-            TupleStore::Empty => unreachable!("begin_batch resolves the store"),
-        }
-    }
-
-    /// Whether the row occurs at all (set semantics; multiplicities of 0
-    /// still count as present, matching the consumed-map contract of
-    /// EXCEPT ALL).
-    pub fn contains_batch_row(&self, hash: u64, batch: &RowBatch<'_>, r: usize) -> bool {
-        self.index_of(hash, batch, r).is_some()
-    }
-
-    /// Mutable multiplicity of the row, when present (bag semantics
-    /// consume one per match).
-    pub fn count_mut(&mut self, hash: u64, batch: &RowBatch<'_>, r: usize) -> Option<&mut usize> {
-        self.index_of(hash, batch, r).map(|i| &mut self.counts[i])
-    }
-
-    fn index_of_row(&self, hash: u64, row: &[Value]) -> Option<usize> {
-        match &self.store {
-            TupleStore::Empty => None,
-            TupleStore::Typed(arena) => self
-                .table
-                .find(hash, |p| arena.eq_row_at(p as usize, |c| &row[c]))
-                .map(|p| p as usize),
-            TupleStore::Rows(rows) => self
-                .table
-                .find(hash, |p| rows[p as usize] == row)
-                .map(|p| p as usize),
-        }
-    }
-
-    /// Bump the multiplicity of an already-materialized row (spill-path
-    /// counterpart of [`add_batch_row`](RowCounter::add_batch_row)).
-    pub fn add_row(&mut self, hash: u64, row: Row) {
-        self.store.ensure_width(row.len());
-        let mut demote = false;
-        if let TupleStore::Typed(arena) = &mut self.store {
-            arena.encode_chunk(&mut self.scratch, 1, |_, c| &row[c]);
-            if self.scratch.ok(0) {
-                note_typed_rows(1);
-                let (table, scratch) = (&self.table, &self.scratch);
-                match table.find(hash, |p| arena.eq_chunk(p as usize, scratch, 0)) {
-                    Some(p) => self.counts[p as usize] += 1,
-                    None => {
-                        let idx = arena.push_from_chunk(scratch, 0);
-                        self.counts.push(1);
-                        self.table.insert(hash, idx);
-                    }
-                }
-                return;
-            }
-            demote = true;
-        }
-        if demote {
-            self.store.demote();
-        }
-        note_fallback_rows(1);
-        let rows = match &mut self.store {
-            TupleStore::Rows(rows) => rows,
-            _ => unreachable!(),
-        };
-        let found = self.table.find(hash, |p| rows[p as usize] == row);
-        match found {
+    /// Bump the multiplicity of row `r` of the batch last passed to
+    /// [`begin_batch`](RowCounter::begin_batch) (pre-hashed as `hash`).
+    pub fn add_batch_row(&mut self, hash: u64, r: usize) {
+        let (rows, scratch) = (&self.rows, &self.scratch);
+        match self
+            .table
+            .find(hash, |p| rows.eq_chunk(p as usize, scratch, r))
+        {
             Some(p) => self.counts[p as usize] += 1,
             None => {
-                let idx = rows.len() as u32;
-                rows.push(row);
+                let idx = self.rows.push_from_chunk(&self.scratch, r);
                 self.counts.push(1);
                 self.table.insert(hash, idx);
             }
         }
     }
 
+    /// Bump the multiplicity of an already-materialized row (spill-path
+    /// counterpart of [`add_batch_row`](RowCounter::add_batch_row)).
+    pub fn add_row(&mut self, hash: u64, row: Row) {
+        self.rows
+            .encode_chunk(&mut self.scratch, row.len(), 1, |_, c| &row[c]);
+        self.add_batch_row(hash, 0);
+    }
+
+    /// Index of the stored row whose values are `get(c)`.
+    fn index_of<'v>(&self, hash: u64, mut get: impl FnMut(usize) -> &'v Value) -> Option<usize> {
+        self.table
+            .find(hash, |p| self.rows.eq_row_at(p as usize, &mut get))
+            .map(|p| p as usize)
+    }
+
+    /// Whether the row occurs at all (set semantics; multiplicities of 0
+    /// still count as present, matching the consumed-map contract of
+    /// EXCEPT ALL).
+    pub fn contains_batch_row(&self, hash: u64, batch: &RowBatch<'_>, r: usize) -> bool {
+        self.index_of(hash, |c| batch.value(c, r)).is_some()
+    }
+
+    /// Mutable multiplicity of the row, when present (bag semantics
+    /// consume one per match).
+    pub fn count_mut(&mut self, hash: u64, batch: &RowBatch<'_>, r: usize) -> Option<&mut usize> {
+        self.index_of(hash, |c| batch.value(c, r))
+            .map(|i| &mut self.counts[i])
+    }
+
     /// Whether the materialized row occurs at all (set semantics).
     pub fn contains_row(&self, hash: u64, row: &[Value]) -> bool {
-        self.index_of_row(hash, row).is_some()
+        self.index_of(hash, |c| &row[c]).is_some()
     }
 
     /// Mutable multiplicity of the materialized row, when present.
     pub fn count_mut_row(&mut self, hash: u64, row: &[Value]) -> Option<&mut usize> {
-        self.index_of_row(hash, row).map(|i| &mut self.counts[i])
+        self.index_of(hash, |c| &row[c])
+            .map(|i| &mut self.counts[i])
     }
 }
 
@@ -1114,14 +958,14 @@ mod tests {
         let hashes = hash_batch_rows(&batch);
         let mut set = RowSet::new();
         set.begin_batch(&batch);
-        assert!(set.insert_batch_row(hashes[0], &batch, 0));
-        assert!(set.insert_batch_row(hashes[1], &batch, 1));
-        assert!(!set.insert_batch_row(hashes[2], &batch, 2));
+        assert!(set.insert_batch_row(hashes[0], 0));
+        assert!(set.insert_batch_row(hashes[1], 1));
+        assert!(!set.insert_batch_row(hashes[2], 2));
 
         let mut counts = RowCounter::new();
         counts.begin_batch(&batch);
         for (r, &hash) in hashes.iter().enumerate() {
-            counts.add_batch_row(hash, &batch, r);
+            counts.add_batch_row(hash, r);
         }
         assert_eq!(counts.count_mut(hashes[0], &batch, 0), Some(&mut 2));
         assert_eq!(counts.count_mut(hashes[1], &batch, 1), Some(&mut 1));
@@ -1129,38 +973,37 @@ mod tests {
     }
 
     #[test]
-    fn row_set_demotes_on_unrepresentable_keys_without_losing_rows() {
-        let big = (1i64 << 53) + 1; // no exact f64 widening → fallback
+    fn row_set_keeps_wide_integers_apart() {
+        let big = 1i64 << 53;
         let rows = vec![
-            vec![i(1), Value::from("x")],
-            vec![i(big), Value::from("y")],
-            vec![i(1), Value::from("x")],   // dup of row 0 (typed era)
-            vec![i(big), Value::from("y")], // dup of row 1 (row era)
+            vec![i(big), Value::from("x")],
+            vec![i(big + 1), Value::from("x")], // same f64 image, other row
+            vec![Value::Double(big as f64), Value::from("x")], // ≡ row 0 only
+            vec![i(big + 1), Value::from("x")], // dup of row 1
         ];
         let batch = RowBatch::from_rows(2, rows);
         let hashes = hash_batch_rows(&batch);
         let mut set = RowSet::new();
         set.begin_batch(&batch);
-        assert!(set.insert_batch_row(hashes[0], &batch, 0));
-        assert!(set.insert_batch_row(hashes[1], &batch, 1)); // triggers demotion
-        assert!(!set.insert_batch_row(hashes[2], &batch, 2));
-        assert!(!set.insert_batch_row(hashes[3], &batch, 3));
+        assert!(set.insert_batch_row(hashes[0], 0));
+        assert!(set.insert_batch_row(hashes[1], 1));
+        assert!(!set.insert_batch_row(hashes[2], 2));
+        assert!(!set.insert_batch_row(hashes[3], 3));
     }
 
     #[test]
-    fn row_counter_mixed_typed_and_row_probes() {
+    fn row_counter_probes_across_numeric_types() {
         let batch = RowBatch::from_rows(1, vec![vec![i(5)], vec![Value::Double(5.0)]]);
         let hashes = hash_batch_rows(&batch);
         let mut counts = RowCounter::new();
         counts.begin_batch(&batch);
-        counts.add_batch_row(hashes[0], &batch, 0);
-        counts.add_batch_row(hashes[1], &batch, 1);
+        counts.add_batch_row(hashes[0], 0);
+        counts.add_batch_row(hashes[1], 1);
         // INTEGER 5 and DOUBLE 5.0 are one group under grouping equality.
         assert_eq!(
             counts.count_mut_row(hash_row(&[i(5)]), &[i(5)]),
             Some(&mut 2)
         );
-        // Probe with an unrepresentable integer: exact miss, no demotion.
         let big = (1i64 << 53) + 1;
         assert!(!counts.contains_row(hash_row(&[i(big)]), &[i(big)]));
     }

@@ -24,12 +24,12 @@ use std::sync::Arc;
 
 use crate::error::EngineError;
 use crate::exec::batch::{ColumnData, JoinedRow, RowBatch};
-use crate::exec::hash::{chain_prepend, hash_batch_keys, hash_rows_keys, FlatTable, KeyHashes};
+use crate::exec::hash::{chain_prepend, hash_rows_keys, FlatTable, KeyHashes};
 use crate::exec::spill::{
     for_each_fitting_group_pair, spill_batches, MemoryBudget, MergeEmit, OutputRuns,
     PartitionedSpiller, SpillHash, SpillPartition,
 };
-use crate::exec::typed::{note_fallback_rows, note_typed_rows, EncodedChunk, KeyArena};
+use crate::exec::typed::{EncodedChunk, KeyArena};
 use crate::exec::{drain, BoxedOperator, Operator, Row};
 use crate::expr::{BoundExpr, VectorKernel};
 use crate::planner::physical::PhysJoinKind;
@@ -228,11 +228,9 @@ fn partition_of(hash: u64, part_shift: u32) -> usize {
 /// threaded through `next` (rows with equal keys, in build-row order).
 /// The hash column is computed once and reused everywhere: the **high
 /// bits** pick the radix partition, the **low bits** index the
-/// partition's table. When every build key is representable in the typed
-/// layout, keys are packed into a [`KeyArena`] (arena row `i` == build row
-/// `i`, null-key rows included) so chain and probe compares are
-/// branch-free word compares; otherwise compares fall back to the build
-/// rows themselves.
+/// partition's table. Build keys are packed into a [`KeyArena`] (arena row
+/// `i` == build row `i`, null-key rows included) so chain and probe
+/// compares are branch-free word compares.
 pub(crate) struct JoinTable {
     /// One flat table per radix partition (len 1 = unpartitioned).
     parts: Vec<FlatTable>,
@@ -242,9 +240,8 @@ pub(crate) struct JoinTable {
     /// Per build row: the next row with an equal key, `u32::MAX` at the
     /// chain end.
     next: Vec<u32>,
-    /// Typed columnar copy of the build keys; `None` when some build key
-    /// is unrepresentable (or the key set is empty).
-    keys: Option<KeyArena>,
+    /// Typed columnar copy of the build keys.
+    keys: KeyArena,
 }
 
 /// One built radix partition: its flat table plus the `(row, next)` chain
@@ -318,10 +315,6 @@ impl JoinTable {
         // Typed build-key arena: encoded once over the full build side,
         // shared read-only by every partition builder and prober.
         let arena = encode_build_keys(rows, keys);
-        match &arena {
-            Some(_) => note_typed_rows(n as u64),
-            None => note_fallback_rows(n as u64),
-        }
 
         // Phase 2: per-partition flat tables, chains prepended over a
         // reverse scan of each partition's (globally ordered) row list.
@@ -335,13 +328,7 @@ impl JoinTable {
                     &mut table,
                     hashes.hashes[i as usize],
                     i,
-                    |p| match &arena {
-                        Some(a) => a.eq_rows(p as usize, i as usize),
-                        None => {
-                            let (head, row) = (&rows[p as usize], &rows[i as usize]);
-                            keys.iter().all(|&k| head[k] == row[k])
-                        }
-                    },
+                    |p| arena.eq_rows(p as usize, i as usize),
                     |head| set_next(i, head),
                 );
             }
@@ -401,29 +388,23 @@ impl JoinTable {
 }
 
 /// Pack every build key into a fresh [`KeyArena`] (arena row == build
-/// row), or `None` if any key value is unrepresentable. NULL-key rows
-/// are encoded too — they never enter the hash table, but keeping the
-/// arena index aligned with the row index keeps chain compares O(1).
-fn encode_build_keys(rows: &[Row], keys: &[usize]) -> Option<KeyArena> {
-    if keys.is_empty() {
-        return None;
-    }
-    let mut arena = KeyArena::new(keys.len());
-    arena.reserve(rows.len());
+/// row). NULL-key rows are encoded too — they never enter the hash table,
+/// but keeping the arena index aligned with the row index keeps chain
+/// compares O(1).
+fn encode_build_keys(rows: &[Row], keys: &[usize]) -> KeyArena {
+    let mut arena = KeyArena::with_hint(rows.len());
+    // An empty build side is still probed: bind the width regardless.
+    arena.bind_width(keys.len());
     let mut chunk = EncodedChunk::new();
-    let mut base = 0;
-    while base < rows.len() {
-        let n = BUILD_ENCODE_CHUNK.min(rows.len() - base);
-        arena.encode_chunk(&mut chunk, n, |r, c| &rows[base + r][keys[c]]);
-        if !chunk.all_ok() {
-            return None;
-        }
-        for r in 0..n {
+    for slice in rows.chunks(BUILD_ENCODE_CHUNK) {
+        arena.encode_chunk(&mut chunk, keys.len(), slice.len(), |r, c| {
+            &slice[r][keys[c]]
+        });
+        for r in 0..slice.len() {
             arena.push_from_chunk(&chunk, r);
         }
-        base += n;
     }
-    Some(arena)
+    arena
 }
 
 /// What a hash join is, fixed when its plan node is compiled: immutable,
@@ -496,49 +477,23 @@ fn join_probe_batch(
     let rows = batch.num_rows();
     let mut cand_rows: Vec<u32> = Vec::new();
     let mut cand_bis: Vec<u32> = Vec::new();
-    // Typed probe: one fused column-at-a-time pass both hashes the
-    // batch's probe keys and encodes them against the build arena
-    // (lookup-only — a probe string absent from the build heap can match
-    // nothing, so it is never interned), so each key value is
-    // enum-dispatched exactly once and each candidate compare is a word
-    // compare. Row-based build sides take the plain hash kernel.
-    let (hashes, probe_chunk) = match &table.keys {
-        Some(arena) => {
-            let mut chunk = EncodedChunk::new();
-            let hashes = arena.encode_probe_batch(&mut chunk, batch, &spec.probe_keys);
-            note_typed_rows((rows - chunk.bad_rows()) as u64);
-            note_fallback_rows(chunk.bad_rows() as u64);
-            (hashes, Some(chunk))
-        }
-        None => {
-            note_fallback_rows(rows as u64);
-            (hash_batch_keys(batch, &spec.probe_keys), None)
-        }
-    };
+    // One fused column-at-a-time pass both hashes the batch's probe keys
+    // and encodes them against the build arena (lookup-only — a probe
+    // string absent from the build heap can match nothing, so it is never
+    // interned), so each key value is enum-dispatched exactly once and
+    // each candidate compare is a word compare.
+    let arena = &table.keys;
+    let mut chunk = EncodedChunk::new();
+    let hashes = arena.encode_probe_batch(&mut chunk, batch, &spec.probe_keys);
     for row in 0..rows {
         if hashes.is_null(row) {
             continue;
         }
         // The chain head for this probe key, then every build row on the
-        // chain (build-row order). Probe rows the typed layout can't
-        // represent compare exactly via `eq_row_at`.
+        // chain (build-row order).
         let hash = hashes.hashes[row];
         let part = &table.parts[partition_of(hash, table.part_shift)];
-        let head = match (&table.keys, &probe_chunk) {
-            (Some(arena), Some(chunk)) if chunk.ok(row) => {
-                part.find(hash, |p| arena.eq_chunk(p as usize, chunk, row))
-            }
-            (Some(arena), _) => part.find(hash, |p| {
-                arena.eq_row_at(p as usize, |c| batch.value(spec.probe_keys[c], row))
-            }),
-            (None, _) => part.find(hash, |p| {
-                let build = &build_rows[p as usize];
-                spec.probe_keys
-                    .iter()
-                    .zip(&spec.build_keys)
-                    .all(|(&pk, &bk)| batch.value(pk, row) == &build[bk])
-            }),
-        };
+        let head = part.find(hash, |p| arena.eq_chunk(p as usize, &chunk, row));
         let mut cur = head.unwrap_or(u32::MAX);
         while cur != u32::MAX {
             cand_bis.push(cur);

@@ -45,7 +45,6 @@ pub use batch::{BatchBuilder, BatchRow, ColumnData, JoinedRow, RowBatch, DEFAULT
 pub(crate) use parallel::filter_row_ids;
 pub use parallel::DEFAULT_MORSEL_SIZE;
 pub use spill::{clean_orphan_spill_files, MemoryBudget, SpillStats};
-pub use typed::{reset_typed_path_stats, typed_path_stats};
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;

@@ -449,7 +449,7 @@ impl<'a> Operator<'a> for DistinctOp<'a> {
             self.seen.begin_batch(&batch);
             let mut keep: Vec<u32> = Vec::new();
             for (row, &hash) in hashes.iter().enumerate() {
-                if self.seen.insert_batch_row(hash, &batch, row) {
+                if self.seen.insert_batch_row(hash, row) {
                     keep.push(row as u32);
                 }
             }
@@ -655,7 +655,7 @@ impl<'a> SetOpOp<'a> {
             self.seen.begin_batch(&batch);
             let mut keep: Vec<u32> = Vec::new();
             for (row, &hash) in hashes.iter().enumerate() {
-                if self.seen.insert_batch_row(hash, &batch, row) {
+                if self.seen.insert_batch_row(hash, row) {
                     keep.push(row as u32);
                 }
             }
@@ -676,7 +676,7 @@ impl<'a> SetOpOp<'a> {
                 let hashes = hash_batch_rows(&batch);
                 counts.begin_batch(&batch);
                 for (row, &hash) in hashes.iter().enumerate() {
-                    counts.add_batch_row(hash, &batch, row);
+                    counts.add_batch_row(hash, row);
                 }
             }
             self.right_counts = Some(counts);
@@ -702,7 +702,7 @@ impl<'a> SetOpOp<'a> {
                     }
                 } else {
                     let in_right = counts.contains_batch_row(hash, &batch, row);
-                    (in_right != except) && self.seen.insert_batch_row(hash, &batch, row)
+                    (in_right != except) && self.seen.insert_batch_row(hash, row)
                 };
                 if kept {
                     keep.push(row as u32);

@@ -1,120 +1,64 @@
 //! Typed columnar key arenas for the hash operators.
 //!
-//! The row-based hash path stores every key as a `Vec<Value>` and compares
-//! candidates by walking that vector with per-variant enum dispatch. This
-//! module packs key tuples into fixed-width columns instead — one `u8`
+//! Key tuples are packed into fixed-width columns — one `u8`
 //! representation tag plus one 8-byte word per key column — so a candidate
 //! compare inside a [`FlatTable`](crate::exec::hash::FlatTable) probe is a
 //! branch-free `(class, word)` compare over a contiguous arena:
 //!
-//! | value            | tag      | word                                   |
-//! |------------------|----------|----------------------------------------|
-//! | `NULL`           | `T_NULL` | `0`                                    |
-//! | `BOOLEAN b`      | `T_BOOL` | `b as u64`                             |
-//! | `INTEGER i`      | `T_INT`  | `(i as f64).to_bits()`                 |
-//! | `DOUBLE d`       | `T_DOUBLE`| `d.to_bits()`                         |
-//! | `DATE d`         | `T_DATE` | `d as u32 as u64`                      |
-//! | `VARCHAR s`      | `T_TEXT` | id of `s` interned in the arena's heap |
+//! | value                         | tag        | word                        |
+//! |-------------------------------|------------|-----------------------------|
+//! | `NULL`                        | `T_NULL`   | `0`                         |
+//! | `BOOLEAN b`                   | `T_BOOL`   | `b as u64`                  |
+//! | `INTEGER i`                   | `T_INT`    | `i as u64`                  |
+//! | `DOUBLE d` in an integer class| `T_INT_DBL`| that integer, `as u64`      |
+//! | any other `DOUBLE d`          | `T_DOUBLE` | `d.to_bits()`               |
+//! | `DATE d`                      | `T_DATE`   | `d as u32 as u64`           |
+//! | `VARCHAR s`                   | `T_TEXT`   | id of `s` in the arena heap |
 //!
-//! Numerics share one *equality class* but keep distinct representation
-//! tags: the word is the canonical `f64` bit pattern, so `INTEGER 3` and
-//! `DOUBLE 3.0` compare equal by word (grouping equality, matching
-//! [`Value::total_cmp`](crate::value::Value::total_cmp)), while decode
-//! recovers the original subtype exactly. Integers whose `f64` widening is
-//! lossy (beyond ±2^53) have no canonical word — grouping equality is not
-//! transitive there — so encoding *fails* for them and the consumer falls
-//! back to the row-based path ([`TupleStore::demote`]); the fallback is
-//! lossless because every encoded tuple decodes back to its original
-//! `Value`s. Text is interned once per distinct string into a per-arena
-//! [`StringHeap`], making string equality an id compare.
+//! Which doubles share a class with an integer is decided in one place,
+//! [`Value::num_key`](crate::value::Value::num_key); the word is that
+//! class's word, so `INTEGER 3` and `DOUBLE 3.0` compare equal by `(class,
+//! word)` while the representation tag lets decode recover the first-seen
+//! subtype bit-exactly. The relation is an equivalence over every `Value`,
+//! so every key encodes and the arena is the only key storage the hash
+//! consumers have. Text is interned once per distinct string into a
+//! per-arena [`StringHeap`], making string equality an id compare.
 //!
-//! Population is chunk-at-a-time: [`KeyArena::encode_chunk`] encodes a
-//! whole batch's key tuples into a reusable [`EncodedChunk`] next to the
-//! hash kernels' per-batch hash columns, and the per-row find/insert then
-//! touches only packed words.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Population is chunk-at-a-time: the `encode_*` kernels encode a whole
+//! batch's key tuples into a reusable [`EncodedChunk`] (the hashed ones
+//! fused with the hash kernels' per-batch hash columns), and the per-row
+//! find/insert then touches only packed words.
+//!
+//! Keys are never zero-width and never change width within one arena:
+//! ungrouped aggregates take `AggMode::Ungrouped`, `lower_join` emits
+//! `HashJoin` only with at least one equi-key, DISTINCT and set operations
+//! see their (bind-time arity-checked) inputs' non-empty column lists.
+//! [`KeyArena::bind_width`] asserts both (the first in debug builds only).
 
 use crate::exec::batch::RowBatch;
 use crate::exec::hash::{
-    combine, hash_str, hash_value, mix, FlatTable, KeyHashes, BOOL_SALT, DATE_SALT, HASH_SEED,
-    NULL_SALT, NUM_SALT,
+    combine, hash_num, hash_str, mix, FlatTable, KeyHashes, BOOL_SALT, DATE_SALT, HASH_SEED,
+    NULL_SALT,
 };
 use crate::exec::Row;
-use crate::value::Value;
+use crate::value::{NumKey, Value};
 
-/// Representation tags (one per [`Value`] variant). `T_NULL` doubles as
-/// the padding tag for rows that failed to encode.
+/// Representation tags.
 const T_NULL: u8 = 0;
 const T_BOOL: u8 = 1;
 const T_INT: u8 = 2;
-const T_DOUBLE: u8 = 3;
-const T_DATE: u8 = 4;
-const T_TEXT: u8 = 5;
+const T_INT_DBL: u8 = 3;
+const T_DOUBLE: u8 = 4;
+const T_DATE: u8 = 5;
+const T_TEXT: u8 = 6;
 
-/// Equality class per representation tag: `T_INT` and `T_DOUBLE` collapse
-/// into one class so cross-numeric grouping equality holds on the word
-/// compare; every other tag is its own class.
-const EQ_CLASS: [u8; 6] = [0, 1, 2, 2, 3, 4];
+/// Equality class per representation tag: `T_INT` and `T_INT_DBL` are two
+/// spellings of one integer class; every other tag is its own class.
+const EQ_CLASS: [u8; 7] = [0, 1, 2, 2, 3, 4, 5];
 
 /// Probe-side sentinel for a string absent from the build arena's heap:
 /// interned ids are `u32`-sized, so this word never equals a stored one.
 const MISS_WORD: u64 = u64::MAX;
-
-// ---------------------------------------------------------------------------
-// Typed-path counters
-// ---------------------------------------------------------------------------
-
-/// Rows that went through a typed key arena (hit) vs. rows a typed-capable
-/// consumer had to handle on the row-based path (fallback). Counted in
-/// batch granularity on the hot paths; used by benches and tests to prove
-/// workloads are not silently falling back.
-static TYPED_HIT_ROWS: AtomicU64 = AtomicU64::new(0);
-static TYPED_FALLBACK_ROWS: AtomicU64 = AtomicU64::new(0);
-
-/// Record `n` rows processed through a typed arena.
-#[inline]
-pub fn note_typed_rows(n: u64) {
-    if n > 0 {
-        TYPED_HIT_ROWS.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Record `n` rows a typed-capable consumer handled row-based.
-#[inline]
-pub fn note_fallback_rows(n: u64) {
-    if n > 0 {
-        TYPED_FALLBACK_ROWS.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// `(typed_rows, fallback_rows)` processed since start (or last reset).
-pub fn typed_path_stats() -> (u64, u64) {
-    (
-        TYPED_HIT_ROWS.load(Ordering::Relaxed),
-        TYPED_FALLBACK_ROWS.load(Ordering::Relaxed),
-    )
-}
-
-/// Zero both counters (bench cells measure per-query deltas).
-pub fn reset_typed_path_stats() {
-    TYPED_HIT_ROWS.store(0, Ordering::Relaxed);
-    TYPED_FALLBACK_ROWS.store(0, Ordering::Relaxed);
-}
-
-/// Canonical word for an integer key, when its `f64` widening is exact.
-/// The explicit `< 2^63` bound matters: `(i64::MAX as f64) as i64`
-/// saturates back to `i64::MAX`, so a plain roundtrip check would wrongly
-/// accept it.
-#[inline]
-fn int_word(i: i64) -> Option<u64> {
-    let d = i as f64;
-    if d < 9_223_372_036_854_775_808.0 && d as i64 == i {
-        Some(d.to_bits())
-    } else {
-        None
-    }
-}
 
 // ---------------------------------------------------------------------------
 // StringHeap
@@ -123,51 +67,88 @@ fn int_word(i: i64) -> Option<u64> {
 /// Per-arena string interner: distinct strings stored once in a byte heap,
 /// addressed by dense `u32` ids through a [`FlatTable`]. Equal strings get
 /// equal ids, so text key equality is a word compare.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 struct StringHeap {
     bytes: String,
-    spans: Vec<(u32, u32)>,
+    /// String `id` spans `bytes[ends[id]..ends[id + 1]]`.
+    ends: Vec<usize>,
     map: FlatTable,
+}
+
+impl Default for StringHeap {
+    fn default() -> StringHeap {
+        StringHeap {
+            bytes: String::new(),
+            ends: vec![0],
+            map: FlatTable::new(),
+        }
+    }
 }
 
 impl StringHeap {
     #[inline]
     fn get(&self, id: u64) -> &str {
-        let (off, len) = self.spans[id as usize];
-        &self.bytes[off as usize..(off + len) as usize]
+        let id = id as usize;
+        &self.bytes[self.ends[id]..self.ends[id + 1]]
     }
 
     /// Id of `s` (pre-hashed as `h = hash_str(s)`), interning it on first
-    /// sight. `None` when the heap's `u32` address space is exhausted
-    /// (the consumer then falls back). Taking the hash lets the fused
-    /// encode+hash kernels hash each string exactly once.
-    fn intern(&mut self, s: &str, h: u64) -> Option<u64> {
+    /// sight. Taking the hash lets the fused encode+hash kernels hash each
+    /// string exactly once.
+    fn intern(&mut self, s: &str, h: u64) -> u64 {
         if let Some(id) = self.lookup(s, h) {
-            return Some(id);
+            return id;
         }
-        let off = self.bytes.len();
-        if off + s.len() > u32::MAX as usize || self.spans.len() >= u32::MAX as usize {
-            return None;
-        }
-        let id = self.spans.len() as u32;
+        // Ids are `FlatTable` payloads, the same `u32` that caps the
+        // tuples of every arena-backed table.
+        let id =
+            u32::try_from(self.ends.len() - 1).expect("more than u32::MAX distinct key strings");
         self.bytes.push_str(s);
-        self.spans.push((off as u32, s.len() as u32));
+        self.ends.push(self.bytes.len());
         self.map.insert(h, id);
-        Some(u64::from(id))
+        u64::from(id)
     }
 
     /// Id of `s` (pre-hashed as `h = hash_str(s)`) when already interned
     /// (probe side never mutates the build arena's heap).
     #[inline]
     fn lookup(&self, s: &str, h: u64) -> Option<u64> {
-        let spans = &self.spans;
-        let bytes = &self.bytes;
         self.map
-            .find(h, |p| {
-                let (off, len) = spans[p as usize];
-                &bytes[off as usize..(off + len) as usize] == s
-            })
+            .find(h, |p| self.get(u64::from(p)) == s)
             .map(u64::from)
+    }
+}
+
+/// Encode one value as `(tag, word, value hash)` — the one place a `Value`
+/// becomes a packed key slot. `text(s, hash_str(s))` resolves a string to
+/// its heap id: [`StringHeap::intern`] on the owning side, a lookup
+/// yielding [`MISS_WORD`] on the probe side. The hash is bit-identical to
+/// [`hash_value`](crate::exec::hash::hash_value) (the packed word *is* the
+/// scalar that kernel mixes; text hashes its bytes once, shared between
+/// interning and the row hash); callers that ignore it pay nothing for it
+/// once this inlines.
+#[inline]
+fn encode(v: &Value, text: impl FnOnce(&str, u64) -> u64) -> (u8, u64, u64) {
+    let num = |tag, key: NumKey| (tag, key.word(), hash_num(key));
+    match v {
+        Value::Null => (T_NULL, 0, NULL_SALT),
+        Value::Boolean(b) => {
+            let w = u64::from(*b);
+            (T_BOOL, w, mix(BOOL_SALT ^ w))
+        }
+        Value::Integer(i) => num(T_INT, NumKey::Int(*i)),
+        Value::Double(d) => match NumKey::of_double(*d) {
+            key @ NumKey::Int(_) => num(T_INT_DBL, key),
+            key @ NumKey::Frac(_) => num(T_DOUBLE, key),
+        },
+        Value::Varchar(s) => {
+            let h = hash_str(s);
+            (T_TEXT, text(s, h), h)
+        }
+        Value::Date(d) => {
+            let w = *d as u32 as u64;
+            (T_DATE, w, mix(DATE_SALT ^ w))
+        }
     }
 }
 
@@ -176,17 +157,13 @@ impl StringHeap {
 // ---------------------------------------------------------------------------
 
 /// One batch's key tuples in packed form — the reusable scratch filled by
-/// [`KeyArena::encode_chunk`] / [`KeyArena::encode_probe_chunk`]. Row `r`
-/// occupies `tags[r*width..][..width]` and `words[r*width..][..width]`;
-/// rows the layout cannot represent are marked not-ok (padded with
-/// `T_NULL`/`0` to keep indexing aligned).
+/// the [`KeyArena`] `encode_*` kernels. Row `r` occupies
+/// `tags[r*width..][..width]` and `words[r*width..][..width]`.
 #[derive(Debug, Default)]
 pub struct EncodedChunk {
     width: usize,
     tags: Vec<u8>,
     words: Vec<u64>,
-    ok: Vec<bool>,
-    bad: usize,
 }
 
 impl EncodedChunk {
@@ -195,53 +172,14 @@ impl EncodedChunk {
         EncodedChunk::default()
     }
 
+    /// Reset to a dense, default-filled layout (`T_NULL`/`0` everywhere):
+    /// the column-at-a-time kernels write slots in column order.
     fn reset(&mut self, width: usize, rows: usize) {
-        self.width = width;
-        self.tags.clear();
-        self.words.clear();
-        self.tags.reserve(width * rows);
-        self.words.reserve(width * rows);
-        self.ok.clear();
-        self.ok.resize(rows, true);
-        self.bad = 0;
-    }
-
-    /// Reset to a dense, default-filled layout (`T_NULL`/`0` everywhere) —
-    /// the column-at-a-time fused probe kernel writes slots in column
-    /// order rather than appending row by row.
-    fn reset_dense(&mut self, width: usize, rows: usize) {
         self.width = width;
         self.tags.clear();
         self.tags.resize(width * rows, T_NULL);
         self.words.clear();
         self.words.resize(width * rows, 0);
-        self.ok.clear();
-        self.ok.resize(rows, true);
-        self.bad = 0;
-    }
-
-    /// Whether row `r` encoded cleanly.
-    #[inline]
-    pub fn ok(&self, r: usize) -> bool {
-        self.ok[r]
-    }
-
-    /// Whether every row of the chunk encoded cleanly.
-    #[inline]
-    pub fn all_ok(&self) -> bool {
-        self.bad == 0
-    }
-
-    /// Number of rows that failed to encode.
-    #[inline]
-    pub fn bad_rows(&self) -> usize {
-        self.bad
-    }
-
-    /// Number of rows encoded (ok or not).
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.ok.len()
     }
 }
 
@@ -254,19 +192,37 @@ impl EncodedChunk {
 /// is the arena row addressed by [`FlatTable`] payloads.
 #[derive(Debug, Default, Clone)]
 pub struct KeyArena {
+    /// Key columns per tuple; 0 until the first batch binds it.
     width: usize,
+    /// Tuples to reserve for once the width is known (sizing hint).
+    hint: usize,
     tags: Vec<u8>,
     words: Vec<u64>,
     heap: StringHeap,
 }
 
 impl KeyArena {
-    /// An empty arena for `width`-column keys.
-    pub fn new(width: usize) -> KeyArena {
+    /// An empty arena whose key width the first batch fixes (see
+    /// [`bind_width`](KeyArena::bind_width)), reserving space for about
+    /// `hint` tuples then (0 = unknown).
+    pub fn with_hint(hint: usize) -> KeyArena {
         KeyArena {
-            width,
+            hint,
             ..KeyArena::default()
         }
+    }
+
+    /// Fix the key width on first use; every later call must agree. The
+    /// owning-side encoders call this themselves; a consumer that may probe
+    /// before it ever encodes (an empty join build side) binds up front.
+    pub fn bind_width(&mut self, width: usize) {
+        debug_assert!(width > 0, "zero-width keys never reach a key arena");
+        if self.width == 0 {
+            self.width = width;
+            self.tags.reserve(self.hint * width);
+            self.words.reserve(self.hint * width);
+        }
+        assert_eq!(self.width, width, "key width changed mid-stream");
     }
 
     /// Number of key columns per tuple.
@@ -278,8 +234,7 @@ impl KeyArena {
     /// Number of stored tuples.
     #[inline]
     pub fn len(&self) -> usize {
-        // Zero-width keys store no words; the arena is only ever used
-        // with at least one key column.
+        // An unbound arena (width 0) stores nothing.
         self.words.len().checked_div(self.width).unwrap_or(0)
     }
 
@@ -289,226 +244,61 @@ impl KeyArena {
         self.words.is_empty()
     }
 
-    /// Pre-reserve space for `rows` more tuples.
-    pub fn reserve(&mut self, rows: usize) {
-        self.tags.reserve(rows * self.width);
-        self.words.reserve(rows * self.width);
-    }
-
-    /// Encode one value, interning text. `None` → unrepresentable.
-    #[inline]
-    fn encode_value(&mut self, v: &Value) -> Option<(u8, u64)> {
-        match v {
-            Value::Null => Some((T_NULL, 0)),
-            Value::Boolean(b) => Some((T_BOOL, u64::from(*b))),
-            Value::Integer(i) => int_word(*i).map(|w| (T_INT, w)),
-            Value::Double(d) => Some((T_DOUBLE, d.to_bits())),
-            Value::Varchar(s) => self.heap.intern(s, hash_str(s)).map(|id| (T_TEXT, id)),
-            Value::Date(d) => Some((T_DATE, *d as u32 as u64)),
-        }
-    }
-
-    /// Encode one probe value against this arena's heap without mutating
-    /// it: a string the heap has never seen gets [`MISS_WORD`] (the row
-    /// stays ok — it simply matches nothing, which is exactly join
-    /// semantics). `None` → unrepresentable integer.
-    #[inline]
-    fn encode_probe_value(&self, v: &Value) -> Option<(u8, u64)> {
-        match v {
-            Value::Null => Some((T_NULL, 0)),
-            Value::Boolean(b) => Some((T_BOOL, u64::from(*b))),
-            Value::Integer(i) => int_word(*i).map(|w| (T_INT, w)),
-            Value::Double(d) => Some((T_DOUBLE, d.to_bits())),
-            Value::Varchar(s) => Some((
-                T_TEXT,
-                self.heap.lookup(s, hash_str(s)).unwrap_or(MISS_WORD),
-            )),
-            Value::Date(d) => Some((T_DATE, *d as u32 as u64)),
-        }
-    }
-
-    /// [`encode_value`](KeyArena::encode_value) fused with the hash
-    /// kernel: one enum dispatch per value yields the packed `(tag,
-    /// word)` *and* its value hash. The packed word is exactly the
-    /// scalar the hash kernel mixes for numerics/bool/date (numerics:
-    /// the canonical `f64` bits; date: zero-extended days), and text
-    /// hashes its bytes once, shared between interning and the row
-    /// hash — so the result is bit-identical to
-    /// [`hash_value`](crate::exec::hash::hash_value).
-    #[inline]
-    fn encode_hash_value(&mut self, v: &Value) -> Option<(u8, u64, u64)> {
-        match v {
-            Value::Null => Some((T_NULL, 0, NULL_SALT)),
-            Value::Boolean(b) => {
-                let w = u64::from(*b);
-                Some((T_BOOL, w, mix(BOOL_SALT ^ w)))
-            }
-            Value::Integer(i) => int_word(*i).map(|w| (T_INT, w, mix(NUM_SALT ^ w))),
-            Value::Double(d) => {
-                let w = d.to_bits();
-                Some((T_DOUBLE, w, mix(NUM_SALT ^ w)))
-            }
-            Value::Varchar(s) => {
-                let h = hash_str(s);
-                self.heap.intern(s, h).map(|id| (T_TEXT, id, h))
-            }
-            Value::Date(d) => {
-                let w = *d as u32 as u64;
-                Some((T_DATE, w, mix(DATE_SALT ^ w)))
-            }
-        }
-    }
-
-    /// Probe-side [`encode_hash_value`](KeyArena::encode_hash_value):
-    /// lookup-only against this arena's heap, no interning.
-    #[inline]
-    fn encode_hash_probe_value(&self, v: &Value) -> Option<(u8, u64, u64)> {
-        match v {
-            Value::Null => Some((T_NULL, 0, NULL_SALT)),
-            Value::Boolean(b) => {
-                let w = u64::from(*b);
-                Some((T_BOOL, w, mix(BOOL_SALT ^ w)))
-            }
-            Value::Integer(i) => int_word(*i).map(|w| (T_INT, w, mix(NUM_SALT ^ w))),
-            Value::Double(d) => {
-                let w = d.to_bits();
-                Some((T_DOUBLE, w, mix(NUM_SALT ^ w)))
-            }
-            Value::Varchar(s) => {
-                let h = hash_str(s);
-                Some((T_TEXT, self.heap.lookup(s, h).unwrap_or(MISS_WORD), h))
-            }
-            Value::Date(d) => {
-                let w = *d as u32 as u64;
-                Some((T_DATE, w, mix(DATE_SALT ^ w)))
-            }
-        }
-    }
-
-    /// Encode `rows` key tuples into `chunk`, interning new text. `get(r,
-    /// c)` yields key column `c` of row `r`. Rows with unrepresentable
-    /// keys are marked not-ok; the caller decides whether to demote the
-    /// whole store or skip those rows.
+    /// Encode `rows` key tuples of `width` columns into `chunk`, interning
+    /// new text. `get(r, c)` yields key column `c` of row `r`.
     pub fn encode_chunk<'v>(
         &mut self,
         chunk: &mut EncodedChunk,
+        width: usize,
         rows: usize,
         mut get: impl FnMut(usize, usize) -> &'v Value,
     ) {
-        chunk.reset(self.width, rows);
+        self.bind_width(width);
+        chunk.reset(width, rows);
+        let (tags, words, heap) = (&mut chunk.tags[..], &mut chunk.words[..], &mut self.heap);
+        let mut slot = 0;
         for r in 0..rows {
-            let base = chunk.tags.len();
-            let mut ok = true;
-            for c in 0..self.width {
-                match self.encode_value(get(r, c)) {
-                    Some((t, w)) => {
-                        chunk.tags.push(t);
-                        chunk.words.push(w);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                chunk.tags.truncate(base);
-                chunk.words.truncate(base);
-                chunk.tags.resize(base + self.width, T_NULL);
-                chunk.words.resize(base + self.width, 0);
-                chunk.ok[r] = false;
-                chunk.bad += 1;
+            for c in 0..width {
+                (tags[slot], words[slot], _) = encode(get(r, c), |s, h| heap.intern(s, h));
+                slot += 1;
             }
         }
     }
 
-    /// Probe-side [`encode_chunk`](KeyArena::encode_chunk): lookup-only
-    /// against this arena's heap, no interning.
-    pub fn encode_probe_chunk<'v>(
-        &self,
-        chunk: &mut EncodedChunk,
-        rows: usize,
-        mut get: impl FnMut(usize, usize) -> &'v Value,
-    ) {
-        chunk.reset(self.width, rows);
-        for r in 0..rows {
-            let base = chunk.tags.len();
-            let mut ok = true;
-            for c in 0..self.width {
-                match self.encode_probe_value(get(r, c)) {
-                    Some((t, w)) => {
-                        chunk.tags.push(t);
-                        chunk.words.push(w);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                chunk.tags.truncate(base);
-                chunk.words.truncate(base);
-                chunk.tags.resize(base + self.width, T_NULL);
-                chunk.words.resize(base + self.width, 0);
-                chunk.ok[r] = false;
-                chunk.bad += 1;
-            }
-        }
-    }
-
-    /// [`encode_chunk`](KeyArena::encode_chunk) fused with the hash
-    /// kernel: one pass over the key tuples yields both the packed chunk
-    /// and the per-row hashes, bit-identical to
-    /// [`hash_key_columns`](crate::exec::hash::hash_key_columns) — each
-    /// key value is enum-dispatched exactly once instead of once to hash
-    /// and once to encode. Rows that fail to encode (marked not-ok) still
-    /// get their exact hash via the value-based kernel, so the row-based
-    /// fallback sees the same hashes it always did.
-    pub fn encode_chunk_hashed<'v>(
+    /// [`encode_chunk`](KeyArena::encode_chunk) straight off a batch's key
+    /// columns `cols`, fused with the hash kernel: one column-at-a-time
+    /// pass yields the packed chunk and the per-row hashes, bit-identical
+    /// to [`hash_key_columns`](crate::exec::hash::hash_key_columns) on the
+    /// same values — each key value is enum-dispatched exactly once
+    /// instead of once to hash and once to encode.
+    pub fn encode_batch(
         &mut self,
         chunk: &mut EncodedChunk,
-        rows: usize,
-        mut get: impl FnMut(usize, usize) -> &'v Value,
+        batch: &RowBatch<'_>,
+        cols: &[usize],
     ) -> Vec<u64> {
-        chunk.reset(self.width, rows);
-        let mut hashes = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let mut h = HASH_SEED;
-            let mut ok = true;
-            for c in 0..self.width {
-                let v = get(r, c);
-                match self.encode_hash_value(v) {
-                    Some((t, w, vh)) => {
-                        chunk.tags.push(t);
-                        chunk.words.push(w);
-                        h = combine(h, vh);
-                    }
-                    None => {
-                        // Keep hashing the rest of the row (the fallback
-                        // path needs the full row hash); pad the packed
-                        // slots, which a not-ok row never compares.
-                        ok = false;
-                        chunk.tags.push(T_NULL);
-                        chunk.words.push(0);
-                        h = combine(h, hash_value(v));
-                    }
-                }
-            }
-            if !ok {
-                chunk.ok[r] = false;
-                chunk.bad += 1;
-            }
-            hashes.push(h);
+        let rows = batch.num_rows();
+        let width = cols.len();
+        self.bind_width(width);
+        chunk.reset(width, rows);
+        let mut hashes = vec![HASH_SEED; rows];
+        let (tags, words, heap) = (&mut chunk.tags[..], &mut chunk.words[..], &mut self.heap);
+        for (k, &c) in cols.iter().enumerate() {
+            batch.column(c).for_each_value(rows, |r, v| {
+                let (t, w, vh) = encode(v, |s, sh| heap.intern(s, sh));
+                tags[r * width + k] = t;
+                words[r * width + k] = w;
+                hashes[r] = combine(hashes[r], vh);
+            });
         }
         hashes
     }
 
-    /// Probe-side fused kernel: encode a batch's key columns against this
-    /// arena (lookup-only) and hash them in the same column-at-a-time
-    /// pass — bit-identical to
-    /// [`hash_batch_keys`](crate::exec::hash::hash_batch_keys), NULL-key
-    /// marking included.
+    /// Probe-side [`encode_batch`](KeyArena::encode_batch): lookup-only
+    /// against this arena's heap (a probe string the heap has never seen
+    /// gets a word no stored id equals — it matches nothing, which is exactly
+    /// join semantics), with NULL keys marked — bit-identical to
+    /// [`hash_batch_keys`](crate::exec::hash::hash_batch_keys).
     pub fn encode_probe_batch(
         &self,
         chunk: &mut EncodedChunk,
@@ -518,94 +308,31 @@ impl KeyArena {
         let rows = batch.num_rows();
         let width = self.width;
         debug_assert_eq!(cols.len(), width);
-        chunk.reset_dense(width, rows);
+        chunk.reset(width, rows);
         let mut out = KeyHashes::seeded(rows);
-        let tags = &mut chunk.tags;
-        let words = &mut chunk.words;
-        let ok = &mut chunk.ok;
-        let mut bad = 0usize;
         let mut nulls: Vec<usize> = Vec::new();
+        let (tags, words, hashes) = (&mut chunk.tags[..], &mut chunk.words[..], &mut out.hashes);
         for (k, &c) in cols.iter().enumerate() {
-            let col = batch.column(c);
-            let hashes = &mut out.hashes;
-            col.for_each_value(rows, |r, v| {
-                let slot = r * width + k;
-                match self.encode_hash_probe_value(v) {
-                    Some((t, w, vh)) => {
-                        tags[slot] = t;
-                        words[slot] = w;
-                        hashes[r] = combine(hashes[r], vh);
-                        if t == T_NULL {
-                            nulls.push(r);
-                        }
-                    }
-                    None => {
-                        if ok[r] {
-                            ok[r] = false;
-                            bad += 1;
-                        }
-                        hashes[r] = combine(hashes[r], hash_value(v));
-                    }
+            batch.column(c).for_each_value(rows, |r, v| {
+                let (t, w, vh) = encode(v, |s, sh| self.heap.lookup(s, sh).unwrap_or(MISS_WORD));
+                tags[r * width + k] = t;
+                words[r * width + k] = w;
+                hashes[r] = combine(hashes[r], vh);
+                if t == T_NULL {
+                    nulls.push(r);
                 }
             });
         }
-        chunk.bad = bad;
         for r in nulls {
             out.mark_null(r);
         }
         out
     }
 
-    /// Owned-side fused batch kernel: encode a batch's key columns
-    /// directly into `chunk` (interning new text) and hash them in the
-    /// same column-at-a-time pass — bit-identical to
-    /// [`hash_key_columns`](crate::exec::hash::hash_key_columns) on the
-    /// materialized values, so consumers can skip materializing bare
-    /// column references entirely. Rows that fail to encode are marked
-    /// not-ok but still get their exact hash via the value-based kernel.
-    pub fn encode_batch_hashed(
-        &mut self,
-        chunk: &mut EncodedChunk,
-        batch: &RowBatch<'_>,
-        cols: &[usize],
-    ) -> Vec<u64> {
-        let rows = batch.num_rows();
-        let width = self.width;
-        debug_assert_eq!(cols.len(), width);
-        chunk.reset_dense(width, rows);
-        let mut hashes = vec![HASH_SEED; rows];
-        let mut bad = 0usize;
-        for (k, &c) in cols.iter().enumerate() {
-            let col = batch.column(c);
-            let (tags, words, ok) = (&mut chunk.tags, &mut chunk.words, &mut chunk.ok);
-            let hashes = &mut hashes;
-            col.for_each_value(rows, |r, v| {
-                let slot = r * width + k;
-                match self.encode_hash_value(v) {
-                    Some((t, w, vh)) => {
-                        tags[slot] = t;
-                        words[slot] = w;
-                        hashes[r] = combine(hashes[r], vh);
-                    }
-                    None => {
-                        if ok[r] {
-                            ok[r] = false;
-                            bad += 1;
-                        }
-                        hashes[r] = combine(hashes[r], hash_value(v));
-                    }
-                }
-            });
-        }
-        chunk.bad = bad;
-        hashes
-    }
-
-    /// Append chunk row `r` (must be ok) as a stored tuple; returns its
-    /// arena index.
+    /// Append chunk row `r` as a stored tuple; returns its arena index.
     #[inline]
     pub fn push_from_chunk(&mut self, chunk: &EncodedChunk, r: usize) -> u32 {
-        debug_assert!(chunk.ok(r) && chunk.width == self.width);
+        debug_assert_eq!(chunk.width, self.width);
         let idx = self.len() as u32;
         let s = r * self.width;
         self.tags.extend_from_slice(&chunk.tags[s..s + self.width]);
@@ -621,16 +348,10 @@ impl KeyArena {
     #[inline]
     pub fn eq_chunk(&self, idx: usize, chunk: &EncodedChunk, r: usize) -> bool {
         let w = self.width;
-        let a = idx * w;
-        let b = r * w;
-        for k in 0..w {
-            if EQ_CLASS[self.tags[a + k] as usize] != EQ_CLASS[chunk.tags[b + k] as usize]
-                || self.words[a + k] != chunk.words[b + k]
-            {
-                return false;
-            }
-        }
-        true
+        slots_eq(
+            (&self.tags[idx * w..][..w], &self.words[idx * w..][..w]),
+            (&chunk.tags[r * w..][..w], &chunk.words[r * w..][..w]),
+        )
     }
 
     /// Grouping equality between two stored tuples (join build chains
@@ -638,56 +359,40 @@ impl KeyArena {
     #[inline]
     pub fn eq_rows(&self, a: usize, b: usize) -> bool {
         let w = self.width;
-        let (a, b) = (a * w, b * w);
-        for k in 0..w {
-            if EQ_CLASS[self.tags[a + k] as usize] != EQ_CLASS[self.tags[b + k] as usize]
-                || self.words[a + k] != self.words[b + k]
-            {
-                return false;
-            }
-        }
-        true
+        slots_eq(
+            (&self.tags[a * w..][..w], &self.words[a * w..][..w]),
+            (&self.tags[b * w..][..w], &self.words[b * w..][..w]),
+        )
     }
 
     /// Grouping equality between stored tuple `idx` and a row of plain
-    /// `Value`s fetched through `get(c)` — the per-row fallback compare
-    /// for probes that could not be chunk-encoded. Exact for *all* values,
-    /// including integers beyond ±2^53: stored `T_INT` words decode back
-    /// to exact integers for an `i64` compare, while `T_DOUBLE` words
-    /// compare against the probe integer's widening, mirroring
-    /// `Value::total_cmp` case by case.
+    /// `Value`s fetched through `get(c)` — the compare for probe-only
+    /// lookups that hold no scratch chunk. Text compares by content, so
+    /// the probe never touches the heap's index.
     pub fn eq_row_at<'v>(&self, idx: usize, mut get: impl FnMut(usize) -> &'v Value) -> bool {
         let base = idx * self.width;
-        for c in 0..self.width {
+        (0..self.width).all(|c| {
             let (tag, word) = (self.tags[base + c], self.words[base + c]);
-            let equal = match get(c) {
-                Value::Null => tag == T_NULL,
-                Value::Boolean(b) => tag == T_BOOL && word == u64::from(*b),
-                Value::Integer(i) => match tag {
-                    T_INT => f64::from_bits(word) as i64 == *i,
-                    T_DOUBLE => (*i as f64).to_bits() == word,
-                    _ => false,
-                },
-                Value::Double(d) => (tag == T_INT || tag == T_DOUBLE) && word == d.to_bits(),
+            match get(c) {
                 Value::Varchar(s) => tag == T_TEXT && self.heap.get(word) == s.as_str(),
-                Value::Date(d) => tag == T_DATE && word == *d as u32 as u64,
-            };
-            if !equal {
-                return false;
+                v => {
+                    let (t, w, _) = encode(v, |_, _| unreachable!("text handled above"));
+                    EQ_CLASS[t as usize] == EQ_CLASS[tag as usize] && w == word
+                }
             }
-        }
-        true
+        })
     }
 
     /// Decode column `col` of stored tuple `idx` back to its original
-    /// `Value` (exact: every encodable value round-trips).
+    /// `Value` (bit-exact: every value round-trips).
     pub fn value_at(&self, idx: usize, col: usize) -> Value {
         let i = idx * self.width + col;
         let word = self.words[i];
         match self.tags[i] {
             T_NULL => Value::Null,
             T_BOOL => Value::Boolean(word != 0),
-            T_INT => Value::Integer(f64::from_bits(word) as i64),
+            T_INT => Value::Integer(word as i64),
+            T_INT_DBL => Value::Double(NumKey::Int(word as i64).split().0),
             T_DOUBLE => Value::Double(f64::from_bits(word)),
             T_DATE => Value::Date(word as u32 as i32),
             T_TEXT => Value::Varchar(self.heap.get(word).to_string()),
@@ -699,104 +404,34 @@ impl KeyArena {
     pub fn decode_row(&self, idx: usize) -> Row {
         (0..self.width).map(|c| self.value_at(idx, c)).collect()
     }
-
-    /// Decode the whole arena, preserving insertion order — the lossless
-    /// conversion a consumer runs when demoting to the row-based path.
-    pub fn decode_all(&self) -> Vec<Row> {
-        (0..self.len()).map(|i| self.decode_row(i)).collect()
-    }
 }
 
-// ---------------------------------------------------------------------------
-// TupleStore
-// ---------------------------------------------------------------------------
-
-/// Key-tuple storage shared by the hash consumers: typed while the key
-/// set is representable, demoted (losslessly, via decode) to materialized
-/// rows the moment it is not. `Empty` defers the choice until the first
-/// batch reveals the key width.
-#[derive(Debug, Default)]
-pub enum TupleStore {
-    /// No tuples yet; width unknown.
-    #[default]
-    Empty,
-    /// Typed columnar storage.
-    Typed(KeyArena),
-    /// Row-based fallback storage.
-    Rows(Vec<Row>),
-}
-
-impl TupleStore {
-    /// Number of stored tuples.
-    pub fn len(&self) -> usize {
-        match self {
-            TupleStore::Empty => 0,
-            TupleStore::Typed(a) => a.len(),
-            TupleStore::Rows(r) => r.len(),
+/// `(class, word)` equality of two packed tuples of equal width. A plain
+/// loop: key widths are one or two columns, far below where a `memcmp`
+/// call on the word slices would pay.
+#[inline]
+fn slots_eq((tags_a, words_a): (&[u8], &[u64]), (tags_b, words_b): (&[u8], &[u64])) -> bool {
+    for k in 0..words_a.len() {
+        if words_a[k] != words_b[k] || EQ_CLASS[tags_a[k] as usize] != EQ_CLASS[tags_b[k] as usize]
+        {
+            return false;
         }
     }
-
-    /// True when no tuples are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Resolve `Empty` into a typed arena for `width` columns (zero-width
-    /// keys go straight to rows — there is nothing to pack).
-    pub fn init(&mut self, width: usize) {
-        if matches!(self, TupleStore::Empty) {
-            *self = if width == 0 {
-                TupleStore::Rows(Vec::new())
-            } else {
-                TupleStore::Typed(KeyArena::new(width))
-            };
-        }
-    }
-
-    /// Resolve the store for `width`-column tuples, demoting to rows when
-    /// an earlier resolution used a different width (mixed-width tuples
-    /// cannot share one arena — they are simply unequal rows).
-    pub fn ensure_width(&mut self, width: usize) {
-        self.init(width);
-        if matches!(self, TupleStore::Typed(a) if a.width() != width) {
-            self.demote();
-        }
-    }
-
-    /// Switch to row-based storage, decoding any typed tuples in order;
-    /// returns the row vector for immediate use.
-    pub fn demote(&mut self) -> &mut Vec<Row> {
-        if let TupleStore::Typed(a) = self {
-            *self = TupleStore::Rows(a.decode_all());
-        } else if matches!(self, TupleStore::Empty) {
-            *self = TupleStore::Rows(Vec::new());
-        }
-        match self {
-            TupleStore::Rows(r) => r,
-            _ => unreachable!(),
-        }
-    }
-
-    /// Materialize stored tuple `idx` (typed tuples decode, rows clone).
-    pub fn row(&self, idx: usize) -> Row {
-        match self {
-            TupleStore::Empty => unreachable!("empty tuple store has no rows"),
-            TupleStore::Typed(a) => a.decode_row(idx),
-            TupleStore::Rows(r) => r[idx].clone(),
-        }
-    }
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const BIG: i64 = 1 << 53;
+
     fn arena_with(values: &[&[Value]]) -> KeyArena {
-        let width = values[0].len();
-        let mut a = KeyArena::new(width);
+        let mut a = KeyArena::default();
         let mut chunk = EncodedChunk::new();
-        a.encode_chunk(&mut chunk, values.len(), |r, c| &values[r][c]);
-        assert!(chunk.all_ok());
+        a.encode_chunk(&mut chunk, values[0].len(), values.len(), |r, c| {
+            &values[r][c]
+        });
         for r in 0..values.len() {
             a.push_from_chunk(&chunk, r);
         }
@@ -809,10 +444,17 @@ mod tests {
             vec![Value::Null],
             vec![Value::Boolean(true)],
             vec![Value::Integer(-42)],
-            vec![Value::Integer(i64::MIN)], // -2^63 is exactly representable
+            vec![Value::Integer(BIG + 1)],
+            vec![Value::Integer(i64::MAX)],
+            vec![Value::Integer(i64::MIN)],
             vec![Value::Double(3.25)],
+            vec![Value::Double(3.0)],
+            vec![Value::Double(-(BIG as f64) * 4.0)],
+            vec![Value::Double(i64::MIN as f64)],
+            vec![Value::Double(-(i64::MIN as f64))], // 2^63: past every integer
             vec![Value::Double(-0.0)],
             vec![Value::Double(f64::NAN)],
+            vec![Value::Double(f64::NEG_INFINITY)],
             vec![Value::Varchar(String::new())],
             vec![Value::Varchar("héllo".into())],
             vec![Value::Date(-719_468)],
@@ -829,96 +471,79 @@ mod tests {
     }
 
     #[test]
-    fn unrepresentable_integers_fail_encoding() {
-        let mut a = KeyArena::new(1);
-        let mut chunk = EncodedChunk::new();
-        let vals = [
-            vec![Value::Integer((1 << 53) + 1)],
-            vec![Value::Integer(i64::MAX)],
-            vec![Value::Integer(1 << 53)], // exactly representable
-        ];
-        a.encode_chunk(&mut chunk, vals.len(), |r, c| &vals[r][c]);
-        assert!(!chunk.ok(0));
-        assert!(!chunk.ok(1));
-        assert!(chunk.ok(2));
-        assert_eq!(chunk.bad_rows(), 2);
-    }
-
-    #[test]
     fn grouping_equality_matches_value_semantics() {
-        let rows = [
-            vec![Value::Integer(3)],
-            vec![Value::Null],
-            vec![Value::Varchar(String::new())],
-            vec![Value::Date(3)],
+        // Every pair of this pool, through all three compares, must agree
+        // with `Value`'s `==`: 3 ≡ 3.0, NULL ≡ NULL, '' ≢ NULL, DATE 3 ≢
+        // INTEGER 3, and beyond ±2^53 no integer equals its neighbour's
+        // double.
+        let pool = [
+            Value::Integer(3),
+            Value::Double(3.0),
+            Value::Double(3.5),
+            Value::Integer(BIG),
+            Value::Integer(BIG + 1),
+            Value::Double(BIG as f64),
+            Value::Integer(i64::MAX),
+            Value::Double(i64::MAX as f64),
+            Value::Integer(0),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Null,
+            Value::Varchar(String::new()),
+            Value::Varchar("x".into()),
+            Value::Date(3),
+            Value::Boolean(true),
         ];
-        let refs: Vec<&[Value]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut a = arena_with(&refs);
-
-        // INTEGER 3 ≡ DOUBLE 3.0, NULL ≡ NULL, "" ≢ NULL, DATE 3 ≢ INTEGER 3.
+        let rows: Vec<&[Value]> = pool.iter().map(std::slice::from_ref).collect();
+        let mut a = arena_with(&rows);
         let mut probe = EncodedChunk::new();
-        let probes = [
-            vec![Value::Double(3.0)],
-            vec![Value::Null],
-            vec![Value::Varchar("x".into())],
-            vec![Value::Integer(3)],
-        ];
-        a.encode_chunk(&mut probe, probes.len(), |r, c| &probes[r][c]);
-        assert!(a.eq_chunk(0, &probe, 0), "INTEGER 3 must equal DOUBLE 3.0");
-        assert!(a.eq_chunk(1, &probe, 1), "NULL must equal NULL");
-        assert!(!a.eq_chunk(2, &probe, 1), "'' must not equal NULL");
-        assert!(!a.eq_chunk(2, &probe, 2));
-        assert!(!a.eq_chunk(3, &probe, 3), "DATE 3 must not equal INTEGER 3");
+        a.encode_chunk(&mut probe, 1, pool.len(), |r, _| &pool[r]);
+        for (i, x) in pool.iter().enumerate() {
+            for (j, y) in pool.iter().enumerate() {
+                let want = x == y;
+                assert_eq!(a.eq_chunk(i, &probe, j), want, "eq_chunk {x:?} vs {y:?}");
+                assert_eq!(a.eq_rows(i, j), want, "eq_rows {x:?} vs {y:?}");
+                assert_eq!(a.eq_row_at(i, |_| y), want, "eq_row_at {x:?} vs {y:?}");
+            }
+        }
     }
 
     #[test]
-    fn probe_chunk_never_interns() {
+    fn probe_batch_never_interns() {
         let rows = [vec![Value::Varchar("a".into())]];
         let refs: Vec<&[Value]> = rows.iter().map(|r| r.as_slice()).collect();
         let a = arena_with(&refs);
-        let heap_len = a.heap.spans.len();
+        let heap_len = a.heap.ends.len();
         let mut chunk = EncodedChunk::new();
-        let probes = [
-            vec![Value::Varchar("b".into())],
-            vec![Value::Varchar("a".into())],
-        ];
-        a.encode_probe_chunk(&mut chunk, probes.len(), |r, c| &probes[r][c]);
-        assert_eq!(a.heap.spans.len(), heap_len, "probe must not intern");
-        assert!(chunk.ok(0) && chunk.ok(1));
+        let probes = RowBatch::from_rows(
+            1,
+            vec![
+                vec![Value::Varchar("b".into())],
+                vec![Value::Varchar("a".into())],
+            ],
+        );
+        a.encode_probe_batch(&mut chunk, &probes, &[0]);
+        assert_eq!(a.heap.ends.len(), heap_len, "probe must not intern");
         assert!(!a.eq_chunk(0, &chunk, 0), "unseen string matches nothing");
         assert!(a.eq_chunk(0, &chunk, 1));
     }
 
     #[test]
-    fn fallback_row_compare_is_exact_beyond_2_53() {
-        // Stored: exactly-representable Integer(2^53) and a Double at the
-        // same bits. A probe Integer(2^53 + 1) must match the Double (its
-        // widening rounds onto it) but not the Integer — the asymmetry
-        // that forces unrepresentable ints off the typed path.
-        let big = 1_i64 << 53;
-        let rows = [vec![Value::Integer(big)], vec![Value::Double(big as f64)]];
-        let refs: Vec<&[Value]> = rows.iter().map(|r| r.as_slice()).collect();
-        let a = arena_with(&refs);
-        let probe = [Value::Integer(big + 1)];
-        assert!(!a.eq_row_at(0, |c| &probe[c]));
-        assert!(a.eq_row_at(1, |c| &probe[c]));
-        // And the sanity direction: the exact integer matches both.
-        let exact = [Value::Integer(big)];
-        assert!(a.eq_row_at(0, |c| &exact[c]));
-        assert!(a.eq_row_at(1, |c| &exact[c]));
-    }
-
-    #[test]
-    fn demote_preserves_order_and_values() {
-        let rows = [
-            vec![Value::Integer(1), Value::Varchar("x".into())],
-            vec![Value::Null, Value::Double(2.5)],
+    fn fused_hashes_match_the_value_kernel() {
+        let rows = vec![
+            vec![Value::Integer(BIG + 1), Value::from("a")],
+            vec![Value::Double(2.0), Value::Null],
+            vec![Value::Double(0.5), Value::from("a")],
         ];
-        let refs: Vec<&[Value]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut store = TupleStore::Typed(arena_with(&refs));
-        let decoded = store.demote().clone();
-        assert_eq!(decoded.len(), 2);
-        assert_eq!(decoded[0], rows[0]);
-        assert_eq!(decoded[1], rows[1]);
+        let batch = RowBatch::from_rows(2, rows.clone());
+        let mut a = KeyArena::default();
+        let mut chunk = EncodedChunk::new();
+        let owned = a.encode_batch(&mut chunk, &batch, &[0, 1]);
+        let probed = a.encode_probe_batch(&mut chunk, &batch, &[0, 1]);
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(owned[r], crate::exec::hash::hash_row(row));
+            assert_eq!(probed.hashes[r], owned[r]);
+            assert_eq!(probed.is_null(r), r == 1);
+        }
     }
 }

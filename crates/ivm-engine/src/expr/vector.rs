@@ -24,7 +24,7 @@ use crate::exec::batch::RowBatch;
 use crate::expr::eval::{eval_arith, sql_compare};
 use crate::expr::BoundExpr;
 use crate::types::DataType;
-use crate::value::Value;
+use crate::value::{NumKey, Value};
 
 /// Tri-state boolean encoding used by predicate kernels.
 const FALSE: i8 = 0;
@@ -196,7 +196,21 @@ impl NumView<'_> {
         }
     }
 
-    /// `(value, is_null)` widened to f64.
+    /// The value at `i` with its own numeric type (`Null` when null), for
+    /// comparisons: `Value`'s order is exact across INTEGER and DOUBLE.
+    #[inline]
+    fn value_at(&self, i: usize) -> Value {
+        let null = |n: &Option<&[bool]>| n.is_some_and(|n| n[i]);
+        match self {
+            NumView::Ints(d, n) if !null(n) => Value::Integer(d[i]),
+            NumView::Floats(d, n) if !null(n) => Value::Double(d[i]),
+            NumView::ScalarInt(v) => Value::Integer(*v),
+            NumView::ScalarFloat(v) => Value::Double(*v),
+            _ => Value::Null,
+        }
+    }
+
+    /// `(value, is_null)` widened to f64 (arithmetic only).
     #[inline]
     fn f64_at(&self, i: usize) -> (f64, bool) {
         match self {
@@ -546,11 +560,19 @@ fn extract_column<'b>(batch: &'b RowBatch<'_>, index: usize, rows: usize) -> Vec
                 ints.push(0);
             }
             Value::Double(_) => {
-                // Upgrade to a float chunk, re-reading from the top.
-                let mut floats: Vec<f64> = ints.iter().map(|&v| v as f64).collect();
+                // Upgrade to a float chunk, re-reading from the top —
+                // unless an integer beyond ±2^53 would lose the exactness
+                // comparisons are owed.
+                let widened: Option<Vec<f64>> = ints.iter().map(|&v| exact_f64(v)).collect();
+                let Some(mut floats) = widened else {
+                    return refs_column(batch, index, rows);
+                };
                 while i < rows {
                     match col.get(i) {
-                        Value::Integer(v) => floats.push(*v as f64),
+                        Value::Integer(v) => match exact_f64(*v) {
+                            Some(f) => floats.push(f),
+                            None => return refs_column(batch, index, rows),
+                        },
                         Value::Double(d) => floats.push(*d),
                         Value::Null => {
                             nulls.get_or_insert_with(|| vec![false; rows])[i] = true;
@@ -573,6 +595,12 @@ fn extract_column<'b>(batch: &'b RowBatch<'_>, index: usize, rows: usize) -> Vec
         i += 1;
     }
     VecCol::Int { data: ints, nulls }
+}
+
+/// `v` as a double, when that loses nothing.
+fn exact_f64(v: i64) -> Option<f64> {
+    let (nearest, rem) = NumKey::Int(v).split();
+    (rem == 0).then_some(nearest)
 }
 
 fn bool_column<'b>(batch: &'b RowBatch<'_>, index: usize, rows: usize) -> VecCol<'b> {
@@ -615,9 +643,8 @@ fn compare_chunks<'b>(
             }
         } else {
             for i in 0..rows {
-                let (a, an) = lv.f64_at(i);
-                let (b, bn) = rv.f64_at(i);
-                out.push(if an || bn {
+                let (a, b) = (lv.value_at(i), rv.value_at(i));
+                out.push(if a.is_null() || b.is_null() {
                     NULL
                 } else {
                     tri_from_ord(a.total_cmp(&b), op)

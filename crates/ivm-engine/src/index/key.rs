@@ -1,11 +1,13 @@
 //! Order-preserving binary key encoding for index keys.
 //!
 //! Composite [`Value`] keys are encoded into byte strings whose
-//! lexicographic order equals the tuple's [`Value::total_cmp`] order. Each
+//! lexicographic order equals the tuple's [`Value::total_cmp`] order, and
+//! whose equality equals `==` (numerics: see [`Value::num_key`]). Each
 //! component is self-delimiting, so for a fixed key arity no encoded key is
-//! a proper prefix of another — the property the ART relies on.
+//! a proper prefix of another — the property the ART relies on. Keys live
+//! only in the in-memory indexes, never on disk.
 
-use crate::value::Value;
+use crate::value::{NumKey, Value};
 
 /// Type tags. NULL sorts before every value, matching `Value::total_cmp`.
 const TAG_NULL: u8 = 0x00;
@@ -32,17 +34,11 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) {
             out.push(u8::from(*b));
         }
         // INTEGER and DOUBLE share a tag because `total_cmp` compares them
-        // numerically; both encode through the f64 order-preserving map.
-        // (i64 values up to 2^53 survive exactly; beyond that the grouping
-        // comparison itself is on f64, so the encoding stays consistent.)
-        Value::Integer(i) => {
-            out.push(TAG_NUM);
-            out.extend_from_slice(&encode_f64(*i as f64));
-        }
-        Value::Double(d) => {
-            out.push(TAG_NUM);
-            out.extend_from_slice(&encode_f64(*d));
-        }
+        // numerically: the nearest double through the f64 order-preserving
+        // map, then the sign-flipped remainder (see `NumKey::split`; a
+        // double is its own nearest double).
+        Value::Integer(i) => encode_num(NumKey::Int(*i).split(), out),
+        Value::Double(d) => encode_num((*d, 0), out),
         Value::Varchar(s) => {
             out.push(TAG_VARCHAR);
             // Escape 0x00 as 0x00 0xFF, terminate with 0x00 0x00: preserves
@@ -67,17 +63,19 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-/// Map an f64 to 8 bytes whose unsigned lexicographic order equals
-/// `f64::total_cmp` order: positive floats flip only the sign bit, negative
-/// floats flip every bit.
-fn encode_f64(d: f64) -> [u8; 8] {
+/// Ten bytes whose unsigned lexicographic order equals the order of
+/// `(f64::total_cmp, remainder)` pairs: positive floats flip only the sign
+/// bit, negative floats flip every bit, the remainder flips its sign bit.
+fn encode_num((d, rem): (f64, i16), out: &mut Vec<u8>) {
     let bits = d.to_bits();
     let mapped = if bits & 0x8000_0000_0000_0000 == 0 {
         bits ^ 0x8000_0000_0000_0000
     } else {
         !bits
     };
-    mapped.to_be_bytes()
+    out.push(TAG_NUM);
+    out.extend_from_slice(&mapped.to_be_bytes());
+    out.extend_from_slice(&(rem as u16 ^ 0x8000).to_be_bytes());
 }
 
 #[cfg(test)]

@@ -72,10 +72,7 @@ pub mod value;
 pub use catalog::Catalog;
 pub use concurrent::{ReadSession, Snapshot, SnapshotHub};
 pub use error::{EngineError, ErrorKind};
-pub use exec::{
-    reset_typed_path_stats, typed_path_stats, ExecConfig, ExecContext, MemoryBudget, RowBatch,
-    SpillStats,
-};
+pub use exec::{ExecConfig, ExecContext, MemoryBudget, RowBatch, SpillStats};
 pub use planner::{plan_query, LogicalPlan, PhysicalPlan};
 pub use schema::{Column, Schema};
 pub use session::{Database, QueryResult};

@@ -581,13 +581,6 @@ impl Database {
         self.config.budget().stats()
     }
 
-    /// Cumulative `(typed, fallback)` row counters for the typed columnar
-    /// key path (process-wide — see
-    /// [`exec::typed_path_stats`]).
-    pub fn typed_path_stats(&self) -> (u64, u64) {
-        crate::exec::typed_path_stats()
-    }
-
     /// What this session's executions borrow: its catalog and executor
     /// settings (pass it to [`exec::run`] or [`exec::build_operator`] to
     /// drive an already-lowered plan by hand).

@@ -10,9 +10,10 @@ use crate::types::DataType;
 /// A single runtime value.
 ///
 /// `Value` implements *grouping* equality/ordering (used by hash aggregation,
-/// hash joins, DISTINCT, ORDER BY, and index keys): `Null == Null`, doubles
-/// compare via `total_cmp`, and `Null` sorts first. SQL three-valued
-/// comparison lives in the expression evaluator, not here.
+/// hash joins, DISTINCT, ORDER BY, and index keys): `Null == Null`, numerics
+/// compare exactly across `INTEGER`/`DOUBLE` (see [`Value::num_key`]), and
+/// `Null` sorts first. SQL three-valued comparison lives in the expression
+/// evaluator, not here.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
@@ -123,8 +124,29 @@ impl Value {
         out.ok_or_else(|| EngineError::invalid_cast(format!("cannot cast {self} to {target}")))
     }
 
+    /// The numeric equality class of the value, when numeric — the one
+    /// rule every keyed structure (this type's `Eq`/`Ord`/`Hash`, the hash
+    /// kernels, the typed key arenas, index keys, the vectorized compare)
+    /// consumes: an `INTEGER`, and any `DOUBLE` that is integral, is not
+    /// `-0.0` and lies in [-2^63, 2^63), belong to the class of that
+    /// integer; every other double (fractional, `-0.0`, ±∞, NaN, |d| ≥
+    /// 2^63) is a class of its own. So `3 ≡ 3.0`, `-0.0 ≢ 0.0`, `NaN ≡
+    /// NaN` (same bits), and — unlike "widen the integer, then compare" —
+    /// `2^53 + 1 ≢ 9007199254740992.0`: the relation is transitive over
+    /// the whole `i64` range.
+    #[inline]
+    pub fn num_key(&self) -> Option<NumKey> {
+        match self {
+            Value::Integer(i) => Some(NumKey::Int(*i)),
+            Value::Double(d) => Some(NumKey::of_double(*d)),
+            _ => None,
+        }
+    }
+
     /// Grouping comparison used by sorting and index keys: NULL first, then
-    /// by type-specific order. Cross-numeric-type values compare by value.
+    /// by type-specific order. Numerics compare by mathematical value (see
+    /// [`Value::num_key`]; `-0.0` sorts just below `0`, NaNs at the ends as
+    /// in `f64::total_cmp`), so `Equal` coincides with equal classes.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -134,8 +156,8 @@ impl Value {
             (Boolean(a), Boolean(b)) => a.cmp(b),
             (Integer(a), Integer(b)) => a.cmp(b),
             (Double(a), Double(b)) => a.total_cmp(b),
-            (Integer(a), Double(b)) => (*a as f64).total_cmp(b),
-            (Double(a), Integer(b)) => a.total_cmp(&(*b as f64)),
+            (Integer(a), Double(b)) => cmp_int_double(*a, *b),
+            (Double(a), Integer(b)) => cmp_int_double(*b, *a).reverse(),
             (Varchar(a), Varchar(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(b),
             // Differently-typed values never meet in well-typed plans; fall
@@ -143,6 +165,74 @@ impl Value {
             _ => type_rank(self).cmp(&type_rank(other)),
         }
     }
+}
+
+/// A numeric value's equality class — see [`Value::num_key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum NumKey {
+    /// The class of this integer (and of the one double equal to it).
+    Int(i64),
+    /// A double outside every integer class, keyed by its bits.
+    Frac(u64),
+}
+
+/// 2^63: the first double past the `i64` range.
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
+impl NumKey {
+    /// The class of a double.
+    #[inline]
+    pub fn of_double(d: f64) -> NumKey {
+        // In range the cast truncates exactly, so the round trip holds
+        // precisely for integral doubles; `-0.0` passes it and is excluded
+        // by its sign, NaN fails the range test.
+        if (-TWO_63..TWO_63).contains(&d) {
+            let i = d as i64;
+            if i as f64 == d && (i != 0 || d.is_sign_positive()) {
+                return NumKey::Int(i);
+            }
+        }
+        NumKey::Frac(d.to_bits())
+    }
+
+    /// The 8-byte word identifying the class among classes of its kind:
+    /// what hashes mix and typed key arenas store.
+    #[inline]
+    pub fn word(self) -> u64 {
+        match self {
+            NumKey::Int(i) => i as u64,
+            NumKey::Frac(bits) => bits,
+        }
+    }
+
+    /// The class as `(nearest double, class − that double)`. The remainder
+    /// is 0 for every double and every integer within ±2^53 (at most ±1024
+    /// beyond), so the first half is the class's double spelling whenever
+    /// it has one; ordering pairs by `f64::total_cmp`, then remainder, is
+    /// the numeric order — what [`cmp_int_double`] and the index key
+    /// encoding both rest on.
+    #[inline]
+    pub fn split(self) -> (f64, i16) {
+        match self {
+            NumKey::Int(i) => {
+                let nearest = i as f64;
+                // `nearest` is integral with |nearest| ≤ 2^63: exact in i128.
+                (nearest, (i128::from(i) - nearest as i128) as i16)
+            }
+            NumKey::Frac(bits) => (f64::from_bits(bits), 0),
+        }
+    }
+}
+
+/// Exact comparison of an integer with a double, consistent with
+/// `i64::cmp` and `f64::total_cmp` on either side (the order
+/// [`Value::total_cmp`] documents). Rounding to nearest is monotone, so
+/// the integer's nearest double decides unless it *is* `d`, and then the
+/// remainder does.
+#[inline]
+pub fn cmp_int_double(i: i64, d: f64) -> Ordering {
+    let (nearest, rem) = NumKey::Int(i).split();
+    nearest.total_cmp(&d).then(rem.cmp(&0))
 }
 
 /// Read-only access to one logical row, by column position.
@@ -262,15 +352,10 @@ impl Hash for Value {
                 1u8.hash(state);
                 b.hash(state);
             }
-            // Integers and doubles that are numerically equal must hash the
-            // same because they compare equal in total_cmp.
-            Value::Integer(i) => {
+            // One hash per numeric class: equal under total_cmp ⇒ equal here.
+            v @ (Value::Integer(_) | Value::Double(_)) => {
                 2u8.hash(state);
-                (*i as f64).to_bits().hash(state);
-            }
-            Value::Double(d) => {
-                2u8.hash(state);
-                d.to_bits().hash(state);
+                v.num_key().map(NumKey::word).hash(state);
             }
             Value::Varchar(s) => {
                 4u8.hash(state);
@@ -354,6 +439,86 @@ mod tests {
         a.hash(&mut h1);
         b.hash(&mut h2);
         assert_eq!(h1.finish(), h2.finish());
+    }
+
+    /// The boundary pool: where "widen, then compare" breaks, and the
+    /// doubles that are their own classes.
+    fn numeric_pool() -> Vec<Value> {
+        const P53: i64 = 1 << 53;
+        let ints = [
+            0,
+            1,
+            -1,
+            P53 - 1,
+            1 - P53,
+            P53,
+            -P53,
+            P53 + 1,
+            -P53 - 1,
+            i64::MIN,
+            i64::MAX,
+        ];
+        let mut pool: Vec<Value> = ints.iter().map(|&i| Value::Integer(i)).collect();
+        pool.extend(ints.iter().map(|&i| Value::Double(i as f64)));
+        pool.extend(
+            [
+                -(i64::MIN as f64), // 2^63
+                -0.0,
+                0.5,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ]
+            .map(Value::Double),
+        );
+        pool
+    }
+
+    #[test]
+    fn numeric_equality_is_an_equivalence_every_key_agrees_with() {
+        use crate::exec::hash::hash_value;
+        use crate::index::encode_key;
+        use std::collections::hash_map::DefaultHasher;
+        let std_hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        let pool = numeric_pool();
+        for a in &pool {
+            assert_eq!(a, a, "reflexive");
+            for b in &pool {
+                assert_eq!(a == b, b == a, "symmetric: {a:?} {b:?}");
+                assert_eq!(
+                    a.total_cmp(b),
+                    b.total_cmp(a).reverse(),
+                    "antisymmetric: {a:?} {b:?}"
+                );
+                if a == b {
+                    assert_eq!(std_hash(a), std_hash(b), "{a:?} {b:?}");
+                    assert_eq!(hash_value(a), hash_value(b), "{a:?} {b:?}");
+                }
+                let (ka, kb) = (
+                    encode_key(std::slice::from_ref(a)),
+                    encode_key(std::slice::from_ref(b)),
+                );
+                assert_eq!(ka.cmp(&kb), a.total_cmp(b), "index key: {a:?} {b:?}");
+                for c in &pool {
+                    if a == b && b == c {
+                        assert_eq!(a, c, "transitive: {a:?} {b:?} {c:?}");
+                    }
+                    if a <= b && b <= c {
+                        assert!(a <= c, "order transitive: {a:?} {b:?} {c:?}");
+                    }
+                }
+            }
+        }
+        // The one behaviour change, spelled out.
+        const P53: i64 = 1 << 53;
+        assert_ne!(Value::Integer(P53 + 1), Value::Double(P53 as f64));
+        assert_eq!(Value::Integer(P53), Value::Double(P53 as f64));
+        assert!(Value::Integer(i64::MAX) < Value::Double(i64::MAX as f64));
+        assert!(Value::Double(-0.0) < Value::Integer(0));
     }
 
     #[test]

@@ -117,10 +117,9 @@ fn assert_equivalent(n: usize, with_tombstones: bool, morsel: usize, batch: usiz
 /// threshold at which the build side is radix-partitioned and built by
 /// the workers). `b.k` repeats each key four times and is NULL every 97th
 /// row; a quarter of `p.k` matches nothing and every 89th is NULL. With
-/// `wide_key`, one `b.k` (and one `p.k`) is `(1 << 53) + 1`, which the
-/// typed key arena cannot represent: the whole build side then compares
-/// through the `Vec<Value>` row fallback. `d` is a small second build
-/// side matching five of the seven `b.g`.
+/// `wide_key`, one `b.k` (and one `p.k`) is `(1 << 53) + 1`, beyond what
+/// a double holds exactly. `d` is a small second build side matching five
+/// of the seven `b.g`.
 fn load_big_build(db: &mut Database, wide_key: bool) {
     const WIDE: i64 = (1 << 53) + 1;
     db.execute("CREATE TABLE p (k INTEGER, v INTEGER)").unwrap();

@@ -447,3 +447,35 @@ fn explain_renders_plan_tree() {
     // EXPLAIN never executes the query.
     assert!(db.execute("EXPLAIN DELETE FROM t").is_err(), "queries only");
 }
+
+/// Index keys are exact over the whole INTEGER range: neighbours beyond
+/// ±2^53 (which share an f64 image) are distinct primary keys, each point
+/// read finds its own row, and a true duplicate is still rejected —
+/// through `PRIMARY KEY` and through `CREATE UNIQUE INDEX` alike.
+#[test]
+fn wide_integer_keys_are_exact() {
+    const P53: i64 = 1 << 53;
+    let ids = [P53, P53 + 1, i64::MAX - 1, i64::MAX, i64::MIN];
+    let mut db = db();
+    db.execute("CREATE TABLE p (id INTEGER PRIMARY KEY, n INTEGER)")
+        .unwrap();
+    db.execute("CREATE TABLE u (id INTEGER, n INTEGER)")
+        .unwrap();
+    db.execute("CREATE UNIQUE INDEX u_id ON u (id)").unwrap();
+    for table in ["p", "u"] {
+        for (n, id) in ids.iter().enumerate() {
+            db.execute(&format!("INSERT INTO {table} VALUES ({id}, {n})"))
+                .unwrap_or_else(|e| panic!("{table}: insert {id}: {e}"));
+        }
+        for (n, id) in ids.iter().enumerate() {
+            let r = db
+                .query(&format!("SELECT id, n FROM {table} WHERE id = {id}"))
+                .unwrap();
+            assert_eq!(ints(&r), vec![vec![*id, n as i64]], "{table}: read {id}");
+            let dup = db.execute(&format!("INSERT INTO {table} VALUES ({id}, 99)"));
+            assert!(dup.is_err(), "{table}: duplicate {id} accepted");
+        }
+        let r = db.query(&format!("SELECT COUNT(*) FROM {table}")).unwrap();
+        assert_eq!(r.scalar(), Some(&Value::Integer(ids.len() as i64)));
+    }
+}

@@ -1,8 +1,6 @@
 //! Cross-system consistency checking.
 
-use std::collections::HashMap;
-
-use ivm_engine::Value;
+pub use ivm_core::rows_equal_as_multisets;
 
 /// Outcome of a pipeline-wide consistency check.
 #[derive(Debug, Clone, Default)]
@@ -20,29 +18,10 @@ impl ConsistencyReport {
     }
 }
 
-/// Compare two row sets as multisets, normalizing INTEGER/DOUBLE so values
-/// widened by arithmetic still compare equal.
-pub fn rows_equal_as_multisets(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
-    fn key(rows: &[Vec<Value>]) -> HashMap<Vec<Value>, usize> {
-        let mut m = HashMap::new();
-        for r in rows {
-            let normalized: Vec<Value> = r
-                .iter()
-                .map(|v| match v {
-                    Value::Integer(i) => Value::Double(*i as f64),
-                    other => other.clone(),
-                })
-                .collect();
-            *m.entry(normalized).or_insert(0) += 1;
-        }
-        m
-    }
-    key(a) == key(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivm_engine::Value;
 
     #[test]
     fn multiset_semantics() {

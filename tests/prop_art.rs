@@ -38,6 +38,36 @@ fn op_strategy() -> impl Strategy<Value = ArtOp> {
     ]
 }
 
+/// Where a lossy numeric encoding would break: integers beyond ±2^53,
+/// doubles at the same magnitudes, and the doubles no integer equals.
+fn numeric_boundaries() -> Vec<Value> {
+    const P53: i64 = 1 << 53;
+    let ints = [
+        P53,
+        P53 + 1,
+        P53 + 2,
+        -P53,
+        -P53 - 1,
+        i64::MAX - 1,
+        i64::MAX,
+        i64::MIN,
+    ];
+    let mut pool: Vec<Value> = ints.iter().map(|&i| Value::Integer(i)).collect();
+    pool.extend(ints.iter().map(|&i| Value::Double(i as f64)));
+    pool.extend(
+        [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -(i64::MIN as f64),
+        ]
+        .map(Value::Double),
+    );
+    pool
+}
+
 proptest! {
     #[test]
     fn art_matches_btreemap(ops in prop::collection::vec(op_strategy(), 0..400)) {
@@ -73,14 +103,22 @@ proptest! {
                 any::<bool>().prop_map(Value::Boolean),
                 any::<i32>().prop_map(|i| Value::Integer(i64::from(i))),
                 (-1e6f64..1e6).prop_map(Value::Double),
+                (0..numeric_boundaries().len()).prop_map(|i| numeric_boundaries()[i].clone()),
                 "[a-z]{0,6}".prop_map(Value::from),
             ],
             2..30,
         )
     ) {
+        let enc = |v: &Value| encode_key(std::slice::from_ref(v));
+        // Equal bytes exactly when equal values.
+        for a in &values {
+            for b in &values {
+                prop_assert_eq!(enc(a) == enc(b), a == b, "{:?} vs {:?}", a, b);
+            }
+        }
         // Sorting by encoded bytes must equal sorting by total_cmp.
         let mut by_encoding = values.clone();
-        by_encoding.sort_by_key(|v| encode_key(std::slice::from_ref(v)));
+        by_encoding.sort_by_key(enc);
         values.sort();
         prop_assert_eq!(by_encoding, values);
     }

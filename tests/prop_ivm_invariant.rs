@@ -21,24 +21,49 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn apply(ivm: &mut IvmSession, op: &Op) {
+/// The key column's type and the SQL spelling of each generated key.
+struct KeyDomain {
+    ty: &'static str,
+    keys: [&'static str; 6],
+}
+
+const TEXT_KEYS: KeyDomain = KeyDomain {
+    ty: "VARCHAR",
+    keys: ["'g0'", "'g1'", "'g2'", "'g3'", "'g4'", "'g5'"],
+};
+
+/// Integer keys including 2^53 and 2^53 + 1: one f64 image, two groups.
+const WIDE_KEYS: KeyDomain = KeyDomain {
+    ty: "INTEGER",
+    keys: ["0", "1", "-7", "42", "9007199254740992", "9007199254740993"],
+};
+
+fn apply(ivm: &mut IvmSession, domain: &KeyDomain, op: &Op) {
+    let key = |g: &u8| domain.keys[usize::from(*g)];
     match op {
         Op::Insert { g, v } => {
-            ivm.execute(&format!("INSERT INTO t VALUES ('g{g}', {v})"))
+            ivm.execute(&format!("INSERT INTO t VALUES ({}, {v})", key(g)))
                 .unwrap();
         }
         Op::DeleteWhere { g, below } => {
-            ivm.execute(&format!("DELETE FROM t WHERE k = 'g{g}' AND v < {below}"))
-                .unwrap();
+            ivm.execute(&format!(
+                "DELETE FROM t WHERE k = {} AND v < {below}",
+                key(g)
+            ))
+            .unwrap();
         }
         Op::UpdateAdd { g, add } => {
-            ivm.execute(&format!("UPDATE t SET v = v + {add} WHERE k = 'g{g}'"))
+            ivm.execute(&format!("UPDATE t SET v = v + {add} WHERE k = {}", key(g)))
                 .unwrap();
         }
     }
 }
 
 fn run_view(view_sql: &str, strategy: UpsertStrategy, ops: &[Op]) {
+    run_view_over(&TEXT_KEYS, view_sql, strategy, ops);
+}
+
+fn run_view_over(domain: &KeyDomain, view_sql: &str, strategy: UpsertStrategy, ops: &[Op]) {
     let needs_index = strategy.needs_index();
     let flags = IvmFlags {
         upsert_strategy: strategy,
@@ -50,14 +75,17 @@ fn run_view(view_sql: &str, strategy: UpsertStrategy, ops: &[Op]) {
         ..IvmFlags::paper_defaults()
     };
     let mut ivm = IvmSession::new(flags);
-    ivm.execute("CREATE TABLE t (k VARCHAR, v INTEGER)")
+    ivm.execute(&format!("CREATE TABLE t (k {}, v INTEGER)", domain.ty))
         .unwrap();
     // A little seed data so the initial population is non-trivial.
-    ivm.execute("INSERT INTO t VALUES ('g0', 1), ('g1', -2), ('g1', 5)")
-        .unwrap();
+    let [k0, k1, ..] = domain.keys;
+    ivm.execute(&format!(
+        "INSERT INTO t VALUES ({k0}, 1), ({k1}, -2), ({k1}, 5)"
+    ))
+    .unwrap();
     ivm.execute(view_sql).unwrap();
     for (i, op) in ops.iter().enumerate() {
-        apply(&mut ivm, op);
+        apply(&mut ivm, domain, op);
         // Check at every step: a transiently-wrong view is still a bug.
         assert!(
             ivm.check_consistency("v").unwrap(),
@@ -80,6 +108,23 @@ proptest! {
             UpsertStrategy::LeftJoinUpsert,
             &ops,
         );
+    }
+
+    #[test]
+    fn wide_integer_keys_stay_consistent(ops in prop::collection::vec(op_strategy(), 1..25)) {
+        for strategy in [
+            UpsertStrategy::LeftJoinUpsert,
+            UpsertStrategy::UnionRegroup,
+            UpsertStrategy::FullOuterJoin,
+        ] {
+            run_view_over(
+                &WIDE_KEYS,
+                "CREATE MATERIALIZED VIEW v AS \
+                 SELECT k, SUM(v) AS s, COUNT(*) AS c FROM t GROUP BY k",
+                strategy,
+                &ops,
+            );
+        }
     }
 
     #[test]

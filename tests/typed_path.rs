@@ -1,25 +1,12 @@
-//! SQL-level equivalence suite for the typed columnar key path
+//! SQL-level equivalence suite for the typed columnar key arenas
 //! (`ivm_engine::exec::typed`): queries whose keys take the packed
 //! `(tag, word)` arena must produce exactly the rows (order included)
-//! that `Vec<Value>` grouping semantics dictate — across INTEGER≡DOUBLE
-//! grouping, NULL keys, empty-string vs NULL text, NaN keys, and the
-//! beyond-±2^53 integers that force the row-store fallback.
-//!
-//! The typed/fallback row counters are process-wide atomics, so every
-//! test serializes on one mutex before resetting them.
+//! that `Value`'s grouping semantics dictate — across INTEGER≡DOUBLE
+//! grouping, NULL keys, empty-string vs NULL text, NaN keys, and
+//! integers beyond ±2^53, where equality with a DOUBLE is mathematical
+//! rather than "widen, then compare".
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-use openivm::ivm_engine::{reset_typed_path_stats, typed_path_stats, Database, Value};
-
-/// Serialize tests that reset/read the process-wide typed-path counters.
-fn stats_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poison) => poison.into_inner(),
-    }
-}
+use openivm::ivm_engine::{Database, Value};
 
 fn i(v: i64) -> Value {
     Value::Integer(v)
@@ -31,11 +18,9 @@ fn d(v: f64) -> Value {
 
 /// INTEGER and DOUBLE key values that compare equal under grouping
 /// equality (3 ≡ 3.0) land in one group, keyed by the first-seen value;
-/// NULL keys form one group of their own. The whole workload stays on
-/// the typed path — zero fallback rows.
+/// NULL keys form one group of their own.
 #[test]
 fn mixed_int_double_keys_group_together() {
-    let _g = stats_lock();
     let mut db = Database::new();
     db.execute("CREATE TABLE t (k DOUBLE, v INTEGER)").unwrap();
     {
@@ -49,7 +34,6 @@ fn mixed_int_double_keys_group_together() {
             t.insert(vec![k, i(n as i64)]).unwrap();
         }
     }
-    reset_typed_path_stats();
     let out = db.query("SELECT k, COUNT(*) FROM t GROUP BY k").unwrap();
     // First-seen group order, first-seen key representative.
     assert_eq!(
@@ -61,9 +45,6 @@ fn mixed_int_double_keys_group_together() {
             vec![Value::Null, i(2)],
         ]
     );
-    let (typed, fallback) = typed_path_stats();
-    assert!(typed > 0, "grouping must take the typed path");
-    assert_eq!(fallback, 0, "no key here is unrepresentable");
 }
 
 /// DISTINCT over text: the empty string and NULL are different keys (one
@@ -71,7 +52,6 @@ fn mixed_int_double_keys_group_together() {
 /// text column.
 #[test]
 fn distinct_empty_string_vs_null_text() {
-    let _g = stats_lock();
     let mut db = Database::new();
     db.execute("CREATE TABLE t (s VARCHAR)").unwrap();
     {
@@ -86,7 +66,6 @@ fn distinct_empty_string_vs_null_text() {
             t.insert(vec![s]).unwrap();
         }
     }
-    reset_typed_path_stats();
     let out = db.query("SELECT DISTINCT s FROM t").unwrap();
     assert_eq!(
         out.rows,
@@ -96,9 +75,6 @@ fn distinct_empty_string_vs_null_text() {
             vec![Value::from("a")]
         ]
     );
-    let (typed, fallback) = typed_path_stats();
-    assert!(typed > 0, "text keys must take the typed path");
-    assert_eq!(fallback, 0);
 }
 
 /// NaN keys: grouping equality treats NaN as equal to itself (one
@@ -106,7 +82,6 @@ fn distinct_empty_string_vs_null_text() {
 /// double.
 #[test]
 fn nan_keys_group_and_order() {
-    let _g = stats_lock();
     let mut db = Database::new();
     db.execute("CREATE TABLE t (k DOUBLE)").unwrap();
     {
@@ -131,13 +106,10 @@ fn nan_keys_group_and_order() {
     );
 }
 
-/// Integers beyond ±2^53 cannot be packed into the f64-keyed word
-/// column; the store demotes to rows (counted as fallback) and the
-/// answers stay exact — 2^53 and 2^53 + 1 are distinct groups even
-/// though they share an f64 image (and therefore a hash).
+/// Integers beyond ±2^53 pack into the arena like any other: 2^53 and
+/// 2^53 + 1 are distinct groups even though they share an f64 image.
 #[test]
-fn big_int_keys_fall_back_without_wrong_answers() {
-    let _g = stats_lock();
+fn big_int_keys_group_exactly() {
     const BIG: i64 = 1 << 53;
     let mut db = Database::new();
     db.execute("CREATE TABLE t (k INTEGER)").unwrap();
@@ -147,7 +119,6 @@ fn big_int_keys_fall_back_without_wrong_answers() {
             t.insert(vec![i(k)]).unwrap();
         }
     }
-    reset_typed_path_stats();
     let out = db.query("SELECT k, COUNT(*) FROM t GROUP BY k").unwrap();
     assert_eq!(
         out.rows,
@@ -158,19 +129,15 @@ fn big_int_keys_fall_back_without_wrong_answers() {
             vec![i(i64::MIN), i(1)],
         ]
     );
-    let (_, fallback) = typed_path_stats();
-    assert!(fallback > 0, "beyond-2^53 keys must be counted as fallback");
 }
 
-/// Join-key equality through the typed probe: an INTEGER probe key
-/// equals a DOUBLE build key when their grouping comparison says so
-/// (2^53 + 1 ≡ 9007199254740992.0 — the widened image), but never
-/// equals a *different* INTEGER that shares the same f64 image and
-/// hash. This pins the exact-compare matrix of the probe-side
-/// fallback.
+/// Join-key equality through the typed probe is exact: an INTEGER key
+/// equals a DOUBLE key only when they are the same number (2^53 ≡
+/// 9007199254740992.0, but 2^53 + 1 — whose *widened image* that double
+/// is — does not), and never equals a different INTEGER sharing its f64
+/// image.
 #[test]
 fn join_probe_exactness_beyond_2_53() {
-    let _g = stats_lock();
     const BIG: i64 = 1 << 53;
     let mut db = Database::new();
     db.execute("CREATE TABLE l (k INTEGER, tag VARCHAR)")
@@ -192,29 +159,61 @@ fn join_probe_exactness_beyond_2_53() {
         let t = db.catalog_mut().table_mut("ri").unwrap();
         t.insert(vec![i(BIG), Value::from("int")]).unwrap();
     }
-    // Probe Integer(2^53+1) vs build Double(2^53 as f64): the grouping
-    // comparison widens the integer, so they match.
+    // Integer(2^53+1) vs Double(2^53): different numbers, no match.
     let vs_double = db
         .query("SELECT l.tag, rd.tag FROM l JOIN rd ON l.k = rd.k")
         .unwrap();
+    assert!(vs_double.rows.is_empty(), "{:?}", vs_double.rows);
+    // Double(2^53) vs Integer(2^53): the same number, one row.
+    let same = db
+        .query("SELECT rd.tag, ri.tag FROM rd JOIN ri ON rd.k = ri.k")
+        .unwrap();
     assert_eq!(
-        vs_double.rows,
-        vec![vec![Value::from("probe"), Value::from("double")]]
+        same.rows,
+        vec![vec![Value::from("double"), Value::from("int")]]
     );
-    // Probe Integer(2^53+1) vs build Integer(2^53): equal hashes, equal
-    // f64 images — but integer comparison is exact, so no match.
+    // Integer(2^53+1) vs Integer(2^53): equal f64 images, no match.
     let vs_int = db
         .query("SELECT l.tag, ri.tag FROM l JOIN ri ON l.k = ri.k")
         .unwrap();
     assert!(vs_int.rows.is_empty(), "{:?}", vs_int.rows);
 }
 
-/// A plain integer join + GROUP BY workload never falls back — the
-/// acceptance gate that integer keys take the typed path silently is
-/// observable through the public counters.
+/// Grouping must not depend on arrival order: 2^53 + 1, 2^53 as a
+/// DOUBLE and 2^53 are two groups (the double belongs with the integer
+/// it equals), whichever integer comes first — and so whichever morsel
+/// runs first.
 #[test]
-fn integer_workload_is_fallback_free() {
-    let _g = stats_lock();
+fn mixed_wide_keys_group_independently_of_order() {
+    const BIG: i64 = 1 << 53;
+    let groups = |order: [Value; 3]| {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (k DOUBLE)").unwrap();
+        {
+            let t = db.catalog_mut().table_mut("t").unwrap();
+            for k in order {
+                for _ in 0..40 {
+                    t.insert(vec![k.clone()]).unwrap();
+                }
+            }
+        }
+        let mut rows = db
+            .query("SELECT k, COUNT(*) FROM t GROUP BY k")
+            .unwrap()
+            .rows;
+        rows.sort();
+        rows
+    };
+    let forward = groups([i(BIG + 1), d(BIG as f64), i(BIG)]);
+    let backward = groups([i(BIG), d(BIG as f64), i(BIG + 1)]);
+    assert_eq!(forward, backward);
+    assert_eq!(forward, vec![vec![i(BIG), i(80)], vec![i(BIG + 1), i(40)]]);
+}
+
+/// A plain integer join + GROUP BY + DISTINCT workload through the
+/// arenas.
+#[test]
+fn integer_workload_row_counts() {
     let mut db = Database::new();
     db.execute("CREATE TABLE f (k INTEGER, v INTEGER)").unwrap();
     db.execute("CREATE TABLE dim (k INTEGER, w INTEGER)")
@@ -231,7 +230,6 @@ fn integer_workload_is_fallback_free() {
             t.insert(vec![i(n), i(n * 10)]).unwrap();
         }
     }
-    reset_typed_path_stats();
     let joined = db
         .query("SELECT f.k, dim.w FROM f JOIN dim ON f.k = dim.k")
         .unwrap();
@@ -242,7 +240,4 @@ fn integer_workload_is_fallback_free() {
     assert_eq!(grouped.rows.len(), 97);
     let distinct = db.query("SELECT DISTINCT k FROM f").unwrap();
     assert_eq!(distinct.rows.len(), 97);
-    let (typed, fallback) = typed_path_stats();
-    assert!(typed > 0);
-    assert_eq!(fallback, 0, "integer keys must never fall back");
 }
