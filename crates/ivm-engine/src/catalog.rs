@@ -1,6 +1,6 @@
 //! The database catalog: tables and (non-materialized) views.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ivm_sql::ast::Query;
@@ -13,16 +13,12 @@ use crate::storage::Table;
 /// Holds every table and view of one database.
 ///
 /// In a durable database a WAL handle is attached
-/// ([`Catalog::set_wal`]); DDL then emits logical redo records, and the
-/// handle is propagated to every table so DML does too. A catalog may
-/// also track *unloaded* tables — tables whose data lives only in the
-/// durable page store (see `Database::unload_table`): they still occupy
-/// the namespace, but borrowing them is a clean error until reloaded.
+/// (`Catalog::set_wal`); DDL then emits logical redo records, and the
+/// handle is propagated to every table so DML does too.
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: HashMap<String, Table>,
     views: HashMap<String, Query>,
-    unloaded: HashSet<String>,
     wal: Option<Arc<Wal>>,
 }
 
@@ -32,8 +28,8 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Attach (or detach) the redo log. Propagates to every resident
-    /// table and to tables registered later.
+    /// Attach (or detach) the redo log. Propagates to every table and
+    /// to tables registered later.
     pub(crate) fn set_wal(&mut self, wal: Option<Arc<Wal>>) {
         for table in self.tables.values_mut() {
             table.set_wal(wal.clone());
@@ -42,9 +38,9 @@ impl Catalog {
     }
 
     /// Freeze a copy-on-write snapshot of the whole catalog: every
-    /// resident table is [`Table::snapshot`]ed (O(columns) refcount
-    /// bumps per table, no rows copied), view definitions and the
-    /// unloaded set are cloned. The snapshot carries no WAL handle —
+    /// table is [`Table::snapshot`]ed (O(columns) refcount bumps per
+    /// table, no rows copied), view definitions are cloned. The
+    /// snapshot carries no WAL handle —
     /// it is a read-only image for concurrent readers, and mutating it
     /// would never reach the redo log by construction.
     pub fn snapshot(&self) -> Catalog {
@@ -55,7 +51,6 @@ impl Catalog {
                 .map(|(name, table)| (name.clone(), table.snapshot()))
                 .collect(),
             views: self.views.clone(),
-            unloaded: self.unloaded.clone(),
             wal: None,
         }
     }
@@ -63,10 +58,7 @@ impl Catalog {
     /// Register a table. Errors when a table or view of the same name exists.
     pub fn create_table(&mut self, mut table: Table) -> Result<(), EngineError> {
         let name = table.name.clone();
-        if self.tables.contains_key(&name)
-            || self.views.contains_key(&name)
-            || self.unloaded.contains(&name)
-        {
+        if self.tables.contains_key(&name) || self.views.contains_key(&name) {
             return Err(EngineError::catalog(format!("{name} already exists")));
         }
         if let Some(wal) = &self.wal {
@@ -104,10 +96,7 @@ impl Catalog {
         query: Query,
     ) -> Result<(), EngineError> {
         let name = name.into();
-        if self.tables.contains_key(&name)
-            || self.views.contains_key(&name)
-            || self.unloaded.contains(&name)
-        {
+        if self.tables.contains_key(&name) || self.views.contains_key(&name) {
             return Err(EngineError::catalog(format!("{name} already exists")));
         }
         if let Some(wal) = &self.wal {
@@ -122,36 +111,21 @@ impl Catalog {
 
     /// Borrow a table.
     pub fn table(&self, name: &str) -> Result<&Table, EngineError> {
-        self.tables.get(name).ok_or_else(|| {
-            if self.unloaded.contains(name) {
-                EngineError::execution(format!("table {name} is not resident (unloaded)"))
-            } else {
-                EngineError::catalog(format!("table {name} does not exist"))
-            }
-        })
+        self.tables
+            .get(name)
+            .ok_or_else(|| EngineError::catalog(format!("table {name} does not exist")))
     }
 
     /// Mutably borrow a table.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, EngineError> {
-        if self.tables.contains_key(name) {
-            return Ok(self.tables.get_mut(name).unwrap());
-        }
-        if self.unloaded.contains(name) {
-            return Err(EngineError::execution(format!(
-                "table {name} is not resident (unloaded)"
-            )));
-        }
-        Err(EngineError::catalog(format!("table {name} does not exist")))
+        self.tables
+            .get_mut(name)
+            .ok_or_else(|| EngineError::catalog(format!("table {name} does not exist")))
     }
 
-    /// Whether a table exists (resident or unloaded).
+    /// Whether a table exists.
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name) || self.unloaded.contains(name)
-    }
-
-    /// Whether the table exists but is currently unloaded.
-    pub fn is_unloaded(&self, name: &str) -> bool {
-        self.unloaded.contains(name)
+        self.tables.contains_key(name)
     }
 
     /// Borrow a view's defining query.
@@ -166,8 +140,7 @@ impl Catalog {
 
     /// Drop a table; `if_exists` suppresses the missing-object error.
     pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<bool, EngineError> {
-        let removed = self.tables.remove(name).is_some() || self.unloaded.remove(name);
-        if removed {
+        if self.tables.remove(name).is_some() {
             if let Some(wal) = &self.wal {
                 wal.log(&WalRecord::DropTable {
                     name: name.to_string(),
@@ -197,25 +170,9 @@ impl Catalog {
         }
     }
 
-    /// Names of all tables, resident and unloaded (sorted, for
-    /// deterministic output).
+    /// Names of all tables (sorted, for deterministic output).
     pub fn table_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.tables.keys().cloned().collect();
-        names.extend(self.unloaded.iter().cloned());
-        names.sort();
-        names
-    }
-
-    /// Names of resident tables only (sorted).
-    pub fn resident_table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Names of unloaded tables (sorted).
-    pub fn unloaded_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.unloaded.iter().cloned().collect();
         names.sort();
         names
     }
@@ -225,32 +182,6 @@ impl Catalog {
         let mut names: Vec<String> = self.views.keys().cloned().collect();
         names.sort();
         names
-    }
-
-    /// Evict a resident table from memory, keeping its name registered
-    /// as unloaded. Returns the evicted table. No WAL record — residency
-    /// is a runtime property, not a logical catalog change.
-    pub(crate) fn evict_table(&mut self, name: &str) -> Result<Table, EngineError> {
-        let table = self
-            .tables
-            .remove(name)
-            .ok_or_else(|| EngineError::catalog(format!("table {name} is not resident")))?;
-        self.unloaded.insert(name.to_string());
-        Ok(table)
-    }
-
-    /// Re-install a previously evicted table. The inverse of
-    /// [`Catalog::evict_table`]; no WAL record for the same reason.
-    pub(crate) fn restore_table(&mut self, mut table: Table) -> Result<(), EngineError> {
-        let name = table.name.clone();
-        if !self.unloaded.remove(&name) {
-            return Err(EngineError::catalog(format!(
-                "table {name} is not unloaded"
-            )));
-        }
-        table.set_wal(self.wal.clone());
-        self.tables.insert(name, table);
-        Ok(())
     }
 }
 
@@ -300,26 +231,5 @@ mod tests {
         c.create_view("v", q).unwrap();
         assert!(c.has_view("v"));
         assert!(c.drop_view("v", false).unwrap());
-    }
-
-    #[test]
-    fn unloaded_tables_occupy_namespace_without_residency() {
-        let mut c = Catalog::new();
-        c.create_table(t("x")).unwrap();
-        let evicted = c.evict_table("x").unwrap();
-        assert!(c.has_table("x"), "still in the namespace");
-        assert!(c.is_unloaded("x"));
-        assert_eq!(c.table_names(), vec!["x"]);
-        assert!(c.resident_table_names().is_empty());
-        let err = c.table("x").unwrap_err().to_string();
-        assert!(err.contains("not resident"), "{err}");
-        assert!(c.create_table(t("x")).is_err(), "name still taken");
-        c.restore_table(evicted).unwrap();
-        assert!(c.table("x").is_ok());
-        assert!(!c.is_unloaded("x"));
-        // Dropping an unloaded table works too.
-        c.evict_table("x").unwrap();
-        assert!(c.drop_table("x", false).unwrap());
-        assert!(!c.has_table("x"));
     }
 }

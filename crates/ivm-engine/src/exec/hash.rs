@@ -31,7 +31,7 @@
 //!    below store their rows that way, as do the join and group tables.
 //!
 //! Hashes are consistent with the *grouping* equality of
-//! [`Value`](crate::value::Value): `NULL` hashes to a constant (groups
+//! [`Value`]: `NULL` hashes to a constant (groups
 //! with `NULL`), and numerically-equal `INTEGER`/`DOUBLE` values hash the
 //! same (both hash their [`Value::num_key`] word). The bit
 //! layout is partitioned so the parallel radix partitioner can reuse one

@@ -1,7 +1,7 @@
 //! Batched, pull-based physical-operator executor.
 //!
 //! A [`crate::planner::LogicalPlan`] is lowered to a
-//! [`PhysicalPlan`](crate::planner::physical::PhysicalPlan) (join sides,
+//! [`PhysicalPlan`] (join sides,
 //! equi-keys, and aggregate mode decided at plan time) and executed by
 //! the one entry point, [`run`], under one [`ExecContext`]: the catalog
 //! to read plus the session's [`ExecConfig`] (batch size, parallelism,

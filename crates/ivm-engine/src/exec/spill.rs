@@ -9,32 +9,32 @@
 //!   [`crate::session::Database`]) holding the byte limit, the running
 //!   usage counter, the spill directory, and the spill/rehydrate
 //!   counters. Unbounded budgets (`limit = usize::MAX`) never spill.
-//! - [`SpillWriter`] / [`SpillFile`]: temp-file lifecycle around the
+//! - `SpillWriter` / `SpillFile`: temp-file lifecycle around the
 //!   columnar frame codec of [`crate::storage::frame`]. Frames are
 //!   encoded on the execution thread but *written* by a dedicated
 //!   background writer thread (one per budgeted session) behind a
 //!   bounded queue, so eviction overlaps with fold/probe work and
 //!   backpressures instead of buffering unboundedly. Write errors
 //!   (ENOSPC and friends) surface as clean [`EngineError`]s at the next
-//!   enqueue or at [`SpillWriter::finish`], which drains the queue and
+//!   enqueue or at `SpillWriter::finish`, which drains the queue and
 //!   fsyncs. Files are created in the budget's spill directory and
-//!   removed when the [`SpillFile`] handle drops — spill files never
+//!   removed when the `SpillFile` handle drops — spill files never
 //!   outlive the query.
-//! - [`PartitionedSpiller`]: the radix accumulator. Rows arrive tagged
+//! - `PartitionedSpiller`: the radix accumulator. Rows arrive tagged
 //!   with their key hash and a global sequence number and are routed to
-//!   one of [`NUM_PARTITIONS`] partitions by a high-bit slice of the
+//!   one of `NUM_PARTITIONS` partitions by a high-bit slice of the
 //!   hash (rotated per recursion level, so re-partitioning a partition
 //!   that still does not fit uses a *fresh* bit range). Partitions
 //!   buffer in memory while the budget allows; when the budget
 //!   overflows, the largest resident partition is flushed to its spill
 //!   file and subsequent rows for it pass through a small bounded write
 //!   buffer.
-//! - [`SeqMerge`]: a k-way merge over sequence-ascending partition
+//! - `SeqMerge`: a k-way merge over sequence-ascending partition
 //!   streams. Parallel execution produces one spiller per worker; the
 //!   per-worker slices of a partition merge back into one
 //!   sequence-ordered stream holding at most one frame per source
 //!   resident.
-//! - [`OutputRuns`] / [`MergeEmit`]: budget-bounded operator output.
+//! - `OutputRuns` / `MergeEmit`: budget-bounded operator output.
 //!   Each fitting partition appends one key-ascending run; runs flush
 //!   to disk under memory pressure and the finished operator emits by
 //!   k-way merging the runs — no materialize-and-sort of the full

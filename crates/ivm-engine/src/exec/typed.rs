@@ -2,7 +2,7 @@
 //!
 //! Key tuples are packed into fixed-width columns — one `u8`
 //! representation tag plus one 8-byte word per key column — so a candidate
-//! compare inside a [`FlatTable`](crate::exec::hash::FlatTable) probe is a
+//! compare inside a [`FlatTable`] probe is a
 //! branch-free `(class, word)` compare over a contiguous arena:
 //!
 //! | value                         | tag        | word                        |
@@ -22,7 +22,7 @@
 //! subtype bit-exactly. The relation is an equivalence over every `Value`,
 //! so every key encodes and the arena is the only key storage the hash
 //! consumers have. Text is interned once per distinct string into a
-//! per-arena [`StringHeap`], making string equality an id compare.
+//! per-arena `StringHeap`, making string equality an id compare.
 //!
 //! Population is chunk-at-a-time: the `encode_*` kernels encode a whole
 //! batch's key tuples into a reusable [`EncodedChunk`] (the hashed ones

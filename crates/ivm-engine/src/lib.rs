@@ -32,11 +32,12 @@
 //! - the `Database` session API ([`session`]), with parallelism and
 //!   memory-budget knobs and a DDL-invalidated bound-plan cache for
 //!   repeated scripts
-//! - a durable storage subsystem ([`storage::page`], [`storage::buffer`],
+//! - a durable storage subsystem ([`storage::page`], [`storage::pagefile`],
 //!   [`storage::wal`], [`storage::durability`]): checksummed slotted heap
-//!   pages behind a pinning clock buffer pool, a logical-redo write-ahead
-//!   log with group commit, and shadow-paged checkpoints — `Database::open`
-//!   recovers tables, views, and row ids to the last committed statement
+//!   pages read once at open and written once per checkpoint, a
+//!   logical-redo write-ahead log with group commit, and shadow-paged
+//!   checkpoints — `Database::open` recovers tables, views, and row ids
+//!   to the last committed statement
 //!
 //! ## Quick example
 //!

@@ -212,8 +212,8 @@ pub struct Database {
     /// while positive, per-statement WAL commits are deferred.
     atomic_depth: u32,
     /// Checkpoint automatically once the WAL has this many bytes
-    /// (`None` = only explicit checkpoints). Checked after each
-    /// statement-level commit, outside atomic batches.
+    /// (`None` = only explicit checkpoints). Checked after each WAL
+    /// commit: a plain statement's, or an outermost atomic batch's.
     auto_checkpoint_bytes: Option<u64>,
     /// Removes the (env-driven, per-database) data directory on drop.
     /// Declared after `durability` so files are closed first.
@@ -284,7 +284,7 @@ impl Database {
     }
 
     /// [`Database::open`] with explicit durability tuning (fsync policy,
-    /// buffer pool size, WAL segment size bound).
+    /// WAL segment size bound).
     pub fn open_with_options(
         path: impl AsRef<std::path::Path>,
         opts: DurabilityOptions,
@@ -352,9 +352,10 @@ impl Database {
     }
 
     /// Checkpoint automatically once the WAL holds `bytes` (`None`
-    /// disables, the default). Checked after each statement-level commit,
-    /// outside atomic batches — the knob that keeps a long uncheckpointed
-    /// run from accumulating unbounded WAL segments.
+    /// disables, the default). Checked after each WAL commit — a plain
+    /// statement's, or the close of an outermost atomic batch — the knob
+    /// that keeps a long uncheckpointed run from accumulating unbounded
+    /// WAL segments.
     pub fn set_auto_checkpoint(&mut self, bytes: Option<u64>) {
         self.auto_checkpoint_bytes = bytes;
     }
@@ -378,8 +379,10 @@ impl Database {
         Ok(())
     }
 
-    /// Statement-level durability epilogue: commit the WAL, then take the
-    /// size-triggered auto-checkpoint when configured.
+    /// Durability epilogue of a statement, and of an outermost atomic
+    /// batch: commit the WAL, then take the size-triggered
+    /// auto-checkpoint when configured. Inside an open batch both wait
+    /// for the batch to close.
     fn commit_statement(&mut self) -> Result<(), EngineError> {
         self.wal_commit()?;
         if let Some(threshold) = self.auto_checkpoint_bytes {
@@ -431,48 +434,10 @@ impl Database {
         debug_assert!(self.atomic_depth > 0, "end_atomic without begin_atomic");
         self.atomic_depth = self.atomic_depth.saturating_sub(1);
         if self.atomic_depth == 0 {
-            self.wal_commit()
+            self.commit_statement()
         } else {
             Ok(())
         }
-    }
-
-    /// Drop a durable table's rows from memory, keeping it queryable
-    /// metadata-wise (data at rest can exceed RAM; the working set is
-    /// reloaded on demand). Checkpoints first if the table has
-    /// uncheckpointed changes. Errors for in-memory databases.
-    pub fn unload_table(&mut self, name: &str) -> Result<(), EngineError> {
-        if self.durability.is_none() {
-            return Err(EngineError::unsupported(
-                "unload_table requires a durable database",
-            ));
-        }
-        let generation = self.catalog.table(name)?.generation();
-        let clean = self
-            .durability
-            .as_ref()
-            .is_some_and(|d| d.is_clean(name, generation));
-        if !clean {
-            self.checkpoint()?;
-        }
-        self.catalog.evict_table(name)?;
-        Ok(())
-    }
-
-    /// Reload an unloaded table from its checkpointed pages. A no-op if
-    /// the table is already resident.
-    pub fn load_table(&mut self, name: &str) -> Result<(), EngineError> {
-        if !self.catalog.is_unloaded(name) {
-            // Resident (or missing: surface the catalog error).
-            self.catalog.table(name).map(|_| ())?;
-            return Ok(());
-        }
-        let d = self
-            .durability
-            .as_mut()
-            .ok_or_else(|| EngineError::unsupported("load_table requires a durable database"))?;
-        let table = d.load_table(name)?;
-        self.catalog.restore_table(table)
     }
 
     /// Counters from the last recovery ([`Database::open`]), when durable.
@@ -485,7 +450,10 @@ impl Database {
         self.durability.as_ref().map(Durability::wal_stats)
     }
 
-    /// Cumulative buffer pool counters, when durable.
+    /// Cumulative page I/O counters of `pages.db`, when durable: pages
+    /// read (`misses`) and pages written (`pages_written`). There is no
+    /// pool any more, so `hits` and `evictions` stay 0; the name is kept
+    /// for the benchmark that reads it.
     pub fn buffer_pool_stats(&self) -> Option<BufferPoolStats> {
         self.durability.as_ref().map(Durability::pool_stats)
     }
@@ -666,11 +634,11 @@ impl Database {
         }
     }
 
-    /// Execute one parsed statement. In a durable database this also (a)
-    /// reloads any unloaded tables the statement touches and (b) commits
-    /// the statement's WAL records afterwards — including after an error,
-    /// because in-memory semantics keep the applied prefix of a partially
-    /// failed statement, and recovery must reproduce exactly that state.
+    /// Execute one parsed statement. In a durable database this also
+    /// commits the statement's WAL records afterwards — including after
+    /// an error, because in-memory semantics keep the applied prefix of a
+    /// partially failed statement, and recovery must reproduce exactly
+    /// that state.
     ///
     /// With a `cache_key` (conventionally the statement's SQL text), the
     /// optimized physical plan of a query or an `INSERT … SELECT` source
@@ -685,70 +653,12 @@ impl Database {
         cache_key: Option<&str>,
     ) -> Result<QueryResult, EngineError> {
         self.degraded_gate(stmt)?;
-        self.ensure_resident_for(stmt)?;
         let result = self.execute_statement_inner(stmt, cache_key);
         let commit = self.commit_statement();
         match result {
             Err(e) => Err(e),
             Ok(r) => commit.map(|()| r),
         }
-    }
-
-    /// Tables the statement touches, for the durable residency pre-pass.
-    fn ensure_resident_for(&mut self, stmt: &Statement) -> Result<(), EngineError> {
-        if self.durability.is_none() || self.catalog.unloaded_names().is_empty() {
-            return Ok(());
-        }
-        fn query_tables(q: &Query, out: &mut Vec<String>) {
-            out.extend(
-                q.referenced_tables()
-                    .iter()
-                    .map(|i| i.normalized().to_string()),
-            );
-        }
-        let mut names: Vec<String> = Vec::new();
-        match stmt {
-            Statement::Query(q) => query_tables(q, &mut names),
-            Statement::Insert(ins) => {
-                names.push(ins.table.normalized().to_string());
-                if let InsertSource::Query(q) = &ins.source {
-                    query_tables(q, &mut names);
-                }
-            }
-            Statement::Update(u) => names.push(u.table.normalized().to_string()),
-            Statement::Delete(d) => names.push(d.table.normalized().to_string()),
-            Statement::CreateIndex(ci) => names.push(ci.table.normalized().to_string()),
-            Statement::CreateView(cv) => query_tables(&cv.query, &mut names),
-            Statement::Explain(inner) => {
-                if let Statement::Query(q) = inner.as_ref() {
-                    query_tables(q, &mut names);
-                }
-            }
-            // DROP INDEX searches every table for the index; DROP TABLE of
-            // an unloaded table works without residency.
-            Statement::Drop(d) if matches!(d.kind, DropKind::Index) => {
-                names.extend(self.catalog.unloaded_names());
-            }
-            _ => {}
-        }
-        // Views reference further tables; expand transitively.
-        let mut visited = std::collections::HashSet::new();
-        while let Some(name) = names.pop() {
-            if !visited.insert(name.clone()) {
-                continue;
-            }
-            if let Some(view) = self.catalog.view(&name) {
-                let more: Vec<String> = view
-                    .referenced_tables()
-                    .iter()
-                    .map(|i| i.normalized().to_string())
-                    .collect();
-                names.extend(more);
-            } else if self.catalog.is_unloaded(&name) {
-                self.load_table(&name)?;
-            }
-        }
-        Ok(())
     }
 
     fn execute_statement_inner(

@@ -12,8 +12,8 @@
 //! **Checkpoint** is shadow-paged: dirty tables (detected via the
 //! process-wide [`Table::generation`] counter stamped at the previous
 //! checkpoint) are written to *freshly allocated* pages — never over
-//! pages the current `catalog.meta` references — then the pool is
-//! flushed/fsynced, `catalog.meta.tmp` is written, fsynced, and
+//! pages the current `catalog.meta` references — then `pages.db` is
+//! fsynced, `catalog.meta.tmp` is written, fsynced, and
 //! atomically renamed over `catalog.meta` with a bumped epoch, and
 //! finally the WAL is reset under the new epoch. A crash at any point
 //! leaves either the old meta + old WAL (epochs match → replay) or the
@@ -22,9 +22,15 @@
 //! become the allocator's free list.
 //!
 //! **Recovery** ([`Durability::open`]) loads every table from its pages
-//! (checksum-verified through the buffer pool, so I/O-path memory stays
-//! bounded), replays the committed WAL prefix, and immediately takes a
-//! recovery checkpoint.
+//! (each checksum-verified as it is read), replays the committed WAL
+//! prefix, and immediately takes a recovery checkpoint.
+//!
+//! **I/O bound.** Tables are fully memory-resident, so table bytes cross
+//! the disk boundary at exactly two moments and nothing is demand-paged
+//! in between: `open` reads every page `catalog.meta` references once,
+//! and `checkpoint` writes every page of every dirty table once. Both go
+//! through the same two [`PAGE_SIZE`]-byte buffers (one heap page, one
+//! overflow page), whatever the table size.
 //!
 //! Tables keep their physical slot layout across restarts: tuples carry
 //! their slot id and table metas their total slot count, so row ids,
@@ -42,11 +48,11 @@ use ivm_sql::Dialect;
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::schema::{Column, Schema};
-use crate::storage::buffer::{BufferPool, BufferPoolStats, PageFile, PinnedPage};
 use crate::storage::checksum::crc32;
 use crate::storage::frame;
 use crate::storage::io::{self, OpenMode};
-use crate::storage::page::{self, HEAP_TUPLE_CAP, NO_PAGE, OVERFLOW_CAP};
+use crate::storage::page::{self, HEAP_TUPLE_CAP, NO_PAGE, OVERFLOW_CAP, PAGE_SIZE};
+use crate::storage::pagefile::{BufferPoolStats, PageFile, PageStore};
 use crate::storage::table::Table;
 use crate::storage::wal::{self, Wal, WalRecord, WalStats};
 
@@ -81,9 +87,6 @@ pub struct DurabilityOptions {
     /// throughput — crash safety there is exercised by the harness's
     /// explicit directories, not the suite-wide leg).
     pub sync_on_commit: bool,
-    /// Buffer pool capacity in frames (bounds checkpoint/recovery I/O
-    /// memory at `pool_pages` × 8 KiB).
-    pub pool_pages: usize,
     /// WAL segment size bound: after a commit leaves the active segment
     /// at or past this many bytes, the log rotates to a fresh segment.
     pub wal_segment_bytes: u64,
@@ -93,7 +96,6 @@ impl Default for DurabilityOptions {
     fn default() -> DurabilityOptions {
         DurabilityOptions {
             sync_on_commit: true,
-            pool_pages: 1024, // 8 MiB of page cache
             wal_segment_bytes: wal::DEFAULT_SEGMENT_BYTES,
         }
     }
@@ -141,12 +143,21 @@ pub struct RecoveryStats {
     pub tables_loaded: u64,
 }
 
+/// The two page buffers all table I/O goes through: the heap page being
+/// filled or decoded, and the overflow page of the tuple at hand.
+#[derive(Debug)]
+struct PageBufs {
+    heap: Box<[u8]>,
+    overflow: Box<[u8]>,
+}
+
 /// The durable half of a [`crate::session::Database`]: page store, WAL,
 /// and checkpointed catalog metadata for one data directory.
 #[derive(Debug)]
 pub struct Durability {
     dir: PathBuf,
-    pool: BufferPool,
+    store: PageStore,
+    bufs: PageBufs,
     wal: Arc<Wal>,
     epoch: u64,
     snapshots: HashMap<String, TableSnapshot>,
@@ -171,7 +182,11 @@ impl Durability {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(io_err("read meta", &meta_path, e)),
         };
-        let pool = BufferPool::new(PageFile::open(dir.join(PAGES_FILE))?, opts.pool_pages);
+        let mut store = PageStore::new(PageFile::open(dir.join(PAGES_FILE))?);
+        let mut bufs = PageBufs {
+            heap: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+            overflow: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+        };
         let mut catalog = Catalog::new();
         let mut snapshots = HashMap::new();
         let mut epoch = 0u64;
@@ -180,17 +195,9 @@ impl Durability {
             epoch = meta_epoch;
             // The free list must exclude every page the durable meta
             // references, including tables about to be rewritten.
-            let used: HashSet<u64> = table_metas
-                .iter()
-                .flat_map(|m| m.pages.iter().chain(&m.overflow).copied())
-                .collect();
-            pool.set_free_list(
-                (0..pool.num_pages())
-                    .filter(|id| !used.contains(id))
-                    .collect(),
-            );
+            store.set_free_list(unreferenced_pages(&store, table_metas.iter()));
             for tm in &table_metas {
-                let table = load_table(&pool, tm)?;
+                let table = load_table(&mut store, &mut bufs, tm)?;
                 recovery.tables_loaded += 1;
                 snapshots.insert(
                     tm.name.clone(),
@@ -233,7 +240,8 @@ impl Durability {
         )?);
         let mut d = Durability {
             dir,
-            pool,
+            store,
+            bufs,
             wal,
             epoch,
             snapshots,
@@ -265,9 +273,10 @@ impl Durability {
         self.wal.stats()
     }
 
-    /// Cumulative buffer pool counters.
+    /// Cumulative page I/O counters (pages read and written; see
+    /// [`BufferPoolStats`] for the two fields that stay 0).
     pub fn pool_stats(&self) -> BufferPoolStats {
-        self.pool.stats()
+        self.store.stats()
     }
 
     /// A shared handle to the WAL, for attaching to catalogs/tables.
@@ -286,26 +295,6 @@ impl Durability {
         self.wal.poisoned()
     }
 
-    /// Whether `generation` matches the table's last checkpoint (i.e. the
-    /// durable pages are current and the table may be unloaded).
-    pub fn is_clean(&self, name: &str, generation: u64) -> bool {
-        self.snapshots
-            .get(name)
-            .is_some_and(|s| s.generation == generation)
-    }
-
-    /// Reload an unloaded table from its checkpointed pages.
-    pub fn load_table(&mut self, name: &str) -> Result<Table, EngineError> {
-        let snap = self.snapshots.get_mut(name).ok_or_else(|| {
-            EngineError::execution(format!("table {name} has no checkpoint snapshot to load"))
-        })?;
-        let table = load_table(&self.pool, &snap.meta)?;
-        // Identical content under a fresh generation stamp: update the
-        // snapshot so the next checkpoint still sees the table as clean.
-        snap.generation = table.generation();
-        Ok(table)
-    }
-
     /// Take a checkpoint of `catalog`: write dirty tables to fresh pages,
     /// fsync, atomically publish the new `catalog.meta`, and reset the
     /// WAL under the bumped epoch.
@@ -322,7 +311,7 @@ impl Durability {
                     new_snaps.insert(name.clone(), s.clone());
                 }
                 _ => {
-                    let meta = store_table(&self.pool, table, next_epoch)?;
+                    let meta = store_table(&mut self.store, &mut self.bufs, table, next_epoch)?;
                     new_snaps.insert(
                         name.clone(),
                         TableSnapshot {
@@ -333,14 +322,7 @@ impl Durability {
                 }
             }
         }
-        // Unloaded tables are durable-only: carry their snapshots forward.
-        for name in catalog.unloaded_names() {
-            let s = self.snapshots.get(&name).ok_or_else(|| {
-                EngineError::execution(format!("unloaded table {name} has no checkpoint snapshot"))
-            })?;
-            new_snaps.insert(name, s.clone());
-        }
-        self.pool.flush_all()?;
+        self.store.sync()?;
         let mut views: Vec<(String, String)> = Vec::new();
         for n in catalog.view_names() {
             let query = catalog.view(&n).ok_or_else(|| {
@@ -353,18 +335,24 @@ impl Durability {
         self.wal.reset(next_epoch)?;
         self.epoch = next_epoch;
         self.snapshots = new_snaps;
-        let used: HashSet<u64> = self
-            .snapshots
-            .values()
-            .flat_map(|s| s.meta.pages.iter().chain(&s.meta.overflow).copied())
-            .collect();
-        self.pool.set_free_list(
-            (0..self.pool.num_pages())
-                .filter(|id| !used.contains(id))
-                .collect(),
-        );
+        let metas = self.snapshots.values().map(|s| &s.meta);
+        self.store
+            .set_free_list(unreferenced_pages(&self.store, metas));
         Ok(())
     }
+}
+
+/// The page ids of `store`'s file that none of `metas` references.
+fn unreferenced_pages<'a>(
+    store: &PageStore,
+    metas: impl Iterator<Item = &'a TableMeta>,
+) -> Vec<u64> {
+    let used: HashSet<u64> = metas
+        .flat_map(|m| m.pages.iter().chain(&m.overflow).copied())
+        .collect();
+    (0..store.num_pages())
+        .filter(|id| !used.contains(id))
+        .collect()
 }
 
 fn parse_view_sql(sql: &str) -> Result<ivm_sql::ast::Query, EngineError> {
@@ -470,10 +458,18 @@ const TUPLE_INLINE: u8 = 0;
 const TUPLE_OVERFLOW: u8 = 1;
 
 /// Write a table's live rows to freshly allocated pages (slot order).
-fn store_table(pool: &BufferPool, table: &Table, lsn: u64) -> Result<TableMeta, EngineError> {
+/// A page's id is allocated when the page is started and the page is
+/// written once, when it is full.
+fn store_table(
+    store: &mut PageStore,
+    bufs: &mut PageBufs,
+    table: &Table,
+    lsn: u64,
+) -> Result<TableMeta, EngineError> {
     let mut heap_pages = Vec::new();
     let mut overflow_pages = Vec::new();
-    let mut current: Option<PinnedPage> = None;
+    // Id of the heap page being filled in `bufs.heap`.
+    let mut current: Option<u64> = None;
     let mut tuple = Vec::new();
     for (slot, row) in table.scan() {
         tuple.clear();
@@ -489,10 +485,11 @@ fn store_table(pool: &BufferPool, table: &Table, lsn: u64) -> Result<TableMeta, 
             let payload = &tuple[9..];
             let mut next = NO_PAGE;
             for chunk in payload.chunks(OVERFLOW_CAP).rev() {
-                let pin = pool.allocate()?;
-                pin.with_mut(|p| page::init_overflow(p, lsn, next, chunk));
-                overflow_pages.push(pin.page_id());
-                next = pin.page_id();
+                let id = store.allocate();
+                page::init_overflow(&mut bufs.overflow, lsn, next, chunk);
+                store.write(id, &mut bufs.overflow)?;
+                overflow_pages.push(id);
+                next = id;
             }
             overflow_ref.push(TUPLE_OVERFLOW);
             overflow_ref.extend_from_slice(&slot.to_le_bytes());
@@ -500,23 +497,23 @@ fn store_table(pool: &BufferPool, table: &Table, lsn: u64) -> Result<TableMeta, 
             overflow_ref.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             &overflow_ref
         };
-        let placed = current
-            .as_ref()
-            .is_some_and(|pin| pin.with_mut(|p| page::heap_push(p, bytes)));
-        if !placed {
-            let pin = pool.allocate()?;
-            let pushed = pin.with_mut(|p| {
-                page::init_heap(p, lsn);
-                page::heap_push(p, bytes)
-            });
-            if !pushed {
+        if current.is_none() || !page::heap_push(&mut bufs.heap, bytes) {
+            if let Some(full) = current {
+                store.write(full, &mut bufs.heap)?;
+            }
+            let id = store.allocate();
+            page::init_heap(&mut bufs.heap, lsn);
+            if !page::heap_push(&mut bufs.heap, bytes) {
                 return Err(EngineError::execution(
                     "internal: tuple does not fit an empty heap page",
                 ));
             }
-            heap_pages.push(pin.page_id());
-            current = Some(pin);
+            heap_pages.push(id);
+            current = Some(id);
         }
+    }
+    if let Some(last) = current {
+        store.write(last, &mut bufs.heap)?;
     }
     Ok(TableMeta {
         name: table.name.clone(),
@@ -530,47 +527,42 @@ fn store_table(pool: &BufferPool, table: &Table, lsn: u64) -> Result<TableMeta, 
     })
 }
 
-/// Rebuild a table from its checkpointed pages.
-fn load_table(pool: &BufferPool, tm: &TableMeta) -> Result<Table, EngineError> {
-    let mut rows: Vec<(u64, Vec<crate::value::Value>)> = Vec::with_capacity(tm.live_rows as usize);
+/// Rebuild a table from its checkpointed pages, decoding each tuple in
+/// place from the page buffer it was read into.
+fn load_table(
+    store: &mut PageStore,
+    bufs: &mut PageBufs,
+    tm: &TableMeta,
+) -> Result<Table, EngineError> {
+    // Grown as pages decode: `tm.live_rows` comes from the file and is
+    // only checked against the pages below, never reserved up front.
+    let mut rows: Vec<(u64, Vec<crate::value::Value>)> = Vec::new();
     for &pid in &tm.pages {
-        let pin = pool.pin(pid)?;
-        // Copy tuples out: resolving overflow chains needs further pins,
-        // and page access closures must not re-enter the pool.
-        let tuples: Vec<Vec<u8>> = pin.with(|p| {
-            page::heap_tuples(p, pid).map(|ts| ts.iter().map(|t| t.to_vec()).collect())
-        })?;
-        drop(pin);
-        for t in tuples {
+        store.read(pid, &mut bufs.heap)?;
+        for t in page::heap_tuples(&bufs.heap, pid)? {
             if t.len() < 9 {
                 return Err(corrupt_meta(format!("short tuple on page {pid}")));
             }
             let slot = u64::from_le_bytes(t[1..9].try_into().unwrap());
-            let row = match t[0] {
-                TUPLE_INLINE => {
-                    let mut cur = Cursor::new(&t[9..]);
-                    let row = frame::decode_row(&mut cur)?;
-                    if cur.position() != (t.len() - 9) as u64 {
-                        return Err(corrupt_meta(format!("trailing tuple bytes on page {pid}")));
-                    }
-                    row
-                }
+            let chained;
+            let encoded: &[u8] = match t[0] {
+                TUPLE_INLINE => &t[9..],
                 TUPLE_OVERFLOW => {
                     if t.len() != 25 {
                         return Err(corrupt_meta(format!("bad overflow ref on page {pid}")));
                     }
                     let head = u64::from_le_bytes(t[9..17].try_into().unwrap());
                     let payload_len = u64::from_le_bytes(t[17..25].try_into().unwrap());
-                    let bytes = read_overflow_chain(pool, head, payload_len)?;
-                    let mut cur = Cursor::new(bytes.as_slice());
-                    let row = frame::decode_row(&mut cur)?;
-                    if cur.position() != bytes.len() as u64 {
-                        return Err(corrupt_meta("trailing bytes after overflow row"));
-                    }
-                    row
+                    chained = read_overflow_chain(store, &mut bufs.overflow, head, payload_len)?;
+                    &chained
                 }
                 other => return Err(corrupt_meta(format!("unknown tuple tag {other}"))),
             };
+            let mut cur = Cursor::new(encoded);
+            let row = frame::decode_row(&mut cur)?;
+            if cur.position() != encoded.len() as u64 {
+                return Err(corrupt_meta(format!("trailing tuple bytes on page {pid}")));
+            }
             rows.push((slot, row));
         }
     }
@@ -592,8 +584,11 @@ fn load_table(pool: &BufferPool, tm: &TableMeta) -> Result<Table, EngineError> {
     )
 }
 
+/// Reassemble one overflow row's encoding, reading each chunk of the
+/// chain through `page`.
 fn read_overflow_chain(
-    pool: &BufferPool,
+    store: &mut PageStore,
+    page: &mut [u8],
     head: u64,
     payload_len: u64,
 ) -> Result<Vec<u8>, EngineError> {
@@ -608,10 +603,9 @@ fn read_overflow_chain(
                 "overflow chain longer than its payload (cycle?)",
             ));
         }
-        let pin = pool.pin(next)?;
-        let (nxt, chunk) =
-            pin.with(|p| page::overflow_chunk(p, next).map(|(n, c)| (n, c.to_vec())))?;
-        bytes.extend_from_slice(&chunk);
+        store.read(next, page)?;
+        let (nxt, chunk) = page::overflow_chunk(page, next)?;
+        bytes.extend_from_slice(chunk);
         next = nxt;
     }
     if bytes.len() as u64 != payload_len {
@@ -645,7 +639,7 @@ fn put_page_list(buf: &mut Vec<u8>, pages: &[u64]) {
 fn get_page_list(r: &mut Cursor<&[u8]>) -> Result<Vec<u64>, EngineError> {
     let n = wal::get_u64(r)?;
     let remaining = r.get_ref().len() as u64 - r.position();
-    if n * 8 > remaining {
+    if n > remaining / 8 {
         return Err(corrupt_meta(format!(
             "page list of {n} entries overruns the record"
         )));
@@ -830,6 +824,19 @@ mod tests {
         c
     }
 
+    /// A table spanning several heap pages.
+    fn big_table() -> Table {
+        let mut t = Table::new(
+            "big",
+            Schema::new(vec![Column::new("x", DataType::Integer)]),
+            vec![],
+        );
+        for i in 0..5000i64 {
+            t.insert(vec![Value::Integer(i)]).unwrap();
+        }
+        t
+    }
+
     #[test]
     fn checkpoint_reopen_roundtrip_preserves_slots() {
         let dir = temp_dir("roundtrip");
@@ -854,11 +861,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// The I/O bound: a checkpoint writes each page of each dirty table
+    /// once and nothing else; an open reads each referenced page once.
     #[test]
     fn clean_tables_are_not_rewritten() {
         let dir = temp_dir("clean");
         let (mut d, _) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
-        let catalog = seed_catalog();
+        let mut catalog = seed_catalog();
+        catalog.create_table(big_table()).unwrap();
         d.checkpoint(&catalog).unwrap();
         let written = d.pool_stats().pages_written;
         d.checkpoint(&catalog).unwrap();
@@ -867,6 +877,29 @@ mod tests {
             written,
             "clean checkpoint writes no pages"
         );
+
+        let page_count = |m: &TableMeta| (m.pages.len() + m.overflow.len()) as u64;
+        catalog
+            .table_mut("big")
+            .unwrap()
+            .insert(vec![Value::Integer(0)])
+            .unwrap();
+        d.checkpoint(&catalog).unwrap();
+        let big_pages = page_count(&d.snapshots["big"].meta);
+        assert!(big_pages > 1, "big spans several pages");
+        assert_eq!(
+            d.pool_stats().pages_written,
+            written + big_pages,
+            "only the dirty table's pages are written, each once"
+        );
+
+        let referenced: u64 = d.snapshots.values().map(|s| page_count(&s.meta)).sum();
+        drop(d);
+        let (d, _) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
+        let stats = d.pool_stats();
+        assert_eq!(stats.misses, referenced, "each referenced page read once");
+        assert_eq!((stats.hits, stats.evictions), (0, 0));
+        assert_eq!(stats.pages_written, 0, "nothing replayed, nothing dirty");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -874,17 +907,9 @@ mod tests {
     fn shadow_paging_reuses_space_without_unbounded_growth() {
         let dir = temp_dir("shadow");
         let (mut d, mut catalog) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
-        let mut t = Table::new(
-            "big",
-            Schema::new(vec![Column::new("x", DataType::Integer)]),
-            vec![],
-        );
-        for i in 0..5000i64 {
-            t.insert(vec![Value::Integer(i)]).unwrap();
-        }
-        catalog.create_table(t).unwrap();
+        catalog.create_table(big_table()).unwrap();
         d.checkpoint(&catalog).unwrap();
-        let after_first = d.pool.num_pages();
+        let after_first = d.store.num_pages();
         for _ in 0..5 {
             catalog
                 .table_mut("big")
@@ -897,9 +922,9 @@ mod tests {
         // needs at most old+new live at once, so the file stays below
         // 3× the single-checkpoint footprint instead of growing 6×.
         assert!(
-            d.pool.num_pages() < after_first * 3,
+            d.store.num_pages() < after_first * 3,
             "pages grew unbounded: {} vs {after_first}",
-            d.pool.num_pages()
+            d.store.num_pages()
         );
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -945,6 +970,28 @@ mod tests {
         std::fs::write(&meta_path, &bytes).unwrap();
         let err = Durability::open(&dir, DurabilityOptions::default()).unwrap_err();
         assert!(err.to_string().contains("corrupt catalog meta"), "{err}");
+
+        // Sizes inside a record whose CRC is valid are not trusted
+        // either: a page list claiming 2^61 entries, a table claiming
+        // 2^60 live rows.
+        for (live_rows, page_list_len) in [(0, 1u64 << 61), (1u64 << 60, 0)] {
+            let mut payload = vec![META_TAG_TABLE];
+            wal::put_str(&mut payload, "t");
+            wal::put_columns(&mut payload, &[Column::new("v", DataType::Integer)]);
+            wal::put_positions(&mut payload, &[]);
+            payload.extend_from_slice(&0u32.to_le_bytes()); // no secondary indexes
+            wal::put_u64(&mut payload, 0); // total_slots
+            wal::put_u64(&mut payload, live_rows);
+            wal::put_u64(&mut payload, page_list_len); // heap pages, no entries
+            wal::put_u64(&mut payload, 0); // overflow pages
+            let mut bytes = META_MAGIC.to_vec();
+            bytes.extend_from_slice(&1u64.to_le_bytes());
+            frame_record(&mut bytes, &payload);
+            frame_record(&mut bytes, &[META_TAG_END]);
+            std::fs::write(&meta_path, &bytes).unwrap();
+            let err = Durability::open(&dir, DurabilityOptions::default()).unwrap_err();
+            assert!(err.to_string().contains("corrupt catalog meta"), "{err}");
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 }

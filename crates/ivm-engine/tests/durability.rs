@@ -1,6 +1,6 @@
 //! Durable-database integration tests: open/checkpoint/close lifecycle,
-//! WAL-only recovery, residency control, corruption handling, and the
-//! in-memory/durable equivalence contract.
+//! WAL-only recovery, corruption handling, and the in-memory/durable
+//! equivalence contract.
 
 use ivm_engine::{Database, Value};
 
@@ -107,36 +107,6 @@ fn wal_replay_recovers_uncheckpointed_state() {
     let mut db = Database::open(dir.path()).unwrap();
     assert!(db.recovery_stats().unwrap().replayed_records > 0);
     assert_eq!(observe(&mut db), expected);
-}
-
-#[test]
-fn unload_and_reload_round_trip() {
-    let dir = TempDir::new("unload");
-    let mut db = Database::open(dir.path()).unwrap();
-    seed_workload(&mut db);
-    let before = observe(&mut db);
-
-    db.unload_table("events").unwrap();
-    // `query(&self)` cannot reload; it reports the residency problem.
-    let err = db.query("SELECT * FROM events").unwrap_err();
-    assert!(err.to_string().contains("not resident"), "{err}");
-    // Explicit reload restores the exact table.
-    db.load_table("events").unwrap();
-    assert_eq!(observe(&mut db), before);
-
-    // `execute` reloads on demand — including through views.
-    db.unload_table("accounts").unwrap();
-    assert_eq!(db.execute("SELECT * FROM rich").unwrap().rows.len(), 2);
-    assert_eq!(observe(&mut db), before);
-
-    // In-memory databases refuse residency control loudly. (Under the
-    // suite-wide OPENIVM_DATA_DIR leg `new` is durable, so the refusal
-    // only applies when it actually built an in-memory database.)
-    let mut mem = Database::new();
-    mem.execute("CREATE TABLE t (a INTEGER)").unwrap();
-    if !mem.is_durable() {
-        assert!(mem.unload_table("t").is_err());
-    }
 }
 
 #[test]
@@ -264,8 +234,17 @@ fn auto_checkpoint_bounds_the_wal() {
     let mut db = Database::open_with_options(dir.path(), opts).unwrap();
     db.set_auto_checkpoint(Some(2048));
     db.execute("CREATE TABLE t (a INTEGER)").unwrap();
-    for i in 0..300 {
+    // Plain statements first, then each one as its own atomic batch (the
+    // shape of every intercepted DML, `ingest_deltas` and `refresh`).
+    for i in 0..600 {
+        let atomic = i >= 300;
+        if atomic {
+            db.begin_atomic();
+        }
         db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+        if atomic {
+            db.end_atomic().unwrap();
+        }
         // The WAL never holds more than the threshold plus one statement.
         let stats = db.wal_stats().unwrap();
         assert!(
@@ -285,6 +264,6 @@ fn auto_checkpoint_bounds_the_wal() {
     let db = Database::open(dir.path()).unwrap();
     assert_eq!(
         db.query("SELECT COUNT(*) FROM t").unwrap().rows[0][0],
-        Value::Integer(300)
+        Value::Integer(600)
     );
 }

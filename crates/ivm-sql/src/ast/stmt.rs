@@ -8,9 +8,9 @@ use crate::ident::Ident;
 pub enum Statement {
     /// CREATE TABLE.
     CreateTable(CreateTable),
-    /// CREATE [UNIQUE] INDEX.
+    /// `CREATE [UNIQUE] INDEX`.
     CreateIndex(CreateIndex),
-    /// CREATE [MATERIALIZED] VIEW.
+    /// `CREATE [MATERIALIZED] VIEW`.
     CreateView(CreateView),
     /// DROP TABLE/VIEW/INDEX.
     Drop(Drop),
@@ -22,7 +22,7 @@ pub enum Statement {
     Delete(Delete),
     /// A SELECT query.
     Query(Box<Query>),
-    /// BEGIN [TRANSACTION].
+    /// `BEGIN [TRANSACTION]`.
     Begin,
     /// COMMIT.
     Commit,
@@ -275,11 +275,11 @@ pub enum SetExpr {
 /// Set operations between selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SetOp {
-    /// UNION [ALL].
+    /// `UNION [ALL]`.
     Union,
-    /// EXCEPT [ALL].
+    /// `EXCEPT [ALL]`.
     Except,
-    /// INTERSECT [ALL].
+    /// `INTERSECT [ALL]`.
     Intersect,
 }
 
@@ -392,11 +392,11 @@ impl TableRef {
 pub enum JoinKind {
     /// INNER JOIN.
     Inner,
-    /// LEFT [OUTER] JOIN.
+    /// `LEFT [OUTER] JOIN`.
     Left,
-    /// RIGHT [OUTER] JOIN.
+    /// `RIGHT [OUTER] JOIN`.
     Right,
-    /// FULL [OUTER] JOIN.
+    /// `FULL [OUTER] JOIN`.
     Full,
     /// CROSS JOIN.
     Cross,
