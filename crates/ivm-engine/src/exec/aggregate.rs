@@ -20,11 +20,10 @@ use crate::error::EngineError;
 use crate::exec::batch::RowBatch;
 use crate::exec::hash::{hash_key_columns, FlatTable};
 use crate::exec::spill::{
-    for_each_fitting_group, spill_batches, MemoryBudget, MergeEmit, OutputRuns, PartitionGroups,
-    PartitionedSpiller, SpillHash,
+    for_each_fitting_group, MemoryBudget, PartitionedSpiller, SpillHash, SpillMerge,
 };
 use crate::exec::typed::{EncodedChunk, KeyArena};
-use crate::exec::{BatchBuilder, BoxedOperator, Operator, Row};
+use crate::exec::{BatchBuilder, Input, Operator, Row};
 use crate::expr::{AggExpr, AggFunc, BoundExpr, EvalChunk, VectorKernel};
 use crate::planner::physical::AggMode;
 use crate::value::Value;
@@ -850,8 +849,8 @@ impl AggSpec {
 
 /// Hash (or single-group) aggregation operator.
 ///
-/// With a bounded [`MemoryBudget`], grouped aggregation routes its input
-/// rows through a [`PartitionedSpiller`] keyed on the group hash and
+/// With a bounded [`MemoryBudget`], grouped aggregation asks its input
+/// for radix partitions keyed on the group hash and
 /// folds one radix partition's [`GroupTable`] at a time (recursively
 /// re-partitioning partitions that still do not fit). A group's rows all
 /// share its partition, so per-group fold order matches the serial fold
@@ -860,7 +859,7 @@ impl AggSpec {
 /// is row-identical, order included, to the in-memory fold. Ungrouped
 /// aggregation holds one accumulator set and never needs to spill.
 pub struct HashAggregateOp<'a> {
-    input: BoxedOperator<'a>,
+    input: Input<'a>,
     spec: AggSpec,
     group_width: usize,
     mode: AggMode,
@@ -868,18 +867,22 @@ pub struct HashAggregateOp<'a> {
     /// Planner sizing hint for the group table (0 = unknown).
     groups_hint: usize,
     budget: MemoryBudget,
-    /// Pre-partitioned input groups (one per parallel worker); set by
-    /// [`HashAggregateOp::with_prepartitioned`].
-    prepart: Option<PartitionGroups>,
     output: Option<VecDeque<RowBatch<'a>>>,
-    spilled_emit: Option<MergeEmit>,
+    spilled_emit: Option<SpillMerge>,
+}
+
+/// Whether an aggregation in `mode` under `budget` runs the out-of-core
+/// grouped path — the operator's rule, which the morsel scheduler also
+/// asks before folding per-morsel partials instead.
+pub(crate) fn runs_grace(budget: &MemoryBudget, mode: AggMode) -> bool {
+    budget.is_bounded() && mode == AggMode::HashGrouped
 }
 
 impl<'a> HashAggregateOp<'a> {
     /// Aggregate `input`; `group` and agg arguments must be prepared.
     /// `groups_hint` pre-sizes the flat group table (0 = unknown).
     pub fn new(
-        input: BoxedOperator<'a>,
+        input: impl Into<Input<'a>>,
         group: Vec<BoundExpr>,
         aggs: Vec<AggExpr>,
         mode: AggMode,
@@ -890,12 +893,11 @@ impl<'a> HashAggregateOp<'a> {
         HashAggregateOp {
             spec: AggSpec::new(&group, aggs, false),
             group_width: group.len(),
-            input,
+            input: input.into(),
             mode,
             batch_size,
             groups_hint,
             budget: MemoryBudget::unbounded(),
-            prepart: None,
             output: None,
             spilled_emit: None,
         }
@@ -909,34 +911,20 @@ impl<'a> HashAggregateOp<'a> {
         self
     }
 
-    /// Aggregate pre-partitioned input groups (one spiller result per
-    /// parallel worker, hashed on the group key) instead of draining
-    /// `input`. Grouped spill path only.
-    pub(crate) fn with_prepartitioned(mut self, groups: PartitionGroups) -> HashAggregateOp<'a> {
-        self.prepart = Some(groups);
-        self
-    }
-
     /// The spill path for grouped aggregation under a bounded budget.
-    fn drain_and_aggregate_spilled(&mut self) -> Result<MergeEmit, EngineError> {
-        let groups_in = match self.prepart.take() {
-            Some(groups) => groups,
-            None => {
-                let mut spiller = PartitionedSpiller::new(self.budget.clone(), 0);
-                let hash = SpillHash::Agg(&self.spec);
-                spill_batches(&mut self.input, &hash, 0, &mut spiller)?;
-                vec![spiller.finish()?]
-            }
-        };
+    fn drain_and_aggregate_spilled(&mut self) -> Result<SpillMerge, EngineError> {
+        let budget = self.budget.clone();
+        let groups_in = self
+            .input
+            .partitions(&budget, &SpillHash::Agg(&self.spec), 0)?;
         // Each partition appends one run of (first-seen sequence, output
         // row) pairs — ascending, because groups are discovered while
         // folding in sequence order — and the emission merge restores
         // the global serial first-seen order.
-        let mut runs = OutputRuns::new(self.budget.clone());
-        let budget = self.budget.clone();
+        let mut runs = PartitionedSpiller::runs(budget.clone());
         let spec = &self.spec;
         let batch_size = self.batch_size.max(1);
-        for_each_fitting_group(groups_in, &budget, 0, &mut |tuples| {
+        for_each_fitting_group(groups_in, Vec::new(), &budget, 0, &mut |tuples, _| {
             let mut groups = GroupTable::new();
             let mut first_seqs: Vec<u64> = Vec::new();
             for chunk in tuples.chunks(batch_size) {
@@ -953,16 +941,11 @@ impl<'a> HashAggregateOp<'a> {
                     .into_iter()
                     .chain(state.accs.into_iter().map(Acc::finish))
                     .collect();
-                runs.push(first_seqs[g], 0, row)?;
+                runs.push_run(first_seqs[g], 0, row)?;
             }
             Ok(())
         })?;
-        runs.finish(self.batch_size)
-    }
-
-    /// Whether this aggregation runs the out-of-core grouped path.
-    fn spills(&self) -> bool {
-        self.prepart.is_some() || (self.budget.is_bounded() && self.mode == AggMode::HashGrouped)
+        SpillMerge::by_key(runs.finish()?, &budget)
     }
 
     fn drain_and_aggregate(&mut self) -> Result<VecDeque<RowBatch<'a>>, EngineError> {
@@ -994,12 +977,13 @@ impl<'a> HashAggregateOp<'a> {
 
 impl<'a> Operator<'a> for HashAggregateOp<'a> {
     fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
-        if self.spilled_emit.is_some() || self.spills() {
+        if self.spilled_emit.is_some() || runs_grace(&self.budget, self.mode) {
             if self.spilled_emit.is_none() {
                 let emit = self.drain_and_aggregate_spilled()?;
                 self.spilled_emit = Some(emit);
             }
-            return self.spilled_emit.as_mut().expect("just set").next_batch();
+            let emit = self.spilled_emit.as_mut().expect("just set");
+            return emit.next_batch(self.batch_size);
         }
         if self.output.is_none() {
             let aggregated = self.drain_and_aggregate()?;

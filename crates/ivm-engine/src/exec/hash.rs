@@ -681,6 +681,13 @@ impl RowSet {
         }
     }
 
+    /// Slots the flat index has allocated (0 until the first insert or
+    /// a pre-size).
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.table.capacity()
+    }
+
     /// Encode a batch's rows into the typed scratch chunk, once, before
     /// the per-row [`insert_batch_row`](RowSet::insert_batch_row) loop.
     /// Interning is idempotent, so pre-encoding rows that turn out to be

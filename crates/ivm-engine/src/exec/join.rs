@@ -26,11 +26,11 @@ use crate::error::EngineError;
 use crate::exec::batch::{ColumnData, JoinedRow, RowBatch};
 use crate::exec::hash::{chain_prepend, hash_rows_keys, FlatTable, KeyHashes};
 use crate::exec::spill::{
-    for_each_fitting_group_pair, spill_batches, MemoryBudget, MergeEmit, OutputRuns,
-    PartitionedSpiller, SpillHash, SpillPartition,
+    for_each_fitting_group, MemoryBudget, PartitionGroups, PartitionedSpiller, SpillHash,
+    SpillMerge, SpillPartition,
 };
 use crate::exec::typed::{EncodedChunk, KeyArena};
-use crate::exec::{drain, BoxedOperator, Operator, Row};
+use crate::exec::{drain, BoxedOperator, Input, Operator, Row};
 use crate::expr::{BoundExpr, VectorKernel};
 use crate::planner::physical::PhysJoinKind;
 use crate::value::Value;
@@ -553,33 +553,33 @@ fn join_probe_batch(
 
 /// Build-probe hash join on plan-time-extracted equi-keys.
 ///
-/// With a bounded [`MemoryBudget`] the build side accumulates through a
-/// [`PartitionedSpiller`]; if it overflows, the join switches to a
-/// Grace-style plan: the probe side is partitioned on the same hash
-/// bits, resident partitions join first-class while spilled build
-/// partitions rehydrate one at a time against their probe runs
-/// (recursively re-partitioned on a rotated bit range when a partition
-/// still does not fit). Every output row carries its serial emission
-/// coordinates `(probe row, match ordinal)` — the FULL OUTER tail sorts
-/// after all probe output by build order — so the merged result is
-/// row-identical, order included, to the in-memory join.
+/// With a bounded [`MemoryBudget`] the build side arrives as radix
+/// partitions ([`Input::partitions`]). If every partition stayed
+/// resident *and* the probe input streams, the build reassembles and the
+/// join runs in memory. Otherwise it runs Grace-style: the probe side is
+/// partitioned on the same hash bits and partition pairs join one at a
+/// time (recursively re-partitioned on a rotated bit range when a build
+/// partition still does not fit). A probe input that does not stream —
+/// the morsel scheduler's child, which would stage its whole output as
+/// rows — therefore always takes the Grace path. Every output row
+/// carries its serial emission coordinates `(probe row, match ordinal)`
+/// — the FULL OUTER tail sorts after all probe output by build order —
+/// so the merged result is row-identical, order included, to the
+/// in-memory join.
 pub struct HashJoinOp<'a> {
-    probe: BoxedOperator<'a>,
+    probe: Input<'a>,
     /// Taken when the build side is consumed; `None` from the start when
-    /// it arrives already built or pre-partitioned.
-    build: Option<BoxedOperator<'a>>,
+    /// it arrives already built.
+    build: Option<Input<'a>>,
     spec: Arc<JoinSpec>,
     batch_size: usize,
     budget: MemoryBudget,
     state: Option<Arc<BuiltJoin>>,
     /// Build partition groups (one per producer) awaiting the Grace
     /// probe phase.
-    grace_build: Option<Vec<Vec<SpillPartition>>>,
-    /// Pre-partitioned probe groups from a parallel scan; when absent
-    /// the Grace phase partitions `probe` itself.
-    grace_probe: Option<Vec<Vec<SpillPartition>>>,
+    grace_build: Option<PartitionGroups>,
     /// Streaming Grace output merge, emitted in serial order.
-    grace_output: Option<MergeEmit>,
+    grace_output: Option<SpillMerge>,
     pending: Option<PendingOutput<'a>>,
     probe_done: bool,
     /// Whether this operator emits the FULL OUTER tail once its probe is
@@ -592,13 +592,13 @@ impl<'a> HashJoinOp<'a> {
     /// Create the operator; the hash table is built on first pull, on
     /// the pulling thread.
     pub(crate) fn new(
-        probe: BoxedOperator<'a>,
-        build: Option<BoxedOperator<'a>>,
+        probe: impl Into<Input<'a>>,
+        build: Option<Input<'a>>,
         spec: Arc<JoinSpec>,
         batch_size: usize,
     ) -> HashJoinOp<'a> {
         HashJoinOp {
-            probe,
+            probe: probe.into(),
             build,
             emits_tail: spec.join == PhysJoinKind::FullOuter,
             spec,
@@ -606,7 +606,6 @@ impl<'a> HashJoinOp<'a> {
             budget: MemoryBudget::unbounded(),
             state: None,
             grace_build: None,
-            grace_probe: None,
             grace_output: None,
             pending: None,
             probe_done: false,
@@ -638,46 +637,33 @@ impl<'a> HashJoinOp<'a> {
         self
     }
 
-    /// Feed the join from pre-partitioned build/probe groups (one spiller
-    /// result per parallel worker) instead of the input operators. The
-    /// join goes straight to the Grace phase; the sequence tags must be
-    /// globally unique and per-group ascending.
-    pub(crate) fn with_prepartitioned(
-        mut self,
-        build_groups: Vec<Vec<SpillPartition>>,
-        probe_groups: Vec<Vec<SpillPartition>>,
-    ) -> HashJoinOp<'a> {
-        self.grace_build = Some(build_groups);
-        self.grace_probe = Some(probe_groups);
-        self
-    }
-
     fn ensure_built(&mut self) -> Result<(), EngineError> {
         if self.state.is_some() || self.grace_build.is_some() || self.grace_output.is_some() {
             return Ok(());
         }
         let mut build = self.build.take().expect("the build input is consumed once");
         let rows = if !self.budget.is_bounded() {
-            drain(build)?
+            drain(build.into_operator())?
         } else {
-            // Bounded budget: accumulate the build side through the radix
-            // spiller. Each build row is tagged with its build sequence so
-            // partition chains (and the FULL OUTER tail) keep build order.
-            let mut spiller = PartitionedSpiller::new(self.budget.clone(), 0);
+            // Bounded budget: the build side arrives as radix partitions,
+            // each row tagged with its build sequence so partition chains
+            // (and the FULL OUTER tail) keep build order.
             let hash = SpillHash::Keys(&self.spec.build_keys);
-            let seq = spill_batches(&mut build, &hash, 0, &mut spiller)?;
-            if spiller.spilled_any() {
-                self.grace_build = Some(vec![spiller.finish()?]);
+            let groups = build.partitions(&self.budget, &hash, 0)?;
+            let fit = groups
+                .iter()
+                .flatten()
+                .all(|p| matches!(p, SpillPartition::Resident { .. }));
+            if !(fit && self.probe.streams()) {
+                self.grace_build = Some(groups);
                 return Ok(());
             }
-            // Everything fit: reassemble build order and run the normal
-            // streaming join — bounded-budget queries that fit behave
-            // exactly like unbounded ones.
-            let mut tuples: Vec<(u64, u64, Row)> = Vec::with_capacity(seq as usize);
-            for part in spiller.finish()? {
-                tuples.extend(part.load(&self.budget)?);
-            }
-            tuples.sort_by_key(|(_, s, _)| *s);
+            // Everything fit and the probe streams: merge the partitions
+            // back into build order and run the normal streaming join —
+            // bounded-budget queries that fit behave exactly like
+            // unbounded ones.
+            let parts = groups.into_iter().flatten().collect();
+            let tuples = SpillMerge::by_seq(parts, &self.budget)?.collect_all()?;
             tuples.into_iter().map(|(_, _, r)| r).collect()
         };
         self.state = Some(Arc::new(BuiltJoin::new(rows, &self.spec, 1)));
@@ -685,31 +671,24 @@ impl<'a> HashJoinOp<'a> {
     }
 
     /// The Grace phase: partition the probe side on the build's bit
-    /// range (unless it arrived pre-partitioned), join partition pairs
-    /// (recursing when a build partition still does not fit), and emit
-    /// through a k-way merge over per-partition output runs — the serial
-    /// emission order is restored without materializing the result.
-    fn run_grace(&mut self) -> Result<MergeEmit, EngineError> {
+    /// range, join partition pairs (recursing when a build partition
+    /// still does not fit), and emit through a k-way merge over
+    /// per-partition output runs — the serial emission order is restored
+    /// without materializing the result.
+    fn run_grace(&mut self) -> Result<SpillMerge, EngineError> {
         let build_groups = self.grace_build.take().expect("grace build partitions");
-        let probe_groups = match self.grace_probe.take() {
-            Some(groups) => groups,
-            None => {
-                let mut spiller = PartitionedSpiller::new(self.budget.clone(), 0);
-                let hash = SpillHash::Keys(&self.spec.probe_keys);
-                spill_batches(&mut self.probe, &hash, 0, &mut spiller)?;
-                vec![spiller.finish()?]
-            }
-        };
+        let hash = SpillHash::Keys(&self.spec.probe_keys);
+        let probe_groups = self.probe.partitions(&self.budget, &hash, 0)?;
 
         // (probe seq, match ordinal) emission keys; the FULL OUTER tail
         // uses probe seq u64::MAX so it merges after every probe row,
         // ordered by global build sequence — exactly the serial tail
         // position. Each partition pair appends one key-ascending run.
-        let mut runs = OutputRuns::new(self.budget.clone());
         let budget = self.budget.clone();
+        let mut runs = PartitionedSpiller::runs(budget.clone());
         let spec = &*self.spec;
         let chunk_rows = self.batch_size;
-        for_each_fitting_group_pair(
+        for_each_fitting_group(
             build_groups,
             probe_groups,
             &budget,
@@ -741,7 +720,7 @@ impl<'a> HashJoinOp<'a> {
                         } else {
                             out.extend(build_rows[bi as usize].iter().cloned());
                         }
-                        runs.push(seqs[row as usize], ordinal, out)?;
+                        runs.push_run(seqs[row as usize], ordinal, out)?;
                         ordinal += 1;
                     }
                     Ok(())
@@ -750,13 +729,13 @@ impl<'a> HashJoinOp<'a> {
                     if !m.load(Ordering::Relaxed) {
                         let mut out: Row = vec![Value::Null; spec.probe_width];
                         out.extend(build_rows[bi].iter().cloned());
-                        runs.push(u64::MAX, build_seqs[bi], out)?;
+                        runs.push_run(u64::MAX, build_seqs[bi], out)?;
                     }
                 }
                 Ok(())
             },
         )?;
-        runs.finish(self.batch_size)
+        SpillMerge::by_key(runs.finish()?, &budget)
     }
 }
 
@@ -768,7 +747,8 @@ impl<'a> Operator<'a> for HashJoinOp<'a> {
                 let merged = self.run_grace()?;
                 self.grace_output = Some(merged);
             }
-            return self.grace_output.as_mut().expect("just set").next_batch();
+            let merged = self.grace_output.as_mut().expect("just set");
+            return merged.next_batch(self.batch_size);
         }
         let built = self.state.as_deref().expect("built above");
         let spec = &*self.spec;
@@ -956,7 +936,7 @@ mod tests {
         batch_size: usize,
     ) -> HashJoinOp<'a> {
         let spec = JoinSpec::new(pw, bw, probe_keys, build_keys, residual.as_ref(), join);
-        HashJoinOp::new(probe, Some(build), Arc::new(spec), batch_size)
+        HashJoinOp::new(probe, Some(build.into()), Arc::new(spec), batch_size)
     }
 
     #[allow(clippy::too_many_arguments)]

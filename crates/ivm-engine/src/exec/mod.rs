@@ -25,7 +25,9 @@
 //! `build_node` constructs, fed what its children produced in
 //! parallel. `build_node` is the one per-node constructor, parameterised
 //! on how a node's children are obtained: the serial builder recurses,
-//! the scheduler collects each child and replays it.
+//! the scheduler hands over each child as an `Input` that runs its
+//! subtree in parallel on first pull. A grace-capable breaker under a
+//! bounded budget asks that input for spill partitions instead of rows.
 
 pub mod batch;
 pub mod hash;
@@ -81,6 +83,69 @@ where
 
 /// A boxed operator tied to the catalog borrow.
 pub type BoxedOperator<'a> = Box<dyn Operator<'a> + 'a>;
+
+/// A node's input as [`build_node`] hands it over. Pulled, it is an
+/// operator like any other. Under a bounded budget a grace-capable
+/// breaker instead asks it for radix spill partitions
+/// ([`Input::partitions`]) — the one way a breaker's input reaches a
+/// spiller, with one implementation per way of running a subtree.
+pub(crate) enum Input<'a> {
+    /// An operator tree, drained into one spiller when partitioned.
+    Op(BoxedOperator<'a>),
+    /// A subtree the morsel scheduler runs on first pull; partitioned,
+    /// every worker streams into its own spiller.
+    Scheduled(parallel::Scheduled<'a>),
+}
+
+impl<'a> Input<'a> {
+    /// The input's rows as radix spill partitions (one set per
+    /// producer), hashed by `hash` and sequence-tagged from `seq_base`,
+    /// never staged as rows.
+    pub(crate) fn partitions(
+        &mut self,
+        budget: &MemoryBudget,
+        hash: &spill::SpillHash<'_>,
+        seq_base: u64,
+    ) -> Result<spill::PartitionGroups, EngineError> {
+        match self {
+            Input::Op(op) => {
+                let mut spiller = spill::PartitionedSpiller::new(budget.clone(), 0);
+                spill::spill_batches(op, hash, seq_base, &mut spiller)?;
+                Ok(vec![spiller.finish()?])
+            }
+            Input::Scheduled(child) => child.partitions(hash, seq_base),
+        }
+    }
+
+    /// Whether pulling the input streams it. An operator tree does; the
+    /// scheduler's child stages its whole output as rows first.
+    pub(crate) fn streams(&self) -> bool {
+        matches!(self, Input::Op(_))
+    }
+
+    /// The input as a plain operator.
+    pub(crate) fn into_operator(self) -> BoxedOperator<'a> {
+        match self {
+            Input::Op(op) => op,
+            scheduled => Box::new(scheduled),
+        }
+    }
+}
+
+impl<'a> Operator<'a> for Input<'a> {
+    fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
+        match self {
+            Input::Op(op) => op.next_batch(),
+            Input::Scheduled(child) => child.next_batch(),
+        }
+    }
+}
+
+impl<'a> From<BoxedOperator<'a>> for Input<'a> {
+    fn from(op: BoxedOperator<'a>) -> Input<'a> {
+        Input::Op(op)
+    }
+}
 
 /// The executor settings of one session — every value a plan's execution
 /// depends on besides the data. Owned by [`crate::Database`] and by each
@@ -214,23 +279,25 @@ pub fn build_operator<'a>(
     plan: &PhysicalPlan,
     cx: &ExecContext<'a>,
 ) -> Result<BoxedOperator<'a>, EngineError> {
-    build_node(plan, cx, &mut |input| build_operator(input, cx))
+    build_node(plan, cx, &mut |input| {
+        Ok(Input::Op(build_operator(input, cx)?))
+    })
 }
 
-/// How [`build_node`] obtains the operator feeding a node from one of
-/// its children.
-pub(crate) type ChildSource<'s, 'a> =
-    dyn FnMut(&PhysicalPlan) -> Result<BoxedOperator<'a>, EngineError> + 's;
+/// How [`build_node`] obtains the input feeding a node from one of its
+/// children (plans borrowed for `'p`).
+pub(crate) type ChildSource<'s, 'p, 'a> =
+    dyn FnMut(&'p PhysicalPlan) -> Result<Input<'a>, EngineError> + 's;
 
 /// Construct the operator for one physical node, its inputs supplied by
 /// `child` — the one place a node's expressions are prepared
 /// (`IN (subquery)` materialization, once per operator), its sizing
 /// hints computed, and the memory budget threaded into a spill-capable
 /// operator (hash join, hash aggregate, DISTINCT, set operations).
-pub(crate) fn build_node<'a>(
-    plan: &PhysicalPlan,
+pub(crate) fn build_node<'p, 'a>(
+    plan: &'p PhysicalPlan,
     cx: &ExecContext<'a>,
-    child: &mut ChildSource<'_, 'a>,
+    child: &mut ChildSource<'_, 'p, 'a>,
 ) -> Result<BoxedOperator<'a>, EngineError> {
     let batch_size = cx.config.batch_size;
     let budget = &cx.config.budget;
@@ -243,7 +310,7 @@ pub(crate) fn build_node<'a>(
         // The one-row, zero-column relation (`SELECT 1` with no FROM).
         PhysicalPlan::Dual => Box::new(std::iter::once(Ok(RowBatch::new(vec![], 1)))),
         PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-            Streaming::compile(plan, cx)?.over(child(input)?, batch_size)
+            Streaming::compile(plan, cx)?.over(child(input)?.into_operator(), batch_size)
         }
         PhysicalPlan::HashAggregate {
             input,
@@ -271,7 +338,11 @@ pub(crate) fn build_node<'a>(
         PhysicalPlan::HashJoin { probe, build, .. } => {
             let probe = child(probe)?;
             let build = child(build)?;
-            Box::new(hash_join_op(join_spec(plan, cx)?, probe, build, cx))
+            let spec = join_spec(plan, cx)?;
+            Box::new(
+                join::HashJoinOp::new(probe, Some(build), spec, batch_size)
+                    .with_budget(budget.clone()),
+            )
         }
         PhysicalPlan::NestedLoopJoin {
             probe,
@@ -282,8 +353,8 @@ pub(crate) fn build_node<'a>(
         } => {
             let probe_width = probe.schema().len();
             let build_width = build.schema().len();
-            let probe = child(probe)?;
-            let build = child(build)?;
+            let probe = child(probe)?.into_operator();
+            let build = child(build)?.into_operator();
             let on = on.as_ref().map(|e| prepare_expr(e, cx)).transpose()?;
             Box::new(join::NestedLoopJoinOp::new(
                 probe,
@@ -329,7 +400,7 @@ pub(crate) fn build_node<'a>(
             )
         }
         PhysicalPlan::Sort { input, keys } => {
-            let input = child(input)?;
+            let input = child(input)?.into_operator();
             let keys = prepare_sort_keys(keys, cx)?;
             Box::new(operators::SortOp::new(input, keys, batch_size))
         }
@@ -339,7 +410,7 @@ pub(crate) fn build_node<'a>(
             limit,
             offset,
         } => {
-            let input = child(input)?;
+            let input = child(input)?.into_operator();
             let keys = prepare_sort_keys(keys, cx)?;
             Box::new(operators::TopKOp::new(
                 input, keys, *limit, *offset, batch_size,
@@ -349,7 +420,11 @@ pub(crate) fn build_node<'a>(
             input,
             limit,
             offset,
-        } => Box::new(operators::LimitOp::new(child(input)?, *limit, *offset)),
+        } => Box::new(operators::LimitOp::new(
+            child(input)?.into_operator(),
+            *limit,
+            *offset,
+        )),
     })
 }
 
@@ -497,19 +572,6 @@ pub(crate) fn join_spec(
         residual.as_ref(),
         *join,
     )))
-}
-
-/// The budgeted hash-join operator over the given inputs. Concretely
-/// typed because the morsel executor's bounded-budget arm attaches
-/// pre-partitioned inputs to it.
-pub(crate) fn hash_join_op<'a>(
-    spec: Arc<join::JoinSpec>,
-    probe: BoxedOperator<'a>,
-    build: BoxedOperator<'a>,
-    cx: &ExecContext<'a>,
-) -> join::HashJoinOp<'a> {
-    join::HashJoinOp::new(probe, Some(build), spec, cx.config.batch_size)
-        .with_budget(cx.config.budget.clone())
 }
 
 /// [`prepare_expr`] over a slice.

@@ -7,10 +7,10 @@ use crate::error::EngineError;
 use crate::exec::batch::{ColumnData, RowBatch, DEFAULT_BATCH_SIZE};
 use crate::exec::hash::{hash_batch_rows, RowCounter, RowSet};
 use crate::exec::spill::{
-    for_each_fitting_group, for_each_fitting_group_pair, spill_batches, MemoryBudget, MergeEmit,
-    OutputRuns, PartitionGroups, PartitionedSpiller, SpillHash,
+    for_each_fitting_group, MemoryBudget, PartitionGroups, PartitionedSpiller, SpillHash,
+    SpillMerge,
 };
-use crate::exec::{replay, BoxedOperator, Operator, Row};
+use crate::exec::{replay, BoxedOperator, Input, Operator, Row};
 use crate::expr::{BoundExpr, VectorKernel};
 use crate::planner::SetOpKind;
 use crate::value::Value;
@@ -348,47 +348,40 @@ impl<'a> Operator<'a> for TopKOp<'a> {
 /// chunk-at-a-time and deduplicated against a flat row set (rows only
 /// materialize on first sight).
 ///
-/// With a bounded [`MemoryBudget`] the input instead routes through a
-/// [`PartitionedSpiller`] on the whole-row hash and deduplicates one
+/// With a bounded [`MemoryBudget`] the input instead hands over radix
+/// partitions on the whole-row hash and deduplicates one
 /// radix partition at a time; first-seen rows carry their global
 /// sequence number and merge back into the exact streaming output order.
 pub struct DistinctOp<'a> {
-    input: BoxedOperator<'a>,
+    input: Input<'a>,
     seen: RowSet,
+    /// Planner sizing hint for `seen`, applied on the first in-memory
+    /// pull (0 = none, or already applied).
+    seen_hint: usize,
     budget: MemoryBudget,
     batch_size: usize,
-    /// Pre-partitioned input groups (one per parallel worker, hashed on
-    /// the whole row).
-    prepart: Option<PartitionGroups>,
-    spilled_output: Option<MergeEmit>,
+    spilled_output: Option<SpillMerge>,
 }
 
 impl<'a> DistinctOp<'a> {
     /// Deduplicate `input`.
-    pub fn new(input: BoxedOperator<'a>) -> DistinctOp<'a> {
+    pub fn new(input: impl Into<Input<'a>>) -> DistinctOp<'a> {
         DistinctOp {
-            input,
+            input: input.into(),
             seen: RowSet::new(),
+            seen_hint: 0,
             budget: MemoryBudget::unbounded(),
             batch_size: DEFAULT_BATCH_SIZE,
-            prepart: None,
             spilled_output: None,
         }
     }
 
-    /// Deduplicate pre-partitioned input groups instead of draining
-    /// `input`.
-    pub(crate) fn with_prepartitioned(mut self, groups: PartitionGroups) -> DistinctOp<'a> {
-        self.prepart = Some(groups);
-        self
-    }
-
     /// Pre-size the seen-set from the planner's cardinality estimate so
-    /// large DISTINCTs never rehash mid-stream (0 = no hint).
+    /// large DISTINCTs never rehash mid-stream (0 = no hint). The set is
+    /// sized when the in-memory path first needs it; the spill path
+    /// never allocates it.
     pub fn with_size_hint(mut self, hint: usize) -> DistinctOp<'a> {
-        if hint > 0 {
-            self.seen = RowSet::with_capacity(hint);
-        }
+        self.seen_hint = hint;
         self
     }
 
@@ -400,16 +393,11 @@ impl<'a> DistinctOp<'a> {
         self
     }
 
-    fn run_spilled(&mut self) -> Result<MergeEmit, EngineError> {
-        let groups = match self.prepart.take() {
-            Some(groups) => groups,
-            None => {
-                let mut spiller = PartitionedSpiller::new(self.budget.clone(), 0);
-                spill_batches(&mut self.input, &SpillHash::WholeRow, 0, &mut spiller)?;
-                vec![spiller.finish()?]
-            }
-        };
-        distinct_partitions(groups, &self.budget, self.batch_size)
+    fn run_spilled(&mut self) -> Result<SpillMerge, EngineError> {
+        let groups = self
+            .input
+            .partitions(&self.budget, &SpillHash::WholeRow, 0)?;
+        distinct_partitions(groups, &self.budget)
     }
 }
 
@@ -419,30 +407,33 @@ impl<'a> DistinctOp<'a> {
 fn distinct_partitions(
     groups: PartitionGroups,
     budget: &MemoryBudget,
-    batch_size: usize,
-) -> Result<MergeEmit, EngineError> {
-    let mut runs = OutputRuns::new(budget.clone());
-    for_each_fitting_group(groups, budget, 0, &mut |tuples| {
+) -> Result<SpillMerge, EngineError> {
+    let mut runs = PartitionedSpiller::runs(budget.clone());
+    for_each_fitting_group(groups, Vec::new(), budget, 0, &mut |tuples, _| {
         let mut seen = RowSet::new();
         runs.begin_run();
         for (hash, seq, row) in tuples {
             if seen.insert_row(hash, row.clone()) {
-                runs.push(seq, 0, row)?;
+                runs.push_run(seq, 0, row)?;
             }
         }
         Ok(())
     })?;
-    runs.finish(batch_size)
+    SpillMerge::by_key(runs.finish()?, budget)
 }
 
 impl<'a> Operator<'a> for DistinctOp<'a> {
     fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
-        if self.budget.is_bounded() || self.prepart.is_some() || self.spilled_output.is_some() {
+        if self.spilled_output.is_some() || self.budget.is_bounded() {
             if self.spilled_output.is_none() {
                 let merged = self.run_spilled()?;
                 self.spilled_output = Some(merged);
             }
-            return self.spilled_output.as_mut().expect("just set").next_batch();
+            let merged = self.spilled_output.as_mut().expect("just set");
+            return merged.next_batch(self.batch_size);
+        }
+        if self.seen_hint > 0 {
+            self.seen = RowSet::with_capacity(std::mem::take(&mut self.seen_hint));
         }
         while let Some(batch) = self.input.next_batch()? {
             let hashes = hash_batch_rows(&batch);
@@ -469,7 +460,7 @@ impl<'a> Operator<'a> for DistinctOp<'a> {
 ///
 /// With a bounded [`MemoryBudget`], the "seen" set (UNION) or the right
 /// multiplicity map (EXCEPT/INTERSECT) can exceed memory, so both sides
-/// route through [`PartitionedSpiller`]s on the whole-row hash and the
+/// hand over radix partitions on the whole-row hash and the
 /// operation runs one radix partition pair at a time — equal rows always
 /// share a partition, so per-partition multiplicity consumption matches
 /// the streaming order exactly, and sequence tags restore the output
@@ -477,44 +468,44 @@ impl<'a> Operator<'a> for DistinctOp<'a> {
 pub struct SetOpOp<'a> {
     op: SetOpKind,
     all: bool,
-    left: BoxedOperator<'a>,
-    right: BoxedOperator<'a>,
+    left: Input<'a>,
+    right: Input<'a>,
     left_done: bool,
     right_counts: Option<RowCounter>,
     seen: RowSet,
+    /// Planner sizing hint for `seen`, applied on the first in-memory
+    /// pull (0 = none, or already applied).
+    seen_hint: usize,
     right_hint: usize,
     budget: MemoryBudget,
     batch_size: usize,
-    /// Pre-partitioned combined left++right groups for UNION (left
-    /// sequences sort before right sequences).
-    prepart_union: Option<PartitionGroups>,
-    /// Pre-partitioned (right groups, left groups) for EXCEPT /
-    /// INTERSECT.
-    prepart_pair: Option<(PartitionGroups, PartitionGroups)>,
-    spilled_output: Option<MergeEmit>,
+    spilled_output: Option<SpillMerge>,
 }
+
+/// The first sequence tag of a spilled UNION's right input: past every
+/// tag its left input can take, so left rows merge first.
+const UNION_RIGHT_SEQ_BASE: u64 = 1 << 62;
 
 impl<'a> SetOpOp<'a> {
     /// Combine `left` and `right` under the given set operation.
     pub fn new(
         op: SetOpKind,
         all: bool,
-        left: BoxedOperator<'a>,
-        right: BoxedOperator<'a>,
+        left: impl Into<Input<'a>>,
+        right: impl Into<Input<'a>>,
     ) -> SetOpOp<'a> {
         SetOpOp {
             op,
             all,
-            left,
-            right,
+            left: left.into(),
+            right: right.into(),
             left_done: false,
             right_counts: None,
             seen: RowSet::new(),
+            seen_hint: 0,
             right_hint: 0,
             budget: MemoryBudget::unbounded(),
             batch_size: DEFAULT_BATCH_SIZE,
-            prepart_union: None,
-            prepart_pair: None,
             spilled_output: None,
         }
     }
@@ -527,73 +518,38 @@ impl<'a> SetOpOp<'a> {
         self
     }
 
-    /// UNION from pre-partitioned combined groups; left-input sequence
-    /// tags must sort before right-input tags.
-    pub(crate) fn with_prepartitioned_union(mut self, groups: PartitionGroups) -> SetOpOp<'a> {
-        self.prepart_union = Some(groups);
-        self
-    }
-
-    /// EXCEPT / INTERSECT from pre-partitioned right and left groups.
-    pub(crate) fn with_prepartitioned_pair(
-        mut self,
-        right_groups: PartitionGroups,
-        left_groups: PartitionGroups,
-    ) -> SetOpOp<'a> {
-        self.prepart_pair = Some((right_groups, left_groups));
-        self
-    }
-
     /// Pre-size the seen-set (output estimate) and the right-side
     /// multiplicity map (right-input estimate) from planner cardinality
-    /// hints (0 = no hint).
+    /// hints (0 = no hint). Both are sized when the in-memory path first
+    /// needs them; the spill path allocates neither.
     pub fn with_size_hints(mut self, seen_hint: usize, right_hint: usize) -> SetOpOp<'a> {
-        if seen_hint > 0 {
-            self.seen = RowSet::with_capacity(seen_hint);
-        }
-        if right_hint > 0 {
-            self.right_hint = right_hint;
-        }
+        self.seen_hint = seen_hint;
+        self.right_hint = right_hint;
         self
     }
 
     /// Spill path for `UNION` (set semantics): a partitioned DISTINCT
     /// over left-then-right concatenation, merge-emitted in sequence
     /// order.
-    fn run_spilled_union(&mut self) -> Result<MergeEmit, EngineError> {
-        let groups = match self.prepart_union.take() {
-            Some(pre) => pre,
-            None => {
-                // One spiller over the left-then-right concatenation.
-                let mut spiller = PartitionedSpiller::new(self.budget.clone(), 0);
-                let seq = spill_batches(&mut self.left, &SpillHash::WholeRow, 0, &mut spiller)?;
-                spill_batches(&mut self.right, &SpillHash::WholeRow, seq, &mut spiller)?;
-                vec![spiller.finish()?]
-            }
-        };
-        distinct_partitions(groups, &self.budget, self.batch_size)
+    fn run_spilled_union(&mut self) -> Result<SpillMerge, EngineError> {
+        let (budget, hash) = (&self.budget, &SpillHash::WholeRow);
+        let mut groups = self.left.partitions(budget, hash, 0)?;
+        groups.extend(self.right.partitions(budget, hash, UNION_RIGHT_SEQ_BASE)?);
+        distinct_partitions(groups, budget)
     }
 
     /// Spill path for EXCEPT / INTERSECT: right partitions build the
     /// multiplicity maps, left partitions stream against them pairwise,
     /// and kept rows merge-emit in left sequence order.
-    fn run_spilled_against_counts(&mut self) -> Result<MergeEmit, EngineError> {
-        let (right_groups, left_groups) = match self.prepart_pair.take() {
-            Some(pre) => pre,
-            None => {
-                let mut right = PartitionedSpiller::new(self.budget.clone(), 0);
-                spill_batches(&mut self.right, &SpillHash::WholeRow, 0, &mut right)?;
-                let mut left = PartitionedSpiller::new(self.budget.clone(), 0);
-                spill_batches(&mut self.left, &SpillHash::WholeRow, 0, &mut left)?;
-                (vec![right.finish()?], vec![left.finish()?])
-            }
-        };
+    fn run_spilled_against_counts(&mut self) -> Result<SpillMerge, EngineError> {
+        let budget = self.budget.clone();
+        let right_groups = self.right.partitions(&budget, &SpillHash::WholeRow, 0)?;
+        let left_groups = self.left.partitions(&budget, &SpillHash::WholeRow, 0)?;
         let except = self.op == SetOpKind::Except;
         let all = self.all;
-        let budget = self.budget.clone();
         let chunk_rows = self.batch_size;
-        let mut runs = OutputRuns::new(budget.clone());
-        for_each_fitting_group_pair(
+        let mut runs = PartitionedSpiller::runs(budget.clone());
+        for_each_fitting_group(
             right_groups,
             left_groups,
             &budget,
@@ -622,14 +578,14 @@ impl<'a> SetOpOp<'a> {
                             (in_right != except) && seen.insert_row(hash, row.clone())
                         };
                         if kept {
-                            runs.push(seq, 0, row)?;
+                            runs.push_run(seq, 0, row)?;
                         }
                     }
                     Ok(())
                 })
             },
         )?;
-        runs.finish(self.batch_size)
+        SpillMerge::by_key(runs.finish()?, &budget)
     }
 
     fn next_union(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
@@ -720,10 +676,8 @@ impl<'a> Operator<'a> for SetOpOp<'a> {
     fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
         // UNION ALL is pure concatenation — nothing accumulates, so it
         // streams regardless of the budget.
-        if (self.budget.is_bounded() && !(self.op == SetOpKind::Union && self.all))
-            || self.prepart_union.is_some()
-            || self.prepart_pair.is_some()
-            || self.spilled_output.is_some()
+        if self.spilled_output.is_some()
+            || (self.budget.is_bounded() && !(self.op == SetOpKind::Union && self.all))
         {
             if self.spilled_output.is_none() {
                 let merged = match self.op {
@@ -734,7 +688,11 @@ impl<'a> Operator<'a> for SetOpOp<'a> {
                 };
                 self.spilled_output = Some(merged);
             }
-            return self.spilled_output.as_mut().expect("just set").next_batch();
+            let merged = self.spilled_output.as_mut().expect("just set");
+            return merged.next_batch(self.batch_size);
+        }
+        if self.seen_hint > 0 {
+            self.seen = RowSet::with_capacity(std::mem::take(&mut self.seen_hint));
         }
         match self.op {
             SetOpKind::Union => self.next_union(),
@@ -923,6 +881,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn bounded_seen_sets_ignore_the_size_hint() {
+        // Under a bounded budget the spill path builds its own
+        // per-partition sets; the planner's hint must not allocate a
+        // 2^21-slot table outside the budget.
+        let budget = MemoryBudget::with_limit(1 << 20);
+        let mut distinct = DistinctOp::new(static_op([1, 1, 2], 2))
+            .with_size_hint(1 << 20)
+            .with_budget(budget.clone(), 2);
+        while distinct.next_batch().unwrap().is_some() {}
+        assert_eq!(distinct.seen.capacity(), 0, "bounded DISTINCT");
+        let mut union = SetOpOp::new(
+            SetOpKind::Union,
+            false,
+            static_op([1, 2], 2),
+            static_op([2, 3], 2),
+        )
+        .with_size_hints(1 << 20, 0)
+        .with_budget(budget, 2);
+        while union.next_batch().unwrap().is_some() {}
+        assert_eq!(union.seen.capacity(), 0, "bounded UNION");
+        // Unbounded, the hint still pre-sizes the in-memory set.
+        let mut distinct = DistinctOp::new(static_op([1, 1, 2], 2)).with_size_hint(1 << 10);
+        while distinct.next_batch().unwrap().is_some() {}
+        assert!(distinct.seen.capacity() >= 1 << 10);
     }
 
     #[test]

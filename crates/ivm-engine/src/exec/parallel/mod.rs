@@ -23,13 +23,15 @@
 //! workers when large — and probed lock-free by every morsel's
 //! `HashJoinOp`. Aggregation over a pipeline folds one partial state per
 //! morsel with the serial operator's `AggSpec` and merges them in morsel
-//! order. Every other breaker takes one generic path: each child is
-//! collected and replayed into it. Under a bounded memory budget the
-//! grace-capable breakers (grouped aggregation, DISTINCT, set
-//! operations, hash join) instead receive their inputs as per-worker
-//! radix spill partitions, never staged as rows. `LIMIT` subtrees run as
-//! one operator tree on the calling thread — under the same context, so
-//! still budgeted — because stopping early is their point.
+//! order. Every other breaker takes one generic path: `build_node` gets
+//! each child as a `Scheduled` input, which collects the child in
+//! parallel on first pull and replays it. Under a bounded memory budget
+//! the grace-capable breakers (grouped aggregation, DISTINCT, set
+//! operations, hash join) ask that input for partitions instead, and it
+//! streams every worker into its own radix spiller — the input is never
+//! staged as rows. `LIMIT` subtrees run as one operator tree on the
+//! calling thread — under the same context, so still budgeted — because
+//! stopping early is their point.
 //!
 //! **Determinism.** Per-morsel results are merged in morsel sequence
 //! order, so the scheduler emits rows in the *same order* as one
@@ -47,16 +49,15 @@ mod aggregate;
 mod pipeline;
 
 use crate::error::EngineError;
-use crate::exec::aggregate::{AggSpec, HashAggregateOp};
-use crate::exec::operators::{DistinctOp, SetOpOp};
-use crate::exec::spill::{spill_batches, PartitionGroups, PartitionedSpiller, SpillHash};
+use crate::exec::aggregate::runs_grace;
+use crate::exec::batch::RowBatch;
+use crate::exec::spill::{PartitionGroups, SpillHash};
 use crate::exec::{
-    build_node, build_operator, drain, hash_join_op, join_spec, prepare_aggregate, replay,
-    BoxedOperator, ExecConfig, ExecContext, Row,
+    build_node, build_operator, drain, replay, BoxedOperator, ExecConfig, ExecContext, Input,
+    Operator, Row,
 };
 use crate::expr::VectorKernel;
-use crate::planner::physical::{AggMode, PhysicalPlan};
-use crate::planner::SetOpKind;
+use crate::planner::physical::PhysicalPlan;
 use crate::storage::Table;
 
 use pipeline::Pipeline;
@@ -68,9 +69,9 @@ pub const DEFAULT_MORSEL_SIZE: usize = 4096;
 
 /// Materialize the rows of `plan`, in serial output order, parallelizing
 /// every pipeline and breaker the plan shape allows.
-pub(crate) fn collect_rows(
-    plan: &PhysicalPlan,
-    cx: &ExecContext<'_>,
+pub(crate) fn collect_rows<'a>(
+    plan: &'a PhysicalPlan,
+    cx: &ExecContext<'a>,
 ) -> Result<Vec<Row>, EngineError> {
     // A pipeline handles the whole subtree in one pass over its morsels.
     if let Some(pipeline) = Pipeline::of(plan, cx)? {
@@ -79,94 +80,21 @@ pub(crate) fn collect_rows(
         chunks.into_iter().for_each(|chunk| rows.extend(chunk));
         return Ok(rows);
     }
-    let batch_size = cx.config.batch_size();
-    let budget = cx.config.budget();
-    let bounded = budget.is_bounded();
-    // An empty input: what a grace-capable operator is constructed over
-    // when its real input arrives as pre-partitioned spill runs.
-    let empty = || -> BoxedOperator<'_> { Box::new(std::iter::empty()) };
-    let op: BoxedOperator<'_> = match plan {
-        // Morsel-parallel partial aggregation: always for unbounded
-        // budgets; under a bounded budget only the ungrouped mode (whose
-        // accumulator state is O(1), so nothing can outgrow the budget).
+    let op = match plan {
+        // Morsel-parallel partial aggregation, unless the operator would
+        // run its grace path (grouped, under a bounded budget): the
+        // ungrouped mode's accumulator state is O(1), so nothing can
+        // outgrow the budget.
         PhysicalPlan::HashAggregate {
             input,
             group,
             aggs,
             mode,
             ..
-        } if !bounded || *mode == AggMode::Ungrouped => match Pipeline::of(input, cx)? {
+        } if !runs_grace(cx.config.budget(), *mode) => match Pipeline::of(input, cx)? {
             Some(input) => return aggregate::parallel_aggregate(&input, group, aggs, *mode, cx),
             None => from_collected_children(plan, cx)?,
         },
-        // Bounded budget, grace-capable breakers: inputs stream through
-        // per-worker spill partitioners on the hash the breaker itself
-        // uses (never staged as `Vec<Row>`), and the operator processes
-        // one fitting partition group at a time, merge-emitting in
-        // serial order.
-        PhysicalPlan::HashAggregate {
-            input,
-            group,
-            aggs,
-            mode,
-            ..
-        } => {
-            let (group, aggs) = prepare_aggregate(group, aggs, cx)?;
-            let spec = AggSpec::new(&group, aggs.clone(), false);
-            let groups_in = collect_partitions(input, cx, &SpillHash::Agg(&spec), 0)?;
-            Box::new(
-                HashAggregateOp::new(empty(), group, aggs, *mode, batch_size, 0)
-                    .with_budget(budget.clone())
-                    .with_prepartitioned(groups_in),
-            )
-        }
-        PhysicalPlan::Distinct { input } if bounded => {
-            let groups = collect_partitions(input, cx, &SpillHash::WholeRow, 0)?;
-            Box::new(
-                DistinctOp::new(empty())
-                    .with_budget(budget.clone(), batch_size)
-                    .with_prepartitioned(groups),
-            )
-        }
-        // UNION ALL is pure concatenation and never accumulates, so it
-        // takes the generic path even when bounded.
-        PhysicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            ..
-        } if bounded && !(*op == SetOpKind::Union && *all) => {
-            let set_op =
-                SetOpOp::new(*op, *all, empty(), empty()).with_budget(budget.clone(), batch_size);
-            let whole_row =
-                |input, seq_base| collect_partitions(input, cx, &SpillHash::WholeRow, seq_base);
-            Box::new(if *op == SetOpKind::Union {
-                // One combined producer set; right-input sequence tags
-                // offset past every possible left tag.
-                let mut groups = whole_row(left, 0)?;
-                groups.extend(whole_row(right, 1 << 62)?);
-                set_op.with_prepartitioned_union(groups)
-            } else {
-                let right_groups = whole_row(right, 0)?;
-                let left_groups = whole_row(left, 0)?;
-                set_op.with_prepartitioned_pair(right_groups, left_groups)
-            })
-        }
-        PhysicalPlan::HashJoin {
-            probe,
-            build,
-            probe_keys,
-            build_keys,
-            ..
-        } if bounded => {
-            let build_groups = collect_partitions(build, cx, &SpillHash::Keys(build_keys), 0)?;
-            let probe_groups = collect_partitions(probe, cx, &SpillHash::Keys(probe_keys), 0)?;
-            Box::new(
-                hash_join_op(join_spec(plan, cx)?, empty(), empty(), cx)
-                    .with_prepartitioned(build_groups, probe_groups),
-            )
-        }
         // LIMIT's whole point is to stop pulling early: a serial tree.
         PhysicalPlan::Limit { .. } => build_operator(plan, cx)?,
         _ => from_collected_children(plan, cx)?,
@@ -175,39 +103,64 @@ pub(crate) fn collect_rows(
 }
 
 /// The generic non-pipelined node: the operator the serial builder would
-/// construct, fed by a replay of each child's parallel-collected rows.
+/// construct, each child handed over as a [`Scheduled`] input.
 fn from_collected_children<'a>(
-    plan: &PhysicalPlan,
+    plan: &'a PhysicalPlan,
     cx: &ExecContext<'a>,
 ) -> Result<BoxedOperator<'a>, EngineError> {
     build_node(plan, cx, &mut |input| {
-        Ok(replay(
-            input.schema().len(),
-            collect_rows(input, cx)?,
-            cx.config.batch_size(),
-        ))
+        Ok(Input::Scheduled(Scheduled {
+            plan: input,
+            cx: *cx,
+            rows: None,
+        }))
     })
 }
 
-/// Materialize `plan`'s output into budget-accounted radix spill
-/// partitions — hashed with `hash`, sequence-tagged from `seq_base` — for
-/// a grace-capable breaker to consume. Pipelines stream through
-/// per-worker spillers ([`Pipeline::spill`]); other shapes (nested
-/// breakers) stream serially through the budgeted operator tree into one
-/// spiller. Either way the rows are never staged in an unaccounted
-/// `Vec<Row>`.
-fn collect_partitions(
-    plan: &PhysicalPlan,
-    cx: &ExecContext<'_>,
-    hash: &SpillHash<'_>,
-    seq_base: u64,
-) -> Result<PartitionGroups, EngineError> {
-    if let Some(pipeline) = Pipeline::of(plan, cx)? {
-        return pipeline.spill(cx, hash, seq_base);
+/// A breaker's child as the scheduler hands it over: nothing runs until
+/// the breaker asks. Pulled, it collects its subtree in parallel and
+/// replays the rows. Asked for partitions (a grace-capable breaker under
+/// a bounded budget), it streams its subtree into radix spill partitions
+/// instead — each worker into its own spiller — so its output is never
+/// staged as rows.
+pub(crate) struct Scheduled<'a> {
+    plan: &'a PhysicalPlan,
+    cx: ExecContext<'a>,
+    rows: Option<BoxedOperator<'a>>,
+}
+
+impl Scheduled<'_> {
+    /// The subtree's output as radix spill partitions — hashed with
+    /// `hash`, sequence-tagged from `seq_base`. A pipeline streams
+    /// through per-worker spillers ([`Pipeline::spill`]); any other shape
+    /// (a nested breaker) drains its budgeted serial operator tree into
+    /// one.
+    pub(crate) fn partitions(
+        &self,
+        hash: &SpillHash<'_>,
+        seq_base: u64,
+    ) -> Result<PartitionGroups, EngineError> {
+        let cx = &self.cx;
+        match Pipeline::of(self.plan, cx)? {
+            Some(pipeline) => pipeline.spill(cx, hash, seq_base),
+            None => Input::Op(build_operator(self.plan, cx)?).partitions(
+                cx.config.budget(),
+                hash,
+                seq_base,
+            ),
+        }
     }
-    let mut spiller = PartitionedSpiller::new(cx.config.budget().clone(), 0);
-    spill_batches(&mut build_operator(plan, cx)?, hash, seq_base, &mut spiller)?;
-    Ok(vec![spiller.finish()?])
+}
+
+impl<'a> Operator<'a> for Scheduled<'a> {
+    fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
+        if self.rows.is_none() {
+            let rows = collect_rows(self.plan, &self.cx)?;
+            let width = self.plan.schema().len();
+            self.rows = Some(replay(width, rows, self.cx.config.batch_size()));
+        }
+        self.rows.as_mut().expect("just set").next_batch()
+    }
 }
 
 /// UPDATE/DELETE victim selection: the ids of `table`'s live rows that

@@ -160,7 +160,7 @@ impl<'a> Pipeline<'a> {
             || PartitionedSpiller::new(cx.config.budget().clone(), 0),
             |spiller, seq, mut op| {
                 let base = seq_base + ((seq as u64) << 32);
-                spill_batches(&mut op, hash, base, spiller).map(drop)
+                spill_batches(&mut op, hash, base, spiller)
             },
         )?;
         Ok(producers.0)

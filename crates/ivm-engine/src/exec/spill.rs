@@ -20,25 +20,28 @@
 //!   fsyncs. Files are created in the budget's spill directory and
 //!   removed when the `SpillFile` handle drops — spill files never
 //!   outlive the query.
-//! - `PartitionedSpiller`: the radix accumulator. Rows arrive tagged
-//!   with their key hash and a global sequence number and are routed to
-//!   one of `NUM_PARTITIONS` partitions by a high-bit slice of the
-//!   hash (rotated per recursion level, so re-partitioning a partition
-//!   that still does not fit uses a *fresh* bit range). Partitions
-//!   buffer in memory while the budget allows; when the budget
-//!   overflows, the largest resident partition is flushed to its spill
-//!   file and subsequent rows for it pass through a small bounded write
-//!   buffer.
-//! - `SeqMerge`: a k-way merge over sequence-ascending partition
-//!   streams. Parallel execution produces one spiller per worker; the
-//!   per-worker slices of a partition merge back into one
-//!   sequence-ordered stream holding at most one frame per source
-//!   resident.
-//! - `OutputRuns` / `MergeEmit`: budget-bounded operator output.
-//!   Each fitting partition appends one key-ascending run; runs flush
-//!   to disk under memory pressure and the finished operator emits by
-//!   k-way merging the runs — no materialize-and-sort of the full
-//!   result.
+//! - `PartitionedSpiller`: the one bucket store. Tuples carry two `u64`
+//!   tags and are kept in buckets that buffer in memory while the budget
+//!   allows; when it overflows, the largest resident bucket is flushed
+//!   to its spill file and its later tuples pass through a small
+//!   bounded write buffer. As the radix accumulator, the tags are the
+//!   key hash and a global sequence number and a tuple's bucket is one
+//!   of `NUM_PARTITIONS`, picked by a high-bit slice of the hash
+//!   (rotated per recursion level, so re-partitioning a partition that
+//!   still does not fit uses a *fresh* bit range). As a breaker's
+//!   output runs, the tags are the emission key and each fitting
+//!   partition appends one key-ascending run — no materialize-and-sort
+//!   of the full result.
+//! - `SpillMerge`: the one k-way merge over finished buckets, holding
+//!   at most one decoded frame per bucket resident. By sequence it
+//!   merges the per-worker slices of a partition (parallel execution
+//!   produces one spiller per worker) back into one serial-order
+//!   stream; by key it merges a breaker's output runs into its output.
+//!
+//! A breaker's input reaches a spiller one way: under a bounded budget
+//! the breaker asks its input for partitions (`Input::partitions`). An
+//! operator tree is drained into one spiller; the morsel scheduler's
+//! child streams every worker into its own.
 //!
 //! The sequence tags are what make spilling invisible: consumers fold or
 //! join partition-at-a-time (any order) and use the tags to restore the
@@ -47,11 +50,25 @@
 //! `tests/prop_spill_agree.rs` holds that equivalence under random
 //! workloads.
 //!
+//! **I/O bound.** Every spilled row is written once and read back once
+//! per partition level: a bucket file is sealed once and read by one
+//! cursor, a partition that does not fit is re-partitioned by one
+//! sequential pass (one read of the level above, one write at the level
+//! below, at most `MAX_SPILL_DEPTH - 1` times), and an output run is
+//! written once and merged once. So `SpillStats::rehydrated_rows`
+//! equals `SpillStats::spilled_rows` for every query drained to the end
+//! (`tests/prop_spill_agree.rs` asserts it), and a breaker with `n`
+//! input rows and `m` output rows writes at most `n · MAX_SPILL_DEPTH +
+//! m` rows; memory beyond the budget is one write buffer per spilled
+//! bucket, one frame per merged cursor and the writer queue's
+//! `SPILL_QUEUE_FRAMES` frames.
+//!
 //! The hash bit layout composes with the rest of the engine: spill
 //! partitions use rotated *high* bits (levels 0..4 cover bits 48..64),
 //! the flat tables index with *low* bits, and tag bytes come from the
 //! middle — one hash per key, everywhere.
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
@@ -671,30 +688,6 @@ impl SpillFile {
     pub(crate) fn rows(&self) -> u64 {
         self.rows
     }
-
-    /// Stream every frame through `f`, counting bytes read.
-    pub(crate) fn replay(
-        &self,
-        budget: &MemoryBudget,
-        mut f: impl FnMut(Vec<Row>) -> Result<(), EngineError>,
-    ) -> Result<(), EngineError> {
-        let stats = &budget.inner.stats;
-        let file = sio::open(&self.path, OpenMode::ReadOnly)
-            .map_err(|e| EngineError::execution(format!("cannot reopen spill file: {e}")))?;
-        let mut r = CountingReader {
-            inner: BufReader::new(file),
-            n: 0,
-        };
-        frame::read_header(&mut r)?;
-        let mut counted = 0u64;
-        while let Some(rows) = frame::read_frame(&mut r)? {
-            stats.bytes_read.fetch_add(r.n - counted, Ordering::Relaxed);
-            counted = r.n;
-            f(rows)?;
-        }
-        stats.bytes_read.fetch_add(r.n - counted, Ordering::Relaxed);
-        Ok(())
-    }
 }
 
 impl Drop for SpillFile {
@@ -703,9 +696,9 @@ impl Drop for SpillFile {
     }
 }
 
-/// A frame-at-a-time reader over a sealed spill file. Owns the file
-/// handle (so deletion still happens on drop) and keeps only one decoded
-/// frame in memory.
+/// A frame-at-a-time reader over a sealed spill file — the one way
+/// spilled rows come back. Owns the file handle (so deletion still
+/// happens on drop) and keeps only one decoded frame in memory.
 pub(crate) struct SpillReader {
     _file: SpillFile,
     r: CountingReader<BufReader<FileHandle>>,
@@ -747,29 +740,38 @@ impl SpillReader {
     }
 }
 
-/// One spiller tuple: `(key hash, global sequence, row)`.
+/// One stored tuple: two `u64` tags and the row. A radix partition
+/// stores `(key hash, global sequence, row)`, an output run
+/// `(k1, k2, row)` under its emission key.
 pub(crate) type Tagged = (u64, u64, Row);
 
+/// One bucket of the store: resident tuples until the budget evicts
+/// them, then a spill file that every later tuple reaches through a
+/// small write buffer — so a bucket is wholly resident or wholly on
+/// disk, in push order either way.
 #[derive(Debug, Default)]
-struct PartBuf {
+struct Bucket {
     resident: Vec<Tagged>,
     resident_bytes: usize,
     writer: Option<SpillWriter>,
     write_buf: Vec<Row>,
-    total_rows: u64,
     total_bytes: u64,
 }
 
-/// The radix accumulator: rows route to partitions by a high-bit slice
-/// of their hash, buffer in memory under the budget, and overflow to
-/// per-partition spill files.
+/// The one bucket store every spilled row passes through. As the radix
+/// accumulator ([`PartitionedSpiller::new`]) it has [`NUM_PARTITIONS`]
+/// buckets and routes each row by a high-bit slice of its hash; as an
+/// operator's output runs ([`PartitionedSpiller::runs`]) each
+/// [`begin_run`](PartitionedSpiller::begin_run) opens the next bucket
+/// and rows append to it. Either way buckets buffer in memory while the
+/// budget allows, and an overflow evicts the largest resident bucket to
+/// its spill file.
 #[derive(Debug)]
 pub(crate) struct PartitionedSpiller {
     budget: MemoryBudget,
-    parts: Vec<PartBuf>,
+    buckets: Vec<Bucket>,
     bit_offset: u32,
     held: usize,
-    spilled_any: bool,
 }
 
 /// One producer's finished partition set, indexed by radix partition:
@@ -813,86 +815,97 @@ impl SpillPartition {
             SpillPartition::Spilled { file, .. } => file.rows(),
         }
     }
-
-    /// Materialize the whole partition in sequence-ascending order.
-    /// Callers only do this for partitions the budget says fit (or at
-    /// [`MAX_SPILL_DEPTH`], where splitting cannot help).
-    pub(crate) fn load(self, budget: &MemoryBudget) -> Result<Vec<Tagged>, EngineError> {
-        match self {
-            SpillPartition::Resident { rows, .. } => Ok(rows),
-            SpillPartition::Spilled { file, .. } => {
-                let stats = &budget.inner.stats;
-                stats.rehydrated_partitions.fetch_add(1, Ordering::Relaxed);
-                let mut out: Vec<Tagged> = Vec::with_capacity(file.rows() as usize);
-                file.replay(budget, |rows| {
-                    stats
-                        .rehydrated_rows
-                        .fetch_add(rows.len() as u64, Ordering::Relaxed);
-                    for row in rows {
-                        out.push(untag(row)?);
-                    }
-                    Ok(())
-                })?;
-                Ok(out)
-            }
-        }
-    }
 }
 
-/// Append the `(seq, hash)` tag columns for spill encoding.
-fn tag(mut row: Row, hash: u64, seq: u64) -> Row {
-    row.push(Value::Integer(seq as i64));
-    row.push(Value::Integer(hash as i64));
+/// Append a tuple's two tags to its row as columns, for spill encoding.
+fn tag((a, b, mut row): Tagged) -> Row {
+    row.push(Value::Integer(b as i64));
+    row.push(Value::Integer(a as i64));
     row
 }
 
 /// Strip the tag columns back off a spilled row.
 fn untag(mut row: Row) -> Result<Tagged, EngineError> {
-    let hash = row
+    let a = row
         .pop()
         .and_then(|v| v.as_integer())
         .ok_or_else(|| EngineError::execution("corrupt spill frame: missing hash tag"))?;
-    let seq = row
+    let b = row
         .pop()
         .and_then(|v| v.as_integer())
         .ok_or_else(|| EngineError::execution("corrupt spill frame: missing sequence tag"))?;
-    Ok((hash as u64, seq as u64, row))
+    Ok((a as u64, b as u64, row))
 }
 
 impl PartitionedSpiller {
-    /// A spiller at recursion level `bit_offset / PART_BITS`.
+    /// A radix spiller at recursion level `bit_offset / PART_BITS`.
     pub(crate) fn new(budget: MemoryBudget, bit_offset: u32) -> PartitionedSpiller {
         PartitionedSpiller {
             budget,
-            parts: (0..NUM_PARTITIONS).map(|_| PartBuf::default()).collect(),
+            buckets: (0..NUM_PARTITIONS).map(|_| Bucket::default()).collect(),
             bit_offset,
             held: 0,
-            spilled_any: false,
         }
     }
 
-    /// Whether any partition has been flushed to disk so far.
-    pub(crate) fn spilled_any(&self) -> bool {
-        self.spilled_any
+    /// A store of output runs: no bucket until the first
+    /// [`begin_run`](PartitionedSpiller::begin_run). Each fitting
+    /// partition a breaker processes appends one key-ascending run, and
+    /// a [`SpillMerge::by_key`] over the finished runs emits the result
+    /// in key order — no materialize-and-sort of the whole output.
+    pub(crate) fn runs(budget: MemoryBudget) -> PartitionedSpiller {
+        PartitionedSpiller {
+            budget,
+            buckets: Vec::new(),
+            bit_offset: 0,
+            held: 0,
+        }
     }
 
-    /// Route one tuple to its partition, spilling the largest resident
-    /// partitions when the budget overflows.
+    /// Open the next output run. Keys must ascend *within* a run; runs
+    /// may overlap each other freely. Only the last run grows, so a
+    /// spilled run's file holds the whole run in key order.
+    pub(crate) fn begin_run(&mut self) {
+        self.buckets.push(Bucket::default());
+    }
+
+    /// Route one tuple to its radix partition.
     pub(crate) fn push(&mut self, hash: u64, seq: u64, row: Row) -> Result<(), EngineError> {
-        let p = spill_partition_of(hash, self.bit_offset);
-        let bytes = tuple_bytes(&row);
-        let part = &mut self.parts[p];
-        part.total_rows += 1;
-        part.total_bytes += bytes as u64;
-        if part.writer.is_some() {
-            part.write_buf.push(tag(row, hash, seq));
-            if part.write_buf.len() >= WRITE_BUFFER_ROWS {
-                Self::flush_write_buf(&mut self.parts[p], &self.budget)?;
+        self.push_to(spill_partition_of(hash, self.bit_offset), (hash, seq, row))
+    }
+
+    /// Append one output row to the current run under key `(k1, k2)`.
+    pub(crate) fn push_run(&mut self, k1: u64, k2: u64, row: Row) -> Result<(), EngineError> {
+        let last = self
+            .buckets
+            .len()
+            .checked_sub(1)
+            .expect("begin_run before push_run");
+        debug_assert!(
+            self.buckets[last]
+                .resident
+                .last()
+                .is_none_or(|t| (t.0, t.1) <= (k1, k2)),
+            "output run keys must ascend"
+        );
+        self.push_to(last, (k1, k2, row))
+    }
+
+    /// Store one tuple in bucket `b`, evicting the largest resident
+    /// buckets when the budget overflows.
+    fn push_to(&mut self, b: usize, tuple: Tagged) -> Result<(), EngineError> {
+        let bytes = tuple_bytes(&tuple.2);
+        let bucket = &mut self.buckets[b];
+        bucket.total_bytes += bytes as u64;
+        if bucket.writer.is_some() {
+            bucket.write_buf.push(tag(tuple));
+            if bucket.write_buf.len() >= WRITE_BUFFER_ROWS {
+                Self::flush_write_buf(bucket, &self.budget)?;
             }
             return Ok(());
         }
-        part.resident.push((hash, seq, row));
-        part.resident_bytes += bytes;
+        bucket.resident.push(tuple);
+        bucket.resident_bytes += bytes;
         self.held += bytes;
         self.budget.add(bytes);
         while self.budget.over_limit() {
@@ -903,86 +916,81 @@ impl PartitionedSpiller {
         Ok(())
     }
 
-    fn flush_write_buf(part: &mut PartBuf, budget: &MemoryBudget) -> Result<(), EngineError> {
-        if part.write_buf.is_empty() {
+    fn flush_write_buf(bucket: &mut Bucket, budget: &MemoryBudget) -> Result<(), EngineError> {
+        if bucket.write_buf.is_empty() {
             return Ok(());
         }
-        let writer = part.writer.as_mut().expect("flushing a spilled partition");
+        let writer = bucket.writer.as_mut().expect("flushing a spilled bucket");
         let before = writer.bytes;
         // Chunked frames: the initial eviction can carry a budget's worth
         // of resident rows at once, and rehydration materializes one
         // frame at a time.
-        for chunk in part.write_buf.chunks(4096) {
+        for chunk in bucket.write_buf.chunks(4096) {
             writer.write_rows(chunk)?;
         }
         let stats = &budget.inner.stats;
         stats
             .spilled_rows
-            .fetch_add(part.write_buf.len() as u64, Ordering::Relaxed);
+            .fetch_add(bucket.write_buf.len() as u64, Ordering::Relaxed);
         stats
             .spilled_bytes
             .fetch_add(writer.bytes - before, Ordering::Relaxed);
-        part.write_buf.clear();
+        bucket.write_buf.clear();
         Ok(())
     }
 
-    /// Flush the largest resident partition to disk; `false` when every
-    /// partition is already spilled (nothing left to evict here).
+    /// Flush the largest resident bucket to disk; `false` when every
+    /// bucket is already spilled (nothing left to evict here).
     fn spill_largest(&mut self) -> Result<bool, EngineError> {
         let victim = self
-            .parts
+            .buckets
             .iter()
             .enumerate()
-            .filter(|(_, p)| !p.resident.is_empty())
-            .max_by_key(|(_, p)| p.resident_bytes)
+            .filter(|(_, b)| !b.resident.is_empty())
+            .max_by_key(|(_, b)| b.resident_bytes)
             .map(|(i, _)| i);
         let Some(i) = victim else {
             return Ok(false);
         };
         let budget = self.budget.clone();
-        let part = &mut self.parts[i];
-        if part.writer.is_none() {
-            part.writer = Some(SpillWriter::create(&budget)?);
+        let bucket = &mut self.buckets[i];
+        if bucket.writer.is_none() {
+            bucket.writer = Some(SpillWriter::create(&budget)?);
             budget
                 .inner
                 .stats
                 .spilled_partitions
                 .fetch_add(1, Ordering::Relaxed);
         }
-        part.write_buf.extend(
-            std::mem::take(&mut part.resident)
-                .into_iter()
-                .map(|(hash, seq, row)| tag(row, hash, seq)),
-        );
-        Self::flush_write_buf(part, &budget)?;
-        let released = std::mem::take(&mut part.resident_bytes);
+        bucket
+            .write_buf
+            .extend(std::mem::take(&mut bucket.resident).into_iter().map(tag));
+        Self::flush_write_buf(bucket, &budget)?;
+        let released = std::mem::take(&mut bucket.resident_bytes);
         self.held -= released;
         self.budget.sub(released);
-        self.spilled_any = true;
         Ok(true)
     }
 
-    /// Seal every partition, in partition order. The budget reservation
-    /// for resident rows transfers to the caller's processing phase and
-    /// is released here (processing is partition-at-a-time and checks
+    /// Seal every bucket, in bucket order. The budget reservation for
+    /// resident rows transfers to the caller's processing phase and is
+    /// released here (processing is partition-at-a-time and checks
     /// [`MemoryBudget::should_split`] before materializing anything).
     pub(crate) fn finish(mut self) -> Result<Vec<SpillPartition>, EngineError> {
         let budget = self.budget.clone();
-        let mut out = Vec::with_capacity(self.parts.len());
-        for mut part in self.parts.drain(..) {
-            if part.writer.is_some() {
-                Self::flush_write_buf(&mut part, &budget)?;
-                let file = part.writer.take().expect("checked above").finish()?;
-                out.push(SpillPartition::Spilled {
-                    file,
-                    bytes: part.total_bytes,
-                });
+        let mut out = Vec::with_capacity(self.buckets.len());
+        for mut bucket in self.buckets.drain(..) {
+            let bytes = bucket.total_bytes;
+            out.push(if bucket.writer.is_some() {
+                Self::flush_write_buf(&mut bucket, &budget)?;
+                let file = bucket.writer.take().expect("checked above").finish()?;
+                SpillPartition::Spilled { file, bytes }
             } else {
-                out.push(SpillPartition::Resident {
-                    rows: part.resident,
-                    bytes: part.total_bytes,
-                });
-            }
+                SpillPartition::Resident {
+                    rows: bucket.resident,
+                    bytes,
+                }
+            });
         }
         budget.sub(std::mem::take(&mut self.held));
         Ok(out)
@@ -1004,14 +1012,15 @@ pub(crate) enum SpillHash<'s> {
 
 /// Drain `source` into `spiller`: every batch is hashed by `hash` and its
 /// rows pushed with consecutive sequence tags starting at `seq_base`.
-/// Returns the next free tag. The one way operator input reaches a
-/// spiller, for serial breakers and morsel workers alike.
+/// The one way operator output reaches a spiller: a breaker's drained
+/// input ([`crate::exec::Input::partitions`]) and every morsel worker's
+/// chains alike.
 pub(crate) fn spill_batches(
     source: &mut BoxedOperator<'_>,
     hash: &SpillHash<'_>,
     seq_base: u64,
     spiller: &mut PartitionedSpiller,
-) -> Result<u64, EngineError> {
+) -> Result<(), EngineError> {
     let mut seq = seq_base;
     while let Some(batch) = source.next_batch()? {
         let hashes = match hash {
@@ -1024,7 +1033,7 @@ pub(crate) fn spill_batches(
             seq += 1;
         }
     }
-    Ok(seq)
+    Ok(())
 }
 
 impl Drop for PartitionedSpiller {
@@ -1036,14 +1045,29 @@ impl Drop for PartitionedSpiller {
     }
 }
 
-/// Cursor over one sequence-ascending tuple source: a resident partition
-/// or a frame-at-a-time spill reader.
-struct TaggedCursor {
+/// Cursor over one finished bucket: its resident tuples, or its spill
+/// file one decoded frame at a time.
+struct Cursor {
     reader: Option<SpillReader>,
     buf: VecDeque<Tagged>,
 }
 
-impl TaggedCursor {
+impl Cursor {
+    fn open(part: SpillPartition, budget: &MemoryBudget) -> Result<Cursor, EngineError> {
+        let mut cursor = match part {
+            SpillPartition::Resident { rows, .. } => Cursor {
+                reader: None,
+                buf: rows.into(),
+            },
+            SpillPartition::Spilled { file, .. } => Cursor {
+                reader: Some(SpillReader::open(file, budget)?),
+                buf: VecDeque::new(),
+            },
+        };
+        cursor.refill()?;
+        Ok(cursor)
+    }
+
     fn refill(&mut self) -> Result<(), EngineError> {
         while self.buf.is_empty() {
             let Some(r) = self.reader.as_mut() else {
@@ -1060,60 +1084,68 @@ impl TaggedCursor {
         }
         Ok(())
     }
-
-    fn peek_seq(&self) -> Option<u64> {
-        self.buf.front().map(|t| t.1)
-    }
 }
 
-/// K-way merge over sequence-ascending partition streams, yielding one
-/// globally sequence-ordered stream. Spilled sources keep at most one
-/// decoded frame resident, so merging `k` per-worker slices of a
-/// partition costs ~`k` frames of memory, not the partition.
-pub(crate) struct SeqMerge {
-    cursors: Vec<TaggedCursor>,
-    heap: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
+/// The one k-way merge over finished buckets, each ascending in the
+/// merge's order: by sequence for radix partitions
+/// ([`SpillMerge::by_seq`] — the per-producer slices of a partition
+/// merge back into one serial-order stream) and by `(k1, k2)` for output
+/// runs ([`SpillMerge::by_key`] — the runs merge into the operator's
+/// serial output order). A spilled bucket keeps one decoded frame
+/// resident, so merging `k` buckets costs ~`k` frames of memory.
+pub(crate) struct SpillMerge {
+    cursors: Vec<Cursor>,
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    key: fn(&Tagged) -> (u64, u64),
 }
 
-impl SeqMerge {
-    /// Merge `parts` (each internally sequence-ascending; sequences are
-    /// globally unique across them).
-    pub(crate) fn new(
+impl SpillMerge {
+    /// Merge radix partitions on their sequence tags (globally unique
+    /// across `parts`).
+    pub(crate) fn by_seq(
         parts: Vec<SpillPartition>,
         budget: &MemoryBudget,
-    ) -> Result<SeqMerge, EngineError> {
-        let mut cursors = Vec::with_capacity(parts.len());
-        for part in parts {
-            if part.row_count() == 0 {
-                continue;
-            }
-            match part {
-                SpillPartition::Resident { rows, .. } => cursors.push(TaggedCursor {
-                    reader: None,
-                    buf: rows.into(),
-                }),
-                SpillPartition::Spilled { file, .. } => cursors.push(TaggedCursor {
-                    reader: Some(SpillReader::open(file, budget)?),
-                    buf: VecDeque::new(),
-                }),
-            }
-        }
-        let mut merge = SeqMerge {
-            cursors,
+    ) -> Result<SpillMerge, EngineError> {
+        SpillMerge::new(parts, budget, |t| (t.1, 0))
+    }
+
+    /// Merge output runs on their `(k1, k2)` emission keys.
+    pub(crate) fn by_key(
+        runs: Vec<SpillPartition>,
+        budget: &MemoryBudget,
+    ) -> Result<SpillMerge, EngineError> {
+        SpillMerge::new(runs, budget, |t| (t.0, t.1))
+    }
+
+    fn new(
+        parts: Vec<SpillPartition>,
+        budget: &MemoryBudget,
+        key: fn(&Tagged) -> (u64, u64),
+    ) -> Result<SpillMerge, EngineError> {
+        let mut merge = SpillMerge {
+            cursors: Vec::with_capacity(parts.len()),
             heap: BinaryHeap::new(),
+            key,
         };
-        for i in 0..merge.cursors.len() {
-            merge.cursors[i].refill()?;
-            if let Some(seq) = merge.cursors[i].peek_seq() {
-                merge.heap.push(std::cmp::Reverse((seq, i)));
+        for part in parts {
+            if part.row_count() > 0 {
+                merge.cursors.push(Cursor::open(part, budget)?);
+                merge.push_head(merge.cursors.len() - 1);
             }
         }
         Ok(merge)
     }
 
-    /// The next tuple in global sequence order.
+    fn push_head(&mut self, i: usize) {
+        if let Some(t) = self.cursors[i].buf.front() {
+            let (k1, k2) = (self.key)(t);
+            self.heap.push(Reverse((k1, k2, i)));
+        }
+    }
+
+    /// The next tuple in merge order.
     pub(crate) fn next(&mut self) -> Result<Option<Tagged>, EngineError> {
-        let Some(std::cmp::Reverse((_, i))) = self.heap.pop() else {
+        let Some(Reverse((_, _, i))) = self.heap.pop() else {
             return Ok(None);
         };
         let tuple = self.cursors[i]
@@ -1121,9 +1153,7 @@ impl SeqMerge {
             .pop_front()
             .expect("heap entry implies a buffered tuple");
         self.cursors[i].refill()?;
-        if let Some(seq) = self.cursors[i].peek_seq() {
-            self.heap.push(std::cmp::Reverse((seq, i)));
-        }
+        self.push_head(i);
         Ok(Some(tuple))
     }
 
@@ -1155,6 +1185,27 @@ impl SeqMerge {
             f(chunk)?;
         }
         Ok(())
+    }
+
+    /// The next batch of up to `batch_size` merged rows (tags dropped),
+    /// `None` at end: how a breaker emits its output runs.
+    pub(crate) fn next_batch<'a>(
+        &mut self,
+        batch_size: usize,
+    ) -> Result<Option<RowBatch<'a>>, EngineError> {
+        let cap = batch_size.max(1);
+        let mut rows: Vec<Row> = Vec::with_capacity(cap);
+        while rows.len() < cap {
+            match self.next()? {
+                Some((_, _, row)) => rows.push(row),
+                None => break,
+            }
+        }
+        if rows.is_empty() {
+            Ok(None)
+        } else {
+            Ok(Some(RowBatch::from_rows(rows[0].len(), rows)))
+        }
     }
 }
 
@@ -1188,341 +1239,55 @@ fn repartition_group(
         .repartitions
         .fetch_add(1, Ordering::Relaxed);
     let mut sub = PartitionedSpiller::new(budget.clone(), bit_offset);
-    let mut merge = SeqMerge::new(parts, budget)?;
+    let mut merge = SpillMerge::by_seq(parts, budget)?;
     while let Some((hash, seq, row)) = merge.next()? {
         sub.push(hash, seq, row)?;
     }
     sub.finish()
 }
 
-fn group_step(
-    parts: Vec<SpillPartition>,
-    budget: &MemoryBudget,
-    depth: u32,
-    process: &mut impl FnMut(Vec<Tagged>) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
-    let rows: u64 = parts.iter().map(|p| p.row_count()).sum();
-    if rows == 0 {
-        return Ok(());
-    }
-    let bytes: u64 = parts.iter().map(|p| p.bytes()).sum();
-    if depth + 1 < MAX_SPILL_DEPTH && budget.should_split(bytes) && rows > 1 {
-        let sub = repartition_group(parts, budget, (depth + 1) * PART_BITS)?;
-        for_each_fitting_group(vec![sub], budget, depth + 1, process)
-    } else {
-        process(SeqMerge::new(parts, budget)?.collect_all()?)
-    }
-}
-
-/// Drive every partition of a group of finished spillers (one per
-/// producer — e.g. one per parallel worker) through `process`,
-/// recursively re-partitioning (rotated bit range) any partition the
-/// budget says does not fit, until [`MAX_SPILL_DEPTH`]. The per-producer
-/// slices of each partition are k-way merged on their sequence tags, so
-/// partitions reach `process` fully materialized in sequence-ascending
-/// order regardless of how many producers wrote them.
+/// Drive every partition of two groups of finished spillers (one
+/// spiller per producer — e.g. one per parallel worker) through
+/// `process`, pairing partitions positionally (both sides use the same
+/// bit range). A one-input breaker passes an empty side `b`. The
+/// per-producer slices of a partition are k-way merged on their
+/// sequence tags; `process` receives side `a` fully materialized and
+/// side `b` as a sequence-ordered merge to stream. When side `a` does
+/// not fit the budget, both sides re-partition on the next bit range
+/// (an empty side is not re-partitioned), recursively until
+/// [`MAX_SPILL_DEPTH`].
 pub(crate) fn for_each_fitting_group(
-    mut groups: Vec<Vec<SpillPartition>>,
+    mut a_groups: PartitionGroups,
+    mut b_groups: PartitionGroups,
     budget: &MemoryBudget,
     depth: u32,
-    process: &mut impl FnMut(Vec<Tagged>) -> Result<(), EngineError>,
+    process: &mut impl FnMut(Vec<Tagged>, SpillMerge) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
-    let n = groups.iter().map(|g| g.len()).max().unwrap_or(0);
-    for p in 0..n {
-        group_step(partition_column(&mut groups, p), budget, depth, process)?;
-    }
-    Ok(())
-}
-
-/// Single-producer convenience over [`for_each_fitting_group`].
-#[cfg(test)]
-pub(crate) fn for_each_fitting_partition(
-    parts: Vec<SpillPartition>,
-    budget: &MemoryBudget,
-    depth: u32,
-    process: &mut impl FnMut(Vec<Tagged>) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
-    for_each_fitting_group(vec![parts], budget, depth, process)
-}
-
-fn group_pair_step(
-    a_parts: Vec<SpillPartition>,
-    b_parts: Vec<SpillPartition>,
-    budget: &MemoryBudget,
-    depth: u32,
-    process: &mut impl FnMut(Vec<Tagged>, SeqMerge) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
-    let a_rows: u64 = a_parts.iter().map(|p| p.row_count()).sum();
-    let b_rows: u64 = b_parts.iter().map(|p| p.row_count()).sum();
-    if a_rows == 0 && b_rows == 0 {
-        return Ok(());
-    }
-    let a_bytes: u64 = a_parts.iter().map(|p| p.bytes()).sum();
-    if depth + 1 < MAX_SPILL_DEPTH && budget.should_split(a_bytes) && a_rows > 1 {
-        let off = (depth + 1) * PART_BITS;
-        let a_sub = repartition_group(a_parts, budget, off)?;
-        let b_sub = repartition_group(b_parts, budget, off)?;
-        for_each_fitting_group_pair(vec![a_sub], vec![b_sub], budget, depth + 1, process)
-    } else {
-        process(
-            SeqMerge::new(a_parts, budget)?.collect_all()?,
-            SeqMerge::new(b_parts, budget)?,
-        )
-    }
-}
-
-/// Pairwise variant of [`for_each_fitting_group`] for two-sided
-/// operators (join build/probe, set-operation right/left). Partitions
-/// pair positionally (both sides use the same bit range); when side `a`
-/// does not fit, **both** sides re-partition on the next bit range so
-/// the pairing stays aligned. `process` receives side `a` fully
-/// materialized and side `b` as a sequence-ordered merge to stream.
-pub(crate) fn for_each_fitting_group_pair(
-    mut a_groups: Vec<Vec<SpillPartition>>,
-    mut b_groups: Vec<Vec<SpillPartition>>,
-    budget: &MemoryBudget,
-    depth: u32,
-    process: &mut impl FnMut(Vec<Tagged>, SeqMerge) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
-    let n = a_groups
-        .iter()
-        .chain(b_groups.iter())
-        .map(|g| g.len())
-        .max()
-        .unwrap_or(0);
-    for p in 0..n {
-        group_pair_step(
-            partition_column(&mut a_groups, p),
-            partition_column(&mut b_groups, p),
-            budget,
-            depth,
-            process,
-        )?;
-    }
-    Ok(())
-}
-
-/// Emission keys are `(primary, secondary)` pairs — e.g. a join's
-/// `(probe sequence, match ordinal)` — restoring the exact serial output
-/// order across partitions without a global sort.
-type EmitKey = (u64, u64);
-
-#[derive(Debug, Default)]
-struct Run {
-    writer: Option<SpillWriter>,
-    resident: Vec<(u64, u64, Row)>,
-    resident_bytes: usize,
-    last_key: Option<EmitKey>,
-}
-
-/// Budget-bounded operator output: each fitting partition appends one
-/// key-ascending run; runs flush to disk (prefix order preserved) when
-/// the budget overflows. `finish` turns the runs into a [`MergeEmit`]
-/// that k-way merges them — output memory stays at ~one frame per run
-/// instead of the whole result.
-pub(crate) struct OutputRuns {
-    budget: MemoryBudget,
-    runs: Vec<Run>,
-    held: usize,
-}
-
-impl OutputRuns {
-    pub(crate) fn new(budget: MemoryBudget) -> OutputRuns {
-        OutputRuns {
-            budget,
-            runs: Vec::new(),
-            held: 0,
+    let rows = |parts: &[SpillPartition]| parts.iter().map(SpillPartition::row_count).sum::<u64>();
+    let n = a_groups.iter().chain(&b_groups).map(Vec::len).max();
+    for p in 0..n.unwrap_or(0) {
+        let a = partition_column(&mut a_groups, p);
+        let b = partition_column(&mut b_groups, p);
+        let (a_rows, b_rows) = (rows(&a), rows(&b));
+        if a_rows == 0 && b_rows == 0 {
+            continue;
         }
-    }
-
-    /// Start the next run. Keys must ascend *within* a run; runs may
-    /// overlap each other freely.
-    pub(crate) fn begin_run(&mut self) {
-        self.runs.push(Run::default());
-    }
-
-    /// Append one output row to the current run.
-    pub(crate) fn push(&mut self, k1: u64, k2: u64, row: Row) -> Result<(), EngineError> {
-        let run = self.runs.last_mut().expect("begin_run before push");
-        debug_assert!(
-            run.last_key.is_none_or(|k| k <= (k1, k2)),
-            "output run keys must ascend"
-        );
-        run.last_key = Some((k1, k2));
-        let bytes = tuple_bytes(&row);
-        run.resident.push((k1, k2, row));
-        run.resident_bytes += bytes;
-        self.held += bytes;
-        self.budget.add(bytes);
-        while self.budget.over_limit() {
-            if !self.flush_largest()? {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Flush the largest resident run suffix to its file. Only the last
-    /// run ever grows again, so every file stays a key-prefix of its run.
-    fn flush_largest(&mut self) -> Result<bool, EngineError> {
-        let victim = self
-            .runs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.resident.is_empty())
-            .max_by_key(|(_, r)| r.resident_bytes)
-            .map(|(i, _)| i);
-        let Some(i) = victim else {
-            return Ok(false);
-        };
-        let budget = self.budget.clone();
-        let run = &mut self.runs[i];
-        if run.writer.is_none() {
-            run.writer = Some(SpillWriter::create(&budget)?);
-            budget
-                .inner
-                .stats
-                .spilled_partitions
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let writer = run.writer.as_mut().expect("just created");
-        let before = writer.bytes;
-        let rows: Vec<Row> = std::mem::take(&mut run.resident)
-            .into_iter()
-            .map(|(k1, k2, row)| tag(row, k1, k2))
-            .collect();
-        for chunk in rows.chunks(4096) {
-            writer.write_rows(chunk)?;
-        }
-        let stats = &budget.inner.stats;
-        stats
-            .spilled_rows
-            .fetch_add(rows.len() as u64, Ordering::Relaxed);
-        stats
-            .spilled_bytes
-            .fetch_add(writer.bytes - before, Ordering::Relaxed);
-        let released = std::mem::take(&mut run.resident_bytes);
-        self.held -= released;
-        self.budget.sub(released);
-        Ok(true)
-    }
-
-    /// Seal the runs into a streaming merge emitter.
-    pub(crate) fn finish(mut self, batch_size: usize) -> Result<MergeEmit, EngineError> {
-        let budget = self.budget.clone();
-        budget.sub(std::mem::take(&mut self.held));
-        let mut cursors = Vec::new();
-        for run in std::mem::take(&mut self.runs) {
-            let reader = match run.writer {
-                Some(w) => Some(SpillReader::open(w.finish()?, &budget)?),
-                None => None,
-            };
-            if reader.is_none() && run.resident.is_empty() {
-                continue;
-            }
-            cursors.push(RunCursor {
-                reader,
-                buf: VecDeque::new(),
-                resident: run.resident.into(),
-            });
-        }
-        let mut emit = MergeEmit {
-            cursors,
-            heap: BinaryHeap::new(),
-            batch_size: batch_size.max(1),
-        };
-        for i in 0..emit.cursors.len() {
-            emit.cursors[i].refill()?;
-            if let Some(key) = emit.cursors[i].peek() {
-                emit.heap.push(std::cmp::Reverse((key.0, key.1, i)));
-            }
-        }
-        Ok(emit)
-    }
-}
-
-impl Drop for OutputRuns {
-    fn drop(&mut self) {
-        self.budget.sub(self.held);
-        self.held = 0;
-    }
-}
-
-/// One sealed run: an optional file prefix followed by the resident
-/// suffix, keys ascending across the whole.
-struct RunCursor {
-    reader: Option<SpillReader>,
-    buf: VecDeque<(u64, u64, Row)>,
-    resident: VecDeque<(u64, u64, Row)>,
-}
-
-impl RunCursor {
-    fn refill(&mut self) -> Result<(), EngineError> {
-        while self.buf.is_empty() {
-            if let Some(r) = self.reader.as_mut() {
-                match r.next_frame()? {
-                    Some(rows) => {
-                        for row in rows {
-                            let (k1, k2, row) = untag(row)?;
-                            self.buf.push_back((k1, k2, row));
-                        }
-                    }
-                    None => self.reader = None,
-                }
+        let a_bytes: u64 = a.iter().map(SpillPartition::bytes).sum();
+        if depth + 1 < MAX_SPILL_DEPTH && budget.should_split(a_bytes) && a_rows > 1 {
+            let off = (depth + 1) * PART_BITS;
+            let a_sub = vec![repartition_group(a, budget, off)?];
+            let b_sub = if b_rows == 0 {
+                Vec::new()
             } else {
-                if self.resident.is_empty() {
-                    return Ok(());
-                }
-                std::mem::swap(&mut self.buf, &mut self.resident);
-            }
-        }
-        Ok(())
-    }
-
-    fn peek(&self) -> Option<EmitKey> {
-        self.buf.front().map(|t| (t.0, t.1))
-    }
-}
-
-/// Streaming k-way merge over sealed output runs, emitting batches in
-/// global key order with ~one frame per run resident.
-pub(crate) struct MergeEmit {
-    cursors: Vec<RunCursor>,
-    heap: BinaryHeap<std::cmp::Reverse<(u64, u64, usize)>>,
-    batch_size: usize,
-}
-
-impl MergeEmit {
-    fn next_row(&mut self) -> Result<Option<Row>, EngineError> {
-        let Some(std::cmp::Reverse((_, _, i))) = self.heap.pop() else {
-            return Ok(None);
-        };
-        let (_, _, row) = self.cursors[i]
-            .buf
-            .pop_front()
-            .expect("heap entry implies a buffered tuple");
-        self.cursors[i].refill()?;
-        if let Some(key) = self.cursors[i].peek() {
-            self.heap.push(std::cmp::Reverse((key.0, key.1, i)));
-        }
-        Ok(Some(row))
-    }
-
-    /// The next output batch (up to `batch_size` rows), `None` at end.
-    pub(crate) fn next_batch<'a>(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
-        let mut rows: Vec<Row> = Vec::with_capacity(self.batch_size);
-        while rows.len() < self.batch_size {
-            match self.next_row()? {
-                Some(row) => rows.push(row),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
+                vec![repartition_group(b, budget, off)?]
+            };
+            for_each_fitting_group(a_sub, b_sub, budget, depth + 1, process)?;
         } else {
-            Ok(Some(RowBatch::from_rows(rows[0].len(), rows)))
+            let a = SpillMerge::by_seq(a, budget)?.collect_all()?;
+            process(a, SpillMerge::by_seq(b, budget)?)?;
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1560,17 +1325,16 @@ mod tests {
         w.write_rows(&[row(3)]).unwrap();
         let file = w.finish().unwrap();
         assert_eq!(file.rows(), 3);
+        let path = file.path.clone();
+        let mut reader = SpillReader::open(file, &budget).unwrap();
         let mut seen = Vec::new();
-        file.replay(&budget, |rows| {
+        while let Some(rows) = reader.next_frame().unwrap() {
             seen.extend(rows);
-            Ok(())
-        })
-        .unwrap();
+        }
         assert_eq!(seen, vec![row(1), row(2), row(3)]);
         assert!(budget.stats().bytes_read > 0);
-        let path = file.path.clone();
         assert!(path.exists());
-        drop(file);
+        drop(reader);
         assert!(!path.exists(), "spill file must be removed on drop");
     }
 
@@ -1628,7 +1392,7 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(!s.spilled_any());
+        assert!(!budget.stats().spilled());
         let parts = s.finish().unwrap();
         let total: usize = parts
             .iter()
@@ -1653,13 +1417,17 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(s.spilled_any());
+        assert!(budget.stats().spilled());
         let parts = s.finish().unwrap();
         let stats = budget.stats();
         assert!(stats.spilled() && stats.spilled_rows > 0 && stats.spill_files > 0);
         let mut all: Vec<Tagged> = Vec::new();
         for part in parts {
-            let rows = part.load(&budget).unwrap();
+            // One cursor: the merge yields the partition in stored order.
+            let rows = SpillMerge::by_seq(vec![part], &budget)
+                .unwrap()
+                .collect_all()
+                .unwrap();
             // Within a partition, arrival (sequence) order is preserved.
             assert!(rows.windows(2).all(|w| w[0].1 < w[1].1));
             all.extend(rows);
@@ -1694,7 +1462,7 @@ mod tests {
         }
         let parts = s.finish().unwrap();
         let mut all: Vec<Tagged> = Vec::new();
-        for_each_fitting_partition(parts, &budget, 0, &mut |rows| {
+        for_each_fitting_group(vec![parts], Vec::new(), &budget, 0, &mut |rows, _| {
             all.extend(rows);
             Ok(())
         })
@@ -1720,10 +1488,10 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(s.spilled_any());
+        assert!(budget.stats().spilled());
         let parts = s.finish().unwrap();
         let mut n = 0;
-        for_each_fitting_partition(parts, &budget, 0, &mut |rows| {
+        for_each_fitting_group(vec![parts], Vec::new(), &budget, 0, &mut |rows, _| {
             n += rows.len();
             Ok(())
         })
@@ -1764,7 +1532,7 @@ mod tests {
             groups.push(s.finish().unwrap());
         }
         let mut all: Vec<Tagged> = Vec::new();
-        for_each_fitting_group(groups, &budget, 0, &mut |rows| {
+        for_each_fitting_group(groups, Vec::new(), &budget, 0, &mut |rows, _| {
             assert!(rows.windows(2).all(|t| t[0].1 < t[1].1));
             all.extend(rows);
             Ok(())
@@ -1780,17 +1548,18 @@ mod tests {
     #[test]
     fn output_runs_merge_in_key_order_under_pressure() {
         let budget = MemoryBudget::with_limit(256);
-        let mut runs = OutputRuns::new(budget.clone());
+        let mut runs = PartitionedSpiller::runs(budget.clone());
         // Three overlapping runs, each internally ascending.
         for r in 0..3u64 {
             runs.begin_run();
             for i in 0..100u64 {
-                runs.push(i * 3 + r, 0, row((i * 3 + r) as i64)).unwrap();
+                runs.push_run(i * 3 + r, 0, row((i * 3 + r) as i64))
+                    .unwrap();
             }
         }
-        let mut emit = runs.finish(7).unwrap();
+        let mut emit = SpillMerge::by_key(runs.finish().unwrap(), &budget).unwrap();
         let mut seen = Vec::new();
-        while let Some(batch) = emit.next_batch().unwrap() {
+        while let Some(batch) = emit.next_batch(7).unwrap() {
             assert!(batch.num_rows() <= 7);
             seen.extend(batch.to_rows());
         }

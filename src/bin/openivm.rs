@@ -14,7 +14,7 @@
 //! `--data-dir <dir>` compiles against the recovered catalog of a durable
 //! database directory instead of a `--schema` script.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
@@ -200,6 +200,11 @@ fn serve(
     Ok(String::new())
 }
 
+/// The longest statement line a client may send, newline excluded. A
+/// longer line is answered `ERR line too long` and the connection
+/// closed, so a client cannot grow the server's buffer without bound.
+const MAX_LINE_BYTES: usize = 16 << 20;
+
 fn handle_client(
     stream: TcpStream,
     hub: SnapshotHub,
@@ -207,9 +212,25 @@ fn handle_client(
 ) -> std::io::Result<()> {
     let mut reader = hub.reader();
     let mut out = BufWriter::new(stream.try_clone()?);
-    for line in BufReader::new(stream).lines() {
-        let line = line?;
-        let sql = line.trim();
+    let mut input = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        if (&mut input).take(cap).read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            writeln!(out, "ERR line too long")?;
+            out.flush()?;
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            writeln!(out, "ERR statement is not valid UTF-8")?;
+            out.flush()?;
+            continue;
+        };
+        let sql = text.trim();
         if sql.is_empty() {
             continue;
         }

@@ -108,6 +108,7 @@ fn check_workload(rows: &[Row]) -> Result<(), TestCaseError> {
             let db = database(workers, budget, rows);
             for q in queries() {
                 let expect = baseline.query(q).unwrap().rows;
+                let before = db.spill_stats();
                 let got = db.query(q).unwrap().rows;
                 prop_assert_eq!(
                     &expect,
@@ -117,6 +118,20 @@ fn check_workload(rows: &[Row]) -> Result<(), TestCaseError> {
                     budget,
                     q
                 );
+                // The I/O bound: every spilled row is written once and
+                // read back once, at every partition level and in every
+                // output run (LIMIT may stop before reading its runs).
+                let after = db.spill_stats();
+                if q != LIMIT_OVER_GROUP_BY {
+                    prop_assert_eq!(
+                        after.rehydrated_rows - before.rehydrated_rows,
+                        after.spilled_rows - before.spilled_rows,
+                        "workers={} budget={:?}: rows written != rows read for {}",
+                        workers,
+                        budget,
+                        q
+                    );
+                }
             }
             // A budget one byte wide cannot hold a single row: every
             // join build / group fold with input must have spilled.

@@ -143,6 +143,68 @@ fn four_clients_hundred_queries_during_active_refresh() {
     });
 }
 
+/// The next reply line, newline stripped.
+fn reply_line(input: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    assert!(
+        input.read_line(&mut line).expect("reply") > 0,
+        "server hung up"
+    );
+    line.trim_end().to_string()
+}
+
+#[test]
+fn invalid_utf8_line_gets_err_and_the_connection_keeps_serving() {
+    let (_server, addr) = start_server();
+    let (mut input, mut out) = connect(&addr);
+    out.write_all(b"\xff\xfe\nSELECT 1\n").expect("send");
+    let err = reply_line(&mut input);
+    assert!(err.starts_with("ERR "), "expected ERR, got {err:?}");
+    assert_eq!(reply_line(&mut input), "ROW\t1");
+    assert_eq!(reply_line(&mut input), "OK 1");
+    roundtrip(&mut input, &mut out, "SHUTDOWN");
+}
+
+#[test]
+fn overlong_line_gets_err_and_the_connection_closes() {
+    // Twice the server's 16 MiB line cap, with no newline anywhere.
+    const CHUNK: usize = 1 << 20;
+    const TOTAL: usize = 32 << 20;
+    let (_server, addr) = start_server();
+    let (mut input, mut out) = connect(&addr);
+    out.set_write_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let writer = std::thread::spawn(move || {
+        let chunk = vec![b'x'; CHUNK];
+        let mut sent = 0;
+        while sent < TOTAL {
+            if out.write_all(&chunk).is_err() {
+                return sent;
+            }
+            sent += CHUNK;
+        }
+        sent
+    });
+    assert_eq!(reply_line(&mut input), "ERR line too long");
+    let mut rest = String::new();
+    let closed = input.read_line(&mut rest).map_or(true, |n| n == 0);
+    assert!(
+        closed,
+        "connection still open after an overlong line: {rest:?}"
+    );
+    let sent = writer.join().expect("writer thread");
+    assert!(
+        sent < TOTAL,
+        "the server read all {sent} bytes of an overlong line"
+    );
+    // Other connections are unaffected; a clean stop releases the
+    // server's data directory.
+    let (mut input, mut out) = connect(&addr);
+    let (rows, _) = roundtrip(&mut input, &mut out, "SELECT 1");
+    assert_eq!(rows, vec!["1".to_string()]);
+    roundtrip(&mut input, &mut out, "SHUTDOWN");
+}
+
 /// Undo the wire escaping of one `ROW` field.
 fn unescape(field: &str) -> String {
     let mut out = String::new();
