@@ -24,10 +24,10 @@
 //!   *n+1*, never half of each.
 //!
 //! The hub also owns the shared cross-session prepared-statement cache:
-//! the same `PlanCache` type a `Database` keeps for itself, keyed by
-//! `(SQL, memory budget, parallelism)` and validated against the
-//! snapshot's catalog-shape generation, so N readers pay each query's
-//! plan/optimize/lower cost once.
+//! the same `PlanCache` type a `Database` keeps for itself, keyed by the
+//! SQL text and validated against the snapshot's catalog-shape
+//! generation, so N readers — whatever their executor settings — pay
+//! each query's plan/optimize/lower cost once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -38,7 +38,7 @@ use ivm_sql::parse_statement;
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec::{ExecConfig, ExecContext};
-use crate::plan_cache::{PlanCache, PlanKey};
+use crate::plan_cache::PlanCache;
 use crate::session::{env_config, plan_physical, run_planned, Database, QueryResult};
 
 /// An immutable, epoch-stamped image of the catalog at a committed point.
@@ -221,9 +221,8 @@ impl ReadSession {
             config: &self.config,
         };
         let generation = snapshot.ddl_generation;
-        let key = PlanKey::new(sql, &self.config);
         // Its own statement, so the lock is released before the match.
-        let cached = self.hub.plans().get(&key, generation);
+        let cached = self.hub.plans().get(sql, generation);
         let planned = match cached {
             Some(hit) => hit,
             None => {
@@ -232,7 +231,7 @@ impl ReadSession {
                 // same key both plan; last insert wins — both plans are
                 // equally valid for that generation).
                 let planned = plan_physical(q, &cx)?;
-                self.hub.plans().insert(key, generation, planned.clone());
+                self.hub.plans().insert(sql, generation, planned.clone());
                 planned
             }
         };
@@ -339,12 +338,17 @@ mod tests {
         let (_, hits, misses) = hub.plan_cache_stats();
         assert_eq!((hits, misses), (1, 2), "stale generation re-plans");
 
-        // Different executor settings are different plan identities.
+        // A plan is keyed by its SQL text alone: a reader with another
+        // budget reuses it.
         r2.config_mut().set_memory_budget(Some(1));
         r2.query("SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k")
             .unwrap();
-        let (entries, _, misses) = hub.plan_cache_stats();
-        assert_eq!((entries, misses), (2, 3), "budget is part of the key");
+        let (entries, hits, misses) = hub.plan_cache_stats();
+        assert_eq!(
+            (entries, hits, misses),
+            (1, 2, 2),
+            "budget is not in the key"
+        );
     }
 
     /// The writer session and a snapshot reader share one plan → run

@@ -1,7 +1,8 @@
 //! Vectorized hash kernels and the flat open-addressing hash table
 //! shared by every hash operator (join build/probe, aggregation group
-//! tables, DISTINCT, set operations, the parallel radix partitioner, and
-//! the delta-ingest victim map in `ivm-core`).
+//! tables — which also drop duplicates for DISTINCT and set-semantics set
+//! operations —, EXCEPT/INTERSECT multiplicities, the parallel radix
+//! partitioner, and the delta-ingest victim map in `ivm-core`).
 //!
 //! The old hot paths keyed heap-allocated `Vec<Value>` rows into
 //! `std::collections::HashMap` — SipHash, one streaming `Hash` call per
@@ -27,8 +28,8 @@
 //!    allocation). Stored hashes make growth a pure reinsertion pass.
 //! 3. **Typed key arenas** ([`crate::exec::typed`]): the arenas behind
 //!    those closures pack keys into fixed-width `(tag, word)` columns, so
-//!    the compare itself is branch-free — [`RowSet`] and [`RowCounter`]
-//!    below store their rows that way, as do the join and group tables.
+//!    the compare itself is branch-free — [`RowCounter`] below stores its
+//!    rows that way, as do the join and group tables.
 //!
 //! Hashes are consistent with the *grouping* equality of
 //! [`Value`]: `NULL` hashes to a constant (groups
@@ -214,7 +215,7 @@ pub fn hash_batch_keys(batch: &RowBatch<'_>, cols: &[usize]) -> KeyHashes {
 }
 
 /// Hash every column of a batch into whole-row hashes (NULLs as values) —
-/// the DISTINCT/set-operation kernel.
+/// the EXCEPT/INTERSECT kernel.
 pub fn hash_batch_rows(batch: &RowBatch<'_>) -> Vec<u64> {
     let rows = batch.num_rows();
     let mut hashes = vec![HASH_SEED; rows];
@@ -654,81 +655,10 @@ pub fn chain_prepend(
     }
 }
 
-/// A set of rows over a [`FlatTable`] — the DISTINCT / set-operation
-/// "seen" structure. Rows live in a typed key arena (packed `(tag, word)`
-/// columns, string heap), so membership compares are word compares.
-#[derive(Debug, Default)]
-pub struct RowSet {
-    table: FlatTable,
-    rows: KeyArena,
-    scratch: EncodedChunk,
-}
-
-impl RowSet {
-    /// An empty set.
-    pub fn new() -> RowSet {
-        RowSet::default()
-    }
-
-    /// An empty set pre-sized for `n` rows (planner cardinality hint):
-    /// the flat index never rehashes below `n` inserts and the arena
-    /// reserves ahead.
-    pub fn with_capacity(n: usize) -> RowSet {
-        RowSet {
-            table: FlatTable::with_capacity(n),
-            rows: KeyArena::with_hint(n),
-            scratch: EncodedChunk::new(),
-        }
-    }
-
-    /// Slots the flat index has allocated (0 until the first insert or
-    /// a pre-size).
-    #[cfg(test)]
-    pub(crate) fn capacity(&self) -> usize {
-        self.table.capacity()
-    }
-
-    /// Encode a batch's rows into the typed scratch chunk, once, before
-    /// the per-row [`insert_batch_row`](RowSet::insert_batch_row) loop.
-    /// Interning is idempotent, so pre-encoding rows that turn out to be
-    /// duplicates costs nothing extra.
-    pub fn begin_batch(&mut self, batch: &RowBatch<'_>) {
-        let (width, rows) = (batch.width(), batch.num_rows());
-        self.rows
-            .encode_chunk(&mut self.scratch, width, rows, |r, c| batch.value(c, r));
-    }
-
-    /// Insert row `r` of the batch last passed to
-    /// [`begin_batch`](RowSet::begin_batch) (pre-hashed as `hash`); `true`
-    /// when it was not yet present. The row is never materialized — it
-    /// lives packed in the arena.
-    pub fn insert_batch_row(&mut self, hash: u64, r: usize) -> bool {
-        let (rows, scratch) = (&self.rows, &self.scratch);
-        if self
-            .table
-            .find(hash, |p| rows.eq_chunk(p as usize, scratch, r))
-            .is_some()
-        {
-            return false;
-        }
-        let idx = self.rows.push_from_chunk(&self.scratch, r);
-        self.table.insert(hash, idx);
-        true
-    }
-
-    /// Insert a materialized row (spill-path counterpart); `true` when it
-    /// was not yet present.
-    pub fn insert_row(&mut self, hash: u64, row: Row) -> bool {
-        self.rows
-            .encode_chunk(&mut self.scratch, row.len(), 1, |_, c| &row[c]);
-        self.insert_batch_row(hash, 0)
-    }
-}
-
 /// A multiplicity map over whole rows — the EXCEPT/INTERSECT right-side
-/// counter, stored like [`RowSet`]. The probe-only lookups
-/// (`contains*`/`count_mut*`) compare probe values directly against the
-/// packed arena, so they never intern.
+/// counter. Rows live in a typed key arena (packed `(tag, word)` columns,
+/// string heap); the probe-only lookups (`count_mut*`) compare probe
+/// values directly against the packed arena, so they never intern.
 #[derive(Debug, Default)]
 pub struct RowCounter {
     table: FlatTable,
@@ -793,23 +723,11 @@ impl RowCounter {
             .map(|p| p as usize)
     }
 
-    /// Whether the row occurs at all (set semantics; multiplicities of 0
-    /// still count as present, matching the consumed-map contract of
-    /// EXCEPT ALL).
-    pub fn contains_batch_row(&self, hash: u64, batch: &RowBatch<'_>, r: usize) -> bool {
-        self.index_of(hash, |c| batch.value(c, r)).is_some()
-    }
-
     /// Mutable multiplicity of the row, when present (bag semantics
     /// consume one per match).
     pub fn count_mut(&mut self, hash: u64, batch: &RowBatch<'_>, r: usize) -> Option<&mut usize> {
         self.index_of(hash, |c| batch.value(c, r))
             .map(|i| &mut self.counts[i])
-    }
-
-    /// Whether the materialized row occurs at all (set semantics).
-    pub fn contains_row(&self, hash: u64, row: &[Value]) -> bool {
-        self.index_of(hash, |c| &row[c]).is_some()
     }
 
     /// Mutable multiplicity of the materialized row, when present.
@@ -960,15 +878,9 @@ mod tests {
     }
 
     #[test]
-    fn row_set_and_counter() {
+    fn row_counter_counts_batch_rows() {
         let batch = RowBatch::from_rows(1, vec![vec![i(1)], vec![i(2)], vec![i(1)]]);
         let hashes = hash_batch_rows(&batch);
-        let mut set = RowSet::new();
-        set.begin_batch(&batch);
-        assert!(set.insert_batch_row(hashes[0], 0));
-        assert!(set.insert_batch_row(hashes[1], 1));
-        assert!(!set.insert_batch_row(hashes[2], 2));
-
         let mut counts = RowCounter::new();
         counts.begin_batch(&batch);
         for (r, &hash) in hashes.iter().enumerate() {
@@ -976,26 +888,7 @@ mod tests {
         }
         assert_eq!(counts.count_mut(hashes[0], &batch, 0), Some(&mut 2));
         assert_eq!(counts.count_mut(hashes[1], &batch, 1), Some(&mut 1));
-        assert!(counts.contains_batch_row(hashes[0], &batch, 2));
-    }
-
-    #[test]
-    fn row_set_keeps_wide_integers_apart() {
-        let big = 1i64 << 53;
-        let rows = vec![
-            vec![i(big), Value::from("x")],
-            vec![i(big + 1), Value::from("x")], // same f64 image, other row
-            vec![Value::Double(big as f64), Value::from("x")], // ≡ row 0 only
-            vec![i(big + 1), Value::from("x")], // dup of row 1
-        ];
-        let batch = RowBatch::from_rows(2, rows);
-        let hashes = hash_batch_rows(&batch);
-        let mut set = RowSet::new();
-        set.begin_batch(&batch);
-        assert!(set.insert_batch_row(hashes[0], 0));
-        assert!(set.insert_batch_row(hashes[1], 1));
-        assert!(!set.insert_batch_row(hashes[2], 2));
-        assert!(!set.insert_batch_row(hashes[3], 3));
+        assert_eq!(counts.count_mut(hashes[2], &batch, 2), Some(&mut 2));
     }
 
     #[test]
@@ -1012,6 +905,6 @@ mod tests {
             Some(&mut 2)
         );
         let big = (1i64 << 53) + 1;
-        assert!(!counts.contains_row(hash_row(&[i(big)]), &[i(big)]));
+        assert_eq!(counts.count_mut_row(hash_row(&[i(big)]), &[i(big)]), None);
     }
 }

@@ -25,6 +25,7 @@ use std::sync::Arc;
 use crate::error::EngineError;
 use crate::exec::batch::{ColumnData, JoinedRow, RowBatch};
 use crate::exec::hash::{chain_prepend, hash_rows_keys, FlatTable, KeyHashes};
+use crate::exec::parallel::for_each_morsel;
 use crate::exec::spill::{
     for_each_fitting_group, MemoryBudget, PartitionGroups, PartitionedSpiller, SpillHash,
     SpillMerge, SpillPartition,
@@ -256,12 +257,17 @@ impl JoinTable {
     ///
     /// With more than one worker and at least
     /// [`PARALLEL_BUILD_THRESHOLD`] rows the build is radix-partitioned
-    /// across `workers` scoped threads: contiguous row chunks hash and
-    /// bucketize in parallel (per-partition row lists concatenate in
-    /// chunk order, keeping global row order), then the partitions'
-    /// tables are built in parallel. Anything smaller, or one worker,
-    /// builds a single table on the calling thread.
-    pub(crate) fn build(rows: &[Row], keys: &[usize], workers: usize) -> JoinTable {
+    /// across `workers` morsel workers ([`for_each_morsel`]): contiguous
+    /// row chunks — one morsel each — hash and bucketize in parallel
+    /// (per-partition row lists concatenate in chunk order, keeping
+    /// global row order), then the partitions' tables are built in
+    /// parallel, a run of partitions per morsel. Anything smaller, or one
+    /// worker, builds a single table on the calling thread.
+    pub(crate) fn build(
+        rows: &[Row],
+        keys: &[usize],
+        workers: usize,
+    ) -> Result<JoinTable, EngineError> {
         let n = rows.len();
         let partitioned = workers > 1 && n >= PARALLEL_BUILD_THRESHOLD;
         let nparts = if partitioned {
@@ -285,20 +291,13 @@ impl JoinTable {
         // Phase 1: the hash column, computed once.
         let (hashes, part_rows) = if partitioned {
             let chunk = n.div_ceil(workers);
-            let chunk_out: Vec<(KeyHashes, Vec<Vec<u32>>)> = std::thread::scope(|s| {
-                let handles: Vec<_> = rows
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(ci, slice)| {
-                        let bucketize = &bucketize;
-                        s.spawn(move || bucketize(ci * chunk, slice))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("join build hasher panicked"))
-                    .collect()
-            });
+            let (_, chunk_out) = for_each_morsel(
+                n,
+                chunk,
+                workers,
+                || (),
+                |_, _, range| Ok(bucketize(range.start, &rows[range])),
+            )?;
             let mut hashes = KeyHashes::with_len(n);
             let mut part_rows: Vec<Vec<u32>> = vec![Vec::new(); nparts];
             for (ci, (chunk_hashes, lists)) in chunk_out.into_iter().enumerate() {
@@ -340,29 +339,23 @@ impl JoinTable {
             // and the coordinator applies them. Partitions are chunked
             // across at most `workers` threads — the worker count is a
             // resource bound, not a partition count.
-            let built: Vec<Vec<BuiltPartition>> = std::thread::scope(|s| {
-                let handles: Vec<_> = part_rows
-                    .chunks(nparts.div_ceil(workers))
-                    .map(|lists| {
-                        let build_part = &build_part;
-                        s.spawn(move || {
-                            lists
-                                .iter()
-                                .map(|list| {
-                                    let mut updates: Vec<(u32, u32)> = Vec::new();
-                                    let table =
-                                        build_part(list, &mut |i, head| updates.push((i, head)));
-                                    (table, updates)
-                                })
-                                .collect::<Vec<_>>()
+            let per_worker = nparts.div_ceil(workers);
+            let (_, built) = for_each_morsel(
+                nparts,
+                per_worker,
+                workers,
+                || (),
+                |_, _, range| {
+                    Ok(part_rows[range]
+                        .iter()
+                        .map(|list| {
+                            let mut updates: Vec<(u32, u32)> = Vec::new();
+                            let table = build_part(list, &mut |i, head| updates.push((i, head)));
+                            (table, updates)
                         })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("join partition builder panicked"))
-                    .collect()
-            });
+                        .collect::<Vec<BuiltPartition>>())
+                },
+            )?;
             built
                 .into_iter()
                 .flatten()
@@ -378,12 +371,12 @@ impl JoinTable {
                 next[i as usize] = head
             })]
         };
-        JoinTable {
+        Ok(JoinTable {
             parts,
             part_shift,
             next,
             keys: arena,
-        }
+        })
     }
 }
 
@@ -449,13 +442,17 @@ pub(crate) struct BuiltJoin {
 impl BuiltJoin {
     /// Materialize and index `rows` as the build side of `spec`, across
     /// up to `workers` threads (see [`JoinTable::build`]).
-    pub(crate) fn new(rows: Vec<Row>, spec: &JoinSpec, workers: usize) -> BuiltJoin {
+    pub(crate) fn new(
+        rows: Vec<Row>,
+        spec: &JoinSpec,
+        workers: usize,
+    ) -> Result<BuiltJoin, EngineError> {
         // Sized from the exact build-row count: no rehash during build.
-        let table = JoinTable::build(&rows, &spec.build_keys, workers);
-        BuiltJoin {
+        let table = JoinTable::build(&rows, &spec.build_keys, workers)?;
+        Ok(BuiltJoin {
             side: BuildSide::new(rows, spec.build_width, spec.join),
             table,
-        }
+        })
     }
 }
 
@@ -666,7 +663,7 @@ impl<'a> HashJoinOp<'a> {
             let tuples = SpillMerge::by_seq(parts, &self.budget)?.collect_all()?;
             tuples.into_iter().map(|(_, _, r)| r).collect()
         };
-        self.state = Some(Arc::new(BuiltJoin::new(rows, &self.spec, 1)));
+        self.state = Some(Arc::new(BuiltJoin::new(rows, &self.spec, 1)?));
         Ok(())
     }
 
@@ -698,7 +695,7 @@ impl<'a> HashJoinOp<'a> {
                 // by `JoinTable::build` iterate in global build order.
                 let build_seqs: Vec<u64> = build_tuples.iter().map(|(_, s, _)| *s).collect();
                 let build_rows: Vec<Row> = build_tuples.into_iter().map(|(_, _, r)| r).collect();
-                let table = JoinTable::build(&build_rows, &spec.build_keys, 1);
+                let table = JoinTable::build(&build_rows, &spec.build_keys, 1)?;
                 let matched = matched_flags(build_rows.len(), spec.join);
                 runs.begin_run();
                 probe_merge.for_each_chunk(chunk_rows, |chunk| {

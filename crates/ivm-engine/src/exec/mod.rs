@@ -51,9 +51,7 @@ pub use spill::{clean_orphan_spill_files, MemoryBudget, SpillStats};
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::expr::{AggExpr, BoundExpr, VectorKernel};
-use crate::planner::physical::{
-    estimate_physical_rows, lower_with_budget, table_size_hint, PhysicalPlan,
-};
+use crate::planner::physical::{estimate_physical_rows, lower, table_size_hint, PhysicalPlan};
 use crate::planner::{SetOpKind, SortKey};
 use crate::value::Value;
 
@@ -293,7 +291,8 @@ pub(crate) type ChildSource<'s, 'p, 'a> =
 /// `child` — the one place a node's expressions are prepared
 /// (`IN (subquery)` materialization, once per operator), its sizing
 /// hints computed, and the memory budget threaded into a spill-capable
-/// operator (hash join, hash aggregate, DISTINCT, set operations).
+/// operator (hash join, hash aggregate — which also drops the duplicates
+/// of DISTINCT and set-semantics set operations —, EXCEPT / INTERSECT).
 pub(crate) fn build_node<'p, 'a>(
     plan: &'p PhysicalPlan,
     cx: &ExecContext<'a>,
@@ -367,17 +366,11 @@ pub(crate) fn build_node<'p, 'a>(
             ))
         }
         PhysicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            ..
+            op, left, right, ..
         } => {
-            // Planner sizing hints: the seen-set (set semantics only)
-            // holds at most the output estimate, the right-side
-            // multiplicity map (EXCEPT/INTERSECT only) the right input.
-            // A chain of UNION ALLs sizes — and allocates — nothing.
-            let seen_hint = if *all { 0 } else { size_hint(plan) };
+            // Planner sizing hint for the right-side multiplicity map
+            // (EXCEPT/INTERSECT only); a chain of UNION ALLs sizes — and
+            // allocates — nothing.
             let right_hint = match op {
                 SetOpKind::Union => 0,
                 _ => size_hint(right),
@@ -385,17 +378,8 @@ pub(crate) fn build_node<'p, 'a>(
             let left = child(left)?;
             let right = child(right)?;
             Box::new(
-                operators::SetOpOp::new(*op, *all, left, right)
-                    .with_size_hints(seen_hint, right_hint)
-                    .with_budget(budget.clone(), batch_size),
-            )
-        }
-        PhysicalPlan::Distinct { input } => {
-            // Planner sizing hint: pre-size the seen-set so large
-            // DISTINCTs never rehash mid-stream.
-            Box::new(
-                operators::DistinctOp::new(child(input)?)
-                    .with_size_hint(size_hint(plan))
+                operators::SetOpOp::new(*op, left, right)
+                    .with_size_hint(right_hint)
                     .with_budget(budget.clone(), batch_size),
             )
         }
@@ -660,7 +644,7 @@ fn materialize_subqueries(e: &mut BoundExpr, cx: &ExecContext<'_>) -> Result<(),
             negated,
         } => {
             materialize_subqueries(probe, cx)?;
-            let physical = lower_with_budget(plan, cx.catalog, cx.config.budget.limit())?;
+            let physical = lower(plan, cx.catalog)?;
             let rows = run(&physical, cx)?;
             let mut set = HashSet::with_capacity(rows.len());
             let mut has_null = false;

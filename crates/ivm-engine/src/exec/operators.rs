@@ -1,14 +1,14 @@
-//! Streaming operators: scan, filter, project, limit, sort, top-k,
-//! distinct, and set operations.
+//! Streaming operators: filter, project, limit, sort, top-k, and the
+//! bag set operations. Duplicates are dropped by the grouped hash
+//! aggregate ([`crate::exec::aggregate`]), never here.
 
 use std::sync::Arc;
 
 use crate::error::EngineError;
 use crate::exec::batch::{ColumnData, RowBatch, DEFAULT_BATCH_SIZE};
-use crate::exec::hash::{hash_batch_rows, RowCounter, RowSet};
+use crate::exec::hash::{hash_batch_rows, RowCounter};
 use crate::exec::spill::{
-    for_each_fitting_group, MemoryBudget, PartitionGroups, PartitionedSpiller, SpillHash,
-    SpillMerge,
+    for_each_fitting_group, MemoryBudget, PartitionedSpiller, SpillHash, SpillMerge,
 };
 use crate::exec::{replay, BoxedOperator, Input, Operator, Row};
 use crate::expr::{BoundExpr, VectorKernel};
@@ -344,165 +344,48 @@ impl<'a> Operator<'a> for TopKOp<'a> {
     }
 }
 
-/// Streaming duplicate elimination over whole rows: each batch is hashed
-/// chunk-at-a-time and deduplicated against a flat row set (rows only
-/// materialize on first sight).
+/// UNION ALL / EXCEPT ALL / INTERSECT ALL — bag semantics. The set
+/// semantics of UNION / EXCEPT / INTERSECT are these operations with a
+/// duplicate-dropping grouped aggregate around them (see
+/// [`crate::planner::physical::lower`]).
 ///
-/// With a bounded [`MemoryBudget`] the input instead hands over radix
-/// partitions on the whole-row hash and deduplicates one
-/// radix partition at a time; first-seen rows carry their global
-/// sequence number and merge back into the exact streaming output order.
-pub struct DistinctOp<'a> {
-    input: Input<'a>,
-    seen: RowSet,
-    /// Planner sizing hint for `seen`, applied on the first in-memory
-    /// pull (0 = none, or already applied).
-    seen_hint: usize,
-    budget: MemoryBudget,
-    batch_size: usize,
-    spilled_output: Option<SpillMerge>,
-}
-
-impl<'a> DistinctOp<'a> {
-    /// Deduplicate `input`.
-    pub fn new(input: impl Into<Input<'a>>) -> DistinctOp<'a> {
-        DistinctOp {
-            input: input.into(),
-            seen: RowSet::new(),
-            seen_hint: 0,
-            budget: MemoryBudget::unbounded(),
-            batch_size: DEFAULT_BATCH_SIZE,
-            spilled_output: None,
-        }
-    }
-
-    /// Pre-size the seen-set from the planner's cardinality estimate so
-    /// large DISTINCTs never rehash mid-stream (0 = no hint). The set is
-    /// sized when the in-memory path first needs it; the spill path
-    /// never allocates it.
-    pub fn with_size_hint(mut self, hint: usize) -> DistinctOp<'a> {
-        self.seen_hint = hint;
-        self
-    }
-
-    /// Attach a memory budget (and the batch size spilled output is
-    /// re-chunked at).
-    pub fn with_budget(mut self, budget: MemoryBudget, batch_size: usize) -> DistinctOp<'a> {
-        self.budget = budget;
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    fn run_spilled(&mut self) -> Result<SpillMerge, EngineError> {
-        let groups = self
-            .input
-            .partitions(&self.budget, &SpillHash::WholeRow, 0)?;
-        distinct_partitions(groups, &self.budget)
-    }
-}
-
-/// DISTINCT over whole-row-hashed partition groups, one fitting partition
-/// at a time: equal rows share a partition, first sights keep their
-/// sequence tag, and the merge emits them in sequence order.
-fn distinct_partitions(
-    groups: PartitionGroups,
-    budget: &MemoryBudget,
-) -> Result<SpillMerge, EngineError> {
-    let mut runs = PartitionedSpiller::runs(budget.clone());
-    for_each_fitting_group(groups, Vec::new(), budget, 0, &mut |tuples, _| {
-        let mut seen = RowSet::new();
-        runs.begin_run();
-        for (hash, seq, row) in tuples {
-            if seen.insert_row(hash, row.clone()) {
-                runs.push_run(seq, 0, row)?;
-            }
-        }
-        Ok(())
-    })?;
-    SpillMerge::by_key(runs.finish()?, budget)
-}
-
-impl<'a> Operator<'a> for DistinctOp<'a> {
-    fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
-        if self.spilled_output.is_some() || self.budget.is_bounded() {
-            if self.spilled_output.is_none() {
-                let merged = self.run_spilled()?;
-                self.spilled_output = Some(merged);
-            }
-            let merged = self.spilled_output.as_mut().expect("just set");
-            return merged.next_batch(self.batch_size);
-        }
-        if self.seen_hint > 0 {
-            self.seen = RowSet::with_capacity(std::mem::take(&mut self.seen_hint));
-        }
-        while let Some(batch) = self.input.next_batch()? {
-            let hashes = hash_batch_rows(&batch);
-            self.seen.begin_batch(&batch);
-            let mut keep: Vec<u32> = Vec::new();
-            for (row, &hash) in hashes.iter().enumerate() {
-                if self.seen.insert_batch_row(hash, row) {
-                    keep.push(row as u32);
-                }
-            }
-            if let Some(out) = batch.retain(keep) {
-                return Ok(Some(out));
-            }
-        }
-        Ok(None)
-    }
-}
-
-/// UNION / EXCEPT / INTERSECT with bag (`ALL`) or set semantics.
+/// UNION ALL is a pure concatenation: it streams both inputs and never
+/// spills. EXCEPT/INTERSECT materialize the right side into a flat
+/// multiplicity map, then stream the left side against it, consuming one
+/// multiplicity per match. Rows hash once per batch through the
+/// chunk-at-a-time kernel.
 ///
-/// UNION streams both inputs; EXCEPT/INTERSECT materialize the right side
-/// into a flat multiplicity map, then stream the left side against it.
-/// Rows hash once per batch through the chunk-at-a-time kernel.
-///
-/// With a bounded [`MemoryBudget`], the "seen" set (UNION) or the right
-/// multiplicity map (EXCEPT/INTERSECT) can exceed memory, so both sides
-/// hand over radix partitions on the whole-row hash and the
-/// operation runs one radix partition pair at a time — equal rows always
-/// share a partition, so per-partition multiplicity consumption matches
-/// the streaming order exactly, and sequence tags restore the output
-/// order. `UNION ALL` is a pure concatenation and never spills.
+/// With a bounded [`MemoryBudget`] the multiplicity map can exceed
+/// memory, so both sides of EXCEPT/INTERSECT hand over radix partitions
+/// on the whole-row hash and the operation runs one radix partition pair
+/// at a time — equal rows always share a partition, so per-partition
+/// multiplicity consumption matches the streaming order exactly, and
+/// sequence tags restore the output order.
 pub struct SetOpOp<'a> {
     op: SetOpKind,
-    all: bool,
     left: Input<'a>,
     right: Input<'a>,
     left_done: bool,
     right_counts: Option<RowCounter>,
-    seen: RowSet,
-    /// Planner sizing hint for `seen`, applied on the first in-memory
-    /// pull (0 = none, or already applied).
-    seen_hint: usize,
     right_hint: usize,
     budget: MemoryBudget,
     batch_size: usize,
     spilled_output: Option<SpillMerge>,
 }
 
-/// The first sequence tag of a spilled UNION's right input: past every
-/// tag its left input can take, so left rows merge first.
-const UNION_RIGHT_SEQ_BASE: u64 = 1 << 62;
-
 impl<'a> SetOpOp<'a> {
-    /// Combine `left` and `right` under the given set operation.
+    /// Combine `left` and `right` under the given bag operation.
     pub fn new(
         op: SetOpKind,
-        all: bool,
         left: impl Into<Input<'a>>,
         right: impl Into<Input<'a>>,
     ) -> SetOpOp<'a> {
         SetOpOp {
             op,
-            all,
             left: left.into(),
             right: right.into(),
             left_done: false,
             right_counts: None,
-            seen: RowSet::new(),
-            seen_hint: 0,
             right_hint: 0,
             budget: MemoryBudget::unbounded(),
             batch_size: DEFAULT_BATCH_SIZE,
@@ -518,24 +401,12 @@ impl<'a> SetOpOp<'a> {
         self
     }
 
-    /// Pre-size the seen-set (output estimate) and the right-side
-    /// multiplicity map (right-input estimate) from planner cardinality
-    /// hints (0 = no hint). Both are sized when the in-memory path first
-    /// needs them; the spill path allocates neither.
-    pub fn with_size_hints(mut self, seen_hint: usize, right_hint: usize) -> SetOpOp<'a> {
-        self.seen_hint = seen_hint;
+    /// Pre-size the right-side multiplicity map from the planner's
+    /// right-input estimate (0 = no hint). The map is sized when the
+    /// in-memory path first needs it; the spill path never allocates it.
+    pub fn with_size_hint(mut self, right_hint: usize) -> SetOpOp<'a> {
         self.right_hint = right_hint;
         self
-    }
-
-    /// Spill path for `UNION` (set semantics): a partitioned DISTINCT
-    /// over left-then-right concatenation, merge-emitted in sequence
-    /// order.
-    fn run_spilled_union(&mut self) -> Result<SpillMerge, EngineError> {
-        let (budget, hash) = (&self.budget, &SpillHash::WholeRow);
-        let mut groups = self.left.partitions(budget, hash, 0)?;
-        groups.extend(self.right.partitions(budget, hash, UNION_RIGHT_SEQ_BASE)?);
-        distinct_partitions(groups, budget)
     }
 
     /// Spill path for EXCEPT / INTERSECT: right partitions build the
@@ -546,7 +417,6 @@ impl<'a> SetOpOp<'a> {
         let right_groups = self.right.partitions(&budget, &SpillHash::WholeRow, 0)?;
         let left_groups = self.left.partitions(&budget, &SpillHash::WholeRow, 0)?;
         let except = self.op == SetOpKind::Except;
-        let all = self.all;
         let chunk_rows = self.batch_size;
         let mut runs = PartitionedSpiller::runs(budget.clone());
         for_each_fitting_group(
@@ -559,25 +429,10 @@ impl<'a> SetOpOp<'a> {
                 for (hash, _, row) in right_tuples {
                     counts.add_row(hash, row);
                 }
-                let mut seen = RowSet::new();
                 runs.begin_run();
                 left_merge.for_each_chunk(chunk_rows, |tuples: Vec<(u64, u64, Row)>| {
                     for (hash, seq, row) in tuples {
-                        let kept = if all {
-                            // Bag semantics: consume one multiplicity per
-                            // match, in left sequence order.
-                            match counts.count_mut_row(hash, &row) {
-                                Some(c) if *c > 0 => {
-                                    *c -= 1;
-                                    !except
-                                }
-                                _ => except,
-                            }
-                        } else {
-                            let in_right = counts.contains_row(hash, &row);
-                            (in_right != except) && seen.insert_row(hash, row.clone())
-                        };
-                        if kept {
+                        if consume(counts.count_mut_row(hash, &row)) != except {
                             runs.push_run(seq, 0, row)?;
                         }
                     }
@@ -589,36 +444,13 @@ impl<'a> SetOpOp<'a> {
     }
 
     fn next_union(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
-        loop {
-            let batch = if self.left_done {
-                self.right.next_batch()?
-            } else {
-                match self.left.next_batch()? {
-                    Some(b) => Some(b),
-                    None => {
-                        self.left_done = true;
-                        continue;
-                    }
-                }
-            };
-            let Some(batch) = batch else {
-                return Ok(None);
-            };
-            if self.all {
-                return Ok(Some(batch));
-            }
-            let hashes = hash_batch_rows(&batch);
-            self.seen.begin_batch(&batch);
-            let mut keep: Vec<u32> = Vec::new();
-            for (row, &hash) in hashes.iter().enumerate() {
-                if self.seen.insert_batch_row(hash, row) {
-                    keep.push(row as u32);
-                }
-            }
-            if let Some(out) = batch.retain(keep) {
-                return Ok(Some(out));
+        if !self.left_done {
+            match self.left.next_batch()? {
+                Some(batch) => return Ok(Some(batch)),
+                None => self.left_done = true,
             }
         }
+        self.right.next_batch()
     }
 
     fn next_against_counts(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
@@ -641,26 +473,9 @@ impl<'a> SetOpOp<'a> {
         while let Some(batch) = self.left.next_batch()? {
             let counts = self.right_counts.as_mut().expect("built above");
             let hashes = hash_batch_rows(&batch);
-            if !self.all {
-                // Set semantics track first-sight through the seen-set.
-                self.seen.begin_batch(&batch);
-            }
             let mut keep: Vec<u32> = Vec::new();
             for (row, &hash) in hashes.iter().enumerate() {
-                let kept = if self.all {
-                    // Bag semantics: consume one multiplicity per match.
-                    match counts.count_mut(hash, &batch, row) {
-                        Some(c) if *c > 0 => {
-                            *c -= 1;
-                            !except
-                        }
-                        _ => except,
-                    }
-                } else {
-                    let in_right = counts.contains_batch_row(hash, &batch, row);
-                    (in_right != except) && self.seen.insert_batch_row(hash, row)
-                };
-                if kept {
+                if consume(counts.count_mut(hash, &batch, row)) != except {
                     keep.push(row as u32);
                 }
             }
@@ -672,32 +487,35 @@ impl<'a> SetOpOp<'a> {
     }
 }
 
+/// Consume one right-side multiplicity of a left row: whether the row
+/// matched (INTERSECT ALL keeps exactly the matched rows, EXCEPT ALL the
+/// others).
+fn consume(count: Option<&mut usize>) -> bool {
+    match count {
+        Some(c) if *c > 0 => {
+            *c -= 1;
+            true
+        }
+        _ => false,
+    }
+}
+
 impl<'a> Operator<'a> for SetOpOp<'a> {
     fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
         // UNION ALL is pure concatenation — nothing accumulates, so it
         // streams regardless of the budget.
-        if self.spilled_output.is_some()
-            || (self.budget.is_bounded() && !(self.op == SetOpKind::Union && self.all))
-        {
+        if self.op == SetOpKind::Union {
+            return self.next_union();
+        }
+        if self.spilled_output.is_some() || self.budget.is_bounded() {
             if self.spilled_output.is_none() {
-                let merged = match self.op {
-                    SetOpKind::Union => self.run_spilled_union()?,
-                    SetOpKind::Except | SetOpKind::Intersect => {
-                        self.run_spilled_against_counts()?
-                    }
-                };
+                let merged = self.run_spilled_against_counts()?;
                 self.spilled_output = Some(merged);
             }
             let merged = self.spilled_output.as_mut().expect("just set");
             return merged.next_batch(self.batch_size);
         }
-        if self.seen_hint > 0 {
-            self.seen = RowSet::with_capacity(std::mem::take(&mut self.seen_hint));
-        }
-        match self.op {
-            SetOpKind::Union => self.next_union(),
-            SetOpKind::Except | SetOpKind::Intersect => self.next_against_counts(),
-        }
+        self.next_against_counts()
     }
 }
 
@@ -764,65 +582,27 @@ mod tests {
     }
 
     #[test]
-    fn distinct_streams_across_batches() {
-        let op = DistinctOp::new(static_op([1, 1, 2, 2, 3, 1], 2));
-        let out = drain(Box::new(op)).unwrap();
-        assert_eq!(out, rows([1, 2, 3]));
+    fn bag_set_ops_consume_multiplicities() {
+        let bag = |op, left: &[i64], right: &[i64]| {
+            let op = SetOpOp::new(
+                op,
+                static_op(left.to_vec(), 2),
+                static_op(right.to_vec(), 2),
+            );
+            drain(Box::new(op)).unwrap()
+        };
+        assert_eq!(bag(SetOpKind::Union, &[1, 2], &[2]), rows([1, 2, 2]));
+        assert_eq!(bag(SetOpKind::Except, &[1, 1, 2], &[1]), rows([1, 2]));
+        assert_eq!(
+            bag(SetOpKind::Intersect, &[1, 1, 2], &[1, 1, 3]),
+            rows([1, 1])
+        );
+        assert!(bag(SetOpKind::Except, &[], &[1]).is_empty());
+        assert!(bag(SetOpKind::Union, &[], &[]).is_empty());
     }
 
     #[test]
-    fn set_ops_match_bag_and_set_semantics() {
-        let union_all = SetOpOp::new(
-            SetOpKind::Union,
-            true,
-            static_op([1, 2], 2),
-            static_op([2], 2),
-        );
-        assert_eq!(drain(Box::new(union_all)).unwrap(), rows([1, 2, 2]));
-
-        let union = SetOpOp::new(
-            SetOpKind::Union,
-            false,
-            static_op([1, 2], 2),
-            static_op([2, 3], 2),
-        );
-        assert_eq!(drain(Box::new(union)).unwrap(), rows([1, 2, 3]));
-
-        let except_all = SetOpOp::new(
-            SetOpKind::Except,
-            true,
-            static_op([1, 1, 2], 2),
-            static_op([1], 2),
-        );
-        assert_eq!(drain(Box::new(except_all)).unwrap(), rows([1, 2]));
-
-        let except = SetOpOp::new(
-            SetOpKind::Except,
-            false,
-            static_op([1, 1, 2], 2),
-            static_op([2], 2),
-        );
-        assert_eq!(drain(Box::new(except)).unwrap(), rows([1]));
-
-        let intersect_all = SetOpOp::new(
-            SetOpKind::Intersect,
-            true,
-            static_op([1, 1, 2], 2),
-            static_op([1, 1, 3], 2),
-        );
-        assert_eq!(drain(Box::new(intersect_all)).unwrap(), rows([1, 1]));
-
-        let intersect = SetOpOp::new(
-            SetOpKind::Intersect,
-            false,
-            static_op([1, 1, 2], 2),
-            static_op([1, 2], 2),
-        );
-        assert_eq!(drain(Box::new(intersect)).unwrap(), rows([1, 2]));
-    }
-
-    #[test]
-    fn spilled_distinct_and_set_ops_are_row_identical() {
+    fn spilled_set_ops_are_row_identical() {
         // Duplicate-heavy streams with NULLs crossing batch boundaries.
         let mk_rows = |n: i64, stride: i64| -> Vec<Row> {
             (0..n)
@@ -838,97 +618,26 @@ mod tests {
         };
         let left = mk_rows(400, 13);
         let right = mk_rows(250, 9);
-        let distinct_out = |budget: MemoryBudget| {
-            let op = DistinctOp::new(replay(2, left.clone(), 7)).with_budget(budget, 7);
-            drain(Box::new(op)).unwrap()
-        };
-        let unbounded = distinct_out(MemoryBudget::unbounded());
-        for limit in [1usize, 2048] {
-            let budget = MemoryBudget::with_limit(limit);
-            assert_eq!(
-                unbounded,
-                distinct_out(budget.clone()),
-                "distinct, {limit}B"
-            );
-            if limit == 1 {
-                assert!(budget.stats().spilled());
-            }
-        }
-
         for op_kind in [SetOpKind::Union, SetOpKind::Except, SetOpKind::Intersect] {
-            for all in [false, true] {
-                let run = |budget: MemoryBudget| {
-                    let op = SetOpOp::new(
-                        op_kind,
-                        all,
-                        replay(2, left.clone(), 7),
-                        replay(2, right.clone(), 7),
-                    )
-                    .with_budget(budget, 7);
-                    drain(Box::new(op)).unwrap()
-                };
-                let unbounded = run(MemoryBudget::unbounded());
-                for limit in [1usize, 2048] {
-                    let budget = MemoryBudget::with_limit(limit);
-                    assert_eq!(
-                        unbounded,
-                        run(budget.clone()),
-                        "{op_kind:?} all={all} at {limit}B"
-                    );
-                    if limit == 1 && !(op_kind == SetOpKind::Union && all) {
-                        assert!(budget.stats().spilled(), "{op_kind:?} all={all}");
-                    }
+            let run = |budget: MemoryBudget| {
+                let op = SetOpOp::new(
+                    op_kind,
+                    replay(2, left.clone(), 7),
+                    replay(2, right.clone(), 7),
+                )
+                .with_budget(budget, 7);
+                drain(Box::new(op)).unwrap()
+            };
+            let unbounded = run(MemoryBudget::unbounded());
+            for limit in [1usize, 2048] {
+                let budget = MemoryBudget::with_limit(limit);
+                assert_eq!(unbounded, run(budget.clone()), "{op_kind:?} at {limit}B");
+                if limit == 1 {
+                    // UNION ALL is a concatenation and never spills.
+                    let spills = op_kind != SetOpKind::Union;
+                    assert_eq!(budget.stats().spilled(), spills, "{op_kind:?}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn bounded_seen_sets_ignore_the_size_hint() {
-        // Under a bounded budget the spill path builds its own
-        // per-partition sets; the planner's hint must not allocate a
-        // 2^21-slot table outside the budget.
-        let budget = MemoryBudget::with_limit(1 << 20);
-        let mut distinct = DistinctOp::new(static_op([1, 1, 2], 2))
-            .with_size_hint(1 << 20)
-            .with_budget(budget.clone(), 2);
-        while distinct.next_batch().unwrap().is_some() {}
-        assert_eq!(distinct.seen.capacity(), 0, "bounded DISTINCT");
-        let mut union = SetOpOp::new(
-            SetOpKind::Union,
-            false,
-            static_op([1, 2], 2),
-            static_op([2, 3], 2),
-        )
-        .with_size_hints(1 << 20, 0)
-        .with_budget(budget, 2);
-        while union.next_batch().unwrap().is_some() {}
-        assert_eq!(union.seen.capacity(), 0, "bounded UNION");
-        // Unbounded, the hint still pre-sizes the in-memory set.
-        let mut distinct = DistinctOp::new(static_op([1, 1, 2], 2)).with_size_hint(1 << 10);
-        while distinct.next_batch().unwrap().is_some() {}
-        assert!(distinct.seen.capacity() >= 1 << 10);
-    }
-
-    #[test]
-    fn empty_inputs_everywhere() {
-        let none: Vec<i64> = vec![];
-        assert!(drain(Box::new(DistinctOp::new(static_op(none.clone(), 2))))
-            .unwrap()
-            .is_empty());
-        let op = SetOpOp::new(
-            SetOpKind::Except,
-            false,
-            static_op(none.clone(), 2),
-            static_op([1], 2),
-        );
-        assert!(drain(Box::new(op)).unwrap().is_empty());
-        let op = SetOpOp::new(
-            SetOpKind::Union,
-            false,
-            static_op(none.clone(), 2),
-            static_op(none, 2),
-        );
-        assert!(drain(Box::new(op)).unwrap().is_empty());
     }
 }

@@ -4,8 +4,9 @@
 //! [`crate::exec::run`] sends a [`PhysicalPlan`] here when the
 //! [`ExecContext`]'s parallelism is above 1. Nothing in this module
 //! implements an operator. `collect_rows` cuts the plan at its pipeline
-//! breakers (hash-join builds, aggregation, sort/top-k, distinct, set
-//! operations) into *pipelines* — a table scan and the streaming nodes
+//! breakers (hash-join builds, aggregation — DISTINCT and set-semantics
+//! set operations included —, sort/top-k, bag set operations) into
+//! *pipelines* — a table scan and the streaming nodes
 //! above it (filter, project, hash-join probe), each compiled once into
 //! an immutable value every worker shares — and schedules each pipeline
 //! over **morsels** of its scanned table: scoped `std::thread` workers
@@ -26,8 +27,8 @@
 //! order. Every other breaker takes one generic path: `build_node` gets
 //! each child as a `Scheduled` input, which collects the child in
 //! parallel on first pull and replays it. Under a bounded memory budget
-//! the grace-capable breakers (grouped aggregation, DISTINCT, set
-//! operations, hash join) ask that input for partitions instead, and it
+//! the grace-capable breakers (grouped aggregation, EXCEPT/INTERSECT,
+//! hash join) ask that input for partitions instead, and it
 //! streams every worker into its own radix spiller — the input is never
 //! staged as rows. `LIMIT` subtrees run as one operator tree on the
 //! calling thread — under the same context, so still budgeted — because
@@ -60,6 +61,7 @@ use crate::expr::VectorKernel;
 use crate::planner::physical::PhysicalPlan;
 use crate::storage::Table;
 
+pub(crate) use pipeline::for_each_morsel;
 use pipeline::Pipeline;
 
 /// Default morsel size in physical storage slots. Small enough that

@@ -69,7 +69,7 @@ impl<'a> Pipeline<'a> {
             Some(build) => {
                 let spec = join_spec(plan, cx)?;
                 let rows = super::collect_rows(build, cx)?;
-                let built = BuiltJoin::new(rows, &spec, cx.config.parallelism());
+                let built = BuiltJoin::new(rows, &spec, cx.config.parallelism())?;
                 Streaming::Probe(spec, Arc::new(built))
             }
         });
@@ -170,7 +170,7 @@ impl<'a> Pipeline<'a> {
 /// A morsel worker's private state: made on the worker's thread before
 /// its first claim, sealed on it after its last — so each worker's spill
 /// files flush and sync in parallel with the others'.
-pub(super) trait WorkerState: Send {
+pub(crate) trait WorkerState: Send {
     type Sealed: Send;
     fn seal(self) -> Result<Self::Sealed, EngineError>;
 }
@@ -189,7 +189,8 @@ impl WorkerState for PartitionedSpiller {
     }
 }
 
-/// The morsel-driven worker loop: scoped threads — `workers` of them, or
+/// The morsel-driven worker loop — the one place executor threads are
+/// spawned: scoped threads — `workers` of them, or
 /// fewer when there are fewer morsels, and none at all for a single
 /// morsel, which runs on the calling thread — each create their state
 /// with `init`, claim `morsel_size`-slot morsels of `total_slots` from a
@@ -199,7 +200,7 @@ impl WorkerState for PartitionedSpiller {
 /// visits them in. On error the cursor is poisoned (other workers wind
 /// down) and the error from the earliest morsel is returned — the error
 /// that one scan would hit first.
-pub(super) fn for_each_morsel<S: WorkerState, T: Send>(
+pub(crate) fn for_each_morsel<S: WorkerState, T: Send>(
     total_slots: usize,
     morsel_size: usize,
     workers: usize,

@@ -1,7 +1,8 @@
 //! Memory-budgeted spill-to-disk for hash operators.
 //!
-//! The engine's pipeline breakers (join builds, group tables, DISTINCT /
-//! set-operation row sets) used to assume their state fits in RAM; any
+//! The engine's pipeline breakers (join builds, group tables — DISTINCT
+//! and set-semantics set operations are grouped aggregates —, and the
+//! EXCEPT/INTERSECT multiplicity maps) used to assume their state fits in RAM; any
 //! build side or GROUP BY larger than memory aborted the process. This
 //! module adds the out-of-core machinery they share:
 //!
@@ -1004,7 +1005,7 @@ impl PartitionedSpiller {
 pub(crate) enum SpillHash<'s> {
     /// Equi-join key hash over the given columns.
     Keys(&'s [usize]),
-    /// Whole-row hash (DISTINCT and set operations).
+    /// Whole-row hash (EXCEPT / INTERSECT).
     WholeRow,
     /// Aggregation group-key hash.
     Agg(&'s AggSpec),

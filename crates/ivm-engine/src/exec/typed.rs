@@ -31,8 +31,10 @@
 //!
 //! Keys are never zero-width and never change width within one arena:
 //! ungrouped aggregates take `AggMode::Ungrouped`, `lower_join` emits
-//! `HashJoin` only with at least one equi-key, DISTINCT and set operations
-//! see their (bind-time arity-checked) inputs' non-empty column lists.
+//! `HashJoin` only with at least one equi-key, duplicate-dropping
+//! aggregates (DISTINCT, set-semantics set operations) group on their
+//! inputs' non-empty column lists, and EXCEPT/INTERSECT count their
+//! (bind-time arity-checked) inputs' rows.
 //! [`KeyArena::bind_width`] asserts both (the first in debug builds only).
 
 use crate::exec::batch::RowBatch;

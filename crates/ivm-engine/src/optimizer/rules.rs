@@ -254,19 +254,14 @@ fn transform_physical_up(
         },
         PhysicalPlan::SetOp {
             op,
-            all,
             left,
             right,
             schema,
         } => PhysicalPlan::SetOp {
             op,
-            all,
             left: Box::new(transform_physical_up(*left, f)),
             right: Box::new(transform_physical_up(*right, f)),
             schema,
-        },
-        PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-            input: Box::new(transform_physical_up(*input, f)),
         },
         PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
             input: Box::new(transform_physical_up(*input, f)),

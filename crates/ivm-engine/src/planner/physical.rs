@@ -119,23 +119,19 @@ pub enum PhysicalPlan {
         /// Output columns: group keys then aggregate results.
         schema: Schema,
     },
-    /// UNION / EXCEPT / INTERSECT (right side materialized, left streamed).
+    /// UNION ALL / EXCEPT ALL / INTERSECT ALL — bag semantics only (UNION
+    /// streams both sides; EXCEPT/INTERSECT materialize the right side and
+    /// stream the left); set semantics lower to a duplicate-dropping
+    /// [`PhysicalPlan::HashAggregate`] around them.
     SetOp {
         /// Which set operation.
         op: SetOpKind,
-        /// Bag semantics (ALL) when true.
-        all: bool,
         /// Streamed input.
         left: Box<PhysicalPlan>,
         /// Materialized input.
         right: Box<PhysicalPlan>,
         /// Output columns.
         schema: Schema,
-    },
-    /// Streaming duplicate elimination over whole rows.
-    Distinct {
-        /// Input operator.
-        input: Box<PhysicalPlan>,
     },
     /// Full sort (pipeline breaker).
     Sort {
@@ -182,7 +178,6 @@ impl PhysicalPlan {
             | PhysicalPlan::SetOp { schema, .. } => schema,
             PhysicalPlan::Dual => &EMPTY_SCHEMA,
             PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Distinct { input }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::TopK { input, .. }
             | PhysicalPlan::Limit { input, .. } => input.schema(),
@@ -243,10 +238,7 @@ impl PhysicalPlan {
                         .collect::<Vec<_>>()
                         .join(", ")
                 ),
-                PhysicalPlan::SetOp { op, all, .. } => {
-                    format!("SetOp {:?}{}", op, if *all { " ALL" } else { "" })
-                }
-                PhysicalPlan::Distinct { .. } => "Distinct".to_string(),
+                PhysicalPlan::SetOp { op, .. } => format!("SetOp {op:?} ALL"),
                 PhysicalPlan::Sort { keys, .. } => format!("Sort keys={}", keys.len()),
                 PhysicalPlan::TopK {
                     keys,
@@ -266,7 +258,6 @@ impl PhysicalPlan {
                 PhysicalPlan::Filter { input, .. }
                 | PhysicalPlan::Project { input, .. }
                 | PhysicalPlan::HashAggregate { input, .. }
-                | PhysicalPlan::Distinct { input }
                 | PhysicalPlan::Sort { input, .. }
                 | PhysicalPlan::TopK { input, .. }
                 | PhysicalPlan::Limit { input, .. } => fmt(input, depth + 1, out),
@@ -290,32 +281,13 @@ impl PhysicalPlan {
 /// Lower an optimized logical plan into a physical operator tree, then
 /// fold eligible `Filter` nodes into their `TableScan` inputs (predicate
 /// pushdown into storage — see [`crate::optimizer`]'s physical rule).
+/// The plan depends on the catalog alone, never on executor settings.
 pub fn lower(plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPlan, EngineError> {
-    lower_with_budget(plan, catalog, None)
+    let physical = lower_node(plan, catalog)?;
+    Ok(crate::optimizer::push_scan_predicates(physical))
 }
 
-/// [`lower`] with the session memory budget (bytes; `None` = unbounded)
-/// available to cost decisions: when a join's predicted build side
-/// exceeds the budget — i.e. a spill is coming — INNER join side
-/// selection compares *physical* row estimates so the cheaper-to-spill
-/// side builds. Unbounded sessions lower identically to [`lower`].
-pub fn lower_with_budget(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    budget_limit: Option<usize>,
-) -> Result<PhysicalPlan, EngineError> {
-    Ok(crate::optimizer::push_scan_predicates(lower_node(
-        plan,
-        catalog,
-        budget_limit,
-    )?))
-}
-
-fn lower_node(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    budget_limit: Option<usize>,
-) -> Result<PhysicalPlan, EngineError> {
+fn lower_node(plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPlan, EngineError> {
     Ok(match plan {
         LogicalPlan::Scan { table, schema } => PhysicalPlan::TableScan {
             table: table.clone(),
@@ -325,7 +297,7 @@ fn lower_node(
         },
         LogicalPlan::Dual { .. } => PhysicalPlan::Dual,
         LogicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(lower_node(input, catalog, budget_limit)?),
+            input: Box::new(lower_node(input, catalog)?),
             predicate: predicate.clone(),
         },
         LogicalPlan::Project {
@@ -333,7 +305,7 @@ fn lower_node(
             exprs,
             schema,
         } => PhysicalPlan::Project {
-            input: Box::new(lower_node(input, catalog, budget_limit)?),
+            input: Box::new(lower_node(input, catalog)?),
             exprs: exprs.clone(),
             schema: schema.clone(),
         },
@@ -343,7 +315,7 @@ fn lower_node(
             aggs,
             schema,
         } => PhysicalPlan::HashAggregate {
-            input: Box::new(lower_node(input, catalog, budget_limit)?),
+            input: Box::new(lower_node(input, catalog)?),
             group: group.clone(),
             aggs: aggs.clone(),
             mode: if group.is_empty() {
@@ -359,33 +331,37 @@ fn lower_node(
             kind,
             on,
             schema,
-        } => lower_join(
-            left,
-            right,
-            *kind,
-            on.as_ref(),
-            schema,
-            catalog,
-            budget_limit,
-        )?,
+        } => lower_join(left, right, *kind, on.as_ref(), schema, catalog)?,
+        // Set semantics drop duplicates through the grouped aggregate:
+        // UNION over the concatenation, EXCEPT / INTERSECT over the left
+        // input only (`a EXCEPT b` = `distinct(a) EXCEPT ALL b`: each
+        // distinct left row once, dropped iff the right side has it).
         LogicalPlan::SetOp {
             op,
             all,
             left,
             right,
             schema,
-        } => PhysicalPlan::SetOp {
-            op: *op,
-            all: *all,
-            left: Box::new(lower_node(left, catalog, budget_limit)?),
-            right: Box::new(lower_node(right, catalog, budget_limit)?),
-            schema: schema.clone(),
-        },
-        LogicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-            input: Box::new(lower_node(input, catalog, budget_limit)?),
-        },
+        } => {
+            let mut left = lower_node(left, catalog)?;
+            if !all && *op != SetOpKind::Union {
+                left = distinct(left);
+            }
+            let bag = PhysicalPlan::SetOp {
+                op: *op,
+                left: Box::new(left),
+                right: Box::new(lower_node(right, catalog)?),
+                schema: schema.clone(),
+            };
+            if !all && *op == SetOpKind::Union {
+                distinct(bag)
+            } else {
+                bag
+            }
+        }
+        LogicalPlan::Distinct { input } => distinct(lower_node(input, catalog)?),
         LogicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-            input: Box::new(lower_node(input, catalog, budget_limit)?),
+            input: Box::new(lower_node(input, catalog)?),
             keys: keys.clone(),
         },
         // ORDER BY … LIMIT k lowers to a bounded-heap top-k instead of a
@@ -401,14 +377,14 @@ fn lower_node(
             } = input.as_ref()
             {
                 PhysicalPlan::TopK {
-                    input: Box::new(lower_node(sorted, catalog, budget_limit)?),
+                    input: Box::new(lower_node(sorted, catalog)?),
                     keys: keys.clone(),
                     limit: *limit,
                     offset: *offset,
                 }
             } else {
                 PhysicalPlan::Limit {
-                    input: Box::new(lower_node(input, catalog, budget_limit)?),
+                    input: Box::new(lower_node(input, catalog)?),
                     limit: Some(*limit),
                     offset: *offset,
                 }
@@ -419,11 +395,35 @@ fn lower_node(
             limit,
             offset,
         } => PhysicalPlan::Limit {
-            input: Box::new(lower_node(input, catalog, budget_limit)?),
+            input: Box::new(lower_node(input, catalog)?),
             limit: *limit,
             offset: *offset,
         },
     })
+}
+
+/// Duplicate elimination over whole rows: a grouped hash aggregate keyed
+/// on every column of `input`, with no aggregates. Groups come out in
+/// first-seen order, so the rows are `input`'s first sights, in order.
+fn distinct(input: PhysicalPlan) -> PhysicalPlan {
+    let schema = input.schema().clone();
+    let group = schema
+        .columns
+        .iter()
+        .enumerate()
+        .map(|(index, col)| BoundExpr::Column {
+            index,
+            ty: Some(col.ty),
+            name: col.name.clone(),
+        })
+        .collect();
+    PhysicalPlan::HashAggregate {
+        input: Box::new(input),
+        group,
+        aggs: Vec::new(),
+        mode: AggMode::HashGrouped,
+        schema,
+    }
 }
 
 /// Cheap cardinality estimate used for join-side selection. Base tables
@@ -502,7 +502,6 @@ pub fn estimate_physical_rows(plan: &PhysicalPlan, catalog: &Catalog) -> f64 {
         PhysicalPlan::Project { input, .. } | PhysicalPlan::Sort { input, .. } => {
             estimate_physical_rows(input, catalog)
         }
-        PhysicalPlan::Distinct { input } => estimate_physical_rows(input, catalog) / 2.0,
         PhysicalPlan::HashAggregate { input, mode, .. } => match mode {
             AggMode::Ungrouped => 1.0,
             AggMode::HashGrouped => estimate_physical_rows(input, catalog).sqrt().max(1.0),
@@ -548,12 +547,6 @@ pub fn table_size_hint(estimate: f64) -> usize {
     }
 }
 
-/// Rough bytes per materialized build-side row, used only to predict
-/// whether a join build fits the memory budget. Precision doesn't matter:
-/// the prediction just decides which cardinality estimate picks sides.
-const SPILL_EST_ROW_BYTES: f64 = 64.0;
-
-#[allow(clippy::too_many_arguments)]
 fn lower_join(
     left: &LogicalPlan,
     right: &LogicalPlan,
@@ -561,34 +554,18 @@ fn lower_join(
     on: Option<&BoundExpr>,
     schema: &Schema,
     catalog: &Catalog,
-    budget_limit: Option<usize>,
 ) -> Result<PhysicalPlan, EngineError> {
     let lwidth = left.schema().len();
     let rwidth = right.schema().len();
-
-    // Children lower first so side selection can consult physical
-    // estimates (which see pushed predicates the logical ones don't).
-    let left_phys = lower_node(left, catalog, budget_limit)?;
-    let right_phys = lower_node(right, catalog, budget_limit)?;
+    let left_phys = lower_node(left, catalog)?;
+    let right_phys = lower_node(right, catalog)?;
 
     // Pick sides. The probe side is the preserved side of outer joins, so
     // only INNER joins are free to swap for a smaller build table; RIGHT
-    // joins must mirror (probe = right). Unbounded sessions keep the
-    // legacy logical-estimate comparison (plans lower identically);
-    // under a budget that the smaller side is predicted to outgrow —
-    // i.e. the build will spill — the physical estimates decide, so the
-    // side with fewer expected rows (partitions, spill files, grace
-    // passes) builds.
+    // joins must mirror (probe = right).
     let swap = match kind {
         JoinKind::Right => true,
-        JoinKind::Inner => {
-            let le = estimate_physical_rows(&left_phys, catalog);
-            let re = estimate_physical_rows(&right_phys, catalog);
-            match budget_limit {
-                Some(limit) if le.min(re) * SPILL_EST_ROW_BYTES > limit as f64 => le < re,
-                _ => estimate_rows(left, catalog) < estimate_rows(right, catalog),
-            }
-        }
+        JoinKind::Inner => estimate_rows(left, catalog) < estimate_rows(right, catalog),
         _ => false,
     };
     let join = match kind {
@@ -766,8 +743,7 @@ mod tests {
             | PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Distinct { input } => find_hash_join(input),
+            | PhysicalPlan::Sort { input, .. } => find_hash_join(input),
             other => panic!("no hash join in {}", other.explain()),
         }
     }
@@ -940,6 +916,41 @@ mod tests {
         // ORDER BY without LIMIT stays a full sort.
         let p = lower_sql("SELECT v FROM big ORDER BY v", &catalog);
         assert!(p.explain().contains("Sort"), "{}", p.explain());
+    }
+
+    #[test]
+    fn set_semantics_lower_to_a_grouped_aggregate() {
+        let catalog = catalog_with_sizes(10, 20);
+        for (sql, shape) in [
+            (
+                "SELECT DISTINCT id FROM big",
+                "HashAggregate HashGrouped groups=1 aggs=[]\n  Project",
+            ),
+            (
+                "SELECT id FROM big UNION SELECT id FROM small",
+                "HashAggregate HashGrouped groups=1 aggs=[]\n  SetOp Union ALL",
+            ),
+            (
+                "SELECT id FROM big EXCEPT SELECT id FROM small",
+                "SetOp Except ALL\n  HashAggregate HashGrouped groups=1 aggs=[]",
+            ),
+            (
+                "SELECT id FROM big INTERSECT SELECT id FROM small",
+                "SetOp Intersect ALL\n  HashAggregate HashGrouped groups=1 aggs=[]",
+            ),
+        ] {
+            let explain = lower_sql(sql, &catalog).explain();
+            assert!(explain.starts_with(shape), "{sql}:\n{explain}");
+        }
+        let bag = lower_sql(
+            "SELECT id FROM big UNION ALL SELECT id FROM small",
+            &catalog,
+        );
+        assert!(
+            !bag.explain().contains("HashAggregate"),
+            "{}",
+            bag.explain()
+        );
     }
 
     #[test]

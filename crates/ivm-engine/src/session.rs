@@ -15,8 +15,8 @@ use crate::exec::{
 use crate::expr::bind::{bind_expr_with, Scope};
 use crate::expr::BindColumn;
 use crate::optimizer::optimize;
-use crate::plan_cache::{PlanCache, PlanKey, Planned};
-use crate::planner::physical::lower_with_budget;
+use crate::plan_cache::{PlanCache, Planned};
+use crate::planner::physical::lower;
 use crate::planner::plan_query;
 use crate::schema::{Column, Schema};
 use crate::storage::durability::{Durability, DurabilityOptions, RecoveryStats};
@@ -140,13 +140,13 @@ pub(crate) fn env_config() -> ExecConfig {
     ExecConfig::new(parallelism, budget)
 }
 
-/// Bind, optimize, and lower `q` against the context's catalog, under
-/// its memory budget — the one way a query becomes a physical plan, for
-/// the writer session and for snapshot readers alike.
+/// Bind, optimize, and lower `q` against the context's catalog — the one
+/// way a query becomes a physical plan, for the writer session and for
+/// snapshot readers alike.
 pub(crate) fn plan_physical(q: &Query, cx: &ExecContext<'_>) -> Result<Planned, EngineError> {
     let plan = optimize(plan_query(q, cx.catalog)?);
     let columns = plan.schema().names();
-    let physical = lower_with_budget(&plan, cx.catalog, cx.config.budget().limit())?;
+    let physical = lower(&plan, cx.catalog)?;
     Ok((std::sync::Arc::new(physical), columns))
 }
 
@@ -511,8 +511,9 @@ impl Database {
     }
 
     /// Set the executor memory budget in bytes (`None` = unbounded, the
-    /// default). Under a bounded budget, hash-join builds, group tables,
-    /// DISTINCT, and set operations spill radix partitions to temp files
+    /// default). Under a bounded budget, hash-join builds, group tables
+    /// (DISTINCT and set-semantics set operations included), and the
+    /// EXCEPT/INTERSECT multiplicity maps spill radix partitions to temp files
     /// when their tracked state exceeds the budget, and rehydrate them
     /// partition-at-a-time — results are row-identical to unbounded
     /// execution at any [`parallelism`](Database::parallelism): above 1,
@@ -521,15 +522,13 @@ impl Database {
     /// on a background writer thread, and spilled output merge-emits in
     /// sequence order. Environment default: `$OPENIVM_MEMORY_BUDGET`.
     ///
-    /// Trade-offs: grouped aggregation, DISTINCT, and set operations
-    /// cannot re-scan their input, so a bounded budget routes them
-    /// through the partitioned spill framework even when nothing ends up
-    /// spilling (serial joins fall back to the streaming path when the
-    /// build side fits).
+    /// Trade-offs: grouped aggregation and EXCEPT/INTERSECT cannot
+    /// re-scan their input, so a bounded budget routes them through the
+    /// partitioned spill framework even when nothing ends up spilling
+    /// (serial joins fall back to the streaming path when the build side
+    /// fits).
     pub fn set_memory_budget(&mut self, bytes: Option<usize>) {
-        // The planner's build-side choice is budget-aware; the plan
-        // cache is keyed on the budget, so entries lowered under the old
-        // setting simply stop matching (and match again if it returns).
+        // Plans never depend on the budget: cached plans stay valid.
         self.config.set_memory_budget(bytes);
     }
 
@@ -566,13 +565,12 @@ impl Database {
         let Some(sql) = cache_key else {
             return plan_physical(q, &self.exec_context());
         };
-        let key = PlanKey::new(sql, &self.config);
-        if let Some(hit) = self.plan_cache.get(&key, self.ddl_generation) {
+        if let Some(hit) = self.plan_cache.get(sql, self.ddl_generation) {
             return Ok(hit);
         }
         let planned = plan_physical(q, &self.exec_context())?;
         self.plan_cache
-            .insert(key, self.ddl_generation, planned.clone());
+            .insert(sql, self.ddl_generation, planned.clone());
         Ok(planned)
     }
 
@@ -1143,41 +1141,23 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_keys_on_budget_and_parallelism() {
+    fn plan_cache_ignores_budget_and_parallelism() {
         let mut db = seeded();
         db.set_memory_budget(None);
         let sql = "SELECT g, SUM(v) AS t FROM s GROUP BY g ORDER BY g";
         let stmt = parse_statement(sql).unwrap();
         let baseline = db.execute_statement(&stmt, Some(sql)).unwrap();
         assert_eq!(db.plan_cache_stats(), (1, 0));
-
-        // Flipping the budget between two executions of the same SQL
-        // must re-lower: `lower_with_budget` bakes a budget-dependent
-        // build-side choice into the physical plan, so a plan lowered
-        // under another budget is a different identity — reusing it was
-        // the staleness bug.
+        // A plan is keyed by its SQL text alone: flipping the budget or
+        // the worker count re-hits the one cached plan, same answer.
         db.set_memory_budget(Some(123_456_789));
         let budgeted = db.execute_statement(&stmt, Some(sql)).unwrap();
-        assert_eq!(db.plan_cache_stats(), (2, 0), "budget flip re-lowers");
-        assert_eq!(budgeted.rows, baseline.rows, "same data, same answer");
-
-        // Keyed, not invalidated: each budget's plan survives the flips
-        // and re-hits when its setting returns.
-        db.set_memory_budget(None);
-        db.execute_statement(&stmt, Some(sql)).unwrap();
-        assert_eq!(db.plan_cache_stats(), (2, 1), "unbounded plan re-hits");
-        db.set_memory_budget(Some(123_456_789));
-        db.execute_statement(&stmt, Some(sql)).unwrap();
-        assert_eq!(db.plan_cache_stats(), (2, 2), "budgeted plan re-hits");
-
-        // Parallelism is part of plan identity too.
+        assert_eq!(db.plan_cache_stats(), (1, 1), "budget flip re-hits");
+        assert_eq!(budgeted.rows, baseline.rows);
         db.set_parallelism(2);
         let parallel = db.execute_statement(&stmt, Some(sql)).unwrap();
-        assert_eq!(db.plan_cache_stats(), (3, 2), "parallelism flip re-lowers");
+        assert_eq!(db.plan_cache_stats(), (1, 2), "parallelism flip re-hits");
         assert_eq!(parallel.rows, baseline.rows);
-        db.set_parallelism(1);
-        db.execute_statement(&stmt, Some(sql)).unwrap();
-        assert_eq!(db.plan_cache_stats(), (3, 3));
     }
 
     #[test]

@@ -582,6 +582,7 @@ fn load_table(
         tm.total_slots,
         rows,
     )
+    .map_err(|e| corrupt_meta(e.message()))
 }
 
 /// Reassemble one overflow row's encoding, reading each chunk of the
@@ -738,6 +739,7 @@ fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, EngineError> {
                 let name = wal::get_str(&mut r)?;
                 let columns = wal::get_columns(&mut r)?;
                 let primary_key = wal::get_positions(&mut r)?;
+                wal::check_positions(&primary_key, columns.len()).map_err(corrupt_meta)?;
                 let mut b = [0u8; 4];
                 r.read_exact(&mut b)
                     .map_err(|_| corrupt_meta("truncated index count"))?;
@@ -749,6 +751,7 @@ fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, EngineError> {
                 for _ in 0..nsec {
                     let iname = wal::get_str(&mut r)?;
                     let cols = wal::get_positions(&mut r)?;
+                    wal::check_positions(&cols, columns.len()).map_err(corrupt_meta)?;
                     let mut u = [0u8; 1];
                     r.read_exact(&mut u)
                         .map_err(|_| corrupt_meta("truncated unique flag"))?;
@@ -971,16 +974,30 @@ mod tests {
         let err = Durability::open(&dir, DurabilityOptions::default()).unwrap_err();
         assert!(err.to_string().contains("corrupt catalog meta"), "{err}");
 
-        // Sizes inside a record whose CRC is valid are not trusted
-        // either: a page list claiming 2^61 entries, a table claiming
-        // 2^60 live rows.
-        for (live_rows, page_list_len) in [(0, 1u64 << 61), (1u64 << 60, 0)] {
+        // Sizes and key positions inside a record whose CRC is valid are
+        // not trusted either: a page list claiming 2^61 entries, a table
+        // claiming 2^60 live rows or 2^60 slots, a primary key on column
+        // 3 and a secondary index on column 5 of a 1-column table.
+        let no_index: Vec<(&str, Vec<usize>)> = Vec::new();
+        let cases = [
+            (vec![], no_index.clone(), 0, 0, 1u64 << 61),
+            (vec![], no_index.clone(), 0, 1u64 << 60, 0),
+            (vec![], no_index.clone(), 1u64 << 60, 0, 0),
+            (vec![3], no_index, 0, 0, 0),
+            (vec![], vec![("ix", vec![5])], 0, 0, 0),
+        ];
+        for (primary_key, secondary, total_slots, live_rows, page_list_len) in cases {
             let mut payload = vec![META_TAG_TABLE];
             wal::put_str(&mut payload, "t");
             wal::put_columns(&mut payload, &[Column::new("v", DataType::Integer)]);
-            wal::put_positions(&mut payload, &[]);
-            payload.extend_from_slice(&0u32.to_le_bytes()); // no secondary indexes
-            wal::put_u64(&mut payload, 0); // total_slots
+            wal::put_positions(&mut payload, &primary_key);
+            payload.extend_from_slice(&(secondary.len() as u32).to_le_bytes());
+            for (name, cols) in &secondary {
+                wal::put_str(&mut payload, name);
+                wal::put_positions(&mut payload, cols);
+                payload.push(0); // not unique
+            }
+            wal::put_u64(&mut payload, total_slots);
             wal::put_u64(&mut payload, live_rows);
             wal::put_u64(&mut payload, page_list_len); // heap pages, no entries
             wal::put_u64(&mut payload, 0); // overflow pages
@@ -993,5 +1010,47 @@ mod tests {
             assert!(err.to_string().contains("corrupt catalog meta"), "{err}");
         }
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Key positions in committed WAL records are checked too: replaying
+    /// a table whose primary key names a missing column, or a primary
+    /// key added on one, is an error at open — not a panic at the first
+    /// key built.
+    #[test]
+    fn wal_key_positions_are_checked_on_replay() {
+        let column = || vec![Column::new("v", DataType::Integer)];
+        let create = |primary_key| WalRecord::CreateTable {
+            name: "t".into(),
+            columns: column(),
+            primary_key,
+        };
+        let insert = WalRecord::Insert {
+            table: "t".into(),
+            row: vec![Value::Integer(1)],
+        };
+        let add_pk = WalRecord::AddPk {
+            table: "t".into(),
+            columns: vec![9],
+        };
+        for (i, records) in [
+            vec![create(vec![3]), insert.clone()],
+            vec![create(vec![]), insert, add_pk],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let dir = temp_dir(&format!("badwal{i}"));
+            {
+                let (d, _) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
+                let wal = d.wal_handle();
+                for rec in &records {
+                    wal.log(rec);
+                }
+                d.wal_commit().unwrap();
+            }
+            let err = Durability::open(&dir, DurabilityOptions::default()).unwrap_err();
+            assert!(err.to_string().contains("corrupt"), "{err}");
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }

@@ -9,7 +9,7 @@ use crate::exec::batch::{ColumnData, RowBatch};
 use crate::expr::VectorKernel;
 use crate::index::TableIndex;
 use crate::schema::Schema;
-use crate::storage::wal::{Wal, WalRecord};
+use crate::storage::wal::{self, Wal, WalRecord};
 use crate::value::Value;
 
 /// Process-wide generation counter; see [`Table::generation`]. Every
@@ -164,8 +164,11 @@ impl Table {
     ) -> Result<Table, EngineError> {
         let total = total_slots as usize;
         let mut table = Table::new(name, schema, primary_key);
-        let mut columns = vec![vec![Value::Null; total]; table.schema.len()];
-        let mut deleted = vec![true; total];
+        let mut columns = Vec::with_capacity(table.schema.len());
+        for _ in 0..table.schema.len() {
+            columns.push(slot_vec(&table.name, total, Value::Null)?);
+        }
+        let mut deleted = slot_vec(&table.name, total, true)?;
         for (slot, row) in rows {
             let idx = slot as usize;
             if idx >= total {
@@ -835,6 +838,7 @@ impl Table {
         if self.data.secondary.iter().any(|(n, _)| *n == name) {
             return Err(EngineError::catalog(format!("index {name} already exists")));
         }
+        self.check_key_columns(&columns)?;
         let mut idx = TableIndex::new(columns, unique);
         for (row_id, row) in self.scan() {
             let key = idx.key_of(&row);
@@ -854,6 +858,13 @@ impl Table {
         }
         self.data_mut().secondary.push((name, idx));
         Ok(())
+    }
+
+    /// Index key positions come from SQL binding or from a replayed WAL
+    /// record; the latter are checked here, where the width is known.
+    fn check_key_columns(&self, columns: &[usize]) -> Result<(), EngineError> {
+        wal::check_positions(columns, self.schema.len())
+            .map_err(|e| EngineError::catalog(format!("corrupt index on {}: {e}", self.name)))
     }
 
     /// Remove a secondary index by name.
@@ -916,6 +927,7 @@ impl Table {
     /// Attach a primary key index after creation (bulk build). Errors on
     /// duplicate keys.
     pub fn add_pk_index(&mut self, columns: Vec<usize>) -> Result<(), EngineError> {
+        self.check_key_columns(&columns)?;
         let mut idx = TableIndex::new(columns.clone(), true);
         for (row_id, row) in self.scan() {
             let key = idx.key_of(&row);
@@ -936,6 +948,19 @@ impl Table {
         self.data_mut().pk_index = Some(idx);
         Ok(())
     }
+}
+
+/// `vec![fill; n]` for `n` slots read from disk — a clean error instead
+/// of a capacity-overflow panic when the count is absurd.
+fn slot_vec<T: Clone>(table: &str, n: usize, fill: T) -> Result<Vec<T>, EngineError> {
+    let mut slots = Vec::new();
+    slots.try_reserve_exact(n).map_err(|_| {
+        EngineError::execution(format!(
+            "corrupt table {table}: {n} slots cannot be allocated"
+        ))
+    })?;
+    slots.resize(n, fill);
+    Ok(slots)
 }
 
 /// A lock-free work-sharing cursor over a table's physical slot space.

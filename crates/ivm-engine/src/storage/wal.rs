@@ -249,6 +249,16 @@ pub(crate) fn get_positions(r: &mut impl Read) -> Result<Vec<usize>, EngineError
     Ok(out)
 }
 
+/// Key-column positions must name columns of their table: read from disk
+/// unchecked, a position past the last column indexes rows out of bounds
+/// when the first key is built. The error is the offending position.
+pub(crate) fn check_positions(positions: &[usize], width: usize) -> Result<(), String> {
+    match positions.iter().find(|&&c| c >= width) {
+        Some(c) => Err(format!("key column {c} of a {width}-column table")),
+        None => Ok(()),
+    }
+}
+
 fn type_tag(ty: DataType) -> u8 {
     match ty {
         DataType::Boolean => 0,
@@ -413,11 +423,17 @@ impl WalRecord {
             TAG_COMPACT => WalRecord::Compact {
                 table: get_str(&mut r)?,
             },
-            TAG_CREATE_TABLE => WalRecord::CreateTable {
-                name: get_str(&mut r)?,
-                columns: get_columns(&mut r)?,
-                primary_key: get_positions(&mut r)?,
-            },
+            TAG_CREATE_TABLE => {
+                let name = get_str(&mut r)?;
+                let columns = get_columns(&mut r)?;
+                let primary_key = get_positions(&mut r)?;
+                check_positions(&primary_key, columns.len()).map_err(corrupt)?;
+                WalRecord::CreateTable {
+                    name,
+                    columns,
+                    primary_key,
+                }
+            }
             TAG_DROP_TABLE => WalRecord::DropTable {
                 name: get_str(&mut r)?,
             },

@@ -12,8 +12,8 @@ use ivm_engine::{Database, Value};
 /// Queries spanning every parallelizable shape: pipelines (scan, filter,
 /// project, computed projection, CASE fallback), partitioned joins
 /// (inner/left/full, residual, join + aggregate), partitioned aggregation
-/// (grouped, global, DISTINCT), and the replay-merged breakers (sort,
-/// top-k, distinct, set ops, limit).
+/// (grouped, global, DISTINCT aggregates, DISTINCT rows), and the
+/// replay-merged breakers (sort, top-k, set ops, limit).
 fn queries() -> Vec<&'static str> {
     vec![
         "SELECT g, v, tag FROM t",
@@ -31,6 +31,9 @@ fn queries() -> Vec<&'static str> {
         "SELECT d.name, SUM(t.v) AS s, COUNT(*) AS c \
          FROM t JOIN dim AS d ON t.g = d.id GROUP BY d.name",
         "SELECT DISTINCT g FROM t",
+        // First-seen order of a sorted stream: the sort runs below the
+        // DISTINCT, whose ORDER BY column is not in the select list.
+        "SELECT DISTINCT g FROM t ORDER BY v DESC",
         "SELECT g, v, tag FROM t ORDER BY v, g, tag",
         "SELECT g, v FROM t ORDER BY v DESC, g DESC LIMIT 7",
         "SELECT v FROM t WHERE v > 10 LIMIT 5",

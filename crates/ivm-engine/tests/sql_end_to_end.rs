@@ -389,6 +389,17 @@ fn distinct_rows() {
         .unwrap();
     let r = db.query("SELECT DISTINCT a, b FROM t ORDER BY b").unwrap();
     assert_eq!(ints(&r), vec![vec![1, 1], vec![1, 2]]);
+    // ORDER BY a column outside the select list sorts *below* the
+    // DISTINCT: the output is the first-seen order of the sorted stream
+    // (v descending: 9 a, 7 c, 5 b, 2 c, 1 a).
+    db.execute("CREATE TABLE s (g VARCHAR, v INTEGER)").unwrap();
+    db.execute("INSERT INTO s VALUES ('a', 1), ('b', 5), ('c', 7), ('a', 9), ('c', 2)")
+        .unwrap();
+    let r = db
+        .query("SELECT DISTINCT g FROM s ORDER BY v DESC")
+        .unwrap();
+    let g: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+    assert_eq!(g, ["a", "c", "b"]);
 }
 
 #[test]
@@ -478,4 +489,14 @@ fn wide_integer_keys_are_exact() {
         let r = db.query(&format!("SELECT COUNT(*) FROM {table}")).unwrap();
         assert_eq!(r.scalar(), Some(&Value::Integer(ids.len() as i64)));
     }
+    // Duplicate elimination keeps the neighbours apart too.
+    let ids_of = |sql: &str| -> Vec<i64> { ints(&db.query(sql).unwrap()).concat() };
+    assert_eq!(ids_of("SELECT id FROM p UNION SELECT id FROM u"), ids);
+    let except = format!(
+        "SELECT id FROM p EXCEPT SELECT id FROM u WHERE id <> {}",
+        P53 + 1
+    );
+    assert_eq!(ids_of(&except), [P53 + 1]);
+    let both = ids_of("SELECT DISTINCT id FROM p UNION ALL SELECT DISTINCT id FROM u");
+    assert_eq!(both, [ids, ids].concat());
 }

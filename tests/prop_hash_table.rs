@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use openivm::ivm_engine::exec::hash::{hash_row, hash_value, FlatTable, ProbeMode, RowSet};
+use openivm::ivm_engine::exec::hash::{hash_row, hash_value, FlatTable, ProbeMode, RowCounter};
 use openivm::ivm_engine::{Database, Value};
 use proptest::prelude::*;
 
@@ -91,23 +91,28 @@ proptest! {
         }
     }
 
-    /// RowSet (the DISTINCT structure) deduplicates exactly like a
-    /// HashMap-backed set over materialized rows. One set sees rows of
-    /// one width (its input's arity), so each case fixes the width.
+    /// RowCounter (the EXCEPT/INTERSECT multiplicity map) counts rows
+    /// exactly like a HashMap over materialized rows. One counter sees
+    /// rows of one width (its input's arity), so each case fixes the width.
     #[test]
-    fn row_set_matches_hashset(
+    fn row_counter_matches_hashmap(
         narrow in any::<bool>(),
         mut keys in prop::collection::vec(prop::collection::vec(value_strategy(), 2..3), 0..200),
     ) {
         if narrow {
             keys.iter_mut().for_each(|k| k.truncate(1));
         }
-        let mut model: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
-        let mut set = RowSet::new();
+        let mut model: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut counter = RowCounter::new();
         for k in &keys {
-            let fresh_model = model.insert(k.clone());
-            let fresh = set.insert_row(hash_row(k), k.clone());
-            prop_assert_eq!(fresh, fresh_model, "disagree on {:?}", k);
+            let h = hash_row(k);
+            let before = counter.count_mut_row(h, k).map(|c| *c);
+            prop_assert_eq!(before, model.get(k).copied(), "disagree on {:?}", k);
+            *model.entry(k.clone()).or_default() += 1;
+            counter.add_row(h, k.clone());
+        }
+        for (k, c) in &model {
+            prop_assert_eq!(counter.count_mut_row(hash_row(k), k).map(|c| *c), Some(*c));
         }
     }
 }

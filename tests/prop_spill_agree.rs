@@ -42,6 +42,8 @@ fn queries() -> Vec<&'static str> {
         "SELECT d.name, SUM(t.v) AS s FROM t JOIN dim AS d ON t.g = d.id GROUP BY d.name",
         // DISTINCT and set operations.
         "SELECT DISTINCT g, tag FROM t",
+        // DISTINCT over a sorted stream keeps its first-seen order.
+        "SELECT DISTINCT g FROM t ORDER BY v DESC",
         "SELECT v FROM t EXCEPT SELECT v FROM t WHERE tag = TRUE",
         "SELECT v FROM t WHERE tag = TRUE INTERSECT SELECT v FROM t",
         "SELECT g FROM t UNION SELECT id FROM dim",
