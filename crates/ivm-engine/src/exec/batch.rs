@@ -286,37 +286,6 @@ impl Tuple for BatchRow<'_, '_> {
     }
 }
 
-/// A [`Tuple`] over a probe-side batch row concatenated with a
-/// materialized build-side row — the frame join residuals evaluate in,
-/// without assembling the concatenated row.
-#[derive(Debug, Clone, Copy)]
-pub struct JoinedRow<'b, 'a> {
-    probe: BatchRow<'b, 'a>,
-    probe_width: usize,
-    build: &'b [Value],
-}
-
-impl<'b, 'a> JoinedRow<'b, 'a> {
-    /// View of `probe_row ++ build_row`.
-    pub fn new(probe: BatchRow<'b, 'a>, probe_width: usize, build: &'b [Value]) -> Self {
-        JoinedRow {
-            probe,
-            probe_width,
-            build,
-        }
-    }
-}
-
-impl Tuple for JoinedRow<'_, '_> {
-    fn col(&self, index: usize) -> Option<&Value> {
-        if index < self.probe_width {
-            self.probe.col(index)
-        } else {
-            self.build.get(index - self.probe_width)
-        }
-    }
-}
-
 /// Incremental columnar builder for operator output.
 #[derive(Debug)]
 pub struct BatchBuilder {
@@ -411,17 +380,6 @@ mod tests {
         assert_eq!(row.col(0), Some(&i(7)));
         assert_eq!(row.col(1), Some(&Value::Null));
         assert_eq!(row.col(2), None);
-    }
-
-    #[test]
-    fn joined_row_spans_both_sides() {
-        use crate::value::Tuple;
-        let batch = RowBatch::from_rows(1, vec![vec![i(1)]]);
-        let build = vec![i(2), i(3)];
-        let joined = JoinedRow::new(batch.row_view(0), 1, &build);
-        assert_eq!(joined.col(0), Some(&i(1)));
-        assert_eq!(joined.col(2), Some(&i(3)));
-        assert_eq!(joined.col(3), None);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!    `u32` payloads indexing arena-stored keys/rows. Probing is
 //!    **group-wise**, hashbrown-style: 16 tag bytes are scanned per step —
 //!    via SSE2 compare+movemask on x86_64, via SWAR on two `u64` words
-//!    everywhere else, or byte-at-a-time when `OPENIVM_NO_SIMD=1` forces
-//!    the scalar path (see [`ProbeMode`]). All three scans visit identical
-//!    slot sequences, so parity tests can compare them on one table. The
+//!    everywhere else (see [`ProbeMode`]). A byte-at-a-time scalar scan
+//!    is the parity oracle: all three scans visit identical slot
+//!    sequences, so parity tests can compare them on one table. The
 //!    table never stores keys; callers compare candidates through a
 //!    closure over their own arena (typed column compares, no per-key
 //!    allocation). Stored hashes make growth a pure reinsertion pass.
@@ -279,7 +279,7 @@ const EMPTY_TAG: u8 = 0;
 
 /// Tag bytes scanned per probe step. Constant across all probe modes so
 /// scalar, SWAR, and SSE2 probes visit identical slot sequences (the
-/// parity guarantee `OPENIVM_NO_SIMD=1` tests rely on).
+/// parity guarantee the probe-mode tests rely on).
 const GROUP: usize = 16;
 
 /// Smallest table capacity: one full probe group.
@@ -288,7 +288,7 @@ const MIN_CAP: usize = GROUP;
 /// How a [`FlatTable`] scans its 16-byte tag groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeMode {
-    /// Byte-at-a-time (forced by `OPENIVM_NO_SIMD=1`; the parity oracle).
+    /// Byte-at-a-time: the parity oracle.
     Scalar,
     /// Two `u64` SWAR words per group — stable Rust, every target.
     Swar,
@@ -297,35 +297,15 @@ pub enum ProbeMode {
     Sse2,
 }
 
-/// Environment variable forcing the scalar probe path (`1` = scalar;
-/// unset/empty/`0` = pick the fastest for the target).
-pub const NO_SIMD_ENV: &str = "OPENIVM_NO_SIMD";
-
-fn default_probe_mode() -> ProbeMode {
+/// The target's probe mode, fixed at compile time: SSE2 on x86_64, SWAR
+/// elsewhere.
+#[inline]
+pub const fn probe_mode() -> ProbeMode {
     if cfg!(target_arch = "x86_64") {
         ProbeMode::Sse2
     } else {
         ProbeMode::Swar
     }
-}
-
-/// The process-wide probe mode: SSE2 on x86_64, SWAR elsewhere, scalar
-/// when `OPENIVM_NO_SIMD=1`. Read once; invalid settings abort loudly
-/// rather than silently probing a different way than the user asked.
-pub fn probe_mode() -> ProbeMode {
-    use std::sync::OnceLock;
-    static MODE: OnceLock<ProbeMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var(NO_SIMD_ENV) {
-        Err(_) => default_probe_mode(),
-        Ok(raw) => match raw.trim() {
-            "" | "0" => default_probe_mode(),
-            "1" => ProbeMode::Scalar,
-            other => panic!(
-                "invalid {NO_SIMD_ENV}={other:?}: expected \"1\" (force scalar tag \
-                 probing) or \"0\"/unset (use SSE2/SWAR)"
-            ),
-        },
-    })
 }
 
 const SWAR_ONES: u64 = 0x0101_0101_0101_0101;

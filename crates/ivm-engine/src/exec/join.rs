@@ -1,29 +1,34 @@
-//! Join operators: build-probe hash join for equi-joins, nested loops
-//! otherwise.
+//! The join operator: a build-probe hash join on the equi-conjuncts of
+//! the ON clause, everything else of it a residual. A join without an
+//! equi-conjunct — CROSS, comma and non-equi joins — has empty key lists:
+//! every build row then hashes to the same seed and sits on one chain in
+//! build order, so each probe row's candidates are all build rows, the
+//! residual filtering them — a nested loop, run by the same code.
 //!
-//! Both operators materialize the build side once, then stream probe
-//! batches. Output batches reuse the probe batch's columns through a
-//! selection vector (zero-copy, possibly with repeats for multi-matches)
-//! and gather only the build side. The hash join's residual predicate is
-//! evaluated *vectorized*: candidate pairs are collected per probe batch,
-//! spliced into one `probe ++ build` frame, and filtered by a compiled
-//! kernel in a single pass. Output is chunked at the executor batch size
-//! with carry-over state, so high-fan-out probes (skew, CROSS joins, the
-//! FULL OUTER tail) never emit oversized batches. The probe side is the
-//! preserved side: `LeftOuter` pads unmatched probe rows, `FullOuter`
-//! additionally emits unmatched build rows after the probe is exhausted.
-//! SQL semantics: NULL keys never match.
+//! The build side is materialized once, then probe batches stream.
+//! Output batches reuse the probe batch's columns through a selection
+//! vector (zero-copy, possibly with repeats for multi-matches) and gather
+//! only the build side. The residual predicate is evaluated *vectorized*:
+//! candidate pairs are collected in chunks of at most the executor batch
+//! size, each spliced into one `probe ++ build` frame and filtered by a
+//! compiled kernel in a single pass, and only passing pairs are kept.
+//! Output is chunked at the batch size too, with carry-over state, so
+//! high-fan-out probes (skew, CROSS joins, the FULL OUTER tail) never
+//! emit oversized batches. The probe side is the preserved side:
+//! `LeftOuter` pads unmatched probe rows, `FullOuter` additionally emits
+//! unmatched build rows after the probe is exhausted. SQL semantics: NULL
+//! keys never match.
 //!
-//! A built hash-join build side ([`BuiltJoin`]) is immutable apart from
-//! its FULL OUTER match flags, which are atomics: a serial plan probes it
-//! from one [`HashJoinOp`], the morsel executor from one `HashJoinOp` per
-//! morsel on every worker ([`HashJoinOp::shared`]).
+//! A build side ([`BuiltJoin`]) is immutable apart from its FULL OUTER
+//! match flags, which are atomics: a serial plan probes it from one
+//! [`HashJoinOp`], the morsel executor from one `HashJoinOp` per morsel
+//! on every worker ([`HashJoinOp::shared`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::error::EngineError;
-use crate::exec::batch::{ColumnData, JoinedRow, RowBatch};
+use crate::exec::batch::{ColumnData, RowBatch};
 use crate::exec::hash::{chain_prepend, hash_rows_keys, FlatTable, KeyHashes};
 use crate::exec::parallel::for_each_morsel;
 use crate::exec::spill::{
@@ -55,44 +60,14 @@ fn matched_flags(rows: usize, join: PhysJoinKind) -> Vec<AtomicBool> {
     (0..tracked).map(|_| AtomicBool::new(false)).collect()
 }
 
-/// The materialized build side shared by both join flavors. Besides the
-/// rows themselves it keeps a columnar copy behind `Arc`s: output batches
-/// gather the build side by *selection* against those shared buffers
-/// (one `Value` clone per build row at construction, zero per output
-/// row), instead of cloning values once per emitted pair.
-pub(crate) struct BuildSide {
-    rows: Vec<Row>,
-    cols: Vec<Arc<Vec<Value>>>,
-    /// See [`matched_flags`].
-    matched: Vec<AtomicBool>,
-}
-
-impl BuildSide {
-    fn new(rows: Vec<Row>, width: usize, join: PhysJoinKind) -> BuildSide {
-        let mut cols: Vec<Vec<Value>> =
-            (0..width).map(|_| Vec::with_capacity(rows.len())).collect();
-        for row in &rows {
-            for (col, v) in cols.iter_mut().zip(row) {
-                col.push(v.clone());
-            }
-        }
-        let matched = matched_flags(rows.len(), join);
-        BuildSide {
-            rows,
-            cols: cols.into_iter().map(Arc::new).collect(),
-            matched,
-        }
-    }
-}
-
 /// Join output for one probe batch, emitted in `batch_size` chunks.
 struct PendingOutput<'a> {
     batch: RowBatch<'a>,
     probe_sel: Vec<u32>,
     build_idx: Vec<u32>,
     /// Whether `build_idx` contains any `u32::MAX` NULL-pad slot (outer
-    /// joins only): padded chunks gather the build side row-wise, while
-    /// unpadded ones share the columnar build buffers zero-copy.
+    /// joins only): padded chunks gather the build side into owned
+    /// columns, while unpadded ones share its buffers zero-copy.
     padded: bool,
     offset: usize,
 }
@@ -111,12 +86,7 @@ impl<'a> PendingOutput<'a> {
 
     /// Emit the next chunk of at most `batch_size` output rows, or `None`
     /// when exhausted.
-    fn next_chunk(
-        &mut self,
-        side: &BuildSide,
-        build_width: usize,
-        batch_size: usize,
-    ) -> Option<RowBatch<'a>> {
+    fn next_chunk(&mut self, side: &BuiltJoin, batch_size: usize) -> Option<RowBatch<'a>> {
         if self.offset >= self.probe_sel.len() {
             return None;
         }
@@ -127,41 +97,12 @@ impl<'a> PendingOutput<'a> {
         let rows = probe_sel.len();
         let mut columns = self.batch.select(probe_sel).into_columns();
         if self.padded {
-            columns.extend(gather_build_columns(&side.rows, build_width, build_idx));
+            columns.extend(side.gather(build_idx));
         } else {
-            let sel = Arc::new(build_idx.to_vec());
-            columns.extend(
-                side.cols
-                    .iter()
-                    .map(|c| ColumnData::shared_with_sel(Arc::clone(c), Arc::clone(&sel))),
-            );
+            columns.extend(side.select(build_idx.to_vec()));
         }
         Some(RowBatch::new(columns, rows))
     }
-}
-
-/// Gather `indices` out of the build rows into owned columns;
-/// `u32::MAX` marks a NULL-padded (unmatched probe) slot.
-fn gather_build_columns<'a>(
-    build: &[Row],
-    build_width: usize,
-    indices: &[u32],
-) -> Vec<ColumnData<'a>> {
-    let mut columns: Vec<Vec<Value>> = (0..build_width)
-        .map(|_| Vec::with_capacity(indices.len()))
-        .collect();
-    for &i in indices {
-        if i == u32::MAX {
-            for col in &mut columns {
-                col.push(Value::Null);
-            }
-        } else {
-            for (col, v) in columns.iter_mut().zip(&build[i as usize]) {
-                col.push(v.clone());
-            }
-        }
-    }
-    columns.into_iter().map(ColumnData::owned).collect()
 }
 
 /// The FULL OUTER tail: the build rows no prober matched, NULL-padded on
@@ -173,7 +114,7 @@ struct OuterTail {
 
 impl OuterTail {
     /// Snapshot the unmatched build rows — once every prober is done.
-    fn new(side: &BuildSide) -> OuterTail {
+    fn new(side: &BuiltJoin) -> OuterTail {
         let ids = side
             .matched
             .iter()
@@ -186,9 +127,8 @@ impl OuterTail {
 
     fn next_chunk<'a>(
         &mut self,
-        side: &BuildSide,
+        side: &BuiltJoin,
         probe_width: usize,
-        build_width: usize,
         batch_size: usize,
     ) -> Option<RowBatch<'a>> {
         if self.offset >= self.ids.len() {
@@ -200,7 +140,7 @@ impl OuterTail {
         let mut columns: Vec<ColumnData<'a>> = (0..probe_width)
             .map(|_| ColumnData::owned(vec![Value::Null; ids.len()]))
             .collect();
-        columns.extend(gather_build_columns(&side.rows, build_width, ids));
+        columns.extend(side.gather(ids));
         Some(RowBatch::new(columns, ids.len()))
     }
 }
@@ -433,10 +373,15 @@ impl JoinSpec {
     }
 }
 
-/// A build side ready to probe: its rows and the hash index over them.
+/// A build side ready to probe: its rows as columns behind `Arc`s, the
+/// hash index over them and (FULL OUTER only) their match flags. Output
+/// batches and residual frames take the build side by *selection*
+/// against the shared columns — no `Value` clone per emitted pair.
 pub(crate) struct BuiltJoin {
-    side: BuildSide,
+    cols: Vec<Arc<Vec<Value>>>,
     table: JoinTable,
+    /// See [`matched_flags`].
+    matched: Vec<AtomicBool>,
 }
 
 impl BuiltJoin {
@@ -449,31 +394,73 @@ impl BuiltJoin {
     ) -> Result<BuiltJoin, EngineError> {
         // Sized from the exact build-row count: no rehash during build.
         let table = JoinTable::build(&rows, &spec.build_keys, workers)?;
+        let mut cols: Vec<Vec<Value>> = (0..spec.build_width)
+            .map(|_| Vec::with_capacity(rows.len()))
+            .collect();
+        let matched = matched_flags(rows.len(), spec.join);
+        for row in rows {
+            for (col, v) in cols.iter_mut().zip(row) {
+                col.push(v);
+            }
+        }
         Ok(BuiltJoin {
-            side: BuildSide::new(rows, spec.build_width, spec.join),
+            cols: cols.into_iter().map(Arc::new).collect(),
             table,
+            matched,
         })
+    }
+
+    /// Build row `i`'s values.
+    fn row(&self, i: usize) -> impl Iterator<Item = Value> + '_ {
+        self.cols.iter().map(move |c| c[i].clone())
+    }
+
+    /// The build columns at rows `idx`, gathered into owned columns;
+    /// `u32::MAX` marks a NULL-padded (unmatched probe) slot.
+    fn gather<'a>(&self, idx: &[u32]) -> Vec<ColumnData<'a>> {
+        let at = |c: &[Value], i: u32| match i {
+            u32::MAX => Value::Null,
+            i => c[i as usize].clone(),
+        };
+        self.cols
+            .iter()
+            .map(|c| ColumnData::owned(idx.iter().map(|&i| at(c, i)).collect()))
+            .collect()
+    }
+
+    /// The build columns at rows `idx`, zero-copy: a selection over the
+    /// shared columnar copy.
+    fn select<'a>(&self, idx: Vec<u32>) -> impl Iterator<Item = ColumnData<'a>> + '_ {
+        let sel = Arc::new(idx);
+        self.cols
+            .iter()
+            .map(move |c| ColumnData::shared_with_sel(Arc::clone(c), Arc::clone(&sel)))
     }
 }
 
-/// One probe batch joined against a [`JoinTable`]: candidate pairs via
-/// the flat tables (chains in build-row order), residual kernel over one
-/// spliced frame, output pairs in probe-row order with outer padding.
-/// The one probe, for the streaming in-memory path (one prober or one
-/// per morsel worker) and the per-partition spill path — all produce
-/// identical pair sequences for identical inputs. `matched` is
-/// [`matched_flags`] for `build_rows`.
+/// Candidate or output pairs: probe-batch rows and the build rows they
+/// pair with, in step.
+type Pairs = (Vec<u32>, Vec<u32>);
+
+/// One probe batch joined against a build side: candidate pairs via its
+/// flat tables (chains in build-row order), the residual kernel over
+/// chunks of at most `chunk_pairs` of them, output pairs in probe-row
+/// order with outer padding. The one probe, for the streaming in-memory
+/// path (one prober or one per morsel worker) and the per-partition
+/// spill path — all produce identical pair sequences for identical
+/// inputs.
 fn join_probe_batch(
     spec: &JoinSpec,
-    table: &JoinTable,
-    build_rows: &[Row],
-    matched: &[AtomicBool],
+    built: &BuiltJoin,
     batch: &RowBatch<'_>,
-) -> Result<(Vec<u32>, Vec<u32>), EngineError> {
-    let preserve_probe = matches!(spec.join, PhysJoinKind::LeftOuter | PhysJoinKind::FullOuter);
+    chunk_pairs: usize,
+) -> Result<Pairs, EngineError> {
+    let table = &built.table;
     let rows = batch.num_rows();
-    let mut cand_rows: Vec<u32> = Vec::new();
-    let mut cand_bis: Vec<u32> = Vec::new();
+    let residual = spec.residual.as_ref();
+    // Candidates not yet through the residual, and the pairs that passed.
+    let mut cand: Pairs = (Vec::new(), Vec::new());
+    let mut pass: Pairs = (Vec::new(), Vec::new());
     // One fused column-at-a-time pass both hashes the batch's probe keys
     // and encodes them against the build arena (lookup-only — a probe
     // string absent from the build heap can match nothing, so it is never
@@ -493,67 +480,83 @@ fn join_probe_batch(
         let head = part.find(hash, |p| arena.eq_chunk(p as usize, &chunk, row));
         let mut cur = head.unwrap_or(u32::MAX);
         while cur != u32::MAX {
-            cand_bis.push(cur);
+            cand.0.push(row as u32);
+            cand.1.push(cur);
+            if let Some(kernel) = residual.filter(|_| cand.0.len() == chunk_pairs) {
+                filter_pairs(kernel, built, batch, &mut cand, &mut pass)?;
+            }
             cur = table.next[cur as usize];
         }
-        cand_rows.resize(cand_bis.len(), row as u32);
     }
-    // Inner join without a residual: the candidate arrays already ARE
-    // the output pairs — probe-row order with chains in build-row order
-    // — and `matched` is only observed by the FULL OUTER tail. Skip the
-    // pair-rebuild pass entirely.
-    if spec.join == PhysJoinKind::Inner && spec.residual.is_none() {
-        return Ok((cand_rows, cand_bis));
-    }
-    // Vectorized residual: one `probe ++ build` frame over every
-    // candidate pair, filtered in a single kernel pass.
-    let pass: Option<Vec<bool>> = match &spec.residual {
-        Some(kernel) if !cand_rows.is_empty() => {
-            let mut columns = batch.select(cand_rows.clone()).into_columns();
-            columns.extend(gather_build_columns(
-                build_rows,
-                spec.build_width,
-                &cand_bis,
-            ));
-            let sel = kernel.select(&RowBatch::new(columns, cand_rows.len()))?;
-            let mut mask = vec![false; cand_rows.len()];
-            for i in sel {
-                mask[i as usize] = true;
-            }
-            Some(mask)
+    // Without a residual every candidate passes.
+    let (pass_rows, pass_bis) = match residual {
+        None => cand,
+        Some(kernel) => {
+            filter_pairs(kernel, built, batch, &mut cand, &mut pass)?;
+            pass
         }
-        _ => None,
     };
-    let mut probe_sel: Vec<u32> = Vec::new();
-    let mut build_idx: Vec<u32> = Vec::new();
+    // An inner join's passing pairs are its output — probe-row order with
+    // chains in build-row order — and it tracks no match flags.
+    if spec.join == PhysJoinKind::Inner {
+        return Ok((pass_rows, pass_bis));
+    }
+    for &bi in &pass_bis {
+        if let Some(flag) = built.matched.get(bi as usize) {
+            flag.store(true, Ordering::Relaxed);
+        }
+    }
+    // LEFT / FULL OUTER: a NULL pad in the place of each probe row no
+    // pair passed for.
+    let mut out: Pairs = (Vec::with_capacity(rows), Vec::with_capacity(rows));
     let mut cur = 0usize;
     for row in 0..rows as u32 {
-        let mut any = false;
-        while cur < cand_rows.len() && cand_rows[cur] == row {
-            if pass.as_ref().is_none_or(|m| m[cur]) {
-                any = true;
-                if let Some(flag) = matched.get(cand_bis[cur] as usize) {
-                    flag.store(true, Ordering::Relaxed);
-                }
-                probe_sel.push(row);
-                build_idx.push(cand_bis[cur]);
-            }
+        let start = cur;
+        while cur < pass_rows.len() && pass_rows[cur] == row {
             cur += 1;
         }
-        if !any && preserve_probe {
-            probe_sel.push(row);
-            build_idx.push(u32::MAX);
+        if cur == start {
+            out.0.push(row);
+            out.1.push(u32::MAX);
+        } else {
+            out.0.extend_from_slice(&pass_rows[start..cur]);
+            out.1.extend_from_slice(&pass_bis[start..cur]);
         }
     }
-    Ok((probe_sel, build_idx))
+    Ok(out)
 }
 
-/// Build-probe hash join on plan-time-extracted equi-keys.
+/// Run the residual `kernel` over the candidate pairs `cand` — spliced
+/// into one `probe ++ build` frame, filtered in a single pass — and move
+/// the passing ones, in order, onto `pass`.
+fn filter_pairs(
+    kernel: &VectorKernel,
+    built: &BuiltJoin,
+    batch: &RowBatch<'_>,
+    cand: &mut Pairs,
+    pass: &mut Pairs,
+) -> Result<(), EngineError> {
+    if !cand.0.is_empty() {
+        let mut columns = batch.select(cand.0.clone()).into_columns();
+        columns.extend(built.select(cand.1.clone()));
+        for i in kernel.select(&RowBatch::new(columns, cand.0.len()))? {
+            pass.0.push(cand.0[i as usize]);
+            pass.1.push(cand.1[i as usize]);
+        }
+    }
+    cand.0.clear();
+    cand.1.clear();
+    Ok(())
+}
+
+/// The one join operator: build-probe on plan-time-extracted equi-keys,
+/// of which there may be none.
 ///
 /// With a bounded [`MemoryBudget`] the build side arrives as radix
-/// partitions ([`Input::partitions`]). If every partition stayed
-/// resident *and* the probe input streams, the build reassembles and the
-/// join runs in memory. Otherwise it runs Grace-style: the probe side is
+/// partitions ([`Input::partitions`]) — unless the join is keyless: with
+/// no key to partition on, its build side is held in memory, unbudgeted.
+/// If every partition stayed resident *and* the probe input streams, the
+/// build reassembles and the join runs in memory. Otherwise it runs Grace-style: the probe side is
 /// partitioned on the same hash bits and partition pairs join one at a
 /// time (recursively re-partitioned on a rotated bit range when a build
 /// partition still does not fit). A probe input that does not stream —
@@ -639,7 +642,9 @@ impl<'a> HashJoinOp<'a> {
             return Ok(());
         }
         let mut build = self.build.take().expect("the build input is consumed once");
-        let rows = if !self.budget.is_bounded() {
+        // A keyless join has no key to partition on: its build side stays
+        // in memory under any budget.
+        let rows = if !self.budget.is_bounded() || self.spec.build_keys.is_empty() {
             drain(build.into_operator())?
         } else {
             // Bounded budget: the build side arrives as radix partitions,
@@ -695,15 +700,14 @@ impl<'a> HashJoinOp<'a> {
                 // by `JoinTable::build` iterate in global build order.
                 let build_seqs: Vec<u64> = build_tuples.iter().map(|(_, s, _)| *s).collect();
                 let build_rows: Vec<Row> = build_tuples.into_iter().map(|(_, _, r)| r).collect();
-                let table = JoinTable::build(&build_rows, &spec.build_keys, 1)?;
-                let matched = matched_flags(build_rows.len(), spec.join);
+                let built = BuiltJoin::new(build_rows, spec, 1)?;
                 runs.begin_run();
                 probe_merge.for_each_chunk(chunk_rows, |chunk| {
                     let seqs: Vec<u64> = chunk.iter().map(|(_, s, _)| *s).collect();
                     let rows: Vec<Row> = chunk.into_iter().map(|(_, _, r)| r).collect();
                     let batch = RowBatch::from_rows(spec.probe_width, rows);
                     let (probe_sel, build_idx) =
-                        join_probe_batch(spec, &table, &build_rows, &matched, &batch)?;
+                        join_probe_batch(spec, &built, &batch, chunk_rows)?;
                     let mut ordinal = 0u64;
                     let mut prev_row = u32::MAX;
                     for (&row, &bi) in probe_sel.iter().zip(&build_idx) {
@@ -715,17 +719,17 @@ impl<'a> HashJoinOp<'a> {
                         if bi == u32::MAX {
                             out.extend(std::iter::repeat_n(Value::Null, spec.build_width));
                         } else {
-                            out.extend(build_rows[bi as usize].iter().cloned());
+                            out.extend(built.row(bi as usize));
                         }
                         runs.push_run(seqs[row as usize], ordinal, out)?;
                         ordinal += 1;
                     }
                     Ok(())
                 })?;
-                for (bi, m) in matched.iter().enumerate() {
+                for (bi, m) in built.matched.iter().enumerate() {
                     if !m.load(Ordering::Relaxed) {
                         let mut out: Row = vec![Value::Null; spec.probe_width];
-                        out.extend(build_rows[bi].iter().cloned());
+                        out.extend(built.row(bi));
                         runs.push_run(u64::MAX, build_seqs[bi], out)?;
                     }
                 }
@@ -751,7 +755,7 @@ impl<'a> Operator<'a> for HashJoinOp<'a> {
         let spec = &*self.spec;
         loop {
             if let Some(pending) = self.pending.as_mut() {
-                match pending.next_chunk(&built.side, spec.build_width, self.batch_size) {
+                match pending.next_chunk(built, self.batch_size) {
                     Some(out) => return Ok(Some(out)),
                     None => self.pending = None,
                 }
@@ -763,13 +767,7 @@ impl<'a> Operator<'a> for HashJoinOp<'a> {
                 self.probe_done = true;
                 break;
             };
-            let (probe_sel, build_idx) = join_probe_batch(
-                spec,
-                &built.table,
-                &built.side.rows,
-                &built.side.matched,
-                &batch,
-            )?;
+            let (probe_sel, build_idx) = join_probe_batch(spec, built, &batch, self.batch_size)?;
             if !probe_sel.is_empty() {
                 self.pending = Some(PendingOutput::new(batch, probe_sel, build_idx));
             }
@@ -777,118 +775,8 @@ impl<'a> Operator<'a> for HashJoinOp<'a> {
         if !self.emits_tail {
             return Ok(None);
         }
-        let tail = self.tail.get_or_insert_with(|| OuterTail::new(&built.side));
-        Ok(tail.next_chunk(
-            &built.side,
-            spec.probe_width,
-            spec.build_width,
-            self.batch_size,
-        ))
-    }
-}
-
-/// Nested-loop join for CROSS joins and non-equi ON conditions. Output is
-/// chunked at the executor batch size: a CROSS join of two 1k-row inputs
-/// streams out in bounded batches instead of one million-row batch.
-pub struct NestedLoopJoinOp<'a> {
-    probe: BoxedOperator<'a>,
-    build: Option<BoxedOperator<'a>>,
-    probe_width: usize,
-    build_width: usize,
-    on: Option<BoundExpr>,
-    join: PhysJoinKind,
-    batch_size: usize,
-    state: Option<BuildSide>,
-    pending: Option<PendingOutput<'a>>,
-    probe_done: bool,
-    tail: Option<OuterTail>,
-}
-
-impl<'a> NestedLoopJoinOp<'a> {
-    /// Create the operator; the build side materializes on first pull.
-    pub fn new(
-        probe: BoxedOperator<'a>,
-        build: BoxedOperator<'a>,
-        probe_width: usize,
-        build_width: usize,
-        on: Option<BoundExpr>,
-        join: PhysJoinKind,
-        batch_size: usize,
-    ) -> NestedLoopJoinOp<'a> {
-        NestedLoopJoinOp {
-            probe,
-            build: Some(build),
-            probe_width,
-            build_width,
-            on,
-            join,
-            batch_size: batch_size.max(1),
-            state: None,
-            pending: None,
-            probe_done: false,
-            tail: None,
-        }
-    }
-}
-
-impl<'a> Operator<'a> for NestedLoopJoinOp<'a> {
-    fn next_batch(&mut self) -> Result<Option<RowBatch<'a>>, EngineError> {
-        if self.state.is_none() {
-            let rows = drain(self.build.take().expect("built once"))?;
-            self.state = Some(BuildSide::new(rows, self.build_width, self.join));
-        }
-        let side = self.state.as_ref().expect("built above");
-        let preserve_probe = matches!(self.join, PhysJoinKind::LeftOuter | PhysJoinKind::FullOuter);
-        loop {
-            if let Some(pending) = self.pending.as_mut() {
-                match pending.next_chunk(side, self.build_width, self.batch_size) {
-                    Some(out) => return Ok(Some(out)),
-                    None => self.pending = None,
-                }
-            }
-            if self.probe_done {
-                break;
-            }
-            let Some(batch) = self.probe.next_batch()? else {
-                self.probe_done = true;
-                break;
-            };
-            let mut probe_sel: Vec<u32> = Vec::new();
-            let mut build_idx: Vec<u32> = Vec::new();
-            for row in 0..batch.num_rows() {
-                let mut matched = false;
-                for (bi, build_row) in side.rows.iter().enumerate() {
-                    let ok = match &self.on {
-                        None => true,
-                        Some(pred) => {
-                            let joined =
-                                JoinedRow::new(batch.row_view(row), self.probe_width, build_row);
-                            pred.eval(&joined)?.as_bool() == Some(true)
-                        }
-                    };
-                    if ok {
-                        matched = true;
-                        if let Some(flag) = side.matched.get(bi) {
-                            flag.store(true, Ordering::Relaxed);
-                        }
-                        probe_sel.push(row as u32);
-                        build_idx.push(bi as u32);
-                    }
-                }
-                if !matched && preserve_probe {
-                    probe_sel.push(row as u32);
-                    build_idx.push(u32::MAX);
-                }
-            }
-            if !probe_sel.is_empty() {
-                self.pending = Some(PendingOutput::new(batch, probe_sel, build_idx));
-            }
-        }
-        if self.join != PhysJoinKind::FullOuter {
-            return Ok(None);
-        }
-        let tail = self.tail.get_or_insert_with(|| OuterTail::new(side));
-        Ok(tail.next_chunk(side, self.probe_width, self.build_width, self.batch_size))
+        let tail = self.tail.get_or_insert_with(|| OuterTail::new(built));
+        Ok(tail.next_chunk(built, spec.probe_width, self.batch_size))
     }
 }
 
@@ -916,6 +804,15 @@ mod tests {
             op: BinaryOp::Gt,
             left: Box::new(l),
             right: Box::new(BoundExpr::Literal(i(r))),
+        }
+    }
+
+    /// `c0 < c1`: a one-column probe row less than its build row.
+    fn lt() -> BoundExpr {
+        BoundExpr::Binary {
+            op: BinaryOp::Lt,
+            left: Box::new(col(0)),
+            right: Box::new(col(1)),
         }
     }
 
@@ -962,7 +859,8 @@ mod tests {
         drain(Box::new(op)).unwrap()
     }
 
-    fn run_nl(
+    /// A keyless join: every build row is a candidate, `on` the residual.
+    fn run_keyless(
         probe: Vec<Row>,
         build: Vec<Row>,
         pw: usize,
@@ -970,16 +868,7 @@ mod tests {
         on: Option<BoundExpr>,
         join: PhysJoinKind,
     ) -> Vec<Row> {
-        let op = NestedLoopJoinOp::new(
-            replay(pw, probe, 2),
-            replay(bw, build, 2),
-            pw,
-            bw,
-            on,
-            join,
-            2,
-        );
-        drain(Box::new(op)).unwrap()
+        run_hash(probe, build, pw, bw, vec![], vec![], on, join, 2)
     }
 
     #[test]
@@ -987,11 +876,13 @@ mod tests {
         // CROSS 10 × 10 at batch_size 4: 100 output rows, every batch ≤ 4.
         let probe: Vec<Row> = (0..10).map(|v| vec![i(v)]).collect();
         let build: Vec<Row> = (0..10).map(|v| vec![i(v * 100)]).collect();
-        let mut op = NestedLoopJoinOp::new(
+        let mut op = hash_join(
             replay(1, probe, 4),
             replay(1, build, 4),
             1,
             1,
+            vec![],
+            vec![],
             None,
             PhysJoinKind::Inner,
             4,
@@ -1391,34 +1282,81 @@ mod tests {
     }
 
     #[test]
-    fn cross_join_via_nested_loop() {
+    fn cross_join_via_empty_keys() {
         let probe = vec![vec![i(1)], vec![i(2)]];
         let build = vec![vec![i(10)], vec![i(20)]];
-        let out = run_nl(probe, build, 1, 1, None, PhysJoinKind::Inner);
+        let out = run_keyless(probe, build, 1, 1, None, PhysJoinKind::Inner);
         assert_eq!(out.len(), 4);
     }
 
     #[test]
-    fn non_equi_nested_loop_with_outer_padding() {
-        // probe.v < build.v
-        let lt = BoundExpr::Binary {
-            op: BinaryOp::Lt,
-            left: Box::new(col(0)),
-            right: Box::new(col(1)),
-        };
+    fn non_equi_join_with_outer_padding() {
         let probe = vec![vec![i(1)], vec![i(5)]];
         let build = vec![vec![i(3)]];
-        let inner = run_nl(
+        let inner = run_keyless(
             probe.clone(),
             build.clone(),
             1,
             1,
-            Some(lt.clone()),
+            Some(lt()),
             PhysJoinKind::Inner,
         );
         assert_eq!(inner, vec![vec![i(1), i(3)]]);
-        let mut left = run_nl(probe, build, 1, 1, Some(lt), PhysJoinKind::LeftOuter);
+        let mut left = run_keyless(probe, build, 1, 1, Some(lt()), PhysJoinKind::LeftOuter);
         left.sort();
         assert_eq!(left, vec![vec![i(1), i(3)], vec![i(5), Value::Null]]);
+    }
+
+    #[test]
+    fn keyless_residual_runs_in_chunks() {
+        // 10 build rows against probe batches of 4: each probe batch has
+        // 40 candidates, filtered 4 at a time. Pairs, pads and the FULL
+        // OUTER tail must come out as a plain nested loop emits them —
+        // and under a 1-byte budget too, which a keyless build side
+        // ignores.
+        let pv: Vec<i64> = (0..9).collect();
+        let bv: Vec<i64> = (0..10).map(|v| v * 2 % 7).collect();
+        let rows = |vs: &[i64]| -> Vec<Row> { vs.iter().map(|&v| vec![i(v)]).collect() };
+        for join in [
+            PhysJoinKind::Inner,
+            PhysJoinKind::LeftOuter,
+            PhysJoinKind::FullOuter,
+        ] {
+            let mut expected: Vec<Row> = Vec::new();
+            let mut matched = vec![false; bv.len()];
+            for &p in &pv {
+                let before = expected.len();
+                for (bi, &b) in bv.iter().enumerate() {
+                    if p < b {
+                        matched[bi] = true;
+                        expected.push(vec![i(p), i(b)]);
+                    }
+                }
+                if expected.len() == before && join != PhysJoinKind::Inner {
+                    expected.push(vec![i(p), Value::Null]);
+                }
+            }
+            if join == PhysJoinKind::FullOuter {
+                let tail = bv.iter().zip(&matched).filter(|(_, &m)| !m);
+                expected.extend(tail.map(|(&b, _)| vec![Value::Null, i(b)]));
+            }
+            let budget = MemoryBudget::with_limit(1);
+            for b in [MemoryBudget::unbounded(), budget.clone()] {
+                let op = hash_join(
+                    replay(1, rows(&pv), 4),
+                    replay(1, rows(&bv), 4),
+                    1,
+                    1,
+                    vec![],
+                    vec![],
+                    Some(lt()),
+                    join,
+                    4,
+                )
+                .with_budget(b);
+                assert_eq!(drain(Box::new(op)).unwrap(), expected, "{join:?}");
+            }
+            assert!(!budget.stats().spilled(), "a keyless build never spills");
+        }
     }
 }

@@ -19,7 +19,8 @@
 //! values; `LIMIT` stops pulling as soon as it is satisfied. Above one
 //! worker the morsel scheduler ([`parallel`]) runs the same operators:
 //! streaming stretches of the plan — scan, filter, project, hash-join
-//! probe — are compiled once into shared immutable values
+//! probe (every join is one; CROSS, comma and non-equi joins have no
+//! keys) — are compiled once into shared immutable values
 //! (`ScanSource`, `Streaming`) and instantiated per morsel of the
 //! scanned table on every worker, and each breaker is the operator
 //! `build_node` constructs, fed what its children produced in
@@ -43,7 +44,7 @@ use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
-pub use batch::{BatchBuilder, BatchRow, ColumnData, JoinedRow, RowBatch, DEFAULT_BATCH_SIZE};
+pub use batch::{BatchBuilder, BatchRow, ColumnData, RowBatch, DEFAULT_BATCH_SIZE};
 pub(crate) use parallel::filter_row_ids;
 pub use parallel::DEFAULT_MORSEL_SIZE;
 pub use spill::{clean_orphan_spill_files, MemoryBudget, SpillStats};
@@ -342,28 +343,6 @@ pub(crate) fn build_node<'p, 'a>(
                 join::HashJoinOp::new(probe, Some(build), spec, batch_size)
                     .with_budget(budget.clone()),
             )
-        }
-        PhysicalPlan::NestedLoopJoin {
-            probe,
-            build,
-            on,
-            join,
-            ..
-        } => {
-            let probe_width = probe.schema().len();
-            let build_width = build.schema().len();
-            let probe = child(probe)?.into_operator();
-            let build = child(build)?.into_operator();
-            let on = on.as_ref().map(|e| prepare_expr(e, cx)).transpose()?;
-            Box::new(join::NestedLoopJoinOp::new(
-                probe,
-                build,
-                probe_width,
-                build_width,
-                on,
-                *join,
-                batch_size,
-            ))
         }
         PhysicalPlan::SetOp {
             op, left, right, ..

@@ -29,13 +29,12 @@
 //! fused with the hash kernels' per-batch hash columns), and the per-row
 //! find/insert then touches only packed words.
 //!
-//! Keys are never zero-width and never change width within one arena:
-//! ungrouped aggregates take `AggMode::Ungrouped`, `lower_join` emits
-//! `HashJoin` only with at least one equi-key, duplicate-dropping
-//! aggregates (DISTINCT, set-semantics set operations) group on their
-//! inputs' non-empty column lists, and EXCEPT/INTERSECT count their
-//! (bind-time arity-checked) inputs' rows.
-//! [`KeyArena::bind_width`] asserts both (the first in debug builds only).
+//! Keys never change width within one arena, and may be zero-width: a
+//! keyless join (CROSS, comma and non-equi joins) packs none. A
+//! zero-width tuple occupies no slots and every two of them compare
+//! equal, so all of a keyless build side sits on one chain; the arena
+//! counts its tuples rather than deriving the count from its slots.
+//! [`KeyArena::bind_width`] asserts the width never changes.
 
 use crate::exec::batch::RowBatch;
 use crate::exec::hash::{
@@ -194,8 +193,10 @@ impl EncodedChunk {
 /// is the arena row addressed by [`FlatTable`] payloads.
 #[derive(Debug, Default, Clone)]
 pub struct KeyArena {
-    /// Key columns per tuple; 0 until the first batch binds it.
-    width: usize,
+    /// Key columns per tuple; `None` until the first batch binds it.
+    width: Option<usize>,
+    /// Stored tuples.
+    len: usize,
     /// Tuples to reserve for once the width is known (sizing hint).
     hint: usize,
     tags: Vec<u8>,
@@ -218,32 +219,30 @@ impl KeyArena {
     /// owning-side encoders call this themselves; a consumer that may probe
     /// before it ever encodes (an empty join build side) binds up front.
     pub fn bind_width(&mut self, width: usize) {
-        debug_assert!(width > 0, "zero-width keys never reach a key arena");
-        if self.width == 0 {
-            self.width = width;
+        let bound = *self.width.get_or_insert_with(|| {
             self.tags.reserve(self.hint * width);
             self.words.reserve(self.hint * width);
-        }
-        assert_eq!(self.width, width, "key width changed mid-stream");
+            width
+        });
+        assert_eq!(bound, width, "key width changed mid-stream");
     }
 
-    /// Number of key columns per tuple.
+    /// Number of key columns per tuple (0 while unbound).
     #[inline]
     pub fn width(&self) -> usize {
-        self.width
+        self.width.unwrap_or(0)
     }
 
     /// Number of stored tuples.
     #[inline]
     pub fn len(&self) -> usize {
-        // An unbound arena (width 0) stores nothing.
-        self.words.len().checked_div(self.width).unwrap_or(0)
+        self.len
     }
 
     /// True when no tuples are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.len == 0
     }
 
     /// Encode `rows` key tuples of `width` columns into `chunk`, interning
@@ -308,7 +307,7 @@ impl KeyArena {
         cols: &[usize],
     ) -> KeyHashes {
         let rows = batch.num_rows();
-        let width = self.width;
+        let width = self.width();
         debug_assert_eq!(cols.len(), width);
         chunk.reset(width, rows);
         let mut out = KeyHashes::seeded(rows);
@@ -334,12 +333,12 @@ impl KeyArena {
     /// Append chunk row `r` as a stored tuple; returns its arena index.
     #[inline]
     pub fn push_from_chunk(&mut self, chunk: &EncodedChunk, r: usize) -> u32 {
-        debug_assert_eq!(chunk.width, self.width);
-        let idx = self.len() as u32;
-        let s = r * self.width;
-        self.tags.extend_from_slice(&chunk.tags[s..s + self.width]);
-        self.words
-            .extend_from_slice(&chunk.words[s..s + self.width]);
+        let w = self.width();
+        debug_assert_eq!(chunk.width, w);
+        let idx = self.len as u32;
+        self.tags.extend_from_slice(&chunk.tags[r * w..][..w]);
+        self.words.extend_from_slice(&chunk.words[r * w..][..w]);
+        self.len += 1;
         idx
     }
 
@@ -349,7 +348,7 @@ impl KeyArena {
     /// in the same heap).
     #[inline]
     pub fn eq_chunk(&self, idx: usize, chunk: &EncodedChunk, r: usize) -> bool {
-        let w = self.width;
+        let w = self.width();
         slots_eq(
             (&self.tags[idx * w..][..w], &self.words[idx * w..][..w]),
             (&chunk.tags[r * w..][..w], &chunk.words[r * w..][..w]),
@@ -360,7 +359,7 @@ impl KeyArena {
     /// compare candidate build rows against each other).
     #[inline]
     pub fn eq_rows(&self, a: usize, b: usize) -> bool {
-        let w = self.width;
+        let w = self.width();
         slots_eq(
             (&self.tags[a * w..][..w], &self.words[a * w..][..w]),
             (&self.tags[b * w..][..w], &self.words[b * w..][..w]),
@@ -372,8 +371,8 @@ impl KeyArena {
     /// lookups that hold no scratch chunk. Text compares by content, so
     /// the probe never touches the heap's index.
     pub fn eq_row_at<'v>(&self, idx: usize, mut get: impl FnMut(usize) -> &'v Value) -> bool {
-        let base = idx * self.width;
-        (0..self.width).all(|c| {
+        let base = idx * self.width();
+        (0..self.width()).all(|c| {
             let (tag, word) = (self.tags[base + c], self.words[base + c]);
             match get(c) {
                 Value::Varchar(s) => tag == T_TEXT && self.heap.get(word) == s.as_str(),
@@ -388,7 +387,7 @@ impl KeyArena {
     /// Decode column `col` of stored tuple `idx` back to its original
     /// `Value` (bit-exact: every value round-trips).
     pub fn value_at(&self, idx: usize, col: usize) -> Value {
-        let i = idx * self.width + col;
+        let i = idx * self.width() + col;
         let word = self.words[i];
         match self.tags[i] {
             T_NULL => Value::Null,
@@ -404,7 +403,7 @@ impl KeyArena {
 
     /// Decode stored tuple `idx` into a materialized row.
     pub fn decode_row(&self, idx: usize) -> Row {
-        (0..self.width).map(|c| self.value_at(idx, c)).collect()
+        (0..self.width()).map(|c| self.value_at(idx, c)).collect()
     }
 }
 
@@ -508,6 +507,18 @@ mod tests {
                 assert_eq!(a.eq_row_at(i, |_| y), want, "eq_row_at {x:?} vs {y:?}");
             }
         }
+    }
+
+    #[test]
+    fn zero_width_tuples_are_counted_and_all_equal() {
+        let mut a = KeyArena::default();
+        let mut chunk = EncodedChunk::new();
+        a.encode_chunk(&mut chunk, 0, 3, |_, _| unreachable!("no key columns"));
+        for r in 0..3 {
+            assert_eq!(a.push_from_chunk(&chunk, r), r as u32);
+        }
+        assert_eq!((a.width(), a.len()), (0, 3));
+        assert!(a.eq_rows(0, 2) && a.eq_chunk(1, &chunk, 0));
     }
 
     #[test]

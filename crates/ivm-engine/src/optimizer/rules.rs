@@ -226,19 +226,6 @@ fn transform_physical_up(
             join,
             schema,
         },
-        PhysicalPlan::NestedLoopJoin {
-            probe,
-            build,
-            on,
-            join,
-            schema,
-        } => PhysicalPlan::NestedLoopJoin {
-            probe: Box::new(transform_physical_up(*probe, f)),
-            build: Box::new(transform_physical_up(*build, f)),
-            on,
-            join,
-            schema,
-        },
         PhysicalPlan::HashAggregate {
             input,
             group,

@@ -6,7 +6,9 @@
 //!   join's build side (RIGHT joins are mirrored; a restoring projection
 //!   keeps the output column order);
 //! - **equi-key extraction** — `a = b` conjuncts across the join split into
-//!   build/probe key columns plus a residual predicate;
+//!   build/probe key columns plus a residual predicate; every join is a
+//!   hash join, one without an equi-key (CROSS, comma, non-equi) with
+//!   empty key lists;
 //! - **aggregate mode** — grouped hash aggregation vs. single-group
 //!   (scalar) aggregation is fixed here, not probed per row.
 
@@ -75,32 +77,23 @@ pub enum PhysicalPlan {
         /// Output columns.
         schema: Schema,
     },
-    /// Build-probe hash join on extracted equi-keys.
+    /// Build-probe hash join on extracted equi-keys — the one join. With
+    /// no equi-key (CROSS, comma and non-equi joins) both key lists are
+    /// empty: every build row is a candidate for every probe row, and the
+    /// residual is the whole ON clause.
     HashJoin {
         /// Streamed side; its rows lead the output layout.
         probe: Box<PhysicalPlan>,
         /// Materialized side the hash table is built over.
         build: Box<PhysicalPlan>,
-        /// Probe-side key column positions.
+        /// Probe-side key column positions (possibly none).
         probe_keys: Vec<usize>,
         /// Build-side key column positions (parallel to `probe_keys`).
         build_keys: Vec<usize>,
         /// Non-equi leftovers of the ON clause, evaluated over
-        /// `probe_row ++ build_row`.
+        /// `probe_row ++ build_row` (`None` when there are none, or for
+        /// CROSS).
         residual: Option<BoundExpr>,
-        /// Join semantics (probe side is the preserved side).
-        join: PhysJoinKind,
-        /// Output columns: probe then build.
-        schema: Schema,
-    },
-    /// Fallback join without equi-keys (CROSS, non-equi ON).
-    NestedLoopJoin {
-        /// Streamed side.
-        probe: Box<PhysicalPlan>,
-        /// Materialized side.
-        build: Box<PhysicalPlan>,
-        /// ON condition over `probe_row ++ build_row`, absent for CROSS.
-        on: Option<BoundExpr>,
         /// Join semantics (probe side is the preserved side).
         join: PhysJoinKind,
         /// Output columns: probe then build.
@@ -173,7 +166,6 @@ impl PhysicalPlan {
             PhysicalPlan::TableScan { schema, .. }
             | PhysicalPlan::Project { schema, .. }
             | PhysicalPlan::HashJoin { schema, .. }
-            | PhysicalPlan::NestedLoopJoin { schema, .. }
             | PhysicalPlan::HashAggregate { schema, .. }
             | PhysicalPlan::SetOp { schema, .. } => schema,
             PhysicalPlan::Dual => &EMPTY_SCHEMA,
@@ -224,10 +216,6 @@ impl PhysicalPlan {
                         if residual.is_some() { " residual" } else { "" }
                     )
                 }
-                PhysicalPlan::NestedLoopJoin { join, on, .. } => format!(
-                    "NestedLoopJoin {join:?}{}",
-                    if on.is_some() { " on" } else { "" }
-                ),
                 PhysicalPlan::HashAggregate {
                     group, aggs, mode, ..
                 } => format!(
@@ -261,8 +249,7 @@ impl PhysicalPlan {
                 | PhysicalPlan::Sort { input, .. }
                 | PhysicalPlan::TopK { input, .. }
                 | PhysicalPlan::Limit { input, .. } => fmt(input, depth + 1, out),
-                PhysicalPlan::HashJoin { probe, build, .. }
-                | PhysicalPlan::NestedLoopJoin { probe, build, .. } => {
+                PhysicalPlan::HashJoin { probe, build, .. } => {
                     fmt(probe, depth + 1, out);
                     fmt(build, depth + 1, out);
                 }
@@ -506,18 +493,21 @@ pub fn estimate_physical_rows(plan: &PhysicalPlan, catalog: &Catalog) -> f64 {
             AggMode::Ungrouped => 1.0,
             AggMode::HashGrouped => estimate_physical_rows(input, catalog).sqrt().max(1.0),
         },
-        PhysicalPlan::HashJoin { probe, build, .. } => {
-            estimate_physical_rows(probe, catalog).max(estimate_physical_rows(build, catalog))
-        }
-        PhysicalPlan::NestedLoopJoin {
-            probe, build, on, ..
+        PhysicalPlan::HashJoin {
+            probe,
+            build,
+            probe_keys,
+            residual,
+            ..
         } => {
             let p = estimate_physical_rows(probe, catalog);
             let b = estimate_physical_rows(build, catalog);
-            if on.is_some() {
-                p.max(b)
-            } else {
+            // A CROSS product; anything with a condition is assumed
+            // FK-ish, bounded by the larger side.
+            if probe_keys.is_empty() && residual.is_none() {
                 p * b
+            } else {
+                p.max(b)
             }
         }
         PhysicalPlan::SetOp { left, right, .. } => {
@@ -599,33 +589,22 @@ fn lower_join(
         schema.clone()
     };
 
-    let probe = Box::new(probe_phys);
-    let build = Box::new(build_phys);
-
     let (equi, residual) = match &on_in_frame {
         Some(pred) => split_equi_conjuncts(pred, probe_width, probe_width + build_width),
         None => (Vec::new(), None),
     };
 
-    let joined = if equi.is_empty() {
-        PhysicalPlan::NestedLoopJoin {
-            probe,
-            build,
-            on: on_in_frame,
-            join,
-            schema: frame_schema,
-        }
-    } else {
-        let (probe_keys, build_keys) = equi.into_iter().unzip();
-        PhysicalPlan::HashJoin {
-            probe,
-            build,
-            probe_keys,
-            build_keys,
-            residual,
-            join,
-            schema: frame_schema,
-        }
+    // No equi-key leaves both key lists empty: the join still hashes,
+    // every build row on one chain, and the residual is the whole ON.
+    let (probe_keys, build_keys) = equi.into_iter().unzip();
+    let joined = PhysicalPlan::HashJoin {
+        probe: Box::new(probe_phys),
+        build: Box::new(build_phys),
+        probe_keys,
+        build_keys,
+        residual,
+        join,
+        schema: frame_schema,
     };
 
     if !swap {
@@ -829,13 +808,25 @@ mod tests {
     }
 
     #[test]
-    fn non_equi_join_lowers_to_nested_loop() {
+    fn keyless_joins_lower_to_a_hash_join() {
         let catalog = catalog_with_sizes(10, 20);
-        let p = lower_sql(
-            "SELECT * FROM big JOIN small ON big.id < small.id",
-            &catalog,
-        );
-        assert!(p.explain().contains("NestedLoopJoin"), "{}", p.explain());
+        for (sql, join) in [
+            (
+                "SELECT big.v FROM big, small WHERE big.id = small.id",
+                "HashJoin Inner probe_keys=[] build_keys=[]\n",
+            ),
+            (
+                "SELECT * FROM big CROSS JOIN small",
+                "HashJoin Inner probe_keys=[] build_keys=[]\n",
+            ),
+            (
+                "SELECT * FROM big LEFT JOIN small ON big.id < small.id",
+                "HashJoin LeftOuter probe_keys=[] build_keys=[] residual\n",
+            ),
+        ] {
+            let explain = lower_sql(sql, &catalog).explain();
+            assert!(explain.contains(join), "{sql}:\n{explain}");
+        }
     }
 
     #[test]

@@ -93,6 +93,9 @@ fn results_are_invariant_under_batch_size() {
         "SELECT DISTINCT g FROM t ORDER BY g",
         "SELECT v FROM t ORDER BY v LIMIT 5 OFFSET 1021",
         "SELECT a.g, a.v, b.v FROM t AS a JOIN t AS b ON a.v = b.v WHERE a.v < 20 ORDER BY a.v",
+        // Keyless: every (a, b) pair is a candidate for the residual, so
+        // a probe batch's candidates cross the batch_size chunk edges.
+        "SELECT a.v, b.v FROM t AS a JOIN t AS b ON a.v > b.v WHERE b.v < 50",
     ];
     let reference = {
         let mut db = Database::new();

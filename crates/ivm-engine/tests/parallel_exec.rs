@@ -11,7 +11,7 @@ use ivm_engine::{Database, Value};
 
 /// Queries spanning every parallelizable shape: pipelines (scan, filter,
 /// project, computed projection, CASE fallback), partitioned joins
-/// (inner/left/full, residual, join + aggregate), partitioned aggregation
+/// (inner/left/full, residual, join + aggregate, keyless), partitioned aggregation
 /// (grouped, global, DISTINCT aggregates, DISTINCT rows), and the
 /// replay-merged breakers (sort, top-k, set ops, limit).
 fn queries() -> Vec<&'static str> {
@@ -30,6 +30,13 @@ fn queries() -> Vec<&'static str> {
         "SELECT t.v, d.name FROM t FULL JOIN dim AS d ON t.g = d.id",
         "SELECT d.name, SUM(t.v) AS s, COUNT(*) AS c \
          FROM t JOIN dim AS d ON t.g = d.id GROUP BY d.name",
+        // Keyless joins: the compiled views' comma join, CROSS under a
+        // GROUP BY, non-equi inner / LEFT / FULL (whose tail is pipelined).
+        "SELECT t.v, d.name FROM t, dim AS d WHERE t.g = d.id",
+        "SELECT d.name, COUNT(*) AS c, SUM(t.v) AS s FROM t CROSS JOIN dim AS d GROUP BY d.name",
+        "SELECT t.v, d.name FROM t JOIN dim AS d ON t.g < d.id",
+        "SELECT t.v, d.name FROM t LEFT JOIN dim AS d ON t.g > d.id AND t.v > 200",
+        "SELECT t.v, d.name FROM t FULL JOIN dim AS d ON t.g <> d.id AND d.id < 'g2'",
         "SELECT DISTINCT g FROM t",
         // First-seen order of a sorted stream: the sort runs below the
         // DISTINCT, whose ORDER BY column is not in the select list.

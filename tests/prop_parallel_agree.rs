@@ -71,6 +71,29 @@ fn queries() -> Vec<(&'static str, Cmp)> {
             "SELECT d.name, SUM(t.v) AS s FROM t JOIN dim AS d ON t.g = d.id GROUP BY d.name",
             Cmp::Multiset,
         ),
+        // Keyless joins emit in the serial order at every worker count:
+        // the compiled views' comma join, CROSS under a GROUP BY, and
+        // non-equi inner / LEFT / FULL (whose tail is pipelined).
+        (
+            "SELECT t.v, d.name FROM t, dim AS d WHERE t.g = d.id",
+            Cmp::Ordered,
+        ),
+        (
+            "SELECT d.name, COUNT(*) AS c, SUM(t.v) AS s FROM t CROSS JOIN dim AS d GROUP BY d.name",
+            Cmp::Ordered,
+        ),
+        (
+            "SELECT t.v, d.name FROM t JOIN dim AS d ON t.g < d.id",
+            Cmp::Ordered,
+        ),
+        (
+            "SELECT t.v, d.name FROM t LEFT JOIN dim AS d ON t.g > d.id AND t.v > 0",
+            Cmp::Ordered,
+        ),
+        (
+            "SELECT t.v, d.name FROM t FULL JOIN dim AS d ON t.g <> d.id AND d.id < 'g2'",
+            Cmp::Ordered,
+        ),
         ("SELECT DISTINCT g, tag FROM t", Cmp::Multiset),
         // The subquery runs at the session's parallelism too.
         (

@@ -40,6 +40,14 @@ fn queries() -> Vec<&'static str> {
         "SELECT g, COUNT(DISTINCT tag) AS d, SUM(v) AS s FROM t GROUP BY g",
         // Join feeding an aggregation: two spill operators stacked.
         "SELECT d.name, SUM(t.v) AS s FROM t JOIN dim AS d ON t.g = d.id GROUP BY d.name",
+        // Keyless joins (their build side stays in memory under any
+        // budget): the compiled views' comma join, CROSS under a spilled
+        // GROUP BY, non-equi inner / LEFT / FULL.
+        "SELECT t.v, d.name FROM t, dim AS d WHERE t.g = d.id",
+        "SELECT d.name, COUNT(*) AS c, SUM(t.v) AS s FROM t CROSS JOIN dim AS d GROUP BY d.name",
+        "SELECT t.v, d.name FROM t JOIN dim AS d ON t.g < d.id",
+        "SELECT t.v, d.name FROM t LEFT JOIN dim AS d ON t.g > d.id AND t.v > 0",
+        "SELECT t.v, d.name FROM t FULL JOIN dim AS d ON t.g <> d.id AND d.id < 'g2'",
         // DISTINCT and set operations.
         "SELECT DISTINCT g, tag FROM t",
         // DISTINCT over a sorted stream keeps its first-seen order.
