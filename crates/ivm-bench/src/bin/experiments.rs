@@ -99,7 +99,7 @@ fn ehash_json(rows: &[EHashRow]) -> String {
 
 /// Serialize E-spill rows as JSON by hand (no serde in the workspace).
 /// Budget, workers, working set, latency, and the spill counters per
-/// run, including the background-writer observability fields.
+/// run.
 fn espill_json(rows: &[ESpillRow]) -> String {
     let entries: Vec<String> = rows
         .iter()
@@ -110,8 +110,7 @@ fn espill_json(rows: &[ESpillRow]) -> String {
                  \"working_set_bytes\": {}, \"out_rows\": {}, \"join_group_ns\": {}, \
                  \"spilled_partitions\": {}, \"spilled_rows\": {}, \"spilled_bytes\": {}, \
                  \"spill_files\": {}, \"rehydrated_rows\": {}, \"bytes_read\": {}, \
-                 \"repartitions\": {}, \"queue_high_water\": {}, \"overlap_ns\": {}, \
-                 \"peak_used_bytes\": {}}}",
+                 \"repartitions\": {}, \"peak_used_bytes\": {}}}",
                 r.budget_label,
                 r.budget_bytes.map_or(0, |b| b as u64),
                 r.workers,
@@ -126,8 +125,6 @@ fn espill_json(rows: &[ESpillRow]) -> String {
                 r.stats.rehydrated_rows,
                 r.stats.bytes_read,
                 r.stats.repartitions,
-                r.stats.queue_high_water,
-                r.stats.overlap_nanos,
                 r.stats.peak_used,
             )
         })
@@ -149,7 +146,6 @@ fn print_espill(rows: &[ESpillRow]) {
         "join+group",
         "spilled bytes",
         "peak used",
-        "queue hwm",
         "rehydrated rows",
     ]);
     for r in rows {
@@ -160,7 +156,6 @@ fn print_espill(rows: &[ESpillRow]) {
             fmt_duration(r.join_group),
             r.stats.spilled_bytes.to_string(),
             r.stats.peak_used.to_string(),
-            r.stats.queue_high_water.to_string(),
             r.stats.rehydrated_rows.to_string(),
         ]);
     }

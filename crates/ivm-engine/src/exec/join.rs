@@ -50,7 +50,8 @@ const PARALLEL_BUILD_THRESHOLD: usize = 4096;
 /// compute the FULL OUTER tail, so every other join kind gets none and
 /// skips the per-match store. Stores and loads are `Relaxed`: a flag
 /// publishes no other data, and the tail reads them only after every
-/// prober has finished (same thread, or joined by `std::thread::scope`).
+/// prober has finished (same thread, or joined by the morsel scheduler's
+/// scope).
 fn matched_flags(rows: usize, join: PhysJoinKind) -> Vec<AtomicBool> {
     let tracked = if join == PhysJoinKind::FullOuter {
         rows

@@ -12,15 +12,13 @@
 //!   counters. Unbounded budgets (`limit = usize::MAX`) never spill.
 //! - `SpillWriter` / `SpillFile`: temp-file lifecycle around the
 //!   columnar frame codec of [`crate::storage::frame`]. Frames are
-//!   encoded on the execution thread but *written* by a dedicated
-//!   background writer thread (one per budgeted session) behind a
-//!   bounded queue, so eviction overlaps with fold/probe work and
-//!   backpressures instead of buffering unboundedly. Write errors
-//!   (ENOSPC and friends) surface as clean [`EngineError`]s at the next
-//!   enqueue or at `SpillWriter::finish`, which drains the queue and
-//!   fsyncs. Files are created in the budget's spill directory and
-//!   removed when the `SpillFile` handle drops — spill files never
-//!   outlive the query.
+//!   encoded and written on the thread that evicts them; every morsel
+//!   worker owns its own spiller, so parallel workers write their own
+//!   files in parallel. A write error (ENOSPC and friends) surfaces as
+//!   a clean [`EngineError`] from the write that failed, and
+//!   `SpillWriter::finish` fsyncs. Files are created in the budget's
+//!   spill directory and removed when the `SpillFile` handle drops —
+//!   spill files never outlive the query.
 //! - `PartitionedSpiller`: the one bucket store. Tuples carry two `u64`
 //!   tags and are kept in buckets that buffer in memory while the budget
 //!   allows; when it overflows, the largest resident bucket is flushed
@@ -61,8 +59,7 @@
 //! (`tests/prop_spill_agree.rs` asserts it), and a breaker with `n`
 //! input rows and `m` output rows writes at most `n · MAX_SPILL_DEPTH +
 //! m` rows; memory beyond the budget is one write buffer per spilled
-//! bucket, one frame per merged cursor and the writer queue's
-//! `SPILL_QUEUE_FRAMES` frames.
+//! bucket and one frame per merged cursor.
 //!
 //! The hash bit layout composes with the rest of the engine: spill
 //! partitions use rotated *high* bits (levels 0..4 cover bits 48..64),
@@ -74,8 +71,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use crate::error::EngineError;
 use crate::exec::aggregate::AggSpec;
@@ -107,11 +103,6 @@ const WRITE_BUFFER_ROWS: usize = 256;
 /// `(hash, seq)` tags and vector slack).
 const TUPLE_OVERHEAD: usize = 16;
 
-/// Encoded frames the background writer queue holds before enqueueing
-/// execution threads block (backpressure). Bounds the memory the queue
-/// itself can pin to a handful of frames.
-const SPILL_QUEUE_FRAMES: usize = 8;
-
 /// Partition index of `hash` at recursion level `bit_offset / PART_BITS`:
 /// the top [`PART_BITS`] bits after rotating the level's range in.
 #[inline]
@@ -132,8 +123,6 @@ struct StatCells {
     rehydrated_rows: AtomicU64,
     bytes_read: AtomicU64,
     repartitions: AtomicU64,
-    queue_high_water: AtomicU64,
-    overlap_nanos: AtomicU64,
     peak_used: AtomicU64,
 }
 
@@ -158,11 +147,6 @@ pub struct SpillStats {
     /// Recursive re-partition passes (a partition did not fit and was
     /// split again on a rotated hash-bit range).
     pub repartitions: u64,
-    /// High-water mark of the background writer queue (frames in flight).
-    pub queue_high_water: u64,
-    /// Nanoseconds the background writer spent writing — I/O time that
-    /// overlapped with execution instead of blocking it.
-    pub overlap_nanos: u64,
     /// Peak budget-accounted bytes observed. With per-worker spill
     /// partitioning this stays near the limit even at high parallelism —
     /// the proof that breaker inputs are never fully materialized.
@@ -177,62 +161,6 @@ impl SpillStats {
 }
 
 #[derive(Debug)]
-struct SlotState {
-    file: Option<FileHandle>,
-    pending: usize,
-    error: Option<String>,
-}
-
-/// Shared state between one [`SpillWriter`] and the background writer
-/// thread: the open file, the count of queued-but-unwritten frames, and
-/// the first write error (sticky until surfaced).
-#[derive(Debug)]
-struct FileSlot {
-    state: Mutex<SlotState>,
-    cv: Condvar,
-}
-
-enum IoMsg {
-    Frame { slot: Arc<FileSlot>, bytes: Vec<u8> },
-}
-
-/// The per-session background writer: a bounded frame queue and the
-/// thread draining it. The thread exits when every sender is gone
-/// (session drop plus all in-flight writers).
-#[derive(Debug)]
-struct SpillIo {
-    tx: SyncSender<IoMsg>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    inflight: Arc<AtomicU64>,
-}
-
-fn writer_loop(rx: Receiver<IoMsg>, stats: Arc<StatCells>, inflight: Arc<AtomicU64>) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            IoMsg::Frame { slot, bytes } => {
-                let start = std::time::Instant::now();
-                {
-                    let mut st = slot.state.lock().unwrap_or_else(|e| e.into_inner());
-                    if st.error.is_none() {
-                        if let Some(file) = st.file.as_mut() {
-                            if let Err(e) = file.write_all(&bytes) {
-                                st.error = Some(e.to_string());
-                            }
-                        }
-                    }
-                    st.pending -= 1;
-                    slot.cv.notify_all();
-                }
-                stats
-                    .overlap_nanos
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                inflight.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
 struct BudgetInner {
     /// Byte limit; `usize::MAX` means unbounded.
     limit: AtomicUsize,
@@ -240,26 +168,8 @@ struct BudgetInner {
     used: AtomicUsize,
     /// Directory spill files are created in.
     spill_dir: Mutex<PathBuf>,
-    /// Shared with the writer thread (which must not keep `BudgetInner`
-    /// itself alive, or the session could never drop).
-    stats: Arc<StatCells>,
-    /// Lazily-started background writer; lives for the session.
-    io: Mutex<Option<SpillIo>>,
-}
-
-impl Drop for BudgetInner {
-    fn drop(&mut self) {
-        // Every live SpillWriter holds a budget clone, so when the inner
-        // drops there are no senders left beyond ours: closing it ends
-        // the writer thread, and joining cannot deadlock.
-        if let Some(io) = self.io.get_mut().map(Option::take).unwrap_or(None) {
-            let SpillIo { tx, handle, .. } = io;
-            drop(tx);
-            if let Some(h) = handle {
-                let _ = h.join();
-            }
-        }
-    }
+    /// The counters behind [`MemoryBudget::stats`].
+    stats: StatCells,
 }
 
 /// The session-wide memory accounting handle threaded through the
@@ -283,8 +193,7 @@ impl MemoryBudget {
                 limit: AtomicUsize::new(limit),
                 used: AtomicUsize::new(0),
                 spill_dir: Mutex::new(std::env::temp_dir()),
-                stats: Arc::new(StatCells::default()),
-                io: Mutex::new(None),
+                stats: StatCells::default(),
             }),
         }
     }
@@ -353,37 +262,8 @@ impl MemoryBudget {
             rehydrated_rows: s.rehydrated_rows.load(Ordering::Relaxed),
             bytes_read: s.bytes_read.load(Ordering::Relaxed),
             repartitions: s.repartitions.load(Ordering::Relaxed),
-            queue_high_water: s.queue_high_water.load(Ordering::Relaxed),
-            overlap_nanos: s.overlap_nanos.load(Ordering::Relaxed),
             peak_used: s.peak_used.load(Ordering::Relaxed),
         }
-    }
-
-    /// The background writer's queue handle, starting the thread on
-    /// first use.
-    fn io(&self) -> Result<(SyncSender<IoMsg>, Arc<AtomicU64>), EngineError> {
-        let mut guard = self.inner.io.lock().unwrap_or_else(|e| e.into_inner());
-        if guard.is_none() {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<IoMsg>(SPILL_QUEUE_FRAMES);
-            let stats = Arc::clone(&self.inner.stats);
-            let inflight = Arc::new(AtomicU64::new(0));
-            let thread_inflight = Arc::clone(&inflight);
-            let handle = std::thread::Builder::new()
-                .name("openivm-spill-io".into())
-                .spawn(move || writer_loop(rx, stats, thread_inflight))
-                .map_err(|e| {
-                    EngineError::execution(format!("cannot start spill writer thread: {e}"))
-                })?;
-            *guard = Some(SpillIo {
-                tx,
-                handle: Some(handle),
-                inflight,
-            });
-        }
-        let io = guard
-            .as_ref()
-            .ok_or_else(|| EngineError::execution("spill writer thread is not running"))?;
-        Ok((io.tx.clone(), Arc::clone(&io.inflight)))
     }
 
     /// Account `bytes` of new operator state.
@@ -537,24 +417,19 @@ impl<R: Read> Read for CountingReader<R> {
     }
 }
 
-/// A spill file being written. Frames are encoded here on the calling
-/// thread and handed to the session's background writer; `finish` drains
-/// the queue, surfaces any deferred write error, and fsyncs.
+/// A spill file being written. Frames are encoded and written through
+/// the file's handle on the calling thread; `finish` fsyncs.
 #[derive(Debug)]
 pub(crate) struct SpillWriter {
-    /// Keeps the session (and so the writer thread) alive while any
-    /// writer exists.
-    budget: MemoryBudget,
-    slot: Arc<FileSlot>,
-    tx: SyncSender<IoMsg>,
-    inflight: Arc<AtomicU64>,
+    file: FileHandle,
     path: PathBuf,
     rows: u64,
     bytes: u64,
 }
 
 impl SpillWriter {
-    /// Create a fresh spill file in `budget`'s spill directory.
+    /// Create a fresh spill file in `budget`'s spill directory and
+    /// write its header.
     pub(crate) fn create(budget: &MemoryBudget) -> Result<SpillWriter, EngineError> {
         let seq = SPILL_FILE_SEQ.fetch_add(1, Ordering::Relaxed);
         let path = budget.spill_dir().join(format!(
@@ -563,71 +438,32 @@ impl SpillWriter {
             own_start_time(),
             seq
         ));
-        SpillWriter::create_at(path, budget)
-    }
-
-    /// Create a writer at an explicit path. A missing or closed
-    /// directory fails here, synchronously; device-level errors (ENOSPC)
-    /// surface later through the async error path.
-    fn create_at(path: PathBuf, budget: &MemoryBudget) -> Result<SpillWriter, EngineError> {
         let file = sio::open(&path, OpenMode::Create)
             .map_err(|e| EngineError::execution(format!("cannot create spill file: {e}")))?;
-        let (tx, inflight) = budget.io()?;
         budget
             .inner
             .stats
             .spill_files
             .fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(FileSlot {
-            state: Mutex::new(SlotState {
-                file: Some(file),
-                pending: 0,
-                error: None,
-            }),
-            cv: Condvar::new(),
-        });
         let mut w = SpillWriter {
-            budget: budget.clone(),
-            slot,
-            tx,
-            inflight,
+            file,
             path,
             rows: 0,
             bytes: 0,
         };
-        // The header rides the queue like every frame, so even it gets
-        // the async error discipline (a full device fails the next
-        // enqueue or `finish`, never a hang).
         let mut header = Vec::new();
         frame::write_header(&mut header)?;
-        w.enqueue(header)?;
+        w.write(&header)?;
         Ok(w)
     }
 
-    fn enqueue(&mut self, bytes: Vec<u8>) -> Result<(), EngineError> {
-        {
-            let mut st = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(e) = &st.error {
-                return Err(EngineError::execution(format!("spill write failed: {e}")));
-            }
-            st.pending += 1;
-        }
-        let queued = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.budget
-            .inner
-            .stats
-            .queue_high_water
-            .fetch_max(queued, Ordering::Relaxed);
-        self.tx
-            .send(IoMsg::Frame {
-                slot: Arc::clone(&self.slot),
-                bytes,
-            })
-            .map_err(|_| EngineError::execution("spill writer thread terminated"))
+    fn write(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
+        self.file
+            .write_all(bytes)
+            .map_err(|e| EngineError::execution(format!("spill write failed: {e}")))
     }
 
-    /// Encode one frame of rows and queue it for the background writer.
-    /// Returns as soon as the queue accepts the frame.
+    /// Encode one frame of rows and write it.
     pub(crate) fn write_rows(&mut self, rows: &[Row]) -> Result<(), EngineError> {
         if rows.is_empty() {
             return Ok(());
@@ -635,26 +471,14 @@ impl SpillWriter {
         let mut buf = Vec::new();
         self.bytes += frame::write_frame(&mut buf, rows)?;
         self.rows += rows.len() as u64;
-        self.enqueue(buf)
+        self.write(&buf)
     }
 
-    /// Drain queued frames, surface any deferred write error, fsync, and
-    /// seal into a readable [`SpillFile`].
+    /// fsync and seal into a readable [`SpillFile`].
     pub(crate) fn finish(mut self) -> Result<SpillFile, EngineError> {
-        let file = {
-            let mut st = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
-            while st.pending > 0 {
-                st = self.slot.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            if let Some(e) = st.error.take() {
-                return Err(EngineError::execution(format!("spill write failed: {e}")));
-            }
-            st.file.take()
-        };
-        if let Some(mut file) = file {
-            file.sync_data()
-                .map_err(|e| EngineError::execution(format!("spill fsync failed: {e}")))?;
-        }
+        self.file
+            .sync_data()
+            .map_err(|e| EngineError::execution(format!("spill fsync failed: {e}")))?;
         Ok(SpillFile {
             path: std::mem::take(&mut self.path),
             rows: self.rows,
@@ -664,15 +488,9 @@ impl SpillWriter {
 
 impl Drop for SpillWriter {
     fn drop(&mut self) {
-        // Abandoned writers (error paths) must not leak their file; any
-        // still-queued frames find the slot closed and are discarded.
+        // Abandoned writers (error paths) must not leak their file.
         if !self.path.as_os_str().is_empty() {
             let _ = sio::remove_file(&self.path);
-            self.slot
-                .state
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .file = None;
         }
     }
 }
@@ -703,14 +521,17 @@ impl Drop for SpillFile {
 pub(crate) struct SpillReader {
     _file: SpillFile,
     r: CountingReader<BufReader<FileHandle>>,
-    stats: Arc<StatCells>,
+    budget: MemoryBudget,
     counted: u64,
 }
 
 impl SpillReader {
     pub(crate) fn open(file: SpillFile, budget: &MemoryBudget) -> Result<SpillReader, EngineError> {
-        let stats = Arc::clone(&budget.inner.stats);
-        stats.rehydrated_partitions.fetch_add(1, Ordering::Relaxed);
+        budget
+            .inner
+            .stats
+            .rehydrated_partitions
+            .fetch_add(1, Ordering::Relaxed);
         let f = sio::open(&file.path, OpenMode::ReadOnly)
             .map_err(|e| EngineError::execution(format!("cannot reopen spill file: {e}")))?;
         let mut r = CountingReader {
@@ -721,19 +542,20 @@ impl SpillReader {
         Ok(SpillReader {
             _file: file,
             r,
-            stats,
+            budget: budget.clone(),
             counted: 0,
         })
     }
 
     pub(crate) fn next_frame(&mut self) -> Result<Option<Vec<Row>>, EngineError> {
         let frame = frame::read_frame(&mut self.r)?;
-        self.stats
+        let stats = &self.budget.inner.stats;
+        stats
             .bytes_read
             .fetch_add(self.r.n - self.counted, Ordering::Relaxed);
         self.counted = self.r.n;
         if let Some(rows) = &frame {
-            self.stats
+            stats
                 .rehydrated_rows
                 .fetch_add(rows.len() as u64, Ordering::Relaxed);
         }
@@ -1349,29 +1171,31 @@ mod tests {
         assert!(!path.exists(), "abandoned spill file must be removed");
     }
 
-    #[cfg(unix)]
     #[test]
-    fn writer_thread_error_surfaces_cleanly() {
-        // /dev/full accepts the open but fails every write with ENOSPC;
-        // the failure happens on the background writer thread and must
-        // surface as a clean EngineError — never a hang or a panic.
-        let dev_full = PathBuf::from("/dev/full");
-        if !dev_full.exists() {
-            return;
-        }
+    fn write_error_surfaces_at_the_failing_write() {
+        let _serial = sio::test_plan_serial();
+        let dir = ScratchDir::new("enospc");
         let budget = MemoryBudget::with_limit(1);
-        let mut w = SpillWriter::create_at(dev_full, &budget).unwrap();
-        let mut failed = false;
-        for i in 0..1000 {
-            let rows: Vec<Row> = (0..64).map(|j| row(i * 64 + j)).collect();
-            if w.write_rows(&rows).is_err() {
-                failed = true;
-                break;
-            }
-        }
-        if !failed {
-            assert!(w.finish().is_err(), "ENOSPC must surface by finish()");
-        }
+        budget.set_spill_dir(dir.0.clone());
+        // ENOSPC at the third matching operation: the create is the
+        // first, the header the second, the first frame the third.
+        let plan = sio::FaultPlan::new().with_rule(
+            sio::FaultKind::Enospc,
+            dir.0.to_str().unwrap(),
+            sio::Trigger::Once(3),
+        );
+        let prev = sio::set_fault_plan(Some(Arc::new(plan)));
+        let mut w = SpillWriter::create(&budget).unwrap();
+        let written = w.write_rows(&[row(1), row(2)]);
+        sio::set_fault_plan(prev);
+        let err = written.expect_err("ENOSPC must fail the write that hit it");
+        assert!(
+            err.to_string().contains("spill write failed"),
+            "not a clean spill error: {err}"
+        );
+        drop(w);
+        let left: Vec<_> = std::fs::read_dir(&dir.0).unwrap().collect();
+        assert!(left.is_empty(), "abandoned spill file left: {left:?}");
     }
 
     #[test]
@@ -1444,7 +1268,6 @@ mod tests {
             );
         }
         assert!(budget.stats().rehydrated_rows > 0);
-        assert!(budget.stats().queue_high_water > 0);
     }
 
     #[test]
@@ -1572,17 +1395,17 @@ mod tests {
         assert_eq!(budget.inner.used.load(Ordering::Relaxed), 0);
     }
 
-    /// A scratch directory for reaper tests, removed on drop.
-    struct ReaperDir(PathBuf);
-    impl ReaperDir {
-        fn new(tag: &str) -> ReaperDir {
+    /// A scratch directory for spill-file tests, removed on drop.
+    struct ScratchDir(PathBuf);
+    impl ScratchDir {
+        fn new(tag: &str) -> ScratchDir {
             let dir = std::env::temp_dir().join(format!(
-                "openivm-iotest-reaper-{}-{}",
+                "openivm-iotest-spill-{}-{}",
                 std::process::id(),
                 tag
             ));
             std::fs::create_dir_all(&dir).unwrap();
-            ReaperDir(dir)
+            ScratchDir(dir)
         }
         fn fake(&self, name: &str) -> PathBuf {
             let path = self.0.join(name);
@@ -1590,7 +1413,7 @@ mod tests {
             path
         }
     }
-    impl Drop for ReaperDir {
+    impl Drop for ScratchDir {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.0);
         }
@@ -1610,7 +1433,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn orphan_reaper_survives_pid_reuse() {
-        let dir = ReaperDir::new("reuse");
+        let dir = ScratchDir::new("reuse");
         let own = std::process::id();
         // The PID-reuse regression: a file recorded under *our* pid but
         // a different start time was created by a dead process whose
@@ -1632,7 +1455,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn orphan_reaper_reclaims_dead_owners_only() {
-        let dir = ReaperDir::new("dead");
+        let dir = ScratchDir::new("dead");
         let dead = dead_pid();
         let dead_new = dir.fake(&format!("openivm-spill-{}-{}-0.bin", dead, u64::MAX));
         let dead_legacy = dir.fake(&format!("openivm-spill-{dead}-7.bin"));

@@ -518,9 +518,9 @@ impl Database {
     /// partition-at-a-time — results are row-identical to unbounded
     /// execution at any [`parallelism`](Database::parallelism): above 1,
     /// breaker inputs stream through per-worker spill partitioners
-    /// (never staged as materialized row vectors), spill writes happen
-    /// on a background writer thread, and spilled output merge-emits in
-    /// sequence order. Environment default: `$OPENIVM_MEMORY_BUDGET`.
+    /// (never staged as materialized row vectors), each worker writes
+    /// its own spill files on its own thread, and spilled output
+    /// merge-emits in sequence order. Environment default: `$OPENIVM_MEMORY_BUDGET`.
     ///
     /// Trade-offs: grouped aggregation and EXCEPT/INTERSECT cannot
     /// re-scan their input, so a bounded budget routes them through the

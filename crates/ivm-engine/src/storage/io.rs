@@ -83,8 +83,9 @@ pub trait StorageFile: Send + fmt::Debug {
 
 /// A storage filesystem: opens files and performs the metadata
 /// operations (rename/remove/mkdir/list/dir-fsync) the durable paths
-/// use. Implementations must be shareable across threads — the spill
-/// writer thread uses the same instance as the session.
+/// use. Implementations must be shareable across threads — every morsel
+/// worker writes its spill files through the same instance as the
+/// session.
 pub trait StorageFs: Send + Sync + fmt::Debug {
     /// Open `path` in the given mode.
     fn open(&self, path: &Path, mode: OpenMode) -> io::Result<Box<dyn StorageFile>>;

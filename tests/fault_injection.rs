@@ -290,36 +290,48 @@ fn fault_sweep_over_every_io_op_is_panic_free_and_loses_no_commit() {
 fn enospc_during_spill_aborts_only_that_query() {
     let _guard = plan_lock().lock().unwrap_or_else(|e| e.into_inner());
 
-    let spill_dir = TempDir::new("spill");
-    let mut db = Database::new();
-    db.set_parallelism(1);
-    db.set_memory_budget(Some(1));
-    db.set_spill_dir(spill_dir.path());
-    db.execute("CREATE TABLE t (k INTEGER)").unwrap();
-    let values: Vec<String> = (0..300).map(|i| format!("({})", i % 7)).collect();
-    db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
-        .unwrap();
+    // At 2 workers the failing spill I/O runs on a morsel worker: small
+    // morsels split the 300 rows so that both workers start.
+    for workers in [1, 2] {
+        let spill_dir = TempDir::new(&format!("spill-w{workers}"));
+        let mut db = Database::new();
+        db.set_parallelism(workers);
+        db.set_morsel_size(64);
+        db.set_memory_budget(Some(1));
+        db.set_spill_dir(spill_dir.path());
+        db.execute("CREATE TABLE t (k INTEGER)").unwrap();
+        let values: Vec<String> = (0..300).map(|i| format!("({})", i % 7)).collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+            .unwrap();
 
-    let plan =
-        FaultPlan::new().with_rule(FaultKind::Enospc, &spill_dir.pattern(), Trigger::Once(1));
-    let prev = set_fault_plan(Some(Arc::new(plan)));
-    let spilled = db.query("SELECT k, COUNT(*) FROM t GROUP BY k");
-    set_fault_plan(prev);
+        let plan =
+            FaultPlan::new().with_rule(FaultKind::Enospc, &spill_dir.pattern(), Trigger::Once(1));
+        let prev = set_fault_plan(Some(Arc::new(plan)));
+        let spilled = db.query("SELECT k, COUNT(*) FROM t GROUP BY k");
+        set_fault_plan(prev);
 
-    let err = spilled.expect_err("ENOSPC in the spill path must fail the query");
-    assert!(
-        !db.is_degraded(),
-        "a spill failure must not poison the database"
-    );
-    // The same query (and the session) work once space is back.
-    let rows = db
-        .query("SELECT k, COUNT(*) FROM t GROUP BY k")
-        .unwrap()
-        .rows;
-    assert_eq!(rows.len(), 7, "after {err}");
-    // No torn spill temp files left behind.
-    let leftovers: Vec<_> = std::fs::read_dir(spill_dir.path()).unwrap().collect();
-    assert!(leftovers.is_empty(), "leaked spill files: {leftovers:?}");
+        let err = spilled.expect_err("ENOSPC in the spill path must fail the query");
+        assert!(
+            err.to_string().contains("spill"),
+            "workers={workers}: not a clean spill error: {err}"
+        );
+        assert!(
+            !db.is_degraded(),
+            "workers={workers}: a spill failure must not poison the database"
+        );
+        // The same query (and the session) work once space is back.
+        let rows = db
+            .query("SELECT k, COUNT(*) FROM t GROUP BY k")
+            .unwrap()
+            .rows;
+        assert_eq!(rows.len(), 7, "workers={workers}: after {err}");
+        // No torn spill temp files left behind.
+        let leftovers: Vec<_> = std::fs::read_dir(spill_dir.path()).unwrap().collect();
+        assert!(
+            leftovers.is_empty(),
+            "workers={workers}: leaked spill files: {leftovers:?}"
+        );
+    }
 }
 
 #[test]

@@ -250,12 +250,11 @@ fn budget_reaches_limit_subtrees_and_subqueries() {
     }
 }
 
-/// No spill temp files may outlive the queries that created them, even
-/// when eviction goes through the background writer thread at high
-/// parallelism: every `openivm-spill-*` file in the session's spill
+/// No spill temp files may outlive the queries that created them, at
+/// any parallelism: every `openivm-spill-*` file in the session's spill
 /// directory must be gone once results are materialized.
 #[test]
-fn background_writer_leaves_no_spill_files_behind() {
+fn spill_files_do_not_outlive_their_query() {
     let dir = std::env::temp_dir().join(format!("openivm-leakcheck-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let leaked = |dir: &std::path::Path| -> Vec<String> {
@@ -273,7 +272,7 @@ fn background_writer_leaves_no_spill_files_behind() {
             tag: i % 2 == 0,
         })
         .collect();
-    for workers in [1usize, 4] {
+    for workers in [1usize, 2, 4] {
         let mut db = database(workers, Some(1), &rows);
         db.set_spill_dir(dir.clone());
         for q in queries() {
@@ -282,7 +281,7 @@ fn background_writer_leaves_no_spill_files_behind() {
         let stats = db.spill_stats();
         assert!(
             stats.spill_files > 0,
-            "workers={workers}: writer thread never produced a file: {stats:?}"
+            "workers={workers}: no query produced a spill file: {stats:?}"
         );
         assert_eq!(
             leaked(&dir),
@@ -302,9 +301,8 @@ fn background_writer_leaves_no_spill_files_behind() {
 /// The memory budget holds end-to-end at parallelism 4: on a workload
 /// whose working set is far larger than the budget, the peak of
 /// budget-accounted bytes stays within the limit plus a small fixed
-/// allowance (per-worker partition write buffers plus the bounded
-/// writer queue) — proof that breaker inputs are never fully staged in
-/// memory on the parallel path.
+/// allowance (per-worker partition write buffers) — proof that breaker
+/// inputs are never fully staged in memory on the parallel path.
 #[test]
 fn parallel_spill_peak_memory_stays_near_budget() {
     const LIMIT: u64 = 64 * 1024;
@@ -346,10 +344,6 @@ fn parallel_spill_peak_memory_stays_near_budget() {
         stats.peak_used,
         LIMIT,
         SLACK
-    );
-    assert!(
-        stats.queue_high_water > 0,
-        "eviction never reached the background writer queue: {stats:?}"
     );
 }
 
