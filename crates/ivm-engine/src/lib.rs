@@ -32,12 +32,13 @@
 //! - the `Database` session API ([`session`]), with parallelism and
 //!   memory-budget knobs and a DDL-invalidated bound-plan cache for
 //!   repeated scripts
-//! - a durable storage subsystem ([`storage::page`], [`storage::pagefile`],
-//!   [`storage::wal`], [`storage::durability`]): checksummed slotted heap
-//!   pages read once at open and written once per checkpoint, a
-//!   logical-redo write-ahead log with group commit, and shadow-paged
-//!   checkpoints — `Database::open` recovers tables, views, and row ids
-//!   to the last committed statement
+//! - a durable storage subsystem ([`storage::durability`],
+//!   [`storage::wal`], [`storage::checksum`]): each table at rest is one
+//!   file of CRC-framed records, read once at open and written to a new
+//!   file when a checkpoint finds it dirty; a logical-redo write-ahead
+//!   log with group commit; and an atomically renamed `catalog.meta` —
+//!   `Database::open` recovers tables, views, and row ids to the last
+//!   committed statement
 //!
 //! ## Quick example
 //!

@@ -46,7 +46,7 @@ pub const SPILL_DIR_ENV: &str = "OPENIVM_SPILL_DIR";
 /// database created through `new`/`default` is durable, backed by a
 /// fresh *ephemeral* subdirectory of the given path (unique per
 /// database, removed on drop). This is the CI switch that runs the
-/// whole test suite against the page/WAL stack; explicitly durable
+/// whole test suite against the table-file/WAL stack; explicitly durable
 /// databases use [`Database::open`] instead. WAL fsync is off in this
 /// mode — crash-safety is exercised by the dedicated harness, not the
 /// suite-wide leg.
@@ -205,8 +205,8 @@ pub struct Database {
     /// invalidated by bumping `ddl_generation`.
     plan_cache: PlanCache,
     ddl_generation: u64,
-    /// Durable backing (pages + WAL + checkpoints); `None` = in-memory
-    /// mode, where every code path behaves exactly as before.
+    /// Durable backing (table files + WAL + checkpoints); `None` =
+    /// in-memory mode, where every code path behaves exactly as before.
     durability: Option<Durability>,
     /// Depth of open [`begin_atomic`](Database::begin_atomic) batches;
     /// while positive, per-statement WAL commits are deferred.
@@ -321,7 +321,7 @@ impl Database {
         self.durability.as_ref().map(Durability::dir)
     }
 
-    /// Checkpoint the durable state: write dirty tables to fresh pages,
+    /// Checkpoint the durable state: write dirty tables to new files,
     /// publish the new catalog meta atomically, and truncate the WAL.
     /// A no-op for in-memory databases.
     pub fn checkpoint(&mut self) -> Result<(), EngineError> {
@@ -450,10 +450,11 @@ impl Database {
         self.durability.as_ref().map(Durability::wal_stats)
     }
 
-    /// Cumulative page I/O counters of `pages.db`, when durable: pages
-    /// read (`misses`) and pages written (`pages_written`). There is no
-    /// pool any more, so `hits` and `evictions` stay 0; the name is kept
-    /// for the benchmark that reads it.
+    /// Cumulative table-file I/O, when durable, in
+    /// [`crate::storage::page::PAGE_SIZE`] units: read at open (`misses`)
+    /// and written by checkpoints (`pages_written`). There is no pool, so
+    /// `hits` and `evictions` stay 0; the name is kept for the benchmark
+    /// that reads it.
     pub fn buffer_pool_stats(&self) -> Option<BufferPoolStats> {
         self.durability.as_ref().map(Durability::pool_stats)
     }

@@ -1,36 +1,44 @@
-//! Durable-catalog orchestration: shadow-paged checkpoints + WAL replay.
+//! Durable-catalog orchestration: checkpoints to table files + WAL replay.
 //!
-//! A durable database directory holds three files:
+//! A durable database directory holds:
 //!
 //! ```text
-//! <dir>/pages.db       fixed-size slotted pages (tables at rest)
-//! <dir>/catalog.meta   the last checkpoint: epoch, table metas, views
-//! <dir>/wal.NNNN.log   redo segments since that checkpoint (rotated at
-//!                      a size bound; a legacy single wal.log replays)
+//! <dir>/catalog.meta     the last checkpoint: epoch, table metas, views
+//! <dir>/table.E.N.dat    one table at rest: the N-th table file this
+//!                        process wrote, by the checkpoint of epoch E
+//! <dir>/wal.NNNN.log     redo segments since that checkpoint (rotated at
+//!                        a size bound)
 //! ```
 //!
-//! **Checkpoint** is shadow-paged: dirty tables (detected via the
-//! process-wide [`Table::generation`] counter stamped at the previous
-//! checkpoint) are written to *freshly allocated* pages — never over
-//! pages the current `catalog.meta` references — then `pages.db` is
-//! fsynced, `catalog.meta.tmp` is written, fsynced, and
-//! atomically renamed over `catalog.meta` with a bumped epoch, and
-//! finally the WAL is reset under the new epoch. A crash at any point
-//! leaves either the old meta + old WAL (epochs match → replay) or the
-//! new meta + old WAL (old epoch < new epoch → WAL discarded; its
-//! effects are inside the new checkpoint). Pages referenced by neither
-//! become the allocator's free list.
+//! All three are sequences of CRC-framed records ([`write_record`]).
+//! Each record of a table file holds a chunk of about 64 KiB of
+//! `slot:u64 row` tuples, rows encoded with [`frame::encode_row`]; a file
+//! is named from an epoch and an ordinal, never from a table name.
 //!
-//! **Recovery** ([`Durability::open`]) loads every table from its pages
-//! (each checksum-verified as it is read), replays the committed WAL
-//! prefix, and immediately takes a recovery checkpoint.
+//! **Checkpoint**: each dirty table (detected via the process-wide
+//! [`Table::generation`] counter stamped at the previous checkpoint) is
+//! written to a *new* file — never over a file the current
+//! `catalog.meta` names — and fsynced, then the directory is fsynced;
+//! then `catalog.meta.tmp` is written, fsynced, and atomically renamed
+//! over `catalog.meta` with a bumped epoch, the WAL is reset under the
+//! new epoch, and last the table files the new meta does not name are
+//! deleted. A crash at any point leaves either the old meta + old WAL
+//! (epochs match → replay) or the new meta + old WAL (old epoch < new
+//! epoch → WAL discarded; its effects are inside the new checkpoint).
+//! A table file whose write fails is deleted at once. Files named by
+//! neither meta are left by a checkpoint that failed or crashed later;
+//! the next checkpoint deletes them, and [`Durability::open`] takes one.
+//!
+//! **Recovery** ([`Durability::open`]) loads every table by streaming its
+//! file (each record checksum-verified as it is read), replays the
+//! committed WAL prefix, and immediately takes a recovery checkpoint.
 //!
 //! **I/O bound.** Tables are fully memory-resident, so table bytes cross
 //! the disk boundary at exactly two moments and nothing is demand-paged
-//! in between: `open` reads every page `catalog.meta` references once,
-//! and `checkpoint` writes every page of every dirty table once. Both go
-//! through the same two [`PAGE_SIZE`]-byte buffers (one heap page, one
-//! overflow page), whatever the table size.
+//! in between: `open` reads each file `catalog.meta` names once, and
+//! `checkpoint` writes each dirty table's file once; a clean table is
+//! never rewritten. Both stream through one record-sized buffer, whatever
+//! the table size.
 //!
 //! Tables keep their physical slot layout across restarts: tuples carry
 //! their slot id and table metas their total slot count, so row ids,
@@ -48,21 +56,23 @@ use ivm_sql::Dialect;
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::schema::{Column, Schema};
-use crate::storage::checksum::crc32;
+use crate::storage::checksum::{write_record, Framed, RecordReader};
 use crate::storage::frame;
 use crate::storage::io::{self, OpenMode};
-use crate::storage::page::{self, HEAP_TUPLE_CAP, NO_PAGE, OVERFLOW_CAP, PAGE_SIZE};
-use crate::storage::pagefile::{BufferPoolStats, PageFile, PageStore};
+use crate::storage::page::{BufferPoolStats, PAGE_SIZE};
 use crate::storage::table::Table;
 use crate::storage::wal::{self, Wal, WalRecord, WalStats};
+use crate::value::Value;
 
-/// File name of the page store inside a data directory.
-pub const PAGES_FILE: &str = "pages.db";
 /// File name of the checkpointed catalog inside a data directory.
 pub const META_FILE: &str = "catalog.meta";
 
 /// Catalog meta magic (and format version).
-pub const META_MAGIC: &[u8; 8] = b"OIVMMET1";
+pub const META_MAGIC: &[u8; 8] = b"OIVMMET2";
+
+/// Tuple bytes after which a table file's record is closed; a single
+/// larger row makes one larger record.
+const CHUNK_BYTES: usize = 64 << 10;
 
 const META_TAG_TABLE: u8 = 1;
 const META_TAG_VIEW: u8 = 2;
@@ -101,8 +111,34 @@ impl Default for DurabilityOptions {
     }
 }
 
-/// Everything needed to reload one table from pages and to decide at the
-/// next checkpoint whether it must be rewritten.
+/// Names one table file: `table.<epoch>.<ordinal>.dat`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TableFile {
+    /// Epoch of the checkpoint that wrote the file.
+    pub epoch: u64,
+    /// How many table files the writing process had created before it.
+    pub ordinal: u64,
+}
+
+impl TableFile {
+    /// The file name inside the data directory.
+    pub fn name(self) -> String {
+        format!("table.{}.{}.dat", self.epoch, self.ordinal)
+    }
+
+    /// The table file `name` names, if it is one.
+    pub fn parse(name: &str) -> Option<TableFile> {
+        let stem = name.strip_prefix("table.")?.strip_suffix(".dat")?;
+        let (epoch, ordinal) = stem.split_once('.')?;
+        Some(TableFile {
+            epoch: epoch.parse().ok()?,
+            ordinal: ordinal.parse().ok()?,
+        })
+    }
+}
+
+/// Everything needed to reload one table from its file and to decide at
+/// the next checkpoint whether it must be rewritten.
 #[derive(Debug, Clone)]
 pub struct TableMeta {
     /// Table name.
@@ -115,12 +151,10 @@ pub struct TableMeta {
     pub secondary: Vec<(String, Vec<usize>, bool)>,
     /// Physical slot count including tombstones (restores row ids).
     pub total_slots: u64,
-    /// Live row count (sanity-checked on load).
+    /// Live row count (checked against the file on load).
     pub live_rows: u64,
-    /// Heap pages, in slot order.
-    pub pages: Vec<u64>,
-    /// Overflow pages owned by this table (for free-space accounting).
-    pub overflow: Vec<u64>,
+    /// The file holding the live rows.
+    pub file: TableFile,
 }
 
 /// A table's state as of the last checkpoint.
@@ -139,29 +173,27 @@ pub struct RecoveryStats {
     pub replayed_records: u64,
     /// WAL bytes scanned.
     pub wal_bytes: u64,
-    /// Tables loaded from pages.
+    /// Tables loaded from their files.
     pub tables_loaded: u64,
 }
 
-/// The two page buffers all table I/O goes through: the heap page being
-/// filled or decoded, and the overflow page of the tuple at hand.
-#[derive(Debug)]
-struct PageBufs {
-    heap: Box<[u8]>,
-    overflow: Box<[u8]>,
-}
-
-/// The durable half of a [`crate::session::Database`]: page store, WAL,
+/// The durable half of a [`crate::session::Database`]: table files, WAL,
 /// and checkpointed catalog metadata for one data directory.
 #[derive(Debug)]
 pub struct Durability {
     dir: PathBuf,
-    store: PageStore,
-    bufs: PageBufs,
     wal: Arc<Wal>,
     epoch: u64,
+    /// Table files this process has created: the next one's ordinal.
+    files_created: u64,
     snapshots: HashMap<String, TableSnapshot>,
     recovery: RecoveryStats,
+    io: BufferPoolStats,
+}
+
+/// `bytes` in [`PAGE_SIZE`] units, rounded up.
+fn pages(bytes: u64) -> u64 {
+    bytes.div_ceil(PAGE_SIZE as u64)
 }
 
 impl Durability {
@@ -182,28 +214,22 @@ impl Durability {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(io_err("read meta", &meta_path, e)),
         };
-        let mut store = PageStore::new(PageFile::open(dir.join(PAGES_FILE))?);
-        let mut bufs = PageBufs {
-            heap: vec![0u8; PAGE_SIZE].into_boxed_slice(),
-            overflow: vec![0u8; PAGE_SIZE].into_boxed_slice(),
-        };
         let mut catalog = Catalog::new();
         let mut snapshots = HashMap::new();
         let mut epoch = 0u64;
         let mut recovery = RecoveryStats::default();
+        let mut stats = BufferPoolStats::default();
         if let Some((meta_epoch, table_metas, views)) = meta {
             epoch = meta_epoch;
-            // The free list must exclude every page the durable meta
-            // references, including tables about to be rewritten.
-            store.set_free_list(unreferenced_pages(&store, table_metas.iter()));
-            for tm in &table_metas {
-                let table = load_table(&mut store, &mut bufs, tm)?;
+            for tm in table_metas {
+                let (table, bytes) = load_table(&dir, &tm)?;
+                stats.misses += pages(bytes);
                 recovery.tables_loaded += 1;
                 snapshots.insert(
                     tm.name.clone(),
                     TableSnapshot {
                         generation: table.generation(),
-                        meta: tm.clone(),
+                        meta: tm,
                     },
                 );
                 catalog.create_table(table)?;
@@ -240,12 +266,12 @@ impl Durability {
         )?);
         let mut d = Durability {
             dir,
-            store,
-            bufs,
             wal,
             epoch,
+            files_created: 0,
             snapshots,
             recovery,
+            io: stats,
         };
         // Recovery checkpoint: makes the replayed state durable and
         // resets the WAL under a fresh epoch.
@@ -273,10 +299,10 @@ impl Durability {
         self.wal.stats()
     }
 
-    /// Cumulative page I/O counters (pages read and written; see
+    /// Cumulative table-file I/O, in [`PAGE_SIZE`] units (see
     /// [`BufferPoolStats`] for the two fields that stay 0).
     pub fn pool_stats(&self) -> BufferPoolStats {
-        self.store.stats()
+        self.io
     }
 
     /// A shared handle to the WAL, for attaching to catalogs/tables.
@@ -295,34 +321,48 @@ impl Durability {
         self.wal.poisoned()
     }
 
-    /// Take a checkpoint of `catalog`: write dirty tables to fresh pages,
-    /// fsync, atomically publish the new `catalog.meta`, and reset the
-    /// WAL under the bumped epoch.
+    /// Take a checkpoint of `catalog`: write each dirty table to a new
+    /// file, fsync, atomically publish the new `catalog.meta`, reset the
+    /// WAL under the bumped epoch, and delete the files no table names.
     pub fn checkpoint(&mut self, catalog: &Catalog) -> Result<(), EngineError> {
         // Flush any open statement so the WAL is a committed prefix even
         // if this checkpoint fails halfway through.
         self.wal.commit()?;
         let next_epoch = self.epoch + 1;
         let mut new_snaps: HashMap<String, TableSnapshot> = HashMap::new();
+        let mut wrote = false;
         for name in catalog.table_names() {
             let table = catalog.table(&name)?;
-            match self.snapshots.get(&name) {
-                Some(s) if s.generation == table.generation() => {
-                    new_snaps.insert(name.clone(), s.clone());
-                }
+            let meta = match self.snapshots.get(&name) {
+                Some(s) if s.generation == table.generation() => s.meta.clone(),
                 _ => {
-                    let meta = store_table(&mut self.store, &mut self.bufs, table, next_epoch)?;
-                    new_snaps.insert(
-                        name.clone(),
-                        TableSnapshot {
-                            generation: table.generation(),
-                            meta,
-                        },
-                    );
+                    // A failed checkpoint's files may be named by a meta
+                    // that did publish, so ordinals are never reused.
+                    let file = TableFile {
+                        epoch: next_epoch,
+                        ordinal: self.files_created,
+                    };
+                    self.files_created += 1;
+                    let bytes = store_table(&self.dir, file, table)?;
+                    self.io.pages_written += pages(bytes);
+                    wrote = true;
+                    TableMeta {
+                        name: table.name.clone(),
+                        columns: table.schema.columns.clone(),
+                        primary_key: table.primary_key.clone(),
+                        secondary: table.secondary_index_defs(),
+                        total_slots: table.total_slots() as u64,
+                        live_rows: table.live_rows() as u64,
+                        file,
+                    }
                 }
-            }
+            };
+            let generation = table.generation();
+            new_snaps.insert(name, TableSnapshot { generation, meta });
         }
-        self.store.sync()?;
+        if wrote {
+            io::sync_dir(&self.dir).map_err(|e| io_err("fsync dir", &self.dir, e))?;
+        }
         let mut views: Vec<(String, String)> = Vec::new();
         for n in catalog.view_names() {
             let query = catalog.view(&n).ok_or_else(|| {
@@ -335,24 +375,24 @@ impl Durability {
         self.wal.reset(next_epoch)?;
         self.epoch = next_epoch;
         self.snapshots = new_snaps;
-        let metas = self.snapshots.values().map(|s| &s.meta);
-        self.store
-            .set_free_list(unreferenced_pages(&self.store, metas));
+        self.remove_unnamed_files();
         Ok(())
     }
-}
 
-/// The page ids of `store`'s file that none of `metas` references.
-fn unreferenced_pages<'a>(
-    store: &PageStore,
-    metas: impl Iterator<Item = &'a TableMeta>,
-) -> Vec<u64> {
-    let used: HashSet<u64> = metas
-        .flat_map(|m| m.pages.iter().chain(&m.overflow).copied())
-        .collect();
-    (0..store.num_pages())
-        .filter(|id| !used.contains(id))
-        .collect()
+    /// Delete the table files no table of the published checkpoint names.
+    /// Best effort: a file that stays is deleted by a later checkpoint.
+    fn remove_unnamed_files(&self) {
+        let named: HashSet<TableFile> = self.snapshots.values().map(|s| s.meta.file).collect();
+        for path in io::read_dir(&self.dir).unwrap_or_default() {
+            let file = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .and_then(TableFile::parse);
+            if file.is_some_and(|f| !named.contains(&f)) {
+                let _ = io::remove_file(&path);
+            }
+        }
+    }
 }
 
 fn parse_view_sql(sql: &str) -> Result<ivm_sql::ast::Query, EngineError> {
@@ -448,133 +488,92 @@ fn apply_records(
 }
 
 // ---------------------------------------------------------------------
-// Table <-> pages
+// Table <-> file
 // ---------------------------------------------------------------------
 
-// Heap tuple layout: [0][slot:u64][encode_row…] inline, or
-// [1][slot:u64][head_page:u64][payload_len:u64] with the row encoding
-// chunked across an overflow chain.
-const TUPLE_INLINE: u8 = 0;
-const TUPLE_OVERFLOW: u8 = 1;
-
-/// Write a table's live rows to freshly allocated pages (slot order).
-/// A page's id is allocated when the page is started and the page is
-/// written once, when it is full.
-fn store_table(
-    store: &mut PageStore,
-    bufs: &mut PageBufs,
-    table: &Table,
-    lsn: u64,
-) -> Result<TableMeta, EngineError> {
-    let mut heap_pages = Vec::new();
-    let mut overflow_pages = Vec::new();
-    // Id of the heap page being filled in `bufs.heap`.
-    let mut current: Option<u64> = None;
-    let mut tuple = Vec::new();
-    for (slot, row) in table.scan() {
-        tuple.clear();
-        tuple.push(TUPLE_INLINE);
-        tuple.extend_from_slice(&slot.to_le_bytes());
-        frame::encode_row(&mut tuple, &row);
-        let mut overflow_ref = Vec::new();
-        let bytes: &[u8] = if tuple.len() <= HEAP_TUPLE_CAP {
-            &tuple
-        } else {
-            // Chain the row encoding back to front so each chunk knows
-            // its successor's page id before being written.
-            let payload = &tuple[9..];
-            let mut next = NO_PAGE;
-            for chunk in payload.chunks(OVERFLOW_CAP).rev() {
-                let id = store.allocate();
-                page::init_overflow(&mut bufs.overflow, lsn, next, chunk);
-                store.write(id, &mut bufs.overflow)?;
-                overflow_pages.push(id);
-                next = id;
-            }
-            overflow_ref.push(TUPLE_OVERFLOW);
-            overflow_ref.extend_from_slice(&slot.to_le_bytes());
-            overflow_ref.extend_from_slice(&next.to_le_bytes());
-            overflow_ref.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            &overflow_ref
-        };
-        if current.is_none() || !page::heap_push(&mut bufs.heap, bytes) {
-            if let Some(full) = current {
-                store.write(full, &mut bufs.heap)?;
-            }
-            let id = store.allocate();
-            page::init_heap(&mut bufs.heap, lsn);
-            if !page::heap_push(&mut bufs.heap, bytes) {
-                return Err(EngineError::execution(
-                    "internal: tuple does not fit an empty heap page",
-                ));
-            }
-            heap_pages.push(id);
-            current = Some(id);
+/// Write `table`'s live rows, in slot order, to the new file `file` and
+/// fsync it. Returns the bytes written. On failure the partial file is
+/// deleted (best effort), so a failed checkpoint gives its space back.
+fn store_table(dir: &Path, file: TableFile, table: &Table) -> Result<u64, EngineError> {
+    let path = dir.join(file.name());
+    let write = || {
+        let mut out = io::open(&path, OpenMode::Create).map_err(|e| io_err("create", &path, e))?;
+        let mut buf = Vec::new();
+        let mut written = 0u64;
+        let mut rows = table.scan().peekable();
+        while rows.peek().is_some() {
+            buf.clear();
+            write_record(&mut buf, |chunk| {
+                while chunk.len() < CHUNK_BYTES {
+                    let Some((slot, row)) = rows.next() else {
+                        break;
+                    };
+                    chunk.extend_from_slice(&slot.to_le_bytes());
+                    frame::encode_row(chunk, &row);
+                }
+            });
+            out.write_all(&buf).map_err(|e| io_err("write", &path, e))?;
+            written += buf.len() as u64;
         }
+        out.sync_data().map_err(|e| io_err("fsync", &path, e))?;
+        Ok(written)
+    };
+    let written = write();
+    if written.is_err() {
+        let _ = io::remove_file(&path);
     }
-    if let Some(last) = current {
-        store.write(last, &mut bufs.heap)?;
-    }
-    Ok(TableMeta {
-        name: table.name.clone(),
-        columns: table.schema.columns.clone(),
-        primary_key: table.primary_key.clone(),
-        secondary: table.secondary_index_defs(),
-        total_slots: table.total_slots() as u64,
-        live_rows: table.live_rows() as u64,
-        pages: heap_pages,
-        overflow: overflow_pages,
-    })
+    written
 }
 
-/// Rebuild a table from its checkpointed pages, decoding each tuple in
-/// place from the page buffer it was read into.
-fn load_table(
-    store: &mut PageStore,
-    bufs: &mut PageBufs,
-    tm: &TableMeta,
-) -> Result<Table, EngineError> {
-    // Grown as pages decode: `tm.live_rows` comes from the file and is
-    // only checked against the pages below, never reserved up front.
-    let mut rows: Vec<(u64, Vec<crate::value::Value>)> = Vec::new();
-    for &pid in &tm.pages {
-        store.read(pid, &mut bufs.heap)?;
-        for t in page::heap_tuples(&bufs.heap, pid)? {
-            if t.len() < 9 {
-                return Err(corrupt_meta(format!("short tuple on page {pid}")));
-            }
-            let slot = u64::from_le_bytes(t[1..9].try_into().unwrap());
-            let chained;
-            let encoded: &[u8] = match t[0] {
-                TUPLE_INLINE => &t[9..],
-                TUPLE_OVERFLOW => {
-                    if t.len() != 25 {
-                        return Err(corrupt_meta(format!("bad overflow ref on page {pid}")));
-                    }
-                    let head = u64::from_le_bytes(t[9..17].try_into().unwrap());
-                    let payload_len = u64::from_le_bytes(t[17..25].try_into().unwrap());
-                    chained = read_overflow_chain(store, &mut bufs.overflow, head, payload_len)?;
-                    &chained
+/// Rebuild a table by streaming its file one record at a time. Returns
+/// the table and the file's size.
+fn load_table(dir: &Path, tm: &TableMeta) -> Result<(Table, u64), EngineError> {
+    let path = dir.join(tm.file.name());
+    let corrupt = |what: &str| {
+        EngineError::execution(format!("corrupt table file {}: {what}", path.display()))
+    };
+    let mut file = match io::open(&path, OpenMode::ReadOnly) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Err(corrupt_meta(format!(
+                "table {} names missing file {}",
+                tm.name,
+                tm.file.name()
+            )))
+        }
+        Err(e) => return Err(io_err("open", &path, e)),
+    };
+    let len = file.len().map_err(|e| io_err("stat", &path, e))?;
+    let mut records = RecordReader::new(file, len);
+    // Grown as records decode: `tm.live_rows` comes from the meta and is
+    // only checked against the file below, never reserved up front.
+    let mut rows: Vec<(u64, Vec<Value>)> = Vec::new();
+    loop {
+        match records
+            .next_record()
+            .map_err(|e| io_err("read", &path, e))?
+        {
+            Framed::Record(chunk) => {
+                let mut cur = Cursor::new(chunk);
+                while cur.position() < chunk.len() as u64 {
+                    let slot = wal::get_u64(&mut cur).map_err(|e| corrupt(e.message()))?;
+                    let row = frame::decode_row(&mut cur).map_err(|e| corrupt(e.message()))?;
+                    rows.push((slot, row));
                 }
-                other => return Err(corrupt_meta(format!("unknown tuple tag {other}"))),
-            };
-            let mut cur = Cursor::new(encoded);
-            let row = frame::decode_row(&mut cur)?;
-            if cur.position() != encoded.len() as u64 {
-                return Err(corrupt_meta(format!("trailing tuple bytes on page {pid}")));
             }
-            rows.push((slot, row));
+            Framed::Eof => break,
+            Framed::Torn => return Err(corrupt("torn record or checksum mismatch")),
         }
     }
     if rows.len() as u64 != tm.live_rows {
-        return Err(corrupt_meta(format!(
-            "table {} expected {} live rows, pages hold {}",
+        return Err(corrupt(&format!(
+            "table {} expected {} live rows, the file holds {}",
             tm.name,
             tm.live_rows,
             rows.len()
         )));
     }
-    Table::from_parts(
+    let table = Table::from_parts(
         tm.name.clone(),
         Schema::new(tm.columns.clone()),
         tm.primary_key.clone(),
@@ -582,40 +581,8 @@ fn load_table(
         tm.total_slots,
         rows,
     )
-    .map_err(|e| corrupt_meta(e.message()))
-}
-
-/// Reassemble one overflow row's encoding, reading each chunk of the
-/// chain through `page`.
-fn read_overflow_chain(
-    store: &mut PageStore,
-    page: &mut [u8],
-    head: u64,
-    payload_len: u64,
-) -> Result<Vec<u8>, EngineError> {
-    let mut bytes = Vec::new();
-    let mut next = head;
-    let max_hops = payload_len / OVERFLOW_CAP as u64 + 2;
-    let mut hops = 0u64;
-    while next != NO_PAGE {
-        hops += 1;
-        if hops > max_hops {
-            return Err(corrupt_meta(
-                "overflow chain longer than its payload (cycle?)",
-            ));
-        }
-        store.read(next, page)?;
-        let (nxt, chunk) = page::overflow_chunk(page, next)?;
-        bytes.extend_from_slice(chunk);
-        next = nxt;
-    }
-    if bytes.len() as u64 != payload_len {
-        return Err(corrupt_meta(format!(
-            "overflow chain holds {} bytes, expected {payload_len}",
-            bytes.len()
-        )));
-    }
-    Ok(bytes)
+    .map_err(|e| corrupt_meta(e.message()))?;
+    Ok((table, len))
 }
 
 // ---------------------------------------------------------------------
@@ -623,34 +590,6 @@ fn read_overflow_chain(
 // ---------------------------------------------------------------------
 
 type DecodedMeta = (u64, Vec<TableMeta>, Vec<(String, String)>);
-
-fn frame_record(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-fn put_page_list(buf: &mut Vec<u8>, pages: &[u64]) {
-    buf.extend_from_slice(&(pages.len() as u64).to_le_bytes());
-    for &p in pages {
-        buf.extend_from_slice(&p.to_le_bytes());
-    }
-}
-
-fn get_page_list(r: &mut Cursor<&[u8]>) -> Result<Vec<u64>, EngineError> {
-    let n = wal::get_u64(r)?;
-    let remaining = r.get_ref().len() as u64 - r.position();
-    if n > remaining / 8 {
-        return Err(corrupt_meta(format!(
-            "page list of {n} entries overruns the record"
-        )));
-    }
-    let mut out = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        out.push(wal::get_u64(r)?);
-    }
-    Ok(out)
-}
 
 fn write_meta(
     dir: &Path,
@@ -663,34 +602,33 @@ fn write_meta(
     out.extend_from_slice(&epoch.to_le_bytes());
     let mut names: Vec<&String> = snapshots.keys().collect();
     names.sort();
-    let mut payload = Vec::new();
     for name in names {
         let tm = &snapshots[name].meta;
-        payload.clear();
-        payload.push(META_TAG_TABLE);
-        wal::put_str(&mut payload, &tm.name);
-        wal::put_columns(&mut payload, &tm.columns);
-        wal::put_positions(&mut payload, &tm.primary_key);
-        payload.extend_from_slice(&(tm.secondary.len() as u32).to_le_bytes());
-        for (iname, cols, unique) in &tm.secondary {
-            wal::put_str(&mut payload, iname);
-            wal::put_positions(&mut payload, cols);
-            payload.push(u8::from(*unique));
-        }
-        wal::put_u64(&mut payload, tm.total_slots);
-        wal::put_u64(&mut payload, tm.live_rows);
-        put_page_list(&mut payload, &tm.pages);
-        put_page_list(&mut payload, &tm.overflow);
-        frame_record(&mut out, &payload);
+        write_record(&mut out, |p| {
+            p.push(META_TAG_TABLE);
+            wal::put_str(p, &tm.name);
+            wal::put_columns(p, &tm.columns);
+            wal::put_positions(p, &tm.primary_key);
+            p.extend_from_slice(&(tm.secondary.len() as u32).to_le_bytes());
+            for (iname, cols, unique) in &tm.secondary {
+                wal::put_str(p, iname);
+                wal::put_positions(p, cols);
+                p.push(u8::from(*unique));
+            }
+            wal::put_u64(p, tm.total_slots);
+            wal::put_u64(p, tm.live_rows);
+            wal::put_u64(p, tm.file.epoch);
+            wal::put_u64(p, tm.file.ordinal);
+        });
     }
     for (name, sql) in views {
-        payload.clear();
-        payload.push(META_TAG_VIEW);
-        wal::put_str(&mut payload, name);
-        wal::put_str(&mut payload, sql);
-        frame_record(&mut out, &payload);
+        write_record(&mut out, |p| {
+            p.push(META_TAG_VIEW);
+            wal::put_str(p, name);
+            wal::put_str(p, sql);
+        });
     }
-    frame_record(&mut out, &[META_TAG_END]);
+    write_record(&mut out, |p| p.push(META_TAG_END));
 
     let tmp = dir.join(format!("{META_FILE}.tmp"));
     let final_path = dir.join(META_FILE);
@@ -716,20 +654,13 @@ fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, EngineError> {
     let epoch = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     let mut tables = Vec::new();
     let mut views = Vec::new();
-    let mut off = 16usize;
+    let mut records = RecordReader::new(&bytes[16..], bytes.len() as u64 - 16);
     loop {
-        if bytes.len() - off < 8 {
-            return Err(corrupt_meta("missing end marker"));
-        }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-        let payload = bytes
-            .get(off + 8..off + 8 + len)
-            .ok_or_else(|| corrupt_meta("record overruns the file"))?;
-        if crc32(payload) != crc {
-            return Err(corrupt_meta("record checksum mismatch"));
-        }
-        off += 8 + len;
+        let payload = match records.next_record() {
+            Ok(Framed::Record(payload)) => payload,
+            Ok(Framed::Eof) => return Err(corrupt_meta("missing end marker")),
+            _ => return Err(corrupt_meta("torn record or checksum mismatch")),
+        };
         let mut r = Cursor::new(payload);
         let mut tag = [0u8; 1];
         r.read_exact(&mut tag)
@@ -759,10 +690,25 @@ fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, EngineError> {
                 }
                 let total_slots = wal::get_u64(&mut r)?;
                 let live_rows = wal::get_u64(&mut r)?;
-                let pages = get_page_list(&mut r)?;
-                let overflow = get_page_list(&mut r)?;
+                let file = TableFile {
+                    epoch: wal::get_u64(&mut r)?,
+                    ordinal: wal::get_u64(&mut r)?,
+                };
                 if r.position() != payload.len() as u64 {
                     return Err(corrupt_meta("trailing bytes in table record"));
+                }
+                if live_rows > total_slots {
+                    return Err(corrupt_meta(format!(
+                        "table {name} claims {live_rows} live rows in {total_slots} slots"
+                    )));
+                }
+                // Files of later epochs are a crashed checkpoint's, which
+                // the recovery checkpoint may overwrite.
+                if file.epoch > epoch {
+                    return Err(corrupt_meta(format!(
+                        "table {name} names {} of a later epoch",
+                        file.name()
+                    )));
                 }
                 tables.push(TableMeta {
                     name,
@@ -771,8 +717,7 @@ fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, EngineError> {
                     secondary,
                     total_slots,
                     live_rows,
-                    pages,
-                    overflow,
+                    file,
                 });
             }
             META_TAG_VIEW => {
@@ -784,7 +729,7 @@ fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, EngineError> {
                 views.push((name, sql));
             }
             META_TAG_END => {
-                if off != bytes.len() {
+                if !matches!(records.next_record(), Ok(Framed::Eof)) {
                     return Err(corrupt_meta("trailing bytes after end marker"));
                 }
                 return Ok((epoch, tables, views));
@@ -798,7 +743,6 @@ fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, EngineError> {
 mod tests {
     use super::*;
     use crate::types::DataType;
-    use crate::value::Value;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -827,7 +771,7 @@ mod tests {
         c
     }
 
-    /// A table spanning several heap pages.
+    /// A table whose file spans several records.
     fn big_table() -> Table {
         let mut t = Table::new(
             "big",
@@ -864,8 +808,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// The I/O bound: a checkpoint writes each page of each dirty table
-    /// once and nothing else; an open reads each referenced page once.
+    /// The file `dir` holds for `table`, in [`PAGE_SIZE`] units.
+    fn file_pages(d: &Durability, table: &str) -> u64 {
+        let path = d.dir.join(d.snapshots[table].meta.file.name());
+        pages(std::fs::metadata(path).unwrap().len())
+    }
+
+    /// The I/O bound, in [`BufferPoolStats`] units: a checkpoint writes
+    /// each dirty table's file once and nothing else; an open reads each
+    /// file the meta names once.
     #[test]
     fn clean_tables_are_not_rewritten() {
         let dir = temp_dir("clean");
@@ -878,41 +829,39 @@ mod tests {
         assert_eq!(
             d.pool_stats().pages_written,
             written,
-            "clean checkpoint writes no pages"
+            "a clean checkpoint writes nothing"
         );
 
-        let page_count = |m: &TableMeta| (m.pages.len() + m.overflow.len()) as u64;
         catalog
             .table_mut("big")
             .unwrap()
             .insert(vec![Value::Integer(0)])
             .unwrap();
         d.checkpoint(&catalog).unwrap();
-        let big_pages = page_count(&d.snapshots["big"].meta);
+        let big_pages = file_pages(&d, "big");
         assert!(big_pages > 1, "big spans several pages");
         assert_eq!(
             d.pool_stats().pages_written,
             written + big_pages,
-            "only the dirty table's pages are written, each once"
+            "only the dirty table's file is written, once"
         );
 
-        let referenced: u64 = d.snapshots.values().map(|s| page_count(&s.meta)).sum();
+        let named = file_pages(&d, "big") + file_pages(&d, "t");
         drop(d);
         let (d, _) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
         let stats = d.pool_stats();
-        assert_eq!(stats.misses, referenced, "each referenced page read once");
+        assert_eq!(stats.misses, named, "each named file read once");
         assert_eq!((stats.hits, stats.evictions), (0, 0));
         assert_eq!(stats.pages_written, 0, "nothing replayed, nothing dirty");
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn shadow_paging_reuses_space_without_unbounded_growth() {
-        let dir = temp_dir("shadow");
-        let (mut d, mut catalog) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
+    fn checkpoints_leave_one_file_per_table() {
+        let dir = temp_dir("files");
+        let (mut d, _) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
+        let mut catalog = seed_catalog();
         catalog.create_table(big_table()).unwrap();
-        d.checkpoint(&catalog).unwrap();
-        let after_first = d.store.num_pages();
         for _ in 0..5 {
             catalog
                 .table_mut("big")
@@ -921,21 +870,23 @@ mod tests {
                 .unwrap();
             d.checkpoint(&catalog).unwrap();
         }
-        // Each checkpoint rewrites ~the same page count; shadow paging
-        // needs at most old+new live at once, so the file stays below
-        // 3× the single-checkpoint footprint instead of growing 6×.
-        assert!(
-            d.store.num_pages() < after_first * 3,
-            "pages grew unbounded: {} vs {after_first}",
-            d.store.num_pages()
-        );
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        let t = d.snapshots["t"].meta.file.name();
+        let big = d.snapshots["big"].meta.file.name();
+        let mut expected = vec![META_FILE.to_string(), big, t, "wal.0001.log".into()];
+        expected.sort();
+        assert_eq!(names, expected);
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn oversized_tuples_take_the_overflow_path() {
-        let dir = temp_dir("overflow");
-        let big = "x".repeat(3 * page::PAGE_SIZE); // spans several pages
+    fn oversized_varchar_round_trips() {
+        let dir = temp_dir("oversized");
+        let big = "x".repeat(3 * CHUNK_BYTES); // one row, larger than a chunk
         {
             let (mut d, mut catalog) =
                 Durability::open(&dir, DurabilityOptions::default()).unwrap();
@@ -974,40 +925,87 @@ mod tests {
         let err = Durability::open(&dir, DurabilityOptions::default()).unwrap_err();
         assert!(err.to_string().contains("corrupt catalog meta"), "{err}");
 
-        // Sizes and key positions inside a record whose CRC is valid are
-        // not trusted either: a page list claiming 2^61 entries, a table
-        // claiming 2^60 live rows or 2^60 slots, a primary key on column
-        // 3 and a secondary index on column 5 of a 1-column table.
+        // Hand-built metas of epoch 1 naming `table.<e>.0.dat`, planted with
+        // the bytes of each case (`None`: no such file), and the error each
+        // must give. Sizes, counts and key positions inside a record whose
+        // CRC is valid are not trusted either, nor a file of a later epoch
+        // than the meta's. The first case is the control: it must load.
+        let mut one_row = Vec::new();
+        write_record(&mut one_row, |p| {
+            p.extend_from_slice(&0u64.to_le_bytes());
+            frame::encode_row(p, &[Value::Integer(7)]);
+        });
+        let mut past_eof = one_row.clone();
+        past_eof.truncate(one_row.len() - 1);
+        let mut four_gib = u32::MAX.to_le_bytes().to_vec();
+        four_gib.extend_from_slice(&[0u8; 12]);
         let no_index: Vec<(&str, Vec<usize>)> = Vec::new();
+        let (meta, file) = ("corrupt catalog meta", "corrupt table file");
         let cases = [
-            (vec![], no_index.clone(), 0, 0, 1u64 << 61),
-            (vec![], no_index.clone(), 0, 1u64 << 60, 0),
-            (vec![], no_index.clone(), 1u64 << 60, 0, 0),
-            (vec![3], no_index, 0, 0, 0),
-            (vec![], vec![("ix", vec![5])], 0, 0, 0),
+            (vec![], no_index.clone(), 1, 1, Some(&one_row), 1, ""),
+            (vec![], no_index.clone(), 1, 1, None, 1, meta),
+            (vec![], no_index.clone(), 1, 1, Some(&past_eof), 1, file),
+            (vec![], no_index.clone(), 1, 1, Some(&four_gib), 1, file),
+            (vec![], no_index.clone(), 2, 2, Some(&one_row), 1, file),
+            (
+                vec![],
+                no_index.clone(),
+                1,
+                1u64 << 60,
+                Some(&one_row),
+                1,
+                meta,
+            ),
+            (
+                vec![],
+                no_index.clone(),
+                1u64 << 60,
+                1,
+                Some(&one_row),
+                1,
+                meta,
+            ),
+            (vec![3], no_index.clone(), 1, 1, Some(&one_row), 1, meta),
+            (vec![], vec![("ix", vec![5])], 1, 1, Some(&one_row), 1, meta),
+            (vec![], no_index, 1, 1, Some(&one_row), 2, meta),
         ];
-        for (primary_key, secondary, total_slots, live_rows, page_list_len) in cases {
-            let mut payload = vec![META_TAG_TABLE];
-            wal::put_str(&mut payload, "t");
-            wal::put_columns(&mut payload, &[Column::new("v", DataType::Integer)]);
-            wal::put_positions(&mut payload, &primary_key);
-            payload.extend_from_slice(&(secondary.len() as u32).to_le_bytes());
-            for (name, cols) in &secondary {
-                wal::put_str(&mut payload, name);
-                wal::put_positions(&mut payload, cols);
-                payload.push(0); // not unique
-            }
-            wal::put_u64(&mut payload, total_slots);
-            wal::put_u64(&mut payload, live_rows);
-            wal::put_u64(&mut payload, page_list_len); // heap pages, no entries
-            wal::put_u64(&mut payload, 0); // overflow pages
+        for (i, case) in cases.into_iter().enumerate() {
+            let (primary_key, secondary, total_slots, live_rows, contents, epoch, expect) = case;
             let mut bytes = META_MAGIC.to_vec();
             bytes.extend_from_slice(&1u64.to_le_bytes());
-            frame_record(&mut bytes, &payload);
-            frame_record(&mut bytes, &[META_TAG_END]);
+            write_record(&mut bytes, |p| {
+                p.push(META_TAG_TABLE);
+                wal::put_str(p, "t");
+                wal::put_columns(p, &[Column::new("v", DataType::Integer)]);
+                wal::put_positions(p, &primary_key);
+                p.extend_from_slice(&(secondary.len() as u32).to_le_bytes());
+                for (name, cols) in &secondary {
+                    wal::put_str(p, name);
+                    wal::put_positions(p, cols);
+                    p.push(0); // not unique
+                }
+                wal::put_u64(p, total_slots);
+                wal::put_u64(p, live_rows);
+                wal::put_u64(p, epoch);
+                wal::put_u64(p, 0); // file ordinal
+            });
+            write_record(&mut bytes, |p| p.push(META_TAG_END));
+            let file = dir.join(TableFile { epoch, ordinal: 0 }.name());
             std::fs::write(&meta_path, &bytes).unwrap();
-            let err = Durability::open(&dir, DurabilityOptions::default()).unwrap_err();
-            assert!(err.to_string().contains("corrupt catalog meta"), "{err}");
+            // The control's recovery checkpoint left a WAL of epoch 2.
+            let _ = std::fs::remove_file(wal::segment_path(&dir, 1));
+            let _ = std::fs::remove_file(&file);
+            if let Some(contents) = contents {
+                std::fs::write(&file, contents).unwrap();
+            }
+            let opened = Durability::open(&dir, DurabilityOptions::default());
+            if i == 0 {
+                let rows: Vec<_> = opened.unwrap().1.table("t").unwrap().scan().collect();
+                assert_eq!(rows, vec![(0, vec![Value::Integer(7)])]);
+            } else {
+                let err = opened.unwrap_err().to_string();
+                assert!(err.contains(expect), "case {i}: {err}");
+            }
         }
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -91,10 +91,10 @@ pub fn write_frame(w: &mut impl Write, rows: &[Vec<Value>]) -> Result<u64, Engin
 }
 
 /// Encode one row as a width-prefixed run of tagged values — the same
-/// value encoding spill frames use, row-major. This is the tuple payload
-/// format of slotted heap pages ([`crate::storage::page`]) and the row
-/// payload of WAL records ([`crate::storage::wal`]), so the durability
-/// layer inherits the frame codec's bounds checking wholesale.
+/// value encoding spill frames use, row-major. This is the row format of
+/// table files ([`crate::storage::durability`]) and the row payload of
+/// WAL records ([`crate::storage::wal`]), so the durability layer
+/// inherits the frame codec's bounds checking wholesale.
 pub fn encode_row(buf: &mut Vec<u8>, row: &[Value]) {
     buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
     for v in row {

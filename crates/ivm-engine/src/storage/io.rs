@@ -1,7 +1,7 @@
 //! Fault-injectable storage I/O: every durable-path file operation in
-//! the engine — WAL appends and fsyncs, page reads/writes, catalog-meta
-//! publishes, spill frames — goes through this module instead of
-//! touching `std::fs` directly.
+//! the engine — WAL appends and fsyncs, table-file reads/writes,
+//! catalog-meta publishes, spill frames — goes through this module
+//! instead of touching `std::fs` directly.
 //!
 //! Two layers compose here:
 //!

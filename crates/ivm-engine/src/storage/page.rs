@@ -1,334 +1,27 @@
-//! Fixed-size slotted heap pages.
+//! The unit table-file I/O is counted in.
 //!
-//! Every page is exactly [`PAGE_SIZE`] bytes and starts with a 24-byte
-//! header (magic, kind, LSN, CRC-32 checksum). Two kinds exist:
-//!
-//! - **Heap** pages hold variable-length tuples growing up from the
-//!   header while a slot directory (`offset:u16 len:u16` per entry)
-//!   grows down from the page end — the classic slotted layout.
-//! - **Overflow** pages hold one chunk of a tuple too large to inline,
-//!   chained through a `next` pointer, so a single VARCHAR may span
-//!   thousands of pages without changing the heap layout.
-//!
-//! Tuple *payloads* are rows encoded with the bounds-checked columnar
-//! frame codec ([`crate::storage::frame::encode_row`]); this module only
-//! manages placement. The checksum is computed over the whole page with
-//! the checksum field zeroed ([`seal`]) and verified on every read from
-//! disk ([`verify`]) — a torn or bit-rotted page decodes to a clean
-//! [`EngineError`], never a panic.
+//! Tables at rest are files of checksummed records
+//! ([`crate::storage::durability`]), not pages. [`PAGE_SIZE`] and
+//! [`BufferPoolStats`] are what the benchmark reads of the page store
+//! those files replaced, so they stay, counting bytes in pages.
 
-use crate::error::EngineError;
-use crate::storage::checksum::crc32;
-
-/// Size of every page on disk, in bytes.
+/// The unit [`BufferPoolStats`] counts table-file bytes in.
 pub const PAGE_SIZE: usize = 8192;
 
-/// Bytes of the common page header.
-pub const PAGE_HEADER: usize = 24;
-
-/// Bytes per slot-directory entry (`offset:u16 len:u16`).
-const SLOT_ENTRY: usize = 4;
-
-/// Page magic ("OIPG" little-endian).
-pub const PAGE_MAGIC: u32 = 0x4750_494F;
-
-/// Page kind: slotted heap page.
-pub const KIND_HEAP: u8 = 1;
-
-/// Page kind: overflow chunk page.
-pub const KIND_OVERFLOW: u8 = 2;
-
-/// Largest tuple a heap page can inline (one tuple + one slot entry on
-/// an otherwise empty page); larger tuples go to an overflow chain.
-pub const HEAP_TUPLE_CAP: usize = PAGE_SIZE - PAGE_HEADER - SLOT_ENTRY;
-
-/// Payload bytes one overflow page carries (header + `next` pointer
-/// + `chunk_len` live in the first 34 bytes).
-pub const OVERFLOW_CAP: usize = PAGE_SIZE - PAGE_HEADER - 10;
-
-/// Sentinel for "no next overflow page" (page id 0 is a valid page).
-pub const NO_PAGE: u64 = u64::MAX;
-
-// Header layout (all little-endian):
-//   0..4   magic
-//   4      kind
-//   5      pad
-//   6..8   nslots (heap)
-//   8..10  free_off (heap): first free byte above the tuple area
-//   10..12 pad
-//   12..16 checksum (crc32 of the page with this field zeroed)
-//   16..24 lsn
-// Overflow body:
-//   24..32 next page id (NO_PAGE terminates the chain)
-//   32..34 chunk_len
-//   34..   chunk payload
-
-fn get_u16(page: &[u8], off: usize) -> u16 {
-    u16::from_le_bytes(page[off..off + 2].try_into().unwrap())
-}
-
-fn put_u16(page: &mut [u8], off: usize, v: u16) {
-    page[off..off + 2].copy_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(page: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(page[off..off + 4].try_into().unwrap())
-}
-
-fn put_u32(page: &mut [u8], off: usize, v: u32) {
-    page[off..off + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-fn get_u64(page: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(page[off..off + 8].try_into().unwrap())
-}
-
-fn put_u64(page: &mut [u8], off: usize, v: u64) {
-    page[off..off + 8].copy_from_slice(&v.to_le_bytes());
-}
-
-fn corrupt(page_id: u64, what: impl Into<String>) -> EngineError {
-    EngineError::execution(format!("corrupt page {page_id}: {}", what.into()))
-}
-
-/// Initialize `page` as an empty heap page stamped with `lsn`.
-pub fn init_heap(page: &mut [u8], lsn: u64) {
-    debug_assert_eq!(page.len(), PAGE_SIZE);
-    page.fill(0);
-    put_u32(page, 0, PAGE_MAGIC);
-    page[4] = KIND_HEAP;
-    put_u16(page, 6, 0);
-    put_u16(page, 8, PAGE_HEADER as u16);
-    put_u64(page, 16, lsn);
-}
-
-/// Initialize `page` as an overflow page stamped with `lsn`, carrying
-/// `chunk` (≤ [`OVERFLOW_CAP`] bytes) and pointing at `next`.
-pub fn init_overflow(page: &mut [u8], lsn: u64, next: u64, chunk: &[u8]) {
-    debug_assert_eq!(page.len(), PAGE_SIZE);
-    debug_assert!(chunk.len() <= OVERFLOW_CAP, "overflow chunk too large");
-    page.fill(0);
-    put_u32(page, 0, PAGE_MAGIC);
-    page[4] = KIND_OVERFLOW;
-    put_u64(page, 16, lsn);
-    put_u64(page, 24, next);
-    put_u16(page, 32, chunk.len() as u16);
-    page[34..34 + chunk.len()].copy_from_slice(chunk);
-}
-
-/// The page kind byte.
-pub fn kind(page: &[u8]) -> u8 {
-    page[4]
-}
-
-/// The page LSN (the epoch of the checkpoint that wrote it).
-pub fn lsn(page: &[u8]) -> u64 {
-    get_u64(page, 16)
-}
-
-/// Number of tuples on a heap page.
-pub fn heap_slots(page: &[u8]) -> usize {
-    get_u16(page, 6) as usize
-}
-
-/// Free bytes left on a heap page for one more tuple (its slot entry
-/// already accounted for).
-pub fn heap_free_space(page: &[u8]) -> usize {
-    let nslots = get_u16(page, 6) as usize;
-    let free_off = get_u16(page, 8) as usize;
-    let dir_start = PAGE_SIZE - (nslots + 1) * SLOT_ENTRY;
-    dir_start.saturating_sub(free_off)
-}
-
-/// Append a tuple to a heap page. Returns `false` when it does not fit
-/// (caller moves to a fresh page). Tuples above [`HEAP_TUPLE_CAP`] never
-/// fit anywhere and must be routed through an overflow chain first.
-pub fn heap_push(page: &mut [u8], tuple: &[u8]) -> bool {
-    if tuple.len() > heap_free_space(page) {
-        return false;
-    }
-    let nslots = get_u16(page, 6) as usize;
-    let free_off = get_u16(page, 8) as usize;
-    page[free_off..free_off + tuple.len()].copy_from_slice(tuple);
-    let entry = PAGE_SIZE - (nslots + 1) * SLOT_ENTRY;
-    put_u16(page, entry, free_off as u16);
-    put_u16(page, entry + 2, tuple.len() as u16);
-    put_u16(page, 6, (nslots + 1) as u16);
-    put_u16(page, 8, (free_off + tuple.len()) as u16);
-    true
-}
-
-/// Borrow the tuples of a heap page in slot order. Every offset/length
-/// is validated against the page bounds — a corrupt directory is a clean
-/// error, not an out-of-bounds slice.
-pub fn heap_tuples(page: &[u8], page_id: u64) -> Result<Vec<&[u8]>, EngineError> {
-    if kind(page) != KIND_HEAP {
-        return Err(corrupt(
-            page_id,
-            format!("expected heap page, kind {}", kind(page)),
-        ));
-    }
-    let nslots = get_u16(page, 6) as usize;
-    let dir_start = PAGE_SIZE
-        .checked_sub(nslots * SLOT_ENTRY)
-        .filter(|&d| d >= PAGE_HEADER);
-    let Some(dir_start) = dir_start else {
-        return Err(corrupt(
-            page_id,
-            format!("slot count {nslots} overruns the page"),
-        ));
-    };
-    let mut out = Vec::with_capacity(nslots);
-    for i in 0..nslots {
-        let entry = PAGE_SIZE - (i + 1) * SLOT_ENTRY;
-        let off = get_u16(page, entry) as usize;
-        let len = get_u16(page, entry + 2) as usize;
-        if off < PAGE_HEADER || off + len > dir_start {
-            return Err(corrupt(
-                page_id,
-                format!("slot {i} [{off}, {}) escapes the tuple area", off + len),
-            ));
-        }
-        out.push(&page[off..off + len]);
-    }
-    Ok(out)
-}
-
-/// Read an overflow page: `(next page id, chunk bytes)`.
-pub fn overflow_chunk(page: &[u8], page_id: u64) -> Result<(u64, &[u8]), EngineError> {
-    if kind(page) != KIND_OVERFLOW {
-        return Err(corrupt(
-            page_id,
-            format!("expected overflow page, kind {}", kind(page)),
-        ));
-    }
-    let next = get_u64(page, 24);
-    let len = get_u16(page, 32) as usize;
-    if len > OVERFLOW_CAP {
-        return Err(corrupt(
-            page_id,
-            format!("overflow chunk length {len} exceeds cap"),
-        ));
-    }
-    Ok((next, &page[34..34 + len]))
-}
-
-/// Stamp the page checksum (CRC-32 over the page with the checksum field
-/// zeroed). Called at the write-to-disk boundary by the buffer pool.
-pub fn seal(page: &mut [u8]) {
-    put_u32(page, 12, 0);
-    let crc = crc32(page);
-    put_u32(page, 12, crc);
-}
-
-/// Verify magic and checksum after reading a page from disk.
-pub fn verify(page: &[u8], page_id: u64) -> Result<(), EngineError> {
-    if get_u32(page, 0) != PAGE_MAGIC {
-        return Err(corrupt(page_id, "bad magic (not an openivm page)"));
-    }
-    let stored = get_u32(page, 12);
-    let mut copy = page.to_vec();
-    put_u32(&mut copy, 12, 0);
-    if crc32(&copy) != stored {
-        return Err(corrupt(
-            page_id,
-            "checksum mismatch (torn or corrupted write)",
-        ));
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn fresh() -> Vec<u8> {
-        let mut p = vec![0u8; PAGE_SIZE];
-        init_heap(&mut p, 7);
-        p
-    }
-
-    #[test]
-    fn push_and_read_back_in_slot_order() {
-        let mut p = fresh();
-        let tuples: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; (i as usize + 1) * 10]).collect();
-        for t in &tuples {
-            assert!(heap_push(&mut p, t));
-        }
-        assert_eq!(heap_slots(&p), 10);
-        assert_eq!(lsn(&p), 7);
-        let got = heap_tuples(&p, 0).unwrap();
-        assert_eq!(got.len(), 10);
-        for (a, b) in got.iter().zip(&tuples) {
-            assert_eq!(a, &b.as_slice());
-        }
-    }
-
-    #[test]
-    fn page_fills_up_and_rejects_cleanly() {
-        let mut p = fresh();
-        let tuple = vec![0xABu8; 1000];
-        let mut pushed = 0;
-        while heap_push(&mut p, &tuple) {
-            pushed += 1;
-        }
-        // 1000-byte tuples + 4-byte slots into 8168 usable bytes → 8.
-        assert_eq!(pushed, (PAGE_SIZE - PAGE_HEADER) / (1000 + SLOT_ENTRY));
-        // The page still reads back fine after the failed push.
-        assert_eq!(heap_tuples(&p, 0).unwrap().len(), pushed);
-        // A max-size tuple fits alone on an empty page; one byte more never fits.
-        let mut p = fresh();
-        assert!(heap_push(&mut p, &vec![0u8; HEAP_TUPLE_CAP]));
-        let mut p = fresh();
-        assert!(!heap_push(&mut p, &vec![0u8; HEAP_TUPLE_CAP + 1]));
-    }
-
-    #[test]
-    fn seal_verify_roundtrip_and_corruption() {
-        let mut p = fresh();
-        heap_push(&mut p, b"hello");
-        seal(&mut p);
-        verify(&p, 3).unwrap();
-        // Any flipped byte fails verification with a clean error.
-        p[100] ^= 0x01;
-        let err = verify(&p, 3).unwrap_err();
-        assert!(err.to_string().contains("checksum mismatch"), "{err}");
-        p[100] ^= 0x01;
-        verify(&p, 3).unwrap();
-        // Wrong magic is its own error.
-        let zeros = vec![0u8; PAGE_SIZE];
-        let err = verify(&zeros, 9).unwrap_err();
-        assert!(err.to_string().contains("bad magic"), "{err}");
-    }
-
-    #[test]
-    fn corrupt_slot_directory_is_a_clean_error() {
-        let mut p = fresh();
-        heap_push(&mut p, b"tuple");
-        // Point the slot past the end of the tuple area.
-        let entry = PAGE_SIZE - SLOT_ENTRY;
-        put_u16(&mut p, entry, (PAGE_SIZE - 2) as u16);
-        put_u16(&mut p, entry + 2, 100);
-        assert!(heap_tuples(&p, 0).is_err());
-        // Absurd slot count.
-        let mut p = fresh();
-        put_u16(&mut p, 6, u16::MAX);
-        assert!(heap_tuples(&p, 0).is_err());
-    }
-
-    #[test]
-    fn overflow_pages_roundtrip() {
-        let mut p = vec![0u8; PAGE_SIZE];
-        let chunk = vec![0x5Au8; OVERFLOW_CAP];
-        init_overflow(&mut p, 2, 42, &chunk);
-        seal(&mut p);
-        verify(&p, 1).unwrap();
-        let (next, got) = overflow_chunk(&p, 1).unwrap();
-        assert_eq!(next, 42);
-        assert_eq!(got, chunk.as_slice());
-        // Kind confusion is a clean error both ways.
-        assert!(heap_tuples(&p, 1).is_err());
-        let h = fresh();
-        assert!(overflow_chunk(&h, 0).is_err());
-    }
+/// Cumulative table-file I/O of one durable database, in [`PAGE_SIZE`]
+/// units (each file rounded up). The name and the two zero fields date
+/// from a buffer pool; the benchmark reads all four, so they stay until
+/// it is re-based.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BufferPoolStats {
+    /// Always 0: nothing is cached, so no read is served from memory.
+    pub hits: u64,
+    /// Table-file pages read (each file `catalog.meta` names once, at
+    /// open).
+    pub misses: u64,
+    /// Always 0: there are no frames to evict.
+    pub evictions: u64,
+    /// Table-file pages written (each dirty table's file once per
+    /// checkpoint).
+    pub pages_written: u64,
 }

@@ -2,9 +2,8 @@
 //! replay, split across size-bounded segments.
 //!
 //! The log is a sequence of segment files `wal.0001.log`, `wal.0002.log`,
-//! … in the data directory (a legacy single `wal.log` from older layouts
-//! is accepted as segment 0). Each segment is a header (`magic`, `epoch`)
-//! followed by CRC-framed records:
+//! … in the data directory. Each segment is a header (`magic`, `epoch`)
+//! followed by CRC-framed records ([`write_record`]):
 //!
 //! ```text
 //! segment := MAGIC epoch:u64 record*
@@ -53,7 +52,7 @@ use std::sync::Mutex;
 
 use crate::error::EngineError;
 use crate::schema::Column;
-use crate::storage::checksum::crc32;
+use crate::storage::checksum::{write_record, Framed, RecordReader};
 use crate::storage::frame;
 use crate::storage::io::{self, FileHandle, OpenMode};
 use crate::types::DataType;
@@ -68,10 +67,6 @@ pub const WAL_HEADER: usize = 16;
 /// Default segment size bound: rotate after the active segment reaches
 /// this many bytes.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 16 << 20;
-
-/// File name of the pre-segmentation single-file layout, still accepted
-/// by [`Wal::replay`] as segment 0.
-pub const LEGACY_WAL_FILE: &str = "wal.log";
 
 /// Buffered bytes above which [`Wal::log`] writes through to the file
 /// (without committing) so huge statements don't balloon memory.
@@ -506,7 +501,7 @@ pub struct WalStats {
 #[derive(Debug)]
 struct WalInner {
     file: FileHandle,
-    /// Index of the active segment (1-based; 0 = legacy `wal.log`).
+    /// Index of the active segment (1-based).
     seg_index: u64,
     /// Bytes in the active segment, including any appended after an
     /// errored write (approximation is fine: the log poisons on error).
@@ -547,18 +542,12 @@ pub struct Wal {
     inner: Mutex<WalInner>,
 }
 
-/// Path of segment `index` inside `dir` (`wal.0001.log`, …; index 0 is
-/// the legacy single-file name).
+/// Path of segment `index` inside `dir` (`wal.0001.log`, …).
 pub fn segment_path(dir: &Path, index: u64) -> PathBuf {
-    if index == 0 {
-        dir.join(LEGACY_WAL_FILE)
-    } else {
-        dir.join(format!("wal.{index:04}.log"))
-    }
+    dir.join(format!("wal.{index:04}.log"))
 }
 
 /// Segment files present in `dir`, as `(index, path)` sorted by index.
-/// A legacy `wal.log` sorts first as index 0.
 fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, EngineError> {
     let entries = match io::read_dir(dir) {
         Ok(e) => e,
@@ -570,9 +559,7 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, EngineError> {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        if name == LEGACY_WAL_FILE {
-            segs.push((0, path));
-        } else if let Some(digits) = name
+        if let Some(digits) = name
             .strip_prefix("wal.")
             .and_then(|rest| rest.strip_suffix(".log"))
         {
@@ -629,11 +616,11 @@ impl Wal {
         })
     }
 
-    /// Discard all segments and start a fresh epoch: higher segments (and
-    /// a legacy `wal.log`) are removed *first*, then segment 1 is
-    /// truncated, given the new header, fsynced, and its directory entry
-    /// fsynced. Called by every checkpoint after the catalog meta rename;
-    /// the remove-first ordering keeps every crash window epoch-uniform.
+    /// Discard all segments and start a fresh epoch: higher segments are
+    /// removed *first*, then segment 1 is truncated, given the new header,
+    /// fsynced, and its directory entry fsynced. Called by every
+    /// checkpoint after the catalog meta rename; the remove-first
+    /// ordering keeps every crash window epoch-uniform.
     pub fn reset(&self, epoch: u64) -> Result<(), EngineError> {
         let mut inner = self.lock();
         if let Some(why) = &inner.poisoned {
@@ -689,17 +676,7 @@ impl Wal {
         if inner.poisoned.is_some() {
             return;
         }
-        let start = inner.buf.len();
-        inner.buf.extend_from_slice(&[0u8; 8]); // frame placeholder
-        let rec_start = inner.buf.len();
-        {
-            let WalInner { buf, .. } = &mut *inner;
-            rec.encode(buf);
-        }
-        let payload_len = (inner.buf.len() - rec_start) as u32;
-        let crc = crc32(&inner.buf[rec_start..]);
-        inner.buf[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
-        inner.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        write_record(&mut inner.buf, |buf| rec.encode(buf));
         inner.pending = true;
         if !matches!(rec, WalRecord::Commit) {
             inner.stats.records += 1;
@@ -747,17 +724,7 @@ impl Wal {
         if !inner.pending {
             return Ok(false);
         }
-        let start = inner.buf.len();
-        inner.buf.extend_from_slice(&[0u8; 8]);
-        let rec_start = inner.buf.len();
-        {
-            let WalInner { buf, .. } = &mut *inner;
-            WalRecord::Commit.encode(buf);
-        }
-        let payload_len = (inner.buf.len() - rec_start) as u32;
-        let crc = crc32(&inner.buf[rec_start..]);
-        inner.buf[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
-        inner.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        write_record(&mut inner.buf, |buf| WalRecord::Commit.encode(buf));
         if let Err(e) = Self::write_buf(&mut inner) {
             inner.poison(e.to_string());
             return Err(e);
@@ -863,42 +830,23 @@ impl Wal {
                 Some(e) if e != epoch => break,
                 Some(_) => {}
             }
-            let mut off = WAL_HEADER;
-            while bytes.len() - off >= 8 {
-                let len =
-                    u32::from_le_bytes(bytes[off..off + 4].try_into().expect("sliced 4 bytes"))
-                        as usize;
-                let crc =
-                    u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("sliced 4 bytes"));
-                let torn = match bytes.get(off + 8..off + 8 + len) {
-                    None => true, // record extends past EOF
-                    Some(payload) if crc32(payload) != crc => true,
-                    Some(payload) => {
-                        let rec = WalRecord::decode(payload)?;
-                        off += 8 + len;
-                        if matches!(rec, WalRecord::Commit) {
-                            committed = records.len();
-                        } else {
-                            records.push(rec);
-                        }
-                        false
-                    }
-                };
-                if torn {
-                    if i < last {
+            let body = &bytes[WAL_HEADER..];
+            let mut frames = RecordReader::new(body, body.len() as u64);
+            loop {
+                match frames.next_record().map_err(|e| io_err("read", path, e))? {
+                    Framed::Record(payload) => match WalRecord::decode(payload)? {
+                        WalRecord::Commit => committed = records.len(),
+                        rec => records.push(rec),
+                    },
+                    Framed::Eof => break,
+                    Framed::Torn if i < last => {
                         return Err(corrupt(format!(
                             "torn frame in non-final segment {}",
                             path.display()
                         )));
                     }
-                    break;
+                    Framed::Torn => break,
                 }
-            }
-            if i < last && bytes.len() - off != 0 && bytes.len() - off < 8 {
-                return Err(corrupt(format!(
-                    "torn frame in non-final segment {}",
-                    path.display()
-                )));
             }
         }
         let Some(epoch) = log_epoch else {
@@ -1082,9 +1030,7 @@ mod tests {
         let seg = segment_path(&dir, 1);
         let payload = [0xEEu8, 1, 2, 3];
         let mut bytes = std::fs::read(&seg).unwrap();
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        write_record(&mut bytes, |p| p.extend_from_slice(&payload));
         std::fs::write(&seg, &bytes).unwrap();
         let err = Wal::replay(&dir).unwrap_err();
         assert!(err.to_string().contains("unknown record tag"), "{err}");
@@ -1159,27 +1105,6 @@ mod tests {
         std::fs::write(&seg1, &bytes[..bytes.len() - 3]).unwrap();
         let err = Wal::replay(&dir).unwrap_err();
         assert!(err.to_string().contains("non-final segment"), "{err}");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn legacy_single_file_layout_replays_as_segment_zero() {
-        let dir = temp_dir("legacy");
-        let wal = Wal::open(&dir, false, DEFAULT_SEGMENT_BYTES).unwrap();
-        wal.reset(5).unwrap();
-        wal.log(&WalRecord::Truncate { table: "t".into() });
-        wal.commit().unwrap();
-        drop(wal);
-        // Rebuild the pre-segmentation layout: one `wal.log`.
-        std::fs::rename(segment_path(&dir, 1), dir.join(LEGACY_WAL_FILE)).unwrap();
-        let (epoch, replayed, _) = Wal::replay(&dir).unwrap().unwrap();
-        assert_eq!(epoch, 5);
-        assert_eq!(replayed, vec![WalRecord::Truncate { table: "t".into() }]);
-        // A reset from the segmented layout removes the legacy file.
-        let wal = Wal::open(&dir, false, DEFAULT_SEGMENT_BYTES).unwrap();
-        wal.reset(6).unwrap();
-        assert!(!dir.join(LEGACY_WAL_FILE).exists());
-        assert!(segment_path(&dir, 1).exists());
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -145,13 +145,24 @@ fn corrupt_page_and_meta_are_clean_errors() {
         seed_workload(&mut db);
         db.close().unwrap();
     }
-    // Flip a byte in the page file: checksum verification must turn it
-    // into an `EngineError`, not a panic or silent garbage.
-    let pages = dir.path().join("pages.db");
-    let mut bytes = std::fs::read(&pages).unwrap();
+    // Flip a byte mid-way through the largest table file: checksum
+    // verification must turn it into an `EngineError`, not a panic or
+    // silent garbage.
+    let table_file = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("table.")
+        })
+        .max_by_key(|p| std::fs::metadata(p).unwrap().len())
+        .expect("a table file");
+    let mut bytes = std::fs::read(&table_file).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
-    std::fs::write(&pages, &bytes).unwrap();
+    std::fs::write(&table_file, &bytes).unwrap();
     let err = Database::open(dir.path()).unwrap_err();
     assert!(
         err.to_string().contains("checksum") || err.to_string().contains("corrupt"),

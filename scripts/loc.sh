@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Print the line counts ROADMAP.md and CHANGES.md track, as a markdown
 # table: the engine's Rust lines (the number ROADMAP item 6 is judged
-# on), each crate's src/, and all Rust under crates/ + src/ (tests and
-# benches included). Run from anywhere.
+# on), each crate's src/, the engine's storage/ layer, and all Rust under
+# crates/ + src/ (tests and benches included). Run from anywhere.
 #
 #   loc.sh                 count the working tree
 #   loc.sh <ref>           count that commit's tree
@@ -33,6 +33,8 @@ crates() {
     fi
 }
 
+storage=crates/ivm-engine/src/storage
+
 if [ $# -le 1 ]; then
     ref=${1:-.}
     echo "Tracked: crates/ivm-engine/src = $(lines "$ref" crates/ivm-engine/src) lines of Rust"
@@ -42,6 +44,7 @@ if [ $# -le 1 ]; then
     for crate in $(crates "$ref"); do
         echo "| $crate/src | $(lines "$ref" "$crate/src") |"
     done
+    echo "| $storage | $(lines "$ref" "$storage") |"
     echo "| crates/ + src/ | $(lines "$ref" crates src) |"
 else
     base=$1 head=$2
@@ -55,5 +58,6 @@ else
     for crate in $(crates "$head"); do
         row "$crate/src" "$crate/src"
     done
+    row "$storage" "$storage"
     row "crates/ + src/" crates src
 fi

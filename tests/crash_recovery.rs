@@ -1,6 +1,6 @@
 //! Crash-recovery fault injection.
 //!
-//! Three failure modes against a durable database, each checked against a
+//! Four failure modes against a durable database, each checked against a
 //! shadow in-memory oracle (or an arithmetic prefix invariant):
 //!
 //! 1. **WAL truncation sweep** — run a mixed ingest/refresh/checkpoint
@@ -10,7 +10,9 @@
 //!    must be monotone in the cut position.
 //! 2. **Torn write** — append garbage to the WAL tail; recovery must
 //!    ignore it and yield the full committed state.
-//! 3. **SIGKILL** (unix only) — a child process ingests rows and records
+//! 3. **Unpublished checkpoint** — a table file no `catalog.meta` names
+//!    is deleted at reopen, never loaded.
+//! 4. **SIGKILL** (unix only) — a child process ingests rows and records
 //!    its committed progress; the parent kills it mid-ingest, reopens the
 //!    directory, and asserts the recovered rows are exactly a committed
 //!    prefix at least as long as the last progress the child reported.
@@ -141,8 +143,11 @@ fn wal_cut_sweep_recovers_a_monotone_committed_prefix() {
     let mut last_prefix = 0usize;
     for cut in cuts {
         // Rebuild the crashed directory with the WAL cut at `cut` bytes.
-        for f in ["pages.db", "catalog.meta"] {
-            std::fs::copy(dir.path().join(f), scratch.path().join(f)).unwrap();
+        for entry in std::fs::read_dir(dir.path()).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            if !(name.starts_with("wal.") && name.ends_with(".log")) {
+                std::fs::copy(dir.path().join(&name), scratch.path().join(&name)).unwrap();
+            }
         }
         std::fs::write(scratch.path().join("wal.0001.log"), &full[..cut]).unwrap();
 
@@ -211,6 +216,35 @@ fn torn_write_garbage_tail_is_ignored() {
             .unwrap();
         expected.clone_from(&observe_session(&mut oracle));
     }
+}
+
+/// A checkpoint that crashed before publishing leaves a table file no
+/// `catalog.meta` names (`table.<epoch>.<ordinal>.dat`, of an epoch past
+/// the published one). Reopening must delete it without reading it: its
+/// garbage bytes would be a corrupt-file error if loaded.
+#[test]
+fn unpublished_table_file_is_deleted_not_loaded() {
+    let dir = TempDir::new("orphan");
+    let mut oracle = IvmSession::new(IvmFlags::paper_defaults());
+    setup_session(&mut oracle);
+    {
+        let mut s = IvmSession::open(dir.path(), IvmFlags::paper_defaults()).unwrap();
+        setup_session(&mut s);
+        for stmt in workload() {
+            s.execute(&stmt).unwrap();
+            oracle.execute(&stmt).unwrap();
+        }
+        s.checkpoint().unwrap();
+    }
+    let orphan = dir.path().join("table.999999.0.dat");
+    std::fs::write(&orphan, b"bytes of a checkpoint that never published").unwrap();
+
+    let mut s = IvmSession::open(dir.path(), IvmFlags::paper_defaults()).unwrap();
+    assert!(
+        !orphan.exists(),
+        "recovery must delete the unpublished file"
+    );
+    assert_eq!(observe_session(&mut s), observe_session(&mut oracle));
 }
 
 /// Child-process entry point for the SIGKILL test: gated on an env var so
