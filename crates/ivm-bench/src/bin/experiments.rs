@@ -171,8 +171,7 @@ fn edurable_json(rows: &[EDurableRow]) -> String {
                 "  {{\"mode\": \"{}\", \"base_rows\": {}, \"delta_rows\": {}, \
                  \"batches\": {}, \"elapsed_ns\": {}, \"wal_records\": {}, \
                  \"wal_syncs\": {}, \"wal_bytes\": {}, \"replayed_records\": {}, \
-                 \"wal_rotations\": {}, \"wal_segments\": {}, \"io_retries\": {}, \
-                 \"wal_poisoned\": {}}}",
+                 \"io_retries\": {}, \"wal_poisoned\": {}}}",
                 r.mode,
                 r.base_rows,
                 r.delta_rows,
@@ -182,8 +181,6 @@ fn edurable_json(rows: &[EDurableRow]) -> String {
                 r.wal_syncs,
                 r.wal_bytes,
                 r.replayed_records,
-                r.wal_rotations,
-                r.wal_segments,
                 r.io_retries,
                 r.wal_poisoned,
             )
@@ -207,8 +204,6 @@ fn print_edurable(rows: &[EDurableRow]) {
         "fsyncs",
         "wal bytes",
         "replayed",
-        "rotations",
-        "segments",
         "retries",
     ]);
     for r in rows {
@@ -220,8 +215,6 @@ fn print_edurable(rows: &[EDurableRow]) {
             r.wal_syncs.to_string(),
             r.wal_bytes.to_string(),
             r.replayed_records.to_string(),
-            r.wal_rotations.to_string(),
-            r.wal_segments.to_string(),
             r.io_retries.to_string(),
         ]);
     }

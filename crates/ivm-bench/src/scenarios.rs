@@ -820,10 +820,6 @@ pub struct EDurableRow {
     pub wal_bytes: u64,
     /// Committed records replayed on reopen (recovery rows only).
     pub replayed_records: u64,
-    /// WAL segment rotations during the workload (durable rows only).
-    pub wal_rotations: u64,
-    /// Live WAL segment files when the measurement ended.
-    pub wal_segments: u64,
     /// Transient-I/O retries absorbed during the measurement.
     pub io_retries: u64,
     /// Whether the log ended the run poisoned (read-only degraded mode);
@@ -916,8 +912,6 @@ pub fn edurable_durability(
             wal_syncs: 0,
             wal_bytes: 0,
             replayed_records: 0,
-            wal_rotations: 0,
-            wal_segments: 0,
             io_retries: 0,
             wal_poisoned: false,
         });
@@ -947,8 +941,6 @@ pub fn edurable_durability(
             wal_syncs: after.syncs - before.syncs,
             wal_bytes: after.bytes_written - before.bytes_written,
             replayed_records: 0,
-            wal_rotations: after.rotations - before.rotations,
-            wal_segments: after.segments,
             io_retries: after.retries - before.retries,
             wal_poisoned: after.poisoned,
         });
@@ -981,8 +973,6 @@ pub fn edurable_durability(
             wal_syncs: 0,
             wal_bytes: rec.wal_bytes,
             replayed_records: rec.replayed_records,
-            wal_rotations: wal.rotations,
-            wal_segments: wal.segments,
             io_retries: wal.retries,
             wal_poisoned: wal.poisoned,
         });

@@ -79,9 +79,8 @@ pub use planner::{plan_query, LogicalPlan, PhysicalPlan};
 pub use schema::{Column, Schema};
 pub use session::{Database, QueryResult};
 pub use storage::{
-    parse_fault_plan_setting, set_fault_plan, BufferPoolStats, Durability, DurabilityOptions,
-    FaultKind, FaultPlan, OpClass, RecoveryStats, Table, Trigger, Wal, WalRecord, WalStats,
-    FAULT_PLAN_ENV,
+    parse_fault_plan_setting, set_fault_plan, BufferPoolStats, Durability, FaultKind, FaultPlan,
+    OpClass, RecoveryStats, Table, Trigger, Wal, WalRecord, WalStats, FAULT_PLAN_ENV,
 };
 pub use types::DataType;
 pub use value::Value;

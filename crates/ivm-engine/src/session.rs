@@ -19,7 +19,7 @@ use crate::plan_cache::{PlanCache, Planned};
 use crate::planner::physical::lower;
 use crate::planner::plan_query;
 use crate::schema::{Column, Schema};
-use crate::storage::durability::{Durability, DurabilityOptions, RecoveryStats};
+use crate::storage::durability::{Durability, RecoveryStats};
 use crate::storage::wal::WalStats;
 use crate::storage::{BufferPoolStats, Table};
 use crate::types::DataType;
@@ -239,11 +239,10 @@ impl Default for Database {
         if let Some(root) = env_setting(DATA_DIR_ENV, parse_data_dir_setting) {
             let seq = EPHEMERAL_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let dir = root.join(format!("db-{}-{seq}", std::process::id()));
-            let opts = DurabilityOptions {
-                sync_on_commit: false,
-                ..DurabilityOptions::default()
-            };
-            db.open_at(&dir, opts)
+            // No fsync per commit, for throughput: crash safety is
+            // exercised by the harnesses' explicit directories, not by
+            // the suite-wide leg.
+            db.open_at(&dir, false)
                 .unwrap_or_else(|e| panic!("{DATA_DIR_ENV}: cannot open {}: {e}", dir.display()));
             db.ephemeral_dir = Some(EphemeralDir(dir));
         }
@@ -280,30 +279,18 @@ impl Database {
     /// commit from here on. Tables, views, and row ids come back exactly
     /// as of the last committed statement.
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<Database, EngineError> {
-        Database::open_with_options(path, DurabilityOptions::default())
-    }
-
-    /// [`Database::open`] with explicit durability tuning (fsync policy,
-    /// WAL segment size bound).
-    pub fn open_with_options(
-        path: impl AsRef<std::path::Path>,
-        opts: DurabilityOptions,
-    ) -> Result<Database, EngineError> {
         let mut db = Database::base();
-        db.open_at(path.as_ref(), opts)?;
+        db.open_at(path.as_ref(), true)?;
         Ok(db)
     }
 
-    /// Attach durable backing from `dir` to this (empty) database.
-    fn open_at(
-        &mut self,
-        dir: &std::path::Path,
-        opts: DurabilityOptions,
-    ) -> Result<(), EngineError> {
+    /// Attach durable backing from `dir` to this (empty) database; the
+    /// WAL fsyncs at every commit point when `sync_on_commit` is set.
+    fn open_at(&mut self, dir: &std::path::Path, sync_on_commit: bool) -> Result<(), EngineError> {
         // A crashed process leaves spill temp files behind; reclaim the
         // dead ones while we're recovering its durable state anyway.
         clean_orphan_spill_files(&self.config.budget().spill_dir());
-        let (durability, mut catalog) = Durability::open(dir, opts)?;
+        let (durability, mut catalog) = Durability::open(dir, sync_on_commit)?;
         catalog.set_wal(Some(durability.wal_handle()));
         self.catalog = catalog;
         self.durability = Some(durability);
@@ -354,8 +341,8 @@ impl Database {
     /// Checkpoint automatically once the WAL holds `bytes` (`None`
     /// disables, the default). Checked after each WAL commit — a plain
     /// statement's, or the close of an outermost atomic batch — the knob
-    /// that keeps a long uncheckpointed run from accumulating unbounded
-    /// WAL segments.
+    /// that keeps a long uncheckpointed run from growing the WAL without
+    /// bound.
     pub fn set_auto_checkpoint(&mut self, bytes: Option<u64>) {
         self.auto_checkpoint_bytes = bytes;
     }

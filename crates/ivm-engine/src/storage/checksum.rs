@@ -1,5 +1,5 @@
 //! CRC-32 (IEEE 802.3 polynomial) and the one record framing every
-//! durable file uses — WAL segments, `catalog.meta` and table files:
+//! durable file uses — the WAL, `catalog.meta` and table files:
 //!
 //! ```text
 //! record := len:u32 crc:u32 payload   (crc = crc32(payload))

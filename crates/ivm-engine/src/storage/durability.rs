@@ -6,8 +6,7 @@
 //! <dir>/catalog.meta     the last checkpoint: epoch, table metas, views
 //! <dir>/table.E.N.dat    one table at rest: the N-th table file this
 //!                        process wrote, by the checkpoint of epoch E
-//! <dir>/wal.NNNN.log     redo segments since that checkpoint (rotated at
-//!                        a size bound)
+//! <dir>/wal.log          redo records since that checkpoint
 //! ```
 //!
 //! All three are sequences of CRC-framed records ([`write_record`]).
@@ -27,11 +26,12 @@
 //! epoch → WAL discarded; its effects are inside the new checkpoint).
 //! A table file whose write fails is deleted at once. Files named by
 //! neither meta are left by a checkpoint that failed or crashed later;
-//! the next checkpoint deletes them, and [`Durability::open`] takes one.
+//! the next checkpoint deletes them, and `Durability::open` takes one.
 //!
-//! **Recovery** ([`Durability::open`]) loads every table by streaming its
-//! file (each record checksum-verified as it is read), replays the
-//! committed WAL prefix, and immediately takes a recovery checkpoint.
+//! **Recovery** (`Durability::open`) loads every table by streaming its
+//! file (each record checksum-verified as it is read), streams the
+//! committed WAL prefix onto the catalog one committed statement at a
+//! time, and immediately takes a recovery checkpoint.
 //!
 //! **I/O bound.** Tables are fully memory-resident, so table bytes cross
 //! the disk boundary at exactly two moments and nothing is demand-paged
@@ -68,7 +68,7 @@ use crate::value::Value;
 pub const META_FILE: &str = "catalog.meta";
 
 /// Catalog meta magic (and format version).
-pub const META_MAGIC: &[u8; 8] = b"OIVMMET2";
+pub const META_MAGIC: &[u8; 8] = b"OIVMMET3";
 
 /// Tuple bytes after which a table file's record is closed; a single
 /// larger row makes one larger record.
@@ -87,28 +87,6 @@ fn io_err(op: &str, path: &Path, e: std::io::Error) -> EngineError {
         "durability I/O error ({op}, {}): {e}",
         path.display()
     ))
-}
-
-/// Tuning knobs for a durable database.
-#[derive(Debug, Clone, Copy)]
-pub struct DurabilityOptions {
-    /// fsync the WAL at every commit point (`true` for `Database::open`;
-    /// the ephemeral `OPENIVM_DATA_DIR` test mode turns it off for
-    /// throughput — crash safety there is exercised by the harness's
-    /// explicit directories, not the suite-wide leg).
-    pub sync_on_commit: bool,
-    /// WAL segment size bound: after a commit leaves the active segment
-    /// at or past this many bytes, the log rotates to a fresh segment.
-    pub wal_segment_bytes: u64,
-}
-
-impl Default for DurabilityOptions {
-    fn default() -> DurabilityOptions {
-        DurabilityOptions {
-            sync_on_commit: true,
-            wal_segment_bytes: wal::DEFAULT_SEGMENT_BYTES,
-        }
-    }
 }
 
 /// Names one table file: `table.<epoch>.<ordinal>.dat`.
@@ -166,7 +144,7 @@ struct TableSnapshot {
     meta: TableMeta,
 }
 
-/// Counters from the last [`Durability::open`].
+/// Counters from the last recovery (`Database::open`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Committed WAL records replayed.
@@ -199,12 +177,13 @@ fn pages(bytes: u64) -> u64 {
 impl Durability {
     /// Open (or create) the durable state in `dir`: load the last
     /// checkpoint, replay the committed WAL prefix, and take a recovery
-    /// checkpoint. Returns the orchestrator plus the recovered catalog
-    /// (WAL hooks not yet attached — the caller attaches them once the
-    /// catalog is installed in its session).
-    pub fn open(
+    /// checkpoint. The WAL fsyncs at every commit point when
+    /// `sync_on_commit` is set. Returns the orchestrator plus the
+    /// recovered catalog (WAL hooks not yet attached — the caller attaches
+    /// them once the catalog is installed in its session).
+    pub(crate) fn open(
         dir: impl Into<PathBuf>,
-        opts: DurabilityOptions,
+        sync_on_commit: bool,
     ) -> Result<(Durability, Catalog), EngineError> {
         let dir = dir.into();
         io::create_dir_all(&dir).map_err(|e| io_err("create dir", &dir, e))?;
@@ -238,32 +217,21 @@ impl Durability {
                 catalog.create_view(name, parse_view_sql(&sql)?)?;
             }
         }
-        match Wal::replay(&dir)? {
-            Some((wal_epoch, records, bytes)) if wal_epoch == epoch => {
-                recovery.replayed_records = records.len() as u64;
-                recovery.wal_bytes = bytes;
-                let touched = apply_records(&mut catalog, &records)?;
-                // Replayed-over tables are dirty: drop their snapshots so
-                // the recovery checkpoint rewrites them.
-                for name in touched {
-                    snapshots.remove(&name);
-                }
+        let mut touched = HashSet::new();
+        recovery.wal_bytes = Wal::replay(&dir, epoch, |records| {
+            recovery.replayed_records += records.len() as u64;
+            for rec in records {
+                apply_record(&mut catalog, rec, &mut touched)
+                    .map_err(|e| EngineError::execution(format!("WAL replay failed: {e}")))?;
             }
-            Some((wal_epoch, _, _)) if wal_epoch > epoch => {
-                return Err(EngineError::execution(format!(
-                    "corrupt durable state: WAL epoch {wal_epoch} is newer than catalog epoch {epoch}"
-                )));
-            }
-            // Older epoch: a pre-checkpoint log whose effects are already
-            // inside the checkpoint (crash between meta rename and WAL
-            // reset). Missing/headerless: nothing to replay.
-            _ => {}
+            Ok(())
+        })?;
+        // Replayed-over tables are dirty: drop their snapshots so the
+        // recovery checkpoint rewrites them.
+        for name in touched {
+            snapshots.remove(&name);
         }
-        let wal = Arc::new(Wal::open(
-            &dir,
-            opts.sync_on_commit,
-            opts.wal_segment_bytes,
-        )?);
+        let wal = Arc::new(Wal::open(&dir, sync_on_commit)?);
         let mut d = Durability {
             dir,
             wal,
@@ -403,88 +371,75 @@ fn parse_view_sql(sql: &str) -> Result<ivm_sql::ast::Query, EngineError> {
     }
 }
 
-/// Apply replayed records to the catalog (WAL hooks must be detached).
-/// Returns the names of tables the replay touched.
-fn apply_records(
+/// Apply one replayed record to the catalog (WAL hooks must be
+/// detached), adding the name of the table it touched to `touched`.
+fn apply_record(
     catalog: &mut Catalog,
-    records: &[WalRecord],
-) -> Result<HashSet<String>, EngineError> {
-    let mut touched = HashSet::new();
-    for rec in records {
-        let res: Result<(), EngineError> = (|| {
-            match rec {
-                WalRecord::Commit => {}
-                WalRecord::Insert { table, row } => {
-                    catalog.table_mut(table)?.insert(row.clone())?;
-                    touched.insert(table.clone());
-                }
-                WalRecord::Delete { table, row_id } => {
-                    catalog.table_mut(table)?.delete(*row_id)?;
-                    touched.insert(table.clone());
-                }
-                WalRecord::Update { table, row_id, row } => {
-                    catalog.table_mut(table)?.update(*row_id, row.clone())?;
-                    touched.insert(table.clone());
-                }
-                WalRecord::Truncate { table } => {
-                    catalog.table_mut(table)?.truncate();
-                    touched.insert(table.clone());
-                }
-                WalRecord::Compact { table } => {
-                    catalog.table_mut(table)?.compact();
-                    touched.insert(table.clone());
-                }
-                WalRecord::CreateTable {
-                    name,
-                    columns,
-                    primary_key,
-                } => {
-                    catalog.create_table(Table::new(
-                        name.clone(),
-                        Schema::new(columns.clone()),
-                        primary_key.clone(),
-                    ))?;
-                    touched.insert(name.clone());
-                }
-                WalRecord::DropTable { name } => {
-                    catalog.drop_table(name, false)?;
-                    touched.insert(name.clone());
-                }
-                WalRecord::CreateView { name, sql } => {
-                    catalog.create_view(name.clone(), parse_view_sql(sql)?)?;
-                }
-                WalRecord::DropView { name } => {
-                    catalog.drop_view(name, false)?;
-                }
-                WalRecord::CreateIndex {
-                    table,
-                    name,
-                    columns,
-                    unique,
-                } => {
-                    catalog.table_mut(table)?.create_secondary_index(
-                        name.clone(),
-                        columns.clone(),
-                        *unique,
-                    )?;
-                    touched.insert(table.clone());
-                }
-                WalRecord::DropIndex { table, name } => {
-                    catalog.table_mut(table)?.drop_secondary_index(name);
-                    touched.insert(table.clone());
-                }
-                WalRecord::AddPk { table, columns } => {
-                    catalog.table_mut(table)?.add_pk_index(columns.clone())?;
-                    touched.insert(table.clone());
-                }
-            }
-            Ok(())
-        })();
-        res.map_err(|e| {
-            EngineError::execution(format!("WAL replay failed ({e}) applying {rec:?}"))
-        })?;
-    }
-    Ok(touched)
+    rec: WalRecord,
+    touched: &mut HashSet<String>,
+) -> Result<(), EngineError> {
+    let table = match rec {
+        WalRecord::Commit => return Ok(()),
+        WalRecord::Insert { table, row } => {
+            catalog.table_mut(&table)?.insert(row)?;
+            table
+        }
+        WalRecord::Delete { table, row_id } => {
+            catalog.table_mut(&table)?.delete(row_id)?;
+            table
+        }
+        WalRecord::Update { table, row_id, row } => {
+            catalog.table_mut(&table)?.update(row_id, row)?;
+            table
+        }
+        WalRecord::Truncate { table } => {
+            catalog.table_mut(&table)?.truncate();
+            table
+        }
+        WalRecord::Compact { table } => {
+            catalog.table_mut(&table)?.compact();
+            table
+        }
+        WalRecord::CreateTable {
+            name,
+            columns,
+            primary_key,
+        } => {
+            catalog.create_table(Table::new(name.clone(), Schema::new(columns), primary_key))?;
+            name
+        }
+        WalRecord::DropTable { name } => {
+            catalog.drop_table(&name, false)?;
+            name
+        }
+        WalRecord::CreateView { name, sql } => {
+            return catalog.create_view(name, parse_view_sql(&sql)?);
+        }
+        WalRecord::DropView { name } => {
+            return catalog.drop_view(&name, false).map(|_| ());
+        }
+        WalRecord::CreateIndex {
+            table,
+            name,
+            columns,
+            unique,
+        } => {
+            catalog
+                .table_mut(&table)?
+                .create_secondary_index(name, columns, unique)?;
+            table
+        }
+        WalRecord::DropIndex { table, name } => {
+            catalog.table_mut(&table)?.drop_secondary_index(&name);
+            table
+        }
+        WalRecord::AddPk { table, columns } => {
+            catalog.table_mut(&table)?.add_pk_index(columns)?;
+            table
+        }
+    };
+    touched.insert(table);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -788,11 +743,11 @@ mod tests {
     fn checkpoint_reopen_roundtrip_preserves_slots() {
         let dir = temp_dir("roundtrip");
         {
-            let (mut d, _) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
+            let (mut d, _) = Durability::open(&dir, true).unwrap();
             let catalog = seed_catalog();
             d.checkpoint(&catalog).unwrap();
         }
-        let (d, catalog) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
+        let (d, catalog) = Durability::open(&dir, true).unwrap();
         let t = catalog.table("t").unwrap();
         assert_eq!(t.total_slots(), 3, "tombstone slot preserved");
         assert_eq!(t.live_rows(), 2);
@@ -820,7 +775,7 @@ mod tests {
     #[test]
     fn clean_tables_are_not_rewritten() {
         let dir = temp_dir("clean");
-        let (mut d, _) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
+        let (mut d, _) = Durability::open(&dir, true).unwrap();
         let mut catalog = seed_catalog();
         catalog.create_table(big_table()).unwrap();
         d.checkpoint(&catalog).unwrap();
@@ -848,7 +803,7 @@ mod tests {
 
         let named = file_pages(&d, "big") + file_pages(&d, "t");
         drop(d);
-        let (d, _) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
+        let (d, _) = Durability::open(&dir, true).unwrap();
         let stats = d.pool_stats();
         assert_eq!(stats.misses, named, "each named file read once");
         assert_eq!((stats.hits, stats.evictions), (0, 0));
@@ -859,7 +814,7 @@ mod tests {
     #[test]
     fn checkpoints_leave_one_file_per_table() {
         let dir = temp_dir("files");
-        let (mut d, _) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
+        let (mut d, _) = Durability::open(&dir, true).unwrap();
         let mut catalog = seed_catalog();
         catalog.create_table(big_table()).unwrap();
         for _ in 0..5 {
@@ -877,7 +832,7 @@ mod tests {
         names.sort();
         let t = d.snapshots["t"].meta.file.name();
         let big = d.snapshots["big"].meta.file.name();
-        let mut expected = vec![META_FILE.to_string(), big, t, "wal.0001.log".into()];
+        let mut expected = vec![META_FILE.to_string(), big, t, wal::WAL_FILE.into()];
         expected.sort();
         assert_eq!(names, expected);
         let _ = std::fs::remove_dir_all(dir);
@@ -888,8 +843,7 @@ mod tests {
         let dir = temp_dir("oversized");
         let big = "x".repeat(3 * CHUNK_BYTES); // one row, larger than a chunk
         {
-            let (mut d, mut catalog) =
-                Durability::open(&dir, DurabilityOptions::default()).unwrap();
+            let (mut d, mut catalog) = Durability::open(&dir, true).unwrap();
             let mut t = Table::new(
                 "o",
                 Schema::new(vec![Column::new("s", DataType::Varchar)]),
@@ -901,7 +855,7 @@ mod tests {
             catalog.create_table(t).unwrap();
             d.checkpoint(&catalog).unwrap();
         }
-        let (_, catalog) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
+        let (_, catalog) = Durability::open(&dir, true).unwrap();
         let t = catalog.table("o").unwrap();
         let rows: Vec<_> = t.scan().map(|(_, r)| r).collect();
         assert_eq!(rows[0], vec![Value::from("small")]);
@@ -914,7 +868,7 @@ mod tests {
     fn meta_corruption_is_a_clean_error() {
         let dir = temp_dir("badmeta");
         {
-            let (mut d, _) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
+            let (mut d, _) = Durability::open(&dir, true).unwrap();
             d.checkpoint(&seed_catalog()).unwrap();
         }
         let meta_path = dir.join(META_FILE);
@@ -922,7 +876,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&meta_path, &bytes).unwrap();
-        let err = Durability::open(&dir, DurabilityOptions::default()).unwrap_err();
+        let err = Durability::open(&dir, true).unwrap_err();
         assert!(err.to_string().contains("corrupt catalog meta"), "{err}");
 
         // Hand-built metas of epoch 1 naming `table.<e>.0.dat`, planted with
@@ -993,12 +947,12 @@ mod tests {
             let file = dir.join(TableFile { epoch, ordinal: 0 }.name());
             std::fs::write(&meta_path, &bytes).unwrap();
             // The control's recovery checkpoint left a WAL of epoch 2.
-            let _ = std::fs::remove_file(wal::segment_path(&dir, 1));
+            let _ = std::fs::remove_file(dir.join(wal::WAL_FILE));
             let _ = std::fs::remove_file(&file);
             if let Some(contents) = contents {
                 std::fs::write(&file, contents).unwrap();
             }
-            let opened = Durability::open(&dir, DurabilityOptions::default());
+            let opened = Durability::open(&dir, true);
             if i == 0 {
                 let rows: Vec<_> = opened.unwrap().1.table("t").unwrap().scan().collect();
                 assert_eq!(rows, vec![(0, vec![Value::Integer(7)])]);
@@ -1039,14 +993,14 @@ mod tests {
         {
             let dir = temp_dir(&format!("badwal{i}"));
             {
-                let (d, _) = Durability::open(&dir, DurabilityOptions::default()).unwrap();
+                let (d, _) = Durability::open(&dir, true).unwrap();
                 let wal = d.wal_handle();
                 for rec in &records {
                     wal.log(rec);
                 }
                 d.wal_commit().unwrap();
             }
-            let err = Durability::open(&dir, DurabilityOptions::default()).unwrap_err();
+            let err = Durability::open(&dir, true).unwrap_err();
             assert!(err.to_string().contains("corrupt"), "{err}");
             let _ = std::fs::remove_dir_all(dir);
         }

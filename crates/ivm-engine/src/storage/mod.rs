@@ -12,7 +12,7 @@ pub mod wal;
 
 mod table;
 
-pub use durability::{Durability, DurabilityOptions, RecoveryStats, TableMeta};
+pub use durability::{Durability, RecoveryStats, TableMeta};
 pub use io::{
     parse_fault_plan_setting, set_fault_plan, FaultKind, FaultPlan, OpClass, Trigger,
     FAULT_PLAN_ENV,

@@ -1,12 +1,11 @@
 //! ARIES-lite write-ahead log: logical redo records + committed-prefix
-//! replay, split across size-bounded segments.
+//! replay, in one file.
 //!
-//! The log is a sequence of segment files `wal.0001.log`, `wal.0002.log`,
-//! … in the data directory. Each segment is a header (`magic`, `epoch`)
-//! followed by CRC-framed records ([`write_record`]):
+//! The log is the file `wal.log` in the data directory: a header
+//! (`magic`, `epoch`) followed by CRC-framed records ([`write_record`]):
 //!
 //! ```text
-//! segment := MAGIC epoch:u64 record*
+//! wal.log := MAGIC epoch:u64 record*
 //! record  := len:u32 crc:u32 payload   (crc = crc32(payload))
 //! ```
 //!
@@ -17,36 +16,36 @@
 //! in-memory engine's statement-at-a-time semantics. Group commit:
 //! [`Wal::log`] only buffers (so hot DML paths never block on I/O), and
 //! [`Wal::commit`] appends the marker, writes, and optionally fsyncs —
-//! one durability point per statement, many records per write.
+//! one durability point per statement, many records per write. The file
+//! grows until the next checkpoint; `Database::set_auto_checkpoint`
+//! bounds it.
 //!
-//! **Rotation.** After a successful commit that leaves the active segment
-//! at or past the configured size bound, the log rotates: the next
-//! segment is created with the current epoch's header, fsynced, and its
-//! directory entry fsynced. A failed rotation is tolerated silently — the
-//! committed data is already durable in the active segment, so the log
-//! simply stays on it and retries at the next commit. Replay walks the
-//! segments in order and tolerates a torn tail only in the *last* one; a
-//! torn frame in an earlier segment is real corruption.
+//! The *epoch* ties the log to the checkpoint it extends: every
+//! checkpoint bumps the epoch, rewrites `catalog.meta` (atomic rename),
+//! and resets the log — truncates it, writes the new epoch's header, and
+//! fsyncs the file and the directory. Replay reads the header before any
+//! record: a log older than the catalog meta is discarded — the crash
+//! window between the meta rename and the log reset is thereby safe —
+//! and one newer than it is corruption.
 //!
-//! The *epoch* ties a log to the checkpoint it extends: every checkpoint
-//! bumps the epoch, rewrites `catalog.meta` (atomic rename), and resets
-//! the log — higher segments are removed *first* (so every crash window
-//! leaves an epoch-uniform log), then segment 1 is truncated and given
-//! the new epoch. Replay compares epochs and discards a log older than
-//! the catalog meta — the crash window between the meta rename and the
-//! log reset is thereby safe.
+//! **Replay streams.** `Wal::replay` reads the file through one
+//! buffered reader and holds only the records since the last commit
+//! marker: each committed group is handed on by value as soon as its
+//! marker is read. Recovery memory is one atomic batch, not the log.
 //!
-//! **Poisoning.** Any write or fsync failure inside [`Wal::commit`] marks
-//! the log poisoned: the buffered records were consumed and a torn frame
-//! may sit on disk, so acknowledging any later commit would risk silent
-//! loss. A poisoned log refuses further commits (and resets) with a clean
-//! error; the session layer turns that into read-only degraded mode.
-//! Torn tails (truncated record, checksum mismatch) end replay at the
-//! last intact committed record — that is a *normal* crash artifact, not
-//! an error. A record whose checksum verifies but whose payload does not
-//! decode is real corruption and comes back as a clean [`EngineError`].
+//! **Poisoning.** Any write or fsync failure inside [`Wal::commit`] or
+//! [`Wal::reset`] marks the log poisoned: the buffered records were
+//! consumed and a torn frame may sit on disk — or, after a failed reset,
+//! the header no longer matches the published meta — so acknowledging
+//! any later commit would risk silent loss. A poisoned log refuses
+//! further commits (and resets) with a clean error; the session layer
+//! turns that into read-only degraded mode. Torn tails (truncated
+//! record, checksum mismatch) end replay at the last intact committed
+//! record — that is a *normal* crash artifact, not an error. A record
+//! whose checksum verifies but whose payload does not decode is real
+//! corruption and comes back as a clean [`EngineError`].
 
-use std::io::{Cursor, Read, SeekFrom};
+use std::io::{BufReader, Cursor, Read, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -64,9 +63,11 @@ pub const WAL_MAGIC: &[u8; 8] = b"OIVMWAL1";
 /// Header bytes: magic + epoch.
 pub const WAL_HEADER: usize = 16;
 
-/// Default segment size bound: rotate after the active segment reaches
-/// this many bytes.
-pub const DEFAULT_SEGMENT_BYTES: u64 = 16 << 20;
+/// File name of the log inside a data directory.
+pub const WAL_FILE: &str = "wal.log";
+
+/// Bytes [`Wal::replay`] reads from the file at a time.
+const REPLAY_BUFFER: usize = 64 << 10;
 
 /// Buffered bytes above which [`Wal::log`] writes through to the file
 /// (without committing) so huge statements don't balloon memory.
@@ -489,25 +490,17 @@ pub struct WalStats {
     /// Transient-error I/O retries, process-wide (snapshot of
     /// [`io::retries`] at the time of the stats call).
     pub retries: u64,
-    /// Segment rotations performed since open.
+    /// Always 0: the log is one file and never rotates. The benchmark
+    /// reads the field, so it stays until the benchmark is re-based.
     pub rotations: u64,
-    /// Live segment files (1 after a reset; grows with each rotation).
-    pub segments: u64,
-    /// Whether the log is poisoned (a commit-path write or fsync failed;
-    /// the database is in read-only degraded mode).
+    /// Whether the log is poisoned (a commit or reset write or fsync
+    /// failed; the database is in read-only degraded mode).
     pub poisoned: bool,
 }
 
 #[derive(Debug)]
 struct WalInner {
     file: FileHandle,
-    /// Index of the active segment (1-based).
-    seg_index: u64,
-    /// Bytes in the active segment, including any appended after an
-    /// errored write (approximation is fine: the log poisons on error).
-    seg_size: u64,
-    /// Epoch written into segment headers (set by [`Wal::reset`]).
-    epoch: u64,
     /// Encoded frames not yet written to the file.
     buf: Vec<u8>,
     /// Records logged since the last commit marker.
@@ -515,8 +508,8 @@ struct WalInner {
     /// I/O error from an opportunistic mid-statement flush, surfaced at
     /// the next [`Wal::commit`].
     deferred: Option<EngineError>,
-    /// Why the log refuses further commits, once a commit-path write or
-    /// fsync has failed.
+    /// Why the log refuses further commits, once a commit or reset write
+    /// or fsync has failed.
     poisoned: Option<String>,
     stats: WalStats,
 }
@@ -530,97 +523,47 @@ impl WalInner {
     }
 }
 
-/// A write-ahead log handle over a directory of segment files. Shared as
-/// `Arc<Wal>` by every table of a durable catalog; interior mutability
-/// makes [`log`](Wal::log) callable from `&self` hooks deep inside row
-/// mutations.
+/// A write-ahead log handle over the file `wal.log` of a data directory.
+/// Shared as `Arc<Wal>` by every table of a durable catalog; interior
+/// mutability makes [`log`](Wal::log) callable from `&self` hooks deep
+/// inside row mutations.
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
     sync_on_commit: bool,
-    segment_bytes: u64,
     inner: Mutex<WalInner>,
 }
 
-/// Path of segment `index` inside `dir` (`wal.0001.log`, …).
-pub fn segment_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("wal.{index:04}.log"))
-}
-
-/// Segment files present in `dir`, as `(index, path)` sorted by index.
-fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, EngineError> {
-    let entries = match io::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(io_err("list", dir, e)),
-    };
-    let mut segs = Vec::new();
-    for path in entries {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(digits) = name
-            .strip_prefix("wal.")
-            .and_then(|rest| rest.strip_suffix(".log"))
-        {
-            if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
-                if let Ok(idx) = digits.parse::<u64>() {
-                    segs.push((idx, path));
-                }
-            }
-        }
-    }
-    segs.sort_by_key(|&(idx, _)| idx);
-    Ok(segs)
-}
-
 impl Wal {
-    /// Open the log in `dir`, attaching to the highest existing segment
-    /// (creating `wal.0001.log` if none exist). The files are not
-    /// modified until [`reset`](Wal::reset) — callers replay first, then
-    /// reset with a fresh epoch.
-    pub fn open(
-        dir: impl Into<PathBuf>,
-        sync_on_commit: bool,
-        segment_bytes: u64,
-    ) -> Result<Wal, EngineError> {
+    /// Open the log in `dir`, creating an empty `wal.log` if there is
+    /// none. The file is not modified until [`reset`](Wal::reset) —
+    /// callers replay first, then reset with a fresh epoch.
+    pub(crate) fn open(dir: impl Into<PathBuf>, sync_on_commit: bool) -> Result<Wal, EngineError> {
         let dir = dir.into();
-        let segs = list_segments(&dir)?;
-        let (seg_index, path) = match segs.last() {
-            Some((idx, path)) => (*idx, path.clone()),
-            None => (1, segment_path(&dir, 1)),
-        };
+        let path = dir.join(WAL_FILE);
         let mut file =
             io::open(&path, OpenMode::ReadWrite).map_err(|e| io_err("open", &path, e))?;
-        let seg_size = file.len().map_err(|e| io_err("stat", &path, e))?;
         file.seek(SeekFrom::End(0))
             .map_err(|e| io_err("seek", &path, e))?;
         Ok(Wal {
             dir,
             sync_on_commit,
-            segment_bytes,
             inner: Mutex::new(WalInner {
                 file,
-                seg_index,
-                seg_size,
-                epoch: 0,
                 buf: Vec::new(),
                 pending: false,
                 deferred: None,
                 poisoned: None,
-                stats: WalStats {
-                    segments: segs.len().max(1) as u64,
-                    ..WalStats::default()
-                },
+                stats: WalStats::default(),
             }),
         })
     }
 
-    /// Discard all segments and start a fresh epoch: higher segments are
-    /// removed *first*, then segment 1 is truncated, given the new header,
-    /// fsynced, and its directory entry fsynced. Called by every
-    /// checkpoint after the catalog meta rename; the remove-first
-    /// ordering keeps every crash window epoch-uniform.
+    /// Start a fresh epoch: truncate the file, write the new header, and
+    /// fsync the file and the directory. Called by every checkpoint after
+    /// the catalog meta rename, so a failure poisons the log: its header
+    /// may no longer match the published meta, and recovery would discard
+    /// any commit appended after it.
     pub fn reset(&self, epoch: u64) -> Result<(), EngineError> {
         let mut inner = self.lock();
         if let Some(why) = &inner.poisoned {
@@ -629,29 +572,12 @@ impl Wal {
         inner.buf.clear();
         inner.pending = false;
         inner.deferred = None;
-        for (idx, path) in list_segments(&self.dir)?.into_iter().rev() {
-            if idx != 1 {
-                match io::remove_file(&path) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(io_err("remove segment", &path, e)),
-                }
-            }
+        if let Err(e) = write_header(&mut inner.file, &self.dir, epoch) {
+            inner.poison(e.to_string());
+            return Err(e);
         }
-        let path = segment_path(&self.dir, 1);
-        let mut file =
-            io::open(&path, OpenMode::ReadWrite).map_err(|e| io_err("open", &path, e))?;
-        file.set_len(0).map_err(|e| io_err("truncate", &path, e))?;
-        write_header(&mut file, epoch).map_err(|e| io_err("header", &path, e))?;
-        file.sync_data().map_err(|e| io_err("fsync", &path, e))?;
-        io::sync_dir(&self.dir).map_err(|e| io_err("fsync dir", &self.dir, e))?;
-        inner.file = file;
-        inner.seg_index = 1;
-        inner.seg_size = WAL_HEADER as u64;
-        inner.epoch = epoch;
         inner.stats.syncs += 2;
         inner.stats.bytes_written = WAL_HEADER as u64;
-        inner.stats.segments = 1;
         Ok(())
     }
 
@@ -695,7 +621,6 @@ impl Wal {
         let buf = std::mem::take(&mut inner.buf);
         let res = inner.file.write_all(&buf);
         inner.stats.bytes_written += buf.len() as u64;
-        inner.seg_size += buf.len() as u64;
         res.map_err(|e| io_err("append", inner.file.path(), e))
     }
 
@@ -707,9 +632,7 @@ impl Wal {
     /// Any write or fsync failure here — including a deferred error from
     /// an opportunistic mid-statement flush — poisons the log: the
     /// buffered records are gone and a torn frame may be on disk, so no
-    /// later commit can be safely acknowledged. After a successful commit
-    /// the log rotates if the active segment reached the size bound; a
-    /// failed rotation is tolerated (retried at the next commit).
+    /// later commit can be safely acknowledged.
     pub fn commit(&self) -> Result<bool, EngineError> {
         let mut inner = self.lock();
         if let Some(why) = &inner.poisoned {
@@ -739,37 +662,7 @@ impl Wal {
         }
         inner.pending = false;
         inner.stats.commits += 1;
-        if inner.seg_size >= self.segment_bytes {
-            self.rotate(&mut inner);
-        }
         Ok(true)
-    }
-
-    /// Best-effort rotation to the next segment. On any failure the log
-    /// stays on the current (already durable) segment and retries after
-    /// the next commit.
-    fn rotate(&self, inner: &mut WalInner) {
-        let next = inner.seg_index + 1;
-        let path = segment_path(&self.dir, next);
-        let mut file = match io::open(&path, OpenMode::Create) {
-            Ok(f) => f,
-            Err(_) => return,
-        };
-        let epoch = inner.epoch;
-        if write_header(&mut file, epoch).is_err()
-            || file.sync_data().is_err()
-            || io::sync_dir(&self.dir).is_err()
-        {
-            let _ = io::remove_file(&path);
-            return;
-        }
-        inner.file = file;
-        inner.seg_index = next;
-        inner.seg_size = WAL_HEADER as u64;
-        inner.stats.syncs += 2;
-        inner.stats.bytes_written += WAL_HEADER as u64;
-        inner.stats.rotations += 1;
-        inner.stats.segments += 1;
     }
 
     /// Cumulative counters (plus a snapshot of the process-wide
@@ -780,88 +673,74 @@ impl Wal {
         stats
     }
 
-    /// Replay the segmented log in `dir`: `(epoch, committed records,
-    /// total file bytes)`. Returns `None` when no segment exists or the
-    /// first one is too short to hold a header (a crash before the first
-    /// reset completed). Segments are replayed in order; the epoch is
-    /// taken from the first segment and scanning stops at the first
-    /// segment whose epoch differs (stale leftovers from an interrupted
-    /// reset). Torn tails end the replay at the last committed record,
-    /// but are tolerated only in the final segment — a torn frame in an
-    /// earlier segment is reported as corruption. A record that passes
-    /// its checksum but fails to decode is always corruption.
-    pub fn replay(dir: &Path) -> Result<Option<(u64, Vec<WalRecord>, u64)>, EngineError> {
-        let segs = list_segments(dir)?;
-        if segs.is_empty() {
-            return Ok(None);
-        }
-        let last = segs.len() - 1;
-        let mut log_epoch = None;
-        let mut records = Vec::new();
-        let mut committed = 0usize;
-        let mut total = 0u64;
-        for (i, (_, path)) in segs.iter().enumerate() {
-            let bytes = match io::read(path) {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(io_err("read", path, e)),
-            };
-            total += bytes.len() as u64;
-            if bytes.len() < WAL_HEADER {
-                if log_epoch.is_none() {
-                    // Crash before the first reset finished writing the
-                    // first header: nothing to replay.
-                    return Ok(None);
-                }
-                if i < last {
-                    return Err(corrupt(format!(
-                        "segment {} is shorter than its header",
-                        path.display()
-                    )));
-                }
-                break;
-            }
-            if &bytes[..8] != WAL_MAGIC {
-                return Err(corrupt(format!("bad WAL magic in {}", path.display())));
-            }
-            let epoch = u64::from_le_bytes(bytes[8..16].try_into().expect("sliced 8 bytes"));
-            match log_epoch {
-                None => log_epoch = Some(epoch),
-                Some(e) if e != epoch => break,
-                Some(_) => {}
-            }
-            let body = &bytes[WAL_HEADER..];
-            let mut frames = RecordReader::new(body, body.len() as u64);
-            loop {
-                match frames.next_record().map_err(|e| io_err("read", path, e))? {
-                    Framed::Record(payload) => match WalRecord::decode(payload)? {
-                        WalRecord::Commit => committed = records.len(),
-                        rec => records.push(rec),
-                    },
-                    Framed::Eof => break,
-                    Framed::Torn if i < last => {
-                        return Err(corrupt(format!(
-                            "torn frame in non-final segment {}",
-                            path.display()
-                        )));
-                    }
-                    Framed::Torn => break,
-                }
-            }
-        }
-        let Some(epoch) = log_epoch else {
-            return Ok(None);
+    /// Replay the log in `dir` onto the checkpoint of `epoch`: hand each
+    /// committed group of records, in log order and by value, to `apply`,
+    /// holding only the records since the last commit marker. Returns the
+    /// bytes scanned — 0 when nothing was replayed: the file is missing
+    /// or shorter than its header (a crash before the first reset
+    /// finished), or its epoch is older than `epoch` (a crash between the
+    /// meta rename and the log reset; its effects are inside the
+    /// checkpoint). A bad magic or a newer epoch is corruption, found
+    /// before any record is applied. A torn tail ends the replay at the
+    /// last commit marker; a record that passes its checksum but fails to
+    /// decode is corruption.
+    pub(crate) fn replay(
+        dir: &Path,
+        epoch: u64,
+        mut apply: impl FnMut(Vec<WalRecord>) -> Result<(), EngineError>,
+    ) -> Result<u64, EngineError> {
+        let path = dir.join(WAL_FILE);
+        let mut file = match io::open(&path, OpenMode::ReadOnly) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+            Err(e) => return Err(io_err("open", &path, e)),
         };
-        records.truncate(committed);
-        Ok(Some((epoch, records, total)))
+        let len = file.len().map_err(|e| io_err("stat", &path, e))?;
+        if len < WAL_HEADER as u64 {
+            return Ok(0);
+        }
+        let mut src = BufReader::with_capacity(REPLAY_BUFFER, file);
+        let mut header = [0u8; WAL_HEADER];
+        src.read_exact(&mut header)
+            .map_err(|e| io_err("read", &path, e))?;
+        if &header[..8] != WAL_MAGIC {
+            return Err(corrupt(format!("bad WAL magic in {}", path.display())));
+        }
+        let log_epoch = u64::from_le_bytes(header[8..].try_into().expect("sliced 8 bytes"));
+        if log_epoch < epoch {
+            return Ok(0);
+        }
+        if log_epoch > epoch {
+            return Err(EngineError::execution(format!(
+                "corrupt durable state: WAL epoch {log_epoch} is newer than catalog epoch {epoch}"
+            )));
+        }
+        let mut frames = RecordReader::new(src, len - WAL_HEADER as u64);
+        let mut group = Vec::new();
+        while let Framed::Record(payload) =
+            frames.next_record().map_err(|e| io_err("read", &path, e))?
+        {
+            match WalRecord::decode(payload)? {
+                WalRecord::Commit => apply(std::mem::take(&mut group))?,
+                rec => group.push(rec),
+            }
+        }
+        Ok(len)
     }
 }
 
-/// Seek to 0 and write the `magic + epoch` header.
-fn write_header(file: &mut FileHandle, epoch: u64) -> std::io::Result<()> {
-    file.seek(SeekFrom::Start(0))?;
-    file.write_all(WAL_MAGIC)?;
-    file.write_all(&epoch.to_le_bytes())
+/// Truncate the log to a `magic + epoch` header, then fsync the file and
+/// its directory `dir`.
+fn write_header(file: &mut FileHandle, dir: &Path, epoch: u64) -> Result<(), EngineError> {
+    let path = &file.path().to_path_buf();
+    let err = |op| move |e| io_err(op, path, e);
+    file.set_len(0).map_err(err("truncate"))?;
+    file.seek(SeekFrom::Start(0)).map_err(err("seek"))?;
+    file.write_all(WAL_MAGIC)
+        .and_then(|()| file.write_all(&epoch.to_le_bytes()))
+        .map_err(err("header"))?;
+    file.sync_data().map_err(err("fsync"))?;
+    io::sync_dir(dir).map_err(|e| io_err("fsync dir", dir, e))
 }
 
 #[cfg(test)]
@@ -942,10 +821,21 @@ mod tests {
         }
     }
 
+    /// The committed groups of `dir`'s log replayed onto `epoch`, and the
+    /// bytes scanned.
+    fn replayed(dir: &Path, epoch: u64) -> Result<(Vec<Vec<WalRecord>>, u64), EngineError> {
+        let mut groups = Vec::new();
+        let bytes = Wal::replay(dir, epoch, |group| {
+            groups.push(group);
+            Ok(())
+        })?;
+        Ok((groups, bytes))
+    }
+
     #[test]
     fn log_commit_replay() {
         let dir = temp_dir("basic");
-        let wal = Wal::open(&dir, true, DEFAULT_SEGMENT_BYTES).unwrap();
+        let wal = Wal::open(&dir, true).unwrap();
         wal.reset(3).unwrap();
         let recs = sample_records();
         for r in &recs[..4] {
@@ -957,15 +847,13 @@ mod tests {
             wal.log(r);
         }
         assert!(wal.commit().unwrap());
-        let (epoch, replayed, bytes) = Wal::replay(&dir).unwrap().unwrap();
-        assert_eq!(epoch, 3);
-        assert_eq!(replayed, recs);
-        assert!(bytes > WAL_HEADER as u64);
+        // One group per commit, in order.
+        let (groups, bytes) = replayed(&dir, 3).unwrap();
+        assert_eq!(groups, vec![recs[..4].to_vec(), recs[4..].to_vec()]);
+        assert_eq!(bytes, std::fs::metadata(dir.join(WAL_FILE)).unwrap().len());
         let stats = wal.stats();
         assert_eq!(stats.records, recs.len() as u64);
         assert_eq!(stats.commits, 2);
-        assert_eq!(stats.segments, 1);
-        assert_eq!(stats.rotations, 0);
         assert!(!stats.poisoned);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -973,7 +861,7 @@ mod tests {
     #[test]
     fn uncommitted_tail_is_discarded() {
         let dir = temp_dir("uncommitted");
-        let wal = Wal::open(&dir, false, DEFAULT_SEGMENT_BYTES).unwrap();
+        let wal = Wal::open(&dir, false).unwrap();
         wal.reset(0).unwrap();
         wal.log(&WalRecord::Truncate { table: "a".into() });
         wal.commit().unwrap();
@@ -984,15 +872,18 @@ mod tests {
             let mut inner = wal.lock();
             Wal::write_buf(&mut inner).unwrap();
         }
-        let (_, replayed, _) = Wal::replay(&dir).unwrap().unwrap();
-        assert_eq!(replayed, vec![WalRecord::Truncate { table: "a".into() }]);
+        let (groups, _) = replayed(&dir, 0).unwrap();
+        assert_eq!(
+            groups,
+            vec![vec![WalRecord::Truncate { table: "a".into() }]]
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn torn_tail_recovers_committed_prefix_at_every_cut() {
         let dir = temp_dir("torn");
-        let wal = Wal::open(&dir, false, DEFAULT_SEGMENT_BYTES).unwrap();
+        let wal = Wal::open(&dir, false).unwrap();
         wal.reset(1).unwrap();
         let recs = sample_records();
         // One commit per record → the committed prefix grows record by
@@ -1001,110 +892,66 @@ mod tests {
             wal.log(r);
             wal.commit().unwrap();
         }
-        let seg = segment_path(&dir, 1);
-        let full = std::fs::read(&seg).unwrap();
+        let path = dir.join(WAL_FILE);
+        let full = std::fs::read(&path).unwrap();
         let mut prev_len = 0usize;
         for cut in 0..=full.len() {
-            std::fs::write(&seg, &full[..cut]).unwrap();
-            match Wal::replay(&dir).unwrap() {
-                None => assert!(cut < WAL_HEADER, "header cut {cut}"),
-                Some((epoch, replayed, _)) => {
-                    assert_eq!(epoch, 1);
-                    assert_eq!(replayed, recs[..replayed.len()], "cut {cut}");
-                    assert!(replayed.len() >= prev_len, "prefix must be monotone");
-                    prev_len = replayed.len();
-                }
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let (groups, bytes) = replayed(&dir, 1).unwrap();
+            let replayed: Vec<WalRecord> = groups.concat();
+            if cut < WAL_HEADER {
+                assert_eq!(bytes, 0, "header cut {cut}");
             }
+            assert_eq!(replayed, recs[..replayed.len()], "cut {cut}");
+            assert!(replayed.len() >= prev_len, "prefix must be monotone");
+            prev_len = replayed.len();
         }
         assert_eq!(prev_len, recs.len());
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// Replay streams: a committed group is applied before the frames
+    /// after it are read, so a bad record later in the log fails the
+    /// replay after the groups before it.
     #[test]
     fn valid_crc_bad_payload_is_real_corruption() {
         let dir = temp_dir("corrupt");
-        let wal = Wal::open(&dir, false, DEFAULT_SEGMENT_BYTES).unwrap();
+        let wal = Wal::open(&dir, false).unwrap();
         wal.reset(0).unwrap();
+        wal.log(&WalRecord::Truncate { table: "a".into() });
+        wal.commit().unwrap();
         drop(wal);
         // Hand-craft a record with a correct checksum over garbage.
-        let seg = segment_path(&dir, 1);
+        let path = dir.join(WAL_FILE);
         let payload = [0xEEu8, 1, 2, 3];
-        let mut bytes = std::fs::read(&seg).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
         write_record(&mut bytes, |p| p.extend_from_slice(&payload));
-        std::fs::write(&seg, &bytes).unwrap();
-        let err = Wal::replay(&dir).unwrap_err();
+        std::fs::write(&path, &bytes).unwrap();
+        let mut applied = Vec::new();
+        let err = Wal::replay(&dir, 0, |group| {
+            applied.push(group);
+            Ok(())
+        })
+        .unwrap_err();
         assert!(err.to_string().contains("unknown record tag"), "{err}");
+        assert_eq!(
+            applied,
+            vec![vec![WalRecord::Truncate { table: "a".into() }]]
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn reset_discards_history_and_bumps_epoch() {
         let dir = temp_dir("reset");
-        let wal = Wal::open(&dir, false, DEFAULT_SEGMENT_BYTES).unwrap();
+        let wal = Wal::open(&dir, false).unwrap();
         wal.reset(0).unwrap();
         wal.log(&WalRecord::Truncate { table: "x".into() });
         wal.commit().unwrap();
         wal.reset(1).unwrap();
-        let (epoch, replayed, _) = Wal::replay(&dir).unwrap().unwrap();
-        assert_eq!(epoch, 1);
-        assert!(replayed.is_empty());
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn rotation_bounds_segments_and_reset_recycles_them() {
-        let dir = temp_dir("rotate");
-        // Tiny bound: every commit rotates once past the header.
-        let wal = Wal::open(&dir, false, 64).unwrap();
-        wal.reset(7).unwrap();
-        let recs = sample_records();
-        for r in &recs {
-            wal.log(r);
-            wal.commit().unwrap();
-        }
-        let stats = wal.stats();
-        assert!(stats.rotations >= 2, "expected rotations, got {stats:?}");
-        assert_eq!(stats.segments, stats.rotations + 1);
-        let on_disk = list_segments(&dir).unwrap();
-        assert_eq!(on_disk.len() as u64, stats.segments);
-        for (_, path) in &on_disk {
-            assert!(
-                std::fs::metadata(path).unwrap().len() <= 64 + 512,
-                "segment {} exceeds bound by more than one commit",
-                path.display()
-            );
-        }
-        // Replay concatenates the segments in order.
-        let (epoch, replayed, _) = Wal::replay(&dir).unwrap().unwrap();
-        assert_eq!(epoch, 7);
-        assert_eq!(replayed, recs);
-        // A checkpoint-driven reset recycles every segment but the first.
-        wal.reset(8).unwrap();
-        let on_disk = list_segments(&dir).unwrap();
-        assert_eq!(on_disk.len(), 1);
-        assert_eq!(on_disk[0].1, segment_path(&dir, 1));
-        assert_eq!(wal.stats().segments, 1);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn torn_frame_in_non_final_segment_is_corruption() {
-        let dir = temp_dir("torn-mid");
-        let wal = Wal::open(&dir, false, 64).unwrap();
-        wal.reset(1).unwrap();
-        for r in &sample_records() {
-            wal.log(r);
-            wal.commit().unwrap();
-        }
-        assert!(wal.stats().segments >= 2);
-        drop(wal);
-        // Truncate the FIRST segment mid-frame: with later segments
-        // present this cannot be a crash tail, so replay must refuse.
-        let seg1 = segment_path(&dir, 1);
-        let bytes = std::fs::read(&seg1).unwrap();
-        std::fs::write(&seg1, &bytes[..bytes.len() - 3]).unwrap();
-        let err = Wal::replay(&dir).unwrap_err();
-        assert!(err.to_string().contains("non-final segment"), "{err}");
+        let (groups, bytes) = replayed(&dir, 1).unwrap();
+        assert!(groups.is_empty());
+        assert_eq!(bytes, WAL_HEADER as u64);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1112,7 +959,7 @@ mod tests {
     fn fsync_failure_poisons_the_log() {
         let _serial = io::test_plan_serial();
         let dir = temp_dir("poison");
-        let wal = Wal::open(&dir, true, DEFAULT_SEGMENT_BYTES).unwrap();
+        let wal = Wal::open(&dir, true).unwrap();
         wal.reset(1).unwrap();
         wal.log(&WalRecord::Truncate { table: "t".into() });
         wal.commit().unwrap();
@@ -1137,9 +984,31 @@ mod tests {
         // replay. The unacknowledged "u" frame reached the file but was
         // never fsynced — whether it survives is exactly the uncertainty
         // poisoning exists to stop acknowledging, so either way is safe.
-        let (_, replayed, _) = Wal::replay(&dir).unwrap().unwrap();
-        assert!(!replayed.is_empty());
-        assert_eq!(replayed[0], WalRecord::Truncate { table: "t".into() });
+        let (groups, _) = replayed(&dir, 1).unwrap();
+        assert_eq!(groups[0], vec![WalRecord::Truncate { table: "t".into() }]);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A checkpoint resets the log after publishing its meta: a log whose
+    /// reset failed keeps an epoch recovery would discard, so it must not
+    /// acknowledge another commit.
+    #[test]
+    fn failed_reset_poisons_the_log() {
+        let _serial = io::test_plan_serial();
+        let dir = temp_dir("reset-fail");
+        let wal = Wal::open(&dir, true).unwrap();
+        wal.reset(1).unwrap();
+        let prev = set_fault_plan(Some(Arc::new(FaultPlan::new().with_rule(
+            FaultKind::FsyncFail,
+            "reset-fail",
+            Trigger::Once(1),
+        ))));
+        let err = wal.reset(2).unwrap_err();
+        set_fault_plan(prev);
+        assert!(err.to_string().contains("fsync"), "{err}");
+        assert!(wal.poisoned());
+        wal.log(&WalRecord::Truncate { table: "t".into() });
+        assert!(wal.commit().is_err());
         let _ = std::fs::remove_dir_all(dir);
     }
 }

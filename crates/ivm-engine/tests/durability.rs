@@ -126,7 +126,7 @@ fn torn_wal_tail_recovers_committed_prefix() {
     }
     // Cut the WAL mid-file: recovery must stop at a committed prefix —
     // cleanly, never with a panic.
-    let wal = dir.path().join("wal.0001.log");
+    let wal = dir.path().join("wal.log");
     let bytes = std::fs::read(&wal).unwrap();
     std::fs::write(&wal, &bytes[..bytes.len() - bytes.len() / 3]).unwrap();
     let db = Database::open(dir.path()).unwrap();
@@ -190,59 +190,123 @@ fn in_memory_and_durable_sessions_agree() {
     assert_eq!(observe(&mut mem), observe(&mut dur));
 }
 
+/// The data directory's file names, sorted.
+fn files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
 #[test]
-fn wal_segments_rotate_stay_bounded_and_recycle() {
-    let dir = TempDir::new("segments");
-    let opts = ivm_engine::DurabilityOptions {
-        wal_segment_bytes: 512,
-        ..ivm_engine::DurabilityOptions::default()
-    };
-    let mut db = Database::open_with_options(dir.path(), opts).unwrap();
+fn crash_replays_every_statement_from_one_log_file() {
+    let dir = TempDir::new("onelog");
+    let mut db = Database::open(dir.path()).unwrap();
     db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+    db.execute("CREATE TABLE u (b INTEGER)").unwrap();
     db.checkpoint().unwrap();
     for i in 0..200 {
         db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
     }
-    let stats = db.wal_stats().unwrap();
-    assert!(stats.rotations >= 2, "expected rotations, got {stats:?}");
-    assert_eq!(stats.segments, stats.rotations + 1);
-    let on_disk = || {
-        let mut segs: Vec<String> = std::fs::read_dir(dir.path())
-            .unwrap()
-            .filter_map(|e| e.unwrap().file_name().into_string().ok())
-            .filter(|n| n.starts_with("wal.") && n.ends_with(".log"))
-            .collect();
-        segs.sort();
-        segs
-    };
-    let segs = on_disk();
-    assert_eq!(segs.len() as u64, stats.segments, "{segs:?}");
-    // Each sealed segment respects the bound plus at most one record.
-    for seg in &segs[..segs.len() - 1] {
-        let len = std::fs::metadata(dir.path().join(seg)).unwrap().len();
-        assert!(len <= 512 + 4096, "segment {seg} is {len} bytes");
-    }
-
-    // A crash (drop without close) replays every segment in order.
+    // A crash (drop without close) replays every statement.
     drop(db);
-    let db = Database::open_with_options(dir.path(), opts).unwrap();
+    let db = Database::open(dir.path()).unwrap();
     let rows = db.query("SELECT COUNT(*) FROM t").unwrap().rows;
     assert_eq!(rows[0][0], Value::Integer(200));
+    assert_eq!(db.recovery_stats().unwrap().replayed_records, 200);
 
-    // Recovery checkpointed, which recycles the log to one segment.
-    assert_eq!(on_disk(), vec!["wal.0001.log".to_string()]);
-    assert_eq!(db.wal_stats().unwrap().segments, 1);
+    // Recovery checkpointed: the meta, the log and one file per table.
+    let names = files(dir.path());
+    assert_eq!(names.len(), 4, "{names:?}");
+    assert_eq!(names[0], "catalog.meta");
+    assert!(names[1].starts_with("table.") && names[1].ends_with(".dat"));
+    assert!(names[2].starts_with("table.") && names[2].ends_with(".dat"));
+    assert_eq!(names[3], "wal.log");
     db.close().unwrap();
+}
+
+/// A directory whose checkpoint holds rows 0..3 of `t` and whose log
+/// holds two more committed inserts, left as a crash leaves it.
+fn crashed_with_log(tag: &str) -> TempDir {
+    let dir = TempDir::new(tag);
+    let mut db = Database::open(dir.path()).unwrap();
+    db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+    db.execute("INSERT INTO t VALUES (0), (1), (2)").unwrap();
+    db.checkpoint().unwrap();
+    db.execute("INSERT INTO t VALUES (3)").unwrap();
+    db.execute("INSERT INTO t VALUES (4)").unwrap();
+    drop(db);
+    dir
+}
+
+/// The epoch in bytes 8..16 of a `catalog.meta` or `wal.log` header.
+fn epoch(path: &std::path::Path) -> u64 {
+    let bytes = std::fs::read(path).unwrap();
+    u64::from_le_bytes(bytes[8..16].try_into().unwrap())
+}
+
+fn set_epoch(path: &std::path::Path, epoch: u64) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[8..16].copy_from_slice(&epoch.to_le_bytes());
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// `SELECT COUNT(*) FROM t` and the records the open replayed.
+fn count_and_replayed(dir: &TempDir) -> (Value, u64) {
+    let db = Database::open(dir.path()).unwrap();
+    let count = db.query("SELECT COUNT(*) FROM t").unwrap().rows[0][0].clone();
+    (count, db.recovery_stats().unwrap().replayed_records)
+}
+
+/// A crash between the meta rename and the log reset leaves a log one
+/// epoch behind the meta, whose effects are inside the checkpoint.
+#[test]
+fn wal_one_epoch_behind_the_meta_is_discarded() {
+    let dir = crashed_with_log("epoch-behind");
+    let (wal, meta) = (dir.path().join("wal.log"), dir.path().join("catalog.meta"));
+    assert_eq!(epoch(&wal), epoch(&meta), "a crash leaves the log in step");
+    set_epoch(&wal, epoch(&meta) - 1);
+    assert_eq!(count_and_replayed(&dir), (Value::Integer(3), 0));
+}
+
+/// No crash window leaves a log ahead of the meta.
+#[test]
+fn wal_one_epoch_ahead_of_the_meta_is_a_clean_error() {
+    let dir = crashed_with_log("epoch-ahead");
+    let wal = dir.path().join("wal.log");
+    set_epoch(&wal, epoch(&dir.path().join("catalog.meta")) + 1);
+    let err = Database::open(dir.path()).unwrap_err();
+    assert!(err.to_string().contains("corrupt durable state"), "{err}");
+}
+
+/// A crash before the first reset finished leaves a log shorter than its
+/// 16-byte header; a missing log is what a crash before it was created
+/// leaves. Neither has anything to replay.
+#[test]
+fn headerless_or_missing_wal_replays_nothing() {
+    for cut in [0usize, 1, 8, 15] {
+        let dir = crashed_with_log(&format!("headerless-{cut}"));
+        let wal = dir.path().join("wal.log");
+        let bytes = std::fs::read(&wal).unwrap();
+        std::fs::write(&wal, &bytes[..cut]).unwrap();
+        assert_eq!(
+            count_and_replayed(&dir),
+            (Value::Integer(3), 0),
+            "cut {cut}"
+        );
+    }
+    let dir = crashed_with_log("missing");
+    std::fs::remove_file(dir.path().join("wal.log")).unwrap();
+    assert_eq!(count_and_replayed(&dir), (Value::Integer(3), 0));
+    assert!(dir.path().join("wal.log").exists(), "open creates the log");
 }
 
 #[test]
 fn auto_checkpoint_bounds_the_wal() {
     let dir = TempDir::new("autockpt");
-    let opts = ivm_engine::DurabilityOptions {
-        wal_segment_bytes: 512,
-        ..ivm_engine::DurabilityOptions::default()
-    };
-    let mut db = Database::open_with_options(dir.path(), opts).unwrap();
+    let mut db = Database::open(dir.path()).unwrap();
     db.set_auto_checkpoint(Some(2048));
     db.execute("CREATE TABLE t (a INTEGER)").unwrap();
     // Plain statements first, then each one as its own atomic batch (the
@@ -264,13 +328,6 @@ fn auto_checkpoint_bounds_the_wal() {
             stats.bytes_written
         );
     }
-    // The auto-checkpoints also recycled segments along the way.
-    let segs = std::fs::read_dir(dir.path())
-        .unwrap()
-        .filter_map(|e| e.unwrap().file_name().into_string().ok())
-        .filter(|n| n.starts_with("wal.") && n.ends_with(".log"))
-        .count();
-    assert!(segs <= 5, "auto-checkpoint left {segs} segments");
     db.close().unwrap();
     let db = Database::open(dir.path()).unwrap();
     assert_eq!(

@@ -108,7 +108,7 @@ fn env_settings_apply_and_invalid_values_fail_loudly() {
             assert!(subdir.starts_with(&root), "{subdir:?} not under {root:?}");
             db.execute("CREATE TABLE t (k INTEGER)").unwrap();
             db.execute("INSERT INTO t VALUES (1)").unwrap();
-            assert!(subdir.join("wal.0001.log").exists());
+            assert!(subdir.join("wal.log").exists());
         }
         // Dropping the database removes its ephemeral subdirectory.
         assert!(!subdir.exists(), "ephemeral data dir leaked: {subdir:?}");

@@ -92,23 +92,21 @@ fn run(args: Vec<String>) -> Result<String, String> {
         return serve(&addr, schema.as_deref(), data_dir.as_deref(), flags);
     }
 
-    // `--wal-stats`: report the durable log's health (segment count,
-    // rotations, transient-retry tally, poisoned flag) and exit.
+    // `--wal-stats`: report what opening the directory recovered (the
+    // open ends with a checkpoint that resets the log, so the log's own
+    // counters would read zero) and whether the log is poisoned, and exit.
     if wal_stats {
         let dir = data_dir.ok_or("--wal-stats requires --data-dir")?;
         let db = Database::open(&dir).map_err(|e| format!("cannot open {dir}: {e}"))?;
-        let s = db.wal_stats().ok_or("database has no write-ahead log")?;
+        let r = db
+            .recovery_stats()
+            .ok_or("database has no write-ahead log")?;
         return Ok(format!(
-            "wal records={} commits={} syncs={} bytes_written={} \
-             retries={} rotations={} segments={} poisoned={}",
-            s.records,
-            s.commits,
-            s.syncs,
-            s.bytes_written,
-            s.retries,
-            s.rotations,
-            s.segments,
-            s.poisoned
+            "recovery replayed_records={} wal_bytes={} tables_loaded={} poisoned={}",
+            r.replayed_records,
+            r.wal_bytes,
+            r.tables_loaded,
+            db.is_degraded()
         ));
     }
 

@@ -3,11 +3,14 @@
 //! Four failure modes against a durable database, each checked against a
 //! shadow in-memory oracle (or an arithmetic prefix invariant):
 //!
-//! 1. **WAL truncation sweep** — run a mixed ingest/refresh/checkpoint
-//!    workload, snapshot the oracle after every statement, then cut the
-//!    surviving WAL at randomized byte offsets. Every cut must recover to
-//!    *some committed prefix* of the workload, and the recovered prefix
-//!    must be monotone in the cut position.
+//! 1. **WAL truncation and bit-flip sweep** — run a mixed
+//!    ingest/refresh/checkpoint workload, snapshot the oracle after every
+//!    statement, then cut the surviving WAL at randomized byte offsets.
+//!    Every cut must recover to *some committed prefix* of the workload,
+//!    and the recovered prefix must be monotone in the cut position. At
+//!    the same offsets one bit of the whole log is flipped instead: that
+//!    must recover some committed prefix too, or — for a flip in the
+//!    header's magic or epoch — fail with a clean error.
 //! 2. **Torn write** — append garbage to the WAL tail; recovery must
 //!    ignore it and yield the full committed state.
 //! 3. **Unpublished checkpoint** — a table file no `catalog.meta` names
@@ -16,6 +19,9 @@
 //!    its committed progress; the parent kills it mid-ingest, reopens the
 //!    directory, and asserts the recovered rows are exactly a committed
 //!    prefix at least as long as the last progress the child reported.
+//!
+//! A fifth case runs the `openivm --wal-stats` binary on a crashed
+//! directory and checks that it reports the replay.
 //!
 //! No failure mode may panic: torn tails and truncated logs decode to
 //! clean `EngineError`s or silently stop at the last commit marker.
@@ -130,9 +136,21 @@ fn wal_cut_sweep_recovers_a_monotone_committed_prefix() {
         drop(s); // crash: no close(), the WAL carries everything
     }
 
-    let wal_path = dir.path().join("wal.0001.log");
-    let full = std::fs::read(&wal_path).unwrap();
+    let full = std::fs::read(dir.path().join("wal.log")).unwrap();
     let scratch = TempDir::new("sweep-scratch");
+    // Rebuild the crashed directory with `log` as its WAL and reopen it.
+    let reopen = |log: &[u8]| {
+        for entry in std::fs::read_dir(dir.path()).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            if name != "wal.log" {
+                std::fs::copy(dir.path().join(&name), scratch.path().join(&name)).unwrap();
+            }
+        }
+        std::fs::write(scratch.path().join("wal.log"), log).unwrap();
+        IvmSession::open(scratch.path(), IvmFlags::paper_defaults())
+            .map(|mut s| observe_session(&mut s))
+    };
+    let prefix_of = |got: &Vec<Vec<Vec<Value>>>| snapshots.iter().position(|snap| snap == got);
 
     let mut rng = Rng(0x5eed_cafe);
     let mut cuts: Vec<usize> = (0..40).map(|_| rng.next() as usize % full.len()).collect();
@@ -142,26 +160,32 @@ fn wal_cut_sweep_recovers_a_monotone_committed_prefix() {
 
     let mut last_prefix = 0usize;
     for cut in cuts {
-        // Rebuild the crashed directory with the WAL cut at `cut` bytes.
-        for entry in std::fs::read_dir(dir.path()).unwrap() {
-            let name = entry.unwrap().file_name().into_string().unwrap();
-            if !(name.starts_with("wal.") && name.ends_with(".log")) {
-                std::fs::copy(dir.path().join(&name), scratch.path().join(&name)).unwrap();
-            }
-        }
-        std::fs::write(scratch.path().join("wal.0001.log"), &full[..cut]).unwrap();
-
-        let mut s = IvmSession::open(scratch.path(), IvmFlags::paper_defaults()).unwrap();
-        let got = observe_session(&mut s);
-        let prefix = snapshots
-            .iter()
-            .position(|snap| *snap == got)
+        let got = reopen(&full[..cut]).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        let prefix = prefix_of(&got)
             .unwrap_or_else(|| panic!("cut {cut}: recovered state matches no committed prefix"));
         assert!(
             prefix >= last_prefix,
             "cut {cut}: prefix {prefix} regressed below {last_prefix}"
         );
         last_prefix = prefix;
+
+        // The same offset, one bit flipped in the whole log instead.
+        if cut < full.len() {
+            let mut flipped = full.clone();
+            flipped[cut] ^= 1 << (rng.next() % 8);
+            match reopen(&flipped) {
+                Ok(got) => {
+                    assert!(cut >= 8, "flip at {cut}: a bad magic was accepted");
+                    assert!(
+                        prefix_of(&got).is_some(),
+                        "flip at {cut}: recovered state matches no committed prefix"
+                    );
+                }
+                // The 16-byte header: a bad magic, or an epoch ahead of
+                // the checkpoint's.
+                Err(e) => assert!(cut < 16, "flip at {cut}: {e}"),
+            }
+        }
     }
     assert_eq!(
         last_prefix,
@@ -190,7 +214,7 @@ fn torn_write_garbage_tail_is_ignored() {
 
     // A torn write leaves a partial record, possibly preceded by a partial
     // length header of plausible-looking bytes.
-    let wal_path = dir.path().join("wal.0001.log");
+    let wal_path = dir.path().join("wal.log");
     let mut rng = Rng(0xdead_beef);
     for garbage_len in [1usize, 7, 64, 4096] {
         let mut bytes = std::fs::read(&wal_path).unwrap();
@@ -322,4 +346,44 @@ fn sigkill_mid_ingest_recovers_a_committed_prefix() {
     for (i, row) in rows.iter().enumerate() {
         assert_eq!(row[0], Value::Integer(i as i64), "committed prefix");
     }
+}
+
+/// `openivm --data-dir <dir> --wal-stats` reports the recovery it ran: on
+/// a directory crashed after N committed inserts, at least N records
+/// replayed.
+#[test]
+fn wal_stats_reports_the_replay_of_a_crashed_directory() {
+    const INSERTS: usize = 25;
+    let dir = TempDir::new("walstats");
+    {
+        let mut db = Database::open(dir.path()).unwrap();
+        db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        for i in 0..INSERTS {
+            db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+        }
+        drop(db); // crash: no close(), the WAL carries every insert
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_openivm"))
+        .arg("--data-dir")
+        .arg(dir.path())
+        .arg("--wal-stats")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout} {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let field = |name: &str| -> u64 {
+        stdout
+            .split_whitespace()
+            .find_map(|kv| kv.strip_prefix(name)?.strip_prefix('='))
+            .unwrap_or_else(|| panic!("no {name} in {stdout:?}"))
+            .parse()
+            .unwrap()
+    };
+    assert!(field("replayed_records") >= INSERTS as u64, "{stdout}");
+    assert!(field("wal_bytes") > 16, "{stdout}");
+    assert!(stdout.contains("poisoned=false"), "{stdout}");
 }
