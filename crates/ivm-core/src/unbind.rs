@@ -17,6 +17,7 @@ use crate::error::IvmError;
 pub fn unbind(expr: &BoundExpr, cols: &[Expr]) -> Result<Expr, IvmError> {
     Ok(match expr {
         BoundExpr::Literal(v) => Expr::Literal(unbind_value(v)),
+        BoundExpr::Param { slot, .. } => Expr::Param(*slot),
         BoundExpr::Column { index, .. } => cols
             .get(*index)
             .cloned()

@@ -25,9 +25,12 @@
 //!
 //! The hub also owns the shared cross-session prepared-statement cache:
 //! the same `PlanCache` type a `Database` keeps for itself, keyed by the
-//! SQL text and validated against the snapshot's catalog-shape
-//! generation, so N readers — whatever their executor settings — pay
-//! each query's plan/optimize/lower cost once.
+//! statement's shape — its text with the values it compares against
+//! lifted into parameter slots — and validated against the snapshot's
+//! catalog-shape generation. N readers, whatever their executor
+//! settings, pay each shape's plan/optimize/lower cost once; a statement
+//! of a known shape is parsed, lifted, and instantiated with its own
+//! values.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -38,7 +41,7 @@ use ivm_sql::parse_statement;
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec::{ExecConfig, ExecContext};
-use crate::plan_cache::PlanCache;
+use crate::plan_cache::{PlanCache, Shape};
 use crate::session::{env_config, plan_physical, run_planned, Database, QueryResult};
 
 /// An immutable, epoch-stamped image of the catalog at a committed point.
@@ -189,7 +192,7 @@ impl ReadSession {
     pub fn query(&mut self, sql: &str) -> Result<QueryResult, EngineError> {
         let q = parse_select(sql)?;
         let snapshot = self.hub.pin();
-        self.query_snapshot(sql, &q, &snapshot)
+        self.query_snapshot(sql, q, &snapshot)
     }
 
     /// [`query`](Self::query) against an explicitly pinned snapshot —
@@ -200,7 +203,7 @@ impl ReadSession {
         sql: &str,
         snapshot: &Snapshot,
     ) -> Result<QueryResult, EngineError> {
-        self.query_snapshot(sql, &parse_select(sql)?, snapshot)
+        self.query_snapshot(sql, parse_select(sql)?, snapshot)
     }
 
     /// Pin the current snapshot for use with
@@ -212,7 +215,7 @@ impl ReadSession {
     fn query_snapshot(
         &mut self,
         sql: &str,
-        q: &Query,
+        mut q: Query,
         snapshot: &Snapshot,
     ) -> Result<QueryResult, EngineError> {
         self.last_epoch = snapshot.epoch();
@@ -220,22 +223,35 @@ impl ReadSession {
             catalog: snapshot.catalog(),
             config: &self.config,
         };
+        // Planned as sent, uncached: a statement that does not lift, and
+        // one whose lifted form does not plan — it reports its own error,
+        // or it is the rare statement that plans only verbatim (a HAVING
+        // term that must match a GROUP BY expression literally).
+        let as_sent =
+            |cx: &ExecContext<'_>| run_planned(plan_physical(&parse_select(sql)?, cx, &[])?, cx);
+        let Some(shape) = Shape::lift(&mut q) else {
+            return as_sent(&cx);
+        };
         let generation = snapshot.ddl_generation;
         // Its own statement, so the lock is released before the match.
-        let cached = self.hub.plans().get(sql, generation);
-        let planned = match cached {
+        let cached = self.hub.plans().get(&shape.key, generation);
+        let template = match cached {
             Some(hit) => hit,
             None => {
                 // Planned outside the cache lock: a slow lowering must
                 // not stall other readers (two concurrent misses on the
                 // same key both plan; last insert wins — both plans are
                 // equally valid for that generation).
-                let planned = plan_physical(q, &cx)?;
-                self.hub.plans().insert(sql, generation, planned.clone());
+                let Ok(planned) = plan_physical(&q, &cx, &shape.types) else {
+                    return as_sent(&cx);
+                };
+                self.hub
+                    .plans()
+                    .insert(&shape.key, generation, planned.clone());
                 planned
             }
         };
-        run_planned(planned, &cx)
+        run_planned(shape.instantiate(template), &cx)
     }
 }
 
@@ -338,8 +354,8 @@ mod tests {
         let (_, hits, misses) = hub.plan_cache_stats();
         assert_eq!((hits, misses), (1, 2), "stale generation re-plans");
 
-        // A plan is keyed by its SQL text alone: a reader with another
-        // budget reuses it.
+        // A plan is keyed by the statement's shape alone: a reader with
+        // another budget reuses it.
         r2.config_mut().set_memory_budget(Some(1));
         r2.query("SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k")
             .unwrap();
@@ -349,6 +365,37 @@ mod tests {
             (1, 2, 2),
             "budget is not in the key"
         );
+    }
+
+    #[test]
+    fn lookups_differing_in_values_share_one_indexed_template() {
+        let mut db = db_with_rows(64);
+        db.execute("CREATE INDEX t_k ON t (k)").unwrap();
+        let hub = SnapshotHub::new(&db);
+        let mut reader = hub.reader();
+        for k in 0..4 {
+            let sql = format!("SELECT COUNT(*), SUM(v) FROM t WHERE k = {k}");
+            assert_eq!(reader.query(&sql).unwrap(), db.query(&sql).unwrap());
+        }
+        assert_eq!(hub.plan_cache_stats(), (1, 3, 1), "one shape, planned once");
+
+        // The instantiated plan answers `k = 3` through the index.
+        let mut q = parse_select("SELECT COUNT(*), SUM(v) FROM t WHERE k = 3").unwrap();
+        let shape = Shape::lift(&mut q).unwrap();
+        let template = hub.plans().get(&shape.key, db.ddl_generation()).unwrap();
+        assert!(!template.0.explain().contains("index_eq"));
+        let (plan, _) = shape.instantiate(template);
+        assert!(
+            plan.explain().contains("[index_eq=1]"),
+            "{}",
+            plan.explain()
+        );
+
+        // Another literal type is another shape.
+        reader
+            .query("SELECT COUNT(*) FROM t WHERE k = 1.5")
+            .unwrap();
+        assert_eq!(hub.plan_cache_stats().0, 2);
     }
 
     /// The writer session and a snapshot reader share one plan → run

@@ -581,7 +581,7 @@ pub fn prepare_expr(expr: &BoundExpr, cx: &ExecContext<'_>) -> Result<BoundExpr,
 
 fn materialize_subqueries(e: &mut BoundExpr, cx: &ExecContext<'_>) -> Result<(), EngineError> {
     match e {
-        BoundExpr::Literal(_) | BoundExpr::Column { .. } => {}
+        BoundExpr::Literal(_) | BoundExpr::Param { .. } | BoundExpr::Column { .. } => {}
         BoundExpr::Binary { left, right, .. } => {
             materialize_subqueries(left, cx)?;
             materialize_subqueries(right, cx)?;

@@ -59,6 +59,7 @@ use crate::exec::{
 };
 use crate::expr::VectorKernel;
 use crate::planner::physical::PhysicalPlan;
+use crate::planner::SetOpKind;
 use crate::storage::Table;
 
 pub(crate) use pipeline::for_each_morsel;
@@ -97,6 +98,19 @@ pub(crate) fn collect_rows<'a>(
             Some(input) => return aggregate::parallel_aggregate(&input, group, aggs, *mode, cx),
             None => from_collected_children(plan, cx)?,
         },
+        // UNION ALL is its inputs' rows, left then right: collected into
+        // one vector, where replaying each input through the operator
+        // would copy a chain's first rows once per level.
+        PhysicalPlan::SetOp {
+            op: SetOpKind::Union,
+            left,
+            right,
+            ..
+        } => {
+            let mut rows = collect_rows(left, cx)?;
+            rows.extend(collect_rows(right, cx)?);
+            return Ok(rows);
+        }
         // LIMIT's whole point is to stop pulling early: a serial tree.
         PhysicalPlan::Limit { .. } => build_operator(plan, cx)?,
         _ => from_collected_children(plan, cx)?,

@@ -82,18 +82,31 @@ impl Scope {
 /// Bind an AST expression against a scope, without subquery support.
 /// Aggregate calls are rejected — the planner extracts them first.
 pub fn bind_expr(expr: &Expr, scope: &Scope) -> Result<BoundExpr, EngineError> {
-    bind_expr_with(expr, scope, None)
+    bind_expr_with(expr, scope, None, &[])
 }
 
 /// Bind an AST expression against a scope. `catalog` enables planning of
 /// uncorrelated `IN (subquery)` predicates; without it they are rejected.
+/// `params` types the [`Expr::Param`] slots a plan template takes; a slot
+/// past its end is a bind error.
 pub fn bind_expr_with(
     expr: &Expr,
     scope: &Scope,
     catalog: Option<&crate::catalog::Catalog>,
+    params: &[DataType],
 ) -> Result<BoundExpr, EngineError> {
     match expr {
         Expr::Literal(lit) => Ok(BoundExpr::Literal(bind_literal(lit)?)),
+        Expr::Param(slot) => match params.get(*slot) {
+            Some(ty) => Ok(BoundExpr::Param {
+                slot: *slot,
+                ty: *ty,
+            }),
+            None => Err(EngineError::bind(format!(
+                "no value for parameter ${}",
+                slot + 1
+            ))),
+        },
         Expr::Column(c) => {
             let qualifier = c.table.as_ref().map(|t| t.normalized().to_string());
             let index = scope.resolve(qualifier.as_deref(), c.column.normalized())?;
@@ -104,8 +117,8 @@ pub fn bind_expr_with(
             })
         }
         Expr::Binary { left, op, right } => {
-            let l = bind_expr_with(left, scope, catalog)?;
-            let r = bind_expr_with(right, scope, catalog)?;
+            let l = bind_expr_with(left, scope, catalog, params)?;
+            let r = bind_expr_with(right, scope, catalog, params)?;
             check_binary_types(*op, &l, &r)?;
             Ok(BoundExpr::Binary {
                 op: *op,
@@ -115,7 +128,7 @@ pub fn bind_expr_with(
         }
         Expr::Unary { op, expr } => Ok(BoundExpr::Unary {
             op: *op,
-            expr: Box::new(bind_expr_with(expr, scope, catalog)?),
+            expr: Box::new(bind_expr_with(expr, scope, catalog, params)?),
         }),
         Expr::Function {
             name,
@@ -138,7 +151,7 @@ pub fn bind_expr_with(
                 .ok_or_else(|| EngineError::bind(format!("unknown function {fname}")))?;
             let bound: Vec<BoundExpr> = args
                 .iter()
-                .map(|a| bind_expr_with(a, scope, catalog))
+                .map(|a| bind_expr_with(a, scope, catalog, params))
                 .collect::<Result<_, _>>()?;
             let (min, max) = func.arity();
             if bound.len() < min || bound.len() > max {
@@ -164,20 +177,20 @@ pub fn bind_expr_with(
             for (when, then) in branches {
                 let when_bound = match operand {
                     Some(op) => {
-                        let l = bind_expr_with(op, scope, catalog)?;
-                        let r = bind_expr_with(when, scope, catalog)?;
+                        let l = bind_expr_with(op, scope, catalog, params)?;
+                        let r = bind_expr_with(when, scope, catalog, params)?;
                         BoundExpr::Binary {
                             op: BinaryOp::Eq,
                             left: Box::new(l),
                             right: Box::new(r),
                         }
                     }
-                    None => bind_expr_with(when, scope, catalog)?,
+                    None => bind_expr_with(when, scope, catalog, params)?,
                 };
-                bound_branches.push((when_bound, bind_expr_with(then, scope, catalog)?));
+                bound_branches.push((when_bound, bind_expr_with(then, scope, catalog, params)?));
             }
             let else_bound = match else_result {
-                Some(e) => Some(Box::new(bind_expr_with(e, scope, catalog)?)),
+                Some(e) => Some(Box::new(bind_expr_with(e, scope, catalog, params)?)),
                 None => None,
             };
             Ok(BoundExpr::Case {
@@ -186,11 +199,11 @@ pub fn bind_expr_with(
             })
         }
         Expr::Cast { expr, ty } => Ok(BoundExpr::Cast {
-            expr: Box::new(bind_expr_with(expr, scope, catalog)?),
+            expr: Box::new(bind_expr_with(expr, scope, catalog, params)?),
             ty: DataType::from(*ty),
         }),
         Expr::IsNull { expr, negated } => Ok(BoundExpr::IsNull {
-            expr: Box::new(bind_expr_with(expr, scope, catalog)?),
+            expr: Box::new(bind_expr_with(expr, scope, catalog, params)?),
             negated: *negated,
         }),
         Expr::InList {
@@ -198,10 +211,10 @@ pub fn bind_expr_with(
             list,
             negated,
         } => Ok(BoundExpr::InList {
-            expr: Box::new(bind_expr_with(expr, scope, catalog)?),
+            expr: Box::new(bind_expr_with(expr, scope, catalog, params)?),
             list: list
                 .iter()
-                .map(|e| bind_expr_with(e, scope, catalog))
+                .map(|e| bind_expr_with(e, scope, catalog, params))
                 .collect::<Result<_, _>>()?,
             negated: *negated,
         }),
@@ -223,7 +236,7 @@ pub fn bind_expr_with(
                 )));
             }
             Ok(BoundExpr::InSubquery {
-                expr: Box::new(bind_expr_with(expr, scope, Some(catalog))?),
+                expr: Box::new(bind_expr_with(expr, scope, Some(catalog), params)?),
                 plan: Box::new(plan),
                 negated: *negated,
             })
@@ -235,9 +248,9 @@ pub fn bind_expr_with(
             negated,
         } => {
             // Desugar into conjunction of comparisons.
-            let e = bind_expr_with(expr, scope, catalog)?;
-            let lo = bind_expr_with(low, scope, catalog)?;
-            let hi = bind_expr_with(high, scope, catalog)?;
+            let e = bind_expr_with(expr, scope, catalog, params)?;
+            let lo = bind_expr_with(low, scope, catalog, params)?;
+            let hi = bind_expr_with(high, scope, catalog, params)?;
             let ge = BoundExpr::Binary {
                 op: BinaryOp::GtEq,
                 left: Box::new(e.clone()),
@@ -267,8 +280,8 @@ pub fn bind_expr_with(
             pattern,
             negated,
         } => Ok(BoundExpr::Like {
-            expr: Box::new(bind_expr_with(expr, scope, catalog)?),
-            pattern: Box::new(bind_expr_with(pattern, scope, catalog)?),
+            expr: Box::new(bind_expr_with(expr, scope, catalog, params)?),
+            pattern: Box::new(bind_expr_with(pattern, scope, catalog, params)?),
             negated: *negated,
         }),
     }

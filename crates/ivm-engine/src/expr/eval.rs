@@ -15,6 +15,10 @@ impl BoundExpr {
     pub fn eval<R: Tuple + ?Sized>(&self, row: &R) -> Result<Value, EngineError> {
         match self {
             BoundExpr::Literal(v) => Ok(v.clone()),
+            BoundExpr::Param { slot, .. } => Err(EngineError::execution(format!(
+                "parameter ${} has no value",
+                slot + 1
+            ))),
             BoundExpr::Column { index, .. } => row.col(*index).cloned().ok_or_else(|| {
                 EngineError::execution(format!("column index {index} out of range"))
             }),

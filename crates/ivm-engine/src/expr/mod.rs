@@ -23,6 +23,16 @@ use crate::value::Value;
 pub enum BoundExpr {
     /// A constant.
     Literal(Value),
+    /// Parameter `slot` of a cached plan template, of literal type `ty`.
+    /// Instantiation replaces it with the statement's value before the
+    /// plan runs, so no operator evaluates one; constant folding leaves
+    /// it alone.
+    Param {
+        /// Index into the statement's lifted values.
+        slot: usize,
+        /// The value's type, part of the template's cache key.
+        ty: DataType,
+    },
     /// Reference to column `index` of the input row.
     Column {
         /// Position in the input row.
@@ -125,6 +135,7 @@ impl BoundExpr {
     pub fn ty(&self) -> Option<DataType> {
         match self {
             BoundExpr::Literal(v) => v.data_type(),
+            BoundExpr::Param { ty, .. } => Some(*ty),
             BoundExpr::Column { ty, .. } => *ty,
             BoundExpr::Binary { op, left, right } => match op {
                 BinaryOp::Or
@@ -172,124 +183,116 @@ impl BoundExpr {
     }
 
     /// True when the expression references no input columns (a constant).
+    /// Subqueries read tables and parameters are bound per statement, so
+    /// neither is constant.
     pub fn is_constant(&self) -> bool {
-        match self {
-            BoundExpr::Literal(_) => true,
-            BoundExpr::Column { .. } => false,
-            BoundExpr::Binary { left, right, .. } => left.is_constant() && right.is_constant(),
-            BoundExpr::Unary { expr, .. } => expr.is_constant(),
-            BoundExpr::Case {
-                branches,
-                else_result,
-            } => {
-                branches
-                    .iter()
-                    .all(|(w, t)| w.is_constant() && t.is_constant())
-                    && else_result.as_ref().is_none_or(|e| e.is_constant())
+        let mut constant = true;
+        self.visit(&mut |e| {
+            if matches!(
+                e,
+                BoundExpr::Column { .. } | BoundExpr::Param { .. } | BoundExpr::InSubquery { .. }
+            ) {
+                constant = false;
             }
-            BoundExpr::Cast { expr, .. } | BoundExpr::IsNull { expr, .. } => expr.is_constant(),
-            BoundExpr::InList { expr, list, .. } => {
-                expr.is_constant() && list.iter().all(BoundExpr::is_constant)
-            }
-            BoundExpr::Like { expr, pattern, .. } => expr.is_constant() && pattern.is_constant(),
-            BoundExpr::ScalarFn { args, .. } => args.iter().all(BoundExpr::is_constant),
-            // Subqueries read tables, so they are never constant-folded.
-            BoundExpr::InSubquery { .. } => false,
-            BoundExpr::InSet { expr, .. } => expr.is_constant(),
-        }
+        });
+        constant
     }
 
     /// Collect the column indexes this expression reads.
     pub fn referenced_columns(&self, out: &mut Vec<usize>) {
-        match self {
-            BoundExpr::Literal(_) => {}
-            BoundExpr::Column { index, .. } => {
+        self.visit(&mut |e| {
+            if let BoundExpr::Column { index, .. } = e {
                 if !out.contains(index) {
                     out.push(*index);
                 }
             }
-            BoundExpr::Binary { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
-            }
-            BoundExpr::Unary { expr, .. }
-            | BoundExpr::Cast { expr, .. }
-            | BoundExpr::IsNull { expr, .. } => expr.referenced_columns(out),
-            BoundExpr::Case {
-                branches,
-                else_result,
-            } => {
-                for (w, t) in branches {
-                    w.referenced_columns(out);
-                    t.referenced_columns(out);
-                }
-                if let Some(e) = else_result {
-                    e.referenced_columns(out);
-                }
-            }
-            BoundExpr::InList { expr, list, .. } => {
-                expr.referenced_columns(out);
-                for e in list {
-                    e.referenced_columns(out);
-                }
-            }
-            BoundExpr::Like { expr, pattern, .. } => {
-                expr.referenced_columns(out);
-                pattern.referenced_columns(out);
-            }
-            BoundExpr::ScalarFn { args, .. } => {
-                for a in args {
-                    a.referenced_columns(out);
-                }
-            }
-            BoundExpr::InSubquery { expr, .. } | BoundExpr::InSet { expr, .. } => {
-                expr.referenced_columns(out)
-            }
-        }
+        });
     }
 
     /// Rewrite every column index through `map` (old index → new index).
     /// Used by optimizer rules when reshaping operator inputs.
     pub fn remap_columns(&mut self, map: &impl Fn(usize) -> usize) {
+        self.visit_mut(&mut |e| {
+            if let BoundExpr::Column { index, .. } = e {
+                *index = map(*index);
+            }
+        });
+    }
+
+    /// Call `f` on every node, parents before children. A subquery's
+    /// plan is not entered.
+    pub(crate) fn visit(&self, f: &mut impl FnMut(&BoundExpr)) {
+        f(self);
         match self {
-            BoundExpr::Literal(_) => {}
-            BoundExpr::Column { index, .. } => *index = map(*index),
+            BoundExpr::Literal(_) | BoundExpr::Param { .. } | BoundExpr::Column { .. } => {}
             BoundExpr::Binary { left, right, .. } => {
-                left.remap_columns(map);
-                right.remap_columns(map);
+                left.visit(f);
+                right.visit(f);
+            }
+            BoundExpr::Like { expr, pattern, .. } => {
+                expr.visit(f);
+                pattern.visit(f);
             }
             BoundExpr::Unary { expr, .. }
             | BoundExpr::Cast { expr, .. }
-            | BoundExpr::IsNull { expr, .. } => expr.remap_columns(map),
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::InSubquery { expr, .. }
+            | BoundExpr::InSet { expr, .. } => expr.visit(f),
+            BoundExpr::InList { expr, list, .. } => {
+                expr.visit(f);
+                list.iter().for_each(|e| e.visit(f));
+            }
+            BoundExpr::ScalarFn { args, .. } => args.iter().for_each(|e| e.visit(f)),
             BoundExpr::Case {
                 branches,
                 else_result,
             } => {
                 for (w, t) in branches {
-                    w.remap_columns(map);
-                    t.remap_columns(map);
+                    w.visit(f);
+                    t.visit(f);
                 }
                 if let Some(e) = else_result {
-                    e.remap_columns(map);
+                    e.visit(f);
                 }
             }
-            BoundExpr::InList { expr, list, .. } => {
-                expr.remap_columns(map);
-                for e in list {
-                    e.remap_columns(map);
-                }
+        }
+    }
+
+    /// [`visit`](Self::visit) with mutable access: `f` sees a node
+    /// before the walk enters what it left there.
+    pub(crate) fn visit_mut(&mut self, f: &mut impl FnMut(&mut BoundExpr)) {
+        f(self);
+        match self {
+            BoundExpr::Literal(_) | BoundExpr::Param { .. } | BoundExpr::Column { .. } => {}
+            BoundExpr::Binary { left, right, .. } => {
+                left.visit_mut(f);
+                right.visit_mut(f);
             }
             BoundExpr::Like { expr, pattern, .. } => {
-                expr.remap_columns(map);
-                pattern.remap_columns(map);
+                expr.visit_mut(f);
+                pattern.visit_mut(f);
             }
-            BoundExpr::ScalarFn { args, .. } => {
-                for a in args {
-                    a.remap_columns(map);
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::Cast { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::InSubquery { expr, .. }
+            | BoundExpr::InSet { expr, .. } => expr.visit_mut(f),
+            BoundExpr::InList { expr, list, .. } => {
+                expr.visit_mut(f);
+                list.iter_mut().for_each(|e| e.visit_mut(f));
+            }
+            BoundExpr::ScalarFn { args, .. } => args.iter_mut().for_each(|e| e.visit_mut(f)),
+            BoundExpr::Case {
+                branches,
+                else_result,
+            } => {
+                for (w, t) in branches {
+                    w.visit_mut(f);
+                    t.visit_mut(f);
                 }
-            }
-            BoundExpr::InSubquery { expr, .. } | BoundExpr::InSet { expr, .. } => {
-                expr.remap_columns(map)
+                if let Some(e) = else_result {
+                    e.visit_mut(f);
+                }
             }
         }
     }

@@ -6,7 +6,7 @@
 
 mod rules;
 
-pub(crate) use rules::push_scan_predicates;
+pub(crate) use rules::{bind_params, push_scan_predicates};
 
 use crate::planner::LogicalPlan;
 

@@ -156,26 +156,54 @@ pub(crate) fn push_scan_predicates(plan: PhysicalPlan) -> PhysicalPlan {
     })
 }
 
+/// Instantiate a plan template in place: every [`BoundExpr::Param`]
+/// becomes its value in `values`, and each filtered scan re-derives its
+/// index keys — a `column = $n` conjunct is a point lookup once `$n` has
+/// a value.
+pub(crate) fn bind_params(plan: &mut PhysicalPlan, values: &[Value]) {
+    for e in plan.exprs_mut() {
+        e.visit_mut(&mut |e| {
+            if let BoundExpr::Param { slot, .. } = e {
+                let value = values
+                    .get(*slot)
+                    .expect("a template's slots were bound from these values' types");
+                *e = BoundExpr::Literal(value.clone());
+            }
+        });
+    }
+    if let PhysicalPlan::TableScan {
+        schema,
+        predicate: Some(predicate),
+        index_eq,
+        ..
+    } = plan
+    {
+        *index_eq = index_equality_keys(predicate, schema);
+    }
+    for input in plan.inputs_mut() {
+        bind_params(input, values);
+    }
+}
+
 /// Extract `column = literal` conjuncts usable as ART lookup keys. The
 /// literal must match the column's declared type exactly; DOUBLE columns
 /// are excluded because they may physically store INTEGER values whose
 /// index encoding differs from an equal DOUBLE literal.
 fn index_equality_keys(predicate: &BoundExpr, schema: &Schema) -> Vec<(usize, Value)> {
-    let mut conjuncts = Vec::new();
-    flatten_and(predicate, &mut conjuncts);
     let mut keys = Vec::new();
-    for c in &conjuncts {
-        let BoundExpr::Binary {
-            op: BinaryOp::Eq,
-            left,
-            right,
-        } = c
-        else {
+    // The AND tree's conjuncts, leftmost first.
+    let mut pending = vec![predicate];
+    while let Some(c) = pending.pop() {
+        let BoundExpr::Binary { op, left, right } = c else {
             continue;
         };
-        let (index, lit) = match (left.as_ref(), right.as_ref()) {
-            (BoundExpr::Column { index, .. }, BoundExpr::Literal(v))
-            | (BoundExpr::Literal(v), BoundExpr::Column { index, .. }) => (*index, v),
+        let (index, lit) = match (op, left.as_ref(), right.as_ref()) {
+            (BinaryOp::And, ..) => {
+                pending.extend([right.as_ref(), left.as_ref()]);
+                continue;
+            }
+            (BinaryOp::Eq, BoundExpr::Column { index, .. }, BoundExpr::Literal(v))
+            | (BinaryOp::Eq, BoundExpr::Literal(v), BoundExpr::Column { index, .. }) => (*index, v),
             _ => continue,
         };
         let Some(col) = schema.columns.get(index) else {

@@ -1,44 +1,141 @@
-//! The bound-plan cache: optimized physical plans keyed by SQL text.
+//! The bound-plan cache: optimized physical plans by key, held within a
+//! byte cap.
 //!
 //! One type backs both the writer's per-[`crate::Database`] cache
 //! (repeated maintenance scripts skip planning, optimization, and
-//! lowering) and the [`crate::SnapshotHub`]'s cross-reader
-//! prepared-statement cache (N readers pay each query's planning cost
-//! once). Lookup borrows the SQL text and insertion is a separate call,
-//! so the hub plans a miss outside its lock.
+//! lowering; the key is the script statement's SQL text) and the
+//! [`crate::SnapshotHub`]'s cross-reader prepared-statement cache (N
+//! readers pay each query's planning cost once). The hub keys on a
+//! statement's [`Shape`]: [`ivm_sql::lift_literals`] turns the values a
+//! statement compares against into parameter slots, so point lookups
+//! that differ only in their keys share one plan *template*, and each
+//! statement instantiates it with its own values. Lookup borrows the key
+//! and insertion is a separate call, so the hub plans a miss outside its
+//! lock.
+//!
+//! **Byte cap.** Each entry is charged an estimate of the bytes it holds:
+//! its key and output column names, and for every plan operator its
+//! struct, the schema it owns (column structs and names), and each
+//! expression node's struct plus the strings it owns (column names,
+//! VARCHAR literals). Allocator headers and vector slack are not counted,
+//! so the estimate reads low by a small factor. An insert that would take
+//! the total past [`PLAN_CACHE_BYTES`] first evicts least-recently-used
+//! entries until it fits; an entry larger than the cap alone is not kept.
 
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::Arc;
 
+use ivm_sql::ast::Query;
+use ivm_sql::{lift_literals, print_query, Dialect};
+
+use crate::expr::bind::bind_literal;
+use crate::expr::BoundExpr;
+use crate::optimizer::bind_params;
 use crate::planner::physical::PhysicalPlan;
+use crate::schema::Column;
+use crate::types::DataType;
+use crate::value::Value;
 
 /// A planned query: the optimized physical plan and its output column
 /// names.
 pub(crate) type Planned = (Arc<PhysicalPlan>, Vec<String>);
 
-/// Bound on distinct keys held; a fixed maintenance-script set never
-/// comes close.
-const PLAN_CACHE_CAP: usize = 1024;
+/// Estimated bytes of plans one cache may hold. A session's maintenance
+/// scripts and a server's statement shapes take a small fraction of it.
+const PLAN_CACHE_BYTES: usize = 8 << 20;
 
-/// A cache of [`Planned`] queries keyed by their SQL text, each valid
-/// while the catalog shape (tables, views, indexes) is at the generation
-/// it was planned under. Lowering reads the catalog alone — no executor
-/// setting — so one entry serves every memory budget and worker count.
+/// A statement's shape: the cache key — the lifted values' types and the
+/// lifted statement's text — and the values that instantiate its plan.
+#[derive(Debug)]
+pub(crate) struct Shape {
+    /// The cache key.
+    pub(crate) key: String,
+    /// Types of the parameter slots, in slot order.
+    pub(crate) types: Vec<DataType>,
+    values: Vec<Value>,
+}
+
+impl Shape {
+    /// Lift `q`'s literals in place (see [`ivm_sql::lift_literals`]).
+    /// `None` when `q` holds a written `$n` placeholder or a literal that
+    /// does not bind: the statement as sent must then be planned, so its
+    /// own error is the one reported.
+    pub(crate) fn lift(q: &mut Query) -> Option<Shape> {
+        let values = lift_literals(q)?
+            .iter()
+            .map(bind_literal)
+            .collect::<Result<Vec<_>, _>>()
+            .ok()?;
+        let types: Vec<DataType> = values
+            .iter()
+            .map(|v| v.data_type().expect("NULL is never lifted"))
+            .collect();
+        // `si SELECT …` for a VARCHAR and an INTEGER slot: the type codes
+        // end at the first space, so no two (types, text) pairs share a
+        // key.
+        let mut key: String = types
+            .iter()
+            .map(|t| match t {
+                DataType::Boolean => 'b',
+                DataType::Integer => 'i',
+                DataType::Double => 'd',
+                DataType::Varchar => 's',
+                DataType::Date => 't',
+            })
+            .collect();
+        key.push(' ');
+        key.push_str(&print_query(q, Dialect::DuckDb));
+        Some(Shape { key, types, values })
+    }
+
+    /// The plan of this statement: `template` with its parameter slots
+    /// filled from this statement's values.
+    pub(crate) fn instantiate(&self, (plan, columns): Planned) -> Planned {
+        if self.values.is_empty() {
+            return (plan, columns);
+        }
+        let mut plan = (*plan).clone();
+        bind_params(&mut plan, &self.values);
+        (Arc::new(plan), columns)
+    }
+}
+
+#[derive(Debug)]
+struct Entry {
+    /// The catalog-shape generation the plan was made under.
+    generation: u64,
+    plan: Planned,
+    /// Estimated bytes held (see the module doc).
+    bytes: usize,
+    /// The cache tick of the last insert or hit.
+    used: u64,
+}
+
+/// A cache of [`Planned`] queries by key, each valid while the catalog
+/// shape (tables, views, indexes) is at the generation it was planned
+/// under. Lowering reads the catalog alone — no executor setting — so
+/// one entry serves every memory budget and worker count.
 #[derive(Debug, Default)]
 pub(crate) struct PlanCache {
-    entries: HashMap<String, (u64, Planned)>,
+    entries: HashMap<String, Entry>,
+    /// Sum of the entries' estimated bytes.
+    bytes: usize,
+    tick: u64,
     hits: u64,
     misses: u64,
 }
 
 impl PlanCache {
-    /// The plan cached for `sql`, if it was planned at catalog-shape
+    /// The plan cached under `key`, if it was planned at catalog-shape
     /// `generation`. Counts a hit or a miss.
-    pub(crate) fn get(&mut self, sql: &str, generation: u64) -> Option<Planned> {
-        match self.entries.get(sql) {
-            Some((planned_at, plan)) if *planned_at == generation => {
+    pub(crate) fn get(&mut self, key: &str, generation: u64) -> Option<Planned> {
+        self.tick += 1;
+        match self.entries.get_mut(key) {
+            Some(entry) if entry.generation == generation => {
+                entry.used = self.tick;
                 self.hits += 1;
-                Some(plan.clone())
+                Some(entry.plan.clone())
             }
             _ => {
                 self.misses += 1;
@@ -47,22 +144,44 @@ impl PlanCache {
         }
     }
 
-    /// Store `plan` for `sql`, planned at catalog-shape `generation`. At
-    /// the cap, stale-generation entries are evicted first, and
-    /// everything if current-generation keys alone fill the cache.
-    pub(crate) fn insert(&mut self, sql: &str, generation: u64, plan: Planned) {
-        if self.entries.len() >= PLAN_CACHE_CAP {
-            self.entries.retain(|_, (at, _)| *at == generation);
-            if self.entries.len() >= PLAN_CACHE_CAP {
-                self.entries.clear();
-            }
+    /// Store `plan` under `key`, planned at catalog-shape `generation`,
+    /// evicting least-recently-used entries to stay within the byte cap.
+    pub(crate) fn insert(&mut self, key: &str, generation: u64, plan: Planned) {
+        self.remove(key);
+        let bytes = key.len() + planned_bytes(&plan);
+        if bytes > PLAN_CACHE_BYTES {
+            return;
         }
-        self.entries.insert(sql.to_string(), (generation, plan));
+        while self.bytes + bytes > PLAN_CACHE_BYTES {
+            let lru = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.used)
+                .map(|(k, _)| k.clone())
+                .expect("bytes held imply an entry");
+            self.remove(&lru);
+        }
+        self.tick += 1;
+        self.bytes += bytes;
+        let entry = Entry {
+            generation,
+            plan,
+            bytes,
+            used: self.tick,
+        };
+        self.entries.insert(key.to_string(), entry);
+    }
+
+    fn remove(&mut self, key: &str) {
+        if let Some(entry) = self.entries.remove(key) {
+            self.bytes -= entry.bytes;
+        }
     }
 
     /// Drop every entry (the counters keep their history).
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
+        self.bytes = 0;
     }
 
     /// `(entries, hits, misses)`.
@@ -71,12 +190,69 @@ impl PlanCache {
     }
 }
 
+/// Estimated bytes a planned query holds (see the module doc).
+fn planned_bytes((plan, columns): &Planned) -> usize {
+    let names: usize = columns.iter().map(|c| size_of::<String>() + c.len()).sum();
+    names + plan_bytes(plan)
+}
+
+fn plan_bytes(plan: &PhysicalPlan) -> usize {
+    let schema = match plan {
+        PhysicalPlan::TableScan { schema, .. }
+        | PhysicalPlan::Project { schema, .. }
+        | PhysicalPlan::HashJoin { schema, .. }
+        | PhysicalPlan::HashAggregate { schema, .. }
+        | PhysicalPlan::SetOp { schema, .. } => schema
+            .columns
+            .iter()
+            .map(|c| size_of::<Column>() + c.name.len())
+            .sum(),
+        _ => 0,
+    };
+    let mut exprs = 0;
+    for e in plan.exprs() {
+        e.visit(&mut |node| {
+            exprs += size_of::<BoundExpr>()
+                + match node {
+                    BoundExpr::Column { name, .. } => name.len(),
+                    BoundExpr::Literal(Value::Varchar(s)) => s.len(),
+                    _ => 0,
+                };
+        });
+    }
+    let inputs: usize = plan.inputs().into_iter().map(plan_bytes).sum();
+    size_of::<PhysicalPlan>() + schema + exprs + inputs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::SetOpKind;
+    use crate::schema::Schema;
 
     fn plan() -> Planned {
         (Arc::new(PhysicalPlan::Dual), vec!["c".to_string()])
+    }
+
+    /// `width` scans of a one-column table under a chain of UNION ALLs.
+    fn union_all(width: usize) -> Planned {
+        let schema = Schema::new(vec![Column::new("k", DataType::Varchar)]);
+        let scan = || PhysicalPlan::TableScan {
+            table: "t".to_string(),
+            schema: schema.clone(),
+            predicate: None,
+            index_eq: Vec::new(),
+        };
+        let mut plan = scan();
+        for _ in 1..width {
+            plan = PhysicalPlan::SetOp {
+                op: SetOpKind::Union,
+                left: Box::new(plan),
+                right: Box::new(scan()),
+                schema: schema.clone(),
+            };
+        }
+        (Arc::new(plan), vec!["k".to_string()])
     }
 
     #[test]
@@ -84,26 +260,60 @@ mod tests {
         let mut cache = PlanCache::default();
         assert!(cache.get("q", 0).is_none());
         cache.insert("q", 0, plan());
-        // Same SQL + generation hits; a stale generation misses.
+        // Same key + generation hits; a stale generation misses.
         assert_eq!(cache.get("q", 0).unwrap().1, vec!["c".to_string()]);
         assert!(cache.get("q", 1).is_none());
         assert_eq!(cache.stats(), (1, 1, 2));
+        // Re-inserting a key replaces its entry.
+        cache.insert("q", 1, plan());
+        assert_eq!(cache.stats().0, 1);
+        assert!(cache.get("q", 1).is_some());
 
-        // Cap eviction drops stale generations and keeps current ones.
+        // Fill to the cap: the least recently used entry goes first.
+        let big = union_all(512);
+        let each = "a0".len() + planned_bytes(&big);
+        let fit = PLAN_CACHE_BYTES / each;
+        for i in 0..fit {
+            cache.insert(&format!("a{i}"), 1, big.clone());
+        }
+        assert!(cache.get("a0", 1).is_some(), "a0 is now the newest use");
+        cache.insert("overflow", 1, big.clone());
+        assert!(cache.bytes <= PLAN_CACHE_BYTES);
+        assert!(cache.get("a0", 1).is_some(), "a recent hit survives");
+        assert!(cache.get("a1", 1).is_none(), "the oldest is evicted");
+        assert!(cache.get("overflow", 1).is_some());
+
+        // A plan larger than the whole cap is not kept.
         cache.clear();
-        for i in 0..PLAN_CACHE_CAP - 1 {
-            cache.insert(&format!("old{i}"), 0, plan());
+        assert_eq!(cache.bytes, 0);
+        let wide = "x".repeat(PLAN_CACHE_BYTES);
+        let oversized = (Arc::new(PhysicalPlan::Dual), vec![wide]);
+        cache.insert("huge", 1, oversized);
+        assert_eq!(cache.stats().0, 0);
+        assert_eq!(cache.bytes, 0);
+    }
+
+    #[test]
+    fn two_thousand_union_widths_stay_under_the_byte_cap() {
+        let mut cache = PlanCache::default();
+        let mut gets = 0;
+        for width in 1..=2000 {
+            let key = format!("w{width}");
+            cache.insert(&key, 0, union_all(width));
+            assert!(cache.bytes <= PLAN_CACHE_BYTES, "width {width}");
+            assert!(cache.get(&key, 0).is_some(), "width {width} was kept");
+            gets += 1;
+            let held: usize = cache.entries.values().map(|e| e.bytes).sum();
+            assert_eq!(held, cache.bytes, "the running total is the sum");
         }
-        cache.insert("current", 1, plan());
-        assert_eq!(cache.stats().0, PLAN_CACHE_CAP);
-        cache.insert("next", 1, plan());
-        assert_eq!(cache.stats().0, 2, "stale generation evicted first");
-        assert!(cache.get("current", 1).is_some());
-        // Current-generation keys alone at the cap: wholesale reset.
-        for i in 0..PLAN_CACHE_CAP {
-            cache.insert(&format!("k{i}"), 1, plan());
+        let (entries, hits, misses) = cache.stats();
+        assert_eq!(entries, cache.entries.len());
+        assert_eq!((hits, misses), (gets, 0));
+        assert!(entries < 2000, "the cap evicted something");
+        // Every survivor is still served.
+        let keys: Vec<String> = cache.entries.keys().cloned().collect();
+        for key in keys {
+            assert!(cache.get(&key, 0).is_some());
         }
-        assert!(cache.stats().0 <= PLAN_CACHE_CAP);
-        assert!(cache.get("k0", 1).is_none(), "reset at the cap");
     }
 }

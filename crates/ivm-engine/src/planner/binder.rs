@@ -12,8 +12,20 @@ use crate::types::DataType;
 
 /// Plan a query against the catalog.
 pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<LogicalPlan, EngineError> {
+    plan_template(query, catalog, &[])
+}
+
+/// Plan a query whose [`Expr::Param`] slots have the types in `params`
+/// (see [`ivm_sql::lift_literals`]): the plan holds
+/// [`BoundExpr::Param`]s in their place.
+pub(crate) fn plan_template(
+    query: &Query,
+    catalog: &Catalog,
+    params: &[DataType],
+) -> Result<LogicalPlan, EngineError> {
     let mut binder = QueryBinder {
         catalog,
+        params,
         ctes: Vec::new(),
     };
     let (plan, _) = binder.plan_query(query)?;
@@ -26,6 +38,8 @@ type PlannedSelect = (LogicalPlan, Scope, Option<(LogicalPlan, Scope)>);
 
 struct QueryBinder<'a> {
     catalog: &'a Catalog,
+    /// Types of the statement's parameter slots.
+    params: &'a [DataType],
     /// CTE environment: name → planned body (cloned per reference).
     ctes: Vec<(String, LogicalPlan)>,
 }
@@ -153,7 +167,7 @@ impl QueryBinder<'_> {
 
         // WHERE.
         if let Some(pred) = &select.selection {
-            let predicate = bind_expr_with(pred, &scope, Some(self.catalog))?;
+            let predicate = bind_expr_with(pred, &scope, Some(self.catalog), self.params)?;
             check_boolean(&predicate, "WHERE")?;
             plan = LogicalPlan::Filter {
                 input: Box::new(plan),
@@ -187,7 +201,7 @@ impl QueryBinder<'_> {
         let mut columns = Vec::with_capacity(items.len());
         let mut out_cols = Vec::with_capacity(items.len());
         for (expr_ast, name) in items {
-            let bound = bind_expr_with(&expr_ast, &scope, Some(self.catalog))?;
+            let bound = bind_expr_with(&expr_ast, &scope, Some(self.catalog), self.params)?;
             columns.push(Column::new(
                 name.clone(),
                 bound.ty().unwrap_or(DataType::Varchar),
@@ -304,7 +318,7 @@ impl QueryBinder<'_> {
                 let scope = lscope.join(rscope);
                 let on = match constraint {
                     Some(c) => {
-                        let bound = bind_expr_with(c, &scope, Some(self.catalog))?;
+                        let bound = bind_expr_with(c, &scope, Some(self.catalog), self.params)?;
                         check_boolean(&bound, "JOIN ON")?;
                         Some(bound)
                     }
@@ -388,7 +402,7 @@ impl QueryBinder<'_> {
         let mut group_bound = Vec::with_capacity(group_asts.len());
         let mut columns = Vec::new();
         for g in &group_asts {
-            let b = bind_expr_with(g, scope, Some(self.catalog))?;
+            let b = bind_expr_with(g, scope, Some(self.catalog), self.params)?;
             let name = default_name(g);
             columns.push(Column::new(name, b.ty().unwrap_or(DataType::Varchar)));
             group_bound.push(b);
@@ -414,7 +428,7 @@ impl QueryBinder<'_> {
                         func.name()
                     )));
                 }
-                let bound = bind_expr_with(&args[0], scope, Some(self.catalog))?;
+                let bound = bind_expr_with(&args[0], scope, Some(self.catalog), self.params)?;
                 if matches!(func, AggFunc::Sum | AggFunc::Avg) {
                     if let Some(t) = bound.ty() {
                         if !t.is_numeric() {
@@ -467,7 +481,7 @@ impl QueryBinder<'_> {
         let mut plan = agg_plan;
         if let Some(h) = &select.having {
             let replaced = rewrite(h);
-            let bound = bind_in_agg(&replaced, &placeholder_scope, self.catalog)?;
+            let bound = bind_in_agg(&replaced, &placeholder_scope, self.catalog, self.params)?;
             check_boolean(&bound, "HAVING")?;
             plan = LogicalPlan::Filter {
                 input: Box::new(plan),
@@ -481,7 +495,7 @@ impl QueryBinder<'_> {
         let mut out_scope_cols = Vec::with_capacity(items.len());
         for (e, name) in &items {
             let replaced = rewrite(e);
-            let bound = bind_in_agg(&replaced, &placeholder_scope, self.catalog)?;
+            let bound = bind_in_agg(&replaced, &placeholder_scope, self.catalog, self.params)?;
             out_columns.push(Column::new(
                 name.clone(),
                 bound.ty().unwrap_or(DataType::Varchar),
@@ -533,7 +547,7 @@ impl QueryBinder<'_> {
                         name: out_scope.columns[idx - 1].name.clone(),
                     })
                 }
-                e => bind_expr_with(e, out_scope, Some(self.catalog)),
+                e => bind_expr_with(e, out_scope, Some(self.catalog), self.params),
             };
             match bound {
                 Ok(b) => keys.push(SortKey {
@@ -561,7 +575,7 @@ impl QueryBinder<'_> {
         };
         let mut keys = Vec::with_capacity(query.order_by.len());
         for ob in &query.order_by {
-            let b = bind_expr_with(&ob.expr, pre_scope, Some(self.catalog))?;
+            let b = bind_expr_with(&ob.expr, pre_scope, Some(self.catalog), self.params)?;
             keys.push(SortKey {
                 expr: b,
                 desc: ob.desc,
@@ -741,7 +755,7 @@ fn collect_aggregates(e: &Expr, out: &mut Vec<Expr>) -> Result<(), EngineError> 
                     collect_aggregates(pattern, out)?;
                 }
                 Expr::InSubquery { expr, .. } => collect_aggregates(expr, out)?,
-                Expr::Literal(_) | Expr::Column(_) => {}
+                Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => {}
             }
             Ok(())
         }
@@ -771,7 +785,7 @@ fn replace_agg_subtrees(
     // Recurse structurally.
     let rec = |x: &Expr| replace_agg_subtrees(x, group_asts, agg_asts, input_scope);
     match e {
-        Expr::Literal(_) | Expr::Column(_) => e.clone(),
+        Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => e.clone(),
         Expr::Binary { left, op, right } => Expr::Binary {
             left: Box::new(rec(left)),
             op: *op,
@@ -873,8 +887,9 @@ fn bind_in_agg(
     e: &Expr,
     placeholder_scope: &Scope,
     catalog: &Catalog,
+    params: &[DataType],
 ) -> Result<BoundExpr, EngineError> {
-    bind_expr_with(e, placeholder_scope, Some(catalog)).map_err(|err| {
+    bind_expr_with(e, placeholder_scope, Some(catalog), params).map_err(|err| {
         if err.message().starts_with("unknown column") {
             EngineError::bind(format!(
                 "{} — expression must appear in GROUP BY or inside an aggregate",

@@ -4,6 +4,7 @@ mod binder;
 pub mod physical;
 
 pub use binder::plan_query;
+pub(crate) use binder::plan_template;
 pub use physical::{lower, PhysicalPlan};
 
 use ivm_sql::ast::JoinKind;

@@ -176,6 +176,84 @@ impl PhysicalPlan {
         }
     }
 
+    /// The operator's inputs, in pull order.
+    pub(crate) fn inputs(&self) -> Vec<&PhysicalPlan> {
+        match self {
+            PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual => Vec::new(),
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::HashAggregate { input, .. }
+            | PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::TopK { input, .. }
+            | PhysicalPlan::Limit { input, .. } => vec![input],
+            PhysicalPlan::HashJoin { probe, build, .. } => vec![probe, build],
+            PhysicalPlan::SetOp { left, right, .. } => vec![left, right],
+        }
+    }
+
+    /// [`inputs`](Self::inputs), mutably.
+    pub(crate) fn inputs_mut(&mut self) -> Vec<&mut PhysicalPlan> {
+        match self {
+            PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual => Vec::new(),
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::HashAggregate { input, .. }
+            | PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::TopK { input, .. }
+            | PhysicalPlan::Limit { input, .. } => vec![input],
+            PhysicalPlan::HashJoin { probe, build, .. } => vec![probe, build],
+            PhysicalPlan::SetOp { left, right, .. } => vec![left, right],
+        }
+    }
+
+    /// The expressions the operator evaluates itself (its inputs' not
+    /// included): predicates, projections, join residual, group keys,
+    /// aggregate arguments, sort keys.
+    pub(crate) fn exprs(&self) -> Vec<&BoundExpr> {
+        match self {
+            PhysicalPlan::TableScan { predicate, .. }
+            | PhysicalPlan::HashJoin {
+                residual: predicate,
+                ..
+            } => predicate.iter().collect(),
+            PhysicalPlan::Filter { predicate, .. } => vec![predicate],
+            PhysicalPlan::Project { exprs, .. } => exprs.iter().collect(),
+            PhysicalPlan::HashAggregate { group, aggs, .. } => group
+                .iter()
+                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+                .collect(),
+            PhysicalPlan::Sort { keys, .. } | PhysicalPlan::TopK { keys, .. } => {
+                keys.iter().map(|k| &k.expr).collect()
+            }
+            PhysicalPlan::Dual | PhysicalPlan::SetOp { .. } | PhysicalPlan::Limit { .. } => {
+                Vec::new()
+            }
+        }
+    }
+
+    /// [`exprs`](Self::exprs), mutably.
+    pub(crate) fn exprs_mut(&mut self) -> Vec<&mut BoundExpr> {
+        match self {
+            PhysicalPlan::TableScan { predicate, .. }
+            | PhysicalPlan::HashJoin {
+                residual: predicate,
+                ..
+            } => predicate.iter_mut().collect(),
+            PhysicalPlan::Filter { predicate, .. } => vec![predicate],
+            PhysicalPlan::Project { exprs, .. } => exprs.iter_mut().collect(),
+            PhysicalPlan::HashAggregate { group, aggs, .. } => group
+                .iter_mut()
+                .chain(aggs.iter_mut().filter_map(|a| a.arg.as_mut()))
+                .collect(),
+            PhysicalPlan::Sort { keys, .. } | PhysicalPlan::TopK { keys, .. } => {
+                keys.iter_mut().map(|k| &mut k.expr).collect()
+            }
+            PhysicalPlan::Dual | PhysicalPlan::SetOp { .. } | PhysicalPlan::Limit { .. } => {
+                Vec::new()
+            }
+        }
+    }
+
     /// Render an indented EXPLAIN-style tree of the physical operators.
     pub fn explain(&self) -> String {
         fn fmt(plan: &PhysicalPlan, depth: usize, out: &mut String) {
@@ -241,22 +319,8 @@ impl PhysicalPlan {
             out.push_str(&pad);
             out.push_str(&line);
             out.push('\n');
-            match plan {
-                PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual => {}
-                PhysicalPlan::Filter { input, .. }
-                | PhysicalPlan::Project { input, .. }
-                | PhysicalPlan::HashAggregate { input, .. }
-                | PhysicalPlan::Sort { input, .. }
-                | PhysicalPlan::TopK { input, .. }
-                | PhysicalPlan::Limit { input, .. } => fmt(input, depth + 1, out),
-                PhysicalPlan::HashJoin { probe, build, .. } => {
-                    fmt(probe, depth + 1, out);
-                    fmt(build, depth + 1, out);
-                }
-                PhysicalPlan::SetOp { left, right, .. } => {
-                    fmt(left, depth + 1, out);
-                    fmt(right, depth + 1, out);
-                }
+            for input in plan.inputs() {
+                fmt(input, depth + 1, out);
             }
         }
         let mut out = String::new();

@@ -17,7 +17,7 @@ use crate::expr::BindColumn;
 use crate::optimizer::optimize;
 use crate::plan_cache::{PlanCache, Planned};
 use crate::planner::physical::lower;
-use crate::planner::plan_query;
+use crate::planner::{plan_query, plan_template};
 use crate::schema::{Column, Schema};
 use crate::storage::durability::{Durability, RecoveryStats};
 use crate::storage::wal::WalStats;
@@ -142,9 +142,14 @@ pub(crate) fn env_config() -> ExecConfig {
 
 /// Bind, optimize, and lower `q` against the context's catalog — the one
 /// way a query becomes a physical plan, for the writer session and for
-/// snapshot readers alike.
-pub(crate) fn plan_physical(q: &Query, cx: &ExecContext<'_>) -> Result<Planned, EngineError> {
-    let plan = optimize(plan_query(q, cx.catalog)?);
+/// snapshot readers alike. `params` types `q`'s parameter slots (empty
+/// unless `q` is a lifted [`crate::plan_cache::Shape`]).
+pub(crate) fn plan_physical(
+    q: &Query,
+    cx: &ExecContext<'_>,
+    params: &[DataType],
+) -> Result<Planned, EngineError> {
+    let plan = optimize(plan_template(q, cx.catalog, params)?);
     let columns = plan.schema().names();
     let physical = lower(&plan, cx.catalog)?;
     Ok((std::sync::Arc::new(physical), columns))
@@ -551,12 +556,12 @@ impl Database {
     /// stored (and stored there otherwise).
     fn planned(&mut self, cache_key: Option<&str>, q: &Query) -> Result<Planned, EngineError> {
         let Some(sql) = cache_key else {
-            return plan_physical(q, &self.exec_context());
+            return plan_physical(q, &self.exec_context(), &[]);
         };
         if let Some(hit) = self.plan_cache.get(sql, self.ddl_generation) {
             return Ok(hit);
         }
-        let planned = plan_physical(q, &self.exec_context())?;
+        let planned = plan_physical(q, &self.exec_context(), &[])?;
         self.plan_cache
             .insert(sql, self.ddl_generation, planned.clone());
         Ok(planned)
@@ -612,7 +617,7 @@ impl Database {
         match &stmt {
             Statement::Query(q) => {
                 let cx = self.exec_context();
-                run_planned(plan_physical(q, &cx)?, &cx)
+                run_planned(plan_physical(q, &cx, &[])?, &cx)
             }
             _ => Err(EngineError::unsupported(
                 "query() accepts SELECT statements only",
@@ -689,7 +694,7 @@ impl Database {
                 };
                 // Show what will actually run: the lowered physical tree,
                 // under this session's budget.
-                let (physical, _) = plan_physical(q, &self.exec_context())?;
+                let (physical, _) = plan_physical(q, &self.exec_context(), &[])?;
                 let rows = physical
                     .explain()
                     .lines()
@@ -822,7 +827,7 @@ impl Database {
                     }
                     let mut vals = Vec::with_capacity(row.len());
                     for e in row {
-                        let bound = bind_expr_with(e, &scope, Some(&self.catalog))?;
+                        let bound = bind_expr_with(e, &scope, Some(&self.catalog), &[])?;
                         let prepared = prepare_expr(&bound, &self.exec_context())?;
                         vals.push(prepared.eval(&[])?);
                     }
@@ -947,7 +952,7 @@ impl Database {
                     a.column.normalized()
                 ))
             })?;
-            let bound = bind_expr_with(&a.value, &scope, Some(&self.catalog))?;
+            let bound = bind_expr_with(&a.value, &scope, Some(&self.catalog), &[])?;
             out.push((pos, bound));
         }
         Ok(out)
@@ -958,7 +963,7 @@ impl Database {
         let (schema, scope) = self.table_scope(&tname)?;
         let predicate = match &u.selection {
             Some(e) => {
-                let b = bind_expr_with(e, &scope, Some(&self.catalog))?;
+                let b = bind_expr_with(e, &scope, Some(&self.catalog), &[])?;
                 Some(prepare_expr(&b, &self.exec_context())?)
             }
             None => None,
@@ -971,7 +976,7 @@ impl Database {
                     a.column.normalized()
                 ))
             })?;
-            let b = bind_expr_with(&a.value, &scope, Some(&self.catalog))?;
+            let b = bind_expr_with(&a.value, &scope, Some(&self.catalog), &[])?;
             bound_assignments.push((pos, prepare_expr(&b, &self.exec_context())?));
         }
         // Phase 1: compute new rows against a stable snapshot. Victims are
@@ -1009,7 +1014,7 @@ impl Database {
         let (_, scope) = self.table_scope(&tname)?;
         let predicate = match &d.selection {
             Some(e) => {
-                let b = bind_expr_with(e, &scope, Some(&self.catalog))?;
+                let b = bind_expr_with(e, &scope, Some(&self.catalog), &[])?;
                 Some(prepare_expr(&b, &self.exec_context())?)
             }
             None => None,

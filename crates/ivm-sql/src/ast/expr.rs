@@ -10,6 +10,11 @@ use crate::ident::Ident;
 pub enum Expr {
     /// A literal constant.
     Literal(Literal),
+    /// A parameter: slot `n` (0-based), spelled `$1`, `$2`, … in SQL — a
+    /// value supplied when the statement runs. [`crate::lift_literals`]
+    /// makes these from literals; nothing supplies a value for one a
+    /// client wrote.
+    Param(usize),
     /// A (possibly qualified) column reference, e.g. `t.total_value`.
     Column(ColumnRef),
     /// Binary operation, e.g. `a + b`, `x AND y`.
@@ -124,7 +129,7 @@ impl Expr {
     pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
         match self {
-            Expr::Literal(_) | Expr::Column(_) => {}
+            Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => {}
             Expr::Binary { left, right, .. } => {
                 left.visit(f);
                 right.visit(f);

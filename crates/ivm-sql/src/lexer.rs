@@ -43,6 +43,7 @@ impl<'a> Lexer<'a> {
                 b'"' => self.lex_quoted_ident(start)?,
                 b'0'..=b'9' => self.lex_number(start),
                 b'.' if self.peek(1).is_some_and(|c| c.is_ascii_digit()) => self.lex_number(start),
+                b'$' => self.lex_placeholder(start)?,
                 _ if b == b'_' || (b as char).is_ascii_alphabetic() => self.lex_word(start),
                 _ => self.lex_operator(start)?,
             }
@@ -174,6 +175,21 @@ impl<'a> Lexer<'a> {
         }
         let lexeme = &self.src[start..self.pos];
         self.push(TokenKind::Number(lexeme.to_string()), start);
+    }
+
+    /// `$n`: a placeholder numbered from 1.
+    fn lex_placeholder(&mut self, start: usize) -> Result<(), SqlError> {
+        self.pos += 1;
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
+        }
+        match self.src[start + 1..self.pos].parse::<usize>() {
+            Ok(n) if n >= 1 => {
+                self.push(TokenKind::Placeholder(n), start);
+                Ok(())
+            }
+            _ => Err(SqlError::lex("placeholders are $1, $2, …", start)),
+        }
     }
 
     fn lex_word(&mut self, start: usize) {
@@ -346,6 +362,22 @@ mod tests {
             kinds("'héllo ☃'"),
             vec![TokenKind::String("héllo ☃".into()), TokenKind::Eof]
         );
+    }
+
+    #[test]
+    fn lex_placeholders() {
+        assert_eq!(
+            kinds("$1 = $12"),
+            vec![
+                TokenKind::Placeholder(1),
+                TokenKind::Eq,
+                TokenKind::Placeholder(12),
+                TokenKind::Eof
+            ]
+        );
+        for bad in ["$", "$0", "$x", "$99999999999999999999999"] {
+            assert!(tokenize(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@ mod ident;
 mod lexer;
 mod parser;
 mod printer;
+mod shape;
 pub mod token;
 
 pub use dialect::Dialect;
@@ -40,3 +41,4 @@ pub use ident::Ident;
 pub use lexer::tokenize;
 pub use parser::{parse_statement, parse_statements};
 pub use printer::{print_expr, print_query, print_statement};
+pub use shape::lift_literals;

@@ -189,6 +189,10 @@ impl Parser {
                 self.advance();
                 Ok(Expr::Literal(Literal::String(s)))
             }
+            TokenKind::Placeholder(n) => {
+                self.advance();
+                Ok(Expr::Param(n - 1))
+            }
             TokenKind::Keyword(Keyword::True) => {
                 self.advance();
                 Ok(Expr::Literal(Literal::Boolean(true)))

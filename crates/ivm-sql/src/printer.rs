@@ -356,6 +356,9 @@ impl Printer {
     fn expr_inner(&mut self, e: &Expr) {
         match e {
             Expr::Literal(lit) => self.literal(lit),
+            Expr::Param(slot) => {
+                let _ = write!(self.out, "${}", slot + 1);
+            }
             Expr::Column(c) => {
                 let _ = write!(self.out, "{c}");
             }

@@ -28,6 +28,8 @@ pub enum TokenKind {
     Number(String),
     /// A `'single quoted'` string literal with `''` escapes resolved.
     String(String),
+    /// A `$n` placeholder (`n` ≥ 1, as written).
+    Placeholder(usize),
     /// `=`
     Eq,
     /// `<>` or `!=`
@@ -74,6 +76,7 @@ impl fmt::Display for TokenKind {
             TokenKind::QuotedIdent(s) => write!(f, "\"{s}\""),
             TokenKind::Number(s) => write!(f, "{s}"),
             TokenKind::String(s) => write!(f, "'{s}'"),
+            TokenKind::Placeholder(n) => write!(f, "${n}"),
             TokenKind::Eq => write!(f, "="),
             TokenKind::NotEq => write!(f, "<>"),
             TokenKind::Lt => write!(f, "<"),

@@ -189,6 +189,10 @@ fn serve(
     std::io::stdout().flush().ok();
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
+        // Replies are one small write per statement: do not hold them
+        // back for coalescing. Serving works either way, so a failure
+        // to set the option is ignored.
+        let _ = stream.set_nodelay(true);
         let hub = hub.clone();
         let writer = Arc::clone(&writer);
         std::thread::spawn(move || {

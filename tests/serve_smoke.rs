@@ -240,3 +240,72 @@ fn framing_bytes_in_values_round_trip() {
     assert_eq!(rows, vec!["plain\t7".to_string()]);
     roundtrip(&mut input, &mut out, "SHUTDOWN");
 }
+
+/// Pieces of hostile statement lines: NUL, a lone CR, bytes that are not
+/// UTF-8, unbalanced quotes, placeholder text, and plausible SQL around
+/// them.
+const FUZZ_PIECES: &[&[u8]] = &[
+    b"\0",
+    b"\r",
+    b"\xff",
+    b"\xc3",
+    b"\xe2\x82",
+    b"'",
+    b"\"",
+    b"''",
+    b"$1",
+    b"$0",
+    b"$",
+    b"?",
+    b"SELECT ",
+    b"SELECT g, c FROM mv WHERE g = ",
+    b"FROM t",
+    b" WHERE ",
+    b"v = ",
+    b"'g1'",
+    b"1",
+    b"99999999999999999999",
+    b"(",
+    b")",
+    b",",
+    b" UNION ALL ",
+    b" ",
+    b"\t",
+    b"--",
+    b"/*",
+];
+
+#[test]
+fn fuzzed_lines_get_one_reply_each_and_the_connection_keeps_serving() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let (_server, addr) = start_server();
+    let (mut input, mut out) = connect(&addr);
+    let mut rng = StdRng::seed_from_u64(0xF022);
+    for _ in 0..300 {
+        // A visible first byte: a blank line gets no reply by design.
+        let mut line = b"x".to_vec();
+        if rng.gen_bool(0.5) {
+            line.clear();
+            line.extend_from_slice(b"SELECT ");
+        }
+        for _ in 0..rng.gen_range(1..8) {
+            line.extend_from_slice(FUZZ_PIECES[rng.gen_range(0..FUZZ_PIECES.len())]);
+        }
+        line.push(b'\n');
+        out.write_all(&line).expect("send");
+        // Any number of ROW lines, then exactly one OK or ERR.
+        loop {
+            let reply = reply_line(&mut input);
+            if reply.starts_with("OK ") || reply.starts_with("ERR ") {
+                break;
+            }
+            assert!(reply.starts_with("ROW"), "{line:?} got {reply:?}");
+        }
+    }
+    // Nothing is left over, and the connection still serves.
+    let (rows, n) = roundtrip(&mut input, &mut out, "SELECT 1");
+    assert_eq!((rows, n), (vec!["1".to_string()], 1));
+    roundtrip(&mut input, &mut out, "SHUTDOWN");
+}
