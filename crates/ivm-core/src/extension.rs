@@ -350,7 +350,7 @@ impl IvmSession {
         // The fall-back path: the engine rejects CREATE MATERIALIZED VIEW
         // as unsupported; the extension catches exactly that case (the
         // paper's fall-back parser flow) and handles it.
-        match self.db.execute_statement(&stmt, None) {
+        match self.db.execute_statement(&stmt) {
             Ok(r) => Ok(r),
             Err(e) if e.kind() == ErrorKind::Unsupported => {
                 if let Statement::CreateView(cv) = &stmt {
@@ -496,7 +496,7 @@ impl IvmSession {
 
     fn run(&mut self, stmt: &Statement) -> Result<QueryResult, IvmError> {
         self.db
-            .execute_statement(stmt, None)
+            .execute_statement(stmt)
             .map_err(|e| IvmError::Engine(e.to_string()))
     }
 
@@ -830,12 +830,11 @@ impl IvmSession {
                     s.stmt_cache
                         .insert(sql.clone(), parse_statement(sql).map_err(IvmError::from)?);
                 }
-                let stmt = &s.stmt_cache[sql];
-                // The SQL text keys the engine's bound-plan cache too: each
-                // maintenance statement is planned/optimized/lowered once and
-                // re-executed from the cached physical plan until DDL changes
-                // the catalog shape.
-                s.db.execute_statement(stmt, Some(sql))
+                // The engine's plan cache keys each statement by its shape:
+                // each maintenance statement is planned/optimized/lowered
+                // once and re-executed from the cached physical plan until
+                // DDL changes the catalog shape.
+                s.db.execute_statement(&s.stmt_cache[sql])
                     .map_err(|e| IvmError::Engine(format!("{e} while running: {sql}")))?;
             }
             Ok(())

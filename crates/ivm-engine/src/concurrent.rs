@@ -23,14 +23,14 @@
 //!   read is trivially torn-free: a reader can observe snapshot *n* or
 //!   *n+1*, never half of each.
 //!
-//! The hub also owns the shared cross-session prepared-statement cache:
-//! the same `PlanCache` type a `Database` keeps for itself, keyed by the
+//! The hub holds the writer's plan cache: readers plan through the same
+//! entries as the [`Database`] it was made from, keyed by the
 //! statement's shape — its text with the values it compares against
 //! lifted into parameter slots — and validated against the snapshot's
-//! catalog-shape generation. N readers, whatever their executor
-//! settings, pay each shape's plan/optimize/lower cost once; a statement
-//! of a known shape is parsed, lifted, and instantiated with its own
-//! values.
+//! catalog-shape generation. The writer and N readers, whatever their
+//! executor settings, pay each shape's plan/optimize/lower cost once; a
+//! statement of a known shape is parsed, lifted, and instantiated with
+//! its own values.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -41,8 +41,8 @@ use ivm_sql::parse_statement;
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec::{ExecConfig, ExecContext};
-use crate::plan_cache::{PlanCache, Shape};
-use crate::session::{env_config, plan_physical, run_planned, Database, QueryResult};
+use crate::plan_cache::{lock, plan_shared, PlanCache};
+use crate::session::{env_config, run_planned, Database, QueryResult};
 
 /// An immutable, epoch-stamped image of the catalog at a committed point.
 ///
@@ -72,7 +72,6 @@ impl Snapshot {
 struct HubInner {
     current: RwLock<Arc<Snapshot>>,
     epochs: AtomicU64,
-    plans: Mutex<PlanCache>,
 }
 
 /// The shared rendezvous between one writer and N readers.
@@ -82,10 +81,13 @@ struct HubInner {
 #[derive(Debug, Clone)]
 pub struct SnapshotHub {
     inner: Arc<HubInner>,
+    /// The writer database's plan cache.
+    plans: Arc<Mutex<PlanCache>>,
 }
 
 impl SnapshotHub {
-    /// A hub whose initial snapshot is the database's current state.
+    /// A hub whose initial snapshot is the database's current state, and
+    /// whose readers share the database's plan cache.
     pub fn new(db: &Database) -> SnapshotHub {
         let snapshot = Arc::new(Snapshot {
             epoch: 1,
@@ -96,8 +98,8 @@ impl SnapshotHub {
             inner: Arc::new(HubInner {
                 current: RwLock::new(snapshot),
                 epochs: AtomicU64::new(1),
-                plans: Mutex::new(PlanCache::default()),
             }),
+            plans: Arc::clone(&db.plan_cache),
         }
     }
 
@@ -129,7 +131,8 @@ impl SnapshotHub {
     /// A new reader session against this hub. Each reader carries its
     /// own executor settings (initialized from the same environment
     /// defaults as [`Database::new`]) and its own statement state; all
-    /// readers share the hub's snapshot stream and plan cache.
+    /// readers share the hub's snapshot stream and the writer's plan
+    /// cache.
     pub fn reader(&self) -> ReadSession {
         ReadSession {
             hub: self.clone(),
@@ -138,16 +141,10 @@ impl SnapshotHub {
         }
     }
 
-    /// `(entries, hits, misses)` of the shared prepared-statement cache.
+    /// `(entries, hits, misses)` of the plan cache the readers share with
+    /// the writer.
     pub fn plan_cache_stats(&self) -> (usize, u64, u64) {
-        self.plans().stats()
-    }
-
-    fn plans(&self) -> std::sync::MutexGuard<'_, PlanCache> {
-        self.inner
-            .plans
-            .lock()
-            .expect("plan cache updates never panic mid-way")
+        lock(&self.plans).stats()
     }
 }
 
@@ -185,7 +182,7 @@ impl ReadSession {
     /// Execute one `SELECT` against the newest published snapshot.
     ///
     /// The statement is planned against the pinned snapshot's catalog
-    /// (through the shared prepared-statement cache) and executed —
+    /// (through the plan cache shared with the writer) and executed —
     /// serially, or on the morsel-driven parallel executor when this
     /// reader's parallelism is above 1 — wholly against that frozen
     /// image. DML/DDL is rejected: writes go through the single writer.
@@ -215,7 +212,7 @@ impl ReadSession {
     fn query_snapshot(
         &mut self,
         sql: &str,
-        mut q: Query,
+        q: Query,
         snapshot: &Snapshot,
     ) -> Result<QueryResult, EngineError> {
         self.last_epoch = snapshot.epoch();
@@ -223,35 +220,9 @@ impl ReadSession {
             catalog: snapshot.catalog(),
             config: &self.config,
         };
-        // Planned as sent, uncached: a statement that does not lift, and
-        // one whose lifted form does not plan — it reports its own error,
-        // or it is the rare statement that plans only verbatim (a HAVING
-        // term that must match a GROUP BY expression literally).
-        let as_sent =
-            |cx: &ExecContext<'_>| run_planned(plan_physical(&parse_select(sql)?, cx, &[])?, cx);
-        let Some(shape) = Shape::lift(&mut q) else {
-            return as_sent(&cx);
-        };
-        let generation = snapshot.ddl_generation;
-        // Its own statement, so the lock is released before the match.
-        let cached = self.hub.plans().get(&shape.key, generation);
-        let template = match cached {
-            Some(hit) => hit,
-            None => {
-                // Planned outside the cache lock: a slow lowering must
-                // not stall other readers (two concurrent misses on the
-                // same key both plan; last insert wins — both plans are
-                // equally valid for that generation).
-                let Ok(planned) = plan_physical(&q, &cx, &shape.types) else {
-                    return as_sent(&cx);
-                };
-                self.hub
-                    .plans()
-                    .insert(&shape.key, generation, planned.clone());
-                planned
-            }
-        };
-        run_planned(shape.instantiate(template), &cx)
+        let as_sent = || parse_select(sql);
+        let planned = plan_shared(&self.hub.plans, q, as_sent, &cx, snapshot.ddl_generation)?;
+        run_planned(planned, &cx)
     }
 }
 
@@ -378,18 +349,6 @@ mod tests {
             assert_eq!(reader.query(&sql).unwrap(), db.query(&sql).unwrap());
         }
         assert_eq!(hub.plan_cache_stats(), (1, 3, 1), "one shape, planned once");
-
-        // The instantiated plan answers `k = 3` through the index.
-        let mut q = parse_select("SELECT COUNT(*), SUM(v) FROM t WHERE k = 3").unwrap();
-        let shape = Shape::lift(&mut q).unwrap();
-        let template = hub.plans().get(&shape.key, db.ddl_generation()).unwrap();
-        assert!(!template.0.explain().contains("index_eq"));
-        let (plan, _) = shape.instantiate(template);
-        assert!(
-            plan.explain().contains("[index_eq=1]"),
-            "{}",
-            plan.explain()
-        );
 
         // Another literal type is another shape.
         reader

@@ -1,17 +1,16 @@
-//! The bound-plan cache: optimized physical plans by key, held within a
-//! byte cap.
+//! The bound-plan cache: optimized physical plans by statement shape,
+//! held within a byte cap.
 //!
-//! One type backs both the writer's per-[`crate::Database`] cache
-//! (repeated maintenance scripts skip planning, optimization, and
-//! lowering; the key is the script statement's SQL text) and the
-//! [`crate::SnapshotHub`]'s cross-reader prepared-statement cache (N
-//! readers pay each query's planning cost once). The hub keys on a
-//! statement's [`Shape`]: [`ivm_sql::lift_literals`] turns the values a
-//! statement compares against into parameter slots, so point lookups
-//! that differ only in their keys share one plan *template*, and each
-//! statement instantiates it with its own values. Lookup borrows the key
-//! and insertion is a separate call, so the hub plans a miss outside its
-//! lock.
+//! A [`crate::Database`] owns the one cache, and every
+//! [`crate::SnapshotHub`] made from it holds the same handle, so the
+//! writer's statements (a refresh re-runs the same maintenance script
+//! each time) and every reader's queries plan each shape once between
+//! them. Entries are keyed by a statement's [`Shape`]:
+//! [`ivm_sql::lift_literals`] turns the values a statement compares
+//! against into parameter slots, so statements that differ only in those
+//! values share one plan *template*, and each statement instantiates it
+//! with its own values. [`plan_shared`] is the one path through the
+//! cache; it plans a miss outside the cache's lock.
 //!
 //! **Byte cap.** Each entry is charged an estimate of the bytes it holds:
 //! its key and output column names, and for every plan operator its
@@ -24,16 +23,19 @@
 
 use std::collections::HashMap;
 use std::mem::size_of;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ivm_sql::ast::Query;
 use ivm_sql::{lift_literals, print_query, Dialect};
 
+use crate::error::EngineError;
+use crate::exec::ExecContext;
 use crate::expr::bind::bind_literal;
 use crate::expr::BoundExpr;
 use crate::optimizer::bind_params;
 use crate::planner::physical::PhysicalPlan;
 use crate::schema::Column;
+use crate::session::plan_physical;
 use crate::types::DataType;
 use crate::value::Value;
 
@@ -41,27 +43,63 @@ use crate::value::Value;
 /// names.
 pub(crate) type Planned = (Arc<PhysicalPlan>, Vec<String>);
 
-/// Estimated bytes of plans one cache may hold. A session's maintenance
+/// Estimated bytes of plans the cache may hold. A session's maintenance
 /// scripts and a server's statement shapes take a small fraction of it.
 const PLAN_CACHE_BYTES: usize = 8 << 20;
+
+/// The plan of `q` under `cx`, through `cache` at catalog-shape
+/// `generation`: `q` is lifted in place (an owner hands its statement
+/// over: cloning a served 64-key lookup's AST costs a sixth of serving
+/// it), its shape looked up, planned on a miss outside the lock (two
+/// concurrent misses both plan; the last insert wins), and instantiated.
+/// `as_sent()` — `q` may be left partly lifted — is planned uncached when
+/// `q` does not lift or its lifted form does not plan: it then reports
+/// its own error, or it plans only verbatim (a HAVING term that must
+/// match a GROUP BY expression literally).
+pub(crate) fn plan_shared(
+    cache: &Mutex<PlanCache>,
+    mut q: Query,
+    as_sent: impl FnOnce() -> Result<Query, EngineError>,
+    cx: &ExecContext<'_>,
+    generation: u64,
+) -> Result<Planned, EngineError> {
+    let Some(shape) = Shape::lift(&mut q) else {
+        return plan_physical(&as_sent()?, cx, &[]);
+    };
+    // Its own statement, so the lock is released before the match.
+    let cached = lock(cache).get(&shape.key, generation);
+    let template = match cached {
+        Some(hit) => hit,
+        None => {
+            let Ok(planned) = plan_physical(&q, cx, &shape.types) else {
+                return plan_physical(&as_sent()?, cx, &[]);
+            };
+            lock(cache).insert(&shape.key, generation, planned.clone());
+            planned
+        }
+    };
+    Ok(shape.instantiate(template))
+}
+
+pub(crate) fn lock(cache: &Mutex<PlanCache>) -> MutexGuard<'_, PlanCache> {
+    cache.lock().expect("no update panics mid-way")
+}
 
 /// A statement's shape: the cache key — the lifted values' types and the
 /// lifted statement's text — and the values that instantiate its plan.
 #[derive(Debug)]
-pub(crate) struct Shape {
-    /// The cache key.
-    pub(crate) key: String,
+struct Shape {
+    key: String,
     /// Types of the parameter slots, in slot order.
-    pub(crate) types: Vec<DataType>,
+    types: Vec<DataType>,
     values: Vec<Value>,
 }
 
 impl Shape {
     /// Lift `q`'s literals in place (see [`ivm_sql::lift_literals`]).
     /// `None` when `q` holds a written `$n` placeholder or a literal that
-    /// does not bind: the statement as sent must then be planned, so its
-    /// own error is the one reported.
-    pub(crate) fn lift(q: &mut Query) -> Option<Shape> {
+    /// does not bind.
+    fn lift(q: &mut Query) -> Option<Shape> {
         let values = lift_literals(q)?
             .iter()
             .map(bind_literal)
@@ -91,7 +129,7 @@ impl Shape {
 
     /// The plan of this statement: `template` with its parameter slots
     /// filled from this statement's values.
-    pub(crate) fn instantiate(&self, (plan, columns): Planned) -> Planned {
+    fn instantiate(&self, (plan, columns): Planned) -> Planned {
         if self.values.is_empty() {
             return (plan, columns);
         }
@@ -129,7 +167,7 @@ pub(crate) struct PlanCache {
 impl PlanCache {
     /// The plan cached under `key`, if it was planned at catalog-shape
     /// `generation`. Counts a hit or a miss.
-    pub(crate) fn get(&mut self, key: &str, generation: u64) -> Option<Planned> {
+    fn get(&mut self, key: &str, generation: u64) -> Option<Planned> {
         self.tick += 1;
         match self.entries.get_mut(key) {
             Some(entry) if entry.generation == generation => {
@@ -146,7 +184,7 @@ impl PlanCache {
 
     /// Store `plan` under `key`, planned at catalog-shape `generation`,
     /// evicting least-recently-used entries to stay within the byte cap.
-    pub(crate) fn insert(&mut self, key: &str, generation: u64, plan: Planned) {
+    fn insert(&mut self, key: &str, generation: u64, plan: Planned) {
         self.remove(key);
         let bytes = key.len() + planned_bytes(&plan);
         if bytes > PLAN_CACHE_BYTES {

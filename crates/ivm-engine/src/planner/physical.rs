@@ -261,9 +261,9 @@ impl PhysicalPlan {
             let line = match plan {
                 PhysicalPlan::TableScan {
                     table,
+                    schema,
                     predicate,
                     index_eq,
-                    ..
                 } => format!(
                     "TableScan {table}{}{}",
                     if predicate.is_some() {
@@ -274,7 +274,11 @@ impl PhysicalPlan {
                     if index_eq.is_empty() {
                         String::new()
                     } else {
-                        format!(" [index_eq={}]", index_eq.len())
+                        let keys: Vec<String> = index_eq
+                            .iter()
+                            .map(|(col, v)| format!("{} = {v}", schema.columns[*col].name))
+                            .collect();
+                        format!(" [index_eq={}] {}", index_eq.len(), keys.join(", "))
                     }
                 ),
                 PhysicalPlan::Dual => "Dual".to_string(),

@@ -1,5 +1,7 @@
 //! The embedded database session: `Database::execute(sql)`.
 
+use std::sync::{Arc, Mutex};
+
 use ivm_sql::ast::{
     Assignment, ConflictAction, CreateIndex, CreateTable, Delete, Drop, DropKind, Insert,
     InsertSource, Query, Statement, Update,
@@ -15,7 +17,7 @@ use crate::exec::{
 use crate::expr::bind::{bind_expr_with, Scope};
 use crate::expr::BindColumn;
 use crate::optimizer::optimize;
-use crate::plan_cache::{PlanCache, Planned};
+use crate::plan_cache::{lock, plan_shared, PlanCache, Planned};
 use crate::planner::physical::lower;
 use crate::planner::{plan_query, plan_template};
 use crate::schema::{Column, Schema};
@@ -141,9 +143,8 @@ pub(crate) fn env_config() -> ExecConfig {
 }
 
 /// Bind, optimize, and lower `q` against the context's catalog — the one
-/// way a query becomes a physical plan, for the writer session and for
-/// snapshot readers alike. `params` types `q`'s parameter slots (empty
-/// unless `q` is a lifted [`crate::plan_cache::Shape`]).
+/// way a query becomes a physical plan. `params` types `q`'s parameter
+/// slots (empty unless `q` is a statement with its literals lifted).
 pub(crate) fn plan_physical(
     q: &Query,
     cx: &ExecContext<'_>,
@@ -152,7 +153,7 @@ pub(crate) fn plan_physical(
     let plan = optimize(plan_template(q, cx.catalog, params)?);
     let columns = plan.schema().names();
     let physical = lower(&plan, cx.catalog)?;
-    Ok((std::sync::Arc::new(physical), columns))
+    Ok((Arc::new(physical), columns))
 }
 
 /// Run a planned query under `cx` ([`exec::run`]) into a [`QueryResult`].
@@ -206,9 +207,9 @@ pub struct Database {
     /// Batch size, parallelism, morsel size, and the memory budget
     /// shared by every query of the session.
     config: ExecConfig,
-    /// Physical-plan cache for repeated statements (maintenance scripts),
-    /// invalidated by bumping `ddl_generation`.
-    plan_cache: PlanCache,
+    /// The plan cache, shared with every [`crate::SnapshotHub`] made from
+    /// this database; entries are validated against `ddl_generation`.
+    pub(crate) plan_cache: Arc<Mutex<PlanCache>>,
     ddl_generation: u64,
     /// Durable backing (table files + WAL + checkpoints); `None` =
     /// in-memory mode, where every code path behaves exactly as before.
@@ -261,7 +262,7 @@ impl Database {
         Database {
             catalog: Catalog::new(),
             config: env_config(),
-            plan_cache: PlanCache::default(),
+            plan_cache: Arc::new(Mutex::new(PlanCache::default())),
             ddl_generation: 0,
             durability: None,
             atomic_depth: 0,
@@ -497,9 +498,10 @@ impl Database {
     }
 
     /// `(entries, hits)` of the bound-plan cache (see
-    /// [`execute_statement`](Database::execute_statement)).
+    /// [`execute_statement`](Database::execute_statement)), which this
+    /// database's snapshot readers share.
     pub fn plan_cache_stats(&self) -> (usize, usize) {
-        let (entries, hits, _) = self.plan_cache.stats();
+        let (entries, hits, _) = lock(&self.plan_cache).stats();
         (entries, hits as usize)
     }
 
@@ -551,22 +553,6 @@ impl Database {
         }
     }
 
-    /// The optimized physical plan for `q`: with a `cache_key`, from the
-    /// plan cache when the catalog shape is unchanged since it was
-    /// stored (and stored there otherwise).
-    fn planned(&mut self, cache_key: Option<&str>, q: &Query) -> Result<Planned, EngineError> {
-        let Some(sql) = cache_key else {
-            return plan_physical(q, &self.exec_context(), &[]);
-        };
-        if let Some(hit) = self.plan_cache.get(sql, self.ddl_generation) {
-            return Ok(hit);
-        }
-        let planned = plan_physical(q, &self.exec_context(), &[])?;
-        self.plan_cache
-            .insert(sql, self.ddl_generation, planned.clone());
-        Ok(planned)
-    }
-
     /// Borrow the catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
@@ -584,20 +570,33 @@ impl Database {
     /// SQL DDL path).
     pub fn invalidate_plans(&mut self) {
         self.ddl_generation += 1;
-        self.plan_cache.clear();
+        lock(&self.plan_cache).clear();
     }
 
     /// The catalog-shape generation the plan cache validates against;
     /// snapshot publication stamps it into each published snapshot so
-    /// shared prepared-statement caches can do the same validation.
+    /// readers validate the entries they share the same way.
     pub(crate) fn ddl_generation(&self) -> u64 {
         self.ddl_generation
+    }
+
+    /// The plan of `q` through the shared cache, lifted from a clone of
+    /// the borrowed statement.
+    fn plan(&self, q: &Query) -> Result<Planned, EngineError> {
+        let cx = self.exec_context();
+        plan_shared(
+            &self.plan_cache,
+            q.clone(),
+            || Ok(q.clone()),
+            &cx,
+            self.ddl_generation,
+        )
     }
 
     /// Execute a single SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult, EngineError> {
         let stmt = parse_statement(sql)?;
-        self.execute_statement(&stmt, None)
+        self.execute_statement(&stmt)
     }
 
     /// Execute a `;`-separated script, returning one result per statement.
@@ -606,12 +605,13 @@ impl Database {
         let stmts = parse_statements(sql)?;
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in &stmts {
-            out.push(self.execute_statement(stmt, None)?);
+            out.push(self.execute_statement(stmt)?);
         }
         Ok(out)
     }
 
-    /// Execute a read-only query and return its rows.
+    /// Execute a read-only query and return its rows, planned as sent and
+    /// uncached: the reference the plan cache's differential tests use.
     pub fn query(&self, sql: &str) -> Result<QueryResult, EngineError> {
         let stmt = parse_statement(sql)?;
         match &stmt {
@@ -631,20 +631,16 @@ impl Database {
     /// partially failed statement, and recovery must reproduce exactly
     /// that state.
     ///
-    /// With a `cache_key` (conventionally the statement's SQL text), the
-    /// optimized physical plan of a query or an `INSERT … SELECT` source
-    /// is cached under it: repeated executions of the same maintenance
-    /// script skip planning, optimization, and physical lowering
-    /// entirely. The cache is invalidated by any SQL DDL; catalog-shape
-    /// changes made through [`catalog_mut`](Database::catalog_mut)
-    /// require an explicit [`invalidate_plans`](Database::invalidate_plans).
-    pub fn execute_statement(
-        &mut self,
-        stmt: &Statement,
-        cache_key: Option<&str>,
-    ) -> Result<QueryResult, EngineError> {
+    /// A query, an `INSERT … SELECT` source and an `EXPLAIN`ed query plan
+    /// through the cache this database shares with its snapshot readers,
+    /// keyed by the statement's shape: statements that differ only in the
+    /// values they compare against skip planning, optimization, and
+    /// lowering. Any SQL DDL invalidates the cache; catalog-shape changes
+    /// made through [`catalog_mut`](Database::catalog_mut) need an
+    /// explicit [`invalidate_plans`](Database::invalidate_plans).
+    pub fn execute_statement(&mut self, stmt: &Statement) -> Result<QueryResult, EngineError> {
         self.degraded_gate(stmt)?;
-        let result = self.execute_statement_inner(stmt, cache_key);
+        let result = self.execute_statement_inner(stmt);
         let commit = self.commit_statement();
         match result {
             Err(e) => Err(e),
@@ -652,16 +648,9 @@ impl Database {
         }
     }
 
-    fn execute_statement_inner(
-        &mut self,
-        stmt: &Statement,
-        cache_key: Option<&str>,
-    ) -> Result<QueryResult, EngineError> {
+    fn execute_statement_inner(&mut self, stmt: &Statement) -> Result<QueryResult, EngineError> {
         match stmt {
-            Statement::Query(q) => {
-                let planned = self.planned(cache_key, q)?;
-                run_planned(planned, &self.exec_context())
-            }
+            Statement::Query(q) => run_planned(self.plan(q)?, &self.exec_context()),
             Statement::CreateTable(ct) => self.create_table(ct),
             Statement::CreateIndex(ci) => self.create_index(ci),
             Statement::CreateView(cv) => {
@@ -680,7 +669,7 @@ impl Database {
                 Ok(QueryResult::default())
             }
             Statement::Drop(d) => self.drop(d),
-            Statement::Insert(ins) => self.insert(ins, cache_key),
+            Statement::Insert(ins) => self.insert(ins),
             Statement::Update(u) => self.update(u),
             Statement::Delete(d) => self.delete(d),
             // The analytical engine auto-commits; real transaction scoping
@@ -693,8 +682,8 @@ impl Database {
                     return Err(EngineError::unsupported("EXPLAIN supports queries only"));
                 };
                 // Show what will actually run: the lowered physical tree,
-                // under this session's budget.
-                let (physical, _) = plan_physical(q, &self.exec_context(), &[])?;
+                // instantiated from the cached template.
+                let (physical, _) = self.plan(q)?;
                 let rows = physical
                     .explain()
                     .lines()
@@ -788,11 +777,7 @@ impl Database {
         Ok(QueryResult::default())
     }
 
-    fn insert(
-        &mut self,
-        ins: &Insert,
-        cache_key: Option<&str>,
-    ) -> Result<QueryResult, EngineError> {
+    fn insert(&mut self, ins: &Insert) -> Result<QueryResult, EngineError> {
         let tname = ins.table.normalized().to_string();
         let (schema, column_map) = {
             let table = self.catalog.table(&tname)?;
@@ -836,7 +821,7 @@ impl Database {
                 out
             }
             InsertSource::Query(q) => {
-                let (physical, columns) = self.planned(cache_key, q)?;
+                let (physical, columns) = self.plan(q)?;
                 if columns.len() != column_map.len() {
                     return Err(EngineError::bind(format!(
                         "INSERT expects {} columns, query returns {}",
@@ -1077,7 +1062,6 @@ fn coerce(v: Value, target: DataType) -> Result<Value, EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivm_sql::parse_statement;
 
     fn seeded() -> Database {
         let mut db = Database::new();
@@ -1094,19 +1078,17 @@ mod tests {
     fn plan_cache_hits_on_repeated_statements() {
         let mut db = seeded();
         let sql = "SELECT g, SUM(v) AS t FROM s GROUP BY g";
-        let stmt = parse_statement(sql).unwrap();
-        let first = db.execute_statement(&stmt, Some(sql)).unwrap();
+        let first = db.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats(), (1, 0), "first run plans");
-        let second = db.execute_statement(&stmt, Some(sql)).unwrap();
+        let second = db.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats(), (1, 1), "second run hits");
         assert_eq!(first.rows, second.rows);
         assert_eq!(first.columns, second.columns);
 
-        // INSERT … SELECT caches its source plan under the same key space.
+        // INSERT … SELECT caches its source plan in the same key space.
         let ins = "INSERT INTO sink SELECT g, SUM(v) FROM s GROUP BY g";
-        let ins_stmt = parse_statement(ins).unwrap();
-        db.execute_statement(&ins_stmt, Some(ins)).unwrap();
-        db.execute_statement(&ins_stmt, Some(ins)).unwrap();
+        db.execute(ins).unwrap();
+        db.execute(ins).unwrap();
         assert_eq!(db.plan_cache_stats(), (2, 2));
         assert_eq!(
             db.query("SELECT COUNT(*) FROM sink").unwrap().scalar(),
@@ -1118,15 +1100,14 @@ mod tests {
     fn plan_cache_invalidated_by_ddl() {
         let mut db = seeded();
         let sql = "SELECT g, SUM(v) AS t FROM s GROUP BY g";
-        let stmt = parse_statement(sql).unwrap();
-        db.execute_statement(&stmt, Some(sql)).unwrap();
-        db.execute_statement(&stmt, Some(sql)).unwrap();
+        db.execute(sql).unwrap();
+        db.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats().1, 1);
         // DDL bumps the generation: the next run re-plans (no new hit).
         db.execute("CREATE TABLE other (x INTEGER)").unwrap();
-        db.execute_statement(&stmt, Some(sql)).unwrap();
+        db.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats().1, 1, "stale entry re-planned");
-        db.execute_statement(&stmt, Some(sql)).unwrap();
+        db.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats().1, 2, "fresh entry hits again");
         // Explicit invalidation clears everything.
         db.invalidate_plans();
@@ -1138,17 +1119,17 @@ mod tests {
         let mut db = seeded();
         db.set_memory_budget(None);
         let sql = "SELECT g, SUM(v) AS t FROM s GROUP BY g ORDER BY g";
-        let stmt = parse_statement(sql).unwrap();
-        let baseline = db.execute_statement(&stmt, Some(sql)).unwrap();
+        let baseline = db.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats(), (1, 0));
-        // A plan is keyed by its SQL text alone: flipping the budget or
-        // the worker count re-hits the one cached plan, same answer.
+        // A plan is keyed by the statement's shape alone: flipping the
+        // budget or the worker count re-hits the one cached plan, same
+        // answer.
         db.set_memory_budget(Some(123_456_789));
-        let budgeted = db.execute_statement(&stmt, Some(sql)).unwrap();
+        let budgeted = db.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats(), (1, 1), "budget flip re-hits");
         assert_eq!(budgeted.rows, baseline.rows);
         db.set_parallelism(2);
-        let parallel = db.execute_statement(&stmt, Some(sql)).unwrap();
+        let parallel = db.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats(), (1, 2), "parallelism flip re-hits");
         assert_eq!(parallel.rows, baseline.rows);
     }
@@ -1156,18 +1137,35 @@ mod tests {
     #[test]
     fn cached_plans_see_new_data() {
         let mut db = seeded();
-        let sql = "SELECT SUM(v) FROM s";
-        let stmt = parse_statement(sql).unwrap();
-        assert_eq!(
-            db.execute_statement(&stmt, Some(sql)).unwrap().scalar(),
-            Some(&Value::Integer(6))
-        );
+        let sql = "SELECT SUM(v) FROM s WHERE v > 0";
+        assert_eq!(db.execute(sql).unwrap().scalar(), Some(&Value::Integer(6)));
         db.execute("INSERT INTO s VALUES ('c', 10)").unwrap();
         assert_eq!(
-            db.execute_statement(&stmt, Some(sql)).unwrap().scalar(),
+            db.execute(sql).unwrap().scalar(),
             Some(&Value::Integer(16)),
             "plan cache must never cache data"
         );
+        assert_eq!(db.plan_cache_stats(), (1, 1));
+    }
+
+    /// `EXPLAIN` prints the plan the statement runs with: the shape's
+    /// template instantiated with the statement's own values, so an
+    /// equality on an indexed column is an index lookup of that value.
+    #[test]
+    fn explain_shows_the_instantiated_plan() {
+        for warm in [false, true] {
+            let mut db = seeded();
+            db.execute("CREATE INDEX s_v ON s (v)").unwrap();
+            if warm {
+                db.execute("SELECT g FROM s WHERE v = 1").unwrap();
+            }
+            let explain = db.execute("EXPLAIN SELECT g FROM s WHERE v = 3").unwrap();
+            let text: Vec<String> = explain.rows.iter().map(|r| r[0].to_string()).collect();
+            let text = text.join("\n");
+            assert!(text.contains("[index_eq=1] v = 3"), "warm={warm}:\n{text}");
+            let hits = usize::from(warm);
+            assert_eq!(db.plan_cache_stats(), (1, hits), "warm={warm}");
+        }
     }
 
     #[test]

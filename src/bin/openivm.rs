@@ -233,9 +233,6 @@ fn handle_client(
             continue;
         };
         let sql = text.trim();
-        if sql.is_empty() {
-            continue;
-        }
         if sql.eq_ignore_ascii_case("quit") || sql.eq_ignore_ascii_case("exit") {
             break;
         }

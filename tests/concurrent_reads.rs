@@ -217,3 +217,56 @@ fn readers_reject_writes_and_share_plans() {
     assert!(entries >= 1);
     assert!(hits >= 1, "second reader should hit the shared plan cache");
 }
+
+/// The writer and its hub readers plan through one cache: a shape first
+/// run by either is a hit for the other, with another key; DDL through
+/// the writer and a publish re-plan the shape once for both; and both
+/// handles report the same counts.
+#[test]
+fn writer_and_readers_share_one_plan_cache() {
+    let mut session = IvmSession::new(IvmFlags::paper_defaults());
+    session
+        .execute("CREATE TABLE base (g VARCHAR, v INTEGER)")
+        .unwrap();
+    session
+        .execute("INSERT INTO base VALUES ('b0', 1), ('b0', 2), ('b1', 3)")
+        .unwrap();
+    let hub = session.share();
+    let mut reader = hub.reader();
+    let counts = |session: &IvmSession| {
+        let (entries, hits) = session.database().plan_cache_stats();
+        let (shared_entries, shared_hits, misses) = hub.plan_cache_stats();
+        assert_eq!((entries, hits as u64), (shared_entries, shared_hits));
+        (entries, shared_hits, misses)
+    };
+    let sum = |g: &str| format!("SELECT SUM(v) AS s FROM base WHERE g = '{g}'");
+    let above = |v: i64| format!("SELECT g FROM base WHERE v > {v} ORDER BY g");
+    let scalar = |r: QueryResult| r.rows[0][0].as_integer();
+
+    // Writer first, then a reader with another key: the reader hits.
+    assert_eq!(scalar(session.execute(&sum("b0")).unwrap()), Some(3));
+    assert_eq!(counts(&session), (1, 0, 1));
+    assert_eq!(scalar(reader.query(&sum("b1")).unwrap()), Some(3));
+    assert_eq!(
+        counts(&session),
+        (1, 1, 1),
+        "the reader reuses the writer's plan"
+    );
+    // Reader first, then the writer with another key: the writer hits.
+    assert_eq!(reader.query(&above(1)).unwrap().rows.len(), 2);
+    assert_eq!(session.execute(&above(2)).unwrap().rows.len(), 1);
+    assert_eq!(
+        counts(&session),
+        (2, 2, 2),
+        "the writer reuses the reader's plan"
+    );
+
+    // DDL through the writer republishes with a new generation: whoever
+    // runs a shape first re-plans it, and the other hits the new plan.
+    session.execute("CREATE TABLE other (x INTEGER)").unwrap();
+    assert_eq!(scalar(reader.query(&sum("b1")).unwrap()), Some(3));
+    assert_eq!(scalar(session.execute(&sum("b0")).unwrap()), Some(3));
+    assert_eq!(session.execute(&above(0)).unwrap().rows.len(), 3);
+    assert_eq!(reader.query(&above(3)).unwrap().rows.len(), 0);
+    assert_eq!(counts(&session), (2, 4, 4), "one re-plan per shape");
+}

@@ -1,14 +1,16 @@
 //! Differential test of the shared plan cache's statement shapes.
 //!
-//! Random literal values go through one snapshot reader, which plans each
-//! shape once and instantiates the cached template for every later
-//! statement of that shape. Every result must equal a fresh, uncached
-//! `Database::query` of the same text, row for row under a total ORDER
-//! BY. The statements vary comparison operands, IN-list members and
-//! BETWEEN bounds (lifted into parameters) and ORDER BY / GROUP BY
-//! ordinals, LIMIT / OFFSET, negative numbers and NULL (kept verbatim,
-//! so they make new shapes); the cache must miss exactly once per shape.
-//! Set `PROPTEST_SEED` to explore another stream.
+//! Random literal values go through the writer (`Database::execute`) and
+//! one snapshot reader, which plan through one cache: each shape is
+//! planned once, and the cached template is instantiated for every later
+//! statement of that shape on either path. Every result must equal a
+//! fresh, uncached `Database::query` of the same text, row for row under
+//! a total ORDER BY. The statements vary comparison operands, IN-list
+//! members and BETWEEN bounds (lifted into parameters) and ORDER BY /
+//! GROUP BY ordinals, LIMIT / OFFSET, negative numbers and NULL (kept
+//! verbatim, so they make new shapes); the cache must miss exactly once
+//! per shape across both paths. Set `PROPTEST_SEED` to explore another
+//! stream.
 
 use std::collections::HashSet;
 
@@ -244,22 +246,27 @@ fn cached_templates_agree_with_fresh_plans() {
         let fresh = db
             .query(&stmt.sql)
             .unwrap_or_else(|e| panic!("{}: {e}", stmt.sql));
+        let written = db
+            .execute(&stmt.sql)
+            .unwrap_or_else(|e| panic!("{}: {e}", stmt.sql));
+        assert_eq!(written, fresh, "writer: {}", stmt.sql);
         let cached = reader
             .query(&stmt.sql)
             .unwrap_or_else(|e| panic!("{}: {e}", stmt.sql));
-        assert_eq!(cached, fresh, "{}", stmt.sql);
+        assert_eq!(cached, fresh, "reader: {}", stmt.sql);
         shapes.insert(stmt.shape);
     }
     let (entries, hits, misses) = hub.plan_cache_stats();
     let shapes = shapes.len() as u64;
-    assert_eq!(misses, shapes, "one miss per shape");
-    assert_eq!(hits, STATEMENTS as u64 - shapes, "every repeat hits");
+    assert_eq!(misses, shapes, "one miss per shape across both paths");
+    assert_eq!(hits, 2 * STATEMENTS as u64 - shapes, "every repeat hits");
     assert_eq!(entries as u64, shapes);
+    assert_eq!(db.plan_cache_stats(), (entries, hits as usize), "one cache");
 }
 
 #[test]
 fn errors_match_and_failed_plans_leave_no_entry() {
-    let db = database();
+    let mut db = database();
     let hub = SnapshotHub::new(&db);
     let mut reader = hub.reader();
     let same =
@@ -286,8 +293,10 @@ fn errors_match_and_failed_plans_leave_no_entry() {
     ] {
         let before = hub.plan_cache_stats().0;
         let fresh = db.query(sql);
+        let written = db.execute(sql);
         let cached = reader.query(sql);
         assert!(fresh.is_err(), "{sql} should fail");
+        assert!(same(&written, &fresh), "{sql}: {written:?} vs {fresh:?}");
         assert!(same(&cached, &fresh), "{sql}: {cached:?} vs {fresh:?}");
         assert_eq!(hub.plan_cache_stats().0, before, "{sql} left an entry");
     }

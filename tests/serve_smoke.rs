@@ -275,6 +275,9 @@ const FUZZ_PIECES: &[&[u8]] = &[
     b"/*",
 ];
 
+/// Lines that are blank once trimmed; each still gets one reply.
+const BLANK_LINES: &[&[u8]] = &[b"", b" ", b"   ", b"\t", b" \t ", b"\r", b"\r\r", b" \r"];
+
 #[test]
 fn fuzzed_lines_get_one_reply_each_and_the_connection_keeps_serving() {
     use rand::rngs::StdRng;
@@ -284,14 +287,17 @@ fn fuzzed_lines_get_one_reply_each_and_the_connection_keeps_serving() {
     let (mut input, mut out) = connect(&addr);
     let mut rng = StdRng::seed_from_u64(0xF022);
     for _ in 0..300 {
-        // A visible first byte: a blank line gets no reply by design.
-        let mut line = b"x".to_vec();
-        if rng.gen_bool(0.5) {
-            line.clear();
-            line.extend_from_slice(b"SELECT ");
-        }
-        for _ in 0..rng.gen_range(1..8) {
-            line.extend_from_slice(FUZZ_PIECES[rng.gen_range(0..FUZZ_PIECES.len())]);
+        let mut line = Vec::new();
+        if rng.gen_bool(0.1) {
+            // Blank after trimming: empty, spaces, tabs, a lone CR.
+            line.extend_from_slice(BLANK_LINES[rng.gen_range(0..BLANK_LINES.len())]);
+        } else {
+            if rng.gen_bool(0.5) {
+                line.extend_from_slice(b"SELECT ");
+            }
+            for _ in 0..rng.gen_range(1..8) {
+                line.extend_from_slice(FUZZ_PIECES[rng.gen_range(0..FUZZ_PIECES.len())]);
+            }
         }
         line.push(b'\n');
         out.write_all(&line).expect("send");
