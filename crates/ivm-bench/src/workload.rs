@@ -148,11 +148,6 @@ impl SalesWorkload {
             })
             .collect()
     }
-
-    /// The analytical query of the demo: revenue per region.
-    pub fn analytical_query() -> &'static str {
-        "SELECT region, SUM(amount) AS revenue FROM sales_by_region GROUP BY region"
-    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! query, or per batch, per [`PropagationMode`].
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ivm_engine::exec::hash::{chain_prepend, hash_row, hash_value_iter, FlatTable};
 use ivm_engine::{Database, ErrorKind, QueryResult, SnapshotHub, Value};
@@ -22,6 +23,7 @@ use crate::error::IvmError;
 use crate::flags::{IvmFlags, PropagationMode};
 use crate::metadata;
 use crate::names::{self, MULTIPLICITY_COL};
+use crate::propagation::PropagationStep;
 
 /// A registered materialized view.
 #[derive(Debug, Clone)]
@@ -35,12 +37,13 @@ pub struct RegisteredView {
     /// Whether the view is a projection class (rows carry duplicate
     /// weights that expand on read).
     pub weighted_rows: bool,
-    /// Maintenance statements by step: step-1 statements first, the rest
-    /// after (split so multi-view refreshes can share delta tables).
-    step1: Vec<String>,
-    rest: Vec<String>,
+    /// Maintenance statements by step, parsed once at registration:
+    /// step-1 statements first, the rest after (split so multi-view
+    /// refreshes can share delta tables).
+    step1: Arc<[Statement]>,
+    rest: Arc<[Statement]>,
     /// Steps 2–4 of the regroup variant (adaptive strategy only).
-    rest_alt: Option<Vec<String>>,
+    rest_alt: Option<Arc<[Statement]>>,
     /// Full artifacts, kept for inspection.
     pub artifacts: IvmArtifacts,
 }
@@ -69,9 +72,6 @@ pub struct IvmSession {
     views: Vec<RegisteredView>,
     /// Views with unpropagated deltas → number of pending DML statements.
     pending: HashMap<String, usize>,
-    /// Parsed-statement cache for the maintenance scripts: the same fixed
-    /// SQL strings run on every refresh, so each is parsed exactly once.
-    stmt_cache: HashMap<String, Statement>,
     /// Per-mirror deletion-victim indexes (row digest → live slot ids),
     /// maintained incrementally across [`IvmSession::ingest_deltas`]
     /// batches and validated against the table's mutation generation.
@@ -92,7 +92,6 @@ impl IvmSession {
             compiler: IvmCompiler::new(),
             views: Vec::new(),
             pending: HashMap::new(),
-            stmt_cache: HashMap::new(),
             victim_index: HashMap::new(),
             stats: SessionStats::default(),
             shared: None,
@@ -123,7 +122,6 @@ impl IvmSession {
             compiler: IvmCompiler::new(),
             views: Vec::new(),
             pending: HashMap::new(),
-            stmt_cache: HashMap::new(),
             victim_index: HashMap::new(),
             stats: SessionStats::default(),
             shared: None,
@@ -217,11 +215,6 @@ impl IvmSession {
             self.shared = Some(SnapshotHub::new(&self.db));
         }
         self.shared.clone().expect("just set")
-    }
-
-    /// The snapshot hub, when [`IvmSession::share`] has been called.
-    pub fn snapshot_hub(&self) -> Option<&SnapshotHub> {
-        self.shared.as_ref()
     }
 
     /// Publish the current state to hub readers (no-op when not shared).
@@ -332,16 +325,7 @@ impl IvmSession {
             }
             Statement::Query(q) => {
                 // Lazy refresh: propagate before reading any stale view.
-                let referenced: Vec<String> = q
-                    .referenced_tables()
-                    .iter()
-                    .map(|i| i.normalized().to_string())
-                    .collect();
-                let stale: Vec<String> = referenced
-                    .into_iter()
-                    .filter(|t| self.view(t).is_some() && self.pending.contains_key(t))
-                    .collect();
-                for v in stale {
+                for v in self.stale_views_read_by(q) {
                     self.refresh(&v)?;
                 }
             }
@@ -363,6 +347,30 @@ impl IvmSession {
             }
             Err(e) => Err(IvmError::Engine(e.to_string())),
         }
+    }
+
+    /// The materialized views with pending deltas that `q` reads,
+    /// directly or through plain views.
+    fn stale_views_read_by(&self, q: &Query) -> Vec<String> {
+        fn add(q: &Query, read: &mut Vec<String>) {
+            for name in q.referenced_tables() {
+                let name = name.normalized().to_string();
+                if !read.contains(&name) {
+                    read.push(name);
+                }
+            }
+        }
+        let mut read = Vec::new();
+        add(q, &mut read);
+        let mut next = 0;
+        while let Some(name) = read.get(next) {
+            if let Some(definition) = self.db.catalog().view(name) {
+                add(definition, &mut read);
+            }
+            next += 1;
+        }
+        read.retain(|t| self.view(t).is_some() && self.pending.contains_key(t));
+        read
     }
 
     /// Compile and install a materialized view.
@@ -410,25 +418,19 @@ impl IvmSession {
             .iter()
             .map(|c| c.name.clone())
             .collect();
-        let (step1, rest): (Vec<_>, Vec<_>) = artifacts
-            .propagation
-            .steps
-            .iter()
-            .partition(|s| s.step == 1);
-        let rest_alt = artifacts.alt_propagation.as_ref().map(|alt| {
-            alt.steps
-                .iter()
-                .filter(|s| s.step != 1)
-                .map(|s| s.sql.clone())
-                .collect()
-        });
+        let steps = &artifacts.propagation.steps;
+        let (step1, rest) = (parse_steps(steps, true)?, parse_steps(steps, false)?);
+        let rest_alt = match &artifacts.alt_propagation {
+            Some(alt) => Some(parse_steps(&alt.steps, false)?),
+            None => None,
+        };
         let view = RegisteredView {
             name: artifacts.analysis.view_name.clone(),
             base_tables: artifacts.analysis.base_tables.clone(),
             visible_columns,
             weighted_rows,
-            step1: step1.into_iter().map(|s| s.sql.clone()).collect(),
-            rest: rest.into_iter().map(|s| s.sql.clone()).collect(),
+            step1,
+            rest,
             rest_alt,
             artifacts,
         };
@@ -784,10 +786,9 @@ impl IvmSession {
             }
         }
         // Step 1 for every affected view first (they share ΔT)…
-        let mut statements: Vec<String> = Vec::new();
+        let mut scripts: Vec<Arc<[Statement]>> = Vec::new();
         for v in &affected {
-            let rv = self.view(v).expect("registered");
-            statements.extend(rv.step1.iter().cloned());
+            scripts.push(self.view(v).expect("registered").step1.clone());
         }
         // …then steps 2–4 per view, choosing the adaptive variant where
         // available: small views re-aggregate, large views upsert (the
@@ -807,7 +808,7 @@ impl IvmSession {
                 None => false,
             };
             let rv = self.view(v).expect("registered");
-            let (chosen, is_adaptive): (Vec<String>, bool) = if use_regroup {
+            let (chosen, is_adaptive) = if use_regroup {
                 (rv.rest_alt.as_ref().expect("checked").clone(), true)
             } else {
                 (rv.rest.clone(), rv.rest_alt.is_some())
@@ -819,28 +820,26 @@ impl IvmSession {
                     self.stats.adaptive_upserts += 1;
                 }
             }
-            statements.extend(chosen);
+            scripts.push(chosen);
         }
         // One durability point for the whole script: recovering a view
         // updated by steps 2–3 whose delta tables step 4 never drained
         // would re-apply those deltas on the next refresh.
         self.atomic(|s| {
-            for sql in &statements {
-                if !s.stmt_cache.contains_key(sql) {
-                    s.stmt_cache
-                        .insert(sql.clone(), parse_statement(sql).map_err(IvmError::from)?);
-                }
+            for stmt in scripts.iter().flat_map(|script| script.iter()) {
                 // The engine's plan cache keys each statement by its shape:
                 // each maintenance statement is planned/optimized/lowered
                 // once and re-executed from the cached physical plan until
                 // DDL changes the catalog shape.
-                s.db.execute_statement(&s.stmt_cache[sql])
-                    .map_err(|e| IvmError::Engine(format!("{e} while running: {sql}")))?;
+                s.db.execute_statement(stmt).map_err(|e| {
+                    let sql = print_statement(stmt, s.flags.dialect);
+                    IvmError::Engine(format!("{e} while running: {sql}"))
+                })?;
             }
             Ok(())
         })?;
         self.stats.maintenance_runs += 1;
-        self.stats.maintenance_statements += statements.len();
+        self.stats.maintenance_statements += scripts.iter().map(|s| s.len()).sum::<usize>();
         for v in affected {
             self.pending.remove(&v);
         }
@@ -1105,6 +1104,15 @@ fn delta_capture_select(
     }
 }
 
+/// Parse the statements of step 1 (`step1`) or of steps 2–4 (`!step1`).
+fn parse_steps(steps: &[PropagationStep], step1: bool) -> Result<Arc<[Statement]>, IvmError> {
+    steps
+        .iter()
+        .filter(|s| (s.step == 1) == step1)
+        .map(|s| parse_statement(&s.sql).map_err(IvmError::from))
+        .collect()
+}
+
 fn insert_into(table: &str, source: Query) -> Statement {
     Statement::Insert(Insert {
         table: Ident::new(table),
@@ -1113,9 +1121,4 @@ fn insert_into(table: &str, source: Query) -> Statement {
         or_replace: false,
         on_conflict: None,
     })
-}
-
-/// Print a statement for debugging (used by the examples).
-pub fn statement_to_sql(stmt: &Statement, dialect: ivm_sql::Dialect) -> String {
-    print_statement(stmt, dialect)
 }

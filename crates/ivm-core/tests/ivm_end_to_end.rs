@@ -521,3 +521,38 @@ fn adaptive_artifacts_carry_both_scripts() {
     assert!(alt.contains("DELETE FROM qg;"), "regroup truncates: {alt}");
     assert!(!alt.contains("INSERT OR REPLACE"), "{alt}");
 }
+
+#[test]
+fn lazy_refresh_reaches_views_read_through_subqueries_and_plain_views() {
+    let mut ivm = IvmSession::with_defaults();
+    for sql in [
+        "CREATE TABLE g (k VARCHAR, v INTEGER)",
+        "INSERT INTO g VALUES ('a', 1), ('b', 2)",
+        "CREATE TABLE probe (k VARCHAR)",
+        "INSERT INTO probe VALUES ('a'), ('b'), ('c'), ('d')",
+        "CREATE MATERIALIZED VIEW mv AS SELECT k, SUM(v) AS s FROM g GROUP BY k",
+        "CREATE VIEW plain AS SELECT k FROM mv",
+    ] {
+        ivm.execute(sql).unwrap();
+    }
+    let mut keys = |sql: &str| {
+        let mut keys: Vec<String> = ivm
+            .execute(sql)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r[0].to_string())
+            .collect();
+        keys.sort();
+        keys
+    };
+    // Each read finds mv stale: one insert lands just before it.
+    keys("INSERT INTO g VALUES ('c', 3)");
+    assert_eq!(
+        keys("SELECT k FROM probe WHERE k IN (SELECT k FROM mv)"),
+        ["a", "b", "c"]
+    );
+    keys("INSERT INTO g VALUES ('d', 4)");
+    assert_eq!(keys("SELECT k FROM plain"), ["a", "b", "c", "d"]);
+    assert_eq!(keys("SELECT k FROM mv"), ["a", "b", "c", "d"]);
+}

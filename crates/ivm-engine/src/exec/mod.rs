@@ -580,72 +580,42 @@ pub fn prepare_expr(expr: &BoundExpr, cx: &ExecContext<'_>) -> Result<BoundExpr,
 }
 
 fn materialize_subqueries(e: &mut BoundExpr, cx: &ExecContext<'_>) -> Result<(), EngineError> {
-    match e {
-        BoundExpr::Literal(_) | BoundExpr::Param { .. } | BoundExpr::Column { .. } => {}
-        BoundExpr::Binary { left, right, .. } => {
-            materialize_subqueries(left, cx)?;
-            materialize_subqueries(right, cx)?;
+    let mut result = Ok(());
+    e.children_mut(|child| {
+        if result.is_ok() {
+            result = materialize_subqueries(child, cx);
         }
-        BoundExpr::Unary { expr, .. }
-        | BoundExpr::Cast { expr, .. }
-        | BoundExpr::IsNull { expr, .. }
-        | BoundExpr::InSet { expr, .. } => materialize_subqueries(expr, cx)?,
-        BoundExpr::Case {
-            branches,
-            else_result,
-        } => {
-            for (when, then) in branches {
-                materialize_subqueries(when, cx)?;
-                materialize_subqueries(then, cx)?;
-            }
-            if let Some(e) = else_result {
-                materialize_subqueries(e, cx)?;
-            }
-        }
-        BoundExpr::InList { expr, list, .. } => {
-            materialize_subqueries(expr, cx)?;
-            for item in list {
-                materialize_subqueries(item, cx)?;
-            }
-        }
-        BoundExpr::Like { expr, pattern, .. } => {
-            materialize_subqueries(expr, cx)?;
-            materialize_subqueries(pattern, cx)?;
-        }
-        BoundExpr::ScalarFn { args, .. } => {
-            for arg in args {
-                materialize_subqueries(arg, cx)?;
-            }
-        }
-        BoundExpr::InSubquery {
-            expr: probe,
-            plan,
-            negated,
-        } => {
-            materialize_subqueries(probe, cx)?;
-            let physical = lower(plan, cx.catalog)?;
-            let rows = run(&physical, cx)?;
-            let mut set = HashSet::with_capacity(rows.len());
-            let mut has_null = false;
-            for row in rows {
-                let v = row
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| EngineError::execution("IN subquery produced zero columns"))?;
-                if v.is_null() {
-                    has_null = true;
-                } else {
-                    set.insert(v);
-                }
-            }
-            *e = BoundExpr::InSet {
-                expr: Box::new(std::mem::replace(probe, BoundExpr::Literal(Value::Null))),
-                set: Arc::new(set),
-                has_null,
-                negated: *negated,
-            };
+    });
+    result?;
+    let BoundExpr::InSubquery {
+        expr: probe,
+        plan,
+        negated,
+    } = e
+    else {
+        return Ok(());
+    };
+    let physical = lower(plan, cx.catalog)?;
+    let rows = run(&physical, cx)?;
+    let mut set = HashSet::with_capacity(rows.len());
+    let mut has_null = false;
+    for row in rows {
+        let v = row
+            .into_iter()
+            .next()
+            .ok_or_else(|| EngineError::execution("IN subquery produced zero columns"))?;
+        if v.is_null() {
+            has_null = true;
+        } else {
+            set.insert(v);
         }
     }
+    *e = BoundExpr::InSet {
+        expr: Box::new(std::mem::replace(probe, BoundExpr::Literal(Value::Null))),
+        set: Arc::new(set),
+        has_null,
+        negated: *negated,
+    };
     Ok(())
 }
 

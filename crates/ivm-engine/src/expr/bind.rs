@@ -32,25 +32,6 @@ impl Scope {
         Scope::default()
     }
 
-    /// Scope over one relation's output.
-    pub fn for_relation(
-        qualifier: Option<&str>,
-        names: &[String],
-        types: &[Option<DataType>],
-    ) -> Scope {
-        Scope {
-            columns: names
-                .iter()
-                .zip(types)
-                .map(|(n, t)| BindColumn {
-                    qualifier: qualifier.map(str::to_string),
-                    name: n.clone(),
-                    ty: *t,
-                })
-                .collect(),
-        }
-    }
-
     /// Concatenate two scopes (join output order: left then right).
     pub fn join(mut self, right: Scope) -> Scope {
         self.columns.extend(right.columns);

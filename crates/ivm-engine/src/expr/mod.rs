@@ -219,82 +219,95 @@ impl BoundExpr {
         });
     }
 
-    /// Call `f` on every node, parents before children. A subquery's
-    /// plan is not entered.
-    pub(crate) fn visit(&self, f: &mut impl FnMut(&BoundExpr)) {
-        f(self);
+    /// Call `f` on each direct operand, left to right. A subquery's plan
+    /// is not an operand: of an `IN (SELECT …)` only the probe is.
+    pub(crate) fn children(&self, mut f: impl FnMut(&BoundExpr)) {
         match self {
             BoundExpr::Literal(_) | BoundExpr::Param { .. } | BoundExpr::Column { .. } => {}
-            BoundExpr::Binary { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
-            BoundExpr::Like { expr, pattern, .. } => {
-                expr.visit(f);
-                pattern.visit(f);
+            BoundExpr::Binary { left, right, .. }
+            | BoundExpr::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                f(left);
+                f(right);
             }
             BoundExpr::Unary { expr, .. }
             | BoundExpr::Cast { expr, .. }
             | BoundExpr::IsNull { expr, .. }
             | BoundExpr::InSubquery { expr, .. }
-            | BoundExpr::InSet { expr, .. } => expr.visit(f),
+            | BoundExpr::InSet { expr, .. } => f(expr),
             BoundExpr::InList { expr, list, .. } => {
-                expr.visit(f);
-                list.iter().for_each(|e| e.visit(f));
+                f(expr);
+                list.iter().for_each(f);
             }
-            BoundExpr::ScalarFn { args, .. } => args.iter().for_each(|e| e.visit(f)),
+            BoundExpr::ScalarFn { args, .. } => args.iter().for_each(f),
             BoundExpr::Case {
                 branches,
                 else_result,
             } => {
-                for (w, t) in branches {
-                    w.visit(f);
-                    t.visit(f);
+                for (when, then) in branches {
+                    f(when);
+                    f(then);
                 }
                 if let Some(e) = else_result {
-                    e.visit(f);
+                    f(e);
                 }
             }
         }
+    }
+
+    /// [`children`](Self::children), mutably.
+    pub(crate) fn children_mut(&mut self, mut f: impl FnMut(&mut BoundExpr)) {
+        match self {
+            BoundExpr::Literal(_) | BoundExpr::Param { .. } | BoundExpr::Column { .. } => {}
+            BoundExpr::Binary { left, right, .. }
+            | BoundExpr::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                f(left);
+                f(right);
+            }
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::Cast { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::InSubquery { expr, .. }
+            | BoundExpr::InSet { expr, .. } => f(expr),
+            BoundExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            BoundExpr::ScalarFn { args, .. } => args.iter_mut().for_each(f),
+            BoundExpr::Case {
+                branches,
+                else_result,
+            } => {
+                for (when, then) in branches {
+                    f(when);
+                    f(then);
+                }
+                if let Some(e) = else_result {
+                    f(e);
+                }
+            }
+        }
+    }
+
+    /// Call `f` on every node, parents before children. A subquery's
+    /// plan is not entered.
+    pub(crate) fn visit(&self, f: &mut impl FnMut(&BoundExpr)) {
+        f(self);
+        self.children(|c| c.visit(f));
     }
 
     /// [`visit`](Self::visit) with mutable access: `f` sees a node
     /// before the walk enters what it left there.
     pub(crate) fn visit_mut(&mut self, f: &mut impl FnMut(&mut BoundExpr)) {
         f(self);
-        match self {
-            BoundExpr::Literal(_) | BoundExpr::Param { .. } | BoundExpr::Column { .. } => {}
-            BoundExpr::Binary { left, right, .. } => {
-                left.visit_mut(f);
-                right.visit_mut(f);
-            }
-            BoundExpr::Like { expr, pattern, .. } => {
-                expr.visit_mut(f);
-                pattern.visit_mut(f);
-            }
-            BoundExpr::Unary { expr, .. }
-            | BoundExpr::Cast { expr, .. }
-            | BoundExpr::IsNull { expr, .. }
-            | BoundExpr::InSubquery { expr, .. }
-            | BoundExpr::InSet { expr, .. } => expr.visit_mut(f),
-            BoundExpr::InList { expr, list, .. } => {
-                expr.visit_mut(f);
-                list.iter_mut().for_each(|e| e.visit_mut(f));
-            }
-            BoundExpr::ScalarFn { args, .. } => args.iter_mut().for_each(|e| e.visit_mut(f)),
-            BoundExpr::Case {
-                branches,
-                else_result,
-            } => {
-                for (w, t) in branches {
-                    w.visit_mut(f);
-                    t.visit_mut(f);
-                }
-                if let Some(e) = else_result {
-                    e.visit_mut(f);
-                }
-            }
-        }
+        self.children_mut(|c| c.visit_mut(f));
     }
 }
 

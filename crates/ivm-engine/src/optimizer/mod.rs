@@ -31,11 +31,15 @@ pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::planner::plan_query;
+    use crate::exec::spill::MemoryBudget;
+    use crate::exec::{prepare_expr, ExecConfig, ExecContext};
+    use crate::expr::{AggExpr, AggFunc, BoundExpr};
+    use crate::planner::{lower, plan_query, PhysicalPlan, SortKey};
     use crate::schema::{Column, Schema};
     use crate::storage::Table;
     use crate::types::DataType;
-    use ivm_sql::ast::Statement;
+    use crate::value::Value;
+    use ivm_sql::ast::{BinaryOp, JoinKind, Statement};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -114,6 +118,131 @@ mod tests {
         // must not be dropped.
         let p = plan("SELECT a FROM t WHERE 1 = 2");
         assert!(p.explain().contains("Filter"));
+    }
+
+    /// One expression for every position: `c + (1 + 2) IN (SELECT a FROM
+    /// u) AND c = $0` holds a constant to fold, a subquery to
+    /// materialize and a parameter to bind.
+    fn probe(c: usize) -> BoundExpr {
+        let int = |v| Box::new(BoundExpr::Literal(Value::Integer(v)));
+        let column = Box::new(BoundExpr::Column {
+            index: c,
+            ty: Some(DataType::Integer),
+            name: "c".into(),
+        });
+        let sub = BoundExpr::InSubquery {
+            expr: Box::new(BoundExpr::Binary {
+                op: BinaryOp::Plus,
+                left: column.clone(),
+                right: Box::new(BoundExpr::Binary {
+                    op: BinaryOp::Plus,
+                    left: int(1),
+                    right: int(2),
+                }),
+            }),
+            plan: Box::new(plan("SELECT a FROM u")),
+            negated: false,
+        };
+        let param = BoundExpr::Binary {
+            op: BinaryOp::Eq,
+            left: column,
+            right: Box::new(BoundExpr::Param {
+                slot: 0,
+                ty: DataType::Integer,
+            }),
+        };
+        BoundExpr::Binary {
+            op: BinaryOp::And,
+            left: Box::new(sub),
+            right: Box::new(param),
+        }
+    }
+
+    /// Expression nodes of the whole physical plan for which `pred` holds.
+    fn count(plan: &PhysicalPlan, pred: &impl Fn(&BoundExpr) -> bool) -> usize {
+        let mut n = 0;
+        for e in plan.exprs() {
+            e.visit(&mut |node| n += usize::from(pred(node)));
+        }
+        n + plan.inputs().map(|i| count(i, pred)).sum::<usize>()
+    }
+
+    fn prepare_all(plan: &mut PhysicalPlan, cx: &ExecContext<'_>) {
+        for e in plan.exprs_mut() {
+            *e = prepare_expr(e, cx).unwrap();
+        }
+        plan.inputs_mut().for_each(|i| prepare_all(i, cx));
+    }
+
+    #[test]
+    fn walkers_reach_every_expression_position() {
+        let c = catalog();
+        let t = plan("SELECT a, b FROM t");
+        let u = plan("SELECT a FROM u");
+        let join = LogicalPlan::Join {
+            schema: Schema::new([t.schema().columns.clone(), u.schema().columns.clone()].concat()),
+            left: Box::new(t),
+            right: Box::new(u),
+            kind: JoinKind::Inner,
+            on: Some(probe(2)),
+        };
+        let filter = LogicalPlan::Filter {
+            input: Box::new(join),
+            predicate: probe(1),
+        };
+        let aggregate = LogicalPlan::Aggregate {
+            input: Box::new(filter),
+            group: vec![probe(0)],
+            aggs: vec![AggExpr {
+                func: AggFunc::Count,
+                arg: Some(probe(1)),
+                distinct: false,
+                name: "n".into(),
+            }],
+            schema: Schema::new(vec![
+                Column::new("g", DataType::Boolean),
+                Column::new("n", DataType::Integer),
+            ]),
+        };
+        let project = LogicalPlan::Project {
+            input: Box::new(aggregate),
+            exprs: vec![probe(0)],
+            schema: Schema::new(vec![Column::new("p", DataType::Boolean)]),
+        };
+        let sorted = LogicalPlan::Sort {
+            input: Box::new(project),
+            keys: vec![SortKey {
+                expr: probe(0),
+                desc: false,
+            }],
+        };
+        // Filter, join condition, group key, aggregate argument,
+        // projection, sort key: each folds, binds and materializes.
+        const POSITIONS: usize = 6;
+
+        let mut physical = lower(&rules::fold_constants(sorted), &c).unwrap();
+        let folded = |e: &BoundExpr| *e == BoundExpr::Literal(Value::Integer(3));
+        assert_eq!(
+            count(&physical, &folded),
+            POSITIONS,
+            "{}",
+            physical.explain()
+        );
+
+        bind_params(&mut physical, &[Value::Integer(7)]);
+        let bound = |e: &BoundExpr| *e == BoundExpr::Literal(Value::Integer(7));
+        assert_eq!(count(&physical, &bound), POSITIONS);
+
+        let config = ExecConfig::new(1, MemoryBudget::unbounded());
+        prepare_all(
+            &mut physical,
+            &ExecContext {
+                catalog: &c,
+                config: &config,
+            },
+        );
+        let sets = |e: &BoundExpr| matches!(e, BoundExpr::InSet { .. });
+        assert_eq!(count(&physical, &sets), POSITIONS);
     }
 
     #[test]

@@ -9,9 +9,15 @@ use crate::schema::Schema;
 use crate::types::DataType;
 use crate::value::Value;
 
-/// Fold constant sub-expressions throughout the plan.
-pub(crate) fn fold_constants(plan: LogicalPlan) -> LogicalPlan {
-    map_exprs(plan, &fold_expr)
+/// Fold constant sub-expressions throughout the plan. A subquery's plan
+/// is not entered (only its probe is folded).
+pub(crate) fn fold_constants(mut plan: LogicalPlan) -> LogicalPlan {
+    fn fold(plan: &mut LogicalPlan) {
+        plan.exprs_mut().for_each(fold_expr);
+        plan.inputs_mut().for_each(fold);
+    }
+    fold(&mut plan);
+    plan
 }
 
 /// Remove filters whose predicate folded to literal TRUE.
@@ -219,91 +225,13 @@ fn index_equality_keys(predicate: &BoundExpr, schema: &Schema) -> Vec<(usize, Va
 
 /// Bottom-up transformation over a physical plan.
 fn transform_physical_up(
-    plan: PhysicalPlan,
+    mut plan: PhysicalPlan,
     f: &impl Fn(PhysicalPlan) -> PhysicalPlan,
 ) -> PhysicalPlan {
-    let with_children = match plan {
-        PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual => plan,
-        PhysicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(transform_physical_up(*input, f)),
-            predicate,
-        },
-        PhysicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => PhysicalPlan::Project {
-            input: Box::new(transform_physical_up(*input, f)),
-            exprs,
-            schema,
-        },
-        PhysicalPlan::HashJoin {
-            probe,
-            build,
-            probe_keys,
-            build_keys,
-            residual,
-            join,
-            schema,
-        } => PhysicalPlan::HashJoin {
-            probe: Box::new(transform_physical_up(*probe, f)),
-            build: Box::new(transform_physical_up(*build, f)),
-            probe_keys,
-            build_keys,
-            residual,
-            join,
-            schema,
-        },
-        PhysicalPlan::HashAggregate {
-            input,
-            group,
-            aggs,
-            mode,
-            schema,
-        } => PhysicalPlan::HashAggregate {
-            input: Box::new(transform_physical_up(*input, f)),
-            group,
-            aggs,
-            mode,
-            schema,
-        },
-        PhysicalPlan::SetOp {
-            op,
-            left,
-            right,
-            schema,
-        } => PhysicalPlan::SetOp {
-            op,
-            left: Box::new(transform_physical_up(*left, f)),
-            right: Box::new(transform_physical_up(*right, f)),
-            schema,
-        },
-        PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-            input: Box::new(transform_physical_up(*input, f)),
-            keys,
-        },
-        PhysicalPlan::TopK {
-            input,
-            keys,
-            limit,
-            offset,
-        } => PhysicalPlan::TopK {
-            input: Box::new(transform_physical_up(*input, f)),
-            keys,
-            limit,
-            offset,
-        },
-        PhysicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => PhysicalPlan::Limit {
-            input: Box::new(transform_physical_up(*input, f)),
-            limit,
-            offset,
-        },
-    };
-    f(with_children)
+    for input in plan.inputs_mut() {
+        *input = transform_physical_up(std::mem::replace(input, PhysicalPlan::Dual), f);
+    }
+    f(plan)
 }
 
 fn wrap_filter(plan: LogicalPlan, preds: Vec<BoundExpr>) -> LogicalPlan {
@@ -321,226 +249,25 @@ fn wrap_filter(plan: LogicalPlan, preds: Vec<BoundExpr>) -> LogicalPlan {
 }
 
 /// Bottom-up plan transformation.
-fn transform_up(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    let with_children = match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::Dual { .. } => plan,
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(transform_up(*input, f)),
-            predicate,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(transform_up(*input, f)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(transform_up(*input, f)),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(transform_up(*left, f)),
-            right: Box::new(transform_up(*right, f)),
-            kind,
-            on,
-            schema,
-        },
-        LogicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            schema,
-        } => LogicalPlan::SetOp {
-            op,
-            all,
-            left: Box::new(transform_up(*left, f)),
-            right: Box::new(transform_up(*right, f)),
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(transform_up(*input, f)),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(transform_up(*input, f)),
-            keys,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(transform_up(*input, f)),
-            limit,
-            offset,
-        },
-    };
-    f(with_children)
-}
-
-/// Apply an expression rewriter to every expression in the plan.
-fn map_exprs(plan: LogicalPlan, f: &impl Fn(BoundExpr) -> BoundExpr) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::Dual { .. } => plan,
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(map_exprs(*input, f)),
-            predicate: f(predicate),
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(map_exprs(*input, f)),
-            exprs: exprs.into_iter().map(f).collect(),
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_exprs(*input, f)),
-            group: group.into_iter().map(f).collect(),
-            aggs: aggs
-                .into_iter()
-                .map(|mut a| {
-                    a.arg = a.arg.map(f);
-                    a
-                })
-                .collect(),
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(map_exprs(*left, f)),
-            right: Box::new(map_exprs(*right, f)),
-            kind,
-            on: on.map(f),
-            schema,
-        },
-        LogicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            schema,
-        } => LogicalPlan::SetOp {
-            op,
-            all,
-            left: Box::new(map_exprs(*left, f)),
-            right: Box::new(map_exprs(*right, f)),
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(map_exprs(*input, f)),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(map_exprs(*input, f)),
-            keys: keys
-                .into_iter()
-                .map(|mut k| {
-                    k.expr = f(k.expr);
-                    k
-                })
-                .collect(),
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(map_exprs(*input, f)),
-            limit,
-            offset,
-        },
+fn transform_up(mut plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+    for input in plan.inputs_mut() {
+        let placeholder = LogicalPlan::Dual {
+            schema: Schema::new(Vec::new()),
+        };
+        *input = transform_up(std::mem::replace(input, placeholder), f);
     }
+    f(plan)
 }
 
-/// Recursively fold constant sub-expressions. Folding is best-effort: any
-/// evaluation error (overflow, bad cast) leaves the expression unfolded so
-/// the runtime reports it in context.
-fn fold_expr(e: BoundExpr) -> BoundExpr {
-    // First fold children.
-    let e = match e {
-        BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
-            op,
-            left: Box::new(fold_expr(*left)),
-            right: Box::new(fold_expr(*right)),
-        },
-        BoundExpr::Unary { op, expr } => BoundExpr::Unary {
-            op,
-            expr: Box::new(fold_expr(*expr)),
-        },
-        BoundExpr::Case {
-            branches,
-            else_result,
-        } => BoundExpr::Case {
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| (fold_expr(w), fold_expr(t)))
-                .collect(),
-            else_result: else_result.map(|b| Box::new(fold_expr(*b))),
-        },
-        BoundExpr::Cast { expr, ty } => BoundExpr::Cast {
-            expr: Box::new(fold_expr(*expr)),
-            ty,
-        },
-        BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(fold_expr(*expr)),
-            negated,
-        },
-        BoundExpr::InList {
-            expr,
-            list,
-            negated,
-        } => BoundExpr::InList {
-            expr: Box::new(fold_expr(*expr)),
-            list: list.into_iter().map(fold_expr).collect(),
-            negated,
-        },
-        BoundExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => BoundExpr::Like {
-            expr: Box::new(fold_expr(*expr)),
-            pattern: Box::new(fold_expr(*pattern)),
-            negated,
-        },
-        BoundExpr::ScalarFn { func, args } => BoundExpr::ScalarFn {
-            func,
-            args: args.into_iter().map(fold_expr).collect(),
-        },
-        other => other,
-    };
-    // Then fold this node if it became constant (subqueries excluded).
+/// Fold constant sub-expressions, children first. Folding is
+/// best-effort: any evaluation error (overflow, bad cast) leaves the
+/// expression unfolded so the runtime reports it in context.
+fn fold_expr(e: &mut BoundExpr) {
+    e.children_mut(fold_expr);
+    // Fold this node if it became constant (subqueries excluded).
     if !matches!(e, BoundExpr::Literal(_)) && e.is_constant() {
         if let Ok(v) = e.eval(&[]) {
-            return BoundExpr::Literal(v);
+            *e = BoundExpr::Literal(v);
         }
     }
-    e
 }

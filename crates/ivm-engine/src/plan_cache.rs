@@ -258,7 +258,7 @@ fn plan_bytes(plan: &PhysicalPlan) -> usize {
                 };
         });
     }
-    let inputs: usize = plan.inputs().into_iter().map(plan_bytes).sum();
+    let inputs: usize = plan.inputs().map(plan_bytes).sum();
     size_of::<PhysicalPlan>() + schema + exprs + inputs
 }
 

@@ -1005,9 +1005,20 @@ mod tests {
     }
 
     #[test]
-    fn scanned_tables_includes_subquery_plans() {
+    fn in_subquery_binds_its_own_plan() {
         let p = plan("SELECT a FROM t WHERE a IN (SELECT a FROM u)").unwrap();
-        assert_eq!(p.scanned_tables(), vec!["t", "u"]);
+        let LogicalPlan::Project { input, .. } = &p else {
+            panic!("{}", p.explain())
+        };
+        let LogicalPlan::Filter {
+            input: scan,
+            predicate: BoundExpr::InSubquery { plan: sub, .. },
+        } = &**input
+        else {
+            panic!("{}", p.explain())
+        };
+        assert!(matches!(&**scan, LogicalPlan::Scan { table, .. } if table == "t"));
+        assert_eq!(sub.explain(), "Project [a]\n  Scan u\n");
     }
 
     #[test]

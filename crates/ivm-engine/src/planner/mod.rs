@@ -142,40 +142,63 @@ impl LogicalPlan {
         }
     }
 
-    /// Names of the base tables this plan scans (deduplicated, in first-use
-    /// order). Subquery plans inside `IN` predicates are included.
-    pub fn scanned_tables(&self) -> Vec<String> {
-        fn visit_expr(e: &BoundExpr, out: &mut Vec<String>) {
-            if let BoundExpr::InSubquery { plan, .. } = e {
-                walk(plan, out);
+    /// The operator's inputs, left to right.
+    pub(crate) fn inputs(&self) -> impl Iterator<Item = &LogicalPlan> {
+        let (first, second) = match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Dual { .. } => (None, None),
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Distinct { input }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => (Some(&**input), None),
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
+                (Some(&**left), Some(&**right))
             }
-        }
-        fn walk(plan: &LogicalPlan, out: &mut Vec<String>) {
-            match plan {
-                LogicalPlan::Dual { .. } => {}
-                LogicalPlan::Scan { table, .. } => {
-                    if !out.contains(table) {
-                        out.push(table.clone());
-                    }
-                }
-                LogicalPlan::Filter { input, predicate } => {
-                    walk(input, out);
-                    visit_expr(predicate, out);
-                }
-                LogicalPlan::Project { input, .. }
-                | LogicalPlan::Distinct { input }
-                | LogicalPlan::Sort { input, .. }
-                | LogicalPlan::Limit { input, .. }
-                | LogicalPlan::Aggregate { input, .. } => walk(input, out),
-                LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
-                    walk(left, out);
-                    walk(right, out);
-                }
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// [`inputs`](Self::inputs), mutably.
+    pub(crate) fn inputs_mut(&mut self) -> impl Iterator<Item = &mut LogicalPlan> {
+        let (first, second) = match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Dual { .. } => (None, None),
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Distinct { input }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => (Some(&mut **input), None),
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
+                (Some(&mut **left), Some(&mut **right))
             }
-        }
-        let mut out = Vec::new();
-        walk(self, &mut out);
-        out
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// The expressions the operator evaluates itself (its inputs' not
+    /// included): predicate, projections, group keys, aggregate
+    /// arguments, join condition, sort keys.
+    pub(crate) fn exprs_mut(&mut self) -> impl Iterator<Item = &mut BoundExpr> {
+        let (one, list, aggs, keys): (_, &mut [BoundExpr], &mut [AggExpr], &mut [SortKey]) =
+            match self {
+                LogicalPlan::Filter { predicate, .. } => {
+                    (Some(predicate), &mut [], &mut [], &mut [])
+                }
+                LogicalPlan::Join { on, .. } => (on.as_mut(), &mut [], &mut [], &mut []),
+                LogicalPlan::Project { exprs, .. } => (None, exprs, &mut [], &mut []),
+                LogicalPlan::Aggregate { group, aggs, .. } => (None, group, aggs, &mut []),
+                LogicalPlan::Sort { keys, .. } => (None, &mut [], &mut [], keys),
+                LogicalPlan::Scan { .. }
+                | LogicalPlan::Dual { .. }
+                | LogicalPlan::SetOp { .. }
+                | LogicalPlan::Distinct { .. }
+                | LogicalPlan::Limit { .. } => (None, &mut [], &mut [], &mut []),
+            };
+        one.into_iter()
+            .chain(list)
+            .chain(aggs.iter_mut().filter_map(|a| a.arg.as_mut()))
+            .chain(keys.iter_mut().map(|k| &mut k.expr))
     }
 
     /// Render an indented EXPLAIN-style tree (stored in OpenIVM metadata
@@ -211,18 +234,8 @@ impl LogicalPlan {
             out.push_str(&pad);
             out.push_str(&line);
             out.push('\n');
-            match plan {
-                LogicalPlan::Scan { .. } | LogicalPlan::Dual { .. } => {}
-                LogicalPlan::Filter { input, .. }
-                | LogicalPlan::Project { input, .. }
-                | LogicalPlan::Aggregate { input, .. }
-                | LogicalPlan::Distinct { input }
-                | LogicalPlan::Sort { input, .. }
-                | LogicalPlan::Limit { input, .. } => fmt(input, depth + 1, out),
-                LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
-                    fmt(left, depth + 1, out);
-                    fmt(right, depth + 1, out);
-                }
+            for input in plan.inputs() {
+                fmt(input, depth + 1, out);
             }
         }
         let mut out = String::new();

@@ -177,81 +177,88 @@ impl PhysicalPlan {
     }
 
     /// The operator's inputs, in pull order.
-    pub(crate) fn inputs(&self) -> Vec<&PhysicalPlan> {
-        match self {
-            PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual => Vec::new(),
+    pub(crate) fn inputs(&self) -> impl Iterator<Item = &PhysicalPlan> {
+        let (first, second) = match self {
+            PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual => (None, None),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::TopK { input, .. }
-            | PhysicalPlan::Limit { input, .. } => vec![input],
-            PhysicalPlan::HashJoin { probe, build, .. } => vec![probe, build],
-            PhysicalPlan::SetOp { left, right, .. } => vec![left, right],
-        }
+            | PhysicalPlan::Limit { input, .. } => (Some(&**input), None),
+            PhysicalPlan::HashJoin { probe, build, .. } => (Some(&**probe), Some(&**build)),
+            PhysicalPlan::SetOp { left, right, .. } => (Some(&**left), Some(&**right)),
+        };
+        first.into_iter().chain(second)
     }
 
     /// [`inputs`](Self::inputs), mutably.
-    pub(crate) fn inputs_mut(&mut self) -> Vec<&mut PhysicalPlan> {
-        match self {
-            PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual => Vec::new(),
+    pub(crate) fn inputs_mut(&mut self) -> impl Iterator<Item = &mut PhysicalPlan> {
+        let (first, second) = match self {
+            PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual => (None, None),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::TopK { input, .. }
-            | PhysicalPlan::Limit { input, .. } => vec![input],
-            PhysicalPlan::HashJoin { probe, build, .. } => vec![probe, build],
-            PhysicalPlan::SetOp { left, right, .. } => vec![left, right],
-        }
+            | PhysicalPlan::Limit { input, .. } => (Some(&mut **input), None),
+            PhysicalPlan::HashJoin { probe, build, .. } => (Some(&mut **probe), Some(&mut **build)),
+            PhysicalPlan::SetOp { left, right, .. } => (Some(&mut **left), Some(&mut **right)),
+        };
+        first.into_iter().chain(second)
     }
 
     /// The expressions the operator evaluates itself (its inputs' not
     /// included): predicates, projections, join residual, group keys,
     /// aggregate arguments, sort keys.
-    pub(crate) fn exprs(&self) -> Vec<&BoundExpr> {
-        match self {
+    pub(crate) fn exprs(&self) -> impl Iterator<Item = &BoundExpr> {
+        let (one, list, aggs, keys): (_, &[BoundExpr], &[AggExpr], &[SortKey]) = match self {
             PhysicalPlan::TableScan { predicate, .. }
             | PhysicalPlan::HashJoin {
                 residual: predicate,
                 ..
-            } => predicate.iter().collect(),
-            PhysicalPlan::Filter { predicate, .. } => vec![predicate],
-            PhysicalPlan::Project { exprs, .. } => exprs.iter().collect(),
-            PhysicalPlan::HashAggregate { group, aggs, .. } => group
-                .iter()
-                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
-                .collect(),
+            } => (predicate.as_ref(), &[], &[], &[]),
+            PhysicalPlan::Filter { predicate, .. } => (Some(predicate), &[], &[], &[]),
+            PhysicalPlan::Project { exprs, .. } => (None, exprs, &[], &[]),
+            PhysicalPlan::HashAggregate { group, aggs, .. } => (None, group, aggs, &[]),
             PhysicalPlan::Sort { keys, .. } | PhysicalPlan::TopK { keys, .. } => {
-                keys.iter().map(|k| &k.expr).collect()
+                (None, &[], &[], keys)
             }
             PhysicalPlan::Dual | PhysicalPlan::SetOp { .. } | PhysicalPlan::Limit { .. } => {
-                Vec::new()
+                (None, &[], &[], &[])
             }
-        }
+        };
+        one.into_iter()
+            .chain(list)
+            .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+            .chain(keys.iter().map(|k| &k.expr))
     }
 
     /// [`exprs`](Self::exprs), mutably.
-    pub(crate) fn exprs_mut(&mut self) -> Vec<&mut BoundExpr> {
-        match self {
-            PhysicalPlan::TableScan { predicate, .. }
-            | PhysicalPlan::HashJoin {
-                residual: predicate,
-                ..
-            } => predicate.iter_mut().collect(),
-            PhysicalPlan::Filter { predicate, .. } => vec![predicate],
-            PhysicalPlan::Project { exprs, .. } => exprs.iter_mut().collect(),
-            PhysicalPlan::HashAggregate { group, aggs, .. } => group
-                .iter_mut()
-                .chain(aggs.iter_mut().filter_map(|a| a.arg.as_mut()))
-                .collect(),
-            PhysicalPlan::Sort { keys, .. } | PhysicalPlan::TopK { keys, .. } => {
-                keys.iter_mut().map(|k| &mut k.expr).collect()
-            }
-            PhysicalPlan::Dual | PhysicalPlan::SetOp { .. } | PhysicalPlan::Limit { .. } => {
-                Vec::new()
-            }
-        }
+    pub(crate) fn exprs_mut(&mut self) -> impl Iterator<Item = &mut BoundExpr> {
+        let (one, list, aggs, keys): (_, &mut [BoundExpr], &mut [AggExpr], &mut [SortKey]) =
+            match self {
+                PhysicalPlan::TableScan { predicate, .. }
+                | PhysicalPlan::HashJoin {
+                    residual: predicate,
+                    ..
+                } => (predicate.as_mut(), &mut [], &mut [], &mut []),
+                PhysicalPlan::Filter { predicate, .. } => {
+                    (Some(predicate), &mut [], &mut [], &mut [])
+                }
+                PhysicalPlan::Project { exprs, .. } => (None, exprs, &mut [], &mut []),
+                PhysicalPlan::HashAggregate { group, aggs, .. } => (None, group, aggs, &mut []),
+                PhysicalPlan::Sort { keys, .. } | PhysicalPlan::TopK { keys, .. } => {
+                    (None, &mut [], &mut [], keys)
+                }
+                PhysicalPlan::Dual | PhysicalPlan::SetOp { .. } | PhysicalPlan::Limit { .. } => {
+                    (None, &mut [], &mut [], &mut [])
+                }
+            };
+        one.into_iter()
+            .chain(list)
+            .chain(aggs.iter_mut().filter_map(|a| a.arg.as_mut()))
+            .chain(keys.iter_mut().map(|k| &mut k.expr))
     }
 
     /// Render an indented EXPLAIN-style tree of the physical operators.

@@ -3,16 +3,13 @@
 //! catalog-meta publishes, spill frames — goes through this module
 //! instead of touching `std::fs` directly.
 //!
-//! Two layers compose here:
-//!
-//! - A [`StorageFile`]/[`StorageFs`] trait pair abstracts the handful of
-//!   primitives the durable paths need (open/read/write/fsync/rename/
-//!   remove/dir-fsync). [`RealFs`] is the production implementation.
-//! - A process-global [`FaultPlan`] — installed programmatically via
-//!   [`set_fault_plan`] or from the `OPENIVM_FAULT_PLAN` environment
-//!   variable — can inject ENOSPC, EINTR-class transient errors, fsync
-//!   failure, short (torn) writes, and read corruption at the Nth
-//!   operation matching a path pattern.
+//! Each operation is the `std::fs` call the durable paths need
+//! (open/read/write/fsync/rename/remove/dir-fsync), preceded by a check
+//! of the process-global [`FaultPlan`] — installed programmatically via
+//! [`set_fault_plan`] or from the `OPENIVM_FAULT_PLAN` environment
+//! variable — which can inject ENOSPC, EINTR-class transient errors,
+//! fsync failure, short (torn) writes, and read corruption at the Nth
+//! operation matching a path pattern.
 //!
 //! On top of the fault check, every operation gets the transient-error
 //! discipline for free: `EINTR`-class errors ([`std::io::ErrorKind::Interrupted`])
@@ -22,7 +19,7 @@
 //! caller's degradation policy (WAL poisoning, query-scoped spill
 //! aborts, retriable checkpoints) to classify.
 
-use std::fmt;
+use std::fs::{self, File};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,10 +44,6 @@ pub fn retries() -> u64 {
     IO_RETRIES.load(Ordering::Relaxed)
 }
 
-// ---------------------------------------------------------------------
-// The trait pair
-// ---------------------------------------------------------------------
-
 /// How a storage file is opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpenMode {
@@ -60,117 +53,6 @@ pub enum OpenMode {
     Create,
     /// Read-only; the file must exist.
     ReadOnly,
-}
-
-/// One open storage file: the primitive set the durable paths need.
-// `len` here is a fallible size query on a file handle, not a
-// collection length — an `is_empty` companion would be noise.
-#[allow(clippy::len_without_is_empty)]
-pub trait StorageFile: Send + fmt::Debug {
-    /// Seek to a position, returning the new offset.
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64>;
-    /// Read up to `buf.len()` bytes at the current position.
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize>;
-    /// Write all of `buf` at the current position.
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
-    /// fsync file data (`fdatasync`).
-    fn sync_data(&mut self) -> io::Result<()>;
-    /// Truncate or extend to `len` bytes.
-    fn set_len(&mut self, len: u64) -> io::Result<()>;
-    /// Current file length in bytes.
-    fn len(&mut self) -> io::Result<u64>;
-}
-
-/// A storage filesystem: opens files and performs the metadata
-/// operations (rename/remove/mkdir/list/dir-fsync) the durable paths
-/// use. Implementations must be shareable across threads — every morsel
-/// worker writes its spill files through the same instance as the
-/// session.
-pub trait StorageFs: Send + Sync + fmt::Debug {
-    /// Open `path` in the given mode.
-    fn open(&self, path: &Path, mode: OpenMode) -> io::Result<Box<dyn StorageFile>>;
-    /// Read a whole file.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Atomically rename `from` to `to`.
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    /// Remove a file.
-    fn remove_file(&self, path: &Path) -> io::Result<()>;
-    /// Create a directory and its parents.
-    fn create_dir_all(&self, path: &Path) -> io::Result<()>;
-    /// List the entries of a directory.
-    fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
-    /// fsync a directory (makes renames/creates within it durable).
-    fn sync_dir(&self, path: &Path) -> io::Result<()>;
-}
-
-/// The production [`StorageFs`]: plain `std::fs`.
-#[derive(Debug, Default)]
-pub struct RealFs;
-
-#[derive(Debug)]
-struct RealFile(std::fs::File);
-
-impl StorageFile for RealFile {
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        self.0.seek(pos)
-    }
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.0.read(buf)
-    }
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        self.0.write_all(buf)
-    }
-    fn sync_data(&mut self) -> io::Result<()> {
-        self.0.sync_data()
-    }
-    fn set_len(&mut self, len: u64) -> io::Result<()> {
-        self.0.set_len(len)
-    }
-    fn len(&mut self) -> io::Result<u64> {
-        Ok(self.0.metadata()?.len())
-    }
-}
-
-impl StorageFs for RealFs {
-    fn open(&self, path: &Path, mode: OpenMode) -> io::Result<Box<dyn StorageFile>> {
-        let mut opts = std::fs::OpenOptions::new();
-        match mode {
-            OpenMode::ReadWrite => opts.read(true).write(true).create(true).truncate(false),
-            OpenMode::Create => opts.read(true).write(true).create(true).truncate(true),
-            OpenMode::ReadOnly => opts.read(true),
-        };
-        Ok(Box::new(RealFile(opts.open(path)?)))
-    }
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        std::fs::read(path)
-    }
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::rename(from, to)
-    }
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        std::fs::remove_file(path)
-    }
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(path)
-    }
-    fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        std::fs::read_dir(path)?
-            .map(|e| e.map(|e| e.path()))
-            .collect()
-    }
-    fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        std::fs::File::open(path)?.sync_all()
-    }
-}
-
-/// The installed filesystem implementation ([`RealFs`] unless a test
-/// swapped one in).
-fn backing_fs() -> Arc<dyn StorageFs> {
-    static FS: OnceLock<Mutex<Arc<dyn StorageFs>>> = OnceLock::new();
-    FS.get_or_init(|| Mutex::new(Arc::new(RealFs)))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
 }
 
 // ---------------------------------------------------------------------
@@ -202,16 +84,6 @@ impl OpClass {
         OpClass::Sync,
         OpClass::Meta,
     ];
-
-    fn index(self) -> usize {
-        match self {
-            OpClass::Open => 0,
-            OpClass::Read => 1,
-            OpClass::Write => 2,
-            OpClass::Sync => 3,
-            OpClass::Meta => 4,
-        }
-    }
 }
 
 /// The kind of fault a rule injects.
@@ -253,17 +125,6 @@ impl FaultKind {
             FaultKind::FsyncFail => matches!(class, OpClass::Sync),
             FaultKind::ShortWrite => matches!(class, OpClass::Write),
             FaultKind::ReadCorrupt => matches!(class, OpClass::Read),
-        }
-    }
-
-    /// The operation class a single-shot rule of this kind counts
-    /// against (used by sweep harnesses to enumerate op indexes).
-    pub fn target_class(self) -> OpClass {
-        match self {
-            FaultKind::Enospc | FaultKind::ShortWrite => OpClass::Write,
-            FaultKind::Transient => OpClass::Write,
-            FaultKind::FsyncFail => OpClass::Sync,
-            FaultKind::ReadCorrupt => OpClass::Read,
         }
     }
 
@@ -367,14 +228,14 @@ impl FaultPlan {
 
     /// Operations of `class` observed so far (probe plans only).
     pub fn observed(&self, class: OpClass) -> u64 {
-        self.observed[class.index()].load(Ordering::Relaxed)
+        self.observed[class as usize].load(Ordering::Relaxed)
     }
 
     /// The fault to inject for one operation, if any.
     fn check(&self, class: OpClass, path: &Path) -> Option<FaultKind> {
         if let Some(pat) = &self.observe_pattern {
             if path.to_string_lossy().contains(pat.as_str()) {
-                self.observed[class.index()].fetch_add(1, Ordering::Relaxed);
+                self.observed[class as usize].fetch_add(1, Ordering::Relaxed);
             }
         }
         self.rules
@@ -501,12 +362,12 @@ fn with_retry<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
 // The checked handle + filesystem entry points
 // ---------------------------------------------------------------------
 
-/// An open storage file with the fault check and transient-retry layer
-/// applied to every operation. This is what the engine's durable paths
-/// hold instead of a raw `std::fs::File`.
+/// An open storage file: a `std::fs::File` with the fault check and
+/// transient-retry layer applied to every operation. The engine's
+/// durable paths hold this, never the bare `File`.
 #[derive(Debug)]
 pub struct FileHandle {
-    inner: Box<dyn StorageFile>,
+    inner: File,
     path: PathBuf,
 }
 
@@ -598,7 +459,7 @@ impl FileHandle {
         let (inner, path) = (&mut self.inner, &self.path);
         with_retry(|| match injected(OpClass::Meta, path) {
             Some(k) => Err(fault_error(k)),
-            None => inner.len(),
+            None => Ok(inner.metadata()?.len()),
         })
     }
 }
@@ -610,12 +471,17 @@ impl Read for FileHandle {
     }
 }
 
-/// Open `path` through the installed [`StorageFs`].
+/// Open `path` in the given mode.
 pub fn open(path: &Path, mode: OpenMode) -> io::Result<FileHandle> {
-    let fs = backing_fs();
+    let mut opts = fs::OpenOptions::new();
+    match mode {
+        OpenMode::ReadWrite => opts.read(true).write(true).create(true).truncate(false),
+        OpenMode::Create => opts.read(true).write(true).create(true).truncate(true),
+        OpenMode::ReadOnly => opts.read(true),
+    };
     let inner = with_retry(|| match injected(OpClass::Open, path) {
         Some(k) => Err(fault_error(k)),
-        None => fs.open(path, mode),
+        None => opts.open(path),
     })?;
     Ok(FileHandle {
         inner,
@@ -626,10 +492,9 @@ pub fn open(path: &Path, mode: OpenMode) -> io::Result<FileHandle> {
 /// Read a whole file. Injected read corruption flips a byte of the
 /// returned contents.
 pub fn read(path: &Path) -> io::Result<Vec<u8>> {
-    let fs = backing_fs();
     with_retry(|| match injected(OpClass::Read, path) {
         Some(FaultKind::ReadCorrupt) => {
-            let mut bytes = fs.read(path)?;
+            let mut bytes = fs::read(path)?;
             if !bytes.is_empty() {
                 let mid = bytes.len() / 2;
                 bytes[mid] ^= 0x40;
@@ -637,53 +502,48 @@ pub fn read(path: &Path) -> io::Result<Vec<u8>> {
             Ok(bytes)
         }
         Some(k) => Err(fault_error(k)),
-        None => fs.read(path),
+        None => fs::read(path),
     })
 }
 
 /// Atomically rename `from` to `to`.
 pub fn rename(from: &Path, to: &Path) -> io::Result<()> {
-    let fs = backing_fs();
     with_retry(|| match injected(OpClass::Meta, to) {
         Some(k) => Err(fault_error(k)),
-        None => fs.rename(from, to),
+        None => fs::rename(from, to),
     })
 }
 
 /// Remove a file.
 pub fn remove_file(path: &Path) -> io::Result<()> {
-    let fs = backing_fs();
     with_retry(|| match injected(OpClass::Meta, path) {
         Some(k) => Err(fault_error(k)),
-        None => fs.remove_file(path),
+        None => fs::remove_file(path),
     })
 }
 
 /// Create a directory and its parents.
 pub fn create_dir_all(path: &Path) -> io::Result<()> {
-    let fs = backing_fs();
     with_retry(|| match injected(OpClass::Meta, path) {
         Some(k) => Err(fault_error(k)),
-        None => fs.create_dir_all(path),
+        None => fs::create_dir_all(path),
     })
 }
 
 /// List the entries of a directory.
 pub fn read_dir(path: &Path) -> io::Result<Vec<PathBuf>> {
-    let fs = backing_fs();
     with_retry(|| match injected(OpClass::Meta, path) {
         Some(k) => Err(fault_error(k)),
-        None => fs.read_dir(path),
+        None => fs::read_dir(path)?.map(|e| e.map(|e| e.path())).collect(),
     })
 }
 
 /// fsync a directory, making renames and file creations within it
 /// durable across power loss.
 pub fn sync_dir(path: &Path) -> io::Result<()> {
-    let fs = backing_fs();
     with_retry(|| match injected(OpClass::Sync, path) {
         Some(k) => Err(fault_error(k)),
-        None => fs.sync_dir(path),
+        None => File::open(path)?.sync_all(),
     })
 }
 

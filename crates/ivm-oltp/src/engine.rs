@@ -112,11 +112,6 @@ impl OltpEngine {
         self.triggers.get(table).map(ChangeLog::len).unwrap_or(0)
     }
 
-    /// Table schema lookup (used by the HTAP bridge to mirror schemas).
-    pub fn table_schema(&self, table: &str) -> Option<&Schema> {
-        self.tables.get(table).map(|t| &t.schema)
-    }
-
     /// Live row count.
     pub fn row_count(&self, table: &str) -> usize {
         self.tables.get(table).map(|t| t.rows.len()).unwrap_or(0)

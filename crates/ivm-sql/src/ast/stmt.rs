@@ -204,26 +204,48 @@ impl Query {
         }
     }
 
-    /// The names of every base table referenced anywhere in the query
-    /// (excluding CTE names, which are local).
+    /// The names of every table or view the query reads, each once, in
+    /// first-use order: FROM lists, and the subqueries of every
+    /// expression (WHERE, HAVING, ON, GROUP BY, the select list, ORDER
+    /// BY). A CTE's name is local to the query that defines it and is not
+    /// reported.
     pub fn referenced_tables(&self) -> Vec<Ident> {
         let mut out = Vec::new();
-        let mut cte_names: Vec<Ident> = Vec::new();
-        for cte in &self.ctes {
-            collect_tables_set_expr(&cte.query.body, &cte_names, &mut out);
-            cte_names.push(cte.name.clone());
-        }
-        collect_tables_set_expr(&self.body, &cte_names, &mut out);
-        out.dedup();
+        collect_tables_query(self, &mut Vec::new(), &mut out);
         out
     }
 }
 
-fn collect_tables_set_expr(body: &SetExpr, ctes: &[Ident], out: &mut Vec<Ident>) {
+/// `ctes` holds the CTE names in scope; `q`'s own are popped on return.
+fn collect_tables_query(q: &Query, ctes: &mut Vec<Ident>, out: &mut Vec<Ident>) {
+    let outer = ctes.len();
+    for cte in &q.ctes {
+        collect_tables_query(&cte.query, ctes, out);
+        ctes.push(cte.name.clone());
+    }
+    collect_tables_set_expr(&q.body, ctes, out);
+    for ob in &q.order_by {
+        collect_tables_expr(&ob.expr, ctes, out);
+    }
+    ctes.truncate(outer);
+}
+
+fn collect_tables_set_expr(body: &SetExpr, ctes: &mut Vec<Ident>, out: &mut Vec<Ident>) {
     match body {
         SetExpr::Select(s) => {
             for t in &s.from {
                 collect_tables_ref(t, ctes, out);
+            }
+            let items = s.projection.iter().filter_map(|item| match item {
+                SelectItem::Expr { expr, .. } => Some(expr),
+                _ => None,
+            });
+            for e in items
+                .chain(&s.selection)
+                .chain(&s.group_by)
+                .chain(&s.having)
+            {
+                collect_tables_expr(e, ctes, out);
             }
         }
         SetExpr::SetOp { left, right, .. } => {
@@ -233,19 +255,35 @@ fn collect_tables_set_expr(body: &SetExpr, ctes: &[Ident], out: &mut Vec<Ident>)
     }
 }
 
-fn collect_tables_ref(t: &TableRef, ctes: &[Ident], out: &mut Vec<Ident>) {
+fn collect_tables_ref(t: &TableRef, ctes: &mut Vec<Ident>, out: &mut Vec<Ident>) {
     match t {
         TableRef::Table { name, .. } => {
             if !ctes.contains(name) && !out.contains(name) {
                 out.push(name.clone());
             }
         }
-        TableRef::Subquery { query, .. } => collect_tables_set_expr(&query.body, ctes, out),
-        TableRef::Join { left, right, .. } => {
+        TableRef::Subquery { query, .. } => collect_tables_query(query, ctes, out),
+        TableRef::Join {
+            left,
+            right,
+            constraint,
+            ..
+        } => {
             collect_tables_ref(left, ctes, out);
             collect_tables_ref(right, ctes, out);
+            if let Some(on) = constraint {
+                collect_tables_expr(on, ctes, out);
+            }
         }
     }
+}
+
+fn collect_tables_expr(e: &Expr, ctes: &mut Vec<Ident>, out: &mut Vec<Ident>) {
+    e.visit(&mut |node| {
+        if let Expr::InSubquery { query, .. } = node {
+            collect_tables_query(query, ctes, out);
+        }
+    });
 }
 
 /// One common table expression: `name AS (query)`.
@@ -462,5 +500,23 @@ mod tests {
         };
         let tables = outer.referenced_tables();
         assert_eq!(tables, vec![Ident::new("base"), Ident::new("other")]);
+    }
+
+    #[test]
+    fn referenced_tables_enter_expression_subqueries_in_their_own_scope() {
+        let Statement::Query(q) = crate::parse_statement(
+            "SELECT k IN (SELECT k FROM s) FROM t JOIN j ON t.k IN (SELECT k FROM o) \
+             WHERE k IN (WITH d AS (SELECT k FROM inner_t) SELECT k FROM d) \
+             AND k IN (SELECT k FROM d) ORDER BY k IN (SELECT k FROM ob)",
+        )
+        .unwrap() else {
+            unreachable!()
+        };
+        let names: Vec<String> = q
+            .referenced_tables()
+            .iter()
+            .map(|i| i.normalized().to_string())
+            .collect();
+        assert_eq!(names, ["t", "j", "o", "s", "inner_t", "d", "ob"]);
     }
 }

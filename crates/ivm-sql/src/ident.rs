@@ -11,7 +11,6 @@ use std::fmt;
 #[derive(Debug, Clone)]
 pub struct Ident {
     value: String,
-    quoted: bool,
 }
 
 impl Ident {
@@ -20,7 +19,6 @@ impl Ident {
         let v: String = value.into();
         Ident {
             value: v.to_lowercase(),
-            quoted: false,
         }
     }
 
@@ -28,18 +26,12 @@ impl Ident {
     pub fn quoted(value: impl Into<String>) -> Self {
         Ident {
             value: value.into(),
-            quoted: true,
         }
     }
 
     /// The normalized name used for catalog lookups.
     pub fn normalized(&self) -> &str {
         &self.value
-    }
-
-    /// Whether the identifier was written with double quotes.
-    pub fn is_quoted(&self) -> bool {
-        self.quoted
     }
 
     /// True when the identifier can be printed without quoting: it is a
