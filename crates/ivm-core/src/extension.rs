@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ivm_engine::exec::hash::{chain_prepend, hash_row, hash_value_iter, FlatTable};
-use ivm_engine::{Database, ErrorKind, QueryResult, SnapshotHub, Value};
+use ivm_engine::{Database, ErrorKind, PreparedStatement, QueryResult, SnapshotHub, Value};
 use ivm_sql::ast::{
     Delete, Expr, Insert, InsertSource, Query, Select, SelectItem, SetExpr, Statement, TableRef,
     Update,
@@ -37,13 +37,13 @@ pub struct RegisteredView {
     /// Whether the view is a projection class (rows carry duplicate
     /// weights that expand on read).
     pub weighted_rows: bool,
-    /// Maintenance statements by step, parsed once at registration:
-    /// step-1 statements first, the rest after (split so multi-view
-    /// refreshes can share delta tables).
-    step1: Arc<[Statement]>,
-    rest: Arc<[Statement]>,
+    /// Maintenance statements by step, parsed and lifted once at
+    /// registration: step-1 statements first, the rest after (split so
+    /// multi-view refreshes can share delta tables).
+    step1: Arc<[PreparedStatement]>,
+    rest: Arc<[PreparedStatement]>,
     /// Steps 2–4 of the regroup variant (adaptive strategy only).
-    rest_alt: Option<Arc<[Statement]>>,
+    rest_alt: Option<Arc<[PreparedStatement]>>,
     /// Full artifacts, kept for inspection.
     pub artifacts: IvmArtifacts,
 }
@@ -295,6 +295,12 @@ impl IvmSession {
     }
 
     fn execute_statement(&mut self, stmt: Statement) -> Result<QueryResult, IvmError> {
+        // Lazy refresh: propagate before anything reads a stale view — a
+        // query, an INSERT's source, the subqueries of an UPDATE or a
+        // DELETE — including a write that is itself captured below.
+        for v in self.stale_views_read_by(&stmt) {
+            self.refresh(&v)?;
+        }
         // Interception rules run before the engine sees the statement.
         match &stmt {
             Statement::Insert(ins) if self.is_tracked(ins.table.normalized()) => {
@@ -323,12 +329,6 @@ impl IvmSession {
                     d.name.normalized()
                 )));
             }
-            Statement::Query(q) => {
-                // Lazy refresh: propagate before reading any stale view.
-                for v in self.stale_views_read_by(q) {
-                    self.refresh(&v)?;
-                }
-            }
             _ => {}
         }
         // The fall-back path: the engine rejects CREATE MATERIALIZED VIEW
@@ -349,11 +349,11 @@ impl IvmSession {
         }
     }
 
-    /// The materialized views with pending deltas that `q` reads,
+    /// The materialized views with pending deltas that `stmt` reads,
     /// directly or through plain views.
-    fn stale_views_read_by(&self, q: &Query) -> Vec<String> {
-        fn add(q: &Query, read: &mut Vec<String>) {
-            for name in q.referenced_tables() {
+    fn stale_views_read_by(&self, stmt: &Statement) -> Vec<String> {
+        fn add(names: Vec<Ident>, read: &mut Vec<String>) {
+            for name in names {
                 let name = name.normalized().to_string();
                 if !read.contains(&name) {
                     read.push(name);
@@ -361,11 +361,11 @@ impl IvmSession {
             }
         }
         let mut read = Vec::new();
-        add(q, &mut read);
+        add(stmt.read_tables(), &mut read);
         let mut next = 0;
         while let Some(name) = read.get(next) {
             if let Some(definition) = self.db.catalog().view(name) {
-                add(definition, &mut read);
+                add(definition.referenced_tables(), &mut read);
             }
             next += 1;
         }
@@ -786,7 +786,7 @@ impl IvmSession {
             }
         }
         // Step 1 for every affected view first (they share ΔT)…
-        let mut scripts: Vec<Arc<[Statement]>> = Vec::new();
+        let mut scripts: Vec<Arc<[PreparedStatement]>> = Vec::new();
         for v in &affected {
             scripts.push(self.view(v).expect("registered").step1.clone());
         }
@@ -827,12 +827,13 @@ impl IvmSession {
         // would re-apply those deltas on the next refresh.
         self.atomic(|s| {
             for stmt in scripts.iter().flat_map(|script| script.iter()) {
-                // The engine's plan cache keys each statement by its shape:
-                // each maintenance statement is planned/optimized/lowered
-                // once and re-executed from the cached physical plan until
-                // DDL changes the catalog shape.
-                s.db.execute_statement(stmt).map_err(|e| {
-                    let sql = print_statement(stmt, s.flags.dialect);
+                // The engine's plan cache keys each statement by its shape,
+                // lifted once at registration: each maintenance statement
+                // is planned/optimized/lowered once and re-executed from
+                // the cached physical plan until DDL changes the catalog
+                // shape.
+                s.db.execute_prepared(stmt).map_err(|e| {
+                    let sql = print_statement(stmt.statement(), s.flags.dialect);
                     IvmError::Engine(format!("{e} while running: {sql}"))
                 })?;
             }
@@ -1104,12 +1105,16 @@ fn delta_capture_select(
     }
 }
 
-/// Parse the statements of step 1 (`step1`) or of steps 2–4 (`!step1`).
-fn parse_steps(steps: &[PropagationStep], step1: bool) -> Result<Arc<[Statement]>, IvmError> {
+/// Parse and lift the statements of step 1 (`step1`) or of steps 2–4
+/// (`!step1`).
+fn parse_steps(
+    steps: &[PropagationStep],
+    step1: bool,
+) -> Result<Arc<[PreparedStatement]>, IvmError> {
     steps
         .iter()
         .filter(|s| (s.step == 1) == step1)
-        .map(|s| parse_statement(&s.sql).map_err(IvmError::from))
+        .map(|s| Ok(PreparedStatement::new(parse_statement(&s.sql)?)))
         .collect()
 }
 

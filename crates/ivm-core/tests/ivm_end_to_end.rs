@@ -3,6 +3,8 @@
 //! recomputation after arbitrary insert/update/delete sequences.
 
 use ivm_core::{IvmFlags, IvmSession, PropagationMode, UpsertStrategy};
+use ivm_sql::ast::{InsertSource, Statement};
+use ivm_sql::{parse_statement, print_query, Dialect};
 
 fn session(strategy: UpsertStrategy, propagation: PropagationMode) -> IvmSession {
     IvmSession::new(IvmFlags {
@@ -555,4 +557,210 @@ fn lazy_refresh_reaches_views_read_through_subqueries_and_plain_views() {
     keys("INSERT INTO g VALUES ('d', 4)");
     assert_eq!(keys("SELECT k FROM plain"), ["a", "b", "c", "d"]);
     assert_eq!(keys("SELECT k FROM mv"), ["a", "b", "c", "d"]);
+}
+
+/// The physical plan of the source query of each maintenance statement
+/// of `view` whose SQL contains `needle`, as the session's database
+/// would run it now.
+fn explain_sources(ivm: &mut IvmSession, view: &str, needle: &str) -> Vec<String> {
+    let scripts: Vec<String> = ivm
+        .view(view)
+        .unwrap()
+        .artifacts
+        .propagation
+        .steps
+        .iter()
+        .filter(|s| s.sql.contains(needle))
+        .map(|s| s.sql.clone())
+        .collect();
+    assert!(
+        !scripts.is_empty(),
+        "no statement of {view} contains {needle}"
+    );
+    scripts
+        .iter()
+        .map(|sql| {
+            let Statement::Insert(ins) = parse_statement(sql).unwrap() else {
+                panic!("not an INSERT: {sql}");
+            };
+            let InsertSource::Query(q) = ins.source else {
+                panic!("no source query: {sql}");
+            };
+            let explain = format!("EXPLAIN {}", print_query(&q, Dialect::DuckDb));
+            let rows = ivm.database_mut().execute(&explain).unwrap().rows;
+            rows.iter().map(|r| format!("{}\n", r[0])).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn step_two_reads_the_view_through_its_index() {
+    // The Listing-1 view over a keyed base table: the upsert's LEFT JOIN
+    // of ΔV against V finds V's groups through V's unique index.
+    let mut ivm = IvmSession::with_defaults();
+    ivm.execute(
+        "CREATE TABLE groups (id INTEGER PRIMARY KEY, group_index VARCHAR, group_value INTEGER)",
+    )
+    .unwrap();
+    let rows: Vec<String> = (0..400)
+        .map(|i| format!("({i}, 'g{}', {})", i % 40, i % 7))
+        .collect();
+    ivm.execute(&format!("INSERT INTO groups VALUES {}", rows.join(", ")))
+        .unwrap();
+    ivm.execute(
+        "CREATE MATERIALIZED VIEW v AS SELECT group_index, SUM(group_value) AS total, \
+         COUNT(*) AS cnt FROM groups GROUP BY group_index",
+    )
+    .unwrap();
+    ivm.execute("INSERT INTO groups VALUES (1000, 'g3', 5), (1001, 'new', 1)")
+        .unwrap();
+    assert!(ivm.check_consistency("v").unwrap());
+    let [plan] = &explain_sources(&mut ivm, "v", "INSERT OR REPLACE")[..] else {
+        panic!("one upsert statement");
+    };
+    assert!(
+        plan.contains("HashJoin LeftOuter probe_keys=[0] build_keys=[0] [index build]\n"),
+        "{plan}"
+    );
+}
+
+#[test]
+fn fact_to_dimension_joins_keep_the_hashed_build() {
+    // The join-aggregate view of the cross-system pipeline: many orders
+    // against a small keyed customer table, in the view query and in the
+    // step-1 delta terms while a 500-row batch is pending. Each probes
+    // more rows than the keyed table holds, so it hashes its build side.
+    let mut ivm = session(UpsertStrategy::LeftJoinUpsert, PropagationMode::Lazy);
+    ivm.execute("CREATE TABLE customers (id INTEGER PRIMARY KEY, name VARCHAR, region VARCHAR)")
+        .unwrap();
+    ivm.execute("CREATE TABLE orders (id INTEGER PRIMARY KEY, cust INTEGER, amount INTEGER)")
+        .unwrap();
+    let customers: Vec<String> = (0..100)
+        .map(|i| format!("({i}, 'c{i}', 'r{:02}')", i % 8))
+        .collect();
+    ivm.execute(&format!(
+        "INSERT INTO customers VALUES {}",
+        customers.join(", ")
+    ))
+    .unwrap();
+    let orders = |from: usize, n: usize| -> String {
+        let rows: Vec<String> = (from..from + n)
+            .map(|i| format!("({i}, {}, {})", i % 100, i % 13))
+            .collect();
+        format!("INSERT INTO orders VALUES {}", rows.join(", "))
+    };
+    ivm.execute(&orders(0, 2000)).unwrap();
+    let view_query = "SELECT c.region, o.cust, SUM(o.amount) AS total, COUNT(*) AS cnt \
+                      FROM orders o JOIN customers c ON o.cust = c.id GROUP BY c.region, o.cust";
+    ivm.execute(&format!("CREATE MATERIALIZED VIEW rc AS {view_query}"))
+        .unwrap();
+    ivm.execute(&orders(2000, 500)).unwrap();
+
+    let analytic = ivm
+        .database_mut()
+        .execute(&format!("EXPLAIN {view_query}"))
+        .unwrap();
+    let analytic: String = analytic
+        .rows
+        .iter()
+        .map(|r| format!("{}\n", r[0]))
+        .collect();
+    let step1 = explain_sources(&mut ivm, "rc", "INSERT INTO delta_rc");
+    for plan in step1.iter().chain([&analytic]) {
+        assert!(plan.contains("HashJoin Inner"), "{plan}");
+        assert!(!plan.contains("[index build]"), "{plan}");
+    }
+    assert!(ivm.check_consistency("rc").unwrap());
+}
+
+/// A scratch data directory, removed on drop.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let dir =
+            std::env::temp_dir().join(format!("openivm-durtest-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn refreshes_update_view_rows_in_place() {
+    // Every refresh below touches existing groups only. The upsert
+    // rewrites their rows where they are, so V's storage holds exactly
+    // its live groups; a reopen replays those in-place updates.
+    let dir = TempDir::new("in-place");
+    let flags = IvmFlags {
+        propagation: PropagationMode::Eager,
+        ..IvmFlags::paper_defaults()
+    };
+    {
+        let mut ivm = IvmSession::open(&dir.0, flags.clone()).unwrap();
+        ivm.execute(
+            "CREATE TABLE groups (id INTEGER PRIMARY KEY, group_index VARCHAR, \
+             group_value INTEGER)",
+        )
+        .unwrap();
+        let rows: Vec<String> = (0..100)
+            .map(|i| format!("({i}, 'g{}', {})", i % 10, i % 7))
+            .collect();
+        ivm.execute(&format!("INSERT INTO groups VALUES {}", rows.join(", ")))
+            .unwrap();
+        ivm.execute(
+            "CREATE MATERIALIZED VIEW v AS SELECT group_index, SUM(group_value) AS total, \
+             COUNT(*) AS cnt FROM groups GROUP BY group_index",
+        )
+        .unwrap();
+        for i in 0..1000 {
+            ivm.execute(&format!(
+                "INSERT INTO groups VALUES ({}, 'g{}', {})",
+                100 + i,
+                i % 10,
+                i % 5
+            ))
+            .unwrap();
+        }
+        assert_eq!(ivm.stats().maintenance_runs, 1000);
+        let v = ivm.database().catalog().table("v").unwrap();
+        assert_eq!((v.live_rows(), v.total_slots()), (10, 10));
+        assert!(ivm.check_consistency("v").unwrap());
+    }
+    let mut reopened = IvmSession::open(&dir.0, flags).unwrap();
+    assert!(reopened.check_consistency("v").unwrap());
+}
+
+#[test]
+fn lazy_refresh_runs_before_dml_that_reads_a_view() {
+    let mut ivm = IvmSession::with_defaults();
+    for sql in [
+        "CREATE TABLE g (k VARCHAR, v INTEGER)",
+        "INSERT INTO g VALUES ('a', 1), ('b', 2)",
+        "CREATE TABLE sink (k VARCHAR)",
+        "CREATE TABLE t (k VARCHAR)",
+        "INSERT INTO t VALUES ('a'), ('b'), ('c'), ('d'), ('x')",
+        "CREATE MATERIALIZED VIEW mv AS SELECT k, SUM(v) AS s FROM g GROUP BY k",
+    ] {
+        ivm.execute(sql).unwrap();
+    }
+    let mut affected = |sql: &str| ivm.execute(sql).unwrap().rows_affected;
+    // Each statement finds mv stale: one insert lands just before it.
+    affected("INSERT INTO g VALUES ('c', 3)");
+    assert_eq!(affected("INSERT INTO sink SELECT k FROM mv"), 3);
+    affected("INSERT INTO g VALUES ('d', 4)");
+    assert_eq!(
+        affected("UPDATE t SET k = 'seen' WHERE k IN (SELECT k FROM mv)"),
+        4
+    );
+    affected("INSERT INTO g VALUES ('x', 5)");
+    assert_eq!(affected("DELETE FROM t WHERE k IN (SELECT k FROM mv)"), 1);
+    assert_eq!(ivm.execute("SELECT k FROM mv").unwrap().rows.len(), 5);
+    assert_eq!(ivm.execute("SELECT k FROM sink").unwrap().rows.len(), 3);
 }

@@ -19,10 +19,16 @@
 //! unmatched build rows after the probe is exhausted. SQL semantics: NULL
 //! keys never match.
 //!
-//! A build side ([`BuiltJoin`]) is immutable apart from its FULL OUTER
-//! match flags, which are atomics: a serial plan probes it from one
-//! [`HashJoinOp`], the morsel executor from one `HashJoinOp` per morsel
-//! on every worker ([`HashJoinOp::shared`]).
+//! A build side takes one of two forms ([`BuildSide`]). Hashed, it is a
+//! [`BuiltJoin`]: the build input materialized and indexed by a hash
+//! table, immutable apart from its FULL OUTER match flags, which are
+//! atomics. Indexed — planned when the build input is a bare scan of a
+//! table keyed on exactly the join's build keys — it is that table
+//! itself: each probe row descends the table's primary-key index, and
+//! matched columns are borrowed from storage, so there is nothing to
+//! build, partition, spill or share. Either way a serial plan probes it
+//! from one [`HashJoinOp`], the morsel executor from one `HashJoinOp` per
+//! morsel on every worker ([`HashJoinOp::shared`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,9 +42,11 @@ use crate::exec::spill::{
     SpillMerge, SpillPartition,
 };
 use crate::exec::typed::{EncodedChunk, KeyArena};
-use crate::exec::{drain, BoxedOperator, Input, Operator, Row};
+use crate::exec::{drain, Input, Operator, Row};
 use crate::expr::{BoundExpr, VectorKernel};
+use crate::index::key::encode_value;
 use crate::planner::physical::PhysJoinKind;
+use crate::storage::Table;
 use crate::value::Value;
 
 /// Build sides smaller than this get one flat table built on the calling
@@ -87,7 +95,7 @@ impl<'a> PendingOutput<'a> {
 
     /// Emit the next chunk of at most `batch_size` output rows, or `None`
     /// when exhausted.
-    fn next_chunk(&mut self, side: &BuiltJoin, batch_size: usize) -> Option<RowBatch<'a>> {
+    fn next_chunk(&mut self, side: &BuildSide<'a>, batch_size: usize) -> Option<RowBatch<'a>> {
         if self.offset >= self.probe_sel.len() {
             return None;
         }
@@ -115,9 +123,9 @@ struct OuterTail {
 
 impl OuterTail {
     /// Snapshot the unmatched build rows — once every prober is done.
-    fn new(side: &BuiltJoin) -> OuterTail {
+    fn new(side: &BuildSide<'_>) -> OuterTail {
         let ids = side
-            .matched
+            .matched()
             .iter()
             .enumerate()
             .filter(|(_, m)| !m.load(Ordering::Relaxed))
@@ -128,7 +136,7 @@ impl OuterTail {
 
     fn next_chunk<'a>(
         &mut self,
-        side: &BuiltJoin,
+        side: &BuildSide<'a>,
         probe_width: usize,
         batch_size: usize,
     ) -> Option<RowBatch<'a>> {
@@ -415,27 +423,123 @@ impl BuiltJoin {
     fn row(&self, i: usize) -> impl Iterator<Item = Value> + '_ {
         self.cols.iter().map(move |c| c[i].clone())
     }
+}
 
+/// A join's build side as its probers see it; cloning it shares it.
+#[derive(Clone)]
+pub(crate) enum BuildSide<'a> {
+    /// The build input materialized and hashed.
+    Hashed(Arc<BuiltJoin>),
+    /// The build table itself, read through its primary-key index, whose
+    /// columns are exactly the join's build keys in key order. Row
+    /// indexes are the table's slot ids.
+    Indexed(&'a Table),
+}
+
+impl<'a> BuildSide<'a> {
     /// The build columns at rows `idx`, gathered into owned columns;
     /// `u32::MAX` marks a NULL-padded (unmatched probe) slot.
-    fn gather<'a>(&self, idx: &[u32]) -> Vec<ColumnData<'a>> {
-        let at = |c: &[Value], i: u32| match i {
-            u32::MAX => Value::Null,
-            i => c[i as usize].clone(),
+    fn gather(&self, idx: &[u32]) -> Vec<ColumnData<'a>> {
+        let gather = |c: &[Value]| {
+            let at = |i: u32| match i {
+                u32::MAX => Value::Null,
+                i => c[i as usize].clone(),
+            };
+            ColumnData::owned(idx.iter().map(|&i| at(i)).collect())
         };
-        self.cols
-            .iter()
-            .map(|c| ColumnData::owned(idx.iter().map(|&i| at(c, i)).collect()))
-            .collect()
+        match self {
+            BuildSide::Hashed(built) => built.cols.iter().map(|c| gather(c)).collect(),
+            BuildSide::Indexed(table) => (0..table.schema.len())
+                .map(|c| gather(table.column(c)))
+                .collect(),
+        }
     }
 
     /// The build columns at rows `idx`, zero-copy: a selection over the
-    /// shared columnar copy.
-    fn select<'a>(&self, idx: Vec<u32>) -> impl Iterator<Item = ColumnData<'a>> + '_ {
+    /// hashed side's shared columnar copy, or over the table's storage.
+    fn select(&self, idx: Vec<u32>) -> Vec<ColumnData<'a>> {
         let sel = Arc::new(idx);
-        self.cols
-            .iter()
-            .map(move |c| ColumnData::shared_with_sel(Arc::clone(c), Arc::clone(&sel)))
+        match self {
+            BuildSide::Hashed(built) => built
+                .cols
+                .iter()
+                .map(|c| ColumnData::shared_with_sel(Arc::clone(c), Arc::clone(&sel)))
+                .collect(),
+            BuildSide::Indexed(table) => (0..table.schema.len())
+                .map(|c| ColumnData::borrowed_with_sel(table.column(c), Arc::clone(&sel)))
+                .collect(),
+        }
+    }
+
+    /// The FULL OUTER match flags (none for an indexed side, which is
+    /// never planned under a FULL OUTER join).
+    fn matched(&self) -> &[AtomicBool] {
+        match self {
+            BuildSide::Hashed(built) => &built.matched,
+            BuildSide::Indexed(_) => &[],
+        }
+    }
+
+    /// Hand `emit` each `(probe row, build row)` candidate pair of
+    /// `batch`, in probe-row order and, per probe row, in build-row
+    /// order. NULL probe keys match nothing.
+    fn candidates(
+        &self,
+        spec: &JoinSpec,
+        batch: &RowBatch<'_>,
+        mut emit: impl FnMut(u32, u32) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        let rows = batch.num_rows();
+        match self {
+            BuildSide::Hashed(built) => {
+                // One fused column-at-a-time pass both hashes the batch's
+                // probe keys and encodes them against the build arena
+                // (lookup-only — a probe string absent from the build heap
+                // can match nothing, so it is never interned), so each key
+                // value is enum-dispatched exactly once and each candidate
+                // compare is a word compare.
+                let table = &built.table;
+                let arena = &table.keys;
+                let mut chunk = EncodedChunk::new();
+                let hashes = arena.encode_probe_batch(&mut chunk, batch, &spec.probe_keys);
+                for row in 0..rows {
+                    if hashes.is_null(row) {
+                        continue;
+                    }
+                    // The chain head for this probe key, then every build
+                    // row on the chain (build-row order).
+                    let hash = hashes.hashes[row];
+                    let part = &table.parts[partition_of(hash, table.part_shift)];
+                    let head = part.find(hash, |p| arena.eq_chunk(p as usize, &chunk, row));
+                    let mut cur = head.unwrap_or(u32::MAX);
+                    while cur != u32::MAX {
+                        emit(row as u32, cur)?;
+                        cur = table.next[cur as usize];
+                    }
+                }
+            }
+            // A unique key matches at most one live row. The index encodes
+            // numbers by value, so a probe key equals an index key exactly
+            // when the hashed build would match them.
+            BuildSide::Indexed(table) => {
+                let pk = table.pk_index().expect("resolved against a keyed table");
+                let mut key = Vec::new();
+                'rows: for row in 0..rows {
+                    key.clear();
+                    for &c in &spec.probe_keys {
+                        let value = batch.value(c, row);
+                        if value.is_null() {
+                            continue 'rows;
+                        }
+                        encode_value(value, &mut key);
+                    }
+                    if let Some(id) = pk.get_encoded(&key) {
+                        emit(row as u32, id as u32)?;
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -444,56 +548,36 @@ impl BuiltJoin {
 type Pairs = (Vec<u32>, Vec<u32>);
 
 /// One probe batch joined against a build side: candidate pairs via its
-/// flat tables (chains in build-row order), the residual kernel over
+/// hash chains (build-row order) or its index, the residual kernel over
 /// chunks of at most `chunk_pairs` of them, output pairs in probe-row
 /// order with outer padding. The one probe, for the streaming in-memory
 /// path (one prober or one per morsel worker) and the per-partition
 /// spill path — all produce identical pair sequences for identical
 /// inputs.
-fn join_probe_batch(
+fn join_probe_batch<'a>(
     spec: &JoinSpec,
-    built: &BuiltJoin,
-    batch: &RowBatch<'_>,
+    side: &BuildSide<'a>,
+    batch: &RowBatch<'a>,
     chunk_pairs: usize,
 ) -> Result<Pairs, EngineError> {
-    let table = &built.table;
     let rows = batch.num_rows();
     let residual = spec.residual.as_ref();
     // Candidates not yet through the residual, and the pairs that passed.
     let mut cand: Pairs = (Vec::new(), Vec::new());
     let mut pass: Pairs = (Vec::new(), Vec::new());
-    // One fused column-at-a-time pass both hashes the batch's probe keys
-    // and encodes them against the build arena (lookup-only — a probe
-    // string absent from the build heap can match nothing, so it is never
-    // interned), so each key value is enum-dispatched exactly once and
-    // each candidate compare is a word compare.
-    let arena = &table.keys;
-    let mut chunk = EncodedChunk::new();
-    let hashes = arena.encode_probe_batch(&mut chunk, batch, &spec.probe_keys);
-    for row in 0..rows {
-        if hashes.is_null(row) {
-            continue;
+    side.candidates(spec, batch, |row, bi| {
+        cand.0.push(row);
+        cand.1.push(bi);
+        match residual.filter(|_| cand.0.len() == chunk_pairs) {
+            Some(kernel) => filter_pairs(kernel, side, batch, &mut cand, &mut pass),
+            None => Ok(()),
         }
-        // The chain head for this probe key, then every build row on the
-        // chain (build-row order).
-        let hash = hashes.hashes[row];
-        let part = &table.parts[partition_of(hash, table.part_shift)];
-        let head = part.find(hash, |p| arena.eq_chunk(p as usize, &chunk, row));
-        let mut cur = head.unwrap_or(u32::MAX);
-        while cur != u32::MAX {
-            cand.0.push(row as u32);
-            cand.1.push(cur);
-            if let Some(kernel) = residual.filter(|_| cand.0.len() == chunk_pairs) {
-                filter_pairs(kernel, built, batch, &mut cand, &mut pass)?;
-            }
-            cur = table.next[cur as usize];
-        }
-    }
+    })?;
     // Without a residual every candidate passes.
     let (pass_rows, pass_bis) = match residual {
         None => cand,
         Some(kernel) => {
-            filter_pairs(kernel, built, batch, &mut cand, &mut pass)?;
+            filter_pairs(kernel, side, batch, &mut cand, &mut pass)?;
             pass
         }
     };
@@ -502,8 +586,9 @@ fn join_probe_batch(
     if spec.join == PhysJoinKind::Inner {
         return Ok((pass_rows, pass_bis));
     }
+    let matched = side.matched();
     for &bi in &pass_bis {
-        if let Some(flag) = built.matched.get(bi as usize) {
+        if let Some(flag) = matched.get(bi as usize) {
             flag.store(true, Ordering::Relaxed);
         }
     }
@@ -530,16 +615,16 @@ fn join_probe_batch(
 /// Run the residual `kernel` over the candidate pairs `cand` — spliced
 /// into one `probe ++ build` frame, filtered in a single pass — and move
 /// the passing ones, in order, onto `pass`.
-fn filter_pairs(
+fn filter_pairs<'a>(
     kernel: &VectorKernel,
-    built: &BuiltJoin,
-    batch: &RowBatch<'_>,
+    side: &BuildSide<'a>,
+    batch: &RowBatch<'a>,
     cand: &mut Pairs,
     pass: &mut Pairs,
 ) -> Result<(), EngineError> {
     if !cand.0.is_empty() {
         let mut columns = batch.select(cand.0.clone()).into_columns();
-        columns.extend(built.select(cand.1.clone()));
+        columns.extend(side.select(cand.1.clone()));
         for i in kernel.select(&RowBatch::new(columns, cand.0.len()))? {
             pass.0.push(cand.0[i as usize]);
             pass.1.push(cand.1[i as usize]);
@@ -566,7 +651,8 @@ fn filter_pairs(
 /// carries its serial emission coordinates `(probe row, match ordinal)`
 /// — the FULL OUTER tail sorts after all probe output by build order —
 /// so the merged result is row-identical, order included, to the
-/// in-memory join.
+/// in-memory join. An indexed build side ([`BuildSide::Indexed`]) has
+/// none of this: it arrives resolved, and only the probe streams.
 pub struct HashJoinOp<'a> {
     probe: Input<'a>,
     /// Taken when the build side is consumed; `None` from the start when
@@ -575,7 +661,7 @@ pub struct HashJoinOp<'a> {
     spec: Arc<JoinSpec>,
     batch_size: usize,
     budget: MemoryBudget,
-    state: Option<Arc<BuiltJoin>>,
+    state: Option<BuildSide<'a>>,
     /// Build partition groups (one per producer) awaiting the Grace
     /// probe phase.
     grace_build: Option<PartitionGroups>,
@@ -614,19 +700,20 @@ impl<'a> HashJoinOp<'a> {
         }
     }
 
-    /// Probe a build side built elsewhere and shared with other probers:
-    /// how the morsel executor runs one join node over many slot ranges.
-    /// Exactly one of the probers — started after every other finished —
-    /// passes `emits_tail` and so emits the FULL OUTER tail.
+    /// Probe a build side built elsewhere and shared with other probers
+    /// — how the morsel executor runs one join node over many slot
+    /// ranges — or one that needs no build: an indexed side. Exactly one
+    /// of the probers — started after every other finished — passes
+    /// `emits_tail` and so emits the FULL OUTER tail.
     pub(crate) fn shared(
-        probe: BoxedOperator<'a>,
+        probe: impl Into<Input<'a>>,
         spec: Arc<JoinSpec>,
-        built: Arc<BuiltJoin>,
+        side: BuildSide<'a>,
         batch_size: usize,
         emits_tail: bool,
     ) -> HashJoinOp<'a> {
         let mut op = HashJoinOp::new(probe, None, spec, batch_size);
-        op.state = Some(built);
+        op.state = Some(side);
         op.emits_tail &= emits_tail;
         op
     }
@@ -669,7 +756,8 @@ impl<'a> HashJoinOp<'a> {
             let tuples = SpillMerge::by_seq(parts, &self.budget)?.collect_all()?;
             tuples.into_iter().map(|(_, _, r)| r).collect()
         };
-        self.state = Some(Arc::new(BuiltJoin::new(rows, &self.spec, 1)?));
+        let built = BuiltJoin::new(rows, &self.spec, 1)?;
+        self.state = Some(BuildSide::Hashed(Arc::new(built)));
         Ok(())
     }
 
@@ -701,14 +789,14 @@ impl<'a> HashJoinOp<'a> {
                 // by `JoinTable::build` iterate in global build order.
                 let build_seqs: Vec<u64> = build_tuples.iter().map(|(_, s, _)| *s).collect();
                 let build_rows: Vec<Row> = build_tuples.into_iter().map(|(_, _, r)| r).collect();
-                let built = BuiltJoin::new(build_rows, spec, 1)?;
+                let built = Arc::new(BuiltJoin::new(build_rows, spec, 1)?);
+                let side = BuildSide::Hashed(Arc::clone(&built));
                 runs.begin_run();
                 probe_merge.for_each_chunk(chunk_rows, |chunk| {
                     let seqs: Vec<u64> = chunk.iter().map(|(_, s, _)| *s).collect();
                     let rows: Vec<Row> = chunk.into_iter().map(|(_, _, r)| r).collect();
                     let batch = RowBatch::from_rows(spec.probe_width, rows);
-                    let (probe_sel, build_idx) =
-                        join_probe_batch(spec, &built, &batch, chunk_rows)?;
+                    let (probe_sel, build_idx) = join_probe_batch(spec, &side, &batch, chunk_rows)?;
                     let mut ordinal = 0u64;
                     let mut prev_row = u32::MAX;
                     for (&row, &bi) in probe_sel.iter().zip(&build_idx) {
@@ -752,7 +840,7 @@ impl<'a> Operator<'a> for HashJoinOp<'a> {
             let merged = self.grace_output.as_mut().expect("just set");
             return merged.next_batch(self.batch_size);
         }
-        let built = self.state.as_deref().expect("built above");
+        let built = self.state.as_ref().expect("built above");
         let spec = &*self.spec;
         loop {
             if let Some(pending) = self.pending.as_mut() {
@@ -784,7 +872,7 @@ impl<'a> Operator<'a> for HashJoinOp<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::replay;
+    use crate::exec::{replay, BoxedOperator};
     use crate::types::DataType;
     use ivm_sql::ast::BinaryOp;
 

@@ -335,14 +335,15 @@ pub(crate) fn build_node<'p, 'a>(
                 .with_budget(budget.clone()),
             )
         }
+        // An indexed build side needs no input: the join reads its table.
         PhysicalPlan::HashJoin { probe, build, .. } => {
             let probe = child(probe)?;
-            let build = child(build)?;
             let spec = join_spec(plan, cx)?;
-            Box::new(
-                join::HashJoinOp::new(probe, Some(build), spec, batch_size)
+            Box::new(match index_side(plan, cx)? {
+                Some(side) => join::HashJoinOp::shared(probe, spec, side, batch_size, false),
+                None => join::HashJoinOp::new(probe, Some(child(build)?), spec, batch_size)
                     .with_budget(budget.clone()),
-            )
+            })
         }
         PhysicalPlan::SetOp {
             op, left, right, ..
@@ -457,22 +458,22 @@ impl<'a> ScanSource<'a> {
 
 /// A streaming node — filter, projection, hash-join probe — compiled once
 /// per plan node (expressions prepared, kernels compiled, build side
-/// built) into an immutable, `Sync` value. [`Streaming::over`] wraps an
-/// input in the node's operator: the serial builder calls it once, every
-/// morsel worker once per morsel, so both run the same operators over the
-/// same compiled state.
-pub(crate) enum Streaming {
+/// built or its index resolved) into an immutable, `Sync` value.
+/// [`Streaming::over`] wraps an input in the node's operator: the serial
+/// builder calls it once, every morsel worker once per morsel, so both
+/// run the same operators over the same compiled state.
+pub(crate) enum Streaming<'a> {
     Filter(Arc<VectorKernel>),
     Project(Arc<[operators::ProjColumn]>),
-    Probe(Arc<join::JoinSpec>, Arc<join::BuiltJoin>),
+    Probe(Arc<join::JoinSpec>, join::BuildSide<'a>),
 }
 
-impl Streaming {
+impl<'a> Streaming<'a> {
     /// Compile a `Filter` or `Project` node.
     pub(crate) fn compile(
         plan: &PhysicalPlan,
         cx: &ExecContext<'_>,
-    ) -> Result<Streaming, EngineError> {
+    ) -> Result<Streaming<'a>, EngineError> {
         Ok(match plan {
             PhysicalPlan::Filter { predicate, .. } => Streaming::Filter(Arc::new(
                 VectorKernel::compile(&prepare_expr(predicate, cx)?),
@@ -486,11 +487,7 @@ impl Streaming {
 
     /// The node's operator over `input`. A probe built this way never
     /// emits the FULL OUTER tail (see [`join::HashJoinOp::shared`]).
-    pub(crate) fn over<'a>(
-        &self,
-        input: BoxedOperator<'a>,
-        batch_size: usize,
-    ) -> BoxedOperator<'a> {
+    pub(crate) fn over(&self, input: BoxedOperator<'a>, batch_size: usize) -> BoxedOperator<'a> {
         match self {
             Streaming::Filter(kernel) => {
                 Box::new(operators::FilterOp::new(input, Arc::clone(kernel)))
@@ -498,10 +495,10 @@ impl Streaming {
             Streaming::Project(columns) => {
                 Box::new(operators::ProjectOp::new(input, Arc::clone(columns)))
             }
-            Streaming::Probe(spec, built) => Box::new(join::HashJoinOp::shared(
+            Streaming::Probe(spec, side) => Box::new(join::HashJoinOp::shared(
                 input,
                 Arc::clone(spec),
-                Arc::clone(built),
+                side.clone(),
                 batch_size,
                 false,
             )),
@@ -535,6 +532,36 @@ pub(crate) fn join_spec(
         residual.as_ref(),
         *join,
     )))
+}
+
+/// The build side of an index-built `HashJoin` node: its table, read
+/// through the primary key the plan was lowered against. `None` for a
+/// hashed build — or when the table no longer has that key (its shape
+/// changed outside SQL DDL), which then hashes its build side instead.
+pub(crate) fn index_side<'a>(
+    plan: &PhysicalPlan,
+    cx: &ExecContext<'a>,
+) -> Result<Option<join::BuildSide<'a>>, EngineError> {
+    let PhysicalPlan::HashJoin {
+        build,
+        build_keys,
+        index_build: true,
+        ..
+    } = plan
+    else {
+        return Ok(None);
+    };
+    let PhysicalPlan::TableScan {
+        table,
+        predicate: None,
+        ..
+    } = &**build
+    else {
+        return Ok(None);
+    };
+    let table = cx.catalog.table(table)?;
+    let keyed = table.pk_index().is_some_and(|pk| pk.columns == *build_keys);
+    Ok(keyed.then_some(join::BuildSide::Indexed(table)))
 }
 
 /// [`prepare_expr`] over a slice.

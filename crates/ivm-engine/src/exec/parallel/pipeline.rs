@@ -15,11 +15,11 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use crate::error::EngineError;
-use crate::exec::join::{BuiltJoin, HashJoinOp};
+use crate::exec::join::{BuildSide, BuiltJoin, HashJoinOp};
 use crate::exec::spill::{
     spill_batches, PartitionGroups, PartitionedSpiller, SpillHash, SpillPartition,
 };
-use crate::exec::{join_spec, BoxedOperator, ExecContext, ScanSource, Streaming};
+use crate::exec::{index_side, join_spec, BoxedOperator, ExecContext, ScanSource, Streaming};
 use crate::planner::physical::{PhysJoinKind, PhysicalPlan};
 use crate::storage::MorselCursor;
 
@@ -28,15 +28,16 @@ use crate::storage::MorselCursor;
 pub(super) struct Pipeline<'a> {
     source: ScanSource<'a>,
     /// Bottom-up.
-    stages: Vec<Streaming>,
+    stages: Vec<Streaming<'a>>,
 }
 
 impl<'a> Pipeline<'a> {
     /// Decompose `plan` into a pipeline: walk Filter/Project/HashJoin
     /// nodes down their probe side to a `TableScan` leaf, compiling each
-    /// node and materializing + indexing every join build side
-    /// (recursively through the parallel executor). `None` when `plan` is
-    /// not such a chain; the caller then handles its root as a breaker.
+    /// node and materializing + indexing every hashed join build side
+    /// (recursively through the parallel executor) — an indexed one is
+    /// its table, resolved, with no build. `None` when `plan` is not such
+    /// a chain; the caller then handles its root as a breaker.
     pub(super) fn of(
         plan: &PhysicalPlan,
         cx: &ExecContext<'a>,
@@ -51,14 +52,19 @@ impl<'a> Pipeline<'a> {
             PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
                 (input, None)
             }
-            // Under a bounded memory budget a join build side must be able
-            // to spill, and a shared in-memory build cannot: the join is
-            // left to the breaker path, where both sides stream through
+            // Under a bounded memory budget a hashed build side must be
+            // able to spill, and a shared in-memory build cannot: the join
+            // is left to the breaker path, where both sides stream through
             // per-worker spill partitioners ([`Pipeline::spill`]) into the
             // grace-capable `HashJoinOp`. The pipelines below it still run
-            // morsel-parallel.
-            PhysicalPlan::HashJoin { .. } if cx.config.budget().is_bounded() => return Ok(None),
-            PhysicalPlan::HashJoin { probe, build, .. } => (probe, Some(build)),
+            // morsel-parallel. An indexed side holds nothing to spill.
+            PhysicalPlan::HashJoin { probe, build, .. } => {
+                let side = index_side(plan, cx)?;
+                if side.is_none() && cx.config.budget().is_bounded() {
+                    return Ok(None);
+                }
+                (probe, Some((build, side)))
+            }
             _ => return Ok(None),
         };
         let Some(mut pipeline) = Pipeline::of(input, cx)? else {
@@ -66,11 +72,17 @@ impl<'a> Pipeline<'a> {
         };
         pipeline.stages.push(match stage {
             None => Streaming::compile(plan, cx)?,
-            Some(build) => {
+            Some((build, side)) => {
                 let spec = join_spec(plan, cx)?;
-                let rows = super::collect_rows(build, cx)?;
-                let built = BuiltJoin::new(rows, &spec, cx.config.parallelism())?;
-                Streaming::Probe(spec, Arc::new(built))
+                let side = match side {
+                    Some(side) => side,
+                    None => {
+                        let rows = super::collect_rows(build, cx)?;
+                        let built = BuiltJoin::new(rows, &spec, cx.config.parallelism())?;
+                        BuildSide::Hashed(Arc::new(built))
+                    }
+                };
+                Streaming::Probe(spec, side)
             }
         });
         Ok(Some(pipeline))
@@ -124,11 +136,11 @@ impl<'a> Pipeline<'a> {
         // first pull). Their sequence numbers follow every morsel's.
         let mut tail_state = None;
         for (j, stage) in self.stages.iter().enumerate() {
-            if let Streaming::Probe(spec, built) = stage {
+            if let Streaming::Probe(spec, side) = stage {
                 if spec.join == PhysJoinKind::FullOuter {
-                    let (spec, built) = (Arc::clone(spec), Arc::clone(built));
-                    let no_probe = Box::new(std::iter::empty());
-                    let tail = HashJoinOp::shared(no_probe, spec, built, batch_size, true);
+                    let (spec, side) = (Arc::clone(spec), side.clone());
+                    let no_probe: BoxedOperator<'a> = Box::new(std::iter::empty());
+                    let tail = HashJoinOp::shared(no_probe, spec, side, batch_size, true);
                     let tail = self.over(Box::new(tail), j + 1, batch_size);
                     let state = tail_state.get_or_insert_with(&init);
                     out.push(work(state, out.len() + 1, tail)?);

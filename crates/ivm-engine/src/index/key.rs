@@ -26,7 +26,8 @@ pub fn encode_key(values: &[Value]) -> Vec<u8> {
     out
 }
 
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
+/// Append one component of a composite key to `out`.
+pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(TAG_NULL),
         Value::Boolean(b) => {

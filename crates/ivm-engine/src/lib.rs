@@ -75,6 +75,7 @@ pub use catalog::Catalog;
 pub use concurrent::{ReadSession, Snapshot, SnapshotHub};
 pub use error::{EngineError, ErrorKind};
 pub use exec::{ExecConfig, ExecContext, MemoryBudget, RowBatch, SpillStats};
+pub use plan_cache::PreparedStatement;
 pub use planner::{plan_query, LogicalPlan, PhysicalPlan};
 pub use schema::{Column, Schema};
 pub use session::{Database, QueryResult};

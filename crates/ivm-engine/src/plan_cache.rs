@@ -9,8 +9,11 @@
 //! [`ivm_sql::lift_literals`] turns the values a statement compares
 //! against into parameter slots, so statements that differ only in those
 //! values share one plan *template*, and each statement instantiates it
-//! with its own values. [`plan_shared`] is the one path through the
-//! cache; it plans a miss outside the cache's lock.
+//! with its own values. One lookup, [`plan_lifted`], serves every path
+//! through the cache and plans a miss outside the cache's lock: a
+//! statement sent once is lifted on the way in ([`plan_shared`]); one run
+//! many times is lifted once, when it is prepared
+//! ([`PreparedStatement`]).
 //!
 //! **Byte cap.** Each entry is charged an estimate of the bytes it holds:
 //! its key and output column names, and for every plan operator its
@@ -25,7 +28,7 @@ use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ivm_sql::ast::Query;
+use ivm_sql::ast::{Insert, InsertSource, Query, Statement};
 use ivm_sql::{lift_literals, print_query, Dialect};
 
 use crate::error::EngineError;
@@ -50,12 +53,8 @@ const PLAN_CACHE_BYTES: usize = 8 << 20;
 /// The plan of `q` under `cx`, through `cache` at catalog-shape
 /// `generation`: `q` is lifted in place (an owner hands its statement
 /// over: cloning a served 64-key lookup's AST costs a sixth of serving
-/// it), its shape looked up, planned on a miss outside the lock (two
-/// concurrent misses both plan; the last insert wins), and instantiated.
-/// `as_sent()` — `q` may be left partly lifted — is planned uncached when
-/// `q` does not lift or its lifted form does not plan: it then reports
-/// its own error, or it plans only verbatim (a HAVING term that must
-/// match a GROUP BY expression literally).
+/// it) and planned through [`plan_lifted`]. `as_sent()` — `q` may be left
+/// partly lifted — is planned uncached when `q` does not lift.
 pub(crate) fn plan_shared(
     cache: &Mutex<PlanCache>,
     mut q: Query,
@@ -63,15 +62,32 @@ pub(crate) fn plan_shared(
     cx: &ExecContext<'_>,
     generation: u64,
 ) -> Result<Planned, EngineError> {
-    let Some(shape) = Shape::lift(&mut q) else {
-        return plan_physical(&as_sent()?, cx, &[]);
-    };
+    match Shape::lift(&mut q) {
+        Some(shape) => plan_lifted(cache, &q, &shape, as_sent, cx, generation),
+        None => plan_physical(&as_sent()?, cx, &[]),
+    }
+}
+
+/// The plan of the lifted query `q` of shape `shape`: looked up, planned
+/// on a miss outside the lock (two concurrent misses both plan; the last
+/// insert wins), and instantiated. `as_sent()` is planned uncached when
+/// the lifted form does not plan: it then reports its own error, or it
+/// plans only verbatim (a HAVING term that must match a GROUP BY
+/// expression literally).
+fn plan_lifted(
+    cache: &Mutex<PlanCache>,
+    q: &Query,
+    shape: &Shape,
+    as_sent: impl FnOnce() -> Result<Query, EngineError>,
+    cx: &ExecContext<'_>,
+    generation: u64,
+) -> Result<Planned, EngineError> {
     // Its own statement, so the lock is released before the match.
     let cached = lock(cache).get(&shape.key, generation);
     let template = match cached {
         Some(hit) => hit,
         None => {
-            let Ok(planned) = plan_physical(&q, cx, &shape.types) else {
+            let Ok(planned) = plan_physical(q, cx, &shape.types) else {
                 return plan_physical(&as_sent()?, cx, &[]);
             };
             lock(cache).insert(&shape.key, generation, planned.clone());
@@ -79,6 +95,65 @@ pub(crate) fn plan_shared(
         }
     };
     Ok(shape.instantiate(template))
+}
+
+/// A statement lifted once for many executions
+/// ([`crate::Database::execute_prepared`]): the statement as sent and,
+/// when it plans a query through the cache — a SELECT, an INSERT's
+/// source, an EXPLAINed query — that query's lifted form and shape, so an
+/// execution that hits the cache clones, lifts and prints nothing.
+/// A refresh runs each maintenance statement of a view this way.
+#[derive(Debug)]
+pub struct PreparedStatement {
+    statement: Statement,
+    lifted: Option<(Query, Shape)>,
+}
+
+impl PreparedStatement {
+    /// Lift `statement`'s cached query, if it has one that lifts.
+    pub fn new(statement: Statement) -> PreparedStatement {
+        let query = match &statement {
+            Statement::Query(q) => Some(&**q),
+            Statement::Insert(Insert {
+                source: InsertSource::Query(q),
+                ..
+            }) => Some(&**q),
+            Statement::Explain(inner) => match &**inner {
+                Statement::Query(q) => Some(&**q),
+                _ => None,
+            },
+            _ => None,
+        };
+        let lifted = query.and_then(|q| {
+            let mut q = q.clone();
+            let shape = Shape::lift(&mut q)?;
+            Some((q, shape))
+        });
+        PreparedStatement { statement, lifted }
+    }
+
+    /// The statement as sent.
+    pub fn statement(&self) -> &Statement {
+        &self.statement
+    }
+}
+
+/// The plan of `q` through `cache`: from the shape lifted up front when
+/// `prepared` — `q`'s statement, prepared — has one, else as
+/// [`plan_shared`] plans a statement sent once, from a clone of `q`.
+pub(crate) fn plan_statement(
+    cache: &Mutex<PlanCache>,
+    q: &Query,
+    prepared: Option<&PreparedStatement>,
+    cx: &ExecContext<'_>,
+    generation: u64,
+) -> Result<Planned, EngineError> {
+    match prepared.and_then(|p| p.lifted.as_ref()) {
+        Some((lifted, shape)) => {
+            plan_lifted(cache, lifted, shape, || Ok(q.clone()), cx, generation)
+        }
+        None => plan_shared(cache, q.clone(), || Ok(q.clone()), cx, generation),
+    }
 }
 
 pub(crate) fn lock(cache: &Mutex<PlanCache>) -> MutexGuard<'_, PlanCache> {

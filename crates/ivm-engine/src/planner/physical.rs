@@ -5,6 +5,10 @@
 //! - **join-side selection** — the estimated-smaller input becomes the hash
 //!   join's build side (RIGHT joins are mirrored; a restoring projection
 //!   keeps the output column order);
+//! - **build form** — a build side that is a bare scan of a table whose
+//!   primary key is exactly the join's build keys, probed by no more rows
+//!   than the table holds, is read through that key's index instead of
+//!   being hashed (see `index_build_keys`);
 //! - **equi-key extraction** — `a = b` conjuncts across the join split into
 //!   build/probe key columns plus a residual predicate; every join is a
 //!   hash join, one without an equi-key (CROSS, comma, non-equi) with
@@ -19,6 +23,7 @@ use crate::error::EngineError;
 use crate::expr::{flatten_and, AggExpr, BoundExpr};
 use crate::planner::{LogicalPlan, SetOpKind, SortKey};
 use crate::schema::Schema;
+use crate::types::DataType;
 use crate::value::Value;
 
 /// Join semantics after lowering. RIGHT joins no longer exist physically:
@@ -96,6 +101,13 @@ pub enum PhysicalPlan {
         residual: Option<BoundExpr>,
         /// Join semantics (probe side is the preserved side).
         join: PhysJoinKind,
+        /// Whether the build side is read through its table's primary-key
+        /// index instead of being hashed. Only set on an `Inner` or
+        /// `LeftOuter` join whose `build` is a bare `TableScan` keyed on
+        /// exactly that key, in key order: such a join has no build state
+        /// — nothing is materialized, partitioned, spilled or shared —
+        /// and each probe row descends the index.
+        index_build: bool,
         /// Output columns: probe then build.
         schema: Schema,
     },
@@ -298,11 +310,13 @@ impl PhysicalPlan {
                     build_keys,
                     residual,
                     join,
+                    index_build,
                     ..
                 } => {
                     format!(
-                        "HashJoin {join:?} probe_keys={probe_keys:?} build_keys={build_keys:?}{}",
-                        if residual.is_some() { " residual" } else { "" }
+                        "HashJoin {join:?} probe_keys={probe_keys:?} build_keys={build_keys:?}{}{}",
+                        if residual.is_some() { " residual" } else { "" },
+                        if *index_build { " [index build]" } else { "" }
                     )
                 }
                 PhysicalPlan::HashAggregate {
@@ -624,31 +638,54 @@ fn lower_join(
     let rwidth = right.schema().len();
     let left_phys = lower_node(left, catalog)?;
     let right_phys = lower_node(right, catalog)?;
-
-    // Pick sides. The probe side is the preserved side of outer joins, so
-    // only INNER joins are free to swap for a smaller build table; RIGHT
-    // joins must mirror (probe = right).
-    let swap = match kind {
-        JoinKind::Right => true,
-        JoinKind::Inner => estimate_rows(left, catalog) < estimate_rows(right, catalog),
-        _ => false,
-    };
     let join = match kind {
         JoinKind::Inner | JoinKind::Cross => PhysJoinKind::Inner,
         JoinKind::Left | JoinKind::Right => PhysJoinKind::LeftOuter,
         JoinKind::Full => PhysJoinKind::FullOuter,
     };
 
-    let (probe_phys, build_phys, probe_width, build_width) = if swap {
-        (right_phys, left_phys, rwidth, lwidth)
-    } else {
-        (left_phys, right_phys, lwidth, rwidth)
+    // Equi-keys and residual over `left ++ right`; swapping sides swaps
+    // each key pair and remaps the residual.
+    let (equi, residual) = match on {
+        Some(pred) => split_equi_conjuncts(pred, lwidth, lwidth + rwidth),
+        None => (Vec::new(), None),
+    };
+    let (left_keys, right_keys): (Vec<usize>, Vec<usize>) = equi.into_iter().unzip();
+    let index_right = || index_build_keys(join, right, &right_keys, left, &left_keys, catalog);
+    let index_left = || index_build_keys(join, left, &left_keys, right, &right_keys, catalog);
+
+    // Pick sides. The probe side is the preserved side of outer joins, so
+    // only INNER joins are free to swap — for a side their keys can read
+    // through its index, else for a smaller build table; RIGHT joins must
+    // mirror (probe = right).
+    let (swap, indexed) = match kind {
+        JoinKind::Right => (true, index_left()),
+        JoinKind::Inner => match (index_right(), index_left()) {
+            (Some(keys), _) => (false, Some(keys)),
+            (None, Some(keys)) => (true, Some(keys)),
+            (None, None) => (
+                estimate_rows(left, catalog) < estimate_rows(right, catalog),
+                None,
+            ),
+        },
+        _ => (false, index_right()),
     };
 
-    // The ON clause was bound over `left ++ right`; re-express it over the
+    let (probe_phys, build_phys) = if swap {
+        (right_phys, left_phys)
+    } else {
+        (left_phys, right_phys)
+    };
+    let index_build = indexed.is_some();
+    let (probe_keys, build_keys) = match indexed {
+        Some(keys) => keys,
+        None if swap => (right_keys, left_keys),
+        None => (left_keys, right_keys),
+    };
+
+    // The residual was bound over `left ++ right`; re-express it over the
     // execution frame `probe ++ build`.
-    let on_in_frame = on.map(|e| {
-        let mut e = e.clone();
+    let residual = residual.map(|mut e| {
         if swap {
             e.remap_columns(&|i| if i < lwidth { i + rwidth } else { i - lwidth });
         }
@@ -664,14 +701,8 @@ fn lower_join(
         schema.clone()
     };
 
-    let (equi, residual) = match &on_in_frame {
-        Some(pred) => split_equi_conjuncts(pred, probe_width, probe_width + build_width),
-        None => (Vec::new(), None),
-    };
-
     // No equi-key leaves both key lists empty: the join still hashes,
     // every build row on one chain, and the residual is the whole ON.
-    let (probe_keys, build_keys) = equi.into_iter().unzip();
     let joined = PhysicalPlan::HashJoin {
         probe: Box::new(probe_phys),
         build: Box::new(build_phys),
@@ -679,6 +710,7 @@ fn lower_join(
         build_keys,
         residual,
         join,
+        index_build,
         schema: frame_schema,
     };
 
@@ -701,6 +733,51 @@ fn lower_join(
         exprs: restore,
         schema: schema.clone(),
     })
+}
+
+/// The `(probe_keys, build_keys)` of a join whose build side `build` can
+/// be read through its table's primary-key index, reordered into key
+/// order; `None` when the join must hash its build side. All of:
+/// - the join is `Inner` or `LeftOuter` (a FULL OUTER join must find the
+///   build rows no probe row matched, which an index cannot list);
+/// - `build` is a bare scan — no pushed filter, nothing above it;
+/// - the table's primary key is exactly the build keys, each paired with
+///   a probe column of the same type and none of them DOUBLE — the rule
+///   scans apply to `column = literal` point reads;
+/// - the probe side is estimated at no more rows than the table holds
+///   live: past that, one pass over the table to hash it costs less than
+///   a descent per probe row (a large fact table joined to a small
+///   dimension keeps the hashed build).
+fn index_build_keys(
+    join: PhysJoinKind,
+    build: &LogicalPlan,
+    build_keys: &[usize],
+    probe: &LogicalPlan,
+    probe_keys: &[usize],
+    catalog: &Catalog,
+) -> Option<(Vec<usize>, Vec<usize>)> {
+    if join == PhysJoinKind::FullOuter {
+        return None;
+    }
+    let LogicalPlan::Scan { table, schema } = build else {
+        return None;
+    };
+    let table = catalog.table(table).ok()?;
+    let pk = table.pk_index()?;
+    if pk.columns.len() != build_keys.len() {
+        return None;
+    }
+    let mut keys = (Vec::new(), Vec::new());
+    for &col in &pk.columns {
+        let at = build_keys.iter().position(|&k| k == col)?;
+        let ty = schema.columns[col].ty;
+        if ty == DataType::Double || probe.schema().columns[probe_keys[at]].ty != ty {
+            return None;
+        }
+        keys.0.push(probe_keys[at]);
+        keys.1.push(col);
+    }
+    (estimate_rows(probe, catalog) <= table.live_rows() as f64).then_some(keys)
 }
 
 /// Split a join predicate over `probe ++ build` into `(probe_col,
@@ -861,6 +938,81 @@ mod tests {
         };
         assert_eq!(*join, PhysJoinKind::LeftOuter);
         assert!(matches!(**probe, PhysicalPlan::TableScan { ref table, .. } if table == "big"));
+    }
+
+    /// `small` and `big` plus `keyed`: `keyed_rows` rows keyed on `id`.
+    fn catalog_with_keyed(keyed_rows: usize) -> Catalog {
+        let mut c = catalog_with_sizes(5, 5000);
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Integer),
+            Column::new("d", DataType::Double),
+        ]);
+        let mut keyed = Table::new("keyed", schema, vec![0]);
+        for v in 0..keyed_rows {
+            keyed
+                .insert(vec![Value::Integer(v as i64), Value::Double(0.5)])
+                .unwrap();
+        }
+        c.create_table(keyed).unwrap();
+        c
+    }
+
+    #[test]
+    fn index_build_reads_a_keyed_table_probed_by_fewer_rows() {
+        let catalog = catalog_with_keyed(100);
+        let index = "build_keys=[0] [index build]\n";
+        for (sql, form) in [
+            // LEFT and INNER over the key, probed by 5 rows.
+            (
+                "SELECT * FROM small LEFT JOIN keyed ON small.id = keyed.id",
+                Some(index),
+            ),
+            (
+                "SELECT * FROM small JOIN keyed ON keyed.id = small.id",
+                Some(index),
+            ),
+            // INNER swaps to read the keyed side through its index.
+            (
+                "SELECT * FROM keyed JOIN small ON keyed.id = small.id",
+                Some(index),
+            ),
+            // RIGHT mirrors: the keyed (left) side is the build side.
+            (
+                "SELECT * FROM keyed RIGHT JOIN small ON keyed.id = small.id",
+                Some(index),
+            ),
+            // 5 000 probe rows against 100 keyed rows: hashed.
+            (
+                "SELECT * FROM big LEFT JOIN keyed ON big.id = keyed.id",
+                None,
+            ),
+            ("SELECT * FROM big JOIN keyed ON big.id = keyed.id", None),
+            // FULL OUTER, a non-key column, a filtered build and a
+            // type mismatch (DOUBLE probe key) all hash.
+            (
+                "SELECT * FROM small FULL JOIN keyed ON small.id = keyed.id",
+                None,
+            ),
+            (
+                "SELECT * FROM small LEFT JOIN keyed ON small.id = keyed.d",
+                None,
+            ),
+            (
+                "SELECT * FROM small LEFT JOIN (SELECT * FROM keyed WHERE d > 0) k \
+                 ON small.id = k.id",
+                None,
+            ),
+            (
+                "SELECT * FROM keyed k2 LEFT JOIN keyed ON k2.d = keyed.id",
+                None,
+            ),
+        ] {
+            let explain = lower_sql(sql, &catalog).explain();
+            match form {
+                Some(form) => assert!(explain.contains(form), "{sql}:\n{explain}"),
+                None => assert!(!explain.contains("[index build]"), "{sql}:\n{explain}"),
+            }
+        }
     }
 
     #[test]

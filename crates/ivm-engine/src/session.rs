@@ -17,7 +17,7 @@ use crate::exec::{
 use crate::expr::bind::{bind_expr_with, Scope};
 use crate::expr::BindColumn;
 use crate::optimizer::optimize;
-use crate::plan_cache::{lock, plan_shared, PlanCache, Planned};
+use crate::plan_cache::{lock, plan_statement, PlanCache, Planned, PreparedStatement};
 use crate::planner::physical::lower;
 use crate::planner::{plan_query, plan_template};
 use crate::schema::{Column, Schema};
@@ -580,17 +580,14 @@ impl Database {
         self.ddl_generation
     }
 
-    /// The plan of `q` through the shared cache, lifted from a clone of
-    /// the borrowed statement.
-    fn plan(&self, q: &Query) -> Result<Planned, EngineError> {
+    /// The plan of `q` through the shared cache (see [`plan_statement`]).
+    fn plan(
+        &self,
+        q: &Query,
+        prepared: Option<&PreparedStatement>,
+    ) -> Result<Planned, EngineError> {
         let cx = self.exec_context();
-        plan_shared(
-            &self.plan_cache,
-            q.clone(),
-            || Ok(q.clone()),
-            &cx,
-            self.ddl_generation,
-        )
+        plan_statement(&self.plan_cache, q, prepared, &cx, self.ddl_generation)
     }
 
     /// Execute a single SQL statement.
@@ -639,8 +636,28 @@ impl Database {
     /// made through [`catalog_mut`](Database::catalog_mut) need an
     /// explicit [`invalidate_plans`](Database::invalidate_plans).
     pub fn execute_statement(&mut self, stmt: &Statement) -> Result<QueryResult, EngineError> {
+        self.run_statement(stmt, None)
+    }
+
+    /// Execute a statement lifted ahead of time: as
+    /// [`execute_statement`](Database::execute_statement), but a plan
+    /// cache hit finds its plan by the shape computed once, in
+    /// [`PreparedStatement::new`] — how a statement run many times (a
+    /// view's maintenance script) skips re-lifting itself each time.
+    pub fn execute_prepared(
+        &mut self,
+        prepared: &PreparedStatement,
+    ) -> Result<QueryResult, EngineError> {
+        self.run_statement(prepared.statement(), Some(prepared))
+    }
+
+    fn run_statement(
+        &mut self,
+        stmt: &Statement,
+        prepared: Option<&PreparedStatement>,
+    ) -> Result<QueryResult, EngineError> {
         self.degraded_gate(stmt)?;
-        let result = self.execute_statement_inner(stmt);
+        let result = self.execute_statement_inner(stmt, prepared);
         let commit = self.commit_statement();
         match result {
             Err(e) => Err(e),
@@ -648,9 +665,13 @@ impl Database {
         }
     }
 
-    fn execute_statement_inner(&mut self, stmt: &Statement) -> Result<QueryResult, EngineError> {
+    fn execute_statement_inner(
+        &mut self,
+        stmt: &Statement,
+        prepared: Option<&PreparedStatement>,
+    ) -> Result<QueryResult, EngineError> {
         match stmt {
-            Statement::Query(q) => run_planned(self.plan(q)?, &self.exec_context()),
+            Statement::Query(q) => run_planned(self.plan(q, prepared)?, &self.exec_context()),
             Statement::CreateTable(ct) => self.create_table(ct),
             Statement::CreateIndex(ci) => self.create_index(ci),
             Statement::CreateView(cv) => {
@@ -669,7 +690,7 @@ impl Database {
                 Ok(QueryResult::default())
             }
             Statement::Drop(d) => self.drop(d),
-            Statement::Insert(ins) => self.insert(ins),
+            Statement::Insert(ins) => self.insert(ins, prepared),
             Statement::Update(u) => self.update(u),
             Statement::Delete(d) => self.delete(d),
             // The analytical engine auto-commits; real transaction scoping
@@ -683,7 +704,7 @@ impl Database {
                 };
                 // Show what will actually run: the lowered physical tree,
                 // instantiated from the cached template.
-                let (physical, _) = self.plan(q)?;
+                let (physical, _) = self.plan(q, prepared)?;
                 let rows = physical
                     .explain()
                     .lines()
@@ -777,7 +798,11 @@ impl Database {
         Ok(QueryResult::default())
     }
 
-    fn insert(&mut self, ins: &Insert) -> Result<QueryResult, EngineError> {
+    fn insert(
+        &mut self,
+        ins: &Insert,
+        prepared: Option<&PreparedStatement>,
+    ) -> Result<QueryResult, EngineError> {
         let tname = ins.table.normalized().to_string();
         let (schema, column_map) = {
             let table = self.catalog.table(&tname)?;
@@ -821,7 +846,7 @@ impl Database {
                 out
             }
             InsertSource::Query(q) => {
-                let (physical, columns) = self.plan(q)?;
+                let (physical, columns) = self.plan(q, prepared)?;
                 if columns.len() != column_map.len() {
                     return Err(EngineError::bind(format!(
                         "INSERT expects {} columns, query returns {}",
@@ -872,8 +897,10 @@ impl Database {
                     affected += 1;
                 }
                 Some(existing) => {
+                    // INSERT OR REPLACE overwrites the duplicate's slot in
+                    // place: no tombstone left behind, no second lookup.
                     if ins.or_replace {
-                        self.catalog.table_mut(&tname)?.upsert(row)?;
+                        self.catalog.table_mut(&tname)?.update(existing, row)?;
                         affected += 1;
                     } else if let Some(oc) = conflict {
                         match &oc.action {
@@ -1093,6 +1120,50 @@ mod tests {
         assert_eq!(
             db.query("SELECT COUNT(*) FROM sink").unwrap().scalar(),
             Some(&Value::Integer(4))
+        );
+    }
+
+    #[test]
+    fn insert_or_replace_updates_in_place() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE k (id VARCHAR PRIMARY KEY, v INTEGER)")
+            .unwrap();
+        db.execute("INSERT OR REPLACE INTO k VALUES ('a', 1), ('b', 2)")
+            .unwrap();
+        let replaced = db
+            .execute("INSERT OR REPLACE INTO k VALUES ('a', 5)")
+            .unwrap();
+        assert_eq!(replaced.rows_affected, 1);
+        let k = db.catalog().table("k").unwrap();
+        assert_eq!((k.live_rows(), k.total_slots()), (2, 2), "no tombstone");
+        assert_eq!(k.lookup_pk(&[Value::from("a")]), Some(0), "same slot");
+        assert_eq!(
+            db.query("SELECT id, v FROM k").unwrap().rows,
+            vec![
+                vec![Value::from("a"), Value::Integer(5)],
+                vec![Value::from("b"), Value::Integer(2)],
+            ]
+        );
+    }
+
+    #[test]
+    fn prepared_statements_plan_through_the_shared_cache() {
+        let mut db = seeded();
+        let ins =
+            parse_statement("INSERT INTO sink SELECT g, SUM(v) FROM s WHERE v > 1 GROUP BY g")
+                .unwrap();
+        let prepared = PreparedStatement::new(ins);
+        for _ in 0..3 {
+            assert_eq!(db.execute_prepared(&prepared).unwrap().rows_affected, 2);
+        }
+        assert_eq!(db.plan_cache_stats(), (1, 2), "planned once, hit twice");
+        // The same shape sent as text — another literal — hits that plan.
+        db.execute("INSERT INTO sink SELECT g, SUM(v) FROM s WHERE v > 2 GROUP BY g")
+            .unwrap();
+        assert_eq!(db.plan_cache_stats(), (1, 3));
+        assert_eq!(
+            db.query("SELECT COUNT(*) FROM sink").unwrap().scalar(),
+            Some(&Value::Integer(7))
         );
     }
 

@@ -299,27 +299,6 @@ impl Table {
         Ok(self.append_unchecked(row))
     }
 
-    /// Upsert a row through the PK index ("INSERT OR REPLACE"): replaces
-    /// the existing row with the same key, if any. Returns `(row_id,
-    /// replaced)`.
-    pub fn upsert(&mut self, row: Vec<Value>) -> Result<(u64, bool), EngineError> {
-        self.check_row(&row)?;
-        let Some(pk) = &self.data.pk_index else {
-            return Err(EngineError::constraint(format!(
-                "INSERT OR REPLACE on table {} requires a primary key index",
-                self.name
-            )));
-        };
-        let key = pk.key_of(&row);
-        if let Some(existing) = pk.get_encoded(&key) {
-            self.delete(existing)?;
-            let id = self.append_unchecked(row);
-            Ok((id, true))
-        } else {
-            Ok((self.append_unchecked(row), false))
-        }
-    }
-
     /// Mutation counter: changes whenever any row is inserted, deleted,
     /// updated, truncated, or renumbered by compaction. Values are drawn
     /// from one process-wide counter, so they are unique across table
@@ -1095,24 +1074,6 @@ mod tests {
         assert!(err.is_err(), "duplicate key must fail");
         assert_eq!(t.lookup_pk(&[Value::from("a")]), Some(0));
         assert_eq!(t.lookup_pk(&[Value::from("zz")]), None);
-    }
-
-    #[test]
-    fn upsert_replaces() {
-        let mut t = keyed_table();
-        let (_, replaced) = t.upsert(vec![Value::from("a"), Value::Integer(1)]).unwrap();
-        assert!(!replaced);
-        let (_, replaced) = t.upsert(vec![Value::from("a"), Value::Integer(5)]).unwrap();
-        assert!(replaced);
-        assert_eq!(t.live_rows(), 1);
-        let row_id = t.lookup_pk(&[Value::from("a")]).unwrap();
-        assert_eq!(t.row(row_id)[1], Value::Integer(5));
-    }
-
-    #[test]
-    fn upsert_without_pk_fails() {
-        let mut t = groups_table();
-        assert!(t.upsert(vec![Value::from("a"), Value::Integer(1)]).is_err());
     }
 
     #[test]

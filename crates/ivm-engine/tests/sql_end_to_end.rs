@@ -500,3 +500,200 @@ fn wide_integer_keys_are_exact() {
     let both = ids_of("SELECT DISTINCT id FROM p UNION ALL SELECT DISTINCT id FROM u");
     assert_eq!(both, [ids, ids].concat());
 }
+
+/// Three keyed build tables — an INTEGER primary key, a nullable VARCHAR
+/// key made by `CREATE UNIQUE INDEX`, a two-column key — each with an unindexed
+/// copy holding the same rows, tombstones and in-place updates, and one
+/// probe table with NULL, absent and duplicate keys and a DOUBLE key
+/// column. The keyed tables outnumber the probe rows, so equi-joins on
+/// their keys read them through the index.
+fn join_fixture(db: &mut Database) {
+    for (keyed, copy) in [
+        (
+            "CREATE TABLE bi (id INTEGER PRIMARY KEY, tag VARCHAR, w INTEGER)",
+            "CREATE TABLE bi_copy (id INTEGER, tag VARCHAR, w INTEGER)",
+        ),
+        (
+            "CREATE TABLE bs (tag VARCHAR, w INTEGER)",
+            "CREATE TABLE bs_copy (tag VARCHAR, w INTEGER)",
+        ),
+        (
+            "CREATE TABLE bm (x INTEGER, y VARCHAR, w INTEGER, PRIMARY KEY (x, y))",
+            "CREATE TABLE bm_copy (x INTEGER, y VARCHAR, w INTEGER)",
+        ),
+    ] {
+        db.execute(keyed).unwrap();
+        db.execute(copy).unwrap();
+    }
+    db.execute("CREATE UNIQUE INDEX bs_tag ON bs (tag)")
+        .unwrap();
+    db.execute("CREATE TABLE p (k INTEGER, kd DOUBLE, s VARCHAR, y VARCHAR, v INTEGER)")
+        .unwrap();
+    let mut seed = 0x9e37_79b9_u64;
+    let mut next = move |n: u64| {
+        seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        (seed >> 33) % n
+    };
+    let bi: Vec<String> = (0..300)
+        .map(|i| format!("({i}, 't{}', {})", i % 17, next(10)))
+        .collect();
+    let bs: Vec<String> = (0..300)
+        .map(|i| format!("('t{i}', {})", next(10)))
+        .collect();
+    let bm: Vec<String> = (0..300)
+        .map(|i| format!("({}, 'y{}', {})", i / 3, i % 3, next(10)))
+        .collect();
+    for (table, rows) in [("bi", &bi), ("bs", &bs), ("bm", &bm)] {
+        for t in [table.to_string(), format!("{table}_copy")] {
+            db.execute(&format!("INSERT INTO {t} VALUES {}", rows.join(", ")))
+                .unwrap();
+        }
+    }
+    // Tombstones and in-place updates, a moved key among them, and a
+    // NULL key, which the unique index holds and no probe may match.
+    for (table, sql) in [
+        ("bs", "INSERT INTO {t} VALUES (NULL, 4)"),
+        ("bi", "DELETE FROM {t} WHERE id % 5 = 0"),
+        ("bi", "UPDATE {t} SET w = w + 1 WHERE id % 7 = 0"),
+        ("bi", "UPDATE {t} SET id = id + 1000 WHERE id % 11 = 1"),
+        ("bs", "DELETE FROM {t} WHERE w = 3"),
+        ("bm", "DELETE FROM {t} WHERE x % 4 = 0 AND y = 'y1'"),
+    ] {
+        for t in [table.to_string(), format!("{table}_copy")] {
+            db.execute(&sql.replace("{t}", &t)).unwrap();
+        }
+    }
+    // Probe keys: duplicates, NULLs, absent (≥ 300, negative, deleted,
+    // moved), and DOUBLE keys both integral and not.
+    let p: Vec<String> = (0..200)
+        .map(|_| {
+            let k = match next(10) {
+                0 => "NULL".to_string(),
+                1 => format!("{}", 300 + next(50)),
+                2 => format!("{}", 1000 + next(300)),
+                _ => format!("{}", next(120)),
+            };
+            let kd = match next(4) {
+                0 => "NULL".to_string(),
+                1 => format!("{}.5", next(100)),
+                _ => format!("{}.0", next(100)),
+            };
+            let s = match next(6) {
+                0 => "NULL".to_string(),
+                _ => format!("'t{}'", next(330)),
+            };
+            format!("({k}, {kd}, {s}, 'y{}', {})", next(4), next(10))
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO p VALUES {}", p.join(", ")))
+        .unwrap();
+}
+
+/// Each LEFT, RIGHT and INNER equi-join over a keyed table returns what
+/// the same join over the table's unindexed copy returns, as lists: an
+/// outer join in its probe side's order, an inner join under an ORDER BY
+/// of every output column (which side an inner join probes is the
+/// planner's choice). Run serially, morsel-parallel over small morsels and
+/// batches, and under a budget that makes the copies' hashed builds spill.
+#[test]
+fn index_built_joins_agree_with_hashed_joins() {
+    // (query over `{bi}` / `{bs}` / `{bm}`, whether the keyed form reads
+    // its build side through the index).
+    let cases = [
+        (
+            "SELECT p.k, p.v, b.id, b.tag, b.w FROM p LEFT JOIN {bi} b ON p.k = b.id",
+            true,
+        ),
+        (
+            "SELECT p.k, b.tag FROM p LEFT JOIN {bi} b ON b.id = p.k AND p.v > b.w",
+            true,
+        ),
+        (
+            "SELECT p.k, p.v, b.w FROM p LEFT JOIN {bi} b ON p.k = b.id WHERE p.v > 3",
+            true,
+        ),
+        (
+            "SELECT p.k, b.w FROM {bi} b RIGHT JOIN p ON b.id = p.k",
+            true,
+        ),
+        (
+            "SELECT p.kd, b.id, b.w FROM p LEFT JOIN {bi} b ON p.kd = b.id",
+            false,
+        ),
+        (
+            "SELECT p.s, p.v, b.w FROM p LEFT JOIN {bs} b ON p.s = b.tag",
+            true,
+        ),
+        (
+            "SELECT p.k, p.y, b.w FROM p LEFT JOIN {bm} b ON p.y = b.y AND p.k = b.x",
+            true,
+        ),
+        (
+            "SELECT p.k, p.v, b.w FROM p JOIN {bi} b ON p.k = b.id ORDER BY 1, 2, 3",
+            true,
+        ),
+        (
+            "SELECT b.id, p.v FROM {bi} b JOIN p ON b.id = p.k ORDER BY 1, 2",
+            true,
+        ),
+        (
+            "SELECT p.kd, b.w FROM p JOIN {bi} b ON p.kd = b.id ORDER BY 1, 2",
+            false,
+        ),
+        (
+            "SELECT p.s, b.w FROM p JOIN {bs} b ON b.tag = p.s ORDER BY 1, 2",
+            true,
+        ),
+        (
+            "SELECT p.k, p.y, p.v, b.w FROM p JOIN {bm} b ON p.k = b.x AND p.y = b.y \
+             ORDER BY 1, 2, 3, 4",
+            true,
+        ),
+        (
+            "SELECT b.tag, COUNT(*) AS n, SUM(p.v) AS s FROM p JOIN {bi} b ON p.k = b.id \
+             GROUP BY b.tag ORDER BY 1",
+            true,
+        ),
+    ];
+    let keyed = |sql: &str| {
+        sql.replace("{bi}", "bi")
+            .replace("{bs}", "bs")
+            .replace("{bm}", "bm")
+    };
+    let copy = |sql: &str| {
+        sql.replace("{bi}", "bi_copy")
+            .replace("{bs}", "bs_copy")
+            .replace("{bm}", "bm_copy")
+    };
+    let mut db = db();
+    join_fixture(&mut db);
+    for (sql, indexed) in cases {
+        let explain = db.execute(&format!("EXPLAIN {}", keyed(sql))).unwrap();
+        let explain: Vec<String> = explain.rows.iter().map(|r| r[0].to_string()).collect();
+        let shown = explain.iter().any(|l| l.ends_with("[index build]"));
+        assert_eq!(shown, indexed, "{sql}:\n{}", explain.join("\n"));
+        let copy_plan = db.execute(&format!("EXPLAIN {}", copy(sql))).unwrap();
+        assert!(
+            copy_plan
+                .rows
+                .iter()
+                .all(|r| !r[0].to_string().contains("index")),
+            "{sql}"
+        );
+    }
+    for (workers, small, budget) in [(1, false, None), (2, true, None), (4, true, Some(64 << 10))] {
+        db.set_parallelism(workers);
+        if small {
+            db.set_morsel_size(16);
+            db.set_batch_size(7);
+        }
+        db.set_memory_budget(budget);
+        for (sql, _) in cases {
+            let expected = db.query(&copy(sql)).unwrap().rows;
+            assert!(expected.len() >= 10, "{sql}: {} rows", expected.len());
+            for got in [db.query(&keyed(sql)), db.execute(&keyed(sql))] {
+                assert_eq!(got.unwrap().rows, expected, "{sql} at {workers} workers");
+            }
+        }
+    }
+}

@@ -33,6 +33,46 @@ pub enum Statement {
     Explain(Box<Statement>),
 }
 
+impl Statement {
+    /// The names of every table or view whose rows running the statement
+    /// reads, each once, in first-use order: a query's (see
+    /// [`Query::referenced_tables`]), an INSERT's source and the
+    /// subqueries of its `DO UPDATE` assignments, and the subqueries of
+    /// an UPDATE's or DELETE's assignments and WHERE. The table a DML
+    /// statement writes is not reported, nor is anything for DDL or an
+    /// EXPLAIN, which reads no rows.
+    pub fn read_tables(&self) -> Vec<Ident> {
+        let mut out = Vec::new();
+        let mut exprs: Vec<&Expr> = Vec::new();
+        match self {
+            Statement::Query(q) => collect_tables_query(q, &mut Vec::new(), &mut out),
+            Statement::Insert(ins) => {
+                match &ins.source {
+                    InsertSource::Query(q) => collect_tables_query(q, &mut Vec::new(), &mut out),
+                    InsertSource::Values(rows) => exprs.extend(rows.iter().flatten()),
+                }
+                if let Some(OnConflict {
+                    action: ConflictAction::DoUpdate(assignments),
+                    ..
+                }) = &ins.on_conflict
+                {
+                    exprs.extend(assignments.iter().map(|a| &a.value));
+                }
+            }
+            Statement::Update(u) => {
+                exprs.extend(u.assignments.iter().map(|a| &a.value));
+                exprs.extend(&u.selection);
+            }
+            Statement::Delete(d) => exprs.extend(&d.selection),
+            _ => {}
+        }
+        for e in exprs {
+            collect_tables_expr(e, &mut Vec::new(), &mut out);
+        }
+        out
+    }
+}
+
 /// `CREATE TABLE name (col TYPE [PRIMARY KEY], …, [PRIMARY KEY (…)])`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreateTable {
@@ -465,6 +505,32 @@ pub struct OrderByExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn read_tables_cover_dml_sources_and_subqueries() {
+        for (sql, read) in [
+            ("INSERT INTO sink SELECT k FROM mv", vec!["mv"]),
+            (
+                "INSERT INTO sink VALUES (1 IN (SELECT k FROM a))",
+                vec!["a"],
+            ),
+            (
+                "UPDATE t SET x = 1 WHERE k IN (SELECT k FROM a) OR k IN (SELECT k FROM b)",
+                vec!["a", "b"],
+            ),
+            ("DELETE FROM t WHERE k IN (SELECT k FROM mv)", vec!["mv"]),
+            ("DELETE FROM t", vec![]),
+            ("EXPLAIN SELECT k FROM mv", vec![]),
+        ] {
+            let stmt = crate::parse_statement(sql).unwrap();
+            let names: Vec<String> = stmt
+                .read_tables()
+                .iter()
+                .map(|t| t.normalized().to_string())
+                .collect();
+            assert_eq!(names, read, "{sql}");
+        }
+    }
 
     #[test]
     fn referenced_tables_skips_ctes() {
