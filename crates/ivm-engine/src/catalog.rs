@@ -67,20 +67,12 @@ impl Catalog {
                 columns: table.schema.columns.clone(),
                 primary_key: table.primary_key.clone(),
             });
-            // Rows and indexes built *before* registration are part of
-            // the redo stream too: replay recreates the table empty.
+            // Rows inserted *before* registration are part of the redo
+            // stream too: replay recreates the table empty.
             for (_, row) in table.scan() {
                 wal.log(&WalRecord::Insert {
                     table: name.clone(),
                     row,
-                });
-            }
-            for (iname, columns, unique) in table.secondary_index_defs() {
-                wal.log(&WalRecord::CreateIndex {
-                    table: name.clone(),
-                    name: iname,
-                    columns,
-                    unique,
                 });
             }
         }

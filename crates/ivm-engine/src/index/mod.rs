@@ -8,27 +8,24 @@ pub use key::encode_key;
 
 use crate::value::Value;
 
-/// A named index over a table's columns, backed by an [`Art`].
+/// A table's primary-key index, backed by an [`Art`].
 ///
-/// Values map encoded composite keys to row ids. Unique indexes (primary
-/// keys) hold exactly one row per key; the engine's upsert path relies on
-/// this to locate the victim row, mirroring the paper's observation that
-/// "DuckDB requires an index to apply upserts".
+/// Maps encoded composite keys to row ids, exactly one row per key; the
+/// engine's upsert path relies on this to locate the victim row,
+/// mirroring the paper's observation that "DuckDB requires an index to
+/// apply upserts". It is the only index a table owns.
 #[derive(Debug, Default, Clone)]
 pub struct TableIndex {
-    /// Positions of the indexed columns in the table schema.
+    /// Positions of the key columns in the table schema.
     pub columns: Vec<usize>,
-    /// Whether the index enforces uniqueness.
-    pub unique: bool,
     tree: Art,
 }
 
 impl TableIndex {
     /// Create an empty index over the given column positions.
-    pub fn new(columns: Vec<usize>, unique: bool) -> TableIndex {
+    pub fn new(columns: Vec<usize>) -> TableIndex {
         TableIndex {
             columns,
-            unique,
             tree: Art::new(),
         }
     }
@@ -36,6 +33,17 @@ impl TableIndex {
     /// Encode the key of `row` under this index.
     pub fn key_of(&self, row: &[Value]) -> Vec<u8> {
         let parts: Vec<Value> = self.columns.iter().map(|&c| row[c].clone()).collect();
+        encode_key(&parts)
+    }
+
+    /// Encode the key of physical slot `slot` of column-major storage,
+    /// reading only the key columns.
+    pub(crate) fn key_at(&self, columns: &[Vec<Value>], slot: usize) -> Vec<u8> {
+        let parts: Vec<Value> = self
+            .columns
+            .iter()
+            .map(|&c| columns[c][slot].clone())
+            .collect();
         encode_key(&parts)
     }
 
@@ -60,16 +68,6 @@ impl TableIndex {
         self.tree.remove(key)
     }
 
-    /// Number of indexed keys.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
     /// Drop all entries.
     pub fn clear(&mut self) {
         self.tree.clear()
@@ -87,7 +85,7 @@ mod tests {
 
     #[test]
     fn table_index_round_trip() {
-        let mut idx = TableIndex::new(vec![0], true);
+        let mut idx = TableIndex::new(vec![0]);
         let row = [Value::from("apple"), Value::Integer(5)];
         let key = idx.key_of(&row);
         assert_eq!(idx.insert(&key, 0), None);
@@ -95,12 +93,12 @@ mod tests {
         assert_eq!(idx.insert(&key, 7), Some(0));
         assert_eq!(idx.get(&[Value::from("apple")]), Some(7));
         assert_eq!(idx.remove(&key), Some(7));
-        assert!(idx.is_empty());
+        assert_eq!(idx.get(&[Value::from("apple")]), None);
     }
 
     #[test]
     fn composite_index_key() {
-        let idx = TableIndex::new(vec![2, 0], true);
+        let idx = TableIndex::new(vec![2, 0]);
         let row = [Value::Integer(1), Value::from("ignored"), Value::from("g")];
         assert_eq!(
             idx.key_of(&row),

@@ -760,12 +760,19 @@ impl Database {
             })?;
             cols.push(pos);
         }
-        // A UNIQUE index on a keyless table becomes its primary-key ART —
-        // the paper's "ART is generated after having populated V" path.
-        if ci.unique && !table.has_pk_index() {
-            table.add_pk_index(cols)?;
+        // The primary key is a table's one index. A UNIQUE index on a
+        // keyless table becomes it — the paper's "ART is generated after
+        // having populated V" path. A second unique index could not be
+        // enforced, so it is refused before anything is logged. A plain
+        // index is a recorded definition no query reads.
+        if !ci.unique {
+            table.create_index_def(ci.name.normalized().to_string(), cols)?;
+        } else if table.has_pk_index() {
+            return Err(EngineError::unsupported(format!(
+                "CREATE UNIQUE INDEX on {tname}, which already has a primary key"
+            )));
         } else {
-            table.create_secondary_index(ci.name.normalized().to_string(), cols, ci.unique)?;
+            table.add_pk_index(cols)?;
         }
         Ok(QueryResult::default())
     }
@@ -785,7 +792,7 @@ impl Database {
                 let mut dropped = false;
                 for tname in self.catalog.table_names() {
                     let t = self.catalog.table_mut(&tname)?;
-                    if t.drop_secondary_index(name) {
+                    if t.drop_index_def(name) {
                         dropped = true;
                         break;
                     }

@@ -68,7 +68,7 @@ use crate::value::Value;
 pub const META_FILE: &str = "catalog.meta";
 
 /// Catalog meta magic (and format version).
-pub const META_MAGIC: &[u8; 8] = b"OIVMMET3";
+pub const META_MAGIC: &[u8; 8] = b"OIVMMET4";
 
 /// Tuple bytes after which a table file's record is closed; a single
 /// larger row makes one larger record.
@@ -125,8 +125,8 @@ pub struct TableMeta {
     pub columns: Vec<Column>,
     /// Primary-key column positions.
     pub primary_key: Vec<usize>,
-    /// Secondary index definitions `(name, columns, unique)`.
-    pub secondary: Vec<(String, Vec<usize>, bool)>,
+    /// `CREATE INDEX` definitions `(name, columns)`.
+    pub index_defs: Vec<(String, Vec<usize>)>,
     /// Physical slot count including tombstones (restores row ids).
     pub total_slots: u64,
     /// Live row count (checked against the file on load).
@@ -302,7 +302,14 @@ impl Durability {
         for name in catalog.table_names() {
             let table = catalog.table(&name)?;
             let meta = match self.snapshots.get(&name) {
-                Some(s) if s.generation == table.generation() => s.meta.clone(),
+                // Unchanged rows keep their file; the key and the index
+                // definitions change without a row mutation, so they are
+                // read afresh.
+                Some(s) if s.generation == table.generation() => TableMeta {
+                    primary_key: table.primary_key.clone(),
+                    index_defs: table.index_defs().to_vec(),
+                    ..s.meta.clone()
+                },
                 _ => {
                     // A failed checkpoint's files may be named by a meta
                     // that did publish, so ordinals are never reused.
@@ -318,7 +325,7 @@ impl Durability {
                         name: table.name.clone(),
                         columns: table.schema.columns.clone(),
                         primary_key: table.primary_key.clone(),
-                        secondary: table.secondary_index_defs(),
+                        index_defs: table.index_defs().to_vec(),
                         total_slots: table.total_slots() as u64,
                         live_rows: table.live_rows() as u64,
                         file,
@@ -422,15 +429,12 @@ fn apply_record(
             table,
             name,
             columns,
-            unique,
         } => {
-            catalog
-                .table_mut(&table)?
-                .create_secondary_index(name, columns, unique)?;
+            catalog.table_mut(&table)?.create_index_def(name, columns)?;
             table
         }
         WalRecord::DropIndex { table, name } => {
-            catalog.table_mut(&table)?.drop_secondary_index(&name);
+            catalog.table_mut(&table)?.drop_index_def(&name);
             table
         }
         WalRecord::AddPk { table, columns } => {
@@ -532,7 +536,7 @@ fn load_table(dir: &Path, tm: &TableMeta) -> Result<(Table, u64), EngineError> {
         tm.name.clone(),
         Schema::new(tm.columns.clone()),
         tm.primary_key.clone(),
-        &tm.secondary,
+        tm.index_defs.clone(),
         tm.total_slots,
         rows,
     )
@@ -564,11 +568,10 @@ fn write_meta(
             wal::put_str(p, &tm.name);
             wal::put_columns(p, &tm.columns);
             wal::put_positions(p, &tm.primary_key);
-            p.extend_from_slice(&(tm.secondary.len() as u32).to_le_bytes());
-            for (iname, cols, unique) in &tm.secondary {
+            p.extend_from_slice(&(tm.index_defs.len() as u32).to_le_bytes());
+            for (iname, cols) in &tm.index_defs {
                 wal::put_str(p, iname);
                 wal::put_positions(p, cols);
-                p.push(u8::from(*unique));
             }
             wal::put_u64(p, tm.total_slots);
             wal::put_u64(p, tm.live_rows);
@@ -629,19 +632,16 @@ fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, EngineError> {
                 let mut b = [0u8; 4];
                 r.read_exact(&mut b)
                     .map_err(|_| corrupt_meta("truncated index count"))?;
-                let nsec = u32::from_le_bytes(b);
-                if nsec > frame::MAX_FRAME_COLS {
-                    return Err(corrupt_meta(format!("index count {nsec} exceeds cap")));
+                let ndefs = u32::from_le_bytes(b);
+                if ndefs > frame::MAX_FRAME_COLS {
+                    return Err(corrupt_meta(format!("index count {ndefs} exceeds cap")));
                 }
-                let mut secondary = Vec::with_capacity(nsec as usize);
-                for _ in 0..nsec {
+                let mut index_defs = Vec::with_capacity(ndefs as usize);
+                for _ in 0..ndefs {
                     let iname = wal::get_str(&mut r)?;
                     let cols = wal::get_positions(&mut r)?;
                     wal::check_positions(&cols, columns.len()).map_err(corrupt_meta)?;
-                    let mut u = [0u8; 1];
-                    r.read_exact(&mut u)
-                        .map_err(|_| corrupt_meta("truncated unique flag"))?;
-                    secondary.push((iname, cols, u[0] != 0));
+                    index_defs.push((iname, cols));
                 }
                 let total_slots = wal::get_u64(&mut r)?;
                 let live_rows = wal::get_u64(&mut r)?;
@@ -669,7 +669,7 @@ fn decode_meta(bytes: &[u8]) -> Result<DecodedMeta, EngineError> {
                     name,
                     columns,
                     primary_key,
-                    secondary,
+                    index_defs,
                     total_slots,
                     live_rows,
                     file,
@@ -924,7 +924,7 @@ mod tests {
             (vec![], no_index, 1, 1, Some(&one_row), 2, meta),
         ];
         for (i, case) in cases.into_iter().enumerate() {
-            let (primary_key, secondary, total_slots, live_rows, contents, epoch, expect) = case;
+            let (primary_key, index_defs, total_slots, live_rows, contents, epoch, expect) = case;
             let mut bytes = META_MAGIC.to_vec();
             bytes.extend_from_slice(&1u64.to_le_bytes());
             write_record(&mut bytes, |p| {
@@ -932,11 +932,10 @@ mod tests {
                 wal::put_str(p, "t");
                 wal::put_columns(p, &[Column::new("v", DataType::Integer)]);
                 wal::put_positions(p, &primary_key);
-                p.extend_from_slice(&(secondary.len() as u32).to_le_bytes());
-                for (name, cols) in &secondary {
+                p.extend_from_slice(&(index_defs.len() as u32).to_le_bytes());
+                for (name, cols) in &index_defs {
                     wal::put_str(p, name);
                     wal::put_positions(p, cols);
-                    p.push(0); // not unique
                 }
                 wal::put_u64(p, total_slots);
                 wal::put_u64(p, live_rows);

@@ -1,4 +1,4 @@
-//! Columnar table with tombstone deletes and index maintenance.
+//! Columnar table with tombstone deletes and primary-key maintenance.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -41,8 +41,8 @@ fn next_generation() -> u64 {
 ///
 /// Rows are append-only with tombstone deletion (like an analytical engine's
 /// row-group storage); row ids are stable until [`Table::compact`]. A table
-/// optionally owns a primary-key index plus named secondary indexes, all
-/// ART-backed, which are kept in sync by every mutation.
+/// owns at most one index, its ART-backed primary key, which every
+/// mutation keeps in sync.
 #[derive(Debug)]
 pub struct Table {
     /// Table name as stored in the catalog.
@@ -51,7 +51,12 @@ pub struct Table {
     pub schema: Schema,
     /// Positions of the primary key columns (empty = no PK).
     pub primary_key: Vec<usize>,
-    /// All row storage — column vectors, tombstone bitmap, and indexes —
+    /// `CREATE INDEX` definitions as `(name, columns)`. They are logged,
+    /// checkpointed and dropped by name, so DDL written for DuckDB or
+    /// PostgreSQL runs unchanged, but they build nothing: no query would
+    /// read a non-unique index, and the primary key is the one index.
+    index_defs: Vec<(String, Vec<usize>)>,
+    /// All row storage — column vectors, tombstone bitmap, and the key —
     /// behind a single `Arc` so [`Table::snapshot`] can freeze the table
     /// with one refcount bump. The writer reaches mutable storage through
     /// one `Arc::make_mut` per operation: a no-op uniqueness check while
@@ -87,25 +92,23 @@ struct TableData {
     columns: Vec<Vec<Value>>,
     deleted: Vec<bool>,
     pk_index: Option<TableIndex>,
-    secondary: Vec<(String, TableIndex)>,
 }
 
 impl Table {
     /// Create an empty table. When `primary_key` is non-empty a unique
     /// ART index is created over those column positions.
     pub fn new(name: impl Into<String>, schema: Schema, primary_key: Vec<usize>) -> Table {
-        let pk_index =
-            (!primary_key.is_empty()).then(|| TableIndex::new(primary_key.clone(), true));
+        let pk_index = (!primary_key.is_empty()).then(|| TableIndex::new(primary_key.clone()));
         let ncols = schema.len();
         Table {
             name: name.into(),
             schema,
             primary_key,
+            index_defs: Vec::new(),
             data: Arc::new(TableData {
                 columns: vec![Vec::new(); ncols],
                 deleted: Vec::new(),
                 pk_index,
-                secondary: Vec::new(),
             }),
             maybe_shared: AtomicBool::new(false),
             live: 0,
@@ -139,26 +142,22 @@ impl Table {
         self.wal = wal;
     }
 
-    /// Secondary index definitions as `(name, columns, unique)` — the
-    /// durable checkpoint records these so indexes rebuild on recovery.
-    pub fn secondary_index_defs(&self) -> Vec<(String, Vec<usize>, bool)> {
-        self.data
-            .secondary
-            .iter()
-            .map(|(n, idx)| (n.clone(), idx.columns.clone(), idx.unique))
-            .collect()
+    /// The `CREATE INDEX` definitions, `(name, columns)`, which the
+    /// durable checkpoint records.
+    pub(crate) fn index_defs(&self) -> &[(String, Vec<usize>)] {
+        &self.index_defs
     }
 
     /// Rebuild a table from checkpointed parts, preserving the physical
     /// slot layout: `rows` are `(slot_id, row)` pairs and `total_slots`
     /// the original slot count including tombstones, so row ids (and
     /// therefore scan order) match the pre-checkpoint table exactly.
-    /// Secondary indexes are rebuilt from `secondary` definitions.
+    /// The primary key is rebuilt from the rows.
     pub(crate) fn from_parts(
         name: String,
         schema: Schema,
         primary_key: Vec<usize>,
-        secondary: &[(String, Vec<usize>, bool)],
+        index_defs: Vec<(String, Vec<usize>)>,
         total_slots: u64,
         rows: Vec<(u64, Vec<Value>)>,
     ) -> Result<Table, EngineError> {
@@ -202,10 +201,8 @@ impl Table {
             data.columns = columns;
             data.deleted = deleted;
         }
-        table.rebuild_indexes();
-        for (iname, cols, unique) in secondary {
-            table.create_secondary_index(iname.clone(), cols.clone(), *unique)?;
-        }
+        table.index_defs = index_defs;
+        table.rebuild_pk_index()?;
         Ok(table)
     }
 
@@ -227,29 +224,6 @@ impl Table {
     /// Borrow the primary key index.
     pub fn pk_index(&self) -> Option<&TableIndex> {
         self.data.pk_index.as_ref()
-    }
-
-    /// Names of secondary indexes.
-    pub fn secondary_index_names(&self) -> Vec<&str> {
-        self.data
-            .secondary
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .collect()
-    }
-
-    /// Total approximate index memory (primary + secondary), for E2.
-    pub fn index_memory_bytes(&self) -> usize {
-        self.data
-            .pk_index
-            .as_ref()
-            .map_or(0, TableIndex::memory_bytes)
-            + self
-                .data
-                .secondary
-                .iter()
-                .map(|(_, i)| i.memory_bytes())
-                .sum::<usize>()
     }
 
     /// Validate a row against arity, types, and NOT NULL.
@@ -311,8 +285,8 @@ impl Table {
     }
 
     /// Freeze a copy-on-write snapshot of this table. The clone shares
-    /// the entire storage — column vectors, tombstone bitmap, and all
-    /// ART indexes — by one `Arc` reference: a single refcount bump, no
+    /// the entire storage — column vectors, tombstone bitmap, and the
+    /// primary-key ART — by one `Arc` reference: a single refcount bump, no
     /// row is copied. The writer's next mutation goes through
     /// [`Arc::make_mut`], which clones the storage once while a snapshot
     /// still shares it, so snapshot readers observe a consistent
@@ -328,6 +302,7 @@ impl Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
             primary_key: self.primary_key.clone(),
+            index_defs: self.index_defs.clone(),
             data: Arc::clone(&self.data),
             maybe_shared: AtomicBool::new(true),
             live: self.live,
@@ -349,10 +324,6 @@ impl Table {
         if let Some(pk) = &mut data.pk_index {
             let key = pk.key_of(&row);
             pk.insert(&key, id);
-        }
-        for (_, idx) in &mut data.secondary {
-            let key = idx.key_of(&row);
-            idx.insert(&key, id);
         }
         for (col, value) in data.columns.iter_mut().zip(row) {
             col.push(value);
@@ -377,15 +348,10 @@ impl Table {
                 row_id,
             });
         }
-        let row = self.row(row_id);
         let data = self.data_mut();
         if let Some(pk) = &mut data.pk_index {
-            let key = pk.key_of(&row);
+            let key = pk.key_at(&data.columns, idx);
             pk.remove(&key);
-        }
-        for (_, sidx) in &mut data.secondary {
-            let key = sidx.key_of(&row);
-            sidx.remove(&key);
         }
         data.deleted[idx] = true;
         self.live -= 1;
@@ -403,13 +369,12 @@ impl Table {
                 self.name
             )));
         }
-        let old_row = self.row(row_id);
         // Encode the PK keys once: the duplicate check must run before the
         // WAL record and the copy-on-write below, but the remove/insert
         // can reuse the same encodings.
         let pk_change = match &self.data.pk_index {
             Some(pk) => {
-                let old_key = pk.key_of(&old_row);
+                let old_key = pk.key_at(&self.data.columns, idx);
                 let new_key = pk.key_of(&new_row);
                 if old_key != new_key {
                     if pk.get_encoded(&new_key).is_some() {
@@ -439,12 +404,6 @@ impl Table {
             let pk = data.pk_index.as_mut().expect("pk checked above");
             pk.remove(&old_key);
             pk.insert(&new_key, row_id);
-        }
-        for (_, sidx) in &mut data.secondary {
-            let old_key = sidx.key_of(&old_row);
-            sidx.remove(&old_key);
-            let new_key = sidx.key_of(&new_row);
-            sidx.insert(&new_key, row_id);
         }
         for (col, value) in data.columns.iter_mut().zip(new_row) {
             col[idx] = value;
@@ -613,40 +572,23 @@ impl Table {
         RowBatch::new(columns, rows)
     }
 
-    /// Answer a conjunction of `column = value` predicates through an ART
-    /// index, if one covers the equality columns: the primary key first,
-    /// then unique secondary indexes. Returns the matching live row ids
-    /// (zero or one — unique indexes only), or `None` when no index
-    /// applies and the caller must scan.
+    /// Answer a conjunction of `column = value` predicates through the
+    /// primary key, if the equality columns cover it. Returns the matching
+    /// live row ids (zero or one), or `None` when the key does not apply
+    /// and the caller must scan.
     pub fn equality_lookup(&self, eq: &[(usize, Value)]) -> Option<Vec<u64>> {
         if eq.is_empty() {
             return None;
         }
         #[cfg(test)]
         EQUALITY_LOOKUPS.with(|n| n.set(n.get() + 1));
-        let try_index = |idx: &TableIndex| -> Option<Vec<u64>> {
-            let key: Option<Vec<Value>> = idx
-                .columns
-                .iter()
-                .map(|c| eq.iter().find(|(i, _)| i == c).map(|(_, v)| v.clone()))
-                .collect();
-            let key = key?;
-            Some(idx.get(&key).into_iter().collect())
-        };
-        if let Some(pk) = &self.data.pk_index {
-            if let Some(ids) = try_index(pk) {
-                return Some(ids);
-            }
-        }
-        for (_, idx) in &self.data.secondary {
-            if !idx.unique {
-                continue;
-            }
-            if let Some(ids) = try_index(idx) {
-                return Some(ids);
-            }
-        }
-        None
+        let pk = self.data.pk_index.as_ref()?;
+        let key: Vec<Value> = pk
+            .columns
+            .iter()
+            .map(|c| eq.iter().find(|(i, _)| i == c).map(|(_, v)| v.clone()))
+            .collect::<Option<_>>()?;
+        Some(pk.get(&key).into_iter().collect())
     }
 
     /// Ids of the live rows of the physical slot window `slots` matching
@@ -701,7 +643,7 @@ impl Table {
             .map(|(i, _)| i as u64)
     }
 
-    /// Delete every row (keeps schema and indexes, emptied).
+    /// Delete every row (keeps schema and key, emptied).
     pub fn truncate(&mut self) {
         if let Some(wal) = &self.wal {
             wal.log(&WalRecord::Truncate {
@@ -722,12 +664,7 @@ impl Table {
                 pk_index: old
                     .pk_index
                     .as_ref()
-                    .map(|pk| TableIndex::new(pk.columns.clone(), pk.unique)),
-                secondary: old
-                    .secondary
-                    .iter()
-                    .map(|(n, idx)| (n.clone(), TableIndex::new(idx.columns.clone(), idx.unique)))
-                    .collect(),
+                    .map(|pk| TableIndex::new(pk.columns.clone())),
             };
             self.data = Arc::new(fresh);
             *self.maybe_shared.get_mut() = false;
@@ -740,15 +677,12 @@ impl Table {
             if let Some(pk) = &mut data.pk_index {
                 pk.clear();
             }
-            for (_, idx) in &mut data.secondary {
-                idx.clear();
-            }
         }
         self.live = 0;
         self.generation = next_generation();
     }
 
-    /// Drop tombstones and renumber rows; rebuilds all indexes.
+    /// Drop tombstones and renumber rows; rebuilds the primary key.
     pub fn compact(&mut self) {
         if self.live == self.data.deleted.len() {
             return;
@@ -775,7 +709,7 @@ impl Table {
                 data.deleted = vec![false; keep.len()];
             }
             // A snapshot still shares the storage: leave it intact and
-            // build a compacted copy (indexes are rebuilt below).
+            // build a compacted copy (the key is rebuilt below).
             None => {
                 let old = &self.data;
                 self.data = Arc::new(TableData {
@@ -785,138 +719,96 @@ impl Table {
                         .map(|col| keep.iter().map(|&i| col[i].clone()).collect())
                         .collect(),
                     deleted: vec![false; keep.len()],
-                    pk_index: old
-                        .pk_index
-                        .as_ref()
-                        .map(|pk| TableIndex::new(pk.columns.clone(), pk.unique)),
-                    secondary: old
-                        .secondary
-                        .iter()
-                        .map(|(n, idx)| {
-                            (n.clone(), TableIndex::new(idx.columns.clone(), idx.unique))
-                        })
-                        .collect(),
+                    pk_index: None,
                 });
             }
         }
         self.live = keep.len();
         self.generation = next_generation();
-        self.rebuild_indexes();
+        self.rebuild_pk_index()
+            .expect("compaction keeps the live rows, whose keys were unique");
     }
 
-    /// Create (or replace) a secondary index over the named columns. The
-    /// build is bulk: rows are scanned once and the ART populated directly
-    /// — the "one-time overhead" the paper measures.
-    pub fn create_secondary_index(
+    /// Record a `CREATE INDEX` definition. It builds nothing (see
+    /// [`Table::index_defs`]); a name already defined on this table is an
+    /// error.
+    pub(crate) fn create_index_def(
         &mut self,
-        index_name: impl Into<String>,
+        name: String,
         columns: Vec<usize>,
-        unique: bool,
     ) -> Result<(), EngineError> {
-        let name = index_name.into();
-        if self.data.secondary.iter().any(|(n, _)| *n == name) {
+        if self.index_defs.iter().any(|(n, _)| *n == name) {
             return Err(EngineError::catalog(format!("index {name} already exists")));
         }
         self.check_key_columns(&columns)?;
-        let mut idx = TableIndex::new(columns, unique);
-        for (row_id, row) in self.scan() {
-            let key = idx.key_of(&row);
-            if idx.insert(&key, row_id).is_some() && unique {
-                return Err(EngineError::constraint(format!(
-                    "duplicate key while building unique index {name}"
-                )));
-            }
-        }
         if let Some(wal) = &self.wal {
             wal.log(&WalRecord::CreateIndex {
                 table: self.name.clone(),
                 name: name.clone(),
-                columns: idx.columns.clone(),
-                unique,
+                columns: columns.clone(),
             });
         }
-        self.data_mut().secondary.push((name, idx));
+        self.index_defs.push((name, columns));
         Ok(())
     }
 
-    /// Index key positions come from SQL binding or from a replayed WAL
-    /// record; the latter are checked here, where the width is known.
+    /// Remove a `CREATE INDEX` definition by name; false when this table
+    /// has none of that name.
+    pub(crate) fn drop_index_def(&mut self, name: &str) -> bool {
+        let Some(pos) = self.index_defs.iter().position(|(n, _)| n == name) else {
+            return false;
+        };
+        if let Some(wal) = &self.wal {
+            wal.log(&WalRecord::DropIndex {
+                table: self.name.clone(),
+                name: name.to_string(),
+            });
+        }
+        self.index_defs.remove(pos);
+        true
+    }
+
+    /// Key positions come from SQL binding or from a replayed WAL record;
+    /// the latter are checked here, where the width is known.
     fn check_key_columns(&self, columns: &[usize]) -> Result<(), EngineError> {
         wal::check_positions(columns, self.schema.len())
             .map_err(|e| EngineError::catalog(format!("corrupt index on {}: {e}", self.name)))
     }
 
-    /// Remove a secondary index by name.
-    pub fn drop_secondary_index(&mut self, name: &str) -> bool {
-        if !self.data.secondary.iter().any(|(n, _)| n == name) {
-            return false;
-        }
-        self.data_mut().secondary.retain(|(n, _)| n != name);
-        let removed = true;
-        if removed {
-            if let Some(wal) = &self.wal {
-                wal.log(&WalRecord::DropIndex {
-                    table: self.name.clone(),
-                    name: name.to_string(),
-                });
-            }
-        }
-        removed
-    }
-
-    /// Build (or rebuild) the PK index from current contents. Used after
-    /// bulk loads, mirroring DuckDB's build-after-populate ART strategy.
-    pub fn rebuild_indexes(&mut self) {
-        // Build fresh trees and swap them in; callers reach this with
-        // unshared storage (`from_parts`, `compact`), so `data_mut` is a
-        // plain branch, not a copy.
-        let data = self.data_mut();
-        if let Some(pk) = &data.pk_index {
-            let mut fresh = TableIndex::new(pk.columns.clone(), pk.unique);
-            for i in 0..data.deleted.len() {
-                if !data.deleted[i] {
-                    let row: Vec<Value> = data.columns.iter().map(|c| c[i].clone()).collect();
-                    let key = fresh.key_of(&row);
-                    fresh.insert(&key, i as u64);
-                }
-            }
-            data.pk_index = Some(fresh);
-        }
-        if data.secondary.is_empty() {
-            return;
-        }
-        let mut rebuilt: Vec<(String, TableIndex)> = data
-            .secondary
-            .iter()
-            .map(|(n, idx)| (n.clone(), TableIndex::new(idx.columns.clone(), idx.unique)))
-            .collect();
-        for i in 0..data.deleted.len() {
-            if data.deleted[i] {
-                continue;
-            }
-            let row: Vec<Value> = data.columns.iter().map(|c| c[i].clone()).collect();
-            for (_, idx) in &mut rebuilt {
-                let key = idx.key_of(&row);
-                idx.insert(&key, i as u64);
-            }
-        }
-        data.secondary = rebuilt;
-    }
-
-    /// Attach a primary key index after creation (bulk build). Errors on
-    /// duplicate keys.
-    pub fn add_pk_index(&mut self, columns: Vec<usize>) -> Result<(), EngineError> {
-        self.check_key_columns(&columns)?;
-        let mut idx = TableIndex::new(columns.clone(), true);
-        for (row_id, row) in self.scan() {
-            let key = idx.key_of(&row);
-            if idx.insert(&key, row_id).is_some() {
+    /// The one bulk primary-key build: the live rows are scanned once and
+    /// the ART populated directly, DuckDB's build-after-populate strategy
+    /// (the "one-time overhead" the paper measures). Errors when two live
+    /// rows share a key.
+    fn build_pk_index(&self, columns: Vec<usize>) -> Result<TableIndex, EngineError> {
+        let mut pk = TableIndex::new(columns);
+        for slot in self.live_slot_ids() {
+            let key = pk.key_at(&self.data.columns, slot as usize);
+            if pk.insert(&key, slot).is_some() {
                 return Err(EngineError::constraint(format!(
                     "duplicate key while building primary key index on {}",
                     self.name
                 )));
             }
         }
+        Ok(pk)
+    }
+
+    /// Rebuild the primary key from the current rows (after a load or a
+    /// renumbering). Callers reach this with unshared storage, so
+    /// `data_mut` is a plain branch, not a copy.
+    fn rebuild_pk_index(&mut self) -> Result<(), EngineError> {
+        if !self.primary_key.is_empty() {
+            let pk = self.build_pk_index(self.primary_key.clone())?;
+            self.data_mut().pk_index = Some(pk);
+        }
+        Ok(())
+    }
+
+    /// Attach a primary key index after creation (bulk build). Errors on
+    /// duplicate keys.
+    pub fn add_pk_index(&mut self, columns: Vec<usize>) -> Result<(), EngineError> {
+        self.check_key_columns(&columns)?;
+        let pk = self.build_pk_index(columns.clone())?;
         if let Some(wal) = &self.wal {
             wal.log(&WalRecord::AddPk {
                 table: self.name.clone(),
@@ -924,7 +816,7 @@ impl Table {
             });
         }
         self.primary_key = columns;
-        self.data_mut().pk_index = Some(idx);
+        self.data_mut().pk_index = Some(pk);
         Ok(())
     }
 }
@@ -1108,19 +1000,42 @@ mod tests {
     }
 
     #[test]
-    fn secondary_index_build_and_maintain() {
+    fn index_defs_are_recorded_not_built() {
         let mut t = groups_table();
         for (k, v) in [("a", 1i64), ("b", 2), ("a", 3)] {
             t.insert(vec![Value::from(k), Value::Integer(v)]).unwrap();
         }
-        t.create_secondary_index("idx_g", vec![0], false).unwrap();
-        assert_eq!(t.secondary_index_names(), vec!["idx_g"]);
-        assert!(t.index_memory_bytes() > 0);
-        // Unique build over duplicate group keys must fail.
-        let err = t.create_secondary_index("idx_unique", vec![0], true);
-        assert!(err.is_err());
-        assert!(t.drop_secondary_index("idx_g"));
-        assert!(!t.drop_secondary_index("idx_g"));
+        t.create_index_def("idx_g".into(), vec![0]).unwrap();
+        assert_eq!(t.index_defs(), [("idx_g".to_string(), vec![0])]);
+        assert!(!t.has_pk_index(), "a definition builds no index");
+        assert!(t.create_index_def("idx_g".into(), vec![1]).is_err());
+        assert!(t.create_index_def("idx_bad".into(), vec![2]).is_err());
+        // A key over duplicate group keys must fail, and leave no key.
+        assert!(t.add_pk_index(vec![0]).is_err());
+        assert!(!t.has_pk_index());
+        assert!(t.drop_index_def("idx_g"));
+        assert!(!t.drop_index_def("idx_g"));
+        assert!(t.index_defs().is_empty());
+    }
+
+    /// A checkpointed table whose rows repeat a key is corrupt: loading
+    /// it must fail, not keep the last row under the key.
+    #[test]
+    fn from_parts_rejects_a_repeated_key() {
+        let load = |primary_key| {
+            let row = |v| vec![Value::from("a"), Value::Integer(v)];
+            let rows = vec![(0, row(1)), (1, row(2))];
+            Table::from_parts(
+                "v".into(),
+                keyed_table().schema,
+                primary_key,
+                vec![],
+                2,
+                rows,
+            )
+        };
+        assert!(load(vec![0]).is_err());
+        assert_eq!(load(vec![]).unwrap().live_rows(), 2);
     }
 
     #[test]

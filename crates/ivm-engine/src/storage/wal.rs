@@ -58,7 +58,7 @@ use crate::types::DataType;
 use crate::value::Value;
 
 /// WAL file magic (and format version).
-pub const WAL_MAGIC: &[u8; 8] = b"OIVMWAL1";
+pub const WAL_MAGIC: &[u8; 8] = b"OIVMWAL2";
 
 /// Header bytes: magic + epoch.
 pub const WAL_HEADER: usize = 16;
@@ -164,7 +164,7 @@ pub enum WalRecord {
         /// View name.
         name: String,
     },
-    /// Secondary index created.
+    /// `CREATE INDEX` definition recorded (it builds nothing).
     CreateIndex {
         /// Owning table.
         table: String,
@@ -172,10 +172,8 @@ pub enum WalRecord {
         name: String,
         /// Indexed column positions.
         columns: Vec<usize>,
-        /// Uniqueness constraint.
-        unique: bool,
     },
-    /// Secondary index dropped.
+    /// `CREATE INDEX` definition dropped.
     DropIndex {
         /// Owning table.
         table: String,
@@ -370,13 +368,11 @@ impl WalRecord {
                 table,
                 name,
                 columns,
-                unique,
             } => {
                 buf.push(TAG_CREATE_INDEX);
                 put_str(buf, table);
                 put_str(buf, name);
                 put_positions(buf, columns);
-                buf.push(u8::from(*unique));
             }
             WalRecord::DropIndex { table, name } => {
                 buf.push(TAG_DROP_INDEX);
@@ -440,25 +436,11 @@ impl WalRecord {
             TAG_DROP_VIEW => WalRecord::DropView {
                 name: get_str(&mut r)?,
             },
-            TAG_CREATE_INDEX => {
-                let table = get_str(&mut r)?;
-                let name = get_str(&mut r)?;
-                let columns = get_positions(&mut r)?;
-                let mut b = [0u8; 1];
-                r.read_exact(&mut b)
-                    .map_err(|_| corrupt("truncated unique flag"))?;
-                let unique = match b[0] {
-                    0 => false,
-                    1 => true,
-                    other => return Err(corrupt(format!("unique byte {other}"))),
-                };
-                WalRecord::CreateIndex {
-                    table,
-                    name,
-                    columns,
-                    unique,
-                }
-            }
+            TAG_CREATE_INDEX => WalRecord::CreateIndex {
+                table: get_str(&mut r)?,
+                name: get_str(&mut r)?,
+                columns: get_positions(&mut r)?,
+            },
             TAG_DROP_INDEX => WalRecord::DropIndex {
                 table: get_str(&mut r)?,
                 name: get_str(&mut r)?,
@@ -786,7 +768,6 @@ mod tests {
                 table: "t".into(),
                 name: "ix".into(),
                 columns: vec![1],
-                unique: false,
             },
             WalRecord::DropIndex {
                 table: "t".into(),

@@ -49,6 +49,17 @@ fn seed_workload(db: &mut Database) {
         .unwrap();
 }
 
+/// The `idx_owner` definition [`seed_workload`] made survived recovery:
+/// its name is still taken, and it drops exactly once.
+fn drop_recovered_index_def(db: &mut Database) {
+    let err = db
+        .execute("CREATE INDEX idx_owner ON accounts (owner)")
+        .unwrap_err();
+    assert!(err.to_string().contains("already exists"), "{err}");
+    db.execute("DROP INDEX idx_owner").unwrap();
+    assert!(db.execute("DROP INDEX idx_owner").is_err());
+}
+
 /// Rows *and* order: scans replay slot order, so a faithful recovery must
 /// reproduce both.
 fn observe(db: &mut Database) -> Vec<Vec<Vec<Value>>> {
@@ -83,13 +94,16 @@ fn close_and_reopen_recovers_rows_and_order() {
     let t = db.catalog().table("accounts").unwrap();
     assert_eq!(t.total_slots(), 4);
     assert_eq!(t.live_rows(), 3);
-    assert_eq!(t.secondary_index_names(), vec!["idx_owner".to_string()]);
+    drop_recovered_index_def(&mut db);
     // Recovered tables keep logging: mutate, drop without close, reopen.
     db.execute("INSERT INTO accounts VALUES (9, 'zoe', 1)")
         .unwrap();
     drop(db);
-    let db = Database::open(dir.path()).unwrap();
+    let mut db = Database::open(dir.path()).unwrap();
     assert_eq!(db.query("SELECT * FROM accounts").unwrap().rows.len(), 4);
+    // ... the index drop among them.
+    db.execute("CREATE INDEX idx_owner ON accounts (owner)")
+        .unwrap();
 }
 
 #[test]
@@ -107,6 +121,47 @@ fn wal_replay_recovers_uncheckpointed_state() {
     let mut db = Database::open(dir.path()).unwrap();
     assert!(db.recovery_stats().unwrap().replayed_records > 0);
     assert_eq!(observe(&mut db), expected);
+    drop_recovered_index_def(&mut db);
+}
+
+/// A key or an index definition added after a checkpoint changes no row,
+/// so the table's file is not rewritten; the next checkpoint's meta must
+/// still record both.
+#[test]
+fn key_and_index_defs_added_after_a_checkpoint_survive_close() {
+    let dir = TempDir::new("ddl-after-ckpt");
+    {
+        let mut db = Database::open(dir.path()).unwrap();
+        db.execute("CREATE TABLE t (a INTEGER, b INTEGER)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 5), (2, 5)").unwrap();
+        db.checkpoint().unwrap();
+        db.execute("CREATE INDEX t_b ON t (b)").unwrap();
+        db.execute("CREATE UNIQUE INDEX t_a ON t (a)").unwrap();
+        db.close().unwrap();
+    }
+    let mut db = Database::open(dir.path()).unwrap();
+    let err = db.execute("CREATE INDEX t_b ON t (b)").unwrap_err();
+    assert!(err.to_string().contains("already exists"), "{err}");
+    let err = db.execute("INSERT INTO t VALUES (1, 6)").unwrap_err();
+    assert!(err.to_string().contains("duplicate key"), "{err}");
+}
+
+/// The previous format stored a uniqueness byte in every index record, so
+/// a directory it wrote is refused with a clean error, never misread.
+#[test]
+fn previous_format_headers_are_refused() {
+    for (file, old_magic, expect) in [
+        ("catalog.meta", b"OIVMMET3", "corrupt catalog meta"),
+        ("wal.log", b"OIVMWAL1", "bad WAL magic"),
+    ] {
+        let dir = crashed_with_log(&format!("old-{file}"));
+        let path = dir.path().join(file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(old_magic);
+        std::fs::write(&path, bytes).unwrap();
+        let err = Database::open(dir.path()).unwrap_err();
+        assert!(err.to_string().contains(expect), "{file}: {err}");
+    }
 }
 
 #[test]

@@ -271,9 +271,10 @@ fn runtime_errors_are_deterministic() {
 
 #[test]
 fn index_point_reads_stay_on_the_serial_path() {
-    // A table spanning many morsels; `id` is the primary key, `u` carries
-    // a unique secondary index. (That each read does exactly one index
-    // lookup is pinned by the unit test beside the executor.)
+    // Tables spanning many morsels: `k` is keyed on `id`; its keyless copy
+    // `ku` gets its key on `u` from `CREATE UNIQUE INDEX`. (That each read
+    // does exactly one index lookup is pinned by the unit test beside the
+    // executor.)
     let point_reads = |workers: usize| {
         let mut db = Database::new();
         db.set_parallelism(workers);
@@ -285,11 +286,14 @@ fn index_point_reads_stay_on_the_serial_path() {
             .collect();
         db.execute(&format!("INSERT INTO k VALUES {}", values.join(", ")))
             .unwrap();
-        db.execute("CREATE UNIQUE INDEX k_u ON k (u)").unwrap();
+        db.execute("CREATE TABLE ku (id INTEGER, u INTEGER, v INTEGER)")
+            .unwrap();
+        db.execute("INSERT INTO ku SELECT * FROM k").unwrap();
+        db.execute("CREATE UNIQUE INDEX k_u ON ku (u)").unwrap();
         [
             "SELECT v FROM k WHERE id = 837",
             "SELECT v FROM k WHERE id = 5000",
-            "SELECT id, v FROM k WHERE u = 10837",
+            "SELECT id, v FROM ku WHERE u = 10837",
             "SELECT COUNT(*), SUM(v) FROM k WHERE id = 837",
         ]
         .map(|q| db.query(q).unwrap().rows)
@@ -300,7 +304,7 @@ fn index_point_reads_stay_on_the_serial_path() {
     assert_eq!(
         serial[2],
         vec![vec![Value::Integer(837), Value::Integer(837 * 3)]],
-        "unique-secondary hit"
+        "key-from-unique-index hit"
     );
     for workers in [2usize, 4] {
         assert_eq!(point_reads(workers), serial, "{workers} workers");

@@ -1,7 +1,7 @@
 //! End-to-end SQL tests for the embedded engine: the exact statements the
 //! OpenIVM compiler emits must run here.
 
-use ivm_engine::{Database, Value};
+use ivm_engine::{Database, ErrorKind, Value};
 
 fn db() -> Database {
     Database::new()
@@ -417,8 +417,41 @@ fn create_index_statements() {
     let r = db.query("SELECT total FROM v WHERE k = 'a'").unwrap();
     assert_eq!(r.scalar(), Some(&Value::Integer(42)));
     db.execute("CREATE INDEX v_sec ON v (total)").unwrap();
+    assert!(db.execute("CREATE INDEX v_sec ON v (k)").is_err());
     db.execute("DROP INDEX v_sec").unwrap();
     assert!(db.execute("DROP INDEX v_sec").is_err());
+    db.execute("DROP INDEX IF EXISTS v_sec").unwrap();
+}
+
+/// A table's one index is its primary key. A second UNIQUE index could
+/// not be enforced, so it is refused and leaves nothing behind; a plain
+/// index is a definition that builds nothing, so a point read on its
+/// column agrees with the same read the index cannot serve.
+#[test]
+fn unique_index_on_a_keyed_table_is_refused_and_plain_indexes_agree() {
+    let mut db = db();
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
+        .unwrap();
+    let err = db.execute("CREATE UNIQUE INDEX t_k ON t (k)").unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Unsupported, "{err}");
+    assert!(
+        db.execute("DROP INDEX t_k").is_err(),
+        "the refused index left a definition"
+    );
+    db.execute("CREATE INDEX t_k ON t (k)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 7), (2, 7)").unwrap();
+    for (expect, after) in [
+        (vec![vec![1], vec![2]], "INSERT"),
+        (vec![vec![1]], "DELETE"),
+    ] {
+        for sql in [
+            "SELECT id FROM t WHERE k = 7 ORDER BY id",
+            "SELECT id FROM t WHERE k + 0 = 7 ORDER BY id",
+        ] {
+            assert_eq!(ints(&db.query(sql).unwrap()), expect, "{sql} after {after}");
+        }
+        db.execute("DELETE FROM t WHERE id = 2").unwrap();
+    }
 }
 
 #[test]

@@ -113,6 +113,51 @@ fn queries(pred: &Pred) -> Vec<(String, Cmp)> {
     ]
 }
 
+const COLUMNS: [&str; 3] = ["g", "v", "tag"];
+
+/// Non-empty column sets of `t`, by bit mask over [`COLUMNS`].
+fn column_set(mask: u8) -> Vec<usize> {
+    (0..COLUMNS.len())
+        .filter(|c| mask & (1 << c) != 0)
+        .collect()
+}
+
+/// Index DDL on the OLAP side only (the oracle takes none): a plain index
+/// on column `plain`, which is recorded and builds nothing, and a UNIQUE
+/// index over the columns `key` of the keyless `t`, which becomes its
+/// primary key. The key must be refused exactly when `rows` repeat it.
+fn create_indexes(
+    olap: &mut Database,
+    rows: &[Row],
+    plain: usize,
+    key: &[usize],
+) -> Result<(), TestCaseError> {
+    olap.execute(&format!("CREATE INDEX t_plain ON t ({})", COLUMNS[plain]))
+        .unwrap();
+    let names: Vec<&str> = key.iter().map(|&c| COLUMNS[c]).collect();
+    let stmt = format!("CREATE UNIQUE INDEX t_key ON t ({})", names.join(", "));
+    let project = |r: &Row| {
+        key.iter()
+            .map(|&c| [i32::from(r.g), r.v, i32::from(r.tag)][c])
+            .collect::<Vec<i32>>()
+    };
+    let distinct: std::collections::HashSet<Vec<i32>> = rows.iter().map(project).collect();
+    let duplicate = distinct.len() < rows.len();
+    let refused = olap.execute(&stmt).is_err();
+    prop_assert_eq!(refused, duplicate, "{} over {} rows", stmt, rows.len());
+    Ok(())
+}
+
+/// A point read on column `c` for the value `row` holds there.
+fn point_read(c: usize, row: &Row) -> String {
+    let value = match c {
+        0 => format!("'g{}'", row.g),
+        1 => row.v.to_string(),
+        _ => (if row.tag { "TRUE" } else { "FALSE" }).to_string(),
+    };
+    format!("SELECT g, v, tag FROM t WHERE {} = {value}", COLUMNS[c])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -120,6 +165,8 @@ proptest! {
     fn olap_and_oltp_agree(
         rows in prop::collection::vec(row_strategy(), 0..60),
         pred in pred_strategy(),
+        plain in 0usize..3,
+        key_mask in 1u8..8,
     ) {
         let mut olap = Database::new();
         let mut oltp = OltpEngine::new();
@@ -136,7 +183,12 @@ proptest! {
             olap.execute(&stmt).unwrap();
             oltp.execute(&stmt).unwrap();
         }
-        for (q, cmp) in queries(&pred) {
+        create_indexes(&mut olap, &rows, plain, &column_set(key_mask))?;
+        let mut queries = queries(&pred);
+        if let Some(first) = rows.first() {
+            queries.extend((0..COLUMNS.len()).map(|c| (point_read(c, first), Cmp::Multiset)));
+        }
+        for (q, cmp) in queries {
             let a = olap.query(&q).unwrap().rows;
             let b = oltp.execute(&q).unwrap().rows;
             let agree = match cmp {
@@ -152,6 +204,8 @@ proptest! {
         rows in prop::collection::vec(row_strategy(), 1..40),
         delete_g in 0u8..5,
         add in -10i32..10,
+        plain in 0usize..3,
+        key_mask in prop_oneof![Just(1u8), Just(4u8), Just(5u8)],
     ) {
         let mut olap = Database::new();
         let mut oltp = OltpEngine::new();
@@ -166,6 +220,10 @@ proptest! {
             olap.execute(&stmt).unwrap();
             oltp.execute(&stmt).unwrap();
         }
+        // The key leaves `v` out: the UPDATE below rewrites `v` one row at
+        // a time, and a key over `v` could collide with a row not yet
+        // rewritten.
+        create_indexes(&mut olap, &rows, plain, &column_set(key_mask))?;
         let upd = format!("UPDATE t SET v = v + {add} WHERE tag = TRUE");
         let del = format!("DELETE FROM t WHERE g = 'g{delete_g}'");
         for stmt in [&upd, &del] {
@@ -173,10 +231,13 @@ proptest! {
             let b = oltp.execute(stmt).unwrap().rows_affected;
             prop_assert_eq!(a, b, "rows_affected diverged for {}", stmt);
         }
-        let q = "SELECT g, SUM(v) AS s, COUNT(*) AS c FROM t GROUP BY g";
-        let a = olap.query(q).unwrap().rows;
-        let b = oltp.execute(q).unwrap().rows;
-        prop_assert!(rows_equal_as_multisets(&a, &b));
+        let mut reads = vec!["SELECT g, SUM(v) AS s, COUNT(*) AS c FROM t GROUP BY g".to_string()];
+        reads.extend((0..COLUMNS.len()).map(|c| point_read(c, &rows[0])));
+        for q in &reads {
+            let a = olap.query(q).unwrap().rows;
+            let b = oltp.execute(q).unwrap().rows;
+            prop_assert!(rows_equal_as_multisets(&a, &b), "engines disagree on {q}");
+        }
     }
 }
 
