@@ -18,7 +18,7 @@ use ivm_bench::scenarios::{
 /// set, else `available_parallelism()` — recorded in bench JSON so the
 /// numbers carry the pool they ran with.
 fn resolved_parallelism() -> usize {
-    ivm_engine::Database::new().parallelism()
+    ivm_engine::Database::new().config().parallelism()
 }
 
 /// Serialize E1 rows as JSON by hand (the workspace has no serde).

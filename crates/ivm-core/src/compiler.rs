@@ -26,13 +26,8 @@ pub struct IvmArtifacts {
     pub ddl: GeneratedDdl,
     /// `INSERT INTO <view> SELECT …` — initial population from base tables.
     pub population: String,
-    /// The 4-step propagation script (the LEFT JOIN variant for the
-    /// adaptive strategy).
+    /// The 4-step propagation script.
     pub propagation: PropagationScript,
-    /// The regroup variant, generated only for
-    /// [`crate::UpsertStrategy::Adaptive`] so the session can pick per
-    /// refresh based on the live view size.
-    pub alt_propagation: Option<PropagationScript>,
     /// Metadata DDL + inserts (`_openivm_views`, `_openivm_scripts`).
     pub metadata: Vec<String>,
     /// The flags used.
@@ -146,19 +141,6 @@ impl IvmCompiler {
             print_query(&full, flags.dialect)
         );
         let propagation = generate_propagation(&analysis, flags)?;
-        let alt_propagation = match flags.upsert_strategy {
-            crate::flags::UpsertStrategy::Adaptive => {
-                // Regroup only applies to aggregate views; projection-class
-                // views always take the upsert path.
-                crate::propagation::generate_propagation_with(
-                    &analysis,
-                    flags,
-                    crate::flags::UpsertStrategy::UnionRegroup,
-                )
-                .ok()
-            }
-            _ => None,
-        };
         let view_sql = print_statement(&Statement::Query(cv.query.clone()), flags.dialect);
         let metadata = metadata::metadata_statements(&analysis, &view_sql, &propagation, flags);
         Ok(IvmArtifacts {
@@ -166,7 +148,6 @@ impl IvmCompiler {
             ddl,
             population,
             propagation,
-            alt_propagation,
             metadata,
             flags: flags.clone(),
             view_sql,

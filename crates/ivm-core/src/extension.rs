@@ -42,8 +42,6 @@ pub struct RegisteredView {
     /// multi-view refreshes can share delta tables).
     step1: Arc<[PreparedStatement]>,
     rest: Arc<[PreparedStatement]>,
-    /// Steps 2–4 of the regroup variant (adaptive strategy only).
-    rest_alt: Option<Arc<[PreparedStatement]>>,
     /// Full artifacts, kept for inspection.
     pub artifacts: IvmArtifacts,
 }
@@ -57,10 +55,6 @@ pub struct SessionStats {
     pub maintenance_runs: usize,
     /// Individual maintenance statements executed.
     pub maintenance_statements: usize,
-    /// Adaptive strategy: refreshes that took the indexed-upsert path.
-    pub adaptive_upserts: usize,
-    /// Adaptive strategy: refreshes that took the regroup path.
-    pub adaptive_regroups: usize,
 }
 
 /// An engine session with the OpenIVM extension loaded.
@@ -231,12 +225,12 @@ impl IvmSession {
     /// ≥ 1). Affects full recomputation and propagation-script execution
     /// alike; 1 is the serial operator tree.
     pub fn set_parallelism(&mut self, workers: usize) {
-        self.db.set_parallelism(workers);
+        self.db.config_mut().set_parallelism(workers);
     }
 
     /// The engine's executor parallelism.
     pub fn parallelism(&self) -> usize {
-        self.db.parallelism()
+        self.db.config().parallelism()
     }
 
     /// Set the engine's executor memory budget in bytes (`None` =
@@ -244,7 +238,7 @@ impl IvmSession {
     /// DISTINCT, and set operations spill radix partitions to disk; the
     /// maintained views stay row-identical to unbounded execution.
     pub fn set_memory_budget(&mut self, bytes: Option<usize>) {
-        self.db.set_memory_budget(bytes);
+        self.db.config_mut().set_memory_budget(bytes);
     }
 
     /// The engine's cumulative spill/rehydrate counters (session stats
@@ -420,10 +414,6 @@ impl IvmSession {
             .collect();
         let steps = &artifacts.propagation.steps;
         let (step1, rest) = (parse_steps(steps, true)?, parse_steps(steps, false)?);
-        let rest_alt = match &artifacts.alt_propagation {
-            Some(alt) => Some(parse_steps(&alt.steps, false)?),
-            None => None,
-        };
         let view = RegisteredView {
             name: artifacts.analysis.view_name.clone(),
             base_tables: artifacts.analysis.base_tables.clone(),
@@ -431,7 +421,6 @@ impl IvmSession {
             weighted_rows,
             step1,
             rest,
-            rest_alt,
             artifacts,
         };
         self.views.push(view);
@@ -785,43 +774,17 @@ impl IvmSession {
                 break;
             }
         }
-        // Step 1 for every affected view first (they share ΔT)…
-        let mut scripts: Vec<Arc<[PreparedStatement]>> = Vec::new();
-        for v in &affected {
-            scripts.push(self.view(v).expect("registered").step1.clone());
-        }
-        // …then steps 2–4 per view, choosing the adaptive variant where
-        // available: small views re-aggregate, large views upsert (the
-        // cost-based choice the paper points to as future work).
-        for v in &affected {
-            let rv = self.view(v).expect("registered");
-            let use_regroup = match &rv.rest_alt {
-                Some(_) => {
-                    let live = self
-                        .db
-                        .catalog()
-                        .table(&rv.name)
-                        .map(|t| t.live_rows())
-                        .unwrap_or(usize::MAX);
-                    live <= self.flags.adaptive_threshold
-                }
-                None => false,
-            };
-            let rv = self.view(v).expect("registered");
-            let (chosen, is_adaptive) = if use_regroup {
-                (rv.rest_alt.as_ref().expect("checked").clone(), true)
-            } else {
-                (rv.rest.clone(), rv.rest_alt.is_some())
-            };
-            if is_adaptive {
-                if use_regroup {
-                    self.stats.adaptive_regroups += 1;
-                } else {
-                    self.stats.adaptive_upserts += 1;
-                }
-            }
-            scripts.push(chosen);
-        }
+        // Step 1 for every affected view first (they share ΔT), then
+        // steps 2–4 per view.
+        let views: Vec<&RegisteredView> = affected
+            .iter()
+            .map(|v| self.view(v).expect("registered"))
+            .collect();
+        let scripts: Vec<Arc<[PreparedStatement]>> = views
+            .iter()
+            .map(|rv| rv.step1.clone())
+            .chain(views.iter().map(|rv| rv.rest.clone()))
+            .collect();
         // One durability point for the whole script: recovering a view
         // updated by steps 2–3 whose delta tables step 4 never drained
         // would re-apply those deltas on the next refresh.

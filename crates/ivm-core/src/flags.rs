@@ -19,11 +19,6 @@ pub enum UpsertStrategy {
     UnionRegroup,
     /// Merge via a FULL OUTER JOIN into a staging table, then swap.
     FullOuterJoin,
-    /// Cost-based choice at refresh time (the paper's stated direction:
-    /// "cost-based optimization should then make these choices"): small
-    /// views re-aggregate (`UnionRegroup`), large views take the indexed
-    /// `LeftJoinUpsert`. The crossover is [`IvmFlags::adaptive_threshold`].
-    Adaptive,
 }
 
 impl UpsertStrategy {
@@ -33,7 +28,6 @@ impl UpsertStrategy {
             UpsertStrategy::LeftJoinUpsert => "left_join_upsert",
             UpsertStrategy::UnionRegroup => "union_regroup",
             UpsertStrategy::FullOuterJoin => "full_outer_join",
-            UpsertStrategy::Adaptive => "adaptive",
         }
     }
 
@@ -43,18 +37,13 @@ impl UpsertStrategy {
             "left_join_upsert" => Some(UpsertStrategy::LeftJoinUpsert),
             "union_regroup" => Some(UpsertStrategy::UnionRegroup),
             "full_outer_join" => Some(UpsertStrategy::FullOuterJoin),
-            "adaptive" => Some(UpsertStrategy::Adaptive),
             _ => None,
         }
     }
 
     /// Whether the strategy relies on a unique index over the view key.
-    /// Adaptive may take the upsert path, so it needs the index too.
     pub fn needs_index(&self) -> bool {
-        matches!(
-            self,
-            UpsertStrategy::LeftJoinUpsert | UpsertStrategy::Adaptive
-        )
+        matches!(self, UpsertStrategy::LeftJoinUpsert)
     }
 }
 
@@ -88,7 +77,7 @@ pub enum IndexCreation {
 }
 
 /// All compiler switches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IvmFlags {
     /// Output SQL dialect (footnote 5's Coral-style flag).
     pub dialect: Dialect,
@@ -100,23 +89,6 @@ pub struct IvmFlags {
     pub index_creation: IndexCreation,
     /// Emit `--` comments into generated scripts (for the demo shell).
     pub comments: bool,
-    /// View-size crossover for [`UpsertStrategy::Adaptive`]: views with at
-    /// most this many live rows refresh via regroup, larger ones via the
-    /// indexed upsert. The default sits near the E4 crossover.
-    pub adaptive_threshold: usize,
-}
-
-impl Default for IvmFlags {
-    fn default() -> IvmFlags {
-        IvmFlags {
-            dialect: Dialect::default(),
-            upsert_strategy: UpsertStrategy::default(),
-            propagation: PropagationMode::default(),
-            index_creation: IndexCreation::default(),
-            comments: false,
-            adaptive_threshold: 512,
-        }
-    }
 }
 
 impl IvmFlags {

@@ -182,31 +182,11 @@ fn delete_stmt(table: &str, selection: Option<Expr>) -> Statement {
 }
 
 /// Generate the full propagation script for a view, using the strategy in
-/// the flags. [`UpsertStrategy::Adaptive`] emits its LEFT JOIN variant —
-/// the extension session stores the regroup variant alongside (see
-/// [`generate_propagation_with`]) and picks per refresh.
+/// the flags.
 pub fn generate_propagation(
     analysis: &ViewAnalysis,
     flags: &IvmFlags,
 ) -> Result<PropagationScript, IvmError> {
-    let strategy = match flags.upsert_strategy {
-        UpsertStrategy::Adaptive => UpsertStrategy::LeftJoinUpsert,
-        other => other,
-    };
-    generate_propagation_with(analysis, flags, strategy)
-}
-
-/// Generate the propagation script for an explicit Step-2 strategy.
-pub fn generate_propagation_with(
-    analysis: &ViewAnalysis,
-    flags: &IvmFlags,
-    strategy: UpsertStrategy,
-) -> Result<PropagationScript, IvmError> {
-    // Adaptive resolves to its upsert variant when asked for directly.
-    let strategy = match strategy {
-        UpsertStrategy::Adaptive => UpsertStrategy::LeftJoinUpsert,
-        other => other,
-    };
     let dialect = flags.dialect;
     let view = analysis.view_name.clone();
     let delta_view = names::delta(&view);
@@ -221,7 +201,7 @@ pub fn generate_propagation_with(
     });
 
     // ---- Step 2: fold ΔV into V.
-    match strategy {
+    match flags.upsert_strategy {
         UpsertStrategy::LeftJoinUpsert => {
             let (source, key_cols, all_cols) = left_join_merge_query(analysis, false)?;
             steps.push(PropagationStep {
@@ -283,7 +263,6 @@ pub fn generate_propagation_with(
                 sql: print_statement(&insert_stmt(&view, select_query(select, vec![])), dialect),
             });
         }
-        UpsertStrategy::Adaptive => unreachable!("resolved to a concrete strategy above"),
     }
 
     // ---- Step 2b: MIN/MAX dirty-group recomputation from the base table.

@@ -446,85 +446,6 @@ fn stored_scripts_match_registered_statements() {
 }
 
 #[test]
-fn adaptive_strategy_switches_paths_and_stays_consistent() {
-    // Small threshold: a handful of groups regroups, many groups upsert.
-    let mut ivm = IvmSession::new(IvmFlags {
-        upsert_strategy: UpsertStrategy::Adaptive,
-        adaptive_threshold: 8,
-        ..IvmFlags::paper_defaults()
-    });
-    ivm.execute("CREATE TABLE groups (group_index VARCHAR, group_value INTEGER)")
-        .unwrap();
-    ivm.execute(
-        "CREATE MATERIALIZED VIEW qg AS \
-         SELECT group_index, SUM(group_value) AS total FROM groups GROUP BY group_index",
-    )
-    .unwrap();
-    // Phase 1: tiny view → regroup path.
-    ivm.execute("INSERT INTO groups VALUES ('a', 1), ('b', 2)")
-        .unwrap();
-    assert!(ivm.check_consistency("qg").unwrap());
-    assert_eq!(ivm.stats().adaptive_regroups, 1);
-    assert_eq!(ivm.stats().adaptive_upserts, 0);
-    // Phase 2: grow past the threshold (the choice keys on the live view
-    // size *before* the refresh, so this refresh may still regroup)…
-    for i in 0..20 {
-        ivm.execute(&format!("INSERT INTO groups VALUES ('g{i}', {i})"))
-            .unwrap();
-    }
-    assert!(ivm.check_consistency("qg").unwrap());
-    // …phase 3: now the view is large; the next refresh must upsert.
-    ivm.execute("INSERT INTO groups VALUES ('late', 99)")
-        .unwrap();
-    assert!(ivm.check_consistency("qg").unwrap());
-    assert!(ivm.stats().adaptive_upserts >= 1, "{:?}", ivm.stats());
-    // Deletions still reconcile on both paths.
-    ivm.execute("DELETE FROM groups WHERE group_value > 10")
-        .unwrap();
-    assert!(ivm.check_consistency("qg").unwrap());
-}
-
-#[test]
-fn adaptive_projection_views_fall_back_to_upsert() {
-    // Regroup does not apply to projection views: alt script is absent and
-    // the upsert path is used without adaptive counters moving.
-    let mut ivm = IvmSession::new(IvmFlags {
-        upsert_strategy: UpsertStrategy::Adaptive,
-        ..IvmFlags::paper_defaults()
-    });
-    ivm.execute("CREATE TABLE t (a VARCHAR, b INTEGER)")
-        .unwrap();
-    ivm.execute("CREATE MATERIALIZED VIEW p AS SELECT a, b FROM t WHERE b > 0")
-        .unwrap();
-    ivm.execute("INSERT INTO t VALUES ('x', 1), ('y', -1)")
-        .unwrap();
-    assert!(ivm.check_consistency("p").unwrap());
-    assert_eq!(ivm.stats().adaptive_regroups, 0);
-    assert_eq!(ivm.stats().adaptive_upserts, 0);
-}
-
-#[test]
-fn adaptive_artifacts_carry_both_scripts() {
-    let mut ivm = IvmSession::new(IvmFlags {
-        upsert_strategy: UpsertStrategy::Adaptive,
-        ..IvmFlags::paper_defaults()
-    });
-    ivm.execute("CREATE TABLE groups (group_index VARCHAR, group_value INTEGER)")
-        .unwrap();
-    ivm.execute(
-        "CREATE MATERIALIZED VIEW qg AS \
-         SELECT group_index, SUM(group_value) AS total FROM groups GROUP BY group_index",
-    )
-    .unwrap();
-    let artifacts = &ivm.view("qg").unwrap().artifacts;
-    let primary = artifacts.propagation.to_sql(false);
-    assert!(primary.contains("INSERT OR REPLACE"), "{primary}");
-    let alt = artifacts.alt_propagation.as_ref().unwrap().to_sql(false);
-    assert!(alt.contains("DELETE FROM qg;"), "regroup truncates: {alt}");
-    assert!(!alt.contains("INSERT OR REPLACE"), "{alt}");
-}
-
-#[test]
 fn lazy_refresh_reaches_views_read_through_subqueries_and_plain_views() {
     let mut ivm = IvmSession::with_defaults();
     for sql in [

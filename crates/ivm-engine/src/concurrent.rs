@@ -378,9 +378,9 @@ mod tests {
         let mut baseline: Option<Vec<QueryResult>> = None;
         for workers in [1usize, 2] {
             for budget in [None, Some(1024)] {
-                db.set_parallelism(workers);
-                db.set_morsel_size(32);
-                db.set_memory_budget(budget);
+                db.config_mut().set_parallelism(workers);
+                db.config_mut().set_morsel_size(32);
+                db.config_mut().set_memory_budget(budget);
                 let mut reader = hub.reader();
                 reader.config_mut().set_parallelism(workers);
                 reader.config_mut().set_morsel_size(32);

@@ -227,12 +227,29 @@ impl ExecConfig {
         &self.budget
     }
 
-    /// Set the memory budget in bytes (`None` = unbounded).
+    /// Set the memory budget in bytes (`None` = unbounded, the default).
+    /// Under a bounded budget, hash-join builds, group tables (DISTINCT
+    /// and set-semantics set operations included), and the
+    /// EXCEPT/INTERSECT multiplicity maps spill radix partitions to temp
+    /// files when their tracked state exceeds the budget, and rehydrate
+    /// them partition-at-a-time — results are row-identical to unbounded
+    /// execution at any [`parallelism`](Self::parallelism): above 1,
+    /// breaker inputs stream through per-worker spill partitioners
+    /// (never staged as materialized row vectors), each worker writes its
+    /// own spill files on its own thread, and spilled output merge-emits
+    /// in sequence order. Environment default: `$OPENIVM_MEMORY_BUDGET`.
+    ///
+    /// Trade-offs: grouped aggregation and EXCEPT/INTERSECT cannot
+    /// re-scan their input, so a bounded budget routes them through the
+    /// partitioned spill framework even when nothing ends up spilling
+    /// (serial joins fall back to the streaming path when the build side
+    /// fits).
     pub fn set_memory_budget(&mut self, bytes: Option<usize>) {
         self.budget.set_limit(bytes);
     }
 
-    /// Set the directory spill files are created in.
+    /// Set the directory spill files are created in (default: the system
+    /// temp directory, or `$OPENIVM_SPILL_DIR`).
     pub fn set_spill_dir(&mut self, dir: impl Into<std::path::PathBuf>) {
         self.budget.set_spill_dir(dir.into());
     }

@@ -213,8 +213,8 @@ mod tests {
     fn point_read_asks_the_index_once() {
         for workers in [1usize, 2, 4] {
             let mut db = Database::new();
-            db.set_parallelism(workers);
-            db.set_morsel_size(64);
+            db.config_mut().set_parallelism(workers);
+            db.config_mut().set_morsel_size(64);
             db.execute("CREATE TABLE k (id INTEGER PRIMARY KEY, v INTEGER)")
                 .unwrap();
             let values: Vec<String> = (0..1000).map(|i| format!("({i}, {})", i * 3)).collect();

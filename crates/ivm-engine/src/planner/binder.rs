@@ -475,7 +475,11 @@ impl QueryBinder<'_> {
                 })
                 .collect(),
         };
-        let rewrite = |e: &Expr| -> Expr { replace_agg_subtrees(e, &group_asts, &agg_asts, scope) };
+        let rewrite = |e: &Expr| -> Expr {
+            let mut e = e.clone();
+            replace_agg_subtrees(&mut e, &group_asts, &agg_asts, scope);
+            e
+        };
 
         // HAVING → Filter above the aggregate.
         let mut plan = agg_plan;
@@ -694,173 +698,39 @@ pub(crate) fn contains_aggregate(e: &Expr) -> bool {
 
 /// Collect top-level aggregate calls; rejects nested aggregates.
 fn collect_aggregates(e: &Expr, out: &mut Vec<Expr>) -> Result<(), EngineError> {
-    match e {
-        Expr::Function { name, args, .. } if AggFunc::is_aggregate_name(name.normalized()) => {
-            for a in args {
-                if contains_aggregate(a) {
-                    return Err(EngineError::bind("nested aggregate functions"));
-                }
+    if let Expr::Function { name, args, .. } = e {
+        if AggFunc::is_aggregate_name(name.normalized()) {
+            if args.iter().any(contains_aggregate) {
+                return Err(EngineError::bind("nested aggregate functions"));
             }
             if !out.contains(e) {
                 out.push(e.clone());
             }
-            Ok(())
-        }
-        _ => {
-            // Walk one level manually to avoid re-visiting the node itself.
-            match e {
-                Expr::Binary { left, right, .. } => {
-                    collect_aggregates(left, out)?;
-                    collect_aggregates(right, out)?;
-                }
-                Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
-                    collect_aggregates(expr, out)?
-                }
-                Expr::Function { args, .. } => {
-                    for a in args {
-                        collect_aggregates(a, out)?;
-                    }
-                }
-                Expr::Case {
-                    operand,
-                    branches,
-                    else_result,
-                } => {
-                    if let Some(op) = operand {
-                        collect_aggregates(op, out)?;
-                    }
-                    for (w, t) in branches {
-                        collect_aggregates(w, out)?;
-                        collect_aggregates(t, out)?;
-                    }
-                    if let Some(el) = else_result {
-                        collect_aggregates(el, out)?;
-                    }
-                }
-                Expr::InList { expr, list, .. } => {
-                    collect_aggregates(expr, out)?;
-                    for i in list {
-                        collect_aggregates(i, out)?;
-                    }
-                }
-                Expr::Between {
-                    expr, low, high, ..
-                } => {
-                    collect_aggregates(expr, out)?;
-                    collect_aggregates(low, out)?;
-                    collect_aggregates(high, out)?;
-                }
-                Expr::Like { expr, pattern, .. } => {
-                    collect_aggregates(expr, out)?;
-                    collect_aggregates(pattern, out)?;
-                }
-                Expr::InSubquery { expr, .. } => collect_aggregates(expr, out)?,
-                Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => {}
-            }
-            Ok(())
+            return Ok(());
         }
     }
+    let mut result = Ok(());
+    e.children(|c| {
+        if result.is_ok() {
+            result = collect_aggregates(c, out);
+        }
+    });
+    result
 }
 
-/// Replace group-by expressions and aggregate calls with placeholder columns
-/// `#c{i}` over the aggregate output.
-fn replace_agg_subtrees(
-    e: &Expr,
-    group_asts: &[Expr],
-    agg_asts: &[Expr],
-    input_scope: &Scope,
-) -> Expr {
-    // Exact syntactic match against a GROUP BY expression.
-    for (i, g) in group_asts.iter().enumerate() {
-        if e == g || columns_equivalent(e, g, input_scope) {
-            return Expr::col(format!("#c{i}"));
-        }
-    }
-    // Aggregate call match.
-    for (j, a) in agg_asts.iter().enumerate() {
-        if e == a {
-            return Expr::col(format!("#c{}", group_asts.len() + j));
-        }
-    }
-    // Recurse structurally.
-    let rec = |x: &Expr| replace_agg_subtrees(x, group_asts, agg_asts, input_scope);
-    match e {
-        Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => e.clone(),
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(rec(left)),
-            op: *op,
-            right: Box::new(rec(right)),
-        },
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(rec(expr)),
-        },
-        Expr::Function {
-            name,
-            args,
-            distinct,
-            star,
-        } => Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(rec).collect(),
-            distinct: *distinct,
-            star: *star,
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_result,
-        } => Expr::Case {
-            operand: operand.as_ref().map(|o| Box::new(rec(o))),
-            branches: branches.iter().map(|(w, t)| (rec(w), rec(t))).collect(),
-            else_result: else_result.as_ref().map(|el| Box::new(rec(el))),
-        },
-        Expr::Cast { expr, ty } => Expr::Cast {
-            expr: Box::new(rec(expr)),
-            ty: *ty,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rec(expr)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(rec(expr)),
-            list: list.iter().map(rec).collect(),
-            negated: *negated,
-        },
-        Expr::InSubquery {
-            expr,
-            query,
-            negated,
-        } => Expr::InSubquery {
-            expr: Box::new(rec(expr)),
-            query: query.clone(),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(rec(expr)),
-            low: Box::new(rec(low)),
-            high: Box::new(rec(high)),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(rec(expr)),
-            pattern: Box::new(rec(pattern)),
-            negated: *negated,
-        },
+/// Replace group-by expressions and aggregate calls, in place, with
+/// placeholder columns `#c{i}` over the aggregate output.
+fn replace_agg_subtrees(e: &mut Expr, group_asts: &[Expr], agg_asts: &[Expr], input_scope: &Scope) {
+    let slot = group_asts
+        .iter()
+        .position(|g| e == g || columns_equivalent(e, g, input_scope))
+        .or_else(|| {
+            let j = agg_asts.iter().position(|a| e == a)?;
+            Some(group_asts.len() + j)
+        });
+    match slot {
+        Some(i) => *e = Expr::col(format!("#c{i}")),
+        None => e.children_mut(|c| replace_agg_subtrees(c, group_asts, agg_asts, input_scope)),
     }
 }
 

@@ -452,49 +452,16 @@ impl Database {
         self.durability.as_ref().map(Durability::pool_stats)
     }
 
-    /// An empty database with an explicit executor batch size (rows per
-    /// [`crate::exec::RowBatch`]; clamped to ≥ 1).
-    pub fn with_batch_size(batch_size: usize) -> Database {
-        let mut db = Database::default();
-        db.set_batch_size(batch_size);
-        db
+    /// This session's executor settings.
+    pub fn config(&self) -> &ExecConfig {
+        &self.config
     }
 
-    /// The executor batch size.
-    pub fn batch_size(&self) -> usize {
-        self.config.batch_size()
-    }
-
-    /// Change the executor batch size (rows per batch; clamped to ≥ 1).
-    pub fn set_batch_size(&mut self, batch_size: usize) {
-        self.config.set_batch_size(batch_size);
-    }
-
-    /// The number of executor worker threads.
-    pub fn parallelism(&self) -> usize {
-        self.config.parallelism()
-    }
-
-    /// Set the number of executor worker threads (clamped to ≥ 1). At 1,
-    /// queries run the serial operator tree; above 1, the morsel-driven
-    /// parallel executor.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.config.set_parallelism(workers);
-    }
-
-    /// The morsel size (physical slots per scheduling unit) used by the
-    /// parallel executor.
-    pub fn morsel_size(&self) -> usize {
-        self.config.morsel_size()
-    }
-
-    /// Set the parallel executor's morsel size (clamped to ≥ 1). Tables
-    /// spanning at most one morsel run serially; tests shrink this to
-    /// exercise multi-morsel scheduling on small tables. An explicit
-    /// size also disables the adaptive scaling that grows morsels on
-    /// large scans.
-    pub fn set_morsel_size(&mut self, slots: usize) {
-        self.config.set_morsel_size(slots);
+    /// Change this session's executor settings (parallelism, memory
+    /// budget, batch size, …). Plans never depend on them: cached plans
+    /// stay valid.
+    pub fn config_mut(&mut self) -> &mut ExecConfig {
+        &mut self.config
     }
 
     /// `(entries, hits)` of the bound-plan cache (see
@@ -505,37 +472,9 @@ impl Database {
         (entries, hits as usize)
     }
 
-    /// Set the executor memory budget in bytes (`None` = unbounded, the
-    /// default). Under a bounded budget, hash-join builds, group tables
-    /// (DISTINCT and set-semantics set operations included), and the
-    /// EXCEPT/INTERSECT multiplicity maps spill radix partitions to temp files
-    /// when their tracked state exceeds the budget, and rehydrate them
-    /// partition-at-a-time — results are row-identical to unbounded
-    /// execution at any [`parallelism`](Database::parallelism): above 1,
-    /// breaker inputs stream through per-worker spill partitioners
-    /// (never staged as materialized row vectors), each worker writes
-    /// its own spill files on its own thread, and spilled output
-    /// merge-emits in sequence order. Environment default: `$OPENIVM_MEMORY_BUDGET`.
-    ///
-    /// Trade-offs: grouped aggregation and EXCEPT/INTERSECT cannot
-    /// re-scan their input, so a bounded budget routes them through the
-    /// partitioned spill framework even when nothing ends up spilling
-    /// (serial joins fall back to the streaming path when the build side
-    /// fits).
-    pub fn set_memory_budget(&mut self, bytes: Option<usize>) {
-        // Plans never depend on the budget: cached plans stay valid.
-        self.config.set_memory_budget(bytes);
-    }
-
     /// The executor memory budget in bytes (`None` = unbounded).
     pub fn memory_budget(&self) -> Option<usize> {
         self.config.budget().limit()
-    }
-
-    /// Set the directory spill files are created in (default: the system
-    /// temp directory, or `$OPENIVM_SPILL_DIR`).
-    pub fn set_spill_dir(&mut self, dir: impl Into<std::path::PathBuf>) {
-        self.config.set_spill_dir(dir);
     }
 
     /// Cumulative spill/rehydrate counters for this session.
@@ -1099,7 +1038,7 @@ mod tests {
 
     fn seeded() -> Database {
         let mut db = Database::new();
-        db.set_parallelism(1);
+        db.config_mut().set_parallelism(1);
         db.execute("CREATE TABLE s (g VARCHAR, v INTEGER)").unwrap();
         db.execute("INSERT INTO s VALUES ('a', 1), ('b', 2), ('a', 3)")
             .unwrap();
@@ -1195,18 +1134,18 @@ mod tests {
     #[test]
     fn plan_cache_ignores_budget_and_parallelism() {
         let mut db = seeded();
-        db.set_memory_budget(None);
+        db.config_mut().set_memory_budget(None);
         let sql = "SELECT g, SUM(v) AS t FROM s GROUP BY g ORDER BY g";
         let baseline = db.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats(), (1, 0));
         // A plan is keyed by the statement's shape alone: flipping the
         // budget or the worker count re-hits the one cached plan, same
         // answer.
-        db.set_memory_budget(Some(123_456_789));
+        db.config_mut().set_memory_budget(Some(123_456_789));
         let budgeted = db.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats(), (1, 1), "budget flip re-hits");
         assert_eq!(budgeted.rows, baseline.rows);
-        db.set_parallelism(2);
+        db.config_mut().set_parallelism(2);
         let parallel = db.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats(), (1, 2), "parallelism flip re-hits");
         assert_eq!(parallel.rows, baseline.rows);
@@ -1249,27 +1188,27 @@ mod tests {
     #[test]
     fn parallelism_knob_clamps_and_reports() {
         let mut db = Database::new();
-        db.set_parallelism(0);
-        assert_eq!(db.parallelism(), 1);
-        db.set_parallelism(4);
-        assert_eq!(db.parallelism(), 4);
-        db.set_morsel_size(0);
-        assert_eq!(db.morsel_size(), 1);
+        db.config_mut().set_parallelism(0);
+        assert_eq!(db.config().parallelism(), 1);
+        db.config_mut().set_parallelism(4);
+        assert_eq!(db.config().parallelism(), 4);
+        db.config_mut().set_morsel_size(0);
+        assert_eq!(db.config().morsel_size(), 1);
     }
 
     #[test]
     fn memory_budget_knob_and_stats() {
         let mut db = Database::new();
-        db.set_memory_budget(None);
+        db.config_mut().set_memory_budget(None);
         assert_eq!(db.memory_budget(), None);
-        db.set_memory_budget(Some(4096));
+        db.config_mut().set_memory_budget(Some(4096));
         assert_eq!(db.memory_budget(), Some(4096));
         db.execute("CREATE TABLE big (k INTEGER, v VARCHAR)")
             .unwrap();
         let values: Vec<String> = (0..600).map(|i| format!("({}, 'v{i}')", i % 7)).collect();
         db.execute(&format!("INSERT INTO big VALUES {}", values.join(", ")))
             .unwrap();
-        db.set_memory_budget(Some(256));
+        db.config_mut().set_memory_budget(Some(256));
         let out = db
             .query("SELECT k, COUNT(*) FROM big GROUP BY k")
             .unwrap()
@@ -1277,7 +1216,7 @@ mod tests {
         assert_eq!(out.len(), 7);
         assert!(db.spill_stats().spilled(), "{:?}", db.spill_stats());
         // Back to unbounded: same answer, counters keep their history.
-        db.set_memory_budget(None);
+        db.config_mut().set_memory_budget(None);
         let again = db
             .query("SELECT k, COUNT(*) FROM big GROUP BY k")
             .unwrap()

@@ -58,7 +58,7 @@ fn env_settings_apply_and_invalid_values_fail_loudly() {
         let _p = EnvGuard::set("OPENIVM_PARALLELISM", "3");
         let _m = EnvGuard::set("OPENIVM_MEMORY_BUDGET", "64KB");
         let db = Database::new();
-        assert_eq!(db.parallelism(), 3);
+        assert_eq!(db.config().parallelism(), 3);
         assert_eq!(db.memory_budget(), Some(64 * 1024));
     }
     // `0` / `unbounded` budgets disable the limit.
@@ -159,7 +159,7 @@ fn env_settings_apply_and_invalid_values_fail_loudly() {
         let dir_str = dir.to_str().unwrap().to_string();
         let _d = EnvGuard::set("OPENIVM_SPILL_DIR", Box::leak(dir_str.into_boxed_str()));
         let mut db = Database::new();
-        db.set_parallelism(1);
+        db.config_mut().set_parallelism(1);
         db.execute("CREATE TABLE t (k INTEGER)").unwrap();
         let values: Vec<String> = (0..200).map(|i| format!("({})", i % 5)).collect();
         db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))

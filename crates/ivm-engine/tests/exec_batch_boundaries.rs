@@ -103,7 +103,8 @@ fn results_are_invariant_under_batch_size() {
         queries.map(|q| db.query(q).unwrap().rows)
     };
     for batch_size in BATCH_SIZES {
-        let mut db = Database::with_batch_size(batch_size);
+        let mut db = Database::default();
+        db.config_mut().set_batch_size(batch_size);
         load(&mut db, 1025, true);
         for (q, expected) in queries.iter().zip(&reference) {
             let got = db.query(q).unwrap().rows;
@@ -214,7 +215,8 @@ fn join_output_batches_stay_bounded() {
     use ivm_engine::exec::build_operator;
     use ivm_engine::planner::lower;
 
-    let mut db = Database::with_batch_size(8);
+    let mut db = Database::default();
+    db.config_mut().set_batch_size(8);
     db.execute("CREATE TABLE a (x INTEGER)").unwrap();
     db.execute("CREATE TABLE b (y INTEGER)").unwrap();
     for v in 0..40i64 {

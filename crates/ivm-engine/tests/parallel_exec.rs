@@ -90,14 +90,16 @@ fn assert_equivalent_on(
     batch: usize,
     what: &str,
 ) {
-    let mut serial = Database::with_batch_size(batch);
-    serial.set_parallelism(1);
+    let mut serial = Database::default();
+    serial.config_mut().set_batch_size(batch);
+    serial.config_mut().set_parallelism(1);
     load(&mut serial);
     for workers in [2usize, 4] {
-        let mut par = Database::with_batch_size(batch);
-        par.set_parallelism(workers);
+        let mut par = Database::default();
+        par.config_mut().set_batch_size(batch);
+        par.config_mut().set_parallelism(workers);
         if let Some(morsel) = morsel {
-            par.set_morsel_size(morsel);
+            par.config_mut().set_morsel_size(morsel);
         }
         load(&mut par);
         for q in queries {
@@ -228,12 +230,12 @@ fn parallelism_levels_agree_with_each_other() {
     // p=2 and p=4 must agree exactly (determinism across worker counts),
     // including when morsel scheduling differs run to run.
     let mut db2 = Database::new();
-    db2.set_parallelism(2);
-    db2.set_morsel_size(64);
+    db2.config_mut().set_parallelism(2);
+    db2.config_mut().set_morsel_size(64);
     load(&mut db2, 777, true);
     let mut db4 = Database::new();
-    db4.set_parallelism(4);
-    db4.set_morsel_size(64);
+    db4.config_mut().set_parallelism(4);
+    db4.config_mut().set_morsel_size(64);
     load(&mut db4, 777, true);
     for q in queries() {
         let a = db2.query(q).unwrap();
@@ -251,15 +253,15 @@ fn parallelism_levels_agree_with_each_other() {
 #[test]
 fn runtime_errors_are_deterministic() {
     let mut par = Database::new();
-    par.set_parallelism(4);
-    par.set_morsel_size(32);
+    par.config_mut().set_parallelism(4);
+    par.config_mut().set_morsel_size(32);
     load(&mut par, 600, false);
     // Division by zero on some row: every run must error (never a silent
     // partial result), with the error of the earliest failing morsel.
     let q = "SELECT SUM(1000 / (v - 259)) AS s FROM t";
     let serial_err = {
         let mut s = Database::new();
-        s.set_parallelism(1);
+        s.config_mut().set_parallelism(1);
         load(&mut s, 600, false);
         s.query(q).unwrap_err().to_string()
     };
@@ -277,8 +279,8 @@ fn index_point_reads_stay_on_the_serial_path() {
     // executor.)
     let point_reads = |workers: usize| {
         let mut db = Database::new();
-        db.set_parallelism(workers);
-        db.set_morsel_size(64);
+        db.config_mut().set_parallelism(workers);
+        db.config_mut().set_morsel_size(64);
         db.execute("CREATE TABLE k (id INTEGER PRIMARY KEY, u INTEGER, v INTEGER)")
             .unwrap();
         let values: Vec<String> = (0..1000)
@@ -315,8 +317,8 @@ fn index_point_reads_stay_on_the_serial_path() {
 fn update_delete_semantics_unaffected_by_parallelism() {
     let run = |workers: usize| {
         let mut db = Database::new();
-        db.set_parallelism(workers);
-        db.set_morsel_size(64);
+        db.config_mut().set_parallelism(workers);
+        db.config_mut().set_morsel_size(64);
         load(&mut db, 500, false);
         let upd = db
             .execute("UPDATE t SET v = v + 1 WHERE v % 5 = 0")

@@ -119,6 +119,49 @@ fn group_by_with_having_and_order() {
 }
 
 #[test]
+fn aggregates_bind_under_every_expression_form() {
+    let mut db = db();
+    db.execute("CREATE TABLE s (g VARCHAR, v INTEGER)").unwrap();
+    db.execute("INSERT INTO s VALUES ('a',1),('a',2),('b',10),('c',NULL),('d',-4),('e',7),('e',8)")
+        .unwrap();
+    // The select list and HAVING reach aggregates (and GROUP BY keys)
+    // through CASE, BETWEEN, IN, LIKE, CAST, unary minus, IS NULL and a
+    // scalar function. HAVING drops only 'd'.
+    let r = db
+        .query(
+            "SELECT g, CASE WHEN SUM(v) > 5 THEN 'big' ELSE 'small' END AS size,
+                    SUM(v) BETWEEN 1 AND 5 AS mid, COUNT(*) IN (2, 3) AS pair,
+                    CAST(MAX(v) AS VARCHAR) LIKE '1%' AS ones, -MIN(v) AS neg,
+                    MAX(v) IS NULL AS empty, ABS(SUM(v) - 20) AS gap,
+                    UPPER(g) AS big_g
+             FROM s GROUP BY g
+             HAVING COUNT(*) IN (2, 3) OR ABS(MIN(v)) BETWEEN 5 AND 20
+                 OR CASE WHEN MAX(v) IS NULL THEN TRUE
+                         ELSE CAST(-MIN(v) AS VARCHAR) LIKE '-1%' END
+             ORDER BY g",
+        )
+        .unwrap();
+    let (t, f, null) = (Value::Boolean(true), Value::Boolean(false), Value::Null);
+    let (i, s) = (Value::Integer, |x: &str| Value::from(x));
+    #[rustfmt::skip]
+    let expected = vec![
+        vec![s("a"), s("small"), t.clone(), t.clone(), f.clone(), i(-1), f.clone(), i(17), s("A")],
+        vec![s("b"), s("big"), f.clone(), f.clone(), t.clone(), i(-10), f.clone(), i(10), s("B")],
+        vec![s("c"), s("small"), null.clone(), f.clone(), null.clone(), null.clone(), t.clone(), null, s("C")],
+        vec![s("e"), s("big"), f.clone(), t, f.clone(), i(-7), f, i(5), s("E")],
+    ];
+    assert_eq!(r.rows, expected);
+
+    let err = db
+        .query("SELECT g, SUM(CASE WHEN SUM(v) > 0 THEN 1 END) FROM s GROUP BY g")
+        .unwrap_err();
+    assert!(
+        err.message().contains("nested aggregate functions"),
+        "{err}"
+    );
+}
+
+#[test]
 fn joins_and_wildcards() {
     let mut db = db();
     db.execute_script(
@@ -715,12 +758,12 @@ fn index_built_joins_agree_with_hashed_joins() {
         );
     }
     for (workers, small, budget) in [(1, false, None), (2, true, None), (4, true, Some(64 << 10))] {
-        db.set_parallelism(workers);
+        db.config_mut().set_parallelism(workers);
         if small {
-            db.set_morsel_size(16);
-            db.set_batch_size(7);
+            db.config_mut().set_morsel_size(16);
+            db.config_mut().set_batch_size(7);
         }
-        db.set_memory_budget(budget);
+        db.config_mut().set_memory_budget(budget);
         for (sql, _) in cases {
             let expected = db.query(&copy(sql)).unwrap().rows;
             assert!(expected.len() >= 10, "{sql}: {} rows", expected.len());

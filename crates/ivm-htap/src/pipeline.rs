@@ -309,7 +309,10 @@ mod tests {
     fn parallel_olap_stays_consistent() {
         let mut htap = pipeline_with_view();
         htap.olap_mut().set_parallelism(4);
-        htap.olap_mut().database_mut().set_morsel_size(64);
+        htap.olap_mut()
+            .database_mut()
+            .config_mut()
+            .set_morsel_size(64);
         let values: Vec<String> = (0..600)
             .map(|i| format!("('g{}', {})", i % 9, i % 50))
             .collect();

@@ -125,57 +125,109 @@ impl Expr {
         }
     }
 
-    /// Walk the expression tree, invoking `f` on every node (pre-order).
-    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
-        f(self);
+    /// Call `f` on each direct child, left to right as printed. An
+    /// `IN (SELECT …)`'s probe is a child; its query is a scope of its
+    /// own and is not entered.
+    pub fn children(&self, mut f: impl FnMut(&Expr)) {
         match self {
             Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => {}
-            Expr::Binary { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
+            Expr::Binary { left, right, .. }
+            | Expr::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                f(left);
+                f(right);
             }
-            Expr::Unary { expr, .. } => expr.visit(f),
-            Expr::Function { args, .. } => {
-                for a in args {
-                    a.visit(f);
-                }
+            Expr::Unary { expr, .. }
+            | Expr::Cast { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. } => f(expr),
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
             }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::Function { args, .. } => args.iter().for_each(f),
             Expr::Case {
                 operand,
                 branches,
                 else_result,
             } => {
                 if let Some(op) = operand {
-                    op.visit(f);
+                    f(op);
                 }
-                for (w, t) in branches {
-                    w.visit(f);
-                    t.visit(f);
+                for (when, then) in branches {
+                    f(when);
+                    f(then);
                 }
                 if let Some(e) = else_result {
-                    e.visit(f);
+                    f(e);
                 }
             }
-            Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => expr.visit(f),
+        }
+    }
+
+    /// [`children`](Self::children), mutably.
+    pub fn children_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => {}
+            Expr::Binary { left, right, .. }
+            | Expr::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                f(left);
+                f(right);
+            }
+            Expr::Unary { expr, .. }
+            | Expr::Cast { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. } => f(expr),
             Expr::InList { expr, list, .. } => {
-                expr.visit(f);
-                for e in list {
-                    e.visit(f);
-                }
+                f(expr);
+                list.iter_mut().for_each(f);
             }
-            Expr::InSubquery { expr, .. } => expr.visit(f),
             Expr::Between {
                 expr, low, high, ..
             } => {
-                expr.visit(f);
-                low.visit(f);
-                high.visit(f);
+                f(expr);
+                f(low);
+                f(high);
             }
-            Expr::Like { expr, pattern, .. } => {
-                expr.visit(f);
-                pattern.visit(f);
+            Expr::Function { args, .. } => args.iter_mut().for_each(f),
+            Expr::Case {
+                operand,
+                branches,
+                else_result,
+            } => {
+                if let Some(op) = operand {
+                    f(op);
+                }
+                for (when, then) in branches {
+                    f(when);
+                    f(then);
+                }
+                if let Some(e) = else_result {
+                    f(e);
+                }
             }
         }
+    }
+
+    /// Walk the expression tree, invoking `f` on every node (pre-order).
+    /// An `IN (SELECT …)`'s query is not entered.
+    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        self.children(|c| c.visit(f));
     }
 
     /// True when the expression contains a call to any of the given
@@ -372,18 +424,47 @@ mod tests {
 
     #[test]
     fn visit_reaches_all_nodes() {
-        let e = Expr::Case {
-            operand: None,
-            branches: vec![(Expr::col("m").eq(Expr::boolean(false)), Expr::col("v"))],
-            else_result: Some(Box::new(Expr::Unary {
-                op: UnaryOp::Minus,
-                expr: Box::new(Expr::col("v")),
-            })),
+        // Every variant, with a literal under every child position (so a
+        // position either walk skips loses one). The subquery's 99 is in
+        // a scope of its own: not a node.
+        let sql = "SELECT CASE -(a * 1) WHEN CAST(2 AS INTEGER) THEN f(3, $1) BETWEEN 4 AND 5 \
+                   ELSE 6 IN (7, d) END IS NULL \
+                   AND (8 LIKE '9' OR 10 IN (SELECT 99) OR h = 11 + 12)";
+        let crate::ast::Statement::Query(q) = crate::parse_statement(sql).unwrap() else {
+            unreachable!()
         };
-        let mut count = 0;
-        e.visit(&mut |_| count += 1);
-        // case, (m = false), m, false, v, unary -, v
-        assert_eq!(count, 7);
+        let crate::ast::SetExpr::Select(s) = q.body else {
+            unreachable!()
+        };
+        let Some(crate::ast::SelectItem::Expr { mut expr, .. }) = s.projection.into_iter().next()
+        else {
+            unreachable!()
+        };
+        let (mut nodes, mut literals) = (0, 0);
+        expr.visit(&mut |e| {
+            nodes += 1;
+            literals += usize::from(matches!(e, Expr::Literal(_)));
+        });
+        assert_eq!((nodes, literals), (31, 12));
+
+        // `children_mut` reaches the same literals: rewrite each into a slot.
+        fn rewrite(e: &mut Expr, slots: &mut usize) {
+            if let Expr::Literal(_) = e {
+                *e = Expr::Param(*slots);
+                *slots += 1;
+            }
+            e.children_mut(|c| rewrite(c, slots));
+        }
+        let mut slots = 0;
+        rewrite(&mut expr, &mut slots);
+        assert_eq!(slots, literals);
+        let mut left = 0;
+        expr.visit(&mut |e| left += usize::from(matches!(e, Expr::Literal(_))));
+        assert_eq!(left, 0);
+        assert!(
+            crate::print_expr(&expr, crate::Dialect::DuckDb).contains("IN (SELECT 99)"),
+            "the subquery is not entered"
+        );
     }
 
     #[test]

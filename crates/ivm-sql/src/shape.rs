@@ -94,12 +94,13 @@ impl Lifter {
         }
     }
 
+    /// Only the arms that decide lifting are spelled out; every other
+    /// node passes `lift` on to its children.
     fn expr(&mut self, e: &mut Expr, lift: bool) {
         match e {
             Expr::Param(_) => self.placeholder = true,
-            Expr::Literal(_) | Expr::Column(_) => {}
-            Expr::Binary { left, op, right } => {
-                let operands = lift
+            Expr::Binary { left, op, right }
+                if lift
                     && matches!(
                         op,
                         BinaryOp::Eq
@@ -108,64 +109,39 @@ impl Lifter {
                             | BinaryOp::LtEq
                             | BinaryOp::Gt
                             | BinaryOp::GtEq
-                    );
-                self.operand(left, lift, operands);
-                self.operand(right, lift, operands);
+                    ) =>
+            {
+                self.operand(left);
+                self.operand(right);
             }
-            Expr::InList { expr, list, .. } => {
+            Expr::InList { expr, list, .. } if lift => {
                 self.expr(expr, lift);
-                for item in list {
-                    self.operand(item, lift, lift);
-                }
+                list.iter_mut().for_each(|item| self.operand(item));
             }
             Expr::Between {
                 expr, low, high, ..
-            } => {
+            } if lift => {
                 self.expr(expr, lift);
-                self.operand(low, lift, lift);
-                self.operand(high, lift, lift);
+                self.operand(low);
+                self.operand(high);
             }
             Expr::InSubquery { expr, query, .. } => {
                 self.expr(expr, lift);
                 self.query(query, false);
             }
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
-                self.expr(expr, lift)
-            }
-            Expr::Like { expr, pattern, .. } => {
-                self.expr(expr, lift);
-                self.expr(pattern, lift);
-            }
-            Expr::Function { args, .. } => {
-                for a in args {
-                    self.expr(a, lift);
-                }
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_result,
-            } => {
-                for e in operand.iter_mut().chain(else_result.iter_mut()) {
-                    self.expr(e, lift);
-                }
-                for (when, then) in branches {
-                    self.expr(when, lift);
-                    self.expr(then, lift);
-                }
-            }
+            _ => e.children_mut(|c| self.expr(c, lift)),
         }
     }
 
-    /// An operand position: with `as_param`, a non-NULL literal becomes
-    /// the next slot.
-    fn operand(&mut self, e: &mut Expr, lift: bool, as_param: bool) {
+    /// An operand of a lifting predicate: a non-NULL literal becomes the
+    /// next slot.
+    fn operand(&mut self, e: &mut Expr) {
         match e {
-            Expr::Literal(lit) if as_param && *lit != Literal::Null => {
+            Expr::Literal(lit) if *lit != Literal::Null => {
                 self.lifted.push(std::mem::replace(lit, Literal::Null));
                 *e = Expr::Param(self.lifted.len() - 1);
             }
-            _ => self.expr(e, lift),
+            _ => self.expr(e, true),
         }
     }
 }
@@ -237,6 +213,29 @@ mod tests {
             lift("SELECT * FROM t WHERE k IN (SELECT k FROM u WHERE v = 1) AND w = 2").unwrap();
         assert!(text.contains("v = 1") && text.contains("w = $1"), "{text}");
         assert_eq!(lifted.len(), 1);
+    }
+
+    #[test]
+    fn comparisons_under_other_nodes_lift_in_predicates_only() {
+        let (text, lifted) = lift(
+            "SELECT CASE WHEN a = 1 THEN 2 END, f(b = 3) FROM t \
+             WHERE CASE WHEN a = 4 THEN b < 5 ELSE c > 6 END \
+             AND COALESCE(d = 7, e <> 8) AND CAST(g = 9 AS VARCHAR) LIKE 'y%' \
+             AND NOT i = 10 AND (j >= 11) IS NULL",
+        )
+        .unwrap();
+        assert_eq!(
+            text,
+            "SELECT CASE WHEN a = 1 THEN 2 END, f(b = 3) FROM t \
+             WHERE CASE WHEN a = $1 THEN b < $2 ELSE c > $3 END \
+             AND coalesce(d = $4, e <> $5) AND CAST(g = $6 AS VARCHAR) LIKE 'y%' \
+             AND NOT i = $7 AND (j >= $8) IS NULL"
+        );
+        let n = |s: &str| Literal::Number(s.to_string());
+        assert_eq!(
+            lifted,
+            ["4", "5", "6", "7", "8", "9", "10", "11"].map(n).to_vec()
+        );
     }
 
     #[test]

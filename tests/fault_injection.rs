@@ -316,10 +316,10 @@ fn enospc_during_spill_aborts_only_that_query() {
     for workers in [1, 2] {
         let spill_dir = TempDir::new(&format!("spill-w{workers}"));
         let mut db = Database::new();
-        db.set_parallelism(workers);
-        db.set_morsel_size(64);
-        db.set_memory_budget(Some(1));
-        db.set_spill_dir(spill_dir.path());
+        db.config_mut().set_parallelism(workers);
+        db.config_mut().set_morsel_size(64);
+        db.config_mut().set_memory_budget(Some(1));
+        db.config_mut().set_spill_dir(spill_dir.path());
         db.execute("CREATE TABLE t (k INTEGER)").unwrap();
         let values: Vec<String> = (0..300).map(|i| format!("({})", i % 7)).collect();
         db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))

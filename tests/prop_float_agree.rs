@@ -54,8 +54,8 @@ fn frow_strategy() -> impl Strategy<Value = FRow> {
 
 fn database(workers: usize, rows: &[FRow]) -> Database {
     let mut db = Database::new();
-    db.set_parallelism(workers);
-    db.set_morsel_size(32);
+    db.config_mut().set_parallelism(workers);
+    db.config_mut().set_morsel_size(32);
     db.execute("CREATE TABLE t (g VARCHAR, v DOUBLE)").unwrap();
     let table = db.catalog_mut().table_mut("t").unwrap();
     for r in rows {

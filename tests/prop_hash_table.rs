@@ -226,7 +226,8 @@ fn null_keys_through_sql() {
 #[test]
 fn results_invariant_across_batch_sizes() {
     let build = |batch_size: usize| {
-        let mut db = Database::with_batch_size(batch_size);
+        let mut db = Database::default();
+        db.config_mut().set_batch_size(batch_size);
         db.execute("CREATE TABLE t (g INTEGER, v INTEGER)").unwrap();
         {
             let t = db.catalog_mut().table_mut("t").unwrap();

@@ -115,8 +115,8 @@ fn queries() -> Vec<(&'static str, Cmp)> {
 
 fn database(workers: usize, rows: &[Row]) -> Database {
     let mut db = Database::new();
-    db.set_parallelism(workers);
-    db.set_morsel_size(32);
+    db.config_mut().set_parallelism(workers);
+    db.config_mut().set_morsel_size(32);
     db.execute("CREATE TABLE t (g VARCHAR, v INTEGER, tag BOOLEAN)")
         .unwrap();
     // dim covers g0..g3: g4/g5 probe misses, one dim row ('gx') never
@@ -175,7 +175,7 @@ proptest! {
                 prop_assert!(
                     agree,
                     "parallelism {} disagrees with serial on {q}:\n serial={serial:?}\n parallel={par:?}",
-                    db.parallelism()
+                    db.config().parallelism()
                 );
             }
         }
@@ -217,7 +217,7 @@ fn ivm_refresh_consistent_under_parallelism() {
     for workers in [1usize, 4] {
         let mut ivm = IvmSession::with_defaults();
         ivm.set_parallelism(workers);
-        ivm.database_mut().set_morsel_size(64);
+        ivm.database_mut().config_mut().set_morsel_size(64);
         ivm.execute("CREATE TABLE groups (group_index VARCHAR, group_value INTEGER)")
             .unwrap();
         ivm.execute(

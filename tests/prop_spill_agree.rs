@@ -75,9 +75,9 @@ fn budgets() -> Vec<Option<usize>> {
 
 fn database(workers: usize, budget: Option<usize>, rows: &[Row]) -> Database {
     let mut db = Database::new();
-    db.set_parallelism(workers);
-    db.set_morsel_size(32);
-    db.set_memory_budget(budget);
+    db.config_mut().set_parallelism(workers);
+    db.config_mut().set_morsel_size(32);
+    db.config_mut().set_memory_budget(budget);
     db.execute("CREATE TABLE t (g VARCHAR, v INTEGER, tag BOOLEAN)")
         .unwrap();
     // dim covers g0..g3: g4/g5 probe misses, one dim row ('gx') never
@@ -274,7 +274,7 @@ fn spill_files_do_not_outlive_their_query() {
         .collect();
     for workers in [1usize, 2, 4] {
         let mut db = database(workers, Some(1), &rows);
-        db.set_spill_dir(dir.clone());
+        db.config_mut().set_spill_dir(dir.clone());
         for q in queries() {
             db.query(q).unwrap();
         }
@@ -308,8 +308,8 @@ fn parallel_spill_peak_memory_stays_near_budget() {
     const LIMIT: u64 = 64 * 1024;
     const SLACK: u64 = 512 * 1024;
     let mut db = Database::new();
-    db.set_parallelism(4);
-    db.set_memory_budget(Some(LIMIT as usize));
+    db.config_mut().set_parallelism(4);
+    db.config_mut().set_memory_budget(Some(LIMIT as usize));
     db.execute("CREATE TABLE big (g VARCHAR, v INTEGER, tag BOOLEAN)")
         .unwrap();
     for chunk in 0..10 {
@@ -358,7 +358,7 @@ fn ivm_refresh_consistent_under_memory_budget() {
         let mut ivm = IvmSession::with_defaults();
         ivm.set_parallelism(workers);
         ivm.set_memory_budget(Some(4 * 1024));
-        ivm.database_mut().set_morsel_size(64);
+        ivm.database_mut().config_mut().set_morsel_size(64);
         ivm.execute("CREATE TABLE groups (group_index VARCHAR, group_value INTEGER)")
             .unwrap();
         ivm.execute(
