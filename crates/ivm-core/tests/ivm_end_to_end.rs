@@ -3,8 +3,6 @@
 //! recomputation after arbitrary insert/update/delete sequences.
 
 use ivm_core::{IvmFlags, IvmSession, PropagationMode, UpsertStrategy};
-use ivm_sql::ast::{InsertSource, Statement};
-use ivm_sql::{parse_statement, print_query, Dialect};
 
 fn session(strategy: UpsertStrategy, propagation: PropagationMode) -> IvmSession {
     IvmSession::new(IvmFlags {
@@ -480,10 +478,10 @@ fn lazy_refresh_reaches_views_read_through_subqueries_and_plain_views() {
     assert_eq!(keys("SELECT k FROM mv"), ["a", "b", "c", "d"]);
 }
 
-/// The physical plan of the source query of each maintenance statement
-/// of `view` whose SQL contains `needle`, as the session's database
-/// would run it now.
-fn explain_sources(ivm: &mut IvmSession, view: &str, needle: &str) -> Vec<String> {
+/// The `EXPLAIN` of each maintenance statement of `view` whose SQL
+/// contains `needle`, as the session's database would run it now: an
+/// `INSERT … SELECT`'s source plan, a `DELETE`'s scan.
+fn explain_steps(ivm: &mut IvmSession, view: &str, needle: &str) -> Vec<String> {
     let scripts: Vec<String> = ivm
         .view(view)
         .unwrap()
@@ -501,23 +499,19 @@ fn explain_sources(ivm: &mut IvmSession, view: &str, needle: &str) -> Vec<String
     scripts
         .iter()
         .map(|sql| {
-            let Statement::Insert(ins) = parse_statement(sql).unwrap() else {
-                panic!("not an INSERT: {sql}");
-            };
-            let InsertSource::Query(q) = ins.source else {
-                panic!("no source query: {sql}");
-            };
-            let explain = format!("EXPLAIN {}", print_query(&q, Dialect::DuckDb));
-            let rows = ivm.database_mut().execute(&explain).unwrap().rows;
+            let rows = ivm
+                .database_mut()
+                .execute(&format!("EXPLAIN {sql}"))
+                .unwrap()
+                .rows;
             rows.iter().map(|r| format!("{}\n", r[0])).collect()
         })
         .collect()
 }
 
-#[test]
-fn step_two_reads_the_view_through_its_index() {
-    // The Listing-1 view over a keyed base table: the upsert's LEFT JOIN
-    // of ΔV against V finds V's groups through V's unique index.
+/// The Listing-1 view over a keyed base table — the `trickle` benchmark
+/// workload's view `v` — with one refresh behind it.
+fn keyed_groups_view() -> IvmSession {
     let mut ivm = IvmSession::with_defaults();
     ivm.execute(
         "CREATE TABLE groups (id INTEGER PRIMARY KEY, group_index VARCHAR, group_value INTEGER)",
@@ -536,13 +530,71 @@ fn step_two_reads_the_view_through_its_index() {
     ivm.execute("INSERT INTO groups VALUES (1000, 'g3', 5), (1001, 'new', 1)")
         .unwrap();
     assert!(ivm.check_consistency("v").unwrap());
-    let [plan] = &explain_sources(&mut ivm, "v", "INSERT OR REPLACE")[..] else {
+    ivm
+}
+
+#[test]
+fn step_two_reads_the_view_through_its_index() {
+    // The upsert's LEFT JOIN of ΔV against V finds V's groups through V's
+    // unique index.
+    let mut ivm = keyed_groups_view();
+    let [plan] = &explain_steps(&mut ivm, "v", "INSERT OR REPLACE")[..] else {
         panic!("one upsert statement");
     };
     assert!(
         plan.contains("HashJoin LeftOuter probe_keys=[0] build_keys=[0] [index build]\n"),
         "{plan}"
     );
+}
+
+/// Step 3 deletes the groups whose count reached zero. Its one equality
+/// is on `_ivm_count`, which V's key (`group_index`) does not cover, so
+/// the index answers nothing and its rows are found by a filtered scan
+/// of all of V.
+#[test]
+fn step_three_scans_the_whole_view() {
+    let mut ivm = keyed_groups_view();
+    let plans = explain_steps(&mut ivm, "v", "_ivm_count = 0");
+    assert_eq!(
+        plans,
+        ["TableScan v [filtered] [index_eq=1] _ivm_count = 0\n"]
+    );
+}
+
+/// `EXPLAIN` of DML on a table that feeds a view shows the plan and
+/// changes nothing: no row, no captured delta, no refresh owed.
+#[test]
+fn explain_of_dml_on_a_tracked_table_runs_nothing() {
+    let mut ivm = keyed_groups_view();
+    let state = |ivm: &IvmSession| {
+        [
+            "SELECT * FROM groups",
+            "SELECT * FROM delta_groups",
+            "SELECT * FROM v",
+        ]
+        .map(|q| ivm.database().query(q).unwrap().rows)
+    };
+    let before = state(&ivm);
+    for (sql, plan) in [
+        (
+            "EXPLAIN DELETE FROM groups WHERE id = 1000",
+            "TableScan groups [filtered] [index_eq=1] id = 1000",
+        ),
+        (
+            "EXPLAIN UPDATE groups SET group_value = 0 WHERE group_value > 3",
+            "TableScan groups [filtered]",
+        ),
+        (
+            "EXPLAIN INSERT INTO groups SELECT id + 5000, group_index, 1 FROM groups WHERE id = 1",
+            "Project [id + 5000, group_index, 1]\n  TableScan groups [filtered] [index_eq=1] id = 1",
+        ),
+    ] {
+        let rows = ivm.execute(sql).unwrap().rows;
+        let text: Vec<String> = rows.iter().map(|r| r[0].to_string()).collect();
+        assert_eq!(text.join("\n"), plan, "{sql}");
+    }
+    assert_eq!(state(&ivm), before);
+    assert!(ivm.check_consistency("v").unwrap());
 }
 
 #[test]
@@ -586,7 +638,7 @@ fn fact_to_dimension_joins_keep_the_hashed_build() {
         .iter()
         .map(|r| format!("{}\n", r[0]))
         .collect();
-    let step1 = explain_sources(&mut ivm, "rc", "INSERT INTO delta_rc");
+    let step1 = explain_steps(&mut ivm, "rc", "INSERT INTO delta_rc");
     for plan in step1.iter().chain([&analytic]) {
         assert!(plan.contains("HashJoin Inner"), "{plan}");
         assert!(!plan.contains("[index build]"), "{plan}");

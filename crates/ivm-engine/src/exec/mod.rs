@@ -45,7 +45,6 @@ use std::ops::Range;
 use std::sync::Arc;
 
 pub use batch::{BatchBuilder, BatchRow, ColumnData, RowBatch, DEFAULT_BATCH_SIZE};
-pub(crate) use parallel::filter_row_ids;
 pub use parallel::DEFAULT_MORSEL_SIZE;
 pub use spill::{clean_orphan_spill_files, MemoryBudget, SpillStats};
 
@@ -445,6 +444,34 @@ impl<'a> ScanSource<'a> {
             kernel,
             point: table.equality_lookup(index_eq),
         })
+    }
+
+    /// The ids of the live rows the scan emits, ascending: the victims
+    /// of an `UPDATE` or a `DELETE`. A point read re-checks the looked-up
+    /// rows against the pushed predicate on the calling thread. Otherwise
+    /// the workers claim storage-slot morsels and run the predicate per
+    /// window (one worker, or one morsel, scans on the calling thread);
+    /// per-morsel ids concatenate in morsel order, so the result is that
+    /// of one scan of the whole table, and on error the earliest morsel's
+    /// error surfaces.
+    pub(crate) fn row_ids(&self, config: &ExecConfig) -> Result<Vec<u64>, EngineError> {
+        let table = self.table;
+        let Some(kernel) = &self.kernel else {
+            return Ok(table.live_slot_ids().collect());
+        };
+        if let Some(ids) = &self.point {
+            let keep = kernel.select(&table.batch_from_row_ids(ids))?;
+            return Ok(keep.iter().map(|&i| ids[i as usize]).collect());
+        }
+        let total = table.total_slots();
+        let (_, out) = parallel::for_each_morsel(
+            total,
+            config.effective_morsel_size(total),
+            config.parallelism(),
+            || (),
+            |_, _, slots| table.filter_row_ids_range(slots, config.batch_size(), kernel),
+        )?;
+        Ok(out.into_iter().flatten().collect())
     }
 
     /// The scan over the slot range `slots` — the whole table or one

@@ -54,13 +54,10 @@ use crate::exec::aggregate::runs_grace;
 use crate::exec::batch::RowBatch;
 use crate::exec::spill::{PartitionGroups, SpillHash};
 use crate::exec::{
-    build_node, build_operator, drain, replay, BoxedOperator, ExecConfig, ExecContext, Input,
-    Operator, Row,
+    build_node, build_operator, drain, replay, BoxedOperator, ExecContext, Input, Operator, Row,
 };
-use crate::expr::VectorKernel;
 use crate::planner::physical::PhysicalPlan;
 use crate::planner::SetOpKind;
-use crate::storage::Table;
 
 pub(crate) use pipeline::for_each_morsel;
 use pipeline::Pipeline;
@@ -179,32 +176,23 @@ impl<'a> Operator<'a> for Scheduled<'a> {
     }
 }
 
-/// UPDATE/DELETE victim selection: the ids of `table`'s live rows that
-/// `kernel` selects. The session's workers claim storage-slot morsels and
-/// run the vectorized predicate per window (one worker, or one morsel,
-/// scans on the calling thread); per-morsel id lists come back in slot
-/// order and concatenate in morsel order, so the result — and thus the
-/// apply order — is that of one scan of the whole table. On error the
-/// cursor poisons and the earliest morsel's error surfaces.
-pub(crate) fn filter_row_ids(
-    table: &Table,
-    kernel: &VectorKernel,
-    config: &ExecConfig,
-) -> Result<Vec<u64>, EngineError> {
-    let (_, out) = pipeline::for_each_morsel(
-        table.total_slots(),
-        config.morsel_size(),
-        config.parallelism(),
-        || (),
-        |_, _, slots| table.filter_row_ids_range(slots, config.batch_size(), kernel),
-    )?;
-    Ok(out.into_iter().flatten().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use crate::storage::Table;
     use crate::{Database, Value};
+
+    /// A table of 1000 keyed rows, `v = 3 * id`, over morsels of 64 slots.
+    fn keyed(workers: usize) -> Database {
+        let mut db = Database::new();
+        db.config_mut().set_parallelism(workers);
+        db.config_mut().set_morsel_size(64);
+        db.execute("CREATE TABLE k (id INTEGER PRIMARY KEY, v INTEGER)")
+            .unwrap();
+        let values: Vec<String> = (0..1000).map(|i| format!("({i}, {})", i * 3)).collect();
+        db.execute(&format!("INSERT INTO k VALUES {}", values.join(", ")))
+            .unwrap();
+        db
+    }
 
     /// A point read on a table spanning many morsels asks the index once
     /// — not once per plan node that wonders whether to go parallel — and
@@ -212,14 +200,7 @@ mod tests {
     #[test]
     fn point_read_asks_the_index_once() {
         for workers in [1usize, 2, 4] {
-            let mut db = Database::new();
-            db.config_mut().set_parallelism(workers);
-            db.config_mut().set_morsel_size(64);
-            db.execute("CREATE TABLE k (id INTEGER PRIMARY KEY, v INTEGER)")
-                .unwrap();
-            let values: Vec<String> = (0..1000).map(|i| format!("({i}, {})", i * 3)).collect();
-            db.execute(&format!("INSERT INTO k VALUES {}", values.join(", ")))
-                .unwrap();
+            let db = keyed(workers);
             for (q, expected) in [
                 (
                     "SELECT v FROM k WHERE id = 837",
@@ -236,6 +217,37 @@ mod tests {
                 let asked = Table::equality_lookups() - before;
                 assert_eq!(asked, 1, "{q} at {workers} workers");
             }
+        }
+    }
+
+    /// An UPDATE or a DELETE by key finds its row the way a point read
+    /// does: its scan asks the index once, whatever the worker count, and
+    /// the kernel re-checks the looked-up row.
+    #[test]
+    fn dml_by_key_asks_the_index_once() {
+        for workers in [1usize, 2, 4] {
+            let mut db = keyed(workers);
+            for (dml, affected) in [
+                ("UPDATE k SET v = -1 WHERE id = 837", 1),
+                ("UPDATE k SET v = -2 WHERE id = 838 AND v > 9999", 0),
+                ("UPDATE k SET v = -2 WHERE id = 5000", 0),
+                ("DELETE FROM k WHERE id = 836", 1),
+                ("DELETE FROM k WHERE id = 836", 0),
+            ] {
+                let before = Table::equality_lookups();
+                assert_eq!(db.execute(dml).unwrap().rows_affected, affected, "{dml}");
+                let asked = Table::equality_lookups() - before;
+                assert_eq!(asked, 1, "{dml} at {workers} workers");
+            }
+            let rows = db
+                .query("SELECT id, v FROM k WHERE id BETWEEN 835 AND 838 ORDER BY id")
+                .unwrap()
+                .rows;
+            let expected: Vec<Vec<Value>> = [(835, 2505), (837, -1), (838, 2514)]
+                .iter()
+                .map(|&(id, v)| vec![Value::Integer(id), Value::Integer(v)])
+                .collect();
+            assert_eq!(rows, expected, "at {workers} workers");
         }
     }
 }

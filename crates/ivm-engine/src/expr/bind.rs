@@ -4,6 +4,7 @@ use ivm_sql::ast::{BinaryOp, Expr, Literal};
 
 use crate::error::EngineError;
 use crate::expr::{BoundExpr, ScalarFunc};
+use crate::schema::Schema;
 use crate::types::DataType;
 use crate::value::Value;
 
@@ -30,6 +31,18 @@ impl Scope {
     /// Empty scope (constant expressions only).
     pub fn empty() -> Scope {
         Scope::default()
+    }
+
+    /// The columns of `schema`, each reachable through `qualifier`.
+    pub fn of(qualifier: &str, schema: &Schema) -> Scope {
+        let columns = schema.columns.iter().map(|c| BindColumn {
+            qualifier: Some(qualifier.to_string()),
+            name: c.name.clone(),
+            ty: Some(c.ty),
+        });
+        Scope {
+            columns: columns.collect(),
+        }
     }
 
     /// Concatenate two scopes (join output order: left then right).

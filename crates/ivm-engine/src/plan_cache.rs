@@ -28,8 +28,10 @@ use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ivm_sql::ast::{Insert, InsertSource, Query, Statement};
-use ivm_sql::{lift_literals, print_query, Dialect};
+use ivm_sql::ast::{
+    Delete, Expr, Insert, InsertSource, Query, Select, SelectItem, Statement, TableRef, Update,
+};
+use ivm_sql::{lift_literals, print_query, Dialect, Ident};
 
 use crate::error::EngineError;
 use crate::exec::ExecContext;
@@ -100,9 +102,10 @@ fn plan_lifted(
 /// A statement lifted once for many executions
 /// ([`crate::Database::execute_prepared`]): the statement as sent and,
 /// when it plans a query through the cache — a SELECT, an INSERT's
-/// source, an EXPLAINed query — that query's lifted form and shape, so an
-/// execution that hits the cache clones, lifts and prints nothing.
-/// A refresh runs each maintenance statement of a view this way.
+/// source, the scan an UPDATE or a DELETE finds its rows with, an
+/// EXPLAINed statement's — that query's lifted form and shape, so an
+/// execution that hits the cache clones, lifts and prints nothing. A
+/// refresh runs each maintenance statement of a view this way.
 #[derive(Debug)]
 pub struct PreparedStatement {
     statement: Statement,
@@ -112,20 +115,7 @@ pub struct PreparedStatement {
 impl PreparedStatement {
     /// Lift `statement`'s cached query, if it has one that lifts.
     pub fn new(statement: Statement) -> PreparedStatement {
-        let query = match &statement {
-            Statement::Query(q) => Some(&**q),
-            Statement::Insert(Insert {
-                source: InsertSource::Query(q),
-                ..
-            }) => Some(&**q),
-            Statement::Explain(inner) => match &**inner {
-                Statement::Query(q) => Some(&**q),
-                _ => None,
-            },
-            _ => None,
-        };
-        let lifted = query.and_then(|q| {
-            let mut q = q.clone();
+        let lifted = cached_query(&statement).and_then(|mut q| {
             let shape = Shape::lift(&mut q)?;
             Some((q, shape))
         });
@@ -136,6 +126,40 @@ impl PreparedStatement {
     pub fn statement(&self) -> &Statement {
         &self.statement
     }
+}
+
+/// The query `statement` plans through the cache when it runs: a SELECT
+/// itself, an INSERT's source, an UPDATE's or a DELETE's
+/// [`victim_query`], an EXPLAINed statement's.
+fn cached_query(statement: &Statement) -> Option<Query> {
+    match statement {
+        Statement::Query(q)
+        | Statement::Insert(Insert {
+            source: InsertSource::Query(q),
+            ..
+        }) => Some((**q).clone()),
+        Statement::Update(Update {
+            table, selection, ..
+        })
+        | Statement::Delete(Delete { table, selection }) => {
+            Some(victim_query(table, selection.as_ref()))
+        }
+        Statement::Explain(inner) => cached_query(inner),
+        _ => None,
+    }
+}
+
+/// How an UPDATE or a DELETE of `table` finds its rows: `SELECT * FROM
+/// table WHERE selection`, planned like any query — its predicate pushed
+/// into the table's scan, an equality on the key an index point read.
+pub(crate) fn victim_query(table: &Ident, selection: Option<&Expr>) -> Query {
+    let mut select = Select::new(vec![SelectItem::Wildcard]);
+    select.from = vec![TableRef::Table {
+        name: table.clone(),
+        alias: None,
+    }];
+    select.selection = selection.cloned();
+    Query::from_select(select)
 }
 
 /// The plan of `q` through `cache`: from the shape lifted up front when

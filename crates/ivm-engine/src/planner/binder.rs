@@ -282,18 +282,18 @@ impl QueryBinder<'_> {
                 // CTEs shadow catalog objects; later CTEs shadow earlier.
                 if let Some((_, plan)) = self.ctes.iter().rev().find(|(n, _)| *n == tname) {
                     let plan = plan.clone();
-                    let scope = scope_from_schema(Some(&qualifier), plan.schema());
+                    let scope = Scope::of(&qualifier, plan.schema());
                     return Ok((plan, scope));
                 }
                 if let Some(view) = self.catalog.view(&tname) {
                     let view = view.clone();
                     let (plan, _) = self.plan_query(&view)?;
-                    let scope = scope_from_schema(Some(&qualifier), plan.schema());
+                    let scope = Scope::of(&qualifier, plan.schema());
                     return Ok((plan, scope));
                 }
                 let table = self.catalog.table(&tname)?;
                 let schema = table.schema.clone();
-                let scope = scope_from_schema(Some(&qualifier), &schema);
+                let scope = Scope::of(&qualifier, &schema);
                 Ok((
                     LogicalPlan::Scan {
                         table: tname,
@@ -304,7 +304,7 @@ impl QueryBinder<'_> {
             }
             TableRef::Subquery { query, alias } => {
                 let (plan, _) = self.plan_query(query)?;
-                let scope = scope_from_schema(Some(alias.normalized()), plan.schema());
+                let scope = Scope::of(alias.normalized(), plan.schema());
                 Ok((plan, scope))
             }
             TableRef::Join {
@@ -617,21 +617,6 @@ impl QueryBinder<'_> {
             }
         }
         Ok(splice(plan, pre_plan, keys))
-    }
-}
-
-/// Build a scope over a plan's output schema.
-fn scope_from_schema(qualifier: Option<&str>, schema: &Schema) -> Scope {
-    Scope {
-        columns: schema
-            .columns
-            .iter()
-            .map(|c| BindColumn {
-                qualifier: qualifier.map(str::to_string),
-                name: c.name.clone(),
-                ty: Some(c.ty),
-            })
-            .collect(),
     }
 }
 

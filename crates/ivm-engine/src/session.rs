@@ -3,22 +3,23 @@
 use std::sync::{Arc, Mutex};
 
 use ivm_sql::ast::{
-    Assignment, ConflictAction, CreateIndex, CreateTable, Delete, Drop, DropKind, Insert,
+    Assignment, ConflictAction, CreateIndex, CreateTable, Delete, Drop, DropKind, Expr, Insert,
     InsertSource, Query, Statement, Update,
 };
-use ivm_sql::{parse_statement, parse_statements};
+use ivm_sql::{parse_statement, parse_statements, Ident};
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec::{
-    self, clean_orphan_spill_files, filter_row_ids, prepare_expr, ExecConfig, ExecContext,
-    MemoryBudget, Row, SpillStats,
+    self, clean_orphan_spill_files, prepare_expr, ExecConfig, ExecContext, MemoryBudget, Row,
+    ScanSource, SpillStats,
 };
 use crate::expr::bind::{bind_expr_with, Scope};
-use crate::expr::BindColumn;
 use crate::optimizer::optimize;
-use crate::plan_cache::{lock, plan_statement, PlanCache, Planned, PreparedStatement};
-use crate::planner::physical::lower;
+use crate::plan_cache::{
+    lock, plan_statement, victim_query, PlanCache, Planned, PreparedStatement,
+};
+use crate::planner::physical::{lower, PhysicalPlan};
 use crate::planner::{plan_query, plan_template};
 use crate::schema::{Column, Schema};
 use crate::storage::durability::{Durability, RecoveryStats};
@@ -567,7 +568,8 @@ impl Database {
     /// partially failed statement, and recovery must reproduce exactly
     /// that state.
     ///
-    /// A query, an `INSERT … SELECT` source and an `EXPLAIN`ed query plan
+    /// A query, an `INSERT … SELECT` source, the scan an `UPDATE` or a
+    /// `DELETE` finds its rows with, and what `EXPLAIN` shows of each plan
     /// through the cache this database shares with its snapshot readers,
     /// keyed by the statement's shape: statements that differ only in the
     /// values they compare against skip planning, optimization, and
@@ -630,22 +632,37 @@ impl Database {
             }
             Statement::Drop(d) => self.drop(d),
             Statement::Insert(ins) => self.insert(ins, prepared),
-            Statement::Update(u) => self.update(u),
-            Statement::Delete(d) => self.delete(d),
+            Statement::Update(u) => self.update(u, prepared),
+            Statement::Delete(d) => self.delete(d, prepared),
             // The analytical engine auto-commits; real transaction scoping
             // lives in the OLTP substrate (ivm-oltp).
             Statement::Begin | Statement::Commit | Statement::Rollback => {
                 Ok(QueryResult::default())
             }
             Statement::Explain(inner) => {
-                let Statement::Query(q) = inner.as_ref() else {
-                    return Err(EngineError::unsupported("EXPLAIN supports queries only"));
-                };
                 // Show what will actually run: the lowered physical tree,
-                // instantiated from the cached template.
-                let (physical, _) = self.plan(q, prepared)?;
-                let rows = physical
-                    .explain()
+                // instantiated from the cached template — for an UPDATE
+                // or a DELETE, the scan that finds its rows.
+                let text = match inner.as_ref() {
+                    Statement::Query(q)
+                    | Statement::Insert(Insert {
+                        source: InsertSource::Query(q),
+                        ..
+                    }) => self.plan(q, prepared)?.0.explain(),
+                    Statement::Update(Update {
+                        table, selection, ..
+                    })
+                    | Statement::Delete(Delete { table, selection }) => {
+                        let plan = self.victim_plan(table, selection.as_ref(), prepared)?;
+                        victim_scan(&plan).explain()
+                    }
+                    _ => {
+                        return Err(EngineError::unsupported(
+                            "EXPLAIN supports queries, INSERT … SELECT, UPDATE and DELETE",
+                        ))
+                    }
+                };
+                let rows = text
                     .lines()
                     .map(|l| vec![Value::Varchar(l.to_string())])
                     .collect();
@@ -885,23 +902,7 @@ impl Database {
         assignments: &[Assignment],
     ) -> Result<Vec<(usize, crate::expr::BoundExpr)>, EngineError> {
         // Visible names: the table's columns, then `excluded.*`.
-        let mut scope_cols: Vec<BindColumn> = schema
-            .columns
-            .iter()
-            .map(|c| BindColumn {
-                qualifier: Some(tname.to_string()),
-                name: c.name.clone(),
-                ty: Some(c.ty),
-            })
-            .collect();
-        scope_cols.extend(schema.columns.iter().map(|c| BindColumn {
-            qualifier: Some("excluded".to_string()),
-            name: c.name.clone(),
-            ty: Some(c.ty),
-        }));
-        let scope = Scope {
-            columns: scope_cols,
-        };
+        let scope = Scope::of(tname, schema).join(Scope::of("excluded", schema));
         let mut out = Vec::with_capacity(assignments.len());
         for a in assignments {
             let pos = schema.position(a.column.normalized()).ok_or_else(|| {
@@ -916,16 +917,43 @@ impl Database {
         Ok(out)
     }
 
-    fn update(&mut self, u: &Update) -> Result<QueryResult, EngineError> {
-        let tname = u.table.normalized().to_string();
-        let (schema, scope) = self.table_scope(&tname)?;
-        let predicate = match &u.selection {
-            Some(e) => {
-                let b = bind_expr_with(e, &scope, Some(&self.catalog), &[])?;
-                Some(prepare_expr(&b, &self.exec_context())?)
-            }
-            None => None,
-        };
+    /// The plan an UPDATE or a DELETE of `table` finds its rows with:
+    /// [`victim_query`] through the shared cache. The target must be a
+    /// base table; a plain view is refused before planning would read
+    /// through it.
+    fn victim_plan(
+        &self,
+        table: &Ident,
+        selection: Option<&Expr>,
+        prepared: Option<&PreparedStatement>,
+    ) -> Result<Arc<PhysicalPlan>, EngineError> {
+        self.catalog.table(table.normalized())?;
+        Ok(self.plan(&victim_query(table, selection), prepared)?.0)
+    }
+
+    /// The ids of `table`'s rows that `selection` holds for, ascending,
+    /// found by [`ScanSource`] like any scan's rows.
+    fn victims(
+        &self,
+        table: &Ident,
+        selection: Option<&Expr>,
+        prepared: Option<&PreparedStatement>,
+    ) -> Result<Vec<u64>, EngineError> {
+        let plan = self.victim_plan(table, selection, prepared)?;
+        let cx = self.exec_context();
+        ScanSource::resolve(victim_scan(&plan), &cx)?.row_ids(cx.config)
+    }
+
+    fn update(
+        &mut self,
+        u: &Update,
+        prepared: Option<&PreparedStatement>,
+    ) -> Result<QueryResult, EngineError> {
+        let victims = self.victims(&u.table, u.selection.as_ref(), prepared)?;
+        let tname = u.table.normalized();
+        let table = self.catalog.table(tname)?;
+        let schema = &table.schema;
+        let scope = Scope::of(tname, schema);
         let mut bound_assignments = Vec::with_capacity(u.assignments.len());
         for a in &u.assignments {
             let pos = schema.position(a.column.normalized()).ok_or_else(|| {
@@ -937,83 +965,52 @@ impl Database {
             let b = bind_expr_with(&a.value, &scope, Some(&self.catalog), &[])?;
             bound_assignments.push((pos, prepare_expr(&b, &self.exec_context())?));
         }
-        // Phase 1: compute new rows against a stable snapshot. Victims are
-        // found by a chunked vectorized scan; only they are materialized.
-        let mut changes: Vec<(u64, Row)> = Vec::new();
-        {
-            let table = self.catalog.table(&tname)?;
-            let victims = match &predicate {
-                Some(p) => {
-                    let kernel = crate::expr::VectorKernel::compile(p);
-                    filter_row_ids(table, &kernel, &self.config)?
-                }
-                None => table.live_row_ids(),
-            };
-            for row_id in victims {
-                let row = table.row(row_id);
-                let mut updated = row.clone();
-                for (pos, expr) in &bound_assignments {
-                    updated[*pos] = coerce(expr.eval(&row)?, schema.columns[*pos].ty)?;
-                }
-                changes.push((row_id, updated));
+        // Every new row is computed against the unchanged table, then
+        // all are applied as one statement, its keys checked as a whole.
+        let mut changes = Vec::with_capacity(victims.len());
+        for row_id in victims {
+            let row = table.row(row_id);
+            let mut updated = row.clone();
+            for (pos, expr) in &bound_assignments {
+                updated[*pos] = coerce(expr.eval(&row)?, schema.columns[*pos].ty)?;
             }
+            changes.push((row_id, updated));
         }
-        // Phase 2: apply.
         let affected = changes.len();
-        let table = self.catalog.table_mut(&tname)?;
-        for (row_id, updated) in changes {
-            table.update(row_id, updated)?;
-        }
+        self.catalog.table_mut(tname)?.update_rows(changes)?;
         Ok(QueryResult::dml(affected))
     }
 
-    fn delete(&mut self, d: &Delete) -> Result<QueryResult, EngineError> {
-        let tname = d.table.normalized().to_string();
-        let (_, scope) = self.table_scope(&tname)?;
-        let predicate = match &d.selection {
-            Some(e) => {
-                let b = bind_expr_with(e, &scope, Some(&self.catalog), &[])?;
-                Some(prepare_expr(&b, &self.exec_context())?)
-            }
-            None => None,
-        };
-        let Some(predicate) = predicate else {
+    fn delete(
+        &mut self,
+        d: &Delete,
+        prepared: Option<&PreparedStatement>,
+    ) -> Result<QueryResult, EngineError> {
+        let tname = d.table.normalized();
+        if d.selection.is_none() {
             // Unconditional DELETE clears the table wholesale — the shape
             // every propagation script ends with (`DELETE FROM Δ…`).
-            let table = self.catalog.table_mut(&tname)?;
+            let table = self.catalog.table_mut(tname)?;
             let affected = table.live_rows();
             table.truncate();
             return Ok(QueryResult::dml(affected));
-        };
-        let victims: Vec<u64> = {
-            let table = self.catalog.table(&tname)?;
-            let kernel = crate::expr::VectorKernel::compile(&predicate);
-            filter_row_ids(table, &kernel, &self.config)?
-        };
-        let affected = victims.len();
-        let table = self.catalog.table_mut(&tname)?;
-        for row_id in victims {
+        }
+        let victims = self.victims(&d.table, d.selection.as_ref(), prepared)?;
+        let table = self.catalog.table_mut(tname)?;
+        for &row_id in &victims {
             table.delete(row_id)?;
         }
-        Ok(QueryResult::dml(affected))
+        Ok(QueryResult::dml(victims.len()))
     }
+}
 
-    fn table_scope(&self, tname: &str) -> Result<(Schema, Scope), EngineError> {
-        let table = self.catalog.table(tname)?;
-        let schema = table.schema.clone();
-        let scope = Scope {
-            columns: schema
-                .columns
-                .iter()
-                .map(|c| BindColumn {
-                    qualifier: Some(tname.to_string()),
-                    name: c.name.clone(),
-                    ty: Some(c.ty),
-                })
-                .collect(),
-        };
-        Ok((schema, scope))
-    }
+/// The table scan of a [`victim_query`]'s plan, under the projection of
+/// every column.
+fn victim_scan(plan: &PhysicalPlan) -> &PhysicalPlan {
+    let PhysicalPlan::Project { input, .. } = plan else {
+        unreachable!("a victim query plans as a projection over its scan")
+    };
+    input
 }
 
 /// Coerce a runtime value into a column type: exact/widening passes through,

@@ -396,7 +396,7 @@ fn apply_record(
             table
         }
         WalRecord::Update { table, row_id, row } => {
-            catalog.table_mut(&table)?.update(row_id, row)?;
+            catalog.table_mut(&table)?.replay_update(row_id, row)?;
             table
         }
         WalRecord::Truncate { table } => {

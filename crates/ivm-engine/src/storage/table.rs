@@ -335,13 +335,8 @@ impl Table {
 
     /// Tombstone a row by id.
     pub fn delete(&mut self, row_id: u64) -> Result<(), EngineError> {
+        self.check_live(row_id)?;
         let idx = row_id as usize;
-        if idx >= self.data.deleted.len() || self.data.deleted[idx] {
-            return Err(EngineError::execution(format!(
-                "row {row_id} does not exist in table {}",
-                self.name
-            )));
-        }
         if let Some(wal) = &self.wal {
             wal.log(&WalRecord::Delete {
                 table: self.name.clone(),
@@ -359,39 +354,73 @@ impl Table {
         Ok(())
     }
 
-    /// Replace the row contents in place, keeping the row id.
+    /// Replace the row contents in place, keeping the row id: one row's
+    /// [`Table::update_rows`].
     pub fn update(&mut self, row_id: u64, new_row: Vec<Value>) -> Result<(), EngineError> {
-        self.check_row(&new_row)?;
-        let idx = row_id as usize;
-        if idx >= self.data.deleted.len() || self.data.deleted[idx] {
-            return Err(EngineError::execution(format!(
+        self.update_rows(vec![(row_id, new_row)])
+    }
+
+    /// Replace several rows in place — one statement's worth — each
+    /// keeping its row id, applied in ascending row-id order. The key
+    /// is checked against the final state, not each intermediate one:
+    /// the new keys must be unique among themselves, and none may belong
+    /// to a row outside `changes` (so `SET id = id + 1` over 1, 5, 6 and
+    /// `SET id = 3 - id` over 1, 2 succeed). Nothing is logged or written
+    /// unless every row passes. Each row is then logged and applied on
+    /// its own ([`WalRecord::Update`]), the same move replay makes.
+    pub fn update_rows(&mut self, mut changes: Vec<(u64, Vec<Value>)>) -> Result<(), EngineError> {
+        changes.sort_by_key(|c| c.0);
+        let mut new_keys = std::collections::HashSet::new();
+        for (row_id, row) in &changes {
+            self.check_row(row)?;
+            self.check_live(*row_id)?;
+            let Some(pk) = &self.data.pk_index else {
+                continue;
+            };
+            let key = pk.key_of(row);
+            let taken = pk.get_encoded(&key).is_some_and(|owner| {
+                owner != *row_id && changes.binary_search_by_key(&owner, |c| c.0).is_err()
+            });
+            if taken || (changes.len() > 1 && !new_keys.insert(key)) {
+                return Err(EngineError::constraint(format!(
+                    "duplicate key in table {}",
+                    self.name
+                )));
+            }
+        }
+        for (row_id, row) in changes {
+            self.apply_update(row_id, row);
+        }
+        Ok(())
+    }
+
+    /// Apply one replayed [`WalRecord::Update`]. The key is not checked:
+    /// the logged statement passed [`Table::update_rows`] as a whole,
+    /// and the state after a prefix of its records need not.
+    pub(crate) fn replay_update(
+        &mut self,
+        row_id: u64,
+        new_row: Vec<Value>,
+    ) -> Result<(), EngineError> {
+        self.check_live(row_id)?;
+        self.apply_update(row_id, new_row);
+        Ok(())
+    }
+
+    fn check_live(&self, row_id: u64) -> Result<(), EngineError> {
+        match self.data.deleted.get(row_id as usize) {
+            Some(false) => Ok(()),
+            _ => Err(EngineError::execution(format!(
                 "row {row_id} does not exist in table {}",
                 self.name
-            )));
+            ))),
         }
-        // Encode the PK keys once: the duplicate check must run before the
-        // WAL record and the copy-on-write below, but the remove/insert
-        // can reuse the same encodings.
-        let pk_change = match &self.data.pk_index {
-            Some(pk) => {
-                let old_key = pk.key_at(&self.data.columns, idx);
-                let new_key = pk.key_of(&new_row);
-                if old_key != new_key {
-                    if pk.get_encoded(&new_key).is_some() {
-                        return Err(EngineError::constraint(format!(
-                            "duplicate key in table {}",
-                            self.name
-                        )));
-                    }
-                    Some((old_key, new_key))
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
-        // Logged only after the last fallible check: a rejected update
-        // must leave no trace in the redo log.
+    }
+
+    /// Log and write one checked row update. The row's old key is removed
+    /// only while it still names the row: an earlier row of the same
+    /// statement may have taken it over.
+    fn apply_update(&mut self, row_id: u64, new_row: Vec<Value>) {
         if let Some(wal) = &self.wal {
             wal.log(&WalRecord::Update {
                 table: self.name.clone(),
@@ -399,17 +428,22 @@ impl Table {
                 row: new_row.clone(),
             });
         }
+        let idx = row_id as usize;
         let data = self.data_mut();
-        if let Some((old_key, new_key)) = pk_change {
-            let pk = data.pk_index.as_mut().expect("pk checked above");
-            pk.remove(&old_key);
-            pk.insert(&new_key, row_id);
+        if let Some(pk) = &mut data.pk_index {
+            let old_key = pk.key_at(&data.columns, idx);
+            let new_key = pk.key_of(&new_row);
+            if old_key != new_key {
+                if pk.get_encoded(&old_key) == Some(row_id) {
+                    pk.remove(&old_key);
+                }
+                pk.insert(&new_key, row_id);
+            }
         }
         for (col, value) in data.columns.iter_mut().zip(new_row) {
             col[idx] = value;
         }
         self.generation = next_generation();
-        Ok(())
     }
 
     /// Materialize the row with the given id (caller must know it's live).
@@ -621,13 +655,6 @@ impl Table {
             }
         }
         Ok(out)
-    }
-
-    /// Ids of all live rows.
-    pub fn live_row_ids(&self) -> Vec<u64> {
-        (0..self.data.deleted.len() as u64)
-            .filter(|&i| !self.data.deleted[i as usize])
-            .collect()
     }
 
     /// Iterate the physical slot ids of live rows in slot order, without

@@ -124,6 +124,49 @@ fn wal_replay_recovers_uncheckpointed_state() {
     drop_recovered_index_def(&mut db);
 }
 
+/// A multi-row UPDATE that moves keys onto each other is logged as one
+/// `Update` record per row; replaying them in order, from the WAL alone
+/// and again after a checkpoint, reaches the state the statement left,
+/// key index included.
+#[test]
+fn key_moving_update_replays_to_the_same_state() {
+    let dir = TempDir::new("key-move");
+    let keyed = |db: &mut Database| -> Vec<Vec<Value>> {
+        let mut out = db.query("SELECT id, v FROM t ORDER BY id").unwrap().rows;
+        for id in [1, 2, 5, 6, 7] {
+            let sql = format!("SELECT id, v FROM t WHERE id = {id}");
+            out.extend(db.query(&sql).unwrap().rows);
+        }
+        out
+    };
+    let expected = {
+        let mut db = Database::open(dir.path()).unwrap();
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10), (5, 50), (6, 60)")
+            .unwrap();
+        let r = db.execute("UPDATE t SET id = id + 1").unwrap();
+        assert_eq!(r.rows_affected, 3);
+        drop(db);
+        let int = |pairs: &[(i64, i64)]| -> Vec<Vec<Value>> {
+            pairs
+                .iter()
+                .map(|&(id, v)| vec![Value::Integer(id), Value::Integer(v)])
+                .collect()
+        };
+        let mut expected = int(&[(2, 10), (6, 50), (7, 60)]);
+        expected.extend(int(&[(2, 10), (6, 50), (7, 60)]));
+        expected
+    };
+    for reopen in 0..2 {
+        let mut db = Database::open(dir.path()).unwrap();
+        assert_eq!(keyed(&mut db), expected, "reopen {reopen}");
+        let err = db.execute("INSERT INTO t VALUES (6, 0)").unwrap_err();
+        assert!(err.to_string().contains("duplicate key"), "{err}");
+        db.close().unwrap();
+    }
+}
+
 /// A key or an index definition added after a checkpoint changes no row,
 /// so the table's file is not rewritten; the next checkpoint's meta must
 /// still record both.

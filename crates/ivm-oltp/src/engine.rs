@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use ivm_engine::expr::bind::{bind_expr, BindColumn, Scope};
+use ivm_engine::expr::bind::{bind_expr, Scope};
 use ivm_engine::expr::BoundExpr;
 use ivm_engine::{Column, DataType, Schema, Value};
 use ivm_sql::ast::{Expr, InsertSource, OrderByExpr, SelectItem, SetExpr, Statement, TableRef};
@@ -45,6 +45,21 @@ impl OltpTable {
             None
         } else {
             Some(self.pk.iter().map(|&i| row[i].clone()).collect())
+        }
+    }
+
+    /// Point the primary key at row `id` as its contents go from `old` to
+    /// `new`. The old key is removed only while it still names `id`: an
+    /// earlier row of the same UPDATE (or of its undo) may have taken it.
+    fn move_key(&mut self, id: u64, old: &[Value], new: &[Value]) {
+        let (Some(old_key), Some(new_key)) = (self.pk_key(old), self.pk_key(new)) else {
+            return;
+        };
+        if old_key != new_key {
+            if self.pk_index.get(&old_key) == Some(&id) {
+                self.pk_index.remove(&old_key);
+            }
+            self.pk_index.insert(new_key, id);
         }
     }
 }
@@ -245,12 +260,7 @@ impl OltpEngine {
                 Undo::Update { table, id, old } => {
                     if let Some(t) = self.tables.get_mut(&table) {
                         if let Some(current) = t.rows.get(&id).cloned() {
-                            if let Some(key) = t.pk_key(&current) {
-                                t.pk_index.remove(&key);
-                            }
-                        }
-                        if let Some(key) = t.pk_key(&old) {
-                            t.pk_index.insert(key, id);
+                            t.move_key(id, &current, &old);
                         }
                         t.rows.insert(id, old);
                     }
@@ -301,20 +311,6 @@ impl OltpEngine {
         self.tables
             .get(name)
             .ok_or_else(|| OltpError::new(format!("table {name} does not exist")))
-    }
-
-    fn scope(schema: &Schema, table: &str) -> Scope {
-        Scope {
-            columns: schema
-                .columns
-                .iter()
-                .map(|c| BindColumn {
-                    qualifier: Some(table.to_string()),
-                    name: c.name.clone(),
-                    ty: Some(c.ty),
-                })
-                .collect(),
-        }
     }
 
     fn insert(&mut self, ins: ivm_sql::ast::Insert) -> Result<OltpResult, OltpError> {
@@ -395,7 +391,7 @@ impl OltpEngine {
         selection: &Option<Expr>,
     ) -> Result<Vec<(u64, Vec<Value>)>, OltpError> {
         let t = self.table(name)?;
-        let scope = Self::scope(&t.schema, name);
+        let scope = Scope::of(name, &t.schema);
         let predicate = match selection {
             Some(e) => Some(bind_expr(e, &scope)?),
             None => None,
@@ -418,7 +414,7 @@ impl OltpEngine {
         let victims = self.matching_rows(&name, &u.selection)?;
         let (schema, assignments) = {
             let t = self.table(&name)?;
-            let scope = Self::scope(&t.schema, &name);
+            let scope = Scope::of(&name, &t.schema);
             let mut bound = Vec::new();
             for a in &u.assignments {
                 let pos = t.schema.position(a.column.normalized()).ok_or_else(|| {
@@ -428,23 +424,34 @@ impl OltpEngine {
             }
             (t.schema.clone(), bound)
         };
-        let affected = victims.len();
+        // Every new row first; the key is checked against the final
+        // rows, as one statement: unique among themselves, and none held
+        // by a row the UPDATE leaves alone.
+        let mut changes = Vec::with_capacity(victims.len());
         for (id, old_row) in victims {
             let mut new_row = old_row.clone();
             for (pos, expr) in &assignments {
                 new_row[*pos] = coerce(expr.eval(&old_row)?, schema.columns[*pos].ty)?;
             }
-            let t = self.tables.get_mut(&name).expect("checked");
-            if let Some(old_key) = t.pk_key(&old_row) {
-                let new_key = t.pk_key(&new_row).expect("same pk arity");
-                if old_key != new_key {
-                    if t.pk_index.contains_key(&new_key) {
-                        return Err(OltpError::new(format!("duplicate key in {name}")));
-                    }
-                    t.pk_index.remove(&old_key);
-                    t.pk_index.insert(new_key, id);
-                }
+            changes.push((id, old_row, new_row));
+        }
+        let t = self.tables.get_mut(&name).expect("checked");
+        let mut new_keys = std::collections::HashSet::new();
+        for (id, _, new_row) in &changes {
+            let Some(key) = t.pk_key(new_row) else {
+                break;
+            };
+            let taken = t.pk_index.get(&key).is_some_and(|owner| {
+                owner != id && changes.binary_search_by_key(owner, |c| c.0).is_err()
+            });
+            if taken || !new_keys.insert(key) {
+                return Err(OltpError::new(format!("duplicate key in {name}")));
             }
+        }
+        let affected = changes.len();
+        for (id, old_row, new_row) in changes {
+            let t = self.tables.get_mut(&name).expect("checked");
+            t.move_key(id, &old_row, &new_row);
             t.rows.insert(id, new_row.clone());
             if self.in_txn {
                 self.undo.push(Undo::Update {
@@ -520,7 +527,7 @@ impl OltpEngine {
             .map(|a| a.normalized().to_string())
             .unwrap_or_else(|| tname.clone());
         let t = self.table(&tname)?;
-        let scope = Self::scope(&t.schema, &qualifier);
+        let scope = Scope::of(&qualifier, &t.schema);
 
         // Expand projection.
         let mut items: Vec<(Expr, String)> = Vec::new();
@@ -782,6 +789,42 @@ mod tests {
         e.execute("INSERT INTO accounts VALUES (1, 'ada', 100), (2, 'bob', 50)")
             .unwrap();
         e
+    }
+
+    /// A multi-row UPDATE is checked against its final keys: a swap
+    /// succeeds, a real collision is refused and changes nothing, and
+    /// rolling a swap back restores both key entries.
+    #[test]
+    fn update_checks_final_keys_and_rolls_back_a_swap() {
+        let mut e = engine();
+        let rows = |e: &mut OltpEngine| {
+            e.execute("SELECT id, owner FROM accounts ORDER BY id")
+                .unwrap()
+                .rows
+        };
+        let swapped = vec![
+            vec![Value::Integer(1), Value::from("bob")],
+            vec![Value::Integer(2), Value::from("ada")],
+        ];
+        e.execute("UPDATE accounts SET id = 3 - id").unwrap();
+        assert_eq!(rows(&mut e), swapped);
+        for collision in [
+            "UPDATE accounts SET id = 2 WHERE id = 1",
+            "UPDATE accounts SET id = 7",
+        ] {
+            assert!(e.execute(collision).is_err(), "{collision}");
+            assert_eq!(rows(&mut e), swapped, "{collision}");
+        }
+        for stmt in ["BEGIN", "UPDATE accounts SET id = 3 - id", "ROLLBACK"] {
+            e.execute(stmt).unwrap();
+        }
+        assert_eq!(rows(&mut e), swapped);
+        for id in [1, 2] {
+            let dup = format!("INSERT INTO accounts VALUES ({id}, 'x', 0)");
+            assert!(e.execute(&dup).is_err(), "{dup}");
+        }
+        e.execute("INSERT INTO accounts VALUES (3, 'cyd', 0)")
+            .unwrap();
     }
 
     #[test]
