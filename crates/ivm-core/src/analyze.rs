@@ -162,6 +162,9 @@ pub fn analyze_view(
 
     let plan = optimize(plan_query(query, catalog).map_err(|e| IvmError::Engine(e.to_string()))?);
 
+    if let LogicalPlan::Subqueries { .. } = plan {
+        return Err(IvmError::unsupported("subqueries in view expressions"));
+    }
     // Peel the top projection.
     let LogicalPlan::Project {
         input,

@@ -83,6 +83,9 @@ pub fn unbind(expr: &BoundExpr, cols: &[Expr]) -> Result<Expr, IvmError> {
             distinct: false,
             star: false,
         },
+        // A view's plan carries its subquery bodies at the root, and
+        // `analyze` refuses such a view before expressions are unbound;
+        // an `InSet` exists only in an instantiated physical plan.
         BoundExpr::InSubquery { .. } | BoundExpr::InSet { .. } => {
             return Err(IvmError::unsupported("subqueries in view expressions"));
         }

@@ -41,7 +41,7 @@ use ivm_sql::parse_statement;
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec::{ExecConfig, ExecContext};
-use crate::plan_cache::{lock, plan_shared, PlanCache};
+use crate::plan_cache::{lock, plan_shared, Fill, PlanCache};
 use crate::session::{env_config, run_planned, Database, QueryResult};
 
 /// An immutable, epoch-stamped image of the catalog at a committed point.
@@ -221,7 +221,8 @@ impl ReadSession {
             config: &self.config,
         };
         let as_sent = || parse_select(sql);
-        let planned = plan_shared(&self.hub.plans, q, as_sent, &cx, snapshot.ddl_generation)?;
+        let generation = snapshot.ddl_generation;
+        let planned = plan_shared(&self.hub.plans, q, as_sent, &cx, generation, Fill::Run)?;
         run_planned(planned, &cx)
     }
 }
@@ -355,6 +356,40 @@ mod tests {
             .query("SELECT COUNT(*) FROM t WHERE k = 1.5")
             .unwrap();
         assert_eq!(hub.plan_cache_stats().0, 2);
+    }
+
+    /// A subquery body is part of its plan: a shape's first execution
+    /// lowers the body with the plan, and every later one — the
+    /// writer's, a snapshot reader's, a DML's scan for its victims —
+    /// instantiates the cached template and lowers nothing.
+    #[test]
+    fn cached_subquery_bodies_lower_once() {
+        use crate::planner::physical::lowerings;
+        let mut db = db_with_rows(16);
+        db.execute("CREATE TABLE d (k INTEGER)").unwrap();
+        db.execute("INSERT INTO d VALUES (1), (3)").unwrap();
+        let hub = SnapshotHub::new(&db);
+        let mut reader = hub.reader();
+        // Rows (i % 4, i): k is 1 or 3 exactly when i is odd.
+        let count =
+            |v: i64| format!("SELECT COUNT(*) FROM t WHERE v > {v} AND k IN (SELECT k FROM d)");
+        let odd_above = |v: i64| Value::Integer((v + 1..16).filter(|i| i % 2 == 1).count() as i64);
+        let before = lowerings();
+        for v in 0..5 {
+            let via_db = db.execute(&count(v)).unwrap();
+            assert_eq!(via_db.scalar(), Some(&odd_above(v)), "{}", count(v));
+            let via_reader = reader.query(&count(v)).unwrap();
+            assert_eq!(via_reader.scalar(), Some(&odd_above(v)), "{}", count(v));
+        }
+        assert_eq!(lowerings() - before, 1, "one shape, lowered once");
+
+        let before = lowerings();
+        for v in [1, 3, 4] {
+            let sql = format!("DELETE FROM t WHERE v = {v} AND k IN (SELECT k FROM d)");
+            let affected = db.execute(&sql).unwrap().rows_affected;
+            assert_eq!(affected, usize::from(v % 2 == 1), "{sql}");
+        }
+        assert_eq!(lowerings() - before, 1, "one DML shape, lowered once");
     }
 
     /// The writer session and a snapshot reader share one plan → run

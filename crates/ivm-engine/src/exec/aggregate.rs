@@ -605,7 +605,8 @@ impl GroupTable {
 /// by the serial [`HashAggregateOp`] and the parallel partitioned
 /// aggregation.
 pub(crate) struct AggSpec {
-    aggs: Vec<AggExpr>,
+    /// Each aggregate's function and whether it is DISTINCT.
+    aggs: Vec<(AggFunc, bool)>,
     group_kernels: Vec<VectorKernel>,
     arg_kernels: Vec<Option<VectorKernel>>,
     /// When every group key is a bare column reference (`GROUP BY k`),
@@ -621,8 +622,8 @@ pub(crate) struct AggSpec {
 }
 
 impl AggSpec {
-    /// Compile kernels for prepared group expressions and aggregates.
-    pub(crate) fn new(group: &[BoundExpr], aggs: Vec<AggExpr>, deferred_distinct: bool) -> AggSpec {
+    /// Compile kernels for group expressions and aggregates.
+    pub(crate) fn new(group: &[BoundExpr], aggs: &[AggExpr], deferred_distinct: bool) -> AggSpec {
         let group_kernels: Vec<VectorKernel> = group.iter().map(VectorKernel::compile).collect();
         let arg_kernels = aggs
             .iter()
@@ -637,7 +638,7 @@ impl AggSpec {
             })
             .flatten();
         AggSpec {
-            aggs,
+            aggs: aggs.iter().map(|a| (a.func, a.distinct)).collect(),
             group_kernels,
             arg_kernels,
             bare_group_cols,
@@ -655,16 +656,16 @@ impl AggSpec {
         // Without any DISTINCT aggregate the seen-set vector stays empty
         // (`Vec::new` never allocates): grouped folds create one state
         // per group, so a dead allocation here is paid once per group.
-        let distinct_seen = if self.aggs.iter().any(|a| a.distinct) {
+        let distinct_seen = if self.aggs.iter().any(|&(_, distinct)| distinct) {
             self.aggs
                 .iter()
-                .map(|a| a.distinct.then(HashSet::new))
+                .map(|&(_, distinct)| distinct.then(HashSet::new))
                 .collect()
         } else {
             Vec::new()
         };
         GroupState {
-            accs: self.aggs.iter().map(|a| Acc::new(a.func)).collect(),
+            accs: self.aggs.iter().map(|&(func, _)| Acc::new(func)).collect(),
             distinct_seen,
         }
     }
@@ -879,19 +880,19 @@ pub(crate) fn runs_grace(budget: &MemoryBudget, mode: AggMode) -> bool {
 }
 
 impl<'a> HashAggregateOp<'a> {
-    /// Aggregate `input`; `group` and agg arguments must be prepared.
-    /// `groups_hint` pre-sizes the flat group table (0 = unknown).
+    /// Aggregate `input`. `groups_hint` pre-sizes the flat group table
+    /// (0 = unknown).
     pub fn new(
         input: impl Into<Input<'a>>,
-        group: Vec<BoundExpr>,
-        aggs: Vec<AggExpr>,
+        group: &[BoundExpr],
+        aggs: &[AggExpr],
         mode: AggMode,
         batch_size: usize,
         groups_hint: usize,
     ) -> HashAggregateOp<'a> {
         debug_assert_eq!(mode == AggMode::Ungrouped, group.is_empty());
         HashAggregateOp {
-            spec: AggSpec::new(&group, aggs, false),
+            spec: AggSpec::new(group, aggs, false),
             group_width: group.len(),
             input: input.into(),
             mode,
@@ -1031,8 +1032,8 @@ mod tests {
         };
         let op = HashAggregateOp::new(
             replay(width, rows, batch_size),
-            group,
-            aggs,
+            &group,
+            &aggs,
             mode,
             batch_size,
             0,
@@ -1190,8 +1191,8 @@ mod tests {
         let rows = vec![vec![Value::Integer(i64::MAX)], vec![Value::Integer(1)]];
         let op = HashAggregateOp::new(
             replay(1, rows, 4),
-            vec![],
-            vec![agg(AggFunc::Sum, Some(col(0)))],
+            &[],
+            &[agg(AggFunc::Sum, Some(col(0)))],
             AggMode::Ungrouped,
             4,
             0,
@@ -1246,8 +1247,8 @@ mod tests {
         let run_with = |budget: MemoryBudget, batch_size: usize| {
             let op = HashAggregateOp::new(
                 replay(3, rows.clone(), batch_size),
-                group.clone(),
-                aggs.clone(),
+                &group,
+                &aggs,
                 AggMode::HashGrouped,
                 batch_size,
                 0,
@@ -1276,8 +1277,8 @@ mod tests {
         let budget = MemoryBudget::with_limit(1);
         let op = HashAggregateOp::new(
             replay(1, (0..100).map(|v| vec![Value::Integer(v)]).collect(), 8),
-            vec![],
-            vec![agg(AggFunc::Sum, Some(col(0)))],
+            &[],
+            &[agg(AggFunc::Sum, Some(col(0)))],
             AggMode::Ungrouped,
             8,
             0,

@@ -361,7 +361,7 @@ pub(crate) struct JoinSpec {
 }
 
 impl JoinSpec {
-    /// `residual` must be prepared; it is compiled to a kernel here.
+    /// `residual` is compiled to a kernel here.
     pub(crate) fn new(
         probe_width: usize,
         build_width: usize,

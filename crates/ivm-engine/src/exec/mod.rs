@@ -6,9 +6,13 @@
 //! the one entry point, [`run`], under one [`ExecContext`]: the catalog
 //! to read plus the session's [`ExecConfig`] (batch size, parallelism,
 //! morsel size, memory budget). Everything below `run` — operator
-//! construction, `IN (subquery)` materialization, the morsel executor —
-//! takes the same context, so a subquery or a `LIMIT` subtree runs under
-//! the session's budget and worker count by construction.
+//! construction, the morsel executor — takes the same context, and so
+//! does the plan instantiation that runs a statement's `IN (subquery)`
+//! bodies through `run` (`plan_cache`), so a subquery or a `LIMIT`
+//! subtree runs under the session's budget and worker count by
+//! construction. Operators compile straight from the plan's expressions:
+//! by the time a plan reaches `run`, its parameters and subqueries are
+//! filled in.
 //!
 //! There is one set of operator implementations, and `run` chooses how to
 //! drive it. At one worker the plan compiles into a tree of [`Operator`]s
@@ -40,7 +44,6 @@ mod aggregate;
 mod join;
 mod operators;
 
-use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -50,8 +53,8 @@ pub use spill::{clean_orphan_spill_files, MemoryBudget, SpillStats};
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
-use crate::expr::{AggExpr, BoundExpr, VectorKernel};
-use crate::planner::physical::{estimate_physical_rows, lower, table_size_hint, PhysicalPlan};
+use crate::expr::{BoundExpr, VectorKernel};
+use crate::planner::physical::{estimate_physical_rows, table_size_hint, PhysicalPlan};
 use crate::planner::{SetOpKind, SortKey};
 use crate::value::Value;
 
@@ -305,11 +308,11 @@ pub(crate) type ChildSource<'s, 'p, 'a> =
     dyn FnMut(&'p PhysicalPlan) -> Result<Input<'a>, EngineError> + 's;
 
 /// Construct the operator for one physical node, its inputs supplied by
-/// `child` — the one place a node's expressions are prepared
-/// (`IN (subquery)` materialization, once per operator), its sizing
-/// hints computed, and the memory budget threaded into a spill-capable
-/// operator (hash join, hash aggregate — which also drops the duplicates
-/// of DISTINCT and set-semantics set operations —, EXCEPT / INTERSECT).
+/// `child` — the one place a node's operator is compiled from its
+/// expressions, its sizing hints computed, and the memory budget
+/// threaded into a spill-capable operator (hash join, hash aggregate —
+/// which also drops the duplicates of DISTINCT and set-semantics set
+/// operations —, EXCEPT / INTERSECT).
 pub(crate) fn build_node<'p, 'a>(
     plan: &'p PhysicalPlan,
     cx: &ExecContext<'a>,
@@ -326,7 +329,7 @@ pub(crate) fn build_node<'p, 'a>(
         // The one-row, zero-column relation (`SELECT 1` with no FROM).
         PhysicalPlan::Dual => Box::new(std::iter::once(Ok(RowBatch::new(vec![], 1)))),
         PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-            Streaming::compile(plan, cx)?.over(child(input)?.into_operator(), batch_size)
+            Streaming::compile(plan).over(child(input)?.into_operator(), batch_size)
         }
         PhysicalPlan::HashAggregate {
             input,
@@ -336,7 +339,6 @@ pub(crate) fn build_node<'p, 'a>(
             ..
         } => {
             let input = child(input)?;
-            let (group, aggs) = prepare_aggregate(group, aggs, cx)?;
             // Planner sizing hint: pre-size the flat group table so
             // typical aggregations never rehash mid-fold.
             Box::new(
@@ -354,7 +356,7 @@ pub(crate) fn build_node<'p, 'a>(
         // An indexed build side needs no input: the join reads its table.
         PhysicalPlan::HashJoin { probe, build, .. } => {
             let probe = child(probe)?;
-            let spec = join_spec(plan, cx)?;
+            let spec = join_spec(plan);
             Box::new(match index_side(plan, cx)? {
                 Some(side) => join::HashJoinOp::shared(probe, spec, side, batch_size, false),
                 None => join::HashJoinOp::new(probe, Some(child(build)?), spec, batch_size)
@@ -381,8 +383,7 @@ pub(crate) fn build_node<'p, 'a>(
         }
         PhysicalPlan::Sort { input, keys } => {
             let input = child(input)?.into_operator();
-            let keys = prepare_sort_keys(keys, cx)?;
-            Box::new(operators::SortOp::new(input, keys, batch_size))
+            Box::new(operators::SortOp::new(input, sort_keys(keys), batch_size))
         }
         PhysicalPlan::TopK {
             input,
@@ -391,9 +392,12 @@ pub(crate) fn build_node<'p, 'a>(
             offset,
         } => {
             let input = child(input)?.into_operator();
-            let keys = prepare_sort_keys(keys, cx)?;
             Box::new(operators::TopKOp::new(
-                input, keys, *limit, *offset, batch_size,
+                input,
+                sort_keys(keys),
+                *limit,
+                *offset,
+                batch_size,
             ))
         }
         PhysicalPlan::Limit {
@@ -405,6 +409,11 @@ pub(crate) fn build_node<'p, 'a>(
             *limit,
             *offset,
         )),
+        PhysicalPlan::Subqueries { .. } => {
+            return Err(EngineError::execution(
+                "a plan with subqueries runs only once instantiated",
+            ))
+        }
     })
 }
 
@@ -435,13 +444,11 @@ impl<'a> ScanSource<'a> {
             unreachable!("ScanSource::resolve is only called on TableScan nodes")
         };
         let table = cx.catalog.table(table)?;
-        let kernel = match predicate {
-            None => None,
-            Some(p) => Some(Arc::new(VectorKernel::compile(&prepare_expr(p, cx)?))),
-        };
         Ok(ScanSource {
             table,
-            kernel,
+            kernel: predicate
+                .as_ref()
+                .map(|p| Arc::new(VectorKernel::compile(p))),
             point: table.equality_lookup(index_eq),
         })
     }
@@ -501,8 +508,8 @@ impl<'a> ScanSource<'a> {
 }
 
 /// A streaming node — filter, projection, hash-join probe — compiled once
-/// per plan node (expressions prepared, kernels compiled, build side
-/// built or its index resolved) into an immutable, `Sync` value.
+/// per plan node (kernels compiled, build side built or its index
+/// resolved) into an immutable, `Sync` value.
 /// [`Streaming::over`] wraps an input in the node's operator: the serial
 /// builder calls it once, every morsel worker once per morsel, so both
 /// run the same operators over the same compiled state.
@@ -514,19 +521,16 @@ pub(crate) enum Streaming<'a> {
 
 impl<'a> Streaming<'a> {
     /// Compile a `Filter` or `Project` node.
-    pub(crate) fn compile(
-        plan: &PhysicalPlan,
-        cx: &ExecContext<'_>,
-    ) -> Result<Streaming<'a>, EngineError> {
-        Ok(match plan {
-            PhysicalPlan::Filter { predicate, .. } => Streaming::Filter(Arc::new(
-                VectorKernel::compile(&prepare_expr(predicate, cx)?),
-            )),
+    pub(crate) fn compile(plan: &PhysicalPlan) -> Streaming<'a> {
+        match plan {
+            PhysicalPlan::Filter { predicate, .. } => {
+                Streaming::Filter(Arc::new(VectorKernel::compile(predicate)))
+            }
             PhysicalPlan::Project { exprs, .. } => {
-                Streaming::Project(operators::ProjColumn::compile(&prepare_exprs(exprs, cx)?))
+                Streaming::Project(operators::ProjColumn::compile(exprs))
             }
             _ => unreachable!("Streaming::compile is only called on Filter and Project nodes"),
-        })
+        }
     }
 
     /// The node's operator over `input`. A probe built this way never
@@ -550,11 +554,8 @@ impl<'a> Streaming<'a> {
     }
 }
 
-/// The compiled form of a `HashJoin` node (residual prepared here).
-pub(crate) fn join_spec(
-    plan: &PhysicalPlan,
-    cx: &ExecContext<'_>,
-) -> Result<Arc<join::JoinSpec>, EngineError> {
+/// The compiled form of a `HashJoin` node.
+pub(crate) fn join_spec(plan: &PhysicalPlan) -> Arc<join::JoinSpec> {
     let PhysicalPlan::HashJoin {
         probe,
         build,
@@ -567,15 +568,19 @@ pub(crate) fn join_spec(
     else {
         unreachable!("join_spec is only called on HashJoin nodes")
     };
-    let residual = residual.as_ref().map(|e| prepare_expr(e, cx)).transpose()?;
-    Ok(Arc::new(join::JoinSpec::new(
+    Arc::new(join::JoinSpec::new(
         probe.schema().len(),
         build.schema().len(),
         probe_keys.clone(),
         build_keys.clone(),
         residual.as_ref(),
         *join,
-    )))
+    ))
+}
+
+/// A sort node's keys as the sorting operators hold them.
+fn sort_keys(keys: &[SortKey]) -> Vec<(BoundExpr, bool)> {
+    keys.iter().map(|k| (k.expr.clone(), k.desc)).collect()
 }
 
 /// The build side of an index-built `HashJoin` node: its table, read
@@ -606,88 +611,6 @@ pub(crate) fn index_side<'a>(
     let table = cx.catalog.table(table)?;
     let keyed = table.pk_index().is_some_and(|pk| pk.columns == *build_keys);
     Ok(keyed.then_some(join::BuildSide::Indexed(table)))
-}
-
-/// [`prepare_expr`] over a slice.
-pub(crate) fn prepare_exprs(
-    exprs: &[BoundExpr],
-    cx: &ExecContext<'_>,
-) -> Result<Vec<BoundExpr>, EngineError> {
-    exprs.iter().map(|e| prepare_expr(e, cx)).collect()
-}
-
-/// Prepared group keys and aggregate arguments of a `HashAggregate` node.
-pub(crate) fn prepare_aggregate(
-    group: &[BoundExpr],
-    aggs: &[AggExpr],
-    cx: &ExecContext<'_>,
-) -> Result<(Vec<BoundExpr>, Vec<AggExpr>), EngineError> {
-    let mut aggs = aggs.to_vec();
-    for a in &mut aggs {
-        if let Some(arg) = &a.arg {
-            a.arg = Some(prepare_expr(arg, cx)?);
-        }
-    }
-    Ok((prepare_exprs(group, cx)?, aggs))
-}
-
-fn prepare_sort_keys(
-    keys: &[SortKey],
-    cx: &ExecContext<'_>,
-) -> Result<Vec<(BoundExpr, bool)>, EngineError> {
-    keys.iter()
-        .map(|k| Ok((prepare_expr(&k.expr, cx)?, k.desc)))
-        .collect()
-}
-
-/// Replace every [`BoundExpr::InSubquery`] in `expr` with a materialized
-/// [`BoundExpr::InSet`] by running the subquery once, through [`run`]
-/// under the same context — so it honours the session's memory budget
-/// and worker count like any other plan. Uncorrelated by construction.
-pub fn prepare_expr(expr: &BoundExpr, cx: &ExecContext<'_>) -> Result<BoundExpr, EngineError> {
-    let mut prepared = expr.clone();
-    materialize_subqueries(&mut prepared, cx)?;
-    Ok(prepared)
-}
-
-fn materialize_subqueries(e: &mut BoundExpr, cx: &ExecContext<'_>) -> Result<(), EngineError> {
-    let mut result = Ok(());
-    e.children_mut(|child| {
-        if result.is_ok() {
-            result = materialize_subqueries(child, cx);
-        }
-    });
-    result?;
-    let BoundExpr::InSubquery {
-        expr: probe,
-        plan,
-        negated,
-    } = e
-    else {
-        return Ok(());
-    };
-    let physical = lower(plan, cx.catalog)?;
-    let rows = run(&physical, cx)?;
-    let mut set = HashSet::with_capacity(rows.len());
-    let mut has_null = false;
-    for row in rows {
-        let v = row
-            .into_iter()
-            .next()
-            .ok_or_else(|| EngineError::execution("IN subquery produced zero columns"))?;
-        if v.is_null() {
-            has_null = true;
-        } else {
-            set.insert(v);
-        }
-    }
-    *e = BoundExpr::InSet {
-        expr: Box::new(std::mem::replace(probe, BoundExpr::Literal(Value::Null))),
-        set: Arc::new(set),
-        has_null,
-        negated: *negated,
-    };
-    Ok(())
 }
 
 /// An operator replaying materialized `rows` (each `width` columns wide)

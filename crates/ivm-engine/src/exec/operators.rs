@@ -50,7 +50,7 @@ pub(crate) enum ProjColumn {
 }
 
 impl ProjColumn {
-    /// Compile prepared projection expressions, once per plan node.
+    /// Compile projection expressions, once per plan node.
     pub(crate) fn compile(exprs: &[BoundExpr]) -> Arc<[ProjColumn]> {
         exprs
             .iter()
@@ -166,7 +166,7 @@ pub struct SortOp<'a> {
 }
 
 impl<'a> SortOp<'a> {
-    /// Sort `input` by prepared `(expr, descending)` keys, major first.
+    /// Sort `input` by `(expr, descending)` keys, major first.
     pub fn new(
         input: BoxedOperator<'a>,
         keys: Vec<(BoundExpr, bool)>,

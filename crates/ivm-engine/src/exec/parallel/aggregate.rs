@@ -17,7 +17,7 @@
 
 use crate::error::EngineError;
 use crate::exec::aggregate::{Acc, AggSpec, GroupTable};
-use crate::exec::{prepare_aggregate, ExecContext, Row};
+use crate::exec::{ExecContext, Row};
 use crate::expr::{AggExpr, BoundExpr};
 use crate::planner::physical::AggMode;
 
@@ -35,8 +35,7 @@ pub(super) fn parallel_aggregate(
     mode: AggMode,
     cx: &ExecContext<'_>,
 ) -> Result<Vec<Row>, EngineError> {
-    let (group, aggs) = prepare_aggregate(group, aggs, cx)?;
-    let agg = AggSpec::new(&group, aggs, true);
+    let agg = AggSpec::new(group, aggs, true);
 
     match mode {
         AggMode::Ungrouped => {

@@ -71,9 +71,9 @@ impl<'a> Pipeline<'a> {
             return Ok(None);
         };
         pipeline.stages.push(match stage {
-            None => Streaming::compile(plan, cx)?,
+            None => Streaming::compile(plan),
             Some((build, side)) => {
-                let spec = join_spec(plan, cx)?;
+                let spec = join_spec(plan);
                 let side = match side {
                     Some(side) => side,
                     None => {

@@ -4,6 +4,7 @@ use ivm_sql::ast::{BinaryOp, Expr, Literal};
 
 use crate::error::EngineError;
 use crate::expr::{BoundExpr, ScalarFunc};
+use crate::planner::QueryBinder;
 use crate::schema::Schema;
 use crate::types::DataType;
 use crate::value::Value;
@@ -76,22 +77,21 @@ impl Scope {
 /// Bind an AST expression against a scope, without subquery support.
 /// Aggregate calls are rejected — the planner extracts them first.
 pub fn bind_expr(expr: &Expr, scope: &Scope) -> Result<BoundExpr, EngineError> {
-    bind_expr_with(expr, scope, None, &[])
+    bind_expr_with(expr, scope, None)
 }
 
-/// Bind an AST expression against a scope. `catalog` enables planning of
-/// uncorrelated `IN (subquery)` predicates; without it they are rejected.
-/// `params` types the [`Expr::Param`] slots a plan template takes; a slot
-/// past its end is a bind error.
-pub fn bind_expr_with(
+/// Bind an AST expression against a scope. `binder`, the statement's,
+/// plans each uncorrelated `IN (subquery)` body into its subquery list
+/// and types the [`Expr::Param`] slots a plan template takes; without it
+/// both are rejected.
+pub(crate) fn bind_expr_with(
     expr: &Expr,
     scope: &Scope,
-    catalog: Option<&crate::catalog::Catalog>,
-    params: &[DataType],
+    mut binder: Option<&mut QueryBinder<'_>>,
 ) -> Result<BoundExpr, EngineError> {
     match expr {
         Expr::Literal(lit) => Ok(BoundExpr::Literal(bind_literal(lit)?)),
-        Expr::Param(slot) => match params.get(*slot) {
+        Expr::Param(slot) => match binder.and_then(|b| b.params.get(*slot)) {
             Some(ty) => Ok(BoundExpr::Param {
                 slot: *slot,
                 ty: *ty,
@@ -111,8 +111,8 @@ pub fn bind_expr_with(
             })
         }
         Expr::Binary { left, op, right } => {
-            let l = bind_expr_with(left, scope, catalog, params)?;
-            let r = bind_expr_with(right, scope, catalog, params)?;
+            let l = bind_expr_with(left, scope, binder.as_deref_mut())?;
+            let r = bind_expr_with(right, scope, binder.as_deref_mut())?;
             check_binary_types(*op, &l, &r)?;
             Ok(BoundExpr::Binary {
                 op: *op,
@@ -122,7 +122,7 @@ pub fn bind_expr_with(
         }
         Expr::Unary { op, expr } => Ok(BoundExpr::Unary {
             op: *op,
-            expr: Box::new(bind_expr_with(expr, scope, catalog, params)?),
+            expr: Box::new(bind_expr_with(expr, scope, binder.as_deref_mut())?),
         }),
         Expr::Function {
             name,
@@ -145,7 +145,7 @@ pub fn bind_expr_with(
                 .ok_or_else(|| EngineError::bind(format!("unknown function {fname}")))?;
             let bound: Vec<BoundExpr> = args
                 .iter()
-                .map(|a| bind_expr_with(a, scope, catalog, params))
+                .map(|a| bind_expr_with(a, scope, binder.as_deref_mut()))
                 .collect::<Result<_, _>>()?;
             let (min, max) = func.arity();
             if bound.len() < min || bound.len() > max {
@@ -171,20 +171,23 @@ pub fn bind_expr_with(
             for (when, then) in branches {
                 let when_bound = match operand {
                     Some(op) => {
-                        let l = bind_expr_with(op, scope, catalog, params)?;
-                        let r = bind_expr_with(when, scope, catalog, params)?;
+                        let l = bind_expr_with(op, scope, binder.as_deref_mut())?;
+                        let r = bind_expr_with(when, scope, binder.as_deref_mut())?;
                         BoundExpr::Binary {
                             op: BinaryOp::Eq,
                             left: Box::new(l),
                             right: Box::new(r),
                         }
                     }
-                    None => bind_expr_with(when, scope, catalog, params)?,
+                    None => bind_expr_with(when, scope, binder.as_deref_mut())?,
                 };
-                bound_branches.push((when_bound, bind_expr_with(then, scope, catalog, params)?));
+                bound_branches.push((
+                    when_bound,
+                    bind_expr_with(then, scope, binder.as_deref_mut())?,
+                ));
             }
             let else_bound = match else_result {
-                Some(e) => Some(Box::new(bind_expr_with(e, scope, catalog, params)?)),
+                Some(e) => Some(Box::new(bind_expr_with(e, scope, binder.as_deref_mut())?)),
                 None => None,
             };
             Ok(BoundExpr::Case {
@@ -193,11 +196,11 @@ pub fn bind_expr_with(
             })
         }
         Expr::Cast { expr, ty } => Ok(BoundExpr::Cast {
-            expr: Box::new(bind_expr_with(expr, scope, catalog, params)?),
+            expr: Box::new(bind_expr_with(expr, scope, binder.as_deref_mut())?),
             ty: DataType::from(*ty),
         }),
         Expr::IsNull { expr, negated } => Ok(BoundExpr::IsNull {
-            expr: Box::new(bind_expr_with(expr, scope, catalog, params)?),
+            expr: Box::new(bind_expr_with(expr, scope, binder.as_deref_mut())?),
             negated: *negated,
         }),
         Expr::InList {
@@ -205,10 +208,10 @@ pub fn bind_expr_with(
             list,
             negated,
         } => Ok(BoundExpr::InList {
-            expr: Box::new(bind_expr_with(expr, scope, catalog, params)?),
+            expr: Box::new(bind_expr_with(expr, scope, binder.as_deref_mut())?),
             list: list
                 .iter()
-                .map(|e| bind_expr_with(e, scope, catalog, params))
+                .map(|e| bind_expr_with(e, scope, binder.as_deref_mut()))
                 .collect::<Result<_, _>>()?,
             negated: *negated,
         }),
@@ -217,21 +220,15 @@ pub fn bind_expr_with(
             query,
             negated,
         } => {
-            let Some(catalog) = catalog else {
+            let Some(binder) = binder else {
                 return Err(EngineError::unsupported(
                     "IN (subquery) is not allowed in this context",
                 ));
             };
-            let plan = crate::planner::plan_query(query, catalog)?;
-            if plan.schema().len() != 1 {
-                return Err(EngineError::bind(format!(
-                    "IN subquery must return one column, got {}",
-                    plan.schema().len()
-                )));
-            }
+            let subquery = binder.plan_subquery(query)?;
             Ok(BoundExpr::InSubquery {
-                expr: Box::new(bind_expr_with(expr, scope, Some(catalog), params)?),
-                plan: Box::new(plan),
+                expr: Box::new(bind_expr_with(expr, scope, Some(binder))?),
+                subquery,
                 negated: *negated,
             })
         }
@@ -242,9 +239,9 @@ pub fn bind_expr_with(
             negated,
         } => {
             // Desugar into conjunction of comparisons.
-            let e = bind_expr_with(expr, scope, catalog, params)?;
-            let lo = bind_expr_with(low, scope, catalog, params)?;
-            let hi = bind_expr_with(high, scope, catalog, params)?;
+            let e = bind_expr_with(expr, scope, binder.as_deref_mut())?;
+            let lo = bind_expr_with(low, scope, binder.as_deref_mut())?;
+            let hi = bind_expr_with(high, scope, binder.as_deref_mut())?;
             let ge = BoundExpr::Binary {
                 op: BinaryOp::GtEq,
                 left: Box::new(e.clone()),
@@ -274,8 +271,8 @@ pub fn bind_expr_with(
             pattern,
             negated,
         } => Ok(BoundExpr::Like {
-            expr: Box::new(bind_expr_with(expr, scope, catalog, params)?),
-            pattern: Box::new(bind_expr_with(pattern, scope, catalog, params)?),
+            expr: Box::new(bind_expr_with(expr, scope, binder.as_deref_mut())?),
+            pattern: Box::new(bind_expr_with(pattern, scope, binder)?),
             negated: *negated,
         }),
     }

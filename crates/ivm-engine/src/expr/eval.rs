@@ -106,7 +106,7 @@ impl BoundExpr {
             }
             BoundExpr::ScalarFn { func, args } => eval_scalar_fn(*func, args, row),
             BoundExpr::InSubquery { .. } => Err(EngineError::execution(
-                "IN (subquery) must be prepared by the executor before evaluation",
+                "IN (subquery) must be instantiated before evaluation",
             )),
             BoundExpr::InSet {
                 expr,

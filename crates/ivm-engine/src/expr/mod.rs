@@ -104,19 +104,24 @@ pub enum BoundExpr {
         /// Arguments.
         args: Vec<BoundExpr>,
     },
-    /// `expr [NOT] IN (subquery)` with the subquery planned but not yet
-    /// executed. The executor's prepare pass turns this into [`Self::InSet`];
+    /// `expr [NOT] IN (subquery)` before the subquery has run. The body
+    /// is not held here: it is entry `subquery` of the statement's
+    /// subquery list, which the binder collects (inner bodies before
+    /// outer ones) and the plan carries at its root
+    /// ([`crate::planner::LogicalPlan::Subqueries`]). Instantiating the
+    /// plan runs each body once and turns this into [`Self::InSet`];
     /// evaluating it directly is an error.
     InSubquery {
         /// Probe expression.
         expr: Box<BoundExpr>,
-        /// Planned uncorrelated subquery producing one column.
-        plan: Box<crate::planner::LogicalPlan>,
+        /// Index of the body, an uncorrelated one-column query, in the
+        /// statement's subquery list.
+        subquery: usize,
         /// NOT IN when true.
         negated: bool,
     },
-    /// Membership test against a materialized value set (the prepared form
-    /// of [`Self::InSubquery`]).
+    /// Membership test against a materialized value set: what
+    /// instantiation makes of [`Self::InSubquery`] once its body ran.
     InSet {
         /// Probe expression.
         expr: Box<BoundExpr>,
@@ -128,6 +133,10 @@ pub enum BoundExpr {
         negated: bool,
     },
 }
+
+/// The rows of one subquery body as an [`BoundExpr::InSet`] holds them:
+/// its non-NULL values and whether it produced a NULL.
+pub(crate) type SubquerySet = (std::sync::Arc<std::collections::HashSet<Value>>, bool);
 
 impl BoundExpr {
     /// Static result type, when inferable (NULL literals and some function
@@ -219,8 +228,8 @@ impl BoundExpr {
         });
     }
 
-    /// Call `f` on each direct operand, left to right. A subquery's plan
-    /// is not an operand: of an `IN (SELECT …)` only the probe is.
+    /// Call `f` on each direct operand, left to right. Of an
+    /// `IN (SELECT …)` only the probe is one: the body lives in the plan.
     pub(crate) fn children(&self, mut f: impl FnMut(&BoundExpr)) {
         match self {
             BoundExpr::Literal(_) | BoundExpr::Param { .. } | BoundExpr::Column { .. } => {}
@@ -296,8 +305,7 @@ impl BoundExpr {
         }
     }
 
-    /// Call `f` on every node, parents before children. A subquery's
-    /// plan is not entered.
+    /// Call `f` on every node, parents before children.
     pub(crate) fn visit(&self, f: &mut impl FnMut(&BoundExpr)) {
         f(self);
         self.children(|c| c.visit(f));

@@ -65,7 +65,7 @@ enum Node {
     Not(Box<Node>),
     /// `expr IS [NOT] NULL`.
     IsNull { input: Box<Node>, negated: bool },
-    /// Membership probe against a materialized set (prepared `IN`).
+    /// Membership probe against a materialized set (an instantiated `IN (SELECT …)`).
     InSet {
         input: Box<Node>,
         set: Arc<HashSet<Value>>,

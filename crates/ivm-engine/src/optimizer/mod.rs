@@ -6,7 +6,7 @@
 
 mod rules;
 
-pub(crate) use rules::{bind_params, push_scan_predicates};
+pub(crate) use rules::{bind_params, fill_expr, push_scan_predicates};
 
 use crate::planner::LogicalPlan;
 
@@ -30,9 +30,10 @@ pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::Arc;
+
     use crate::catalog::Catalog;
-    use crate::exec::spill::MemoryBudget;
-    use crate::exec::{prepare_expr, ExecConfig, ExecContext};
     use crate::expr::{AggExpr, AggFunc, BoundExpr};
     use crate::planner::{lower, plan_query, PhysicalPlan, SortKey};
     use crate::schema::{Column, Schema};
@@ -120,9 +121,9 @@ mod tests {
         assert!(p.explain().contains("Filter"));
     }
 
-    /// One expression for every position: `c + (1 + 2) IN (SELECT a FROM
-    /// u) AND c = $0` holds a constant to fold, a subquery to
-    /// materialize and a parameter to bind.
+    /// One expression for every position: `c + (1 + 2) IN (subquery 0)
+    /// AND c = $0` holds a constant to fold, a subquery to fill in and a
+    /// parameter to bind.
     fn probe(c: usize) -> BoundExpr {
         let int = |v| Box::new(BoundExpr::Literal(Value::Integer(v)));
         let column = Box::new(BoundExpr::Column {
@@ -140,7 +141,7 @@ mod tests {
                     right: int(2),
                 }),
             }),
-            plan: Box::new(plan("SELECT a FROM u")),
+            subquery: 0,
             negated: false,
         };
         let param = BoundExpr::Binary {
@@ -165,13 +166,6 @@ mod tests {
             e.visit(&mut |node| n += usize::from(pred(node)));
         }
         n + plan.inputs().map(|i| count(i, pred)).sum::<usize>()
-    }
-
-    fn prepare_all(plan: &mut PhysicalPlan, cx: &ExecContext<'_>) {
-        for e in plan.exprs_mut() {
-            *e = prepare_expr(e, cx).unwrap();
-        }
-        plan.inputs_mut().for_each(|i| prepare_all(i, cx));
     }
 
     #[test]
@@ -217,7 +211,8 @@ mod tests {
             }],
         };
         // Filter, join condition, group key, aggregate argument,
-        // projection, sort key: each folds, binds and materializes.
+        // projection, sort key: each folds, then takes its parameter and
+        // its subquery's set in the one instantiation pass.
         const POSITIONS: usize = 6;
 
         let mut physical = lower(&rules::fold_constants(sorted), &c).unwrap();
@@ -229,20 +224,15 @@ mod tests {
             physical.explain()
         );
 
-        bind_params(&mut physical, &[Value::Integer(7)]);
+        let set = (Arc::new(HashSet::from([Value::Integer(10)])), false);
+        bind_params(&mut physical, &[Value::Integer(7)], &[set], &c);
         let bound = |e: &BoundExpr| *e == BoundExpr::Literal(Value::Integer(7));
         assert_eq!(count(&physical, &bound), POSITIONS);
-
-        let config = ExecConfig::new(1, MemoryBudget::unbounded());
-        prepare_all(
-            &mut physical,
-            &ExecContext {
-                catalog: &c,
-                config: &config,
-            },
-        );
         let sets = |e: &BoundExpr| matches!(e, BoundExpr::InSet { .. });
         assert_eq!(count(&physical, &sets), POSITIONS);
+        let open =
+            |e: &BoundExpr| matches!(e, BoundExpr::Param { .. } | BoundExpr::InSubquery { .. });
+        assert_eq!(count(&physical, &open), 0, "{}", physical.explain());
     }
 
     #[test]

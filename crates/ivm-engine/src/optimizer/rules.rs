@@ -2,15 +2,18 @@
 
 use ivm_sql::ast::BinaryOp;
 
-use crate::expr::{flatten_and, BoundExpr};
+use std::sync::Arc;
+
+use crate::catalog::Catalog;
+use crate::expr::{flatten_and, BoundExpr, SubquerySet};
 use crate::planner::physical::PhysicalPlan;
 use crate::planner::LogicalPlan;
 use crate::schema::Schema;
 use crate::types::DataType;
 use crate::value::Value;
 
-/// Fold constant sub-expressions throughout the plan. A subquery's plan
-/// is not entered (only its probe is folded).
+/// Fold constant sub-expressions throughout the plan, subquery bodies
+/// included.
 pub(crate) fn fold_constants(mut plan: LogicalPlan) -> LogicalPlan {
     fn fold(plan: &mut LogicalPlan) {
         plan.exprs_mut().for_each(fold_expr);
@@ -124,9 +127,9 @@ pub(crate) fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
 
 /// Physical rule: fold `Filter` nodes sitting directly on a `TableScan`
 /// into the scan itself, so storage evaluates the predicate per chunk
-/// (and can answer `column = literal` conjuncts through an ART index).
-/// Runs after lowering, over the whole physical tree.
-pub(crate) fn push_scan_predicates(plan: PhysicalPlan) -> PhysicalPlan {
+/// (and can answer an equality on the table's key through its ART
+/// index). Runs after lowering, over the whole physical tree.
+pub(crate) fn push_scan_predicates(plan: PhysicalPlan, catalog: &Catalog) -> PhysicalPlan {
     transform_physical_up(plan, &|node| {
         let PhysicalPlan::Filter { input, predicate } = node else {
             return node;
@@ -146,7 +149,7 @@ pub(crate) fn push_scan_predicates(plan: PhysicalPlan) -> PhysicalPlan {
                     },
                     None => predicate,
                 };
-                let index_eq = index_equality_keys(&merged, &schema);
+                let index_eq = index_equality_keys(&merged, &schema, key_of(catalog, &table));
                 PhysicalPlan::TableScan {
                     table,
                     schema,
@@ -162,41 +165,81 @@ pub(crate) fn push_scan_predicates(plan: PhysicalPlan) -> PhysicalPlan {
     })
 }
 
-/// Instantiate a plan template in place: every [`BoundExpr::Param`]
-/// becomes its value in `values`, and each filtered scan re-derives its
-/// index keys — a `column = $n` conjunct is a point lookup once `$n` has
-/// a value.
-pub(crate) fn bind_params(plan: &mut PhysicalPlan, values: &[Value]) {
+/// Fill a plan template in, in place — the one instantiation pass. Every
+/// [`BoundExpr::Param`] becomes its value in `values`; every
+/// [`BoundExpr::InSubquery`] whose body has run (its index is below
+/// `sets.len()`) becomes an [`BoundExpr::InSet`] over that body's rows;
+/// and each filtered scan re-derives its index keys, so a `key = $n`
+/// conjunct is a point read once `$n` has a value.
+pub(crate) fn bind_params(
+    plan: &mut PhysicalPlan,
+    values: &[Value],
+    sets: &[SubquerySet],
+    catalog: &Catalog,
+) {
     for e in plan.exprs_mut() {
-        e.visit_mut(&mut |e| {
-            if let BoundExpr::Param { slot, .. } = e {
-                let value = values
-                    .get(*slot)
-                    .expect("a template's slots were bound from these values' types");
-                *e = BoundExpr::Literal(value.clone());
-            }
-        });
+        fill_expr(e, values, sets);
     }
     if let PhysicalPlan::TableScan {
+        table,
         schema,
         predicate: Some(predicate),
         index_eq,
-        ..
     } = plan
     {
-        *index_eq = index_equality_keys(predicate, schema);
+        *index_eq = index_equality_keys(predicate, schema, key_of(catalog, table));
     }
     for input in plan.inputs_mut() {
-        bind_params(input, values);
+        bind_params(input, values, sets, catalog);
     }
 }
 
-/// Extract `column = literal` conjuncts usable as ART lookup keys. The
-/// literal must match the column's declared type exactly; DOUBLE columns
-/// are excluded because they may physically store INTEGER values whose
+/// [`bind_params`] for one expression.
+pub(crate) fn fill_expr(e: &mut BoundExpr, values: &[Value], sets: &[SubquerySet]) {
+    e.visit_mut(&mut |e| match e {
+        BoundExpr::Param { slot, .. } => {
+            let value = values
+                .get(*slot)
+                .expect("a template's slots were bound from these values' types");
+            *e = BoundExpr::Literal(value.clone());
+        }
+        BoundExpr::InSubquery {
+            expr,
+            subquery,
+            negated,
+        } if *subquery < sets.len() => {
+            let (set, has_null) = &sets[*subquery];
+            *e = BoundExpr::InSet {
+                expr: Box::new(std::mem::replace(expr, BoundExpr::Literal(Value::Null))),
+                set: Arc::clone(set),
+                has_null: *has_null,
+                negated: *negated,
+            };
+        }
+        _ => {}
+    });
+}
+
+/// The key columns of `table`'s primary-key index (none without one).
+fn key_of<'c>(catalog: &'c Catalog, table: &str) -> &'c [usize] {
+    match catalog.table(table).map(|t| t.pk_index()) {
+        Ok(Some(pk)) => &pk.columns,
+        _ => &[],
+    }
+}
+
+/// The `column = literal` conjuncts that fix every column of `key`, one
+/// per key column in key order, or none when any key column is left
+/// open — only then can the index answer with a point read. The literal
+/// must match the column's declared type exactly; DOUBLE columns are
+/// excluded because they may physically store INTEGER values whose
 /// index encoding differs from an equal DOUBLE literal.
-fn index_equality_keys(predicate: &BoundExpr, schema: &Schema) -> Vec<(usize, Value)> {
-    let mut keys = Vec::new();
+fn index_equality_keys(
+    predicate: &BoundExpr,
+    schema: &Schema,
+    key: &[usize],
+) -> Vec<(usize, Value)> {
+    let mut eq = Vec::new();
     // The AND tree's conjuncts, leftmost first.
     let mut pending = vec![predicate];
     while let Some(c) = pending.pop() {
@@ -218,9 +261,12 @@ fn index_equality_keys(predicate: &BoundExpr, schema: &Schema) -> Vec<(usize, Va
         if col.ty == DataType::Double || lit.data_type() != Some(col.ty) {
             continue;
         }
-        keys.push((index, lit.clone()));
+        eq.push((index, lit.clone()));
     }
-    keys
+    key.iter()
+        .map(|k| eq.iter().find(|(i, _)| i == k).cloned())
+        .collect::<Option<_>>()
+        .unwrap_or_default()
 }
 
 /// Bottom-up transformation over a physical plan.

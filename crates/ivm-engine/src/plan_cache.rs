@@ -9,22 +9,25 @@
 //! [`ivm_sql::lift_literals`] turns the values a statement compares
 //! against into parameter slots, so statements that differ only in those
 //! values share one plan *template*, and each statement instantiates it
-//! with its own values. One lookup, [`plan_lifted`], serves every path
+//! with its own values ([`instantiate`]), running the template's
+//! `IN (SELECT …)` bodies, which it holds optimized and lowered, once
+//! per execution. One lookup, [`plan_lifted`], serves every path
 //! through the cache and plans a miss outside the cache's lock: a
 //! statement sent once is lifted on the way in ([`plan_shared`]); one run
 //! many times is lifted once, when it is prepared
 //! ([`PreparedStatement`]).
 //!
 //! **Byte cap.** Each entry is charged an estimate of the bytes it holds:
-//! its key and output column names, and for every plan operator its
-//! struct, the schema it owns (column structs and names), and each
-//! expression node's struct plus the strings it owns (column names,
-//! VARCHAR literals). Allocator headers and vector slack are not counted,
-//! so the estimate reads low by a small factor. An insert that would take
-//! the total past [`PLAN_CACHE_BYTES`] first evicts least-recently-used
-//! entries until it fits; an entry larger than the cap alone is not kept.
+//! its key and output column names, and for every plan operator (those
+//! of subquery bodies included) its struct, the schema it owns (column
+//! structs and names), and each expression node's struct plus the
+//! strings it owns (column names, VARCHAR literals). Allocator headers
+//! and vector slack are not counted, so the estimate reads low by a small
+//! factor. An insert that would take the total past [`PLAN_CACHE_BYTES`]
+//! first evicts least-recently-used entries until it fits; an entry
+//! larger than the cap alone is not kept.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::mem::size_of;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -34,9 +37,9 @@ use ivm_sql::ast::{
 use ivm_sql::{lift_literals, print_query, Dialect, Ident};
 
 use crate::error::EngineError;
-use crate::exec::ExecContext;
+use crate::exec::{self, ExecContext};
 use crate::expr::bind::bind_literal;
-use crate::expr::BoundExpr;
+use crate::expr::{BoundExpr, SubquerySet};
 use crate::optimizer::bind_params;
 use crate::planner::physical::PhysicalPlan;
 use crate::schema::Column;
@@ -63,10 +66,11 @@ pub(crate) fn plan_shared(
     as_sent: impl FnOnce() -> Result<Query, EngineError>,
     cx: &ExecContext<'_>,
     generation: u64,
+    fill: Fill,
 ) -> Result<Planned, EngineError> {
     match Shape::lift(&mut q) {
-        Some(shape) => plan_lifted(cache, &q, &shape, as_sent, cx, generation),
-        None => plan_physical(&as_sent()?, cx, &[]),
+        Some(shape) => plan_lifted(cache, &q, &shape, as_sent, cx, generation, fill),
+        None => plan_uncached(&as_sent()?, cx, fill),
     }
 }
 
@@ -83,6 +87,7 @@ fn plan_lifted(
     as_sent: impl FnOnce() -> Result<Query, EngineError>,
     cx: &ExecContext<'_>,
     generation: u64,
+    fill: Fill,
 ) -> Result<Planned, EngineError> {
     // Its own statement, so the lock is released before the match.
     let cached = lock(cache).get(&shape.key, generation);
@@ -90,13 +95,80 @@ fn plan_lifted(
         Some(hit) => hit,
         None => {
             let Ok(planned) = plan_physical(q, cx, &shape.types) else {
-                return plan_physical(&as_sent()?, cx, &[]);
+                return plan_uncached(&as_sent()?, cx, fill);
             };
             lock(cache).insert(&shape.key, generation, planned.clone());
             planned
         }
     };
-    Ok(shape.instantiate(template))
+    instantiate(template, &shape.values, cx, fill)
+}
+
+/// The plan of `q` as sent, bypassing the cache.
+pub(crate) fn plan_uncached(
+    q: &Query,
+    cx: &ExecContext<'_>,
+    fill: Fill,
+) -> Result<Planned, EngineError> {
+    instantiate(plan_physical(q, cx, &[])?, &[], cx, fill)
+}
+
+/// How far [`instantiate`] fills a plan template in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fill {
+    /// Parameters and subqueries: the plan is ready to run.
+    Run,
+    /// Parameters only; the subquery bodies stay in the plan, unrun —
+    /// what `EXPLAIN` shows.
+    Explain,
+}
+
+/// One statement's plan from `template` — the one instantiation pass
+/// ([`bind_params`]). The parameter slots take `values`. Under
+/// [`Fill::Run`] each subquery body runs once first, under `cx`
+/// ([`run_subqueries`]), its set replaces every `IN (SELECT …)` that
+/// reads it, and the subquery root is dropped, so the executor meets
+/// neither. A template with no value to fill in and no subquery to run
+/// is shared as it is, uncloned.
+fn instantiate(
+    (plan, columns): Planned,
+    values: &[Value],
+    cx: &ExecContext<'_>,
+    fill: Fill,
+) -> Result<Planned, EngineError> {
+    let (root, bodies) = match &*plan {
+        PhysicalPlan::Subqueries { input, subqueries } if fill == Fill::Run => {
+            (&**input, &subqueries[..])
+        }
+        _ if values.is_empty() => return Ok((plan, columns)),
+        root => (root, &[][..]),
+    };
+    let sets = run_subqueries(bodies, values, cx)?;
+    let mut root = root.clone();
+    bind_params(&mut root, values, &sets, cx.catalog);
+    Ok((Arc::new(root), columns))
+}
+
+/// Run each subquery body once under `cx` ([`exec::run`]: the
+/// statement's memory budget and worker count), in order, each filled in
+/// from `values` and the sets of the bodies before it; their rows as
+/// sets.
+pub(crate) fn run_subqueries(
+    bodies: &[PhysicalPlan],
+    values: &[Value],
+    cx: &ExecContext<'_>,
+) -> Result<Vec<SubquerySet>, EngineError> {
+    let mut sets = Vec::with_capacity(bodies.len());
+    for body in bodies {
+        let mut body = body.clone();
+        bind_params(&mut body, values, &sets, cx.catalog);
+        // The binder admits only one-column bodies.
+        let rows = exec::run(&body, cx)?.into_iter();
+        let mut set: HashSet<Value> = rows.filter_map(|row| row.into_iter().next()).collect();
+        let has_null = set.remove(&Value::Null);
+        sets.push((Arc::new(set), has_null));
+    }
+    Ok(sets)
 }
 
 /// A statement lifted once for many executions
@@ -171,12 +243,13 @@ pub(crate) fn plan_statement(
     prepared: Option<&PreparedStatement>,
     cx: &ExecContext<'_>,
     generation: u64,
+    fill: Fill,
 ) -> Result<Planned, EngineError> {
     match prepared.and_then(|p| p.lifted.as_ref()) {
         Some((lifted, shape)) => {
-            plan_lifted(cache, lifted, shape, || Ok(q.clone()), cx, generation)
+            plan_lifted(cache, lifted, shape, || Ok(q.clone()), cx, generation, fill)
         }
-        None => plan_shared(cache, q.clone(), || Ok(q.clone()), cx, generation),
+        None => plan_shared(cache, q.clone(), || Ok(q.clone()), cx, generation, fill),
     }
 }
 
@@ -224,17 +297,6 @@ impl Shape {
         key.push(' ');
         key.push_str(&print_query(q, Dialect::DuckDb));
         Some(Shape { key, types, values })
-    }
-
-    /// The plan of this statement: `template` with its parameter slots
-    /// filled from this statement's values.
-    fn instantiate(&self, (plan, columns): Planned) -> Planned {
-        if self.values.is_empty() {
-            return (plan, columns);
-        }
-        let mut plan = (*plan).clone();
-        bind_params(&mut plan, &self.values);
-        (Arc::new(plan), columns)
     }
 }
 
@@ -428,6 +490,28 @@ mod tests {
         cache.insert("huge", 1, oversized);
         assert_eq!(cache.stats().0, 0);
         assert_eq!(cache.bytes, 0);
+    }
+
+    /// A plan's subquery bodies are inputs of its root, so the byte
+    /// estimate charges them.
+    #[test]
+    fn plan_bytes_charge_subquery_bodies() {
+        let mut db = crate::Database::new();
+        db.execute("CREATE TABLE t (k VARCHAR, v INTEGER)").unwrap();
+        let sql = "SELECT k FROM t WHERE k IN (SELECT k FROM t WHERE v > 1)";
+        let Statement::Query(q) = ivm_sql::parse_statement(sql).unwrap() else {
+            unreachable!("a query")
+        };
+        let (plan, _) = plan_physical(&q, &db.exec_context(), &[]).unwrap();
+        let PhysicalPlan::Subqueries { input, subqueries } = &*plan else {
+            panic!("{}", plan.explain())
+        };
+        let body = plan_bytes(&subqueries[0]);
+        assert!(body > 2 * size_of::<PhysicalPlan>(), "{body}");
+        assert_eq!(
+            plan_bytes(&plan),
+            size_of::<PhysicalPlan>() + plan_bytes(input) + body
+        );
     }
 
     #[test]

@@ -17,34 +17,67 @@ pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<LogicalPlan, Engin
 
 /// Plan a query whose [`Expr::Param`] slots have the types in `params`
 /// (see [`ivm_sql::lift_literals`]): the plan holds
-/// [`BoundExpr::Param`]s in their place.
+/// [`BoundExpr::Param`]s in their place. The bodies of its
+/// `IN (SELECT …)` subqueries ride at the root, in a
+/// [`LogicalPlan::Subqueries`] node.
 pub(crate) fn plan_template(
     query: &Query,
     catalog: &Catalog,
     params: &[DataType],
 ) -> Result<LogicalPlan, EngineError> {
-    let mut binder = QueryBinder {
-        catalog,
-        params,
-        ctes: Vec::new(),
-    };
+    let mut binder = QueryBinder::new(catalog, params);
     let (plan, _) = binder.plan_query(query)?;
-    Ok(plan)
+    if binder.subqueries.is_empty() {
+        return Ok(plan);
+    }
+    Ok(LogicalPlan::Subqueries {
+        input: Box::new(plan),
+        subqueries: binder.subqueries,
+    })
 }
 
 /// A planned relation plus its binder scope; plain SELECTs also expose the
 /// pre-projection pair so ORDER BY can sort on input columns.
 type PlannedSelect = (LogicalPlan, Scope, Option<(LogicalPlan, Scope)>);
 
-struct QueryBinder<'a> {
+/// The binder of one statement: what its expressions may reference
+/// beyond their scope.
+pub(crate) struct QueryBinder<'a> {
     catalog: &'a Catalog,
     /// Types of the statement's parameter slots.
-    params: &'a [DataType],
+    pub(crate) params: &'a [DataType],
     /// CTE environment: name → planned body (cloned per reference).
     ctes: Vec<(String, LogicalPlan)>,
+    /// The statement's `IN (SELECT …)` bodies, in the order planning
+    /// finished them: a body's own subqueries come before it.
+    pub(crate) subqueries: Vec<LogicalPlan>,
 }
 
-impl QueryBinder<'_> {
+impl<'a> QueryBinder<'a> {
+    /// A binder for one statement over `catalog`.
+    pub(crate) fn new(catalog: &'a Catalog, params: &'a [DataType]) -> QueryBinder<'a> {
+        QueryBinder {
+            catalog,
+            params,
+            ctes: Vec::new(),
+            subqueries: Vec::new(),
+        }
+    }
+
+    /// Plan the body of an `IN (SELECT …)` into the statement's subquery
+    /// list; its index there.
+    pub(crate) fn plan_subquery(&mut self, query: &Query) -> Result<usize, EngineError> {
+        let (plan, _) = self.plan_query(query)?;
+        if plan.schema().len() != 1 {
+            return Err(EngineError::bind(format!(
+                "IN subquery must return one column, got {}",
+                plan.schema().len()
+            )));
+        }
+        self.subqueries.push(plan);
+        Ok(self.subqueries.len() - 1)
+    }
+
     fn plan_query(&mut self, query: &Query) -> Result<(LogicalPlan, Scope), EngineError> {
         let cte_base = self.ctes.len();
         for cte in &query.ctes {
@@ -167,7 +200,7 @@ impl QueryBinder<'_> {
 
         // WHERE.
         if let Some(pred) = &select.selection {
-            let predicate = bind_expr_with(pred, &scope, Some(self.catalog), self.params)?;
+            let predicate = bind_expr_with(pred, &scope, Some(self))?;
             check_boolean(&predicate, "WHERE")?;
             plan = LogicalPlan::Filter {
                 input: Box::new(plan),
@@ -201,7 +234,7 @@ impl QueryBinder<'_> {
         let mut columns = Vec::with_capacity(items.len());
         let mut out_cols = Vec::with_capacity(items.len());
         for (expr_ast, name) in items {
-            let bound = bind_expr_with(&expr_ast, &scope, Some(self.catalog), self.params)?;
+            let bound = bind_expr_with(&expr_ast, &scope, Some(self))?;
             columns.push(Column::new(
                 name.clone(),
                 bound.ty().unwrap_or(DataType::Varchar),
@@ -318,7 +351,7 @@ impl QueryBinder<'_> {
                 let scope = lscope.join(rscope);
                 let on = match constraint {
                     Some(c) => {
-                        let bound = bind_expr_with(c, &scope, Some(self.catalog), self.params)?;
+                        let bound = bind_expr_with(c, &scope, Some(self))?;
                         check_boolean(&bound, "JOIN ON")?;
                         Some(bound)
                     }
@@ -402,7 +435,7 @@ impl QueryBinder<'_> {
         let mut group_bound = Vec::with_capacity(group_asts.len());
         let mut columns = Vec::new();
         for g in &group_asts {
-            let b = bind_expr_with(g, scope, Some(self.catalog), self.params)?;
+            let b = bind_expr_with(g, scope, Some(self))?;
             let name = default_name(g);
             columns.push(Column::new(name, b.ty().unwrap_or(DataType::Varchar)));
             group_bound.push(b);
@@ -428,7 +461,7 @@ impl QueryBinder<'_> {
                         func.name()
                     )));
                 }
-                let bound = bind_expr_with(&args[0], scope, Some(self.catalog), self.params)?;
+                let bound = bind_expr_with(&args[0], scope, Some(self))?;
                 if matches!(func, AggFunc::Sum | AggFunc::Avg) {
                     if let Some(t) = bound.ty() {
                         if !t.is_numeric() {
@@ -485,7 +518,7 @@ impl QueryBinder<'_> {
         let mut plan = agg_plan;
         if let Some(h) = &select.having {
             let replaced = rewrite(h);
-            let bound = bind_in_agg(&replaced, &placeholder_scope, self.catalog, self.params)?;
+            let bound = bind_in_agg(&replaced, &placeholder_scope, self)?;
             check_boolean(&bound, "HAVING")?;
             plan = LogicalPlan::Filter {
                 input: Box::new(plan),
@@ -499,7 +532,7 @@ impl QueryBinder<'_> {
         let mut out_scope_cols = Vec::with_capacity(items.len());
         for (e, name) in &items {
             let replaced = rewrite(e);
-            let bound = bind_in_agg(&replaced, &placeholder_scope, self.catalog, self.params)?;
+            let bound = bind_in_agg(&replaced, &placeholder_scope, self)?;
             out_columns.push(Column::new(
                 name.clone(),
                 bound.ty().unwrap_or(DataType::Varchar),
@@ -532,8 +565,10 @@ impl QueryBinder<'_> {
         query: &Query,
     ) -> Result<LogicalPlan, EngineError> {
         // First attempt: bind all keys over the output scope (plus ordinals).
+        // A failed attempt leaves no subquery behind.
         let mut keys = Vec::with_capacity(query.order_by.len());
         let mut output_ok = true;
+        let subqueries = self.subqueries.len();
         for ob in &query.order_by {
             let bound = match &ob.expr {
                 Expr::Literal(Literal::Number(n)) => {
@@ -551,7 +586,7 @@ impl QueryBinder<'_> {
                         name: out_scope.columns[idx - 1].name.clone(),
                     })
                 }
-                e => bind_expr_with(e, out_scope, Some(self.catalog), self.params),
+                e => bind_expr_with(e, out_scope, Some(self)),
             };
             match bound {
                 Ok(b) => keys.push(SortKey {
@@ -560,6 +595,7 @@ impl QueryBinder<'_> {
                 }),
                 Err(_) => {
                     output_ok = false;
+                    self.subqueries.truncate(subqueries);
                     break;
                 }
             }
@@ -579,7 +615,7 @@ impl QueryBinder<'_> {
         };
         let mut keys = Vec::with_capacity(query.order_by.len());
         for ob in &query.order_by {
-            let b = bind_expr_with(&ob.expr, pre_scope, Some(self.catalog), self.params)?;
+            let b = bind_expr_with(&ob.expr, pre_scope, Some(self))?;
             keys.push(SortKey {
                 expr: b,
                 desc: ob.desc,
@@ -741,10 +777,9 @@ fn columns_equivalent(a: &Expr, b: &Expr, scope: &Scope) -> bool {
 fn bind_in_agg(
     e: &Expr,
     placeholder_scope: &Scope,
-    catalog: &Catalog,
-    params: &[DataType],
+    binder: &mut QueryBinder<'_>,
 ) -> Result<BoundExpr, EngineError> {
-    bind_expr_with(e, placeholder_scope, Some(catalog), params).map_err(|err| {
+    bind_expr_with(e, placeholder_scope, Some(binder)).map_err(|err| {
         if err.message().starts_with("unknown column") {
             EngineError::bind(format!(
                 "{} — expression must appear in GROUP BY or inside an aggregate",
@@ -860,20 +895,50 @@ mod tests {
     }
 
     #[test]
-    fn in_subquery_binds_its_own_plan() {
-        let p = plan("SELECT a FROM t WHERE a IN (SELECT a FROM u)").unwrap();
-        let LogicalPlan::Project { input, .. } = &p else {
+    fn in_subquery_bodies_ride_at_the_root() {
+        // Inner bodies come before the outer ones that read them.
+        let p = plan(
+            "SELECT a FROM t WHERE a IN (SELECT a FROM u WHERE a IN (SELECT a FROM t)) \
+             AND b IN (SELECT b FROM t)",
+        )
+        .unwrap();
+        let LogicalPlan::Subqueries { input, subqueries } = &p else {
+            panic!("{}", p.explain())
+        };
+        let bodies: Vec<String> = subqueries.iter().map(LogicalPlan::explain).collect();
+        assert_eq!(
+            bodies,
+            [
+                "Project [a]\n  Scan t\n",
+                "Project [a]\n  Filter\n    Scan u\n",
+                "Project [b]\n  Scan t\n",
+            ]
+        );
+        let LogicalPlan::Project { input, .. } = &**input else {
             panic!("{}", p.explain())
         };
         let LogicalPlan::Filter {
             input: scan,
-            predicate: BoundExpr::InSubquery { plan: sub, .. },
+            predicate: BoundExpr::Binary { left, right, .. },
         } = &**input
         else {
             panic!("{}", p.explain())
         };
         assert!(matches!(&**scan, LogicalPlan::Scan { table, .. } if table == "t"));
-        assert_eq!(sub.explain(), "Project [a]\n  Scan u\n");
+        assert!(matches!(**left, BoundExpr::InSubquery { subquery: 1, .. }));
+        assert!(matches!(**right, BoundExpr::InSubquery { subquery: 2, .. }));
+        let LogicalPlan::Filter { predicate, .. } = subqueries[1].inputs().next().unwrap() else {
+            panic!("{}", p.explain())
+        };
+        assert!(matches!(
+            predicate,
+            BoundExpr::InSubquery { subquery: 0, .. }
+        ));
+        // A plan without subqueries has no such root.
+        assert!(matches!(
+            plan("SELECT a FROM t").unwrap(),
+            LogicalPlan::Project { .. }
+        ));
     }
 
     #[test]

@@ -4,7 +4,7 @@ mod binder;
 pub mod physical;
 
 pub use binder::plan_query;
-pub(crate) use binder::plan_template;
+pub(crate) use binder::{plan_template, QueryBinder};
 pub use physical::{lower, PhysicalPlan};
 
 use ivm_sql::ast::JoinKind;
@@ -123,6 +123,16 @@ pub enum LogicalPlan {
         /// Rows to skip.
         offset: usize,
     },
+    /// The root of a statement with `IN (SELECT …)` subqueries: its plan
+    /// and the bodies its [`BoundExpr::InSubquery`]s index. Only ever at
+    /// the root.
+    Subqueries {
+        /// The statement's plan.
+        input: Box<LogicalPlan>,
+        /// One-column bodies, inner before outer: body `i` reads only
+        /// bodies before it.
+        subqueries: Vec<LogicalPlan>,
+    },
 }
 
 impl LogicalPlan {
@@ -138,42 +148,46 @@ impl LogicalPlan {
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Distinct { input }
             | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. } => input.schema(),
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Subqueries { input, .. } => input.schema(),
         }
     }
 
-    /// The operator's inputs, left to right.
+    /// The operator's inputs, left to right (a subquery root's plan,
+    /// then its bodies).
     pub(crate) fn inputs(&self) -> impl Iterator<Item = &LogicalPlan> {
-        let (first, second) = match self {
-            LogicalPlan::Scan { .. } | LogicalPlan::Dual { .. } => (None, None),
+        let (first, second, rest): (_, _, &[LogicalPlan]) = match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Dual { .. } => (None, None, &[]),
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Distinct { input }
             | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. } => (Some(&**input), None),
+            | LogicalPlan::Limit { input, .. } => (Some(&**input), None, &[]),
             LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
-                (Some(&**left), Some(&**right))
+                (Some(&**left), Some(&**right), &[])
             }
+            LogicalPlan::Subqueries { input, subqueries } => (Some(&**input), None, subqueries),
         };
-        first.into_iter().chain(second)
+        first.into_iter().chain(second).chain(rest)
     }
 
     /// [`inputs`](Self::inputs), mutably.
     pub(crate) fn inputs_mut(&mut self) -> impl Iterator<Item = &mut LogicalPlan> {
-        let (first, second) = match self {
-            LogicalPlan::Scan { .. } | LogicalPlan::Dual { .. } => (None, None),
+        let (first, second, rest): (_, _, &mut [LogicalPlan]) = match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Dual { .. } => (None, None, &mut []),
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Distinct { input }
             | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. } => (Some(&mut **input), None),
+            | LogicalPlan::Limit { input, .. } => (Some(&mut **input), None, &mut []),
             LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
-                (Some(&mut **left), Some(&mut **right))
+                (Some(&mut **left), Some(&mut **right), &mut [])
             }
+            LogicalPlan::Subqueries { input, subqueries } => (Some(&mut **input), None, subqueries),
         };
-        first.into_iter().chain(second)
+        first.into_iter().chain(second).chain(rest)
     }
 
     /// The expressions the operator evaluates itself (its inputs' not
@@ -193,7 +207,8 @@ impl LogicalPlan {
                 | LogicalPlan::Dual { .. }
                 | LogicalPlan::SetOp { .. }
                 | LogicalPlan::Distinct { .. }
-                | LogicalPlan::Limit { .. } => (None, &mut [], &mut [], &mut []),
+                | LogicalPlan::Limit { .. }
+                | LogicalPlan::Subqueries { .. } => (None, &mut [], &mut [], &mut []),
             };
         one.into_iter()
             .chain(list)
@@ -229,6 +244,9 @@ impl LogicalPlan {
                 LogicalPlan::Sort { keys, .. } => format!("Sort keys={}", keys.len()),
                 LogicalPlan::Limit { limit, offset, .. } => {
                     format!("Limit limit={limit:?} offset={offset}")
+                }
+                LogicalPlan::Subqueries { subqueries, .. } => {
+                    format!("Subqueries {}", subqueries.len())
                 }
             };
             out.push_str(&pad);

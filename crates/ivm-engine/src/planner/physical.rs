@@ -60,8 +60,10 @@ pub enum PhysicalPlan {
         schema: Schema,
         /// Pushed-down filter over the table's columns (`None` = full scan).
         predicate: Option<BoundExpr>,
-        /// `column = literal` conjuncts of `predicate` eligible for an ART
-        /// point lookup (column position, literal value).
+        /// The `column = literal` conjuncts of `predicate` that fix every
+        /// column of the table's primary key, in key order (column
+        /// position, literal value): the key of an ART point read. Empty
+        /// when any key column is left open, or the table has no key.
         index_eq: Vec<(usize, Value)>,
     },
     /// A single zero-column row (`SELECT 1` with no FROM).
@@ -165,6 +167,16 @@ pub enum PhysicalPlan {
         /// Rows to skip.
         offset: usize,
     },
+    /// A plan template's root when its statement has `IN (SELECT …)`
+    /// subqueries (see [`LogicalPlan::Subqueries`]). Instantiating the
+    /// template for a run executes each body once, fills in the sets and
+    /// drops this node, so the executor never meets it.
+    Subqueries {
+        /// The statement's plan.
+        input: Box<PhysicalPlan>,
+        /// One-column bodies, inner before outer.
+        subqueries: Vec<PhysicalPlan>,
+    },
 }
 
 static EMPTY_SCHEMA: Schema = Schema {
@@ -184,40 +196,50 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::TopK { input, .. }
-            | PhysicalPlan::Limit { input, .. } => input.schema(),
+            | PhysicalPlan::Limit { input, .. }
+            | PhysicalPlan::Subqueries { input, .. } => input.schema(),
         }
     }
 
-    /// The operator's inputs, in pull order.
+    /// The operator's inputs, in pull order (a subquery root's plan,
+    /// then its bodies).
     pub(crate) fn inputs(&self) -> impl Iterator<Item = &PhysicalPlan> {
-        let (first, second) = match self {
-            PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual => (None, None),
+        let (first, second, rest): (_, _, &[PhysicalPlan]) = match self {
+            PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual => (None, None, &[]),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::TopK { input, .. }
-            | PhysicalPlan::Limit { input, .. } => (Some(&**input), None),
-            PhysicalPlan::HashJoin { probe, build, .. } => (Some(&**probe), Some(&**build)),
-            PhysicalPlan::SetOp { left, right, .. } => (Some(&**left), Some(&**right)),
+            | PhysicalPlan::Limit { input, .. } => (Some(&**input), None, &[]),
+            PhysicalPlan::HashJoin { probe, build, .. } => (Some(&**probe), Some(&**build), &[]),
+            PhysicalPlan::SetOp { left, right, .. } => (Some(&**left), Some(&**right), &[]),
+            PhysicalPlan::Subqueries { input, subqueries } => (Some(&**input), None, subqueries),
         };
-        first.into_iter().chain(second)
+        first.into_iter().chain(second).chain(rest)
     }
 
     /// [`inputs`](Self::inputs), mutably.
     pub(crate) fn inputs_mut(&mut self) -> impl Iterator<Item = &mut PhysicalPlan> {
-        let (first, second) = match self {
-            PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual => (None, None),
+        let (first, second, rest): (_, _, &mut [PhysicalPlan]) = match self {
+            PhysicalPlan::TableScan { .. } | PhysicalPlan::Dual => (None, None, &mut []),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::TopK { input, .. }
-            | PhysicalPlan::Limit { input, .. } => (Some(&mut **input), None),
-            PhysicalPlan::HashJoin { probe, build, .. } => (Some(&mut **probe), Some(&mut **build)),
-            PhysicalPlan::SetOp { left, right, .. } => (Some(&mut **left), Some(&mut **right)),
+            | PhysicalPlan::Limit { input, .. } => (Some(&mut **input), None, &mut []),
+            PhysicalPlan::HashJoin { probe, build, .. } => {
+                (Some(&mut **probe), Some(&mut **build), &mut [])
+            }
+            PhysicalPlan::SetOp { left, right, .. } => {
+                (Some(&mut **left), Some(&mut **right), &mut [])
+            }
+            PhysicalPlan::Subqueries { input, subqueries } => {
+                (Some(&mut **input), None, subqueries)
+            }
         };
-        first.into_iter().chain(second)
+        first.into_iter().chain(second).chain(rest)
     }
 
     /// The expressions the operator evaluates itself (its inputs' not
@@ -236,9 +258,10 @@ impl PhysicalPlan {
             PhysicalPlan::Sort { keys, .. } | PhysicalPlan::TopK { keys, .. } => {
                 (None, &[], &[], keys)
             }
-            PhysicalPlan::Dual | PhysicalPlan::SetOp { .. } | PhysicalPlan::Limit { .. } => {
-                (None, &[], &[], &[])
-            }
+            PhysicalPlan::Dual
+            | PhysicalPlan::SetOp { .. }
+            | PhysicalPlan::Limit { .. }
+            | PhysicalPlan::Subqueries { .. } => (None, &[], &[], &[]),
         };
         one.into_iter()
             .chain(list)
@@ -263,9 +286,10 @@ impl PhysicalPlan {
                 PhysicalPlan::Sort { keys, .. } | PhysicalPlan::TopK { keys, .. } => {
                     (None, &mut [], &mut [], keys)
                 }
-                PhysicalPlan::Dual | PhysicalPlan::SetOp { .. } | PhysicalPlan::Limit { .. } => {
-                    (None, &mut [], &mut [], &mut [])
-                }
+                PhysicalPlan::Dual
+                | PhysicalPlan::SetOp { .. }
+                | PhysicalPlan::Limit { .. }
+                | PhysicalPlan::Subqueries { .. } => (None, &mut [], &mut [], &mut []),
             };
         one.into_iter()
             .chain(list)
@@ -340,6 +364,9 @@ impl PhysicalPlan {
                 PhysicalPlan::Limit { limit, offset, .. } => {
                     format!("Limit limit={limit:?} offset={offset}")
                 }
+                PhysicalPlan::Subqueries { subqueries, .. } => {
+                    format!("Subqueries {}", subqueries.len())
+                }
             };
             out.push_str(&pad);
             out.push_str(&line);
@@ -359,8 +386,23 @@ impl PhysicalPlan {
 /// pushdown into storage — see [`crate::optimizer`]'s physical rule).
 /// The plan depends on the catalog alone, never on executor settings.
 pub fn lower(plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPlan, EngineError> {
+    #[cfg(test)]
+    LOWERINGS.with(|n| n.set(n.get() + 1));
     let physical = lower_node(plan, catalog)?;
-    Ok(crate::optimizer::push_scan_predicates(physical))
+    Ok(crate::optimizer::push_scan_predicates(physical, catalog))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`lower`] calls made by this thread.
+    static LOWERINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many plans the calling thread has lowered so far (a cached
+/// shape lowers once, its subquery bodies with it).
+#[cfg(test)]
+pub(crate) fn lowerings() -> usize {
+    LOWERINGS.with(std::cell::Cell::get)
 }
 
 fn lower_node(plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPlan, EngineError> {
@@ -475,6 +517,13 @@ fn lower_node(plan: &LogicalPlan, catalog: &Catalog) -> Result<PhysicalPlan, Eng
             limit: *limit,
             offset: *offset,
         },
+        LogicalPlan::Subqueries { input, subqueries } => PhysicalPlan::Subqueries {
+            input: Box::new(lower_node(input, catalog)?),
+            subqueries: subqueries
+                .iter()
+                .map(|body| lower_node(body, catalog))
+                .collect::<Result<_, _>>()?,
+        },
     })
 }
 
@@ -513,9 +562,9 @@ pub fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
             .unwrap_or(1000.0),
         LogicalPlan::Dual { .. } => 1.0,
         LogicalPlan::Filter { input, .. } => estimate_rows(input, catalog) / 3.0,
-        LogicalPlan::Project { input, .. } | LogicalPlan::Sort { input, .. } => {
-            estimate_rows(input, catalog)
-        }
+        LogicalPlan::Project { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Subqueries { input, .. } => estimate_rows(input, catalog),
         LogicalPlan::Distinct { input } => estimate_rows(input, catalog) / 2.0,
         LogicalPlan::Aggregate { input, group, .. } => {
             if group.is_empty() {
@@ -575,9 +624,9 @@ pub fn estimate_physical_rows(plan: &PhysicalPlan, catalog: &Catalog) -> f64 {
         }
         PhysicalPlan::Dual => 1.0,
         PhysicalPlan::Filter { input, .. } => estimate_physical_rows(input, catalog) / 3.0,
-        PhysicalPlan::Project { input, .. } | PhysicalPlan::Sort { input, .. } => {
-            estimate_physical_rows(input, catalog)
-        }
+        PhysicalPlan::Project { input, .. }
+        | PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Subqueries { input, .. } => estimate_physical_rows(input, catalog),
         PhysicalPlan::HashAggregate { input, mode, .. } => match mode {
             AggMode::Ungrouped => 1.0,
             AggMode::HashGrouped => estimate_physical_rows(input, catalog).sqrt().max(1.0),
@@ -1073,10 +1122,11 @@ mod tests {
         );
     }
 
+    /// A filter on a scan folds into it, and its key equality becomes
+    /// the scan's index key — only on a table whose key it covers.
     #[test]
     fn filters_fold_into_scans() {
-        let catalog = catalog_with_sizes(10, 20);
-        let p = lower_sql("SELECT v FROM big WHERE v > 3 AND id = 7", &catalog);
+        let catalog = catalog_with_keyed(10);
         fn find_scan(plan: &PhysicalPlan) -> &PhysicalPlan {
             match plan {
                 PhysicalPlan::TableScan { .. } => plan,
@@ -1086,22 +1136,28 @@ mod tests {
                 other => panic!("unexpected node in {}", other.explain()),
             }
         }
-        let PhysicalPlan::TableScan {
-            predicate,
-            index_eq,
-            ..
-        } = find_scan(&p)
-        else {
-            unreachable!()
-        };
-        assert!(predicate.is_some(), "{}", p.explain());
-        assert_eq!(index_eq.len(), 1, "{}", p.explain());
-        assert_eq!(index_eq[0].0, 0, "id is column 0");
-        assert!(
-            !p.explain().contains("Filter"),
-            "no standalone filter left:\n{}",
-            p.explain()
-        );
+        for (sql, keys) in [
+            ("SELECT d FROM keyed WHERE d > 0.1 AND id = 7", 1),
+            ("SELECT v FROM big WHERE v > 3 AND id = 7", 0),
+        ] {
+            let p = lower_sql(sql, &catalog);
+            let PhysicalPlan::TableScan {
+                predicate,
+                index_eq,
+                ..
+            } = find_scan(&p)
+            else {
+                unreachable!()
+            };
+            assert!(predicate.is_some(), "{}", p.explain());
+            let columns: Vec<usize> = index_eq.iter().map(|(c, _)| *c).collect();
+            assert_eq!(columns, vec![0; keys], "{sql}: {}", p.explain());
+            assert!(
+                !p.explain().contains("Filter"),
+                "no standalone filter left:\n{}",
+                p.explain()
+            );
+        }
     }
 
     #[test]

@@ -11,16 +11,18 @@ use ivm_sql::{parse_statement, parse_statements, Ident};
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec::{
-    self, clean_orphan_spill_files, prepare_expr, ExecConfig, ExecContext, MemoryBudget, Row,
-    ScanSource, SpillStats,
+    self, clean_orphan_spill_files, ExecConfig, ExecContext, MemoryBudget, Row, ScanSource,
+    SpillStats,
 };
 use crate::expr::bind::{bind_expr_with, Scope};
-use crate::optimizer::optimize;
+use crate::expr::BoundExpr;
+use crate::optimizer::{fill_expr, optimize};
 use crate::plan_cache::{
-    lock, plan_statement, victim_query, PlanCache, Planned, PreparedStatement,
+    lock, plan_statement, plan_uncached, run_subqueries, victim_query, Fill, PlanCache, Planned,
+    PreparedStatement,
 };
 use crate::planner::physical::{lower, PhysicalPlan};
-use crate::planner::{plan_query, plan_template};
+use crate::planner::{plan_query, plan_template, QueryBinder};
 use crate::schema::{Column, Schema};
 use crate::storage::durability::{Durability, RecoveryStats};
 use crate::storage::wal::WalStats;
@@ -144,8 +146,9 @@ pub(crate) fn env_config() -> ExecConfig {
 }
 
 /// Bind, optimize, and lower `q` against the context's catalog — the one
-/// way a query becomes a physical plan. `params` types `q`'s parameter
-/// slots (empty unless `q` is a statement with its literals lifted).
+/// way a query becomes a physical plan template, its subquery bodies
+/// with it. `params` types `q`'s parameter slots (empty unless `q` is a
+/// statement with its literals lifted).
 pub(crate) fn plan_physical(
     q: &Query,
     cx: &ExecContext<'_>,
@@ -525,9 +528,17 @@ impl Database {
         &self,
         q: &Query,
         prepared: Option<&PreparedStatement>,
+        fill: Fill,
     ) -> Result<Planned, EngineError> {
         let cx = self.exec_context();
-        plan_statement(&self.plan_cache, q, prepared, &cx, self.ddl_generation)
+        plan_statement(
+            &self.plan_cache,
+            q,
+            prepared,
+            &cx,
+            self.ddl_generation,
+            fill,
+        )
     }
 
     /// Execute a single SQL statement.
@@ -554,7 +565,7 @@ impl Database {
         match &stmt {
             Statement::Query(q) => {
                 let cx = self.exec_context();
-                run_planned(plan_physical(q, &cx, &[])?, &cx)
+                run_planned(plan_uncached(q, &cx, Fill::Run)?, &cx)
             }
             _ => Err(EngineError::unsupported(
                 "query() accepts SELECT statements only",
@@ -612,7 +623,9 @@ impl Database {
         prepared: Option<&PreparedStatement>,
     ) -> Result<QueryResult, EngineError> {
         match stmt {
-            Statement::Query(q) => run_planned(self.plan(q, prepared)?, &self.exec_context()),
+            Statement::Query(q) => {
+                run_planned(self.plan(q, prepared, Fill::Run)?, &self.exec_context())
+            }
             Statement::CreateTable(ct) => self.create_table(ct),
             Statement::CreateIndex(ci) => self.create_index(ci),
             Statement::CreateView(cv) => {
@@ -642,19 +655,30 @@ impl Database {
             Statement::Explain(inner) => {
                 // Show what will actually run: the lowered physical tree,
                 // instantiated from the cached template — for an UPDATE
-                // or a DELETE, the scan that finds its rows.
+                // or a DELETE, the scan that finds its rows — with the
+                // subquery bodies it reads, unrun.
                 let text = match inner.as_ref() {
                     Statement::Query(q)
                     | Statement::Insert(Insert {
                         source: InsertSource::Query(q),
                         ..
-                    }) => self.plan(q, prepared)?.0.explain(),
+                    }) => self.plan(q, prepared, Fill::Explain)?.0.explain(),
                     Statement::Update(Update {
                         table, selection, ..
                     })
                     | Statement::Delete(Delete { table, selection }) => {
-                        let plan = self.victim_plan(table, selection.as_ref(), prepared)?;
-                        victim_scan(&plan).explain()
+                        let plan =
+                            self.victim_plan(table, selection.as_ref(), prepared, Fill::Explain)?;
+                        match &*plan {
+                            PhysicalPlan::Subqueries { input, subqueries } => {
+                                PhysicalPlan::Subqueries {
+                                    input: Box::new(victim_scan(input).clone()),
+                                    subqueries: subqueries.clone(),
+                                }
+                                .explain()
+                            }
+                            plan => victim_scan(plan).explain(),
+                        }
                     }
                     _ => {
                         return Err(EngineError::unsupported(
@@ -786,34 +810,26 @@ impl Database {
         };
 
         // Materialize source rows (before mutating the target table).
+        let width = column_map.len();
         let source_rows: Vec<Row> = match &ins.source {
             InsertSource::Values(rows) => {
-                let scope = Scope::empty();
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    if row.len() != column_map.len() {
-                        return Err(EngineError::bind(format!(
-                            "INSERT expects {} values per row, got {}",
-                            column_map.len(),
-                            row.len()
-                        )));
-                    }
-                    let mut vals = Vec::with_capacity(row.len());
-                    for e in row {
-                        let bound = bind_expr_with(e, &scope, Some(&self.catalog), &[])?;
-                        let prepared = prepare_expr(&bound, &self.exec_context())?;
-                        vals.push(prepared.eval(&[])?);
-                    }
-                    out.push(vals);
+                if let Some(row) = rows.iter().find(|row| row.len() != width) {
+                    return Err(EngineError::bind(format!(
+                        "INSERT expects {width} values per row, got {}",
+                        row.len()
+                    )));
                 }
-                out
+                let bound = self.bind_outside_plan(rows.iter().flatten(), &Scope::empty())?;
+                let mut values = bound.iter().map(|e| e.eval(&[]));
+                rows.iter()
+                    .map(|_| values.by_ref().take(width).collect())
+                    .collect::<Result<_, _>>()?
             }
             InsertSource::Query(q) => {
-                let (physical, columns) = self.plan(q, prepared)?;
-                if columns.len() != column_map.len() {
+                let (physical, columns) = self.plan(q, prepared, Fill::Run)?;
+                if columns.len() != width {
                     return Err(EngineError::bind(format!(
-                        "INSERT expects {} columns, query returns {}",
-                        column_map.len(),
+                        "INSERT expects {width} columns, query returns {}",
                         columns.len()
                     )));
                 }
@@ -832,13 +848,17 @@ impl Database {
             full_rows.push(row);
         }
 
-        // Pre-bind ON CONFLICT assignments.
+        // Bind the ON CONFLICT assignments, their subqueries run once,
+        // before any row is written: every conflicting row sees the
+        // table as the statement found it.
         let conflict = ins.on_conflict.as_ref();
-        let do_update: Option<Vec<(usize, crate::expr::BoundExpr)>> = match conflict {
+        let do_update: Option<Vec<(usize, BoundExpr)>> = match conflict {
             Some(oc) => match &oc.action {
                 ConflictAction::DoNothing => None,
                 ConflictAction::DoUpdate(assignments) => {
-                    Some(self.bind_conflict_assignments(&tname, &schema, assignments)?)
+                    // Visible names: the table's columns, then `excluded.*`.
+                    let scope = Scope::of(&tname, &schema).join(Scope::of("excluded", &schema));
+                    Some(self.bind_assignments(&schema, assignments, &scope, "DO UPDATE")?)
                 }
             },
             None => None,
@@ -876,9 +896,8 @@ impl Database {
                                 env.extend(row.iter().cloned());
                                 let mut updated = old;
                                 for (pos, expr) in assignments {
-                                    let prepared = prepare_expr(expr, &self.exec_context())?;
                                     updated[*pos] =
-                                        coerce(prepared.eval(&env)?, schema.columns[*pos].ty)?;
+                                        coerce(expr.eval(&env)?, schema.columns[*pos].ty)?;
                                 }
                                 self.catalog.table_mut(&tname)?.update(existing, updated)?;
                                 affected += 1;
@@ -895,26 +914,50 @@ impl Database {
         Ok(QueryResult::dml(affected))
     }
 
-    fn bind_conflict_assignments(
+    /// `assignments` of `schema`'s columns: each target's position and
+    /// its value bound over `scope` ([`bind_outside_plan`](Self::bind_outside_plan)).
+    fn bind_assignments(
         &self,
-        tname: &str,
         schema: &Schema,
         assignments: &[Assignment],
-    ) -> Result<Vec<(usize, crate::expr::BoundExpr)>, EngineError> {
-        // Visible names: the table's columns, then `excluded.*`.
-        let scope = Scope::of(tname, schema).join(Scope::of("excluded", schema));
-        let mut out = Vec::with_capacity(assignments.len());
-        for a in assignments {
-            let pos = schema.position(a.column.normalized()).ok_or_else(|| {
-                EngineError::bind(format!(
-                    "unknown column {} in DO UPDATE",
-                    a.column.normalized()
-                ))
-            })?;
-            let bound = bind_expr_with(&a.value, &scope, Some(&self.catalog), &[])?;
-            out.push((pos, bound));
+        scope: &Scope,
+        clause: &str,
+    ) -> Result<Vec<(usize, BoundExpr)>, EngineError> {
+        let positions = assignments.iter().map(|a| {
+            let name = a.column.normalized();
+            schema
+                .position(name)
+                .ok_or_else(|| EngineError::bind(format!("unknown column {name} in {clause}")))
+        });
+        let positions = positions.collect::<Result<Vec<_>, _>>()?;
+        let values = self.bind_outside_plan(assignments.iter().map(|a| &a.value), scope)?;
+        Ok(positions.into_iter().zip(values).collect())
+    }
+
+    /// Bind expressions that are not part of a plan — `INSERT … VALUES`
+    /// rows, `UPDATE … SET` and `DO UPDATE SET` values — over `scope`, and
+    /// fill them in the way a plan is instantiated: their subquery bodies
+    /// are optimized, lowered and run once, for the whole statement,
+    /// before it writes a row.
+    fn bind_outside_plan<'e>(
+        &self,
+        exprs: impl Iterator<Item = &'e Expr>,
+        scope: &Scope,
+    ) -> Result<Vec<BoundExpr>, EngineError> {
+        let mut binder = QueryBinder::new(&self.catalog, &[]);
+        let mut bound = exprs
+            .map(|e| bind_expr_with(e, scope, Some(&mut binder)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let bodies = binder
+            .subqueries
+            .into_iter()
+            .map(|body| lower(&optimize(body), &self.catalog))
+            .collect::<Result<Vec<_>, _>>()?;
+        let sets = run_subqueries(&bodies, &[], &self.exec_context())?;
+        for e in &mut bound {
+            fill_expr(e, &[], &sets);
         }
-        Ok(out)
+        Ok(bound)
     }
 
     /// The plan an UPDATE or a DELETE of `table` finds its rows with:
@@ -926,9 +969,12 @@ impl Database {
         table: &Ident,
         selection: Option<&Expr>,
         prepared: Option<&PreparedStatement>,
+        fill: Fill,
     ) -> Result<Arc<PhysicalPlan>, EngineError> {
         self.catalog.table(table.normalized())?;
-        Ok(self.plan(&victim_query(table, selection), prepared)?.0)
+        Ok(self
+            .plan(&victim_query(table, selection), prepared, fill)?
+            .0)
     }
 
     /// The ids of `table`'s rows that `selection` holds for, ascending,
@@ -939,7 +985,7 @@ impl Database {
         selection: Option<&Expr>,
         prepared: Option<&PreparedStatement>,
     ) -> Result<Vec<u64>, EngineError> {
-        let plan = self.victim_plan(table, selection, prepared)?;
+        let plan = self.victim_plan(table, selection, prepared, Fill::Run)?;
         let cx = self.exec_context();
         ScanSource::resolve(victim_scan(&plan), &cx)?.row_ids(cx.config)
     }
@@ -954,17 +1000,7 @@ impl Database {
         let table = self.catalog.table(tname)?;
         let schema = &table.schema;
         let scope = Scope::of(tname, schema);
-        let mut bound_assignments = Vec::with_capacity(u.assignments.len());
-        for a in &u.assignments {
-            let pos = schema.position(a.column.normalized()).ok_or_else(|| {
-                EngineError::bind(format!(
-                    "unknown column {} in UPDATE",
-                    a.column.normalized()
-                ))
-            })?;
-            let b = bind_expr_with(&a.value, &scope, Some(&self.catalog), &[])?;
-            bound_assignments.push((pos, prepare_expr(&b, &self.exec_context())?));
-        }
+        let bound_assignments = self.bind_assignments(schema, &u.assignments, &scope, "UPDATE")?;
         // Every new row is computed against the unchanged table, then
         // all are applied as one statement, its keys checked as a whole.
         let mut changes = Vec::with_capacity(victims.len());
@@ -1169,7 +1205,7 @@ mod tests {
     fn explain_shows_the_instantiated_plan() {
         for warm in [false, true] {
             let mut db = seeded();
-            db.execute("CREATE INDEX s_v ON s (v)").unwrap();
+            db.execute("CREATE UNIQUE INDEX s_v ON s (v)").unwrap();
             if warm {
                 db.execute("SELECT g FROM s WHERE v = 1").unwrap();
             }

@@ -267,6 +267,110 @@ fn in_subquery_predicates() {
     assert_eq!(r.scalar(), Some(&Value::Integer(1)));
 }
 
+/// The subqueries of expressions outside a plan — `DO UPDATE SET`,
+/// `UPDATE … SET`, `INSERT … VALUES` — run once per statement, before it
+/// writes a row: every conflicting row sees the table as the statement
+/// found it, as under PostgreSQL's statement snapshot.
+#[test]
+fn value_subqueries_see_the_table_as_the_statement_found_it() {
+    let mut db = db();
+    db.execute("CREATE TABLE v (k VARCHAR PRIMARY KEY, c INTEGER)")
+        .unwrap();
+    db.execute("INSERT INTO v VALUES ('a', 0), ('b', 0)")
+        .unwrap();
+    let kc = |db: &Database| {
+        let r = db.query("SELECT k, c FROM v ORDER BY k").unwrap();
+        let rows: Vec<(String, i64)> = r
+            .rows
+            .iter()
+            .map(|row| (row[0].to_string(), row[1].as_integer().unwrap()))
+            .collect();
+        rows
+    };
+    db.execute(
+        "INSERT INTO v VALUES ('a', 1), ('b', 1) ON CONFLICT (k) DO UPDATE \
+         SET c = CASE WHEN 1 IN (SELECT c FROM v) THEN 2 ELSE 1 END",
+    )
+    .unwrap();
+    assert_eq!(kc(&db), [("a".into(), 1), ("b".into(), 1)]);
+    db.execute("UPDATE v SET c = CASE WHEN 1 IN (SELECT c FROM v) THEN c + 1 ELSE 0 END")
+        .unwrap();
+    assert_eq!(kc(&db), [("a".into(), 2), ("b".into(), 2)]);
+    db.execute(
+        "INSERT INTO v VALUES ('c', CASE WHEN 2 IN (SELECT c FROM v) THEN 7 ELSE 0 END), \
+         ('d', CASE WHEN 7 IN (SELECT c FROM v) THEN 7 ELSE 0 END)",
+    )
+    .unwrap();
+    assert_eq!(
+        kc(&db),
+        [
+            ("a".into(), 2),
+            ("b".into(), 2),
+            ("c".into(), 7),
+            ("d".into(), 0)
+        ]
+    );
+}
+
+/// A subquery body is planned like the statement that holds it: folded,
+/// its filters pushed into its scans, a key equality a point read.
+/// `EXPLAIN` shows the statement's plan and then each body, inner
+/// before outer, and runs none of them.
+#[test]
+fn explain_shows_optimized_subquery_bodies() {
+    let mut db = db();
+    db.execute("CREATE TABLE v (k VARCHAR PRIMARY KEY, c INTEGER)")
+        .unwrap();
+    db.execute("INSERT INTO v VALUES ('a', 1), ('b', 2), ('c', 1)")
+        .unwrap();
+    let explain = |db: &mut Database, sql: &str| -> String {
+        let r = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let lines: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+        lines.join("\n")
+    };
+    for (sql, plan, rows) in [
+        (
+            "SELECT k FROM v WHERE k IN (SELECT k FROM v WHERE k = 'a' AND 1 = 1)",
+            "Subqueries 1\n  Project [k]\n    TableScan v [filtered]\n  \
+             Project [k]\n    TableScan v [filtered] [index_eq=1] k = a",
+            vec!["a"],
+        ),
+        (
+            "SELECT k FROM v WHERE c IN (SELECT c FROM v WHERE 1 = 1) ORDER BY k",
+            "Subqueries 1\n  Sort keys=1\n    Project [k]\n      TableScan v [filtered]\n  \
+             Project [c]\n    TableScan v",
+            vec!["a", "b", "c"],
+        ),
+        (
+            "SELECT k FROM v WHERE k IN \
+             (SELECT k FROM v WHERE c IN (SELECT c FROM v WHERE k = 'b')) ORDER BY k",
+            "Subqueries 2\n  Sort keys=1\n    Project [k]\n      TableScan v [filtered]\n  \
+             Project [c]\n    TableScan v [filtered] [index_eq=1] k = b\n  \
+             Project [k]\n    TableScan v [filtered]",
+            vec!["b"],
+        ),
+    ] {
+        assert_eq!(explain(&mut db, sql), plan, "{sql}");
+        let got = db.execute(sql).unwrap();
+        let got: Vec<String> = got.rows.iter().map(|r| r[0].to_string()).collect();
+        assert_eq!(got, rows, "{sql}");
+    }
+    // DML shows its scan and the bodies its predicate reads.
+    let delete = "DELETE FROM v WHERE c IN (SELECT c FROM v WHERE k = 'a')";
+    assert_eq!(
+        explain(&mut db, delete),
+        "Subqueries 1\n  TableScan v [filtered]\n  \
+         Project [c]\n    TableScan v [filtered] [index_eq=1] k = a"
+    );
+    assert_eq!(
+        db.query("SELECT COUNT(*) FROM v").unwrap().scalar(),
+        Some(&Value::Integer(3))
+    );
+    assert_eq!(db.execute(delete).unwrap().rows_affected, 2);
+    let r = db.query("SELECT k FROM v").unwrap();
+    assert_eq!(r.rows, vec![vec![Value::from("b")]]);
+}
+
 #[test]
 fn on_conflict_do_update() {
     let mut db = db();
