@@ -2,27 +2,26 @@
 //!
 //! Mirrors §2's "The Extension Module: OpenIVM inside DuckDB": a fall-back
 //! handler catches `CREATE MATERIALIZED VIEW` (which the plain engine
-//! rejects), executes the compiled output, and registers interception rules
-//! that route `INSERT`/`UPDATE`/`DELETE` on base tables into the delta
-//! tables and kick off the propagation scripts — eagerly, lazily on view
-//! query, or per batch, per [`PropagationMode`].
+//! rejects), executes the compiled output, and registers each base table
+//! with the engine ([`Database::set_delta_table`]). From then on every
+//! `INSERT`, `UPDATE` and `DELETE` on a base table appends the rows it
+//! removes and writes to the table's delta table as part of the write
+//! itself, and the session kicks off the propagation scripts — eagerly,
+//! lazily on view query, or per batch, per [`PropagationMode`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use ivm_engine::exec::hash::{chain_prepend, hash_row, hash_value_iter, FlatTable};
 use ivm_engine::{Database, ErrorKind, PreparedStatement, QueryResult, SnapshotHub, Value};
-use ivm_sql::ast::{
-    Delete, Expr, Insert, InsertSource, Query, Select, SelectItem, SetExpr, Statement, TableRef,
-    Update,
-};
+use ivm_sql::ast::{Delete, Insert, Statement, Update};
 use ivm_sql::{parse_statement, print_statement, Ident};
 
 use crate::compiler::{IvmArtifacts, IvmCompiler};
 use crate::error::IvmError;
 use crate::flags::{IvmFlags, PropagationMode};
 use crate::metadata;
-use crate::names::{self, MULTIPLICITY_COL};
+use crate::names;
 use crate::propagation::PropagationStep;
 
 /// A registered materialized view.
@@ -49,7 +48,7 @@ pub struct RegisteredView {
 /// Counters for the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// DML statements intercepted into delta tables.
+    /// DML statements on base tables that feed a view.
     pub intercepted_dml: usize,
     /// Propagation script executions.
     pub maintenance_runs: usize,
@@ -295,16 +294,21 @@ impl IvmSession {
         for v in self.stale_views_read_by(&stmt) {
             self.refresh(&v)?;
         }
-        // Interception rules run before the engine sees the statement.
         match &stmt {
-            Statement::Insert(ins) if self.is_tracked(ins.table.normalized()) => {
-                return self.intercept_insert(ins.clone());
-            }
-            Statement::Update(u) if self.is_tracked(u.table.normalized()) => {
-                return self.intercept_update(u.clone());
-            }
-            Statement::Delete(d) if self.is_tracked(d.table.normalized()) => {
-                return self.intercept_delete(d.clone());
+            // The engine captures the write into ΔT itself; the session
+            // marks the table's views dirty afterwards — also after an
+            // error, since an upsert may have written a prefix of its rows.
+            Statement::Insert(Insert { table, .. })
+            | Statement::Update(Update { table, .. })
+            | Statement::Delete(Delete { table, .. })
+                if self.is_tracked(table.normalized()) =>
+            {
+                let table = table.normalized().to_string();
+                return self.atomic(|s| {
+                    let result = s.run(&stmt);
+                    s.after_capture(&table)?;
+                    result
+                });
             }
             Statement::Drop(d)
                 if d.kind == ivm_sql::ast::DropKind::View
@@ -393,6 +397,14 @@ impl IvmSession {
             self.compiler
                 .compile_unchecked(&cv, self.db.catalog(), &self.flags)?
         };
+        // A view's ΔV is named like a base table's ΔT, so a view over a
+        // view would share one table for both.
+        let base_tables = &artifacts.analysis.base_tables;
+        if let Some(t) = base_tables.iter().find(|t| self.view(t).is_some()) {
+            return Err(IvmError::unsupported(format!(
+                "a materialized view over the materialized view {t}"
+            )));
+        }
         if run_setup {
             let setup = artifacts.setup_statements();
             // One durability point: a crash must never recover half the
@@ -414,6 +426,9 @@ impl IvmSession {
             .collect();
         let steps = &artifacts.propagation.steps;
         let (step1, rest) = (parse_steps(steps, true)?, parse_steps(steps, false)?);
+        for t in &artifacts.analysis.base_tables {
+            self.db.set_delta_table(t, Some(&names::delta(t)));
+        }
         let view = RegisteredView {
             name: artifacts.analysis.view_name.clone(),
             base_tables: artifacts.analysis.base_tables.clone(),
@@ -444,8 +459,8 @@ impl IvmSession {
             format!("DROP TABLE IF EXISTS {}", names::stage(&view.name)),
         ];
         for t in &view.base_tables {
-            let still_used = self.views.iter().any(|v| v.base_tables.contains(t));
-            if !still_used {
+            if !self.is_tracked(t) {
+                self.db.set_delta_table(t, None);
                 drops.push(format!("DROP TABLE IF EXISTS {}", names::delta(t)));
             }
         }
@@ -475,16 +490,6 @@ impl IvmSession {
             .collect()
     }
 
-    fn base_table_columns(&self, table: &str) -> Result<Vec<String>, IvmError> {
-        Ok(self
-            .db
-            .catalog()
-            .table(table)
-            .map_err(|e| IvmError::Engine(e.to_string()))?
-            .schema
-            .names())
-    }
-
     fn run(&mut self, stmt: &Statement) -> Result<QueryResult, IvmError> {
         self.db
             .execute_statement(stmt)
@@ -492,13 +497,13 @@ impl IvmSession {
     }
 
     /// Run `f` as one durability point. The extension's compound
-    /// operations — delta capture around a base-table write, propagation
-    /// scripts, view setup — are several engine statements that must
-    /// never be torn by a crash: half a capture re-derives wrong deltas,
-    /// and a propagated view with undrained deltas double-applies on the
-    /// next refresh. The batch commits even when `f` fails part-way (the
-    /// in-memory state keeps the applied prefix, and recovery must match
-    /// it); the inner error wins over a commit error.
+    /// operations — a base-table write and the refresh it triggers,
+    /// propagation scripts, view setup — are several engine statements
+    /// that must never be torn by a crash: a propagated view with
+    /// undrained deltas double-applies on the next refresh. The batch
+    /// commits even when `f` fails part-way (the in-memory state keeps
+    /// the applied prefix, and recovery must match it); the inner error
+    /// wins over a commit error.
     fn atomic<T>(
         &mut self,
         f: impl FnOnce(&mut IvmSession) -> Result<T, IvmError>,
@@ -534,121 +539,10 @@ impl IvmSession {
         Ok(())
     }
 
-    /// Route an INSERT into both the base table and its delta table.
-    fn intercept_insert(&mut self, ins: Insert) -> Result<QueryResult, IvmError> {
-        if ins.or_replace || ins.on_conflict.is_some() {
-            return Err(IvmError::unsupported(
-                "upsert on IVM-tracked base tables (use DELETE + INSERT)",
-            ));
-        }
-        let table = ins.table.normalized().to_string();
-        let delta = names::delta(&table);
-        // Delta column list: the insert's columns (or all) plus multiplicity.
-        let mut delta_cols: Vec<Ident> = if ins.columns.is_empty() {
-            self.base_table_columns(&table)?
-                .into_iter()
-                .map(Ident::new)
-                .collect()
-        } else {
-            ins.columns.clone()
-        };
-        delta_cols.push(Ident::new(MULTIPLICITY_COL));
-        let delta_source = match &ins.source {
-            InsertSource::Values(rows) => InsertSource::Values(
-                rows.iter()
-                    .map(|r| {
-                        let mut r = r.clone();
-                        r.push(Expr::boolean(true));
-                        r
-                    })
-                    .collect(),
-            ),
-            InsertSource::Query(q) => {
-                // SELECT q.*, TRUE FROM (query) AS q
-                let mut s = Select::new(vec![
-                    SelectItem::QualifiedWildcard(Ident::new("q")),
-                    SelectItem::aliased(Expr::boolean(true), MULTIPLICITY_COL),
-                ]);
-                s.from = vec![TableRef::Subquery {
-                    query: q.clone(),
-                    alias: Ident::new("q"),
-                }];
-                InsertSource::Query(Box::new(Query {
-                    ctes: vec![],
-                    body: SetExpr::Select(Box::new(s)),
-                    order_by: vec![],
-                    limit: None,
-                    offset: None,
-                }))
-            }
-        };
-        let delta_stmt = Statement::Insert(Insert {
-            table: Ident::new(delta),
-            columns: delta_cols,
-            source: delta_source,
-            or_replace: false,
-            on_conflict: None,
-        });
-        self.atomic(|s| {
-            let result = s.run(&Statement::Insert(ins))?;
-            s.run(&delta_stmt)?;
-            s.after_capture(&table)?;
-            Ok(result)
-        })
-    }
-
-    /// An UPDATE becomes delete + insert in the delta stream (as in DBSP):
-    /// pre-images with multiplicity FALSE, post-images with TRUE.
-    fn intercept_update(&mut self, u: Update) -> Result<QueryResult, IvmError> {
-        let table = u.table.normalized().to_string();
-        let delta = names::delta(&table);
-        let cols = self.base_table_columns(&table)?;
-
-        // Pre-image capture.
-        let pre = insert_into(
-            &delta,
-            delta_capture_select(&table, &cols, u.selection.clone(), None),
-        );
-        // Post-image capture: apply SET expressions in the projection.
-        let assignments: HashMap<String, Expr> = u
-            .assignments
-            .iter()
-            .map(|a| (a.column.normalized().to_string(), a.value.clone()))
-            .collect();
-        let post = insert_into(
-            &delta,
-            delta_capture_select(&table, &cols, u.selection.clone(), Some(&assignments)),
-        );
-        self.atomic(|s| {
-            s.run(&pre)?;
-            s.run(&post)?;
-            // The actual update.
-            let result = s.run(&Statement::Update(u))?;
-            s.after_capture(&table)?;
-            Ok(result)
-        })
-    }
-
-    fn intercept_delete(&mut self, d: Delete) -> Result<QueryResult, IvmError> {
-        let table = d.table.normalized().to_string();
-        let delta = names::delta(&table);
-        let cols = self.base_table_columns(&table)?;
-        let pre = insert_into(
-            &delta,
-            delta_capture_select(&table, &cols, d.selection.clone(), None),
-        );
-        self.atomic(|s| {
-            s.run(&pre)?;
-            let result = s.run(&Statement::Delete(d))?;
-            s.after_capture(&table)?;
-            Ok(result)
-        })
-    }
-
     /// Ingest externally-captured deltas (the cross-system path of
-    /// Figure 3): each `(row, multiplicity)` pair is appended to the
-    /// table's delta table *and* applied to the local mirror of the base
-    /// table, emulating the paper's PostgreSQL-attached access so initial
+    /// Figure 3): each `(row, multiplicity)` pair is applied to the local
+    /// mirror of the base table *and* appended to the table's delta table,
+    /// emulating the paper's PostgreSQL-attached access so initial
     /// population and MIN/MAX recomputation see current data. Dependent
     /// views are marked dirty; propagation runs per the session's
     /// [`PropagationMode`].
@@ -665,85 +559,84 @@ impl IvmSession {
         // commit; the atomic batch makes mirror writes, delta appends, and
         // any eager propagation one durability point.
         self.atomic(|this| {
-            {
-                let catalog = this.db.catalog_mut();
-                // Apply to the mirror first (deletions locate a matching row).
-                // On keyless tables, per-deletion `find_row` would re-scan the
-                // whole table each time; a [`MirrorIndex`] (row digest → live
-                // slot ids) answers every deletion with one probe. The index
-                // persists across batches — built once, maintained through
-                // this loop's own inserts/deletes, and validated against the
-                // table's mutation generation (foreign DML invalidates it).
-                let deletions = changes.iter().filter(|(_, insertion)| !insertion).count();
-                let mut index: Option<MirrorIndex> = {
-                    let base = catalog.table(table).map_err(IvmError::from)?;
-                    if base.has_pk_index() {
-                        // PK tables answer find_row through the ART in O(1).
-                        this.victim_index.remove(table);
-                        None
-                    } else {
-                        match this.victim_index.remove(table) {
-                            // A warm index is kept current through *every*
-                            // batch — insert-only ones included, so it stays
-                            // warm for the next deleting batch.
-                            Some(ix) if !ix.poisoned && ix.generation == base.generation() => {
-                                Some(ix)
-                            }
-                            _ if deletions > 0 && MirrorIndex::worth_building(base, deletions) => {
-                                Some(MirrorIndex::build(base))
-                            }
-                            _ => None,
-                        }
-                    }
-                };
-                for (row, insertion) in changes {
-                    let base = catalog.table_mut(table).map_err(IvmError::from)?;
-                    if *insertion {
-                        let id = base.insert(row.clone()).map_err(IvmError::from)?;
-                        // A row inserted earlier in the batch is fair game for a
-                        // later deletion of the same value.
-                        if let Some(ix) = &mut index {
-                            ix.add(row, id);
-                        }
-                    } else {
-                        let victim = match &mut index {
-                            Some(ix) if !ix.poisoned && row.len() == base.schema.len() => {
-                                ix.take(row, base)
-                            }
-                            _ => base.find_row(row),
-                        };
-                        let victim = victim.ok_or_else(|| {
-                            IvmError::catalog(format!(
-                                "deletion delta does not match any row of {table}"
-                            ))
-                        })?;
-                        base.delete(victim).map_err(IvmError::from)?;
-                    }
-                }
-                if let Some(mut ix) = index {
-                    let base = catalog.table(table).map_err(IvmError::from)?;
-                    ix.generation = base.generation();
-                    this.victim_index.insert(table.to_string(), ix);
-                }
-                // Then append to ΔT with the multiplicity flag — only when some
-                // view actually consumes this table's deltas.
-                if tracked {
-                    let delta_name = names::delta(table);
-                    let delta = catalog.table_mut(&delta_name).map_err(IvmError::from)?;
-                    for (row, insertion) in changes {
-                        let mut drow = row.clone();
-                        drow.push(Value::Boolean(*insertion));
-                        delta.insert(drow).map_err(IvmError::from)?;
-                    }
-                }
-            }
+            // As after a SQL write: the views owe a refresh for whatever
+            // prefix was applied and captured, also when a change failed.
+            let applied = this.apply_to_mirror(table, changes);
             if tracked {
                 this.after_capture(table)?;
             }
-            Ok(())
+            applied
         })?;
         self.republish();
         Ok(())
+    }
+
+    /// Apply `changes` to `table` in order, then append the applied ones
+    /// — all of them, or the prefix before a change that failed — to its
+    /// ΔT through [`Database::append_delta`]. Deletions
+    /// locate a matching row: on keyless tables, per-deletion `find_row`
+    /// would re-scan the whole table each time, so a [`MirrorIndex`] (row
+    /// digest → live slot ids) answers every deletion with one probe. The
+    /// index persists across batches — built once, maintained through
+    /// this loop's own inserts/deletes, and validated against the table's
+    /// mutation generation (foreign DML invalidates it).
+    fn apply_to_mirror(
+        &mut self,
+        table: &str,
+        changes: &[(Vec<Value>, bool)],
+    ) -> Result<(), IvmError> {
+        let deletions = changes.iter().filter(|(_, insertion)| !insertion).count();
+        let mut index: Option<MirrorIndex> = {
+            let base = self.db.catalog().table(table).map_err(IvmError::from)?;
+            if base.has_pk_index() {
+                // PK tables answer find_row through the ART in O(1).
+                self.victim_index.remove(table);
+                None
+            } else {
+                match self.victim_index.remove(table) {
+                    // A warm index is kept current through *every* batch —
+                    // insert-only ones included, so it stays warm for the
+                    // next deleting batch.
+                    Some(ix) if !ix.poisoned && ix.generation == base.generation() => Some(ix),
+                    _ if deletions > 0 && MirrorIndex::worth_building(base, deletions) => {
+                        Some(MirrorIndex::build(base))
+                    }
+                    _ => None,
+                }
+            }
+        };
+        let mut applied = 0;
+        let result = changes.iter().try_for_each(|(row, insertion)| {
+            let base = self.db.catalog_mut().table_mut(table)?;
+            if *insertion {
+                let id = base.insert(row.clone())?;
+                // A row inserted earlier in the batch is fair game for a
+                // later deletion of the same value.
+                if let Some(ix) = &mut index {
+                    ix.add(row, id);
+                }
+            } else {
+                let victim = match &mut index {
+                    Some(ix) if !ix.poisoned && row.len() == base.schema.len() => {
+                        ix.take(row, base)
+                    }
+                    _ => base.find_row(row),
+                };
+                let victim = victim.ok_or_else(|| {
+                    IvmError::catalog(format!("deletion delta does not match any row of {table}"))
+                })?;
+                base.delete(victim)?;
+            }
+            applied += 1;
+            Ok::<_, IvmError>(())
+        });
+        if let (Some(mut ix), Ok(())) = (index, &result) {
+            ix.generation = self.db.catalog().table(table)?.generation();
+            self.victim_index.insert(table.to_string(), ix);
+        }
+        self.db
+            .append_delta(table, changes[..applied].iter().cloned())?;
+        result
     }
 
     /// Run the propagation scripts for a view (and any dirty views sharing
@@ -906,7 +799,7 @@ const NO_SLOT: u32 = u32::MAX;
 /// IVM idea applied to the mirror itself, so repeated delta batches stop
 /// re-scanning the base table per batch. `generation` pins the index to
 /// the table's mutation counter (unique per table *instance*): any
-/// foreign DML — intercepted SQL writes, truncates, compaction, even a
+/// foreign DML — SQL writes, truncates, compaction, even a
 /// drop-and-recreate under the same name — mismatches and the index
 /// rebuilds on the next ingest. Lookups inherit [`FlatTable`]'s
 /// group-wise tag probing (SWAR/SSE2), so a digest probe scans 16
@@ -1037,37 +930,6 @@ pub fn rows_equal_as_multisets(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
     counts(a) == counts(b)
 }
 
-/// `SELECT <cols or assignment exprs>, <mult> FROM table [WHERE …]`.
-fn delta_capture_select(
-    table: &str,
-    cols: &[String],
-    selection: Option<Expr>,
-    assignments: Option<&HashMap<String, Expr>>,
-) -> Query {
-    let mut proj: Vec<SelectItem> = cols
-        .iter()
-        .map(|c| {
-            let expr = match assignments.and_then(|a| a.get(c)) {
-                Some(e) => e.clone(),
-                None => Expr::col(c.clone()),
-            };
-            SelectItem::aliased(expr, c.clone())
-        })
-        .collect();
-    let mult = assignments.is_some();
-    proj.push(SelectItem::aliased(Expr::boolean(mult), MULTIPLICITY_COL));
-    let mut s = Select::new(proj);
-    s.from = vec![TableRef::table(table)];
-    s.selection = selection;
-    Query {
-        ctes: vec![],
-        body: SetExpr::Select(Box::new(s)),
-        order_by: vec![],
-        limit: None,
-        offset: None,
-    }
-}
-
 /// Parse and lift the statements of step 1 (`step1`) or of steps 2–4
 /// (`!step1`).
 fn parse_steps(
@@ -1079,14 +941,4 @@ fn parse_steps(
         .filter(|s| (s.step == 1) == step1)
         .map(|s| Ok(PreparedStatement::new(parse_statement(&s.sql)?)))
         .collect()
-}
-
-fn insert_into(table: &str, source: Query) -> Statement {
-    Statement::Insert(Insert {
-        table: Ident::new(table),
-        columns: vec![],
-        source: InsertSource::Query(Box::new(source)),
-        or_replace: false,
-        on_conflict: None,
-    })
 }

@@ -11,8 +11,8 @@
 //!    paper's §2, following DBSP's incremental operator rewrites; and
 //! 3. an **extension session** ([`IvmSession`]) that wires the compiler
 //!    into the embedded engine: a fall-back handler for
-//!    `CREATE MATERIALIZED VIEW`, DML interception into delta tables, and
-//!    eager / lazy / batched refresh.
+//!    `CREATE MATERIALIZED VIEW`, base-table writes captured into delta
+//!    tables by the engine, and eager / lazy / batched refresh.
 //!
 //! ## Quick example
 //!

@@ -2,7 +2,8 @@
 //! upsert strategy, the maintained view must equal a from-scratch
 //! recomputation after arbitrary insert/update/delete sequences.
 
-use ivm_core::{IvmFlags, IvmSession, PropagationMode, UpsertStrategy};
+use ivm_core::{IvmError, IvmFlags, IvmSession, PropagationMode, UpsertStrategy};
+use ivm_engine::Value;
 
 fn session(strategy: UpsertStrategy, propagation: PropagationMode) -> IvmSession {
     IvmSession::new(IvmFlags {
@@ -402,16 +403,100 @@ fn insert_from_select_is_captured() {
     assert!(r.rows.iter().any(|row| row[0].to_string() == "bulk"));
 }
 
+/// The engine captures every row an upsert replaces and writes.
 #[test]
-fn upsert_on_tracked_base_table_rejected() {
+fn upserts_on_a_tracked_keyed_table_are_captured() {
     let mut ivm = IvmSession::with_defaults();
-    ivm.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
+    ivm.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, g VARCHAR, v INTEGER)")
         .unwrap();
-    ivm.execute("CREATE MATERIALIZED VIEW s AS SELECT k, v FROM t WHERE v > 0")
+    ivm.execute("INSERT INTO t VALUES (1, 'a', 1), (2, 'b', 2)")
         .unwrap();
-    assert!(ivm
-        .execute("INSERT OR REPLACE INTO t VALUES (1, 2)")
-        .is_err());
+    ivm.execute(
+        "CREATE MATERIALIZED VIEW s AS SELECT g, SUM(v) AS total, COUNT(*) AS n FROM t GROUP BY g",
+    )
+    .unwrap();
+    for sql in [
+        "INSERT OR REPLACE INTO t VALUES (1, 'b', 5), (3, 'c', 7)",
+        "INSERT INTO t VALUES (2, 'x', 0), (4, 'a', 4) \
+         ON CONFLICT (k) DO UPDATE SET v = t.v + excluded.v, g = 'c'",
+        "INSERT INTO t VALUES (3, 'x', 0), (5, 'c', 1) ON CONFLICT DO NOTHING",
+    ] {
+        ivm.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert!(ivm.check_consistency("s").unwrap(), "{sql}");
+    }
+}
+
+/// A write the engine refuses captures nothing: the view equals its
+/// recomputation after the refused write and after the next one.
+#[test]
+fn refused_writes_leave_the_view_consistent() {
+    let mut ivm = IvmSession::with_defaults();
+    ivm.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, g VARCHAR, v INTEGER)")
+        .unwrap();
+    ivm.execute("INSERT INTO t VALUES (1, 'a', 1), (2, 'b', 2), (3, 'a', 3)")
+        .unwrap();
+    ivm.execute(
+        "CREATE MATERIALIZED VIEW mv AS SELECT g, SUM(v) AS s, COUNT(*) AS c FROM t GROUP BY g",
+    )
+    .unwrap();
+    for (i, refused) in [
+        "UPDATE t SET id = 3, v = 10 WHERE id = 1",
+        "UPDATE t SET v = CAST(g AS INTEGER)",
+        "INSERT INTO t VALUES (4, 'c', 1), (1, 'z', 99)",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        assert!(ivm.execute(refused).is_err(), "{refused} must fail");
+        assert!(ivm.check_consistency("mv").unwrap(), "after {refused}");
+        ivm.execute(&format!("INSERT INTO t VALUES ({}, 'c', 5)", 10 + i))
+            .unwrap();
+        assert!(
+            ivm.check_consistency("mv").unwrap(),
+            "after the write that follows {refused}"
+        );
+    }
+}
+
+/// An ingested batch that fails part-way captures the prefix it applied
+/// to the mirror, so the view still equals its recomputation.
+#[test]
+fn a_failed_ingest_captures_its_applied_prefix() {
+    let mut ivm = IvmSession::with_defaults();
+    setup_groups(&mut ivm);
+    ivm.execute(
+        "CREATE MATERIALIZED VIEW mv AS SELECT group_index, SUM(group_value) AS s, \
+         COUNT(*) AS c FROM groups GROUP BY group_index",
+    )
+    .unwrap();
+    let row = |g: &str, v| vec![Value::Varchar(g.into()), Value::Integer(v)];
+    let batch = [(row("kiwi", 5), true), (row("kiwi", 99), false)];
+    assert!(ivm.ingest_deltas("groups", &batch).is_err());
+    assert!(ivm.check_consistency("mv").unwrap());
+}
+
+/// A view over a materialized view is refused before any object is made:
+/// its base table's ΔT would be the inner view's own ΔV.
+#[test]
+fn a_view_over_a_materialized_view_is_refused() {
+    let mut ivm = IvmSession::with_defaults();
+    setup_groups(&mut ivm);
+    ivm.execute(
+        "CREATE MATERIALIZED VIEW mv AS SELECT group_index, SUM(group_value) AS s, \
+         COUNT(*) AS c FROM groups GROUP BY group_index",
+    )
+    .unwrap();
+    let tables = |ivm: &IvmSession| ivm.database().catalog().table_names().len();
+    let before = tables(&ivm);
+    let err = ivm
+        .execute("CREATE MATERIALIZED VIEW mv2 AS SELECT s, COUNT(*) AS n FROM mv GROUP BY s")
+        .unwrap_err();
+    assert!(matches!(err, IvmError::Unsupported(_)), "{err}");
+    assert_eq!(tables(&ivm), before, "no object made");
+    assert!(ivm.view("mv2").is_none());
+    ivm.execute("INSERT INTO groups VALUES ('apple', 1)")
+        .unwrap();
+    assert!(ivm.check_consistency("mv").unwrap());
 }
 
 #[test]

@@ -114,6 +114,16 @@ mod tests {
     }
 
     #[test]
+    fn true_conjuncts_and_false_disjuncts_fold_away() {
+        for sql in [
+            "SELECT a FROM t WHERE a = 1 AND 1 = 1",
+            "SELECT a FROM t WHERE 1 = 2 OR a = 1",
+        ] {
+            assert_eq!(plan(sql), plan("SELECT a FROM t WHERE a = 1"), "{sql}");
+        }
+    }
+
+    #[test]
     fn contradiction_becomes_empty_filter() {
         // WHERE FALSE stays as a filter (executors short-circuit on it); it
         // must not be dropped.

@@ -316,4 +316,21 @@ fn fold_expr(e: &mut BoundExpr) {
             *e = BoundExpr::Literal(v);
         }
     }
+    // `x AND TRUE` and `x OR FALSE` are `x` under three-valued logic.
+    if let BoundExpr::Binary {
+        op: op @ (BinaryOp::And | BinaryOp::Or),
+        left,
+        right,
+    } = e
+    {
+        let unit = BoundExpr::Literal(Value::Boolean(*op == BinaryOp::And));
+        let kept = if **right == unit {
+            left
+        } else if **left == unit {
+            right
+        } else {
+            return;
+        };
+        *e = std::mem::replace(&mut **kept, unit);
+    }
 }

@@ -1,5 +1,6 @@
 //! The embedded database session: `Database::execute(sql)`.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use ivm_sql::ast::{
@@ -225,6 +226,8 @@ pub struct Database {
     /// (`None` = only explicit checkpoints). Checked after each WAL
     /// commit: a plain statement's, or an outermost atomic batch's.
     auto_checkpoint_bytes: Option<u64>,
+    /// Captured base table → its ΔT ([`Database::set_delta_table`]).
+    deltas: HashMap<String, String>,
     /// Removes the (env-driven, per-database) data directory on drop.
     /// Declared after `durability` so files are closed first.
     ephemeral_dir: Option<EphemeralDir>,
@@ -271,6 +274,7 @@ impl Database {
             durability: None,
             atomic_depth: 0,
             auto_checkpoint_bytes: None,
+            deltas: HashMap::new(),
             ephemeral_dir: None,
         }
     }
@@ -415,10 +419,11 @@ impl Database {
     /// Start an atomic durability batch: until the matching
     /// [`end_atomic`](Database::end_atomic), per-statement WAL commits are
     /// deferred, so recovery sees the whole batch or none of it. Callers
-    /// composing one logical operation out of several statements (delta
-    /// capture, view propagation scripts) use this to keep crash recovery
-    /// from resurfacing a half-applied operation. Batches nest; only the
-    /// outermost end commits. A no-op for in-memory databases.
+    /// composing one logical operation out of several statements (a write
+    /// and the refresh it triggers, view propagation scripts) use this to
+    /// keep crash recovery from resurfacing a half-applied operation.
+    /// Batches nest; only the outermost end commits. A no-op for
+    /// in-memory databases.
     pub fn begin_atomic(&mut self) {
         self.atomic_depth += 1;
     }
@@ -507,6 +512,42 @@ impl Database {
     /// automatically), call [`invalidate_plans`](Database::invalidate_plans).
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
+    }
+
+    /// Capture every SQL write to base table `table` into `delta`, its
+    /// ΔT: the table's columns followed by a BOOLEAN multiplicity. `None`
+    /// stops capturing it. The mapping belongs to this session, not to
+    /// the catalog: a reopened database captures nothing until it is set
+    /// again.
+    pub fn set_delta_table(&mut self, table: &str, delta: Option<&str>) {
+        match delta {
+            Some(delta) => self.deltas.insert(table.to_string(), delta.to_string()),
+            None => self.deltas.remove(table),
+        };
+    }
+
+    /// Append the rows one write changed in `table` to its ΔT, when the
+    /// table is captured: each row followed by its multiplicity, `false`
+    /// for a row the write removed and `true` for one it wrote. Every SQL
+    /// write calls this once its rows are written. It appends through
+    /// [`Table::insert`], so the WAL logs the ΔT rows in the same commit
+    /// as the write. A write made through
+    /// [`catalog_mut`](Database::catalog_mut) is not captured; its caller
+    /// appends its changes here.
+    pub fn append_delta(
+        &mut self,
+        table: &str,
+        changes: impl IntoIterator<Item = (Row, bool)>,
+    ) -> Result<(), EngineError> {
+        let Some(delta) = self.deltas.get(table) else {
+            return Ok(());
+        };
+        let delta = self.catalog.table_mut(delta)?;
+        for (mut row, inserted) in changes {
+            row.push(Value::Boolean(inserted));
+            delta.insert(row)?;
+        }
+        Ok(())
     }
 
     /// Drop every cached physical plan (catalog shape changed outside the
@@ -848,68 +889,59 @@ impl Database {
             full_rows.push(row);
         }
 
+        let captured = self.deltas.contains_key(&tname);
+        if !ins.or_replace && ins.on_conflict.is_none() {
+            // A plain INSERT writes all of its rows or none.
+            let affected = full_rows.len();
+            let written = captured.then(|| full_rows.clone());
+            self.catalog.table_mut(&tname)?.insert_rows(full_rows)?;
+            self.append_delta(&tname, written.into_iter().flatten().map(|row| (row, true)))?;
+            return Ok(QueryResult::dml(affected));
+        }
         // Bind the ON CONFLICT assignments, their subqueries run once,
         // before any row is written: every conflicting row sees the
         // table as the statement found it.
-        let conflict = ins.on_conflict.as_ref();
-        let do_update: Option<Vec<(usize, BoundExpr)>> = match conflict {
-            Some(oc) => match &oc.action {
-                ConflictAction::DoNothing => None,
-                ConflictAction::DoUpdate(assignments) => {
-                    // Visible names: the table's columns, then `excluded.*`.
-                    let scope = Scope::of(&tname, &schema).join(Scope::of("excluded", &schema));
-                    Some(self.bind_assignments(&schema, assignments, &scope, "DO UPDATE")?)
-                }
-            },
-            None => None,
+        let do_update = match ins.on_conflict.as_ref().map(|oc| &oc.action) {
+            Some(ConflictAction::DoUpdate(assignments)) if !ins.or_replace => {
+                // Visible names: the table's columns, then `excluded.*`.
+                let scope = Scope::of(&tname, &schema).join(Scope::of("excluded", &schema));
+                Some(self.bind_assignments(&schema, assignments, &scope, "DO UPDATE")?)
+            }
+            _ => None,
         };
 
         let mut affected = 0usize;
         for row in full_rows {
             let table = self.catalog.table(&tname)?;
-            let dup = match table.pk_index() {
-                Some(pk) => {
-                    let key = pk.key_of(&row);
-                    pk.get_encoded(&key)
-                }
-                None => None,
+            let pk = table.pk_index();
+            let Some(existing) = pk.and_then(|pk| pk.get_encoded(&pk.key_of(&row))) else {
+                let written = captured.then(|| (row.clone(), true));
+                self.catalog.table_mut(&tname)?.insert(row)?;
+                self.append_delta(&tname, written)?;
+                affected += 1;
+                continue;
             };
-            match dup {
-                None => {
-                    self.catalog.table_mut(&tname)?.insert(row)?;
-                    affected += 1;
-                }
-                Some(existing) => {
-                    // INSERT OR REPLACE overwrites the duplicate's slot in
-                    // place: no tombstone left behind, no second lookup.
-                    if ins.or_replace {
-                        self.catalog.table_mut(&tname)?.update(existing, row)?;
-                        affected += 1;
-                    } else if let Some(oc) = conflict {
-                        match &oc.action {
-                            ConflictAction::DoNothing => {}
-                            ConflictAction::DoUpdate(_) => {
-                                let assignments = do_update.as_ref().expect("bound with DoUpdate");
-                                let old = self.catalog.table(&tname)?.row(existing);
-                                // Scope row: existing row ++ excluded row.
-                                let mut env = old.clone();
-                                env.extend(row.iter().cloned());
-                                let mut updated = old;
-                                for (pos, expr) in assignments {
-                                    updated[*pos] =
-                                        coerce(expr.eval(&env)?, schema.columns[*pos].ty)?;
-                                }
-                                self.catalog.table_mut(&tname)?.update(existing, updated)?;
-                                affected += 1;
-                            }
-                        }
-                    } else {
-                        return Err(EngineError::constraint(format!(
-                            "duplicate key in table {tname}"
-                        )));
+            let new = match &do_update {
+                // INSERT OR REPLACE overwrites the duplicate's slot in
+                // place: no tombstone left behind, no second lookup.
+                _ if ins.or_replace => row,
+                // DO NOTHING.
+                None => continue,
+                Some(assignments) => {
+                    // Scope row: existing row ++ excluded row.
+                    let mut env = table.row(existing);
+                    let mut updated = env.clone();
+                    env.extend(row);
+                    for (pos, expr) in assignments {
+                        updated[*pos] = coerce(expr.eval(&env)?, schema.columns[*pos].ty)?;
                     }
+                    updated
                 }
-            }
+            };
+            let change = captured.then(|| [(table.row(existing), false), (new.clone(), true)]);
+            self.catalog.table_mut(&tname)?.update(existing, new)?;
+            self.append_delta(&tname, change.into_iter().flatten())?;
+            affected += 1;
         }
         Ok(QueryResult::dml(affected))
     }
@@ -1003,17 +1035,23 @@ impl Database {
         let bound_assignments = self.bind_assignments(schema, &u.assignments, &scope, "UPDATE")?;
         // Every new row is computed against the unchanged table, then
         // all are applied as one statement, its keys checked as a whole.
+        let captured = self.deltas.contains_key(tname);
         let mut changes = Vec::with_capacity(victims.len());
+        let mut delta = Vec::new();
         for row_id in victims {
             let row = table.row(row_id);
             let mut updated = row.clone();
             for (pos, expr) in &bound_assignments {
                 updated[*pos] = coerce(expr.eval(&row)?, schema.columns[*pos].ty)?;
             }
+            if captured {
+                delta.extend([(row, false), (updated.clone(), true)]);
+            }
             changes.push((row_id, updated));
         }
         let affected = changes.len();
         self.catalog.table_mut(tname)?.update_rows(changes)?;
+        self.append_delta(tname, delta)?;
         Ok(QueryResult::dml(affected))
     }
 
@@ -1023,19 +1061,32 @@ impl Database {
         prepared: Option<&PreparedStatement>,
     ) -> Result<QueryResult, EngineError> {
         let tname = d.table.normalized();
+        let captured = self.deltas.contains_key(tname);
         if d.selection.is_none() {
             // Unconditional DELETE clears the table wholesale — the shape
             // every propagation script ends with (`DELETE FROM Δ…`).
             let table = self.catalog.table_mut(tname)?;
             let affected = table.live_rows();
+            let removed = captured.then(|| {
+                table
+                    .scan()
+                    .map(|(_, row)| (row, false))
+                    .collect::<Vec<_>>()
+            });
             table.truncate();
+            self.append_delta(tname, removed.into_iter().flatten())?;
             return Ok(QueryResult::dml(affected));
         }
         let victims = self.victims(&d.table, d.selection.as_ref(), prepared)?;
         let table = self.catalog.table_mut(tname)?;
+        let mut removed = Vec::new();
         for &row_id in &victims {
+            if captured {
+                removed.push((table.row(row_id), false));
+            }
             table.delete(row_id)?;
         }
+        self.append_delta(tname, removed)?;
         Ok(QueryResult::dml(victims.len()))
     }
 }
@@ -1103,6 +1154,16 @@ mod tests {
     }
 
     #[test]
+    fn subquery_body_literals_share_one_plan() {
+        let mut db = seeded();
+        for (v, rows) in [(1, 2), (2, 1), (3, 2)] {
+            let sql = format!("SELECT v FROM s WHERE g IN (SELECT g FROM s WHERE v = {v})");
+            assert_eq!(db.execute(&sql).unwrap().rows.len(), rows, "{sql}");
+        }
+        assert_eq!(db.plan_cache_stats(), (1, 2));
+    }
+
+    #[test]
     fn insert_or_replace_updates_in_place() {
         let mut db = Database::new();
         db.execute("CREATE TABLE k (id VARCHAR PRIMARY KEY, v INTEGER)")
@@ -1123,6 +1184,32 @@ mod tests {
                 vec![Value::from("b"), Value::Integer(2)],
             ]
         );
+    }
+
+    /// A captured write finds its rows once: its ΔT rows are the rows it
+    /// changed, not the result of a second search.
+    #[test]
+    fn captured_writes_append_what_they_change() {
+        let mut db = Database::new();
+        db.config_mut().set_parallelism(1);
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+            .unwrap();
+        db.execute("CREATE TABLE delta_t (id INTEGER, v INTEGER, m BOOLEAN)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (7, 1), (8, 2)").unwrap();
+        db.set_delta_table("t", Some("delta_t"));
+        let delta = |db: &Database| db.query("SELECT * FROM delta_t").unwrap().rows;
+        let row = |id, v, m| vec![Value::Integer(id), Value::Integer(v), Value::Boolean(m)];
+
+        let before = Table::equality_lookups();
+        db.execute("UPDATE t SET v = v + 10 WHERE id = 7").unwrap();
+        assert_eq!(Table::equality_lookups() - before, 1, "one victim search");
+        assert_eq!(delta(&db), vec![row(7, 1, false), row(7, 11, true)]);
+
+        // ΔT itself is not captured; the WHERE-less DELETE of t is.
+        db.execute("DELETE FROM delta_t").unwrap();
+        db.execute("DELETE FROM t").unwrap();
+        assert_eq!(delta(&db), vec![row(7, 11, false), row(8, 2, false)]);
     }
 
     #[test]

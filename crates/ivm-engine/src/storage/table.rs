@@ -262,15 +262,36 @@ impl Table {
     pub fn insert(&mut self, row: Vec<Value>) -> Result<u64, EngineError> {
         self.check_row(&row)?;
         if let Some(pk) = &self.data.pk_index {
-            let key = pk.key_of(&row);
-            if pk.get_encoded(&key).is_some() {
-                return Err(EngineError::constraint(format!(
-                    "duplicate key in table {}",
-                    self.name
-                )));
+            if pk.get_encoded(&pk.key_of(&row)).is_some() {
+                return Err(self.duplicate_key());
             }
         }
         Ok(self.append_unchecked(row))
+    }
+
+    /// Append several rows — one statement's worth — or none: every row
+    /// is checked, and its key against the table and the rows before it,
+    /// before the first is logged or written.
+    pub fn insert_rows(&mut self, rows: Vec<Vec<Value>>) -> Result<(), EngineError> {
+        let mut new_keys = std::collections::HashSet::new();
+        for row in &rows {
+            self.check_row(row)?;
+            let Some(pk) = &self.data.pk_index else {
+                continue;
+            };
+            let key = pk.key_of(row);
+            if pk.get_encoded(&key).is_some() || (rows.len() > 1 && !new_keys.insert(key)) {
+                return Err(self.duplicate_key());
+            }
+        }
+        for row in rows {
+            self.append_unchecked(row);
+        }
+        Ok(())
+    }
+
+    fn duplicate_key(&self) -> EngineError {
+        EngineError::constraint(format!("duplicate key in table {}", self.name))
     }
 
     /// Mutation counter: changes whenever any row is inserted, deleted,
@@ -382,10 +403,7 @@ impl Table {
                 owner != *row_id && changes.binary_search_by_key(&owner, |c| c.0).is_err()
             });
             if taken || (changes.len() > 1 && !new_keys.insert(key)) {
-                return Err(EngineError::constraint(format!(
-                    "duplicate key in table {}",
-                    self.name
-                )));
+                return Err(self.duplicate_key());
             }
         }
         for (row_id, row) in changes {

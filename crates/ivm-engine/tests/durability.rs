@@ -408,7 +408,7 @@ fn auto_checkpoint_bounds_the_wal() {
     db.set_auto_checkpoint(Some(2048));
     db.execute("CREATE TABLE t (a INTEGER)").unwrap();
     // Plain statements first, then each one as its own atomic batch (the
-    // shape of every intercepted DML, `ingest_deltas` and `refresh`).
+    // shape of every DML on a tracked table, `ingest_deltas` and `refresh`).
     for i in 0..600 {
         let atomic = i >= 300;
         if atomic {

@@ -397,6 +397,25 @@ fn on_conflict_do_update() {
     assert_eq!(r.scalar(), Some(&Value::Integer(8)));
 }
 
+/// A plain INSERT writes all of its rows or none: a key taken in the
+/// table, or repeated among the statement's own rows, refuses every row.
+#[test]
+fn a_refused_insert_writes_no_row() {
+    let mut db = db();
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (1, 10)").unwrap();
+    for sql in [
+        "INSERT INTO t VALUES (4, 40), (1, 99)",
+        "INSERT INTO t VALUES (5, 50), (5, 51)",
+    ] {
+        let err = db.execute(sql).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Constraint, "{sql}");
+    }
+    let r = db.query("SELECT id, v FROM t").unwrap();
+    assert_eq!(ints(&r), vec![vec![1, 10]]);
+}
+
 #[test]
 fn views_inline() {
     let mut db = db();

@@ -4,16 +4,18 @@
 //! identically, so [`lift_literals`] replaces those values with
 //! [`Expr::Param`] slots and hands them back; the printed result is the
 //! same text for every such statement. What is lifted: a literal that is
-//! an operand of a comparison (`=`, `<>`, `<`, `<=`, `>`, `>=`), a member
+//! an operand of a comparison (`=`, `<>`, `<`, `<=`, `>`, `>=`) whose
+//! other operand is not a literal too, a member
 //! of an `IN` list, or a `BETWEEN` bound, inside a WHERE, ON or HAVING
-//! clause — of the statement, its CTEs, derived tables and set-operation
-//! branches. Everything else stays verbatim: what the planner reads as a
-//! constant (ORDER BY / GROUP BY ordinals, LIMIT / OFFSET, LIKE
-//! patterns), what can name or type an output (the SELECT list, GROUP
-//! BY), literals inside an expression the optimizer may fold
-//! (arithmetic, unary minus, function calls, casts), the bodies of
-//! `IN (SELECT …)` subqueries (planned on their own), and NULL (it has
-//! no type).
+//! clause — of the statement, its CTEs, derived tables, set-operation
+//! branches and the bodies of its `IN (SELECT …)` subqueries (planned
+//! with the statement, their `$n` bound with its own). Everything else
+//! stays verbatim: what the planner reads as a constant (ORDER BY /
+//! GROUP BY ordinals, LIMIT / OFFSET, LIKE patterns), what can name or
+//! type an output (the SELECT list, GROUP BY), literals inside an
+//! expression the optimizer may fold (arithmetic, unary minus, function
+//! calls, casts, a comparison of two literals), and NULL (it has no
+//! type).
 
 use crate::ast::{BinaryOp, Expr, Literal, Query, SelectItem, SetExpr, TableRef};
 
@@ -101,6 +103,7 @@ impl Lifter {
             Expr::Param(_) => self.placeholder = true,
             Expr::Binary { left, op, right }
                 if lift
+                    && !matches!((&**left, &**right), (Expr::Literal(_), Expr::Literal(_)))
                     && matches!(
                         op,
                         BinaryOp::Eq
@@ -127,7 +130,7 @@ impl Lifter {
             }
             Expr::InSubquery { expr, query, .. } => {
                 self.expr(expr, lift);
-                self.query(query, false);
+                self.query(query, lift);
             }
             _ => e.children_mut(|c| self.expr(c, lift)),
         }
@@ -208,11 +211,16 @@ mod tests {
         .unwrap();
         assert_eq!(a, b, "one shape");
         assert_eq!(lifted.len(), 3);
-        // An IN subquery's body is planned on its own: it stays verbatim.
+        // An IN subquery's body is planned with its statement: it lifts
+        // too, in walk order. A comparison of two literals folds.
         let (text, lifted) =
-            lift("SELECT * FROM t WHERE k IN (SELECT k FROM u WHERE v = 1) AND w = 2").unwrap();
-        assert!(text.contains("v = 1") && text.contains("w = $1"), "{text}");
-        assert_eq!(lifted.len(), 1);
+            lift("SELECT * FROM t WHERE k IN (SELECT k FROM u WHERE v = 1 AND 1 = 1) AND w = 2")
+                .unwrap();
+        assert!(
+            text.contains("v = $1 AND 1 = 1") && text.contains("w = $2"),
+            "{text}"
+        );
+        assert_eq!(lifted.len(), 2);
     }
 
     #[test]

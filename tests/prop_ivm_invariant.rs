@@ -8,9 +8,24 @@ use proptest::prelude::*;
 /// One random base-table operation.
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { g: u8, v: i16 },
-    DeleteWhere { g: u8, below: i16 },
-    UpdateAdd { g: u8, add: i16 },
+    Insert {
+        g: u8,
+        v: i16,
+    },
+    DeleteWhere {
+        g: u8,
+        below: i16,
+    },
+    UpdateAdd {
+        g: u8,
+        add: i16,
+    },
+    /// An UPDATE the engine refuses at its first row above `above`, after
+    /// it has computed the new values of the rows before it.
+    RefusedUpdate {
+        g: u8,
+        above: i16,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -18,6 +33,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => (0u8..6, -50i16..50).prop_map(|(g, v)| Op::Insert { g, v }),
         1 => (0u8..6, -50i16..50).prop_map(|(g, below)| Op::DeleteWhere { g, below }),
         1 => (0u8..6, -5i16..5).prop_map(|(g, add)| Op::UpdateAdd { g, add }),
+        1 => (0u8..6, -20i16..20).prop_map(|(g, above)| Op::RefusedUpdate { g, above }),
     ]
 }
 
@@ -55,6 +71,17 @@ fn apply(ivm: &mut IvmSession, domain: &KeyDomain, op: &Op) {
         Op::UpdateAdd { g, add } => {
             ivm.execute(&format!("UPDATE t SET v = v + {add} WHERE k = {}", key(g)))
                 .unwrap();
+        }
+        Op::RefusedUpdate { g, above } => {
+            let sql = format!(
+                "UPDATE t SET v = CASE WHEN v > {above} \
+                 THEN CAST('v' || CAST(v AS VARCHAR) AS INTEGER) ELSE v + 1 END \
+                 WHERE k = {}",
+                key(g)
+            );
+            if let Err(e) = ivm.execute(&sql) {
+                assert!(e.to_string().contains("cannot cast"), "{sql}: {e}");
+            }
         }
     }
 }

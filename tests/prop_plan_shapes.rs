@@ -5,8 +5,9 @@
 //! planned once, and the cached template is instantiated for every later
 //! statement of that shape on either path. Every result must equal a
 //! fresh, uncached `Database::query` of the same text, row for row under
-//! a total ORDER BY. The statements vary comparison operands, IN-list
-//! members and BETWEEN bounds (lifted into parameters) and ORDER BY /
+//! a total ORDER BY. The statements vary comparison operands (IN
+//! subquery bodies' included), IN-list members and BETWEEN bounds
+//! (lifted into parameters) and ORDER BY /
 //! GROUP BY ordinals, LIMIT / OFFSET, negative numbers and NULL (kept
 //! verbatim, so they make new shapes); the cache must miss exactly once
 //! per shape across both paths. Set `PROPTEST_SEED` to explore another
@@ -205,14 +206,15 @@ fn statement(rng: &mut StdRng) -> Stmt {
             }
             s.raw(" ORDER BY 1, 2");
         }
-        // An IN subquery's body is planned on its own and stays verbatim.
+        // An IN subquery's body is planned with its statement: its
+        // comparison operands lift too.
         _ => {
             let inner = rng.gen_range(0..3) * 100;
-            s.raw(&format!(
-                "SELECT g, x FROM t WHERE g IN (SELECT group_index FROM v WHERE total > {inner}) AND x < "
-            ))
-            .int(rng)
-            .raw(" ORDER BY 1, 2");
+            s.raw("SELECT g, x FROM t WHERE g IN (SELECT group_index FROM v WHERE total > ")
+                .lit(&inner.to_string(), "i")
+                .raw(") AND x < ")
+                .int(rng)
+                .raw(" ORDER BY 1, 2");
         }
     }
     s
